@@ -11,12 +11,10 @@ from .errors import (
     CollisionError,
     DegenerateMomentumError,
     DomainError,
-    EnergyInfeasibleError,
     NoBoundOrbitError,
     QuadratureError,
     RootFindError,
     RouteDisagreementError,
-    StagnationError,
     TargetOutOfRangeError,
     UnreliableVerdictError,
     UnsupportedConfigurationError,

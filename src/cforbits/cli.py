@@ -452,6 +452,7 @@ def main(argv=None):
     except ValueError as exc:
         # constructor rejections (bad alpha, bad mode, ...) are config errors
         print(f"error: {exc}", file=_sys.stderr)
+        em.finish()
         return EXIT_VALIDATION
     em.finish()
     return code

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation
 
-from .errors import EnergyInfeasibleError, StagnationError, CollisionError
+from .errors import CollisionError
 from .flow import integrate, integrate_with_variational, symplectic_matrix
 from .model import HamiltonianSystem
 from .orbit import ManifoldSample, PeriodicOrbit
@@ -118,68 +118,115 @@ def _lm_step(Jac, R, lam):
     return step
 
 
-def _shoot_fixed_period(sys, z0, T, tol):
-    traj, fm = integrate_with_variational(sys, z0, 0.0, T, tol=tol)
-    R = traj(T) - z0
-    Jac = fm.value - np.eye(z0.size)
-    return R, Jac, traj
+def _continue(problem: ShootingProblem, eps_ladder, max_newton, tol):
+    """One damped Gauss-Newton ladder over the unknowns u = z0 (fixed
+    period) or u = (z0, T) (fixed energy), then an independent re-check.
+
+    Never raises on stagnation, the damping floor or a collision: each ends
+    in a rejected result whose ``reason`` names it and whose ``residual``
+    and ``newton_iters`` are the last ones reached (residual inf when the
+    rung's first shot collided).
+    """
+    fe = problem.mode == "fixed_energy"
+    target_eps = problem.sys.perturbation.eps
+    ladder = list(eps_ladder) if eps_ladder is not None else eps_path(target_eps)
+    z0 = np.asarray(problem.seed, dtype=float).copy()
+    n = z0.size
+    u = np.append(z0, problem.T) if fe else z0
+    h = problem.h
+    anchor = (np.asarray(problem.phase_anchor, dtype=float)
+              if problem.phase_anchor is not None else z0.copy())
+    J = symplectic_matrix(problem.sys.dim)
+    total_iters, res = 0, np.inf
+    scale = 1.0 + np.linalg.norm(z0)
+
+    def period(u):
+        return u[n] if fe else problem.T
+
+    def shoot(sys, u):
+        z, T = u[:n], period(u)
+        traj, fm = integrate_with_variational(sys, z, 0.0, T, tol=tol)
+        zT = traj(T)
+        R = zT - z
+        Jac = fm.value - np.eye(n)
+        if fe:
+            # energy row, and a phase row: step orthogonal to the flow
+            # direction at the anchor; T joins the unknowns
+            vstar = sys.vector_field(0.0, anchor)
+            R = np.concatenate([R, [sys.hamiltonian(0.0, z) - h,
+                                    float(vstar @ (z - anchor))]])
+            gradH = J @ sys.vector_field(0.0, z)
+            Jac = np.vstack([np.column_stack([Jac, sys.vector_field(T, zT)]),
+                             np.append(gradH, 0.0), np.append(vstar, 0.0)])
+        return R, Jac
+
+    def reject(why, eps, res):
+        return ContinuationResult(
+            False, f"{why} at eps={eps:g}", u[:n], period(u), eps, res,
+            np.inf, np.inf if fe else 0.0, total_iters, problem.seed_id)
+
+    for eps in ladder:
+        sys = problem.sys.with_eps(eps)
+        lam = 1e-8
+        try:
+            R, Jac = shoot(sys, u)
+        except CollisionError:
+            return reject("collision", eps, np.inf)
+        res = np.linalg.norm(R)
+        for _ in range(max_newton):
+            if res <= RESIDUAL_TOL * scale:
+                break
+            u_try = u + _lm_step(Jac, R, lam)
+            total_iters += 1
+            if fe and u_try[n] <= 0.1 * problem.T:
+                lam *= 10.0
+                continue
+            try:
+                R2, Jac2 = shoot(sys, u_try)
+            except CollisionError:
+                lam *= 10.0
+                continue
+            res2 = np.linalg.norm(R2)
+            if res2 < res:
+                u, R, Jac, res = u_try, R2, Jac2, res2
+                lam = max(lam / 10.0, 1e-12)
+            else:
+                lam *= 10.0
+                if lam > 1e8:
+                    return reject("damping floor", eps, res)
+        if res > RESIDUAL_TOL * scale:
+            return reject("stagnation", eps, res)
+    # independent closure re-check at tighter tolerance
+    sys = problem.sys.with_eps(target_eps)
+    z0, T = u[:n], period(u)
+    try:
+        traj = integrate(sys, z0, 0.0, T, tol=1e-12)
+    except CollisionError:
+        return reject("collision in re-check", target_eps, res)
+    close = float(np.linalg.norm(traj(T) - z0))
+    ok = bool(close <= 10.0 * RESIDUAL_TOL * scale)
+    reason = f"re-check failed: closure {close:.3g}"
+    en, ph = np.inf, 0.0
+    if fe:
+        en = abs(float(sys.hamiltonian(0.0, z0)) - h)
+        # energy conservation along the whole orbit
+        ts = np.linspace(0.0, T, 200)
+        drift = max(abs(float(sys.hamiltonian(t, traj(t))) - h) for t in ts)
+        vstar = sys.vector_field(0.0, anchor)
+        ph = abs(float(vstar @ (z0 - anchor)))
+        ok = ok and en <= ENERGY_TOL and drift <= 1e-9
+        reason += f", energy {en:.3g}, drift {drift:.3g}"
+    return ContinuationResult(
+        ok, "ok" if ok else reason, z0, T, target_eps, close, en, ph,
+        total_iters, problem.seed_id, trajectory=traj)
 
 
 def continue_fixed_period(problem: ShootingProblem, eps_ladder=None,
                           max_newton: int = DEFAULT_MAX_NEWTON,
                           tol: float = 1e-12) -> ContinuationResult:
     """Continue the seed into a T-periodic solution of the perturbed system."""
-    target_eps = problem.sys.perturbation.eps
-    ladder = list(eps_ladder) if eps_ladder is not None else eps_path(target_eps)
-    z0 = np.asarray(problem.seed, dtype=float).copy()
-    T = problem.T
-    total_iters = 0
-    scale = 1.0 + np.linalg.norm(z0)
-    for eps in ladder:
-        sys = problem.sys.with_eps(eps)
-        lam = 1e-8
-        try:
-            R, Jac, _ = _shoot_fixed_period(sys, z0, T, tol)
-        except CollisionError:
-            return ContinuationResult(
-                False, f"collision at eps={eps:g}", z0, T, eps,
-                np.inf, np.inf, 0.0, total_iters, problem.seed_id)
-        res = np.linalg.norm(R)
-        for _ in range(max_newton):
-            if res <= RESIDUAL_TOL * scale:
-                break
-            step = _lm_step(Jac, R, lam)
-            tried = z0 + step
-            try:
-                R2, Jac2, _ = _shoot_fixed_period(sys, tried, T, tol)
-            except CollisionError:
-                lam *= 10.0
-                total_iters += 1
-                continue
-            res2 = np.linalg.norm(R2)
-            total_iters += 1
-            if res2 < res:
-                z0, R, Jac, res = tried, R2, Jac2, res2
-                lam = max(lam / 10.0, 1e-12)
-            else:
-                lam *= 10.0
-                if lam > 1e8:
-                    return ContinuationResult(
-                        False, f"damping floor at eps={eps:g}", z0, T, eps,
-                        res, np.inf, 0.0, total_iters, problem.seed_id)
-        else:
-            return ContinuationResult(
-                False, f"stagnation at eps={eps:g}", z0, T, eps,
-                res, np.inf, 0.0, total_iters, problem.seed_id)
-    # independent closure re-check at tighter tolerance
-    sys = problem.sys.with_eps(target_eps)
-    traj = integrate(sys, z0, 0.0, T, tol=1e-12)
-    res = float(np.linalg.norm(traj(T) - z0))
-    ok = bool(res <= 10.0 * RESIDUAL_TOL * scale)
-    return ContinuationResult(
-        ok, "ok" if ok else "re-check residual too large",
-        z0, T, target_eps, res, np.inf, 0.0,
-        total_iters, problem.seed_id, trajectory=traj)
+    return _continue(replace(problem, mode="fixed_period"), eps_ladder,
+                     max_newton, tol)
 
 
 def continue_fixed_energy(problem: ShootingProblem, eps_ladder=None,
@@ -187,94 +234,8 @@ def continue_fixed_energy(problem: ShootingProblem, eps_ladder=None,
                           tol: float = 1e-12) -> ContinuationResult:
     """Continue the seed into a periodic solution on the energy level h,
     solving for the initial state and the period jointly."""
-    target_eps = problem.sys.perturbation.eps
-    ladder = list(eps_ladder) if eps_ladder is not None else eps_path(target_eps)
-    z0 = np.asarray(problem.seed, dtype=float).copy()
-    T = problem.T
-    h = problem.h
-    anchor = (np.asarray(problem.phase_anchor, dtype=float)
-              if problem.phase_anchor is not None else z0.copy())
-    n = z0.size
-    J = symplectic_matrix(problem.sys.dim)
-    total_iters = 0
-    scale = 1.0 + np.linalg.norm(z0)
-
-    def residual_and_jac(sys, z, T):
-        traj, fm = integrate_with_variational(sys, z, 0.0, T, tol=tol)
-        zT = traj(T)
-        R_close = zT - z
-        R_en = sys.hamiltonian(0.0, z) - h
-        # phase row: step orthogonal to the flow direction at the anchor
-        vstar = sys.vector_field(0.0, anchor)
-        R_ph = float(vstar @ (z - anchor))
-        R = np.concatenate([R_close, [R_en, R_ph]])
-        gradH = J @ sys.vector_field(0.0, z)
-        dz_dT = sys.vector_field(T, zT)
-        Jac = np.zeros((n + 2, n + 1))
-        Jac[:n, :n] = fm.value - np.eye(n)
-        Jac[:n, n] = dz_dT
-        Jac[n, :n] = gradH
-        Jac[n + 1, :n] = vstar
-        return R, Jac, traj
-
-    for eps in ladder:
-        sys = problem.sys.with_eps(eps)
-        lam = 1e-8
-        try:
-            R, Jac, _ = residual_and_jac(sys, z0, T)
-        except CollisionError:
-            return ContinuationResult(
-                False, f"collision at eps={eps:g}", z0, T, eps,
-                np.inf, np.inf, np.inf, total_iters, problem.seed_id)
-        res = np.linalg.norm(R)
-        for _ in range(max_newton):
-            if res <= RESIDUAL_TOL * scale:
-                break
-            step = _lm_step(Jac, R, lam)
-            z_try = z0 + step[:n]
-            T_try = T + step[n]
-            if T_try <= 0.1 * problem.T:
-                lam *= 10.0
-                total_iters += 1
-                continue
-            try:
-                R2, Jac2, _ = residual_and_jac(sys, z_try, T_try)
-            except CollisionError:
-                lam *= 10.0
-                total_iters += 1
-                continue
-            res2 = np.linalg.norm(R2)
-            total_iters += 1
-            if res2 < res:
-                z0, T, R, Jac, res = z_try, T_try, R2, Jac2, res2
-                lam = max(lam / 10.0, 1e-12)
-            else:
-                lam *= 10.0
-                if lam > 1e8:
-                    return ContinuationResult(
-                        False, f"damping floor at eps={eps:g}", z0, T, eps,
-                        res, np.inf, np.inf, total_iters, problem.seed_id)
-        else:
-            raise EnergyInfeasibleError(
-                f"no level-h orbit found near the seed at eps={eps:g} "
-                f"(residual {res:.3g})")
-    sys = problem.sys.with_eps(target_eps)
-    traj = integrate(sys, z0, 0.0, T, tol=1e-12)
-    close = float(np.linalg.norm(traj(T) - z0))
-    en = abs(float(sys.hamiltonian(0.0, z0)) - h)
-    # energy conservation along the whole orbit
-    ts = np.linspace(0.0, T, 200)
-    drift = max(abs(float(sys.hamiltonian(t, traj(t))) - h) for t in ts)
-    vstar = sys.vector_field(0.0, anchor)
-    ph = abs(float(vstar @ (z0 - anchor)))
-    ok = bool(close <= 10.0 * RESIDUAL_TOL * scale and en <= ENERGY_TOL
-              and drift <= 1e-9)
-    reason = "ok" if ok else (
-        f"re-check failed: closure {close:.3g}, energy {en:.3g}, "
-        f"drift {drift:.3g}")
-    return ContinuationResult(
-        ok, reason, z0, T, target_eps, close, en, ph,
-        total_iters, problem.seed_id, trajectory=traj)
+    return _continue(replace(problem, mode="fixed_energy"), eps_ladder,
+                     max_newton, tol)
 
 
 # --- closeness certification ---
@@ -364,18 +325,9 @@ def multistart(problem_template: ShootingProblem, samples: ManifoldSample,
     sample order."""
     runner = (continue_fixed_period if problem_template.mode == "fixed_period"
               else continue_fixed_energy)
-    results = []
-    for i, seed in enumerate(samples.states):
-        prob = replace(problem_template, seed=np.asarray(seed, dtype=float),
-                       seed_id=i)
-        try:
-            results.append(runner(prob, eps_ladder, max_newton, tol))
-        except (StagnationError, EnergyInfeasibleError, CollisionError) as exc:
-            results.append(ContinuationResult(
-                False, f"{type(exc).__name__}: {exc}", np.asarray(seed, float),
-                problem_template.T, problem_template.sys.perturbation.eps,
-                np.inf, np.inf, np.inf, 0, i))
-    return results
+    return [runner(replace(problem_template, seed=np.asarray(seed, dtype=float),
+                           seed_id=i), eps_ladder, max_newton, tol)
+            for i, seed in enumerate(samples.states)]
 
 
 def distinct_results(results, scale: float | None = None, n_t: int = 64):

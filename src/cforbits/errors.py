@@ -66,11 +66,3 @@ class RouteDisagreementError(CForbitsError, RuntimeError):
     def __init__(self, message, reports=None):
         super().__init__(message)
         self.reports = reports
-
-
-class StagnationError(CForbitsError, RuntimeError):
-    """Shooting iteration failed to reach the residual tolerance."""
-
-
-class EnergyInfeasibleError(StagnationError):
-    """No nearby periodic orbit found on the requested energy level."""

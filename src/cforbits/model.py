@@ -26,11 +26,7 @@ __all__ = [
     "Perturbation",
     "HamiltonianSystem",
     "PhaseState",
-    "eval_hamiltonian",
     "eval_fields",
-    "eval_vector_field",
-    "eval_hessian",
-    "first_integrals",
 ]
 
 
@@ -42,8 +38,7 @@ class KineticLaw:
 
     Built-in kinds: ``classical`` (f(s) = m s) and ``relativistic``
     (f(s) = m s / sqrt(1 - s^2/c^2)).  ``a`` is the velocity-domain radius
-    (c in the relativistic case, +inf otherwise); ``b`` the momentum-domain
-    radius (+inf for both built-ins).
+    (c in the relativistic case, +inf otherwise).
     """
 
     kind: str
@@ -69,10 +64,6 @@ class KineticLaw:
     @property
     def a(self) -> float:
         return self.c if self.kind == "relativistic" else math.inf
-
-    @property
-    def b(self) -> float:
-        return math.inf
 
     def f(self, s):
         """Speed -> momentum magnitude."""
@@ -388,8 +379,6 @@ class HamiltonianSystem:
             raise DomainError("Hamiltonian undefined at x = 0")
         w = p - self.perturbation.A(t, x)
         s = np.linalg.norm(w)
-        if s >= self.law.b:
-            raise DomainError("momentum argument outside [0, b)")
         return float(self.law.G(s) - self.potential.V(r)
                      - self.perturbation.U(t, x))
 
@@ -402,8 +391,6 @@ class HamiltonianSystem:
         pert = self.perturbation
         w = p - pert.A(t, x)
         s = np.linalg.norm(w)
-        if s >= self.law.b:
-            raise DomainError("momentum argument outside [0, b)")
         v = self.law.f_inv(s) * w / s if s > 0.0 else np.zeros(self.dim)
         xdot = v
         pdot = (pert.DA(t, x).T @ v
@@ -458,21 +445,3 @@ class HamiltonianSystem:
         else:
             mom = np.cross(x, p)
         return energy, mom
-
-
-# module-level aliases matching the operation names used throughout the docs
-
-def eval_hamiltonian(sys: HamiltonianSystem, t: float, z) -> float:
-    return sys.hamiltonian(t, z)
-
-
-def eval_vector_field(sys: HamiltonianSystem, t: float, z):
-    return sys.vector_field(t, z)
-
-
-def eval_hessian(sys: HamiltonianSystem, t: float, z):
-    return sys.hessian(t, z)
-
-
-def first_integrals(sys: HamiltonianSystem, t: float, z):
-    return sys.first_integrals(t, z)

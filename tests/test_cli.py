@@ -58,6 +58,14 @@ class TestValidation:
         path = write_cfg(tmp_path, cfg)
         assert main(["orbit", "--config", path,
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert (tmp_path / "manifest.json").exists()
+
+    def test_checks_key_rejected(self, tmp_path):
+        cfg = dict(KEPLER_ORBIT_CFG)
+        cfg["checks"] = ["fixed_period/actions_route"]
+        path = write_cfg(tmp_path, cfg)
+        assert main(["orbit", "--config", path,
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
 
     def test_limit_classical_rejects_classical_law(self, tmp_path):
         cfg = json.loads(json.dumps(KEPLER_ORBIT_CFG))

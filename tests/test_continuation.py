@@ -114,6 +114,33 @@ class TestFixedPeriod:
             devs.append(np.max(np.abs(res.z0 - orbit.z0)))
         assert 1.5 <= devs[0] / devs[1] <= 3.0
 
+    def test_convergence_on_last_allowed_iteration_is_accepted(self, orbit):
+        # this solve needs exactly 3 Newton iterations
+        sys = electric_system(orbit, 1e-4)
+        prob = ShootingProblem(sys=sys, mode="fixed_period", seed=orbit.z0,
+                               T=orbit.T)
+        res = continue_fixed_period(prob, max_newton=3)
+        assert res.accepted, res.reason
+        assert res.newton_iters == 3
+        assert res.residual <= 1e-8
+
+
+class TestFailureContract:
+    @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
+    def test_stagnation_returns_rejected_result(self, orbit, mode):
+        fe = mode == "fixed_energy"
+        sys = electric_system(orbit, 1e-3,
+                              profile="constant" if fe else "cosine")
+        seed = manifold_samples(orbit, 2, 2, group="planar").states[1]
+        prob = ShootingProblem(sys=sys, mode=mode, seed=seed, T=orbit.T,
+                               h=orbit.profile.h if fe else None)
+        runner = continue_fixed_energy if fe else continue_fixed_period
+        res = runner(prob, max_newton=1)
+        assert not res.accepted
+        assert res.newton_iters == 1
+        assert np.isfinite(res.residual)
+        assert res.reason.startswith("stagnation")
+
 
 class TestFixedEnergy:
     def test_static_electric(self, orbit):

@@ -26,7 +26,7 @@ class TestKineticLaw:
         assert law.f(3.0) == pytest.approx(6.0)
         assert law.G(4.0) == pytest.approx(4.0)  # s^2 / (2m)
         assert law.f_inv(6.0) == pytest.approx(3.0)
-        assert math.isinf(law.a) and math.isinf(law.b)
+        assert math.isinf(law.a)
 
     def test_relativistic_closed_forms(self):
         m, c = 1.5, 3.0
