@@ -41,11 +41,8 @@ from .orbit import (
     ManifoldSample,
     PeriodicOrbit,
     RadialProfile,
-    apsidal_angle,
     find_closed_orbit,
     manifold_samples,
-    radial_action,
-    radial_period,
     radial_profile,
     turning_points,
 )

@@ -14,12 +14,9 @@ import numpy as np
 
 from .errors import ChartSingularityError
 from .model import KineticLaw, Potential
-from .orbit import (
-    RadialProfile,
-    radial_profile,
-    turning_points,
-    _converged_integrals,
-)
+# turning_points stays bound here: perfbench's tracer test looks it up on
+# this module
+from .orbit import RadialProfile, radial_profile, turning_points  # noqa: F401
 
 __all__ = [
     "ActionPoint",
@@ -55,13 +52,11 @@ def frequencies(profile: RadialProfile):
 
 
 def action_point(law: KineticLaw, V: Potential, h: float, L: float) -> ActionPoint:
-    r_min, r_max = turning_points(law, V, h, L)
-    tau_half, phi, action = _converged_integrals(law, V, h, L, r_min, r_max)
-    tau = 2.0 * tau_half
+    p = radial_profile(law, V, h, L)
+    omega1, omega2 = frequencies(p)
     return ActionPoint(
-        h=h, L=L, I1=action, I2=L,
-        omega1=2.0 * math.pi / tau, omega2=2.0 * phi / tau,
-        dI1_dh=tau / (2.0 * math.pi), dI1_dL=-phi / math.pi,
+        h=h, L=L, I1=p.action, I2=L, omega1=omega1, omega2=omega2,
+        dI1_dh=p.tau / (2.0 * math.pi), dI1_dL=-p.phi / math.pi,
     )
 
 
@@ -82,8 +77,7 @@ class NondegReport:
 
 
 def _omega(law, V, h, L):
-    p = radial_profile(law, V, h, L)
-    return np.array([2.0 * math.pi / p.tau, 2.0 * p.phi / p.tau])
+    return np.array(frequencies(radial_profile(law, V, h, L)))
 
 
 def k0_hessian(law: KineticLaw, V: Potential, h: float, L: float,

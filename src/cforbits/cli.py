@@ -81,16 +81,12 @@ def _find_orbit(law, V, ocfg, tols):
         integrate_tol=tols.get("integrate_tol", 1e-12),
     )
     search = ocfg.get("search", "vary_L")
-    if search == "vary_h":
-        if "L" not in ocfg:
-            raise ConfigError("vary_h search needs an L value")
-        return find_closed_orbit(law, V, ocfg["k"], ocfg["n"],
-                                 ocfg.get("h", 0.0), search="vary_h",
-                                 L_seed=ocfg["L"], **kw)
-    if "h" not in ocfg:
+    if search == "vary_h" and "L" not in ocfg:
+        raise ConfigError("vary_h search needs an L value")
+    if search == "vary_L" and "h" not in ocfg:
         raise ConfigError("vary_L search needs an h value")
-    return find_closed_orbit(law, V, ocfg["k"], ocfg["n"], ocfg["h"],
-                             search="vary_L", L_seed=ocfg.get("L"), **kw)
+    return find_closed_orbit(law, V, ocfg["k"], ocfg["n"], ocfg.get("h", 0.0),
+                             search=search, L_seed=ocfg.get("L"), **kw)
 
 
 def _build_perturbation(cfg, T_orbit):

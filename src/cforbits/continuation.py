@@ -21,7 +21,7 @@ from scipy.spatial.transform import Rotation
 from .errors import CollisionError
 from .flow import integrate, integrate_with_variational, symplectic_matrix
 from .model import HamiltonianSystem
-from .orbit import ManifoldSample, PeriodicOrbit
+from .orbit import ManifoldSample, PeriodicOrbit, _planar_rotation
 
 __all__ = [
     "ShootingProblem",
@@ -275,44 +275,31 @@ def distance_to_manifold(result: ContinuationResult, samples: ManifoldSample,
     for el in samples.elements:
         M, theta = el
         if np.isscalar(M):
-            a = float(M)
-            M = np.array([[math.cos(a), -math.sin(a)],
-                          [math.sin(a), math.cos(a)]])
+            M = _planar_rotation(float(M))
         d = _sup_distance(traj, result.period, orbit, M, theta, dim, n_t=48)
         if d < best:
             best, best_el = d, (M, theta)
-    if refine and best_el is not None and dim == 3:
+    if refine and best_el is not None:
+        # unknowns: an angle (plane) or a rotation vector (space) applied to
+        # the best sample's rotation, then the time shift
         M0, th0 = best_el
+        if dim == 3:
+            rotation = lambda v: Rotation.from_rotvec(v).as_matrix() @ M0
+        else:
+            a0 = math.atan2(M0[1, 0], M0[0, 0])
+            rotation = lambda v: _planar_rotation(a0 + v[0])
 
         def objective(u):
-            M = Rotation.from_rotvec(u[:3]).as_matrix() @ M0
-            return _sup_distance(traj, result.period, orbit, M, th0 + u[3], dim)
+            return _sup_distance(traj, result.period, orbit, rotation(u[:-1]),
+                                 th0 + u[-1], dim)
 
-        res = minimize(objective, np.zeros(4), method="Nelder-Mead",
+        res = minimize(objective, np.zeros(4 if dim == 3 else 2),
+                       method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12,
-                                "maxiter": 400})
+                                "maxiter": 400 if dim == 3 else 300})
         if res.fun < best:
             best = float(res.fun)
-            best_el = (Rotation.from_rotvec(res.x[:3]).as_matrix() @ M0,
-                       th0 + res.x[3])
-    elif refine and best_el is not None and dim == 2:
-        M0, th0 = best_el
-        a0 = math.atan2(M0[1, 0], M0[0, 0])
-
-        def objective(u):
-            a = a0 + u[0]
-            M = np.array([[math.cos(a), -math.sin(a)],
-                          [math.sin(a), math.cos(a)]])
-            return _sup_distance(traj, result.period, orbit, M, th0 + u[1], dim)
-
-        res = minimize(objective, np.zeros(2), method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12,
-                                "maxiter": 300})
-        if res.fun < best:
-            a = a0 + res.x[0]
-            best = float(res.fun)
-            best_el = (np.array([[math.cos(a), -math.sin(a)],
-                                 [math.sin(a), math.cos(a)]]), th0 + res.x[1])
+            best_el = (rotation(res.x[:-1]), th0 + res.x[-1])
     return replace(result, distance=best, distance_element=best_el)
 
 

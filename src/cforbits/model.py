@@ -204,8 +204,9 @@ class Perturbation:
     """Closed catalogue of electromagnetic perturbation families.
 
     Evaluators include the size ``eps``; ``U`` and ``A`` vanish identically at
-    eps = 0.  All built-in vector potentials are linear in x, so second
-    x-derivatives of A vanish.
+    eps = 0.  All built-in scalar and vector potentials are linear in x, so
+    their second x-derivatives vanish, and the vector potentials do not
+    depend on t.
     """
 
     family: str = "zero"
@@ -272,10 +273,6 @@ class Perturbation:
             return self.eps * self._g(t) * np.asarray(self.e_vec, dtype=float)
         return np.zeros(len(x))
 
-    def hess_U(self, t: float, x):
-        d = len(x)
-        return np.zeros((d, d))
-
     # vector potential and derivatives
 
     def A(self, t: float, x):
@@ -294,22 +291,20 @@ class Perturbation:
             return self.eps * np.array([[0.0, 1.0], [0.0, 0.0]])
         return np.zeros((d, d))
 
-    def dA_dt(self, t: float, x):
-        return np.zeros(len(x))
-
 
 def eval_fields(pert: Perturbation, t: float, x):
     """Electric and magnetic fields at (t, x).
 
     E = grad_x U - dA/dt; B = curl_x A (a vector for dim 3, the scalar curl
-    for dim 2).
+    for dim 2).  The built-in vector potentials do not depend on t, so
+    E = grad_x U.
     """
     x = np.asarray(x, dtype=float)
     d = len(x)
     pert.check_dim(d)
     if np.linalg.norm(x) == 0.0:
         raise DomainError("fields undefined at x = 0")
-    E = pert.grad_U(t, x) - pert.dA_dt(t, x)
+    E = pert.grad_U(t, x)
     DA = pert.DA(t, x)
     if d == 3:
         B = np.array([DA[2, 1] - DA[1, 2], DA[0, 2] - DA[2, 0], DA[1, 0] - DA[0, 1]])
@@ -424,8 +419,9 @@ class HamiltonianSystem:
         Vblock = Vpp * uxux + (Vp / r) * (eye - uxux)
 
         Ax = pert.DA(t, x)
-        # built-in A families are linear in x, so the D^2 A term vanishes
-        Hxx = Ax.T @ Kww @ Ax - Vblock - pert.hess_U(t, x)
+        # built-in U and A families are linear in x, so the D^2 U and D^2 A
+        # terms vanish
+        Hxx = Ax.T @ Kww @ Ax - Vblock
         Hxp = -(Ax.T @ Kww)
         Hpp = Kww
 

@@ -1,8 +1,8 @@
 """Radial reduction of the planar unperturbed problem.
 
-Turning points, radial period, apsidal angle, closed non-circular orbits
-(k:n resonances) and sampling of the manifolds of rotated/time-shifted
-copies of a periodic orbit.
+Turning points; radial period, apsidal angle and radial action from one
+quadrature; closed non-circular orbits (k:n resonances) and sampling of the
+manifolds of rotated/time-shifted copies of a periodic orbit.
 """
 from __future__ import annotations
 
@@ -29,9 +29,6 @@ __all__ = [
     "ManifoldSample",
     "turning_points",
     "radial_profile",
-    "radial_period",
-    "apsidal_angle",
-    "radial_action",
     "find_closed_orbit",
     "manifold_samples",
 ]
@@ -50,6 +47,7 @@ class RadialProfile:
     r_max: float
     tau: float  # minimal period of |x|
     phi: float  # apsidal angle, r_min -> r_max
+    action: float  # radial action (1/pi) * integral of p_r over [r_min, r_max]
 
     @property
     def eccentricity(self) -> float:
@@ -161,29 +159,11 @@ def _converged_integrals(law, V, h, L, r_min, r_max, rtol=5e-11):
 
 
 def radial_profile(law: KineticLaw, V: Potential, h: float, L: float) -> RadialProfile:
-    """Turning points plus radial period and apsidal angle at (h, L)."""
+    """Turning points plus radial period, apsidal angle and radial action at
+    (h, L), all from one converged quadrature."""
     r_min, r_max = turning_points(law, V, h, L)
-    tau_half, phi, _ = _converged_integrals(law, V, h, L, r_min, r_max)
-    return RadialProfile(h, L, r_min, r_max, 2.0 * tau_half, phi)
-
-
-def radial_period(law: KineticLaw, V: Potential, profile: RadialProfile) -> float:
-    tau_half, _, _ = _converged_integrals(
-        law, V, profile.h, profile.L, profile.r_min, profile.r_max)
-    return 2.0 * tau_half
-
-
-def apsidal_angle(law: KineticLaw, V: Potential, profile: RadialProfile) -> float:
-    _, phi, _ = _converged_integrals(
-        law, V, profile.h, profile.L, profile.r_min, profile.r_max)
-    return phi
-
-
-def radial_action(law: KineticLaw, V: Potential, profile: RadialProfile) -> float:
-    """Radial action (1/pi) * integral of p_r over [r_min, r_max]."""
-    _, _, action = _converged_integrals(
-        law, V, profile.h, profile.L, profile.r_min, profile.r_max)
-    return action
+    tau_half, phi, action = _converged_integrals(law, V, h, L, r_min, r_max)
+    return RadialProfile(h, L, r_min, r_max, 2.0 * tau_half, phi, action)
 
 
 # --- closed orbits ---
@@ -229,6 +209,11 @@ def apogee_state(profile: RadialProfile, dim: int = 2):
 
 
 def _build_orbit(law, V, profile, k, n, dim, tol):
+    if profile.eccentricity < ECCENTRICITY_FLOOR:
+        raise CircularDegenerateError(
+            f"orbit eccentricity {profile.eccentricity:.3g} below the floor")
+    if abs(profile.L) < ANGULAR_MOMENTUM_FLOOR:
+        raise NoBoundOrbitError("angular momentum below the non-rectilinear floor")
     z0 = apogee_state(profile, dim)
     T = n * profile.tau
     sys = HamiltonianSystem(law, V, Perturbation.zero(), dim)
@@ -237,16 +222,23 @@ def _build_orbit(law, V, profile, k, n, dim, tol):
     return PeriodicOrbit(profile, k, n, T, z0, traj, dim, residual, law, V)
 
 
-def _phi_at(law, V, h, L):
-    return radial_profile(law, V, h, L).phi
-
-
 def _is_feasible(law, V, h, L):
     try:
         turning_points(law, V, h, L)
         return True
     except (NoBoundOrbitError, CircularDegenerateError):
         return False
+
+
+def _bisect_edge(feasible, good, bad):
+    """Last feasible L after 60 geometric bisections of [good, bad]."""
+    for _ in range(60):
+        mid = math.sqrt(bad * good)
+        if feasible(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def _feasible_L_interval(law, V, h):
@@ -262,29 +254,11 @@ def _feasible_L_interval(law, V, h):
             f"no bound non-circular orbit found at h = {h:g} over the L scan")
     idx = np.flatnonzero(feas)
     i0, i1 = idx[0], idx[-1]
-    lo = scan[i0]
-    if i0 > 0:
-        bad, good = scan[i0 - 1], scan[i0]
-        for _ in range(60):
-            mid = math.sqrt(bad * good)
-            if _is_feasible(law, V, h, mid):
-                good = mid
-            else:
-                bad = mid
-        lo = good
-    hi = scan[i1]
-    if i1 < len(scan) - 1:
-        good, bad = scan[i1], scan[i1 + 1]
-        for _ in range(60):
-            mid = math.sqrt(bad * good)
-            if _is_feasible(law, V, h, mid):
-                good = mid
-            else:
-                bad = mid
-        hi = good
-    else:
+    feasible = lambda L: _is_feasible(law, V, h, L)
+    lo = scan[i0] if i0 == 0 else _bisect_edge(feasible, scan[i0], scan[i0 - 1])
+    if i1 == len(scan) - 1:
         raise NoBoundOrbitError("feasible L region appears unbounded")
-    return lo, hi
+    return lo, _bisect_edge(feasible, scan[i1], scan[i1 + 1])
 
 
 def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
@@ -298,97 +272,60 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
     if math.gcd(k, n) != 1:
         raise ValueError(f"k = {k} and n = {n} must be coprime")
     target = k * math.pi / n
+    # each mode is a scan grid over one unknown x and the map x -> (h, L)
     if search == "vary_L":
-        h = h_seed
-        L_lo, L_hi = _feasible_L_interval(law, V, h)
+        L_lo, L_hi = _feasible_L_interval(law, V, h_seed)
         grid = np.geomspace(max(L_lo * 1.001, ANGULAR_MOMENTUM_FLOOR),
                             0.999 * L_hi, 48)
-        phis, Ls = [], []
-        for L in grid:
-            try:
-                phis.append(_phi_at(law, V, h, L))
-                Ls.append(L)
-            except (NoBoundOrbitError, CircularDegenerateError, QuadratureError):
-                continue
-        if len(Ls) < 2:
-            raise NoBoundOrbitError(f"too few feasible L values at h = {h:g}")
-        phis = np.array(phis)
-        Ls = np.array(Ls)
-        if np.ptp(phis) < 1e-9:
-            # apsidal angle independent of L (Kepler/harmonic signature)
-            if abs(phis[0] - target) > 1e-7:
-                raise TargetOutOfRangeError(
-                    f"apsidal angle is constant at {phis[0]:.9g}, target {target:.9g}",
-                    phi_range=(float(phis.min()), float(phis.max())))
-            L_star = L_seed if L_seed is not None else float(Ls[len(Ls) // 2])
-            profile = radial_profile(law, V, h, L_star)
-            return _check_and_build(law, V, profile, k, n, dim, integrate_tol)
-        sign = np.sign(phis - target)
-        flips = np.flatnonzero(np.diff(sign) != 0)
-        if flips.size == 0:
-            raise TargetOutOfRangeError(
-                f"target {target:.9g} outside scanned apsidal range "
-                f"[{phis.min():.9g}, {phis.max():.9g}]",
-                phi_range=(float(phis.min()), float(phis.max())))
-        i = flips[0]
-        try:
-            L_star = brentq(lambda L: _phi_at(law, V, h, L) - target,
-                            Ls[i], Ls[i + 1], xtol=1e-14, rtol=8.9e-16)
-        except Exception as exc:
-            raise RootFindError(f"apsidal root find failed: {exc}") from exc
-        profile = radial_profile(law, V, h, L_star)
+        point = lambda x: (h_seed, x)
+        x_seed, scanned = L_seed, f"L values at h = {h_seed:g}"
     elif search == "vary_h":
         if L_seed is None:
             raise ValueError("vary_h search needs L_seed (the fixed momentum)")
-        L = L_seed
-        hs, phis = _scan_h(law, V, L, h_seed)
-        sign = np.sign(phis - target)
-        flips = np.flatnonzero(np.diff(sign) != 0)
-        if np.ptp(phis) < 1e-9 and abs(phis[0] - target) <= 1e-7:
-            profile = radial_profile(law, V, h_seed, L)
-        elif flips.size == 0:
-            raise TargetOutOfRangeError(
-                f"target {target:.9g} outside scanned apsidal range "
-                f"[{phis.min():.9g}, {phis.max():.9g}]",
-                phi_range=(float(phis.min()), float(phis.max())))
-        else:
-            i = flips[0]
-            try:
-                h_star = brentq(lambda h: _phi_at(law, V, h, L) - target,
-                                hs[i], hs[i + 1], xtol=1e-14, rtol=8.9e-16)
-            except Exception as exc:
-                raise RootFindError(f"apsidal root find failed: {exc}") from exc
-            profile = radial_profile(law, V, h_star, L)
+        span = max(1.0, abs(h_seed))
+        grid = np.linspace(h_seed - 2 * span, h_seed + 2 * span, 61)
+        point = lambda x: (x, L_seed)
+        x_seed, scanned = h_seed, f"h values at L = {L_seed:g}"
     else:
         raise ValueError(f"unknown search mode: {search!r}")
+    phi_at = lambda x: radial_profile(law, V, *point(x)).phi
+    xs, phis = [], []
+    for x in grid:
+        try:
+            phis.append(phi_at(x))
+            xs.append(x)
+        except (NoBoundOrbitError, CircularDegenerateError, QuadratureError):
+            continue
+    if len(xs) < 2:
+        raise NoBoundOrbitError(f"too few feasible {scanned}")
+    xs, phis = np.array(xs), np.array(phis)
+    if np.ptp(phis) < 1e-9:
+        # apsidal angle constant along the scan (Kepler/harmonic signature):
+        # every scanned orbit is closed, or none is
+        if abs(phis[0] - target) > 1e-7:
+            raise TargetOutOfRangeError(
+                f"apsidal angle is constant at {phis[0]:.9g}, target {target:.9g}",
+                phi_range=(float(phis.min()), float(phis.max())))
+        x_star = x_seed if x_seed is not None else float(xs[len(xs) // 2])
+        profile = radial_profile(law, V, *point(x_star))
+        return _build_orbit(law, V, profile, k, n, dim, integrate_tol)
+    flips = np.flatnonzero(np.diff(np.sign(phis - target)) != 0)
+    if flips.size == 0:
+        raise TargetOutOfRangeError(
+            f"target {target:.9g} outside scanned apsidal range "
+            f"[{phis.min():.9g}, {phis.max():.9g}]",
+            phi_range=(float(phis.min()), float(phis.max())))
+    i = flips[0]
+    try:
+        x_star = brentq(lambda x: phi_at(x) - target, xs[i], xs[i + 1],
+                        xtol=1e-14, rtol=8.9e-16)
+    except Exception as exc:
+        raise RootFindError(f"apsidal root find failed: {exc}") from exc
+    profile = radial_profile(law, V, *point(x_star))
     if abs(profile.phi - target) > max(phi_tol, 1e-11):
         raise RootFindError(
             f"resonance residual {abs(profile.phi - target):.3g} above tolerance")
-    return _check_and_build(law, V, profile, k, n, dim, integrate_tol)
-
-
-def _scan_h(law, V, L, h_seed):
-    """Feasible h values around h_seed with their apsidal angles."""
-    span = max(1.0, abs(h_seed))
-    hs, phis = [], []
-    for h in np.linspace(h_seed - 2 * span, h_seed + 2 * span, 61):
-        try:
-            phis.append(_phi_at(law, V, h, L))
-            hs.append(h)
-        except (NoBoundOrbitError, CircularDegenerateError, QuadratureError):
-            continue
-    if len(hs) < 2:
-        raise NoBoundOrbitError(f"too few feasible h values at L = {L:g}")
-    return np.array(hs), np.array(phis)
-
-
-def _check_and_build(law, V, profile, k, n, dim, tol):
-    if profile.eccentricity < ECCENTRICITY_FLOOR:
-        raise CircularDegenerateError(
-            f"orbit eccentricity {profile.eccentricity:.3g} below the floor")
-    if abs(profile.L) < ANGULAR_MOMENTUM_FLOOR:
-        raise NoBoundOrbitError("angular momentum below the non-rectilinear floor")
-    return _build_orbit(law, V, profile, k, n, dim, tol)
+    return _build_orbit(law, V, profile, k, n, dim, integrate_tol)
 
 
 # --- manifold sampling ---
@@ -428,6 +365,12 @@ def _so3_sequence(count: int):
     return mats
 
 
+def _planar_rotation(a: float):
+    """Rotation of the plane by the angle a."""
+    return np.array([[math.cos(a), -math.sin(a)],
+                     [math.sin(a), math.cos(a)]])
+
+
 def rotate_state(M, z):
     """Apply a spatial rotation to both the position and momentum blocks."""
     z = np.asarray(z, dtype=float)
@@ -449,8 +392,7 @@ def manifold_samples(orbit: PeriodicOrbit, count_rot: int, count_shift: int,
         if orbit.dim != 2:
             raise ValueError("planar group needs a dim-2 orbit")
         angles = np.linspace(0.0, 2.0 * math.pi, count_rot, endpoint=False)
-        mats = [np.array([[math.cos(a), -math.sin(a)],
-                          [math.sin(a), math.cos(a)]]) for a in angles]
+        mats = [_planar_rotation(a) for a in angles]
         elements = tuple((a, th) for a in angles for th in thetas)
         states = np.array([
             rotate_state(M, orbit.state_at(-th))

@@ -32,7 +32,6 @@ from cforbits.orbit import (
     find_closed_orbit,
     manifold_samples,
     radial_profile,
-    radial_action,
 )
 
 CLASSICAL = KineticLaw.classical()
@@ -144,8 +143,7 @@ class TestCriterion4ClosedFormAnchors:
     def test_kepler_radial_action(self):
         h, L = -0.375, 1.0
         p = radial_profile(CLASSICAL, Potential.kepler(), h, L)
-        I1 = radial_action(CLASSICAL, Potential.kepler(), p)
-        assert abs(I1 - ((-2 * h) ** -0.5 - L)) <= 1e-8
+        assert abs(p.action - ((-2 * h) ** -0.5 - L)) <= 1e-8
 
     def test_harmonic_isochrony(self):
         taus = [radial_profile(CLASSICAL, Potential.harmonic(), h, L).tau

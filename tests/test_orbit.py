@@ -11,11 +11,8 @@ from cforbits.errors import (
 from cforbits.model import KineticLaw, Potential
 from cforbits.orbit import (
     apogee_state,
-    apsidal_angle,
     find_closed_orbit,
     manifold_samples,
-    radial_action,
-    radial_period,
     radial_profile,
     rotate_state,
     turning_points,
@@ -66,16 +63,14 @@ class TestRadialIntegrals:
     def test_kepler_action(self):
         h, L = -0.375, 1.0
         p = radial_profile(CLASSICAL, KEPLER, h, L)
-        I1 = radial_action(CLASSICAL, KEPLER, p)
-        assert I1 == pytest.approx((-2 * h) ** -0.5 - L, abs=1e-8)
+        assert p.action == pytest.approx((-2 * h) ** -0.5 - L, abs=1e-8)
 
     def test_harmonic_quantities(self):
         h, L = 1.25, 1.0
         p = radial_profile(CLASSICAL, HARMONIC, h, L)
         assert p.tau == pytest.approx(math.pi, rel=1e-9)
         assert p.phi == pytest.approx(math.pi / 2, abs=1e-7)
-        I1 = radial_action(CLASSICAL, HARMONIC, p)
-        assert I1 == pytest.approx(h / 2 - L / 2, abs=1e-8)
+        assert p.action == pytest.approx(h / 2 - L / 2, abs=1e-8)
 
     def test_harmonic_isochrony(self):
         # tau independent of (h, L) across a 5x5 grid
@@ -102,11 +97,6 @@ class TestRadialIntegrals:
         lo, hi = _feasible_L_interval(CLASSICAL, V, h)
         p = radial_profile(CLASSICAL, V, h, 0.99 * hi)
         assert p.phi == pytest.approx(math.pi / math.sqrt(2 - alpha), rel=5e-3)
-
-    def test_period_and_angle_helpers_match_profile(self):
-        p = radial_profile(CLASSICAL, KEPLER, -0.375, 1.0)
-        assert radial_period(CLASSICAL, KEPLER, p) == pytest.approx(p.tau)
-        assert apsidal_angle(CLASSICAL, KEPLER, p) == pytest.approx(p.phi)
 
 
 class TestFindClosedOrbit:
@@ -145,6 +135,15 @@ class TestFindClosedOrbit:
                                 L_seed=0.3)
         assert abs(orb.profile.phi - 3 * math.pi / 4) <= 1e-11
         assert orb.profile.L == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("V, k, n, h", [(HARMONIC, 1, 2, 1.25),
+                                            (KEPLER, 1, 1, -0.375)],
+                             ids=["harmonic", "kepler"])
+    def test_search_modes_agree_on_constant_apsidal_angle(self, V, k, n, h):
+        by_L = find_closed_orbit(CLASSICAL, V, k, n, h, L_seed=1.0)
+        by_h = find_closed_orbit(CLASSICAL, V, k, n, h, search="vary_h",
+                                 L_seed=1.0)
+        assert by_h.profile == by_L.profile
 
     def test_spatial_embedding(self):
         orb = find_closed_orbit(CLASSICAL, KEPLER, 1, 1, -0.375, L_seed=1.0,
