@@ -145,8 +145,7 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton, tol):
 
     def shoot(sys, u):
         z, T = u[:n], period(u)
-        traj, fm = integrate_with_variational(sys, z, 0.0, T, tol=tol)
-        zT = traj(T)
+        zT, fm = integrate_with_variational(sys, z, 0.0, T, tol=tol)
         R = zT - z
         Jac = fm.value - np.eye(n)
         if fe:

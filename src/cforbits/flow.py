@@ -1,10 +1,12 @@
 """Time integration of the Hamiltonian systems and their variational
 (linearized) equations.
 
-Uses an explicit adaptive Runge-Kutta scheme of order 8(5,3) (DOP853) with
-dense output rather than a symplectic fixed-step method: monodromy accuracy
-needs tight local error control and variational-equation coupling, and the
-symplectic residual is monitored instead of enforced.
+Uses an explicit adaptive Runge-Kutta scheme of order 8(5,3) (DOP853)
+rather than a symplectic fixed-step method: monodromy accuracy needs tight
+local error control and variational-equation coupling, and the symplectic
+residual is monitored instead of enforced.  Plain trajectories carry DOP853's
+dense output; variational solves return only their end point, since the
+interpolant costs three more right-hand-side evaluations per step.
 """
 from __future__ import annotations
 
@@ -75,7 +77,8 @@ class DriftReport:
     momentum_rel: np.ndarray
 
 
-def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, collision_floor):
+def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, collision_floor,
+           dense_output):
     d = sys.dim
 
     def collision(t, y):
@@ -86,7 +89,7 @@ def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, collision_floor):
 
     res = solve_ivp(
         rhs, (t0, t1), y0, method="DOP853",
-        rtol=tol, atol=tol, dense_output=True, events=collision,
+        rtol=tol, atol=tol, dense_output=dense_output, events=collision,
     )
     if res.status == 1:
         raise CollisionError(
@@ -103,34 +106,40 @@ def integrate(sys: HamiltonianSystem, z0, t0: float, t1: float,
               collision_floor: float = COLLISION_FLOOR) -> Trajectory:
     """Integrate the phase flow from z0 over [t0, t1]."""
     z0 = np.asarray(z0, dtype=float)
-    res = _solve(sys, sys.vector_field, z0, t0, t1, tol, collision_floor)
+    res = _solve(sys, sys.vector_field, z0, t0, t1, tol, collision_floor, True)
     return Trajectory(res.t, res.y.T.copy(), t0, t1, res.sol, z0.size)
 
 
 def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float,
                                tol: float = DEFAULT_TOL,
                                collision_floor: float = COLLISION_FLOOR):
-    """Jointly integrate the state and the 2d x 2d fundamental matrix."""
+    """Jointly integrate the state and the 2d x 2d fundamental matrix.
+
+    Returns ``(z(t1), FundamentalMatrix)``; no dense output is built.
+    """
     z0 = np.asarray(z0, dtype=float)
     n = z0.size
     d = sys.dim
-    J = symplectic_matrix(d)
 
     def rhs(t, y):
         z = y[:n]
-        W = y[n:].reshape(n, n)
-        dz = sys.vector_field(t, z)
-        # J w' = Hess w  =>  w' = -J Hess w
-        dW = -J @ (sys.hessian(t, z) @ W)
-        return np.concatenate([dz, dW.ravel()])
+        out = np.empty(n + n * n)
+        out[:n] = sys.vector_field(t, z)
+        # J w' = Hess w  =>  w' = -J Hess w, i.e. the p-rows of Hess W on
+        # top and the negated x-rows below
+        HW = sys.hessian(t, z) @ y[n:].reshape(n, n)
+        dW = out[n:].reshape(n, n)
+        dW[:d] = HW[d:]
+        np.negative(HW[:d], out=dW[d:])
+        return out
 
     y0 = np.concatenate([z0, np.eye(n).ravel()])
-    res = _solve(sys, rhs, y0, t0, t1, tol, collision_floor)
-    traj = Trajectory(res.t, res.y[:n].T.copy(), t0, t1, res.sol, n)
+    res = _solve(sys, rhs, y0, t0, t1, tol, collision_floor, False)
     W = res.y[n:, -1].reshape(n, n)
+    J = symplectic_matrix(d)
     residual = float(np.linalg.norm(W.T @ J @ W - J))
     fm = FundamentalMatrix(W, residual, float(np.linalg.cond(W)))
-    return traj, fm
+    return res.y[:n, -1].copy(), fm
 
 
 def monodromy(sys: HamiltonianSystem, orbit, tol: float = DEFAULT_TOL) -> FundamentalMatrix:

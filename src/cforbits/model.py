@@ -9,7 +9,7 @@ is provided for convenience.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -90,6 +90,21 @@ class KineticLaw:
         if self.kind == "classical":
             return np.full_like(s, 1.0 / self.m)
         return 1.0 / (self.m * (1.0 + (s / (self.m * self.c)) ** 2) ** 1.5)
+
+    # f_inv and f_inv_prime on one Python float, in the same operation order,
+    # for the per-step kernels of HamiltonianSystem (no 0-d array boxing)
+
+    def _speed(self, s: float) -> float:
+        if self.kind == "classical":
+            return s / self.m
+        q = s / (self.m * self.c)
+        return s / (self.m * math.sqrt(1.0 + q * q))
+
+    def _speed_prime(self, s: float) -> float:
+        if self.kind == "classical":
+            return 1.0 / self.m
+        q = s / (self.m * self.c)
+        return 1.0 / (self.m * (1.0 + q * q) ** 1.5)
 
     def F(self, s):
         """Kinetic energy as a function of speed."""
@@ -193,6 +208,11 @@ class Potential:
 
 # --- perturbations ---
 
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
 def _skew(b):
     return np.array(
         [[0.0, -b[2], b[1]], [b[2], 0.0, -b[0]], [-b[1], b[0], 0.0]]
@@ -206,7 +226,10 @@ class Perturbation:
     Evaluators include the size ``eps``; ``U`` and ``A`` vanish identically at
     eps = 0.  All built-in scalar and vector potentials are linear in x, so
     their second x-derivatives vanish, and the vector potentials do not
-    depend on t.
+    depend on t.  The constant x-derivatives are built once per instance:
+    ``_DA`` (read-only, None for families without a vector potential) and
+    ``_e`` (the electric direction, None for families without an electric
+    field).
     """
 
     family: str = "zero"
@@ -215,6 +238,21 @@ class Perturbation:
     profile: str = "constant"  # time profile of the electric potential
     T_forcing: float = math.inf
     B0: tuple = ()
+    _DA: np.ndarray | None = field(default=None, init=False, repr=False,
+                                   compare=False)
+    _e: np.ndarray | None = field(default=None, init=False, repr=False,
+                                  compare=False)
+
+    def __post_init__(self):
+        DA = e = None
+        if self.family == "uniform_magnetic":
+            DA = 0.5 * self.eps * _skew(np.asarray(self.B0, dtype=float))
+        elif self.family == "rotating_frame":
+            DA = self.eps * np.array([[0.0, 1.0], [0.0, 0.0]])
+        elif self.family == "uniform_electric":
+            e = np.asarray(self.e_vec, dtype=float)
+        object.__setattr__(self, "_DA", None if DA is None else _frozen(DA))
+        object.__setattr__(self, "_e", None if e is None else _frozen(e))
 
     @classmethod
     def zero(cls) -> "Perturbation":
@@ -269,26 +307,28 @@ class Perturbation:
         return 0.0
 
     def grad_U(self, t: float, x):
-        if self.family == "uniform_electric":
-            return self.eps * self._g(t) * np.asarray(self.e_vec, dtype=float)
+        if self._e is not None:
+            return self.eps * self._g(t) * self._e
         return np.zeros(len(x))
 
     # vector potential and derivatives
 
     def A(self, t: float, x):
-        x = np.asarray(x, dtype=float)
         if self.family == "uniform_magnetic":
-            return 0.5 * self.eps * np.cross(self.B0, x)
+            # B0 x x written out, in np.cross's operation order
+            b0, b1, b2 = self.B0
+            x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+            c = 0.5 * self.eps
+            return np.array([c * (b1 * x2 - b2 * x1), c * (b2 * x0 - b0 * x2),
+                             c * (b0 * x1 - b1 * x0)])
         if self.family == "rotating_frame":
-            return self.eps * np.array([x[1], 0.0])
+            return np.array([self.eps * float(x[1]), 0.0])
         return np.zeros(len(x))
 
     def DA(self, t: float, x):
+        if self._DA is not None:
+            return self._DA
         d = len(x)
-        if self.family == "uniform_magnetic":
-            return 0.5 * self.eps * _skew(np.asarray(self.B0, dtype=float))
-        if self.family == "rotating_frame":
-            return self.eps * np.array([[0.0, 1.0], [0.0, 0.0]])
         return np.zeros((d, d))
 
 
@@ -331,6 +371,9 @@ class PhaseState:
     @property
     def z(self):
         return np.concatenate([self.x, self.p])
+
+
+_EYE = {d: _frozen(np.eye(d)) for d in (2, 3)}
 
 
 def _as_z(z):
@@ -380,56 +423,58 @@ class HamiltonianSystem:
     def vector_field(self, t: float, z):
         """Canonical phase velocity (dx/dt, dp/dt) = (grad_p H, -grad_x H)."""
         x, p = self._split(z)
-        r = np.linalg.norm(x)
+        r = math.sqrt(x @ x)
         if r == 0.0:
             raise DomainError("vector field undefined at x = 0")
         pert = self.perturbation
-        w = p - pert.A(t, x)
-        s = np.linalg.norm(w)
-        v = self.law.f_inv(s) * w / s if s > 0.0 else np.zeros(self.dim)
-        xdot = v
-        pdot = (pert.DA(t, x).T @ v
-                + float(self.potential.dV(r)) * x / r
-                + pert.grad_U(t, x))
-        return np.concatenate([xdot, pdot])
+        DA = pert._DA
+        w = p if DA is None else p - pert.A(t, x)
+        s = math.sqrt(w @ w)
+        v = self.law._speed(s) * w / s if s > 0.0 else np.zeros(self.dim)
+        pdot = float(self.potential._dV(r)) * x / r
+        if DA is not None:
+            pdot += DA.T @ v
+        if pert._e is not None:
+            pdot += pert.grad_U(t, x)
+        return np.concatenate([v, pdot])
 
     def hessian(self, t: float, z):
         """Symmetric (2d x 2d) matrix of second z-derivatives of H."""
         x, p = self._split(z)
         d = self.dim
-        r = np.linalg.norm(x)
+        r = math.sqrt(x @ x)
         if r == 0.0:
             raise DomainError("Hessian undefined at x = 0")
         pert = self.perturbation
-        w = p - pert.A(t, x)
-        s = np.linalg.norm(w)
+        DA = pert._DA
+        w = p if DA is None else p - pert.A(t, x)
+        s = math.sqrt(w @ w)
         if s == 0.0:
             raise DegenerateMomentumError("Hessian singular at p = A(t, x)")
         u = w / s
-        uu = np.outer(u, u)
-        eye = np.eye(d)
-        g = float(self.law.f_inv(s))
-        gp = float(self.law.f_inv_prime(s))
+        uu = u[:, None] * u
+        eye = _EYE[d]
+        g = self.law._speed(s)
+        gp = self.law._speed_prime(s)
         Kww = gp * uu + (g / s) * (eye - uu)
 
         ux = x / r
-        uxux = np.outer(ux, ux)
-        Vpp = float(self.potential.d2V(r))
-        Vp = float(self.potential.dV(r))
+        uxux = ux[:, None] * ux
+        Vpp = float(self.potential._d2V(r))
+        Vp = float(self.potential._dV(r))
         Vblock = Vpp * uxux + (Vp / r) * (eye - uxux)
 
-        Ax = pert.DA(t, x)
         # built-in U and A families are linear in x, so the D^2 U and D^2 A
-        # terms vanish
-        Hxx = Ax.T @ Kww @ Ax - Vblock
-        Hxp = -(Ax.T @ Kww)
-        Hpp = Kww
-
-        H = np.empty((2 * d, 2 * d))
-        H[:d, :d] = Hxx
-        H[:d, d:] = Hxp
-        H[d:, :d] = Hxp.T
-        H[d:, d:] = Hpp
+        # terms vanish, and without A: Hxx = -Vblock, Hxp = 0, Hpp = Kww
+        H = np.zeros((2 * d, 2 * d))
+        H[d:, d:] = Kww
+        if DA is None:
+            np.negative(Vblock, out=H[:d, :d])
+        else:
+            AK = DA.T @ Kww
+            H[:d, :d] = AK @ DA - Vblock
+            np.negative(AK, out=H[:d, d:])
+            H[d:, :d] = H[:d, d:].T
         return H
 
     def first_integrals(self, t: float, z):

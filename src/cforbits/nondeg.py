@@ -121,9 +121,9 @@ def _guard_quality(symp_res: float, gap: float, what: str):
             f"rank decision unreliable")
 
 
-def _fixed_period_check(orbit: PeriodicOrbit, dim: int, rank_tol: float,
-                        tol: float) -> MonodromyReport:
-    _, _, fm = _monodromy_of(orbit, dim, tol)
+def _fixed_period_report(sys: HamiltonianSystem, fm,
+                         rank_tol: float) -> MonodromyReport:
+    dim = sys.dim
     P = fm.value
     M = np.eye(2 * dim) - P
     kd, gap, sv = kernel_dimension(M, rank_tol)
@@ -138,28 +138,9 @@ def _fixed_period_check(orbit: PeriodicOrbit, dim: int, rank_tol: float,
     )
 
 
-def check_planar_fixed_period(orbit: PeriodicOrbit, rank_tol: float = RANK_TOL,
-                              tol: float = 1e-12) -> MonodromyReport:
-    """Kernel of I - P for the 4x4 planar monodromy; nondegenerate iff 2."""
-    if orbit.dim != 2:
-        raise ValueError("planar check needs a d=2 orbit")
-    return _fixed_period_check(orbit, 2, rank_tol, tol)
-
-
-def check_spatial_fixed_period(orbit: PeriodicOrbit, rank_tol: float = RANK_TOL,
-                               tol: float = 1e-12) -> MonodromyReport:
-    """Kernel of I - P for the 6x6 spatial monodromy of the embedded orbit;
-    nondegenerate iff 4."""
-    return _fixed_period_check(orbit, 3, rank_tol, tol)
-
-
-def check_fixed_energy(orbit: PeriodicOrbit, dim: int = 2,
-                       rank_tol: float = RANK_TOL,
-                       tol: float = 1e-12) -> FixedEnergyKernelReport:
-    """Kernel of the augmented matrix coupling I - P with the flow direction
-    and the energy tangency constraint; nondegenerate iff the kernel has the
-    manifold dimension (2 planar, 4 spatial)."""
-    sys, z0, fm = _monodromy_of(orbit, dim, tol)
+def _fixed_energy_report(sys: HamiltonianSystem, z0, fm,
+                         rank_tol: float) -> FixedEnergyKernelReport:
+    dim = sys.dim
     P = fm.value
     n = 2 * dim
     J = symplectic_matrix(dim)
@@ -177,6 +158,32 @@ def check_fixed_energy(orbit: PeriodicOrbit, dim: int = 2,
         symplectic_residual=fm.symplectic_residual,
         expected_dim=expected, verdict=verdict,
     )
+
+
+def check_planar_fixed_period(orbit: PeriodicOrbit, rank_tol: float = RANK_TOL,
+                              tol: float = 1e-12) -> MonodromyReport:
+    """Kernel of I - P for the 4x4 planar monodromy; nondegenerate iff 2."""
+    if orbit.dim != 2:
+        raise ValueError("planar check needs a d=2 orbit")
+    sys, _, fm = _monodromy_of(orbit, 2, tol)
+    return _fixed_period_report(sys, fm, rank_tol)
+
+
+def check_spatial_fixed_period(orbit: PeriodicOrbit, rank_tol: float = RANK_TOL,
+                               tol: float = 1e-12) -> MonodromyReport:
+    """Kernel of I - P for the 6x6 spatial monodromy of the embedded orbit;
+    nondegenerate iff 4."""
+    sys, _, fm = _monodromy_of(orbit, 3, tol)
+    return _fixed_period_report(sys, fm, rank_tol)
+
+
+def check_fixed_energy(orbit: PeriodicOrbit, dim: int = 2,
+                       rank_tol: float = RANK_TOL,
+                       tol: float = 1e-12) -> FixedEnergyKernelReport:
+    """Kernel of the augmented matrix coupling I - P with the flow direction
+    and the energy tangency constraint; nondegenerate iff the kernel has the
+    manifold dimension (2 planar, 4 spatial)."""
+    return _fixed_energy_report(*_monodromy_of(orbit, dim, tol), rank_tol)
 
 
 def _grad_hamiltonian(sys: HamiltonianSystem, z0):
@@ -207,10 +214,13 @@ def cross_check(orbit: PeriodicOrbit, fd_step: float = 1e-5,
                      orbit.profile.h, orbit.profile.L, fd_step=fd_step)
     det_fp = nondeg_fixed_period(rep)
     det_fe = nondeg_fixed_energy(rep)
-    pl_fp = check_planar_fixed_period(orbit, rank_tol, tol)
-    pl_fe = check_fixed_energy(orbit, 2, rank_tol, tol)
-    sp_fp = check_spatial_fixed_period(orbit, rank_tol, tol)
-    sp_fe = check_fixed_energy(orbit, 3, rank_tol, tol)
+    # one monodromy per dimension serves both problems
+    reports = []
+    for dim in (2, 3):
+        sys, z0, fm = _monodromy_of(orbit, dim, tol)
+        reports += [_fixed_period_report(sys, fm, rank_tol),
+                    _fixed_energy_report(sys, z0, fm, rank_tol)]
+    pl_fp, pl_fe, sp_fp, sp_fe = reports
     pairs = [
         ("fixed-period planar", det_fp, pl_fp.verdict),
         ("fixed-period spatial", det_fp, sp_fp.verdict),

@@ -6,6 +6,7 @@ manifolds of rotated/time-shifted copies of a periodic orbit.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,6 +33,8 @@ __all__ = [
     "find_closed_orbit",
     "manifold_samples",
 ]
+
+log = logging.getLogger(__name__)
 
 ECCENTRICITY_FLOOR = 1e-4
 ANGULAR_MOMENTUM_FLOOR = 1e-6
@@ -316,6 +319,10 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
             f"[{phis.min():.9g}, {phis.max():.9g}]",
             phi_range=(float(phis.min()), float(phis.max())))
     i = flips[0]
+    if flips.size > 1:
+        log.warning("%d brackets of the apsidal angle %.9g over the %s; "
+                    "using the first, [%.9g, %.9g]", flips.size, target,
+                    scanned, xs[i], xs[i + 1])
     try:
         x_star = brentq(lambda x: phi_at(x) - target, xs[i], xs[i + 1],
                         xtol=1e-14, rtol=8.9e-16)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from cforbits.errors import CollisionError
 from cforbits.flow import (
@@ -123,3 +124,47 @@ class TestVariational:
         traj = integrate(sys, z0, 0.0, 4.0)
         assert np.allclose(traj(0.0), z0, atol=1e-12)
         assert traj.t0 == 0.0 and traj.t1 == 4.0
+
+
+def reference_variational(sys, z0, t1, tol=1e-12):
+    """Textbook joint RHS [z', (-J Hess W)] with a full 2d x 2d product and
+    dense output, the end state read from the interpolant."""
+    n = z0.size
+    J = symplectic_matrix(sys.dim)
+
+    def rhs(t, y):
+        z, W = y[:n], y[n:].reshape(n, n)
+        return np.concatenate([sys.vector_field(t, z),
+                               (-J @ (sys.hessian(t, z) @ W)).ravel()])
+
+    res = solve_ivp(rhs, (0.0, t1), np.concatenate([z0, np.eye(n).ravel()]),
+                    method="DOP853", rtol=tol, atol=tol, dense_output=True)
+    assert res.success
+    return res.sol(t1)[:n], res.y[n:, -1].reshape(n, n)
+
+
+LAWS = [KineticLaw.classical(), KineticLaw.relativistic(m=1.0, c=3.0)]
+PERTURBED = [
+    (Perturbation.zero(), np.array([2.0, 0.0, 0.0, 0.5])),
+    (Perturbation.uniform_electric((0.3, -0.2), 1e-2, profile="cosine",
+                                   T_forcing=2.0),
+     np.array([2.0, 0.0, 0.0, 0.5])),
+    (Perturbation.uniform_magnetic((0.2, -0.4, 1.0), 1e-2),
+     np.array([2.0, 0.0, 0.3, 0.0, 0.5, 0.1])),
+    (Perturbation.rotating_frame(1e-2), np.array([2.0, 0.0, 0.0, 0.5])),
+]
+
+
+class TestVariationalAgainstReference:
+    @pytest.mark.parametrize("law", LAWS, ids=["classical", "relativistic"])
+    @pytest.mark.parametrize("pert,z0", PERTURBED,
+                             ids=["zero", "cosine_electric", "magnetic_3d",
+                                  "rotating_frame"])
+    def test_end_state_and_fundamental_matrix(self, law, pert, z0):
+        sys = HamiltonianSystem(law, Potential.homogeneous(1.0, 0.5), pert,
+                                z0.size // 2)
+        t1 = 6.0
+        z_ref, W_ref = reference_variational(sys, z0, t1)
+        z1, fm = integrate_with_variational(sys, z0, 0.0, t1)
+        assert np.max(np.abs(z1 - z_ref)) <= 1e-10
+        assert np.max(np.abs(fm.value - W_ref)) <= 1e-10

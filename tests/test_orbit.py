@@ -1,7 +1,11 @@
+import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+import cforbits.orbit as orbit_module
 
 from cforbits.errors import (
     CircularDegenerateError,
@@ -150,6 +154,23 @@ class TestFindClosedOrbit:
                                 dim=3)
         assert orb.z0.size == 6
         assert orb.closure_residual <= 1e-8
+
+    def test_extra_brackets_are_logged(self, monkeypatch, caplog):
+        # an apsidal angle that crosses the target several times over the
+        # feasible L interval of alpha = 0.5 at h = -1.5
+        target = 3 * math.pi / 4
+        monkeypatch.setattr(
+            orbit_module, "radial_profile",
+            lambda law, V, h, L: SimpleNamespace(phi=target + math.sin(20 * L)))
+        monkeypatch.setattr(orbit_module, "_build_orbit",
+                            lambda law, V, profile, *rest: profile)
+        V = Potential.homogeneous(1.0, 0.5)
+        with caplog.at_level(logging.WARNING, logger="cforbits.orbit"):
+            profile = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5)
+        assert abs(profile.phi - target) <= 1e-11
+        (record,) = caplog.records
+        assert "brackets of the apsidal angle" in record.getMessage()
+        assert "using the first" in record.getMessage()
 
 
 class TestApogeeState:
