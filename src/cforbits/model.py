@@ -79,28 +79,19 @@ class KineticLaw:
         return self.m * (1.0 - (s / self.c) ** 2) ** -1.5
 
     def f_inv(self, s):
-        """Momentum magnitude -> speed (inverse of f)."""
-        s = np.asarray(s, dtype=float)
-        if self.kind == "classical":
-            return s / self.m
-        return s / (self.m * np.sqrt(1.0 + (s / (self.m * self.c)) ** 2))
+        """Momentum magnitude -> speed (inverse of f).
 
-    def f_inv_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == "classical":
-            return np.full_like(s, 1.0 / self.m)
-        return 1.0 / (self.m * (1.0 + (s / (self.m * self.c)) ** 2) ** 1.5)
-
-    # f_inv and f_inv_prime on one Python float, in the same operation order,
-    # for the per-step kernels of HamiltonianSystem (no 0-d array boxing)
-
-    def _speed(self, s: float) -> float:
+        Takes a Python float or an array without converting it, so the
+        per-step kernels of HamiltonianSystem stay on floats.
+        """
         if self.kind == "classical":
             return s / self.m
         q = s / (self.m * self.c)
-        return s / (self.m * math.sqrt(1.0 + q * q))
+        return s / (self.m * np.sqrt(1.0 + q * q))
 
-    def _speed_prime(self, s: float) -> float:
+    def f_inv_prime(self, s):
+        """Derivative of f_inv; a float or an array as for f_inv (the
+        constant 1/m for the classical law)."""
         if self.kind == "classical":
             return 1.0 / self.m
         q = s / (self.m * self.c)
@@ -226,10 +217,11 @@ class Perturbation:
     Evaluators include the size ``eps``; ``U`` and ``A`` vanish identically at
     eps = 0.  All built-in scalar and vector potentials are linear in x, so
     their second x-derivatives vanish, and the vector potentials do not
-    depend on t.  The constant x-derivatives are built once per instance:
+    depend on t.  ``__post_init__`` is the one place that maps a family to
+    its fields: it builds the constant x-derivatives once per instance,
     ``_DA`` (read-only, None for families without a vector potential) and
     ``_e`` (the electric direction, None for families without an electric
-    field).
+    field), and every evaluator below keys off these two.
     """
 
     family: str = "zero"
@@ -302,34 +294,36 @@ class Perturbation:
     # scalar potential and derivatives
 
     def U(self, t: float, x) -> float:
-        if self.family == "uniform_electric":
-            return self.eps * self._g(t) * float(np.dot(self.e_vec, x))
-        return 0.0
+        if self._e is None:
+            return 0.0
+        return self.eps * self._g(t) * float(np.dot(self._e, x))
 
     def grad_U(self, t: float, x):
-        if self._e is not None:
-            return self.eps * self._g(t) * self._e
-        return np.zeros(len(x))
+        if self._e is None:
+            return np.zeros(len(x))
+        return self.eps * self._g(t) * self._e
 
-    # vector potential and derivatives
+    # vector potential and derivatives; the built-in ones are linear, A = DA x
 
     def A(self, t: float, x):
+        DA = self._DA
+        if DA is None:
+            return np.zeros(len(x))
         if self.family == "uniform_magnetic":
-            # B0 x x written out, in np.cross's operation order
+            # eps/2 B0 x x written out in np.cross's operation order, which
+            # DA @ x does not keep
             b0, b1, b2 = self.B0
             x0, x1, x2 = np.asarray(x, dtype=float).tolist()
             c = 0.5 * self.eps
             return np.array([c * (b1 * x2 - b2 * x1), c * (b2 * x0 - b0 * x2),
                              c * (b0 * x1 - b1 * x0)])
-        if self.family == "rotating_frame":
-            return np.array([self.eps * float(x[1]), 0.0])
-        return np.zeros(len(x))
+        return DA @ np.asarray(x, dtype=float)
 
     def DA(self, t: float, x):
-        if self._DA is not None:
-            return self._DA
-        d = len(x)
-        return np.zeros((d, d))
+        if self._DA is None:
+            d = len(x)
+            return np.zeros((d, d))
+        return self._DA
 
 
 def eval_fields(pert: Perturbation, t: float, x):
@@ -430,7 +424,7 @@ class HamiltonianSystem:
         DA = pert._DA
         w = p if DA is None else p - pert.A(t, x)
         s = math.sqrt(w @ w)
-        v = self.law._speed(s) * w / s if s > 0.0 else np.zeros(self.dim)
+        v = self.law.f_inv(s) * w / s if s > 0.0 else np.zeros(self.dim)
         pdot = float(self.potential._dV(r)) * x / r
         if DA is not None:
             pdot += DA.T @ v
@@ -454,8 +448,8 @@ class HamiltonianSystem:
         u = w / s
         uu = u[:, None] * u
         eye = _EYE[d]
-        g = self.law._speed(s)
-        gp = self.law._speed_prime(s)
+        g = self.law.f_inv(s)
+        gp = self.law.f_inv_prime(s)
         Kww = gp * uu + (g / s) * (eye - uu)
 
         ux = x / r

@@ -90,9 +90,6 @@ def test_legendre_identity_and_round_trips(law, frac, q):
     w = float(law.f_inv(pmag))
     assert e == pytest.approx(w * pmag - float(law.F(w)),
                               rel=1e-10, abs=1e-12 * (1.0 + pmag * w))
-    # the per-step scalar kernels give the array methods' bits
-    assert law._speed(pmag) == float(law.f_inv(pmag))
-    assert law._speed_prime(pmag) == float(law.f_inv_prime(pmag))
 
 
 systems = st.one_of(
