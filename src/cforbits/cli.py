@@ -10,6 +10,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import math
 import sys as _sys
 import time
@@ -173,6 +174,18 @@ class Emitter:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
             f.write("\n")
+
+
+class _ManifestWarnings(logging.Handler):
+    """Appends the WARNING records of the ``cforbits`` loggers to the
+    manifest's warnings."""
+
+    def __init__(self, em: Emitter):
+        super().__init__(logging.WARNING)
+        self.em = em
+
+    def emit(self, record):
+        self.em.warn(f"{record.name}: {record.getMessage()}")
 
 
 def _fmt(x):
@@ -434,22 +447,24 @@ def main(argv=None):
         return EXIT_VALIDATION
     em = Emitter(args.out, args.config, cfg, args.reproducible)
     tols = _scaled_tols(cfg, args.tol_scale)
+    library_log = logging.getLogger("cforbits")
+    handler = _ManifestWarnings(em)
+    library_log.addHandler(handler)
     try:
         code = _COMMANDS[args.command](cfg, em, tols)
     except RouteDisagreementError as exc:
         print(f"error: route disagreement: {exc}", file=_sys.stderr)
-        em.finish()
-        return EXIT_DISAGREEMENT
+        code = EXIT_DISAGREEMENT
     except CForbitsError as exc:
         code_name = type(exc).__name__
         print(f"error: [{code_name}] {exc}", file=_sys.stderr)
-        em.finish()
-        return EXIT_NUMERICAL
+        code = EXIT_NUMERICAL
     except ValueError as exc:
         # constructor rejections (bad alpha, bad mode, ...) are config errors
         print(f"error: {exc}", file=_sys.stderr)
-        em.finish()
-        return EXIT_VALIDATION
+        code = EXIT_VALIDATION
+    finally:
+        library_log.removeHandler(handler)
     em.finish()
     return code
 

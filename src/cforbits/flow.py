@@ -23,6 +23,7 @@ __all__ = [
     "FundamentalMatrix",
     "DriftReport",
     "symplectic_matrix",
+    "symplectic_residual",
     "integrate",
     "integrate_with_variational",
     "monodromy",
@@ -39,6 +40,12 @@ def symplectic_matrix(d: int):
     J[:d, d:] = -np.eye(d)
     J[d:, :d] = np.eye(d)
     return J
+
+
+def symplectic_residual(W) -> float:
+    """Frobenius norm of W^T J W - J; zero for a symplectic matrix."""
+    J = symplectic_matrix(W.shape[0] // 2)
+    return float(np.linalg.norm(W.T @ J @ W - J))
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,6 @@ class FundamentalMatrix:
 
     value: np.ndarray
     symplectic_residual: float
-    condition: float
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,7 @@ def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float,
     y0 = np.concatenate([z0, np.eye(n).ravel()])
     res = _solve(sys, rhs, y0, t0, t1, tol, collision_floor, False)
     W = res.y[n:, -1].reshape(n, n)
-    J = symplectic_matrix(d)
-    residual = float(np.linalg.norm(W.T @ J @ W - J))
-    fm = FundamentalMatrix(W, residual, float(np.linalg.cond(W)))
-    return res.y[:n, -1].copy(), fm
+    return res.y[:n, -1].copy(), FundamentalMatrix(W, symplectic_residual(W))
 
 
 def monodromy(sys: HamiltonianSystem, orbit, tol: float = DEFAULT_TOL) -> FundamentalMatrix:

@@ -6,9 +6,18 @@ A planar orbit's manifold of rotated/time-shifted copies is 2-dimensional;
 the spatial manifold (rotations in O(3) plus shifts) is 4-dimensional.
 Non-degeneracy means the linearization sees exactly those dimensions and
 nothing more.
+
+Every monodromy comes from one variational solve over one radial period
+tau = T/n.  The unperturbed flow commutes with rotations and a k:n orbit
+returns to its apogee rotated by 2 pi k/n after each radial period, so with
+W = W(tau) and Q the rotation by -2 pi k/n of both x and p, the planar
+monodromy is P = (Q W)^n.  Rotating the orbit plane gives two T-periodic
+solutions and the coupling blocks vanish at x3 = p3 = 0, so the spatial
+monodromy of the embedded orbit is P + I_2 (direct sum).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +29,10 @@ from .actions import (
     nondeg_fixed_period,
 )
 from .errors import RouteDisagreementError, UnreliableVerdictError
-from .flow import integrate_with_variational, symplectic_matrix
+from .flow import integrate_with_variational, symplectic_matrix, \
+    symplectic_residual
 from .model import HamiltonianSystem, KineticLaw, Perturbation, Potential
-from .orbit import PeriodicOrbit, apogee_state
+from .orbit import PeriodicOrbit, _planar_rotation, apogee_state
 
 __all__ = [
     "MonodromyReport",
@@ -70,7 +80,10 @@ def kernel_dimension(M, rank_tol: float = RANK_TOL):
 
 @dataclass(frozen=True)
 class MonodromyReport:
-    """Fixed-period linearization data along one closure period."""
+    """Fixed-period linearization data along one closure period.
+
+    ``radial_defect`` is |z(tau) - Rot(2 pi k/n) z0| at the end of the one
+    radial period the monodromy was built from."""
 
     P: np.ndarray
     singular_values: np.ndarray  # of I - P
@@ -78,6 +91,7 @@ class MonodromyReport:
     gap: float
     eigenvalues: np.ndarray  # Floquet multipliers
     symplectic_residual: float
+    radial_defect: float
     expected_dim: int
     verdict: str
 
@@ -91,23 +105,58 @@ class FixedEnergyKernelReport:
     dim_F: int
     gap: float
     symplectic_residual: float
+    radial_defect: float
     expected_dim: int
     verdict: str
 
 
-def _monodromy_of(orbit: PeriodicOrbit, dim: int, tol: float):
-    if dim == orbit.dim:
-        sys = orbit.system
-        z0 = orbit.z0
-    elif dim == 3 and orbit.dim == 2:
-        # embed the planar orbit in the x3 = p3 = 0 plane
-        sys = HamiltonianSystem(orbit.law, orbit.potential,
-                                Perturbation.zero(), 3)
-        z0 = apogee_state(orbit.profile, 3)
-    else:
-        raise ValueError(f"cannot run a d={dim} check on a d={orbit.dim} orbit")
-    _, fm = integrate_with_variational(sys, z0, 0.0, orbit.T, tol=tol)
-    return sys, z0, fm
+@dataclass(frozen=True)
+class _Linearization:
+    """Unperturbed system, apogee state and monodromy in one dimension."""
+
+    sys: HamiltonianSystem
+    z0: np.ndarray
+    P: np.ndarray
+    symplectic_residual: float
+    radial_defect: float
+
+
+_PLANE = [0, 1, 3, 4]  # x1, x2, p1, p2 inside (x1, x2, x3, p1, p2, p3)
+
+
+def _rotated_cycle_power(sys: HamiltonianSystem, z0, tau: float,
+                         angle: float, n: int, tol: float):
+    """(Rot(-angle) W(tau))^n for the planar flow from z0, with Rot acting on
+    both x and p, and the defect |z(tau) - Rot(angle) z0|.
+
+    When z(tau) = Rot(angle) z0, rotation equivariance of the flow makes the
+    fundamental matrix at n tau equal to Rot(n angle) times the power."""
+    z_tau, fm = integrate_with_variational(sys, z0, 0.0, tau, tol=tol)
+    Q = np.kron(np.eye(2), _planar_rotation(angle))
+    defect = float(np.linalg.norm(z_tau - Q @ z0))
+    return np.linalg.matrix_power(Q.T @ fm.value, n), defect
+
+
+def _linearizations(orbit: PeriodicOrbit, dims, tol: float):
+    """One _Linearization per dimension in dims, all from one variational
+    solve over one radial period of the planar orbit."""
+    for dim in dims:
+        if dim not in (2, 3) or dim < orbit.dim:
+            raise ValueError(
+                f"cannot run a d={dim} check on a d={orbit.dim} orbit")
+    law, V, profile = orbit.law, orbit.potential, orbit.profile
+    sys = HamiltonianSystem(law, V, Perturbation.zero(), 2)
+    z0 = apogee_state(profile, 2)
+    P, defect = _rotated_cycle_power(sys, z0, profile.tau,
+                                     2.0 * math.pi * orbit.k / orbit.n,
+                                     orbit.n, tol)
+    P3 = np.eye(6)
+    P3[np.ix_(_PLANE, _PLANE)] = P
+    by_dim = {2: (sys, z0, P),
+              3: (HamiltonianSystem(law, V, Perturbation.zero(), 3),
+                  apogee_state(profile, 3), P3)}
+    return [_Linearization(*by_dim[d], symplectic_residual(by_dim[d][2]),
+                           defect) for d in dims]
 
 
 def _guard_quality(symp_res: float, gap: float, what: str):
@@ -121,60 +170,58 @@ def _guard_quality(symp_res: float, gap: float, what: str):
             f"rank decision unreliable")
 
 
-def _fixed_period_report(sys: HamiltonianSystem, fm,
+def _fixed_period_report(lin: _Linearization,
                          rank_tol: float) -> MonodromyReport:
-    dim = sys.dim
-    P = fm.value
-    M = np.eye(2 * dim) - P
-    kd, gap, sv = kernel_dimension(M, rank_tol)
+    dim = lin.sys.dim
+    P = lin.P
+    kd, gap, sv = kernel_dimension(np.eye(2 * dim) - P, rank_tol)
     expected = 2 if dim == 2 else 4
-    _guard_quality(fm.symplectic_residual, gap, f"fixed-period d={dim}")
+    _guard_quality(lin.symplectic_residual, gap, f"fixed-period d={dim}")
     verdict = "nondegenerate" if kd == expected else "degenerate"
     return MonodromyReport(
         P=P, singular_values=sv, kernel_dim=kd, gap=gap,
         eigenvalues=np.linalg.eigvals(P),
-        symplectic_residual=fm.symplectic_residual,
-        expected_dim=expected, verdict=verdict,
+        symplectic_residual=lin.symplectic_residual,
+        radial_defect=lin.radial_defect, expected_dim=expected,
+        verdict=verdict,
     )
 
 
-def _fixed_energy_report(sys: HamiltonianSystem, z0, fm,
+def _fixed_energy_report(lin: _Linearization,
                          rank_tol: float) -> FixedEnergyKernelReport:
-    dim = sys.dim
-    P = fm.value
+    dim = lin.sys.dim
     n = 2 * dim
     J = symplectic_matrix(dim)
-    gradH = _grad_hamiltonian(sys, z0)
+    gradH = _grad_hamiltonian(lin.sys, lin.z0)
     A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = np.eye(n) - P
+    A[:n, :n] = np.eye(n) - lin.P
     A[:n, n] = -(J @ gradH)
     A[n, :n] = gradH
     kd, gap, sv = kernel_dimension(A, rank_tol)
     expected = 2 if dim == 2 else 4
-    _guard_quality(fm.symplectic_residual, gap, f"fixed-energy d={dim}")
+    _guard_quality(lin.symplectic_residual, gap, f"fixed-energy d={dim}")
     verdict = "nondegenerate" if kd == expected else "degenerate"
     return FixedEnergyKernelReport(
         augmented_matrix=A, singular_values=sv, dim_F=kd, gap=gap,
-        symplectic_residual=fm.symplectic_residual,
-        expected_dim=expected, verdict=verdict,
+        symplectic_residual=lin.symplectic_residual,
+        radial_defect=lin.radial_defect, expected_dim=expected,
+        verdict=verdict,
     )
 
 
 def check_planar_fixed_period(orbit: PeriodicOrbit, rank_tol: float = RANK_TOL,
                               tol: float = 1e-12) -> MonodromyReport:
     """Kernel of I - P for the 4x4 planar monodromy; nondegenerate iff 2."""
-    if orbit.dim != 2:
-        raise ValueError("planar check needs a d=2 orbit")
-    sys, _, fm = _monodromy_of(orbit, 2, tol)
-    return _fixed_period_report(sys, fm, rank_tol)
+    lin, = _linearizations(orbit, (2,), tol)
+    return _fixed_period_report(lin, rank_tol)
 
 
 def check_spatial_fixed_period(orbit: PeriodicOrbit, rank_tol: float = RANK_TOL,
                                tol: float = 1e-12) -> MonodromyReport:
     """Kernel of I - P for the 6x6 spatial monodromy of the embedded orbit;
     nondegenerate iff 4."""
-    sys, _, fm = _monodromy_of(orbit, 3, tol)
-    return _fixed_period_report(sys, fm, rank_tol)
+    lin, = _linearizations(orbit, (3,), tol)
+    return _fixed_period_report(lin, rank_tol)
 
 
 def check_fixed_energy(orbit: PeriodicOrbit, dim: int = 2,
@@ -183,7 +230,8 @@ def check_fixed_energy(orbit: PeriodicOrbit, dim: int = 2,
     """Kernel of the augmented matrix coupling I - P with the flow direction
     and the energy tangency constraint; nondegenerate iff the kernel has the
     manifold dimension (2 planar, 4 spatial)."""
-    return _fixed_energy_report(*_monodromy_of(orbit, dim, tol), rank_tol)
+    lin, = _linearizations(orbit, (dim,), tol)
+    return _fixed_energy_report(lin, rank_tol)
 
 
 def _grad_hamiltonian(sys: HamiltonianSystem, z0):
@@ -214,12 +262,11 @@ def cross_check(orbit: PeriodicOrbit, fd_step: float = 1e-5,
                      orbit.profile.h, orbit.profile.L, fd_step=fd_step)
     det_fp = nondeg_fixed_period(rep)
     det_fe = nondeg_fixed_energy(rep)
-    # one monodromy per dimension serves both problems
+    # one radial-period solve serves both problems in both dimensions
     reports = []
-    for dim in (2, 3):
-        sys, z0, fm = _monodromy_of(orbit, dim, tol)
-        reports += [_fixed_period_report(sys, fm, rank_tol),
-                    _fixed_energy_report(sys, z0, fm, rank_tol)]
+    for lin in _linearizations(orbit, (2, 3), tol):
+        reports += [_fixed_period_report(lin, rank_tol),
+                    _fixed_energy_report(lin, rank_tol)]
     pl_fp, pl_fe, sp_fp, sp_fe = reports
     pairs = [
         ("fixed-period planar", det_fp, pl_fp.verdict),

@@ -39,6 +39,10 @@ log = logging.getLogger(__name__)
 ECCENTRICITY_FLOOR = 1e-4
 ANGULAR_MOMENTUM_FLOOR = 1e-6
 
+# the radial scan grid of turning_points at its default range, built once
+_DEFAULT_SCAN = np.geomspace(1e-8, 1e6, 8000)
+_DEFAULT_SCAN.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class RadialProfile:
@@ -74,7 +78,8 @@ def turning_points(law: KineticLaw, V: Potential, h: float, L: float,
     function to 1e-12 relative accuracy."""
     if L == 0.0:
         raise NoBoundOrbitError("rectilinear limit L = 0 is out of scope")
-    rs = np.geomspace(r_lo, r_hi, 8000)
+    rs = (_DEFAULT_SCAN if (r_lo, r_hi) == (1e-8, 1e6)
+          else np.geomspace(r_lo, r_hi, 8000))
     vals = _p2(law, V, h, L, rs)
     pos = vals > 0.0
     if not pos.any():

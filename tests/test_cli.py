@@ -1,8 +1,10 @@
 import csv
 import json
+import logging
 
 import pytest
 
+import cforbits.cli
 from cforbits.cli import (
     EXIT_DISAGREEMENT,
     EXIT_NUMERICAL,
@@ -121,6 +123,22 @@ class TestOrbitCommand:
         path = write_cfg(tmp_path, cfg)
         assert main(["orbit", "--config", path,
                      "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+
+    def test_library_warnings_reach_the_manifest(self, tmp_path, monkeypatch):
+        find = cforbits.cli.find_closed_orbit
+
+        def warning_find(*args, **kwargs):
+            logging.getLogger("cforbits.orbit").warning("bracket %d of %d", 1, 2)
+            return find(*args, **kwargs)
+
+        monkeypatch.setattr(cforbits.cli, "find_closed_orbit", warning_find)
+        handlers = list(logging.getLogger("cforbits").handlers)
+        path = write_cfg(tmp_path, KEPLER_ORBIT_CFG)
+        out = tmp_path / "out"
+        assert main(["orbit", "--config", path, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"] == ["cforbits.orbit: bracket 1 of 2"]
+        assert logging.getLogger("cforbits").handlers == handlers
 
 
 class TestNondegCommand:

@@ -2,17 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cforbits.errors import RouteDisagreementError, UnreliableVerdictError
-from cforbits.model import KineticLaw, Potential
+from cforbits.flow import integrate_with_variational, monodromy
+from cforbits.model import HamiltonianSystem, KineticLaw, Perturbation, Potential
 from cforbits.nondeg import (
+    MIN_GAP,
+    RANK_TOL,
+    _fixed_energy_report,
+    _fixed_period_report,
+    _Linearization,
+    _rotated_cycle_power,
     check_fixed_energy,
     check_planar_fixed_period,
     check_spatial_fixed_period,
     cross_check,
     kernel_dimension,
 )
-from cforbits.orbit import find_closed_orbit
+from cforbits.orbit import (
+    _planar_rotation,
+    apogee_state,
+    find_closed_orbit,
+    radial_profile,
+)
 
 CLASSICAL = KineticLaw.classical()
 KEPLER = Potential.kepler()
@@ -165,3 +178,104 @@ class TestCrossCheck:
         # the gap margin); either way the cross-check must refuse to agree
         with pytest.raises((RouteDisagreementError, UnreliableVerdictError)):
             cross_check(alpha_half_orbit, rank_tol=0.9)
+
+
+# --- one radial period against the full-period references ---
+
+RELATIVISTIC = KineticLaw.relativistic(m=1.0, c=1.0)
+REL_L = math.sqrt(16.0 / 7.0)
+
+# the nondeg_table benchmark pool; its harmonic, alpha_m1, alpha_05, kepler,
+# alpha_15 and rel_kepler rows are the acceptance table and its relativistic
+# Kepler orbit
+POOL = [
+    # (name, law, alpha, k, n, h, L_seed)
+    ("harmonic", CLASSICAL, -2.0, 1, 2, 1.25, 1.0),
+    ("kepler", CLASSICAL, 1.0, 1, 1, -0.375, 1.0),
+    ("alpha_m1", CLASSICAL, -1.0, 4, 7, 1.0, None),
+    ("alpha_m1_h08", CLASSICAL, -1.0, 4, 7, 0.8, None),
+    ("alpha_05", CLASSICAL, 0.5, 3, 4, -1.5, None),
+    ("alpha_05_h12", CLASSICAL, 0.5, 3, 4, -1.2, None),
+    ("alpha_05_h18", CLASSICAL, 0.5, 3, 4, -1.8, None),
+    ("alpha_15", CLASSICAL, 1.5, 3, 2, -0.5, None),
+    ("alpha_15_h04", CLASSICAL, 1.5, 3, 2, -0.4, None),
+    ("alpha_15_h065", CLASSICAL, 1.5, 3, 2, -0.65, None),
+    ("rel_kepler", RELATIVISTIC, 1.0, 4, 3, -0.2, REL_L),
+    ("rel_kepler_h018", RELATIVISTIC, 1.0, 4, 3, -0.18, REL_L),
+    ("rel_kepler_h022", RELATIVISTIC, 1.0, 4, 3, -0.22, REL_L),
+]
+
+
+def reference_reports(orbit):
+    """Fixed-period and fixed-energy reports of the full-period 4x4
+    monodromy and of the integrated 6x6 monodromy of the embedded orbit."""
+    sys3 = HamiltonianSystem(orbit.law, orbit.potential, Perturbation.zero(), 3)
+    z3 = apogee_state(orbit.profile, 3)
+    _, fm3 = integrate_with_variational(sys3, z3, 0.0, orbit.T)
+    fm2 = monodromy(orbit.system, orbit)
+    lins = [_Linearization(orbit.system, orbit.z0, fm2.value,
+                           fm2.symplectic_residual, 0.0),
+            _Linearization(sys3, z3, fm3.value, fm3.symplectic_residual, 0.0)]
+    return [f(lin, RANK_TOL) for lin in lins
+            for f in (_fixed_period_report, _fixed_energy_report)]
+
+
+@pytest.mark.parametrize("name, law, alpha, k, n, h, L_seed", POOL,
+                         ids=[row[0] for row in POOL])
+def test_radial_period_monodromy_matches_full_period(name, law, alpha, k, n,
+                                                     h, L_seed):
+    orbit = find_closed_orbit(law, Potential.homogeneous(1.0, alpha), k, n, h,
+                              L_seed=L_seed)
+    cc = cross_check(orbit)
+    got = [cc.planar_fp, cc.planar_fe, cc.spatial_fp, cc.spatial_fe]
+    ref = reference_reports(orbit)
+    dims = lambda reps: [reps[0].kernel_dim, reps[1].dim_F,
+                         reps[2].kernel_dim, reps[3].dim_F]
+    assert dims(got) == dims(ref)
+    for new, old in zip(got, ref):
+        assert new.verdict == old.verdict
+        assert new.gap >= MIN_GAP
+        assert new.gap >= 0.1 * old.gap
+        assert new.radial_defect <= 1e-9
+    for new, old in ((cc.planar_fp, ref[0]), (cc.spatial_fp, ref[2])):
+        assert np.max(np.abs(new.P - old.P)) <= \
+            1e-8 * max(1.0, np.max(np.abs(old.P)))
+
+
+def _classical_point(alpha, r1, ratio):
+    # turning points at r1 < ratio * r1 in closed form; V is decreasing, so
+    # the effective potential has one well and (r1, ratio * r1) is its annulus
+    V = Potential.homogeneous(1.0, alpha)
+    r2 = ratio * r1
+    L2 = 2.0 * (V.V(r1) - V.V(r2)) / (r1**-2 - r2**-2)
+    return CLASSICAL, V, L2 / (2.0 * r1**2) - V.V(r1), math.sqrt(L2)
+
+
+# generic points: the apsidal angle is not a rational multiple of pi, so
+# Rot(2 n phi) is not the identity
+radial_points = st.one_of(
+    st.builds(_classical_point, st.sampled_from([-1.0, 0.5, 1.5]),
+              st.floats(0.5, 2.0), st.floats(1.5, 3.0)),
+    st.builds(lambda h, L: (RELATIVISTIC, KEPLER, h, L),
+              st.floats(-0.24, -0.14), st.floats(1.3, 1.6)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=5, database=None)
+@given(point=radial_points)
+def test_fundamental_matrix_is_a_rotated_power_of_one_radial_period(point):
+    # D phi_{n tau}(z0) = Rot(2 n phi) (Rot(-2 phi) W(tau))^n
+    law, V, h, L = point
+    profile = radial_profile(law, V, h, L)
+    sys = HamiltonianSystem(law, V, Perturbation.zero(), 2)
+    z0 = apogee_state(profile, 2)
+    angle = 2.0 * profile.phi
+    for n in (1, 2, 3):
+        power, defect = _rotated_cycle_power(sys, z0, profile.tau, angle, n,
+                                             1e-12)
+        _, fm = integrate_with_variational(sys, z0, 0.0, n * profile.tau)
+        Q = np.kron(np.eye(2), _planar_rotation(n * angle))
+        W = fm.value
+        assert np.max(np.abs(Q @ power - W)) <= \
+            1e-8 * max(1.0, np.max(np.abs(W)))
+        assert defect <= 1e-9
