@@ -278,6 +278,9 @@ def cmd_nondeg(cfg, em: Emitter, tols):
             "spatial_dim_F": cc.spatial_fe.dim_F,
             "det_fixed_period_normalized": _fmt(a.scale_fixed_period),
             "det_fixed_energy_normalized": _fmt(a.scale_fixed_energy),
+            # |z(tau) - Rot(2 pi k/n) z0|: residual of the one-radial-period
+            # factorization every monodromy above is built from
+            "radial_defect": _fmt(cc.planar_fp.radial_defect),
         })
     em.write_csv("nondeg.csv",
                  ["case", "problem", "route", "value", "verdict",

@@ -137,26 +137,27 @@ def _rotated_cycle_power(sys: HamiltonianSystem, z0, tau: float,
     return np.linalg.matrix_power(Q.T @ fm.value, n), defect
 
 
-def _linearizations(orbit: PeriodicOrbit, dims, tol: float):
-    """One _Linearization per dimension in dims, all from one variational
-    solve over one radial period of the planar orbit."""
-    for dim in dims:
-        if dim not in (2, 3) or dim < orbit.dim:
-            raise ValueError(
-                f"cannot run a d={dim} check on a d={orbit.dim} orbit")
+def _linearizations(orbit: PeriodicOrbit, tol: float):
+    """Planar and spatial _Linearization, both from one variational solve
+    over one radial period of the planar orbit."""
     law, V, profile = orbit.law, orbit.potential, orbit.profile
-    sys = HamiltonianSystem(law, V, Perturbation.zero(), 2)
+    sys2 = HamiltonianSystem(law, V, Perturbation.zero(), 2)
     z0 = apogee_state(profile, 2)
-    P, defect = _rotated_cycle_power(sys, z0, profile.tau,
+    P, defect = _rotated_cycle_power(sys2, z0, profile.tau,
                                      2.0 * math.pi * orbit.k / orbit.n,
                                      orbit.n, tol)
     P3 = np.eye(6)
     P3[np.ix_(_PLANE, _PLANE)] = P
-    by_dim = {2: (sys, z0, P),
-              3: (HamiltonianSystem(law, V, Perturbation.zero(), 3),
-                  apogee_state(profile, 3), P3)}
-    return [_Linearization(*by_dim[d], symplectic_residual(by_dim[d][2]),
-                           defect) for d in dims]
+    sys3 = HamiltonianSystem(law, V, Perturbation.zero(), 3)
+    return (_Linearization(sys2, z0, P, symplectic_residual(P), defect),
+            _Linearization(sys3, apogee_state(profile, 3), P3,
+                           symplectic_residual(P3), defect))
+
+
+def _require_dim(orbit: PeriodicOrbit, dim: int):
+    if dim not in (2, 3) or dim < orbit.dim:
+        raise ValueError(
+            f"cannot run a d={dim} check on a d={orbit.dim} orbit")
 
 
 def _guard_quality(symp_res: float, gap: float, what: str):
@@ -212,16 +213,15 @@ def _fixed_energy_report(lin: _Linearization,
 def check_planar_fixed_period(orbit: PeriodicOrbit, rank_tol: float = RANK_TOL,
                               tol: float = 1e-12) -> MonodromyReport:
     """Kernel of I - P for the 4x4 planar monodromy; nondegenerate iff 2."""
-    lin, = _linearizations(orbit, (2,), tol)
-    return _fixed_period_report(lin, rank_tol)
+    _require_dim(orbit, 2)
+    return _fixed_period_report(_linearizations(orbit, tol)[0], rank_tol)
 
 
 def check_spatial_fixed_period(orbit: PeriodicOrbit, rank_tol: float = RANK_TOL,
                                tol: float = 1e-12) -> MonodromyReport:
     """Kernel of I - P for the 6x6 spatial monodromy of the embedded orbit;
     nondegenerate iff 4."""
-    lin, = _linearizations(orbit, (3,), tol)
-    return _fixed_period_report(lin, rank_tol)
+    return _fixed_period_report(_linearizations(orbit, tol)[1], rank_tol)
 
 
 def check_fixed_energy(orbit: PeriodicOrbit, dim: int = 2,
@@ -230,8 +230,9 @@ def check_fixed_energy(orbit: PeriodicOrbit, dim: int = 2,
     """Kernel of the augmented matrix coupling I - P with the flow direction
     and the energy tangency constraint; nondegenerate iff the kernel has the
     manifold dimension (2 planar, 4 spatial)."""
-    lin, = _linearizations(orbit, (dim,), tol)
-    return _fixed_energy_report(lin, rank_tol)
+    _require_dim(orbit, dim)
+    return _fixed_energy_report(_linearizations(orbit, tol)[dim - 2],
+                                rank_tol)
 
 
 def _grad_hamiltonian(sys: HamiltonianSystem, z0):
@@ -264,7 +265,7 @@ def cross_check(orbit: PeriodicOrbit, fd_step: float = 1e-5,
     det_fe = nondeg_fixed_energy(rep)
     # one radial-period solve serves both problems in both dimensions
     reports = []
-    for lin in _linearizations(orbit, (2, 3), tol):
+    for lin in _linearizations(orbit, tol):
         reports += [_fixed_period_report(lin, rank_tol),
                     _fixed_energy_report(lin, rank_tol)]
     pl_fp, pl_fe, sp_fp, sp_fe = reports

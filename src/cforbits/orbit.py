@@ -39,9 +39,9 @@ log = logging.getLogger(__name__)
 ECCENTRICITY_FLOOR = 1e-4
 ANGULAR_MOMENTUM_FLOOR = 1e-6
 
-# the radial scan grid of turning_points at its default range, built once
-_DEFAULT_SCAN = np.geomspace(1e-8, 1e6, 8000)
-_DEFAULT_SCAN.flags.writeable = False
+# the radial scan grid of turning_points, built once
+_SCAN = np.geomspace(1e-8, 1e6, 8000)
+_SCAN.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,13 @@ def _p2(law: KineticLaw, V: Potential, h: float, L: float, r):
     return kin - L**2 / r**2
 
 
-def turning_points(law: KineticLaw, V: Potential, h: float, L: float,
-                   r_lo: float = 1e-8, r_hi: float = 1e6):
-    """Bracket and refine the two simple roots of the radial admissibility
-    function to 1e-12 relative accuracy."""
+def turning_points(law: KineticLaw, V: Potential, h: float, L: float):
+    """Bracket the two simple roots of the radial admissibility function on
+    a fixed log grid over [1e-8, 1e6] and refine them to 1e-12 relative
+    accuracy."""
     if L == 0.0:
         raise NoBoundOrbitError("rectilinear limit L = 0 is out of scope")
-    rs = (_DEFAULT_SCAN if (r_lo, r_hi) == (1e-8, 1e6)
-          else np.geomspace(r_lo, r_hi, 8000))
+    rs = _SCAN
     vals = _p2(law, V, h, L, rs)
     pos = vals > 0.0
     if not pos.any():

@@ -163,6 +163,8 @@ class TestNondegCommand:
         assert verdicts["kepler"]["planar_kernel_dim"] == 3
         assert verdicts["a05"]["fixed_period"] == "nondegenerate"
         assert verdicts["a05"]["spatial_kernel_dim"] == 4
+        assert all(0.0 <= v["radial_defect"] <= 1e-9
+                   for v in verdicts.values())
         with open(out / "nondeg.csv", newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["case", "problem", "route", "value", "verdict",
