@@ -326,12 +326,8 @@ def cmd_continue(cfg, em: Emitter, tols):
     ladder = eps_path(pert.eps, ccfg.get("eps_start", 1e-4))
     results = multistart(template, samples, ladder,
                          max_newton=ccfg.get("max_newton", 25))
-    refined = []
-    for r in results:
-        if r.accepted:
-            r = distance_to_manifold(
-                r, samples, refine=ccfg.get("refine_distance", True))
-        refined.append(r)
+    refined = [distance_to_manifold(r, samples) if r.accepted else r
+               for r in results]
     accepted = [r for r in refined if r.accepted]
     distinct = distinct_results(refined)
     payload = {

@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial.transform import Rotation
+from scipy.optimize import minimize_scalar
 
 from .errors import CollisionError
 from .flow import integrate, integrate_with_variational, symplectic_matrix
 from .model import HamiltonianSystem
-from .orbit import ManifoldSample, PeriodicOrbit, _planar_rotation
+from .orbit import ManifoldSample
 
 __all__ = [
     "ShootingProblem",
@@ -239,67 +238,53 @@ def continue_fixed_energy(problem: ShootingProblem, eps_ladder=None,
 
 # --- closeness certification ---
 
-def _base_position(orbit: PeriodicOrbit, t: float, dim: int):
-    z = orbit.state_at(t)
-    x = z[: orbit.dim]
-    if dim == 3 and orbit.dim == 2:
-        return np.array([x[0], x[1], 0.0])
-    return x
+# the certificate compares positions at N_SAMPLES times over one period and
+# scans N_SHIFTS time shifts of one radial period before its bounded search
+N_SAMPLES = 96
+N_SHIFTS = 64
 
 
-def _sup_distance(traj, T, orbit, M, theta, dim, n_t: int = 96):
-    ts = np.linspace(0.0, T, n_t)
-    worst = 0.0
-    for t in ts:
-        x = traj(t)[:dim]
-        xs = M @ _base_position(orbit, t - theta, dim)
-        worst = max(worst, float(np.linalg.norm(x - xs)))
-    return worst
-
-
-def distance_to_manifold(result: ContinuationResult, samples: ManifoldSample,
-                         refine: bool = True) -> ContinuationResult:
+def distance_to_manifold(result: ContinuationResult,
+                         samples: ManifoldSample) -> ContinuationResult:
     """Distance of a continued solution to the manifold of rotated and
     time-shifted copies of the base orbit, as a sup-norm over positions.
 
-    Coarse minimum over the sample grid; optional derivative-free local
-    refinement in the rotation and shift parameters.
+    For a time shift theta the rotation is the least-squares (Procrustes)
+    fit of the base positions at t - theta onto the solution's, kept proper
+    except in the O3 group, and theta is scored by the sup-norm at that
+    rotation.  theta is minimised over one radial period tau, first on a
+    grid and then by a bounded scalar search: shifting the base orbit by tau
+    rotates it by 2 pi k/n, which every group contains.  The result is an
+    upper bound on the distance, deterministic, and the same for copies of
+    the solution turned by a rotation of the group.
     """
     traj = result.trajectory
     if traj is None:
         raise ValueError("result carries no trajectory")
     orbit = samples.base
     dim = np.asarray(result.z0).size // 2
-    best, best_el = np.inf, None
-    for el in samples.elements:
-        M, theta = el
-        if np.isscalar(M):
-            M = _planar_rotation(float(M))
-        d = _sup_distance(traj, result.period, orbit, M, theta, dim, n_t=48)
-        if d < best:
-            best, best_el = d, (M, theta)
-    if refine and best_el is not None:
-        # unknowns: an angle (plane) or a rotation vector (space) applied to
-        # the best sample's rotation, then the time shift
-        M0, th0 = best_el
-        if dim == 3:
-            rotation = lambda v: Rotation.from_rotvec(v).as_matrix() @ M0
-        else:
-            a0 = math.atan2(M0[1, 0], M0[0, 0])
-            rotation = lambda v: _planar_rotation(a0 + v[0])
+    ts = np.linspace(0.0, result.period, N_SAMPLES)
+    X = traj(ts)[:, :dim]
+    proper = samples.group != "O3"
 
-        def objective(u):
-            return _sup_distance(traj, result.period, orbit, rotation(u[:-1]),
-                                 th0 + u[-1], dim)
+    def fit(theta):
+        Y = np.zeros_like(X)
+        Y[:, :orbit.dim] = orbit.trajectory(
+            np.mod(ts - theta, orbit.T))[:, :orbit.dim]
+        U, _, Vt = np.linalg.svd(X.T @ Y)
+        if proper and np.linalg.det(U @ Vt) < 0:
+            U[:, -1] = -U[:, -1]
+        M = U @ Vt
+        return float(np.max(np.linalg.norm(X - Y @ M.T, axis=1))), M
 
-        res = minimize(objective, np.zeros(4 if dim == 3 else 2),
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12,
-                                "maxiter": 400 if dim == 3 else 300})
-        if res.fun < best:
-            best = float(res.fun)
-            best_el = (rotation(res.x[:-1]), th0 + res.x[-1])
-    return replace(result, distance=best, distance_element=best_el)
+    step = orbit.profile.tau / N_SHIFTS
+    scores = [fit(step * i)[0] for i in range(N_SHIFTS)]
+    th0 = step * int(np.argmin(scores))
+    best = minimize_scalar(lambda s: fit(th0 + s)[0], bounds=(-step, step),
+                           method="bounded", options={"xatol": 1e-12})
+    theta = th0 + best.x if best.fun < min(scores) else th0
+    d, M = fit(theta)
+    return replace(result, distance=d, distance_element=(M, theta))
 
 
 # --- multi-start ---
@@ -330,8 +315,7 @@ def distinct_results(results, scale: float | None = None, n_t: int = 64):
     reps = []
     for r in accepted:
         dim = np.asarray(r.z0).size // 2
-        ts = np.linspace(0.0, r.period, n_t)
-        curve = np.array([r.trajectory(t)[:dim] for t in ts])
+        curve = r.trajectory(np.linspace(0.0, r.period, n_t))[:, :dim]
         dup = False
         for _, c in reps:
             if c.shape == curve.shape and np.max(np.linalg.norm(c - curve, axis=1)) <= scale:

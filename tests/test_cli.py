@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +11,12 @@ from cforbits.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    load_config,
     main,
 )
+
+DEMO_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -62,12 +67,20 @@ class TestValidation:
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
         assert (tmp_path / "manifest.json").exists()
 
-    def test_checks_key_rejected(self, tmp_path):
-        cfg = dict(KEPLER_ORBIT_CFG)
-        cfg["checks"] = ["fixed_period/actions_route"]
+    # keys the schema no longer accepts
+    @pytest.mark.parametrize("extra", [
+        {"checks": ["fixed_period/actions_route"]},
+        {"continuation": {"refine_distance": True}},
+    ], ids=["checks", "refine_distance"])
+    def test_checks_key_rejected(self, tmp_path, extra):
+        cfg = dict(KEPLER_ORBIT_CFG, **extra)
         path = write_cfg(tmp_path, cfg)
         assert main(["orbit", "--config", path,
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.name)
+    def test_demo_config_is_valid(self, path):
+        assert load_config(path)["schema_version"] == 1
 
     def test_limit_classical_rejects_classical_law(self, tmp_path):
         cfg = json.loads(json.dumps(KEPLER_ORBIT_CFG))
@@ -205,7 +218,7 @@ class TestContinueCommand:
         assert main(["continue", "--config", path,
                      "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
 
-    def test_planar_rotating_frame_run(self, tmp_path):
+    def test_spatial_cosine_electric_run(self, tmp_path):
         cfg = {
             "schema_version": 1,
             "potential": {"kind": "homogeneous", "alpha": 0.5},
@@ -215,8 +228,7 @@ class TestContinueCommand:
                              "T_forcing": "orbit_period",
                              "e_vec": [1.0, 0.0, 0.0]},
             "continuation": {"mode": "fixed_period", "group": "SO3",
-                             "count_rot": 1, "count_shift": 2,
-                             "refine_distance": False},
+                             "count_rot": 1, "count_shift": 2},
         }
         path = write_cfg(tmp_path, cfg)
         out = tmp_path / "out"
@@ -226,3 +238,21 @@ class TestContinueCommand:
         assert payload["n_distinct"] >= 1
         ok = [r for r in payload["results"] if r["accepted"]]
         assert all(r["residual"] <= 1e-7 for r in ok)
+
+    def test_planar_rotating_frame_run(self, tmp_path):
+        # the one family the command continues in the plane (planar group)
+        cfg = {
+            "schema_version": 1,
+            "potential": {"kind": "homogeneous", "alpha": 0.5},
+            "orbit": {"k": 4, "n": 5, "h": -1.9},
+            "perturbation": {"family": "rotating_frame", "eps": 1e-4},
+            "continuation": {"mode": "fixed_energy",
+                             "count_rot": 1, "count_shift": 1},
+        }
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["continue", "--config", path, "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "continuation.json").read_text())
+        assert payload["n_accepted"] == 1
+        (r,) = payload["results"]
+        assert r["distance_to_manifold"] <= 0.1

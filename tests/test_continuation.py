@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from cforbits.continuation import (
     ContinuationResult,
@@ -20,7 +21,7 @@ from cforbits.model import (
     Perturbation,
     Potential,
 )
-from cforbits.orbit import find_closed_orbit, manifold_samples
+from cforbits.orbit import find_closed_orbit, manifold_samples, rotate_state
 
 CLASSICAL = KineticLaw.classical()
 ALPHA_HALF = Potential.homogeneous(1.0, 0.5)
@@ -30,6 +31,11 @@ ALPHA_HALF = Potential.homogeneous(1.0, 0.5)
 def orbit():
     # 4:5 resonance at h = -1.9: moderately eccentric, robust to continue
     return find_closed_orbit(CLASSICAL, ALPHA_HALF, 4, 5, -1.9)
+
+
+@pytest.fixture(scope="module")
+def orbit3():
+    return find_closed_orbit(CLASSICAL, ALPHA_HALF, 4, 5, -1.9, dim=3)
 
 
 def electric_system(orbit, eps, profile="cosine"):
@@ -164,15 +170,53 @@ class TestFixedEnergy:
         assert res.energy_residual <= 1e-10
 
 
+def _uncontinued(z0, T, traj):
+    return ContinuationResult(True, "ok", z0, T, 1e-4, 0.0, 0.0, 0.0, 0, 0,
+                              trajectory=traj)
+
+
 class TestDistance:
-    def test_unperturbed_orbit_has_zero_distance(self, orbit):
-        traj = integrate(orbit.system, orbit.z0, 0.0, orbit.T, tol=1e-12)
-        res = ContinuationResult(
-            True, "ok", orbit.z0, orbit.T, 1e-4, 0.0, 0.0, 0.0, 0, 0,
-            trajectory=traj)
-        samples = manifold_samples(orbit, 4, 4, group="planar")
-        out = distance_to_manifold(res, samples)
+    # the base orbit itself, then unperturbed copies turned by a rotation (a
+    # reflection too, for O3) and shifted by a fraction of tau, both off the
+    # 4 x 4 sample grid
+    @pytest.mark.parametrize("group, rotvec, mirror, shift", [
+        ("planar", (0.0, 0.0, 0.0), False, 0.0),
+        ("planar", (0.0, 0.0, 1.0), False, 0.37),
+        ("SO3", (0.3, -0.5, 0.8), False, 0.61),
+        ("O3", (0.3, -0.5, 0.8), True, 0.23),
+    ], ids=["planar-identity", "planar-turned", "SO3-turned", "O3-mirrored"])
+    def test_unperturbed_orbit_has_zero_distance(self, orbit, orbit3, group,
+                                                 rotvec, mirror, shift):
+        base = orbit if group == "planar" else orbit3
+        M = Rotation.from_rotvec(rotvec).as_matrix()
+        if mirror:
+            M = M @ np.diag([1.0, -1.0, 1.0])
+        M = M[: base.dim, : base.dim]
+        theta = shift * base.profile.tau
+        z0 = rotate_state(M, base.state_at(-theta))
+        traj = integrate(base.system, z0, 0.0, base.T, tol=1e-12)
+        samples = manifold_samples(base, 4, 4, group=group)
+        out = distance_to_manifold(_uncontinued(z0, base.T, traj), samples)
         assert out.distance <= 1e-8
+        R, th = out.distance_element
+        ts = np.linspace(0.0, base.T, 50)
+        mapped = np.array([R @ base.state_at(t - th)[: base.dim] for t in ts])
+        assert np.max(np.linalg.norm(
+            mapped - traj(ts)[:, : base.dim], axis=1)) <= 1e-8
+
+    def test_turn_about_the_field_leaves_distance_unchanged(self, orbit3):
+        # rotations about B0 are symmetries of the problem and the manifold
+        # is SO(3)-invariant, so a turned solution is exactly as far from it
+        pert = Perturbation.uniform_magnetic((0.0, 0.0, 1.0), 1e-3)
+        sys = HamiltonianSystem(CLASSICAL, ALPHA_HALF, pert, 3)
+        samples = manifold_samples(orbit3, 6, 4, "SO3")
+        turn = Rotation.from_rotvec((0.0, 0.0, 0.3)).as_matrix()
+        dists = []
+        for z0 in (orbit3.z0, rotate_state(turn, orbit3.z0)):
+            traj = integrate(sys, z0, 0.0, orbit3.T, tol=1e-12)
+            dists.append(distance_to_manifold(
+                _uncontinued(z0, orbit3.T, traj), samples).distance)
+        assert dists[1] == pytest.approx(dists[0], rel=1e-9)
 
     def test_continued_solution_is_near_manifold(self, orbit):
         sys = electric_system(orbit, 1e-4)
