@@ -361,10 +361,9 @@ def cmd_continue(cfg, em: Emitter, tols):
             d = np.asarray(r.z0).size // 2
             header = (["t"] + [f"x{i+1}" for i in range(d)]
                       + [f"p{i+1}" for i in range(d)])
-            rows = []
-            for t in np.linspace(0.0, r.period, n_s):
-                z = r.trajectory(t)
-                rows.append([f"{t:.12g}"] + [f"{v:.12g}" for v in z])
+            ts = np.linspace(0.0, r.period, n_s)
+            rows = [[f"{t:.12g}"] + [f"{v:.12g}" for v in z]
+                    for t, z in zip(ts, r.trajectory(ts))]
             em.write_csv(f"continued_seed{r.seed_id}.csv", header, rows)
     if not accepted:
         em.warn("no accepted continuation results")

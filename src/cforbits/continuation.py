@@ -36,6 +36,10 @@ __all__ = [
 RESIDUAL_TOL = 1e-9
 ENERGY_TOL = 1e-10
 DEFAULT_MAX_NEWTON = 25
+# a rung stalls once its residual has not fallen by STALL_FACTOR over its
+# last STALL_STEPS accepted steps; converging paths fall far faster
+STALL_STEPS = 3
+STALL_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,9 @@ class ContinuationResult:
     trajectory: object = None
     distance: float | None = None
     distance_element: tuple | None = None
+    # one (eps, lam, trial residual, accepted) entry per Newton trial; the
+    # trial residual is inf when the trial step was not shot
+    history: tuple = ()
 
 
 def eps_path(eps_target: float, eps_start: float = 1e-4,
@@ -117,6 +124,15 @@ def _lm_step(Jac, R, lam):
     return step
 
 
+def _stalled(first, trials):
+    """Whether a rung's residual, from its first shot through its accepted
+    trials, failed to fall by STALL_FACTOR over the last STALL_STEPS
+    accepted steps."""
+    path = [first] + [r for _, _, r, ok in trials if ok]
+    return (len(path) > STALL_STEPS
+            and path[-1] > path[-1 - STALL_STEPS] / STALL_FACTOR)
+
+
 def _continue(problem: ShootingProblem, eps_ladder, max_newton, tol):
     """One damped Gauss-Newton ladder over the unknowns u = z0 (fixed
     period) or u = (z0, T) (fixed energy), then an independent re-check.
@@ -124,7 +140,9 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton, tol):
     Never raises on stagnation, the damping floor or a collision: each ends
     in a rejected result whose ``reason`` names it and whose ``residual``
     and ``newton_iters`` are the last ones reached (residual inf when the
-    rung's first shot collided).
+    rung's first shot collided).  A rung that has not converged ends as
+    stagnation after ``max_newton`` trials, or as soon as an accepted step
+    leaves it stalled (``_stalled``); a converged rung is never stalled.
     """
     fe = problem.mode == "fixed_energy"
     target_eps = problem.sys.perturbation.eps
@@ -136,7 +154,8 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton, tol):
     anchor = (np.asarray(problem.phase_anchor, dtype=float)
               if problem.phase_anchor is not None else z0.copy())
     J = symplectic_matrix(problem.sys.dim)
-    total_iters, res = 0, np.inf
+    res = np.inf
+    history = []  # (eps, lam, trial residual, accepted) per Newton trial
     scale = 1.0 + np.linalg.norm(z0)
 
     def period(u):
@@ -161,7 +180,8 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton, tol):
     def reject(why, eps, res):
         return ContinuationResult(
             False, f"{why} at eps={eps:g}", u[:n], period(u), eps, res,
-            np.inf, np.inf if fe else 0.0, total_iters, problem.seed_id)
+            np.inf, np.inf if fe else 0.0, len(history), problem.seed_id,
+            history=tuple(history))
 
     for eps in ladder:
         sys = problem.sys.with_eps(eps)
@@ -171,23 +191,29 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton, tol):
         except CollisionError:
             return reject("collision", eps, np.inf)
         res = np.linalg.norm(R)
+        first, rung = res, len(history)
         for _ in range(max_newton):
             if res <= RESIDUAL_TOL * scale:
                 break
             u_try = u + _lm_step(Jac, R, lam)
-            total_iters += 1
             if fe and u_try[n] <= 0.1 * problem.T:
+                history.append((eps, lam, np.inf, False))
                 lam *= 10.0
                 continue
             try:
                 R2, Jac2 = shoot(sys, u_try)
             except CollisionError:
+                history.append((eps, lam, np.inf, False))
                 lam *= 10.0
                 continue
             res2 = np.linalg.norm(R2)
+            history.append((eps, lam, float(res2), bool(res2 < res)))
             if res2 < res:
                 u, R, Jac, res = u_try, R2, Jac2, res2
                 lam = max(lam / 10.0, 1e-12)
+                if (res > RESIDUAL_TOL * scale
+                        and _stalled(first, history[rung:])):
+                    return reject("stagnation", eps, res)
             else:
                 lam *= 10.0
                 if lam > 1e8:
@@ -209,14 +235,16 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton, tol):
         en = abs(float(sys.hamiltonian(0.0, z0)) - h)
         # energy conservation along the whole orbit
         ts = np.linspace(0.0, T, 200)
-        drift = max(abs(float(sys.hamiltonian(t, traj(t))) - h) for t in ts)
+        drift = max(abs(float(sys.hamiltonian(t, z)) - h)
+                    for t, z in zip(ts, traj(ts)))
         vstar = sys.vector_field(0.0, anchor)
         ph = abs(float(vstar @ (z0 - anchor)))
         ok = ok and en <= ENERGY_TOL and drift <= 1e-9
         reason += f", energy {en:.3g}, drift {drift:.3g}"
     return ContinuationResult(
         ok, "ok" if ok else reason, z0, T, target_eps, close, en, ph,
-        total_iters, problem.seed_id, trajectory=traj)
+        len(history), problem.seed_id, trajectory=traj,
+        history=tuple(history))
 
 
 def continue_fixed_period(problem: ShootingProblem, eps_ladder=None,

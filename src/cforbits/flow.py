@@ -157,8 +157,8 @@ def invariant_drift(sys: HamiltonianSystem, traj: Trajectory,
     ts = np.linspace(traj.t0, traj.t1, n_samples)
     energies = np.empty(n_samples)
     moms = []
-    for i, t in enumerate(ts):
-        e, mom = sys.first_integrals(t, traj(t))
+    for i, (t, z) in enumerate(zip(ts, traj(ts))):
+        e, mom = sys.first_integrals(t, z)
         energies[i] = e
         moms.append(np.atleast_1d(mom))
     moms = np.array(moms)

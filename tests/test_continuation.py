@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from cforbits import continuation
 from cforbits.continuation import (
+    STALL_FACTOR,
+    STALL_STEPS,
     ContinuationResult,
     ShootingProblem,
     continue_fixed_energy,
@@ -146,6 +149,60 @@ class TestFailureContract:
         assert res.newton_iters == 1
         assert np.isfinite(res.residual)
         assert res.reason.startswith("stagnation")
+
+
+class TestStallExit:
+    def test_stalled_seed_is_rejected_early(self, orbit):
+        # the tau/2 seed: its residual stops halving on the first rung, long
+        # before DEFAULT_MAX_NEWTON trials
+        sys = electric_system(orbit, 1e-3)
+        seed = manifold_samples(orbit, 2, 2, group="planar").states[1]
+        prob = ShootingProblem(sys=sys, mode="fixed_period", seed=seed,
+                               T=orbit.T)
+        res = continue_fixed_period(prob)
+        assert not res.accepted
+        assert res.reason.startswith("stagnation")
+        assert res.newton_iters <= 15
+        assert len(res.history) == res.newton_iters
+        steps = [r for e, _, r, ok in res.history if ok and e == res.eps]
+        assert len(steps) > STALL_STEPS
+        assert steps[-1] == res.residual
+        assert steps[-1] > steps[-1 - STALL_STEPS] / STALL_FACTOR
+
+    def test_converging_path_is_unchanged(self, orbit, monkeypatch):
+        # reference path: the same solve with the stall exit out of reach
+        sys = electric_system(orbit, 1e-3)
+        seed = manifold_samples(orbit, 2, 2, group="planar").states[0]
+        prob = ShootingProblem(sys=sys, mode="fixed_period", seed=seed,
+                               T=orbit.T)
+        fast = continue_fixed_period(prob)
+        monkeypatch.setattr(continuation, "STALL_STEPS", 10**9)
+        ref = continue_fixed_period(prob)
+        assert fast.accepted and ref.accepted
+        assert np.array_equal(fast.z0, ref.z0)
+        assert fast.period == ref.period
+        assert fast.residual == ref.residual
+        assert fast.newton_iters == ref.newton_iters
+        assert fast.history == ref.history
+
+    @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
+    def test_history_has_one_entry_per_trial(self, orbit, mode):
+        fe = mode == "fixed_energy"
+        sys = electric_system(orbit, 1e-4,
+                              profile="constant" if fe else "cosine")
+        prob = ShootingProblem(sys=sys, mode=mode, seed=orbit.z0, T=orbit.T,
+                               h=orbit.profile.h if fe else None)
+        runner = continue_fixed_energy if fe else continue_fixed_period
+        for max_newton in (1, continuation.DEFAULT_MAX_NEWTON):
+            res = runner(prob, max_newton=max_newton)
+            assert len(res.history) == res.newton_iters >= 1
+            for eps, lam, r, ok in res.history:
+                assert eps == 1e-4 and lam > 0.0
+                assert np.isfinite(r) or not ok
+            accepted = [r for *_, r, ok in res.history if ok]
+            assert accepted == sorted(accepted, reverse=True)
+            if res.accepted:
+                assert accepted[-1] <= 1e-9 * (1.0 + np.linalg.norm(orbit.z0))
 
 
 class TestFixedEnergy:

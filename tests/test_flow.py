@@ -55,6 +55,15 @@ class TestIntegrate:
         out = traj(ts)
         assert out.shape == (5, 4)
 
+    def test_array_evaluation_matches_pointwise(self):
+        # callers sample a trajectory once on a whole time grid; the dense
+        # output is elementwise, so each row equals the call at its time
+        sys = kepler_system()
+        traj = integrate(sys, [2.0, 0.0, 0.0, 0.5], 0.0, 30.0)
+        ts = np.concatenate([np.linspace(0.0, 30.0, 401), traj.times])
+        for t, z in zip(ts, traj(ts)):
+            assert np.array_equal(z, traj(t))
+
     def test_collision_detected(self):
         sys = kepler_system()
         # radial infall: L = 0
