@@ -210,10 +210,9 @@ def cmd_orbit(cfg, em: Emitter, tols):
     d = orbit.dim
     header = (["t"] + [f"x{i+1}" for i in range(d)]
               + [f"p{i+1}" for i in range(d)])
-    rows = []
-    for t in np.linspace(0.0, orbit.T, n_s):
-        z = orbit.state_at(t)
-        rows.append([f"{t:.12g}"] + [f"{v:.12g}" for v in z])
+    ts = np.linspace(0.0, orbit.T, n_s)
+    rows = [[f"{t:.12g}"] + [f"{v:.12g}" for v in z]
+            for t, z in zip(ts, orbit.states(ts))]
     em.write_csv("trajectory.csv", header, rows)
     return EXIT_OK
 
@@ -350,6 +349,9 @@ def cmd_continue(cfg, em: Emitter, tols):
                 "distance_to_manifold": _fmt(r.distance)
                 if r.distance is not None else None,
                 "newton_iters": r.newton_iters,
+                "history": [[_fmt(eps), _fmt(lam),
+                             _fmt(res) if np.isfinite(res) else None, ok]
+                            for eps, lam, res, ok in r.history],
             }
             for r in refined
         ],

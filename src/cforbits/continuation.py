@@ -297,8 +297,7 @@ def distance_to_manifold(result: ContinuationResult,
 
     def fit(theta):
         Y = np.zeros_like(X)
-        Y[:, :orbit.dim] = orbit.trajectory(
-            np.mod(ts - theta, orbit.T))[:, :orbit.dim]
+        Y[:, :orbit.dim] = orbit.states(ts - theta)[:, :orbit.dim]
         U, _, Vt = np.linalg.svd(X.T @ Y)
         if proper and np.linalg.det(U @ Vt) < 0:
             U[:, -1] = -U[:, -1]

@@ -32,7 +32,7 @@ from .errors import RouteDisagreementError, UnreliableVerdictError
 from .flow import integrate_with_variational, symplectic_matrix, \
     symplectic_residual
 from .model import HamiltonianSystem, KineticLaw, Perturbation, Potential
-from .orbit import PeriodicOrbit, _planar_rotation, apogee_state
+from .orbit import PeriodicOrbit, apogee_state, rotate_plane
 
 __all__ = [
     "MonodromyReport",
@@ -132,9 +132,10 @@ def _rotated_cycle_power(sys: HamiltonianSystem, z0, tau: float,
     When z(tau) = Rot(angle) z0, rotation equivariance of the flow makes the
     fundamental matrix at n tau equal to Rot(n angle) times the power."""
     z_tau, fm = integrate_with_variational(sys, z0, 0.0, tau, tol=tol)
-    Q = np.kron(np.eye(2), _planar_rotation(angle))
-    defect = float(np.linalg.norm(z_tau - Q @ z0))
-    return np.linalg.matrix_power(Q.T @ fm.value, n), defect
+    defect = float(np.linalg.norm(z_tau - rotate_plane(z0, angle)))
+    # Rot(-angle) W(tau), the columns of W turned back by angle
+    QtW = rotate_plane(fm.value.T, -angle).T
+    return np.linalg.matrix_power(QtW, n), defect
 
 
 def _linearizations(orbit: PeriodicOrbit, tol: float):

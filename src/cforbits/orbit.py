@@ -180,7 +180,12 @@ class PeriodicOrbit:
     """Closed non-circular orbit with apsidal angle k*pi/n and period n*tau.
 
     Starts at apogee on the positive x1-axis with L > 0; for dim 3 the orbit
-    is embedded in the plane x3 = p3 = 0.
+    is embedded in the plane x3 = p3 = 0.  Only one radial cycle [0, tau] is
+    integrated (``cycle``); the rest of the orbit is that cycle turned by
+    multiples of 2 pi k/n, which is exact because the unperturbed flow
+    commutes with rotations and z(tau) = Rot(2 pi k/n) z0.
+    ``closure_residual`` is the defect |z(tau) - Rot(2 pi k/n) z0| of that
+    cycle, equal to |z(T) - z0| of the composed orbit.
     """
 
     profile: RadialProfile
@@ -188,7 +193,7 @@ class PeriodicOrbit:
     n: int
     T: float
     z0: np.ndarray
-    trajectory: Trajectory
+    cycle: Trajectory
     dim: int
     closure_residual: float
     law: KineticLaw
@@ -199,9 +204,33 @@ class PeriodicOrbit:
         return HamiltonianSystem(self.law, self.potential,
                                  Perturbation.zero(), self.dim)
 
+    def states(self, t):
+        """Phase states at the times t (a scalar or an array), t reduced
+        modulo the period: the radial cycle at t - j tau, turned by
+        2 pi k j/n, where j = min(floor(t / tau), n - 1)."""
+        t = np.mod(np.asarray(t, dtype=float), self.T)
+        tau = self.profile.tau
+        j = np.minimum(np.floor(t / tau), self.n - 1)
+        return rotate_plane(self.cycle(t - j * tau),
+                            2.0 * math.pi * self.k * j / self.n)
+
     def state_at(self, t: float):
-        """Dense state on [0, T], with t reduced modulo the period."""
-        return self.trajectory(float(t) % self.T)
+        """Phase state at the time t, reduced modulo the period."""
+        return self.states(float(t))
+
+
+def rotate_plane(z, angle):
+    """Rot(angle) acting on both x and p in the x1-x2 plane of the phase
+    states z (last axis (x, p)); angle broadcasts against the leading axes.
+    Elementwise, so a state gives the same bits alone or in an array."""
+    z = np.asarray(z, dtype=float)
+    d = z.shape[-1] // 2
+    c, s = np.cos(angle), np.sin(angle)
+    out = z.copy()
+    for i in (0, d):
+        out[..., i] = c * z[..., i] - s * z[..., i + 1]
+        out[..., i + 1] = s * z[..., i] + c * z[..., i + 1]
+    return out
 
 
 def apogee_state(profile: RadialProfile, dim: int = 2):
@@ -222,11 +251,12 @@ def _build_orbit(law, V, profile, k, n, dim, tol):
     if abs(profile.L) < ANGULAR_MOMENTUM_FLOOR:
         raise NoBoundOrbitError("angular momentum below the non-rectilinear floor")
     z0 = apogee_state(profile, dim)
-    T = n * profile.tau
     sys = HamiltonianSystem(law, V, Perturbation.zero(), dim)
-    traj = integrate(sys, z0, 0.0, T, tol=tol)
-    residual = float(np.linalg.norm(traj(T) - z0))
-    return PeriodicOrbit(profile, k, n, T, z0, traj, dim, residual, law, V)
+    cycle = integrate(sys, z0, 0.0, profile.tau, tol=tol)
+    residual = float(np.linalg.norm(
+        cycle(profile.tau) - rotate_plane(z0, 2.0 * math.pi * k / n)))
+    return PeriodicOrbit(profile, k, n, n * profile.tau, z0, cycle, dim,
+                         residual, law, V)
 
 
 def _is_feasible(law, V, h, L):
@@ -238,9 +268,13 @@ def _is_feasible(law, V, h, L):
 
 
 def _bisect_edge(feasible, good, bad):
-    """Last feasible L after 60 geometric bisections of [good, bad]."""
+    """Last feasible L after at most 60 geometric bisections of [good, bad],
+    stopping once the midpoint no longer lies strictly inside: every later
+    step would leave both ends as they are."""
     for _ in range(60):
         mid = math.sqrt(bad * good)
+        if not min(good, bad) < mid < max(good, bad):
+            break
         if feasible(mid):
             good = mid
         else:
@@ -399,16 +433,14 @@ def manifold_samples(orbit: PeriodicOrbit, count_rot: int, count_shift: int,
         raise ValueError("counts must be >= 1")
     tau = orbit.profile.tau
     thetas = np.linspace(0.0, tau, count_shift, endpoint=False)
+    shifted = orbit.states(-thetas)
     if group == "planar":
         if orbit.dim != 2:
             raise ValueError("planar group needs a dim-2 orbit")
         angles = np.linspace(0.0, 2.0 * math.pi, count_rot, endpoint=False)
         mats = [_planar_rotation(a) for a in angles]
         elements = tuple((a, th) for a in angles for th in thetas)
-        states = np.array([
-            rotate_state(M, orbit.state_at(-th))
-            for M in mats for th in thetas
-        ])
+        states = np.array([rotate_state(M, z) for M in mats for z in shifted])
         return ManifoldSample(orbit, group, elements, states)
     if group == "SO3":
         mats = _so3_sequence(count_rot)
@@ -420,9 +452,8 @@ def manifold_samples(orbit: PeriodicOrbit, count_rot: int, count_shift: int,
     else:
         raise ValueError(f"unknown group: {group!r}")
     elements = tuple((M, th) for M in mats for th in thetas)
-    states = np.array([
-        rotate_state(M, _embed3(orbit.state_at(-th))) for M, th in elements
-    ])
+    states = np.array([rotate_state(M, _embed3(z))
+                       for M in mats for z in shifted])
     return ManifoldSample(orbit, group, elements, states)
 
 

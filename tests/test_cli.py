@@ -3,6 +3,7 @@ import json
 import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cforbits.cli
@@ -14,6 +15,8 @@ from cforbits.cli import (
     load_config,
     main,
 )
+from cforbits.model import KineticLaw, Potential
+from cforbits.orbit import find_closed_orbit
 
 DEMO_CONFIGS = sorted(
     (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
@@ -105,6 +108,24 @@ class TestOrbitCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["files"]) == {"orbit.json", "trajectory.csv"}
         assert len(manifest["config_sha256"]) == 64
+
+    def test_rows_match_pointwise_states(self, tmp_path):
+        # the CSV comes from one states() call over the grid; each row has
+        # the digits of one state_at() call at its time
+        cfg = {"schema_version": 1,
+               "potential": {"kind": "homogeneous", "alpha": 0.5},
+               "orbit": {"k": 3, "n": 4, "h": -1.5},
+               "output": {"trajectory_samples": 301}}
+        out = tmp_path / "out"
+        assert main(["orbit", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_OK
+        with open(out / "trajectory.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        orbit = find_closed_orbit(KineticLaw.classical(),
+                                  Potential.homogeneous(1.0, 0.5), 3, 4, -1.5)
+        loop = [[f"{t:.12g}"] + [f"{v:.12g}" for v in orbit.state_at(t)]
+                for t in np.linspace(0.0, orbit.T, 301)]
+        assert rows == loop
 
     def test_csv_is_crlf_terminated(self, tmp_path):
         path = write_cfg(tmp_path, KEPLER_ORBIT_CFG)
@@ -238,6 +259,11 @@ class TestContinueCommand:
         assert payload["n_distinct"] >= 1
         ok = [r for r in payload["results"] if r["accepted"]]
         assert all(r["residual"] <= 1e-7 for r in ok)
+        for r in payload["results"]:
+            assert len(r["history"]) == r["newton_iters"]
+            for eps, lam, res, accepted in r["history"]:
+                assert eps > 0.0 and lam > 0.0 and isinstance(accepted, bool)
+                assert res is None or res >= 0.0
 
     def test_planar_rotating_frame_run(self, tmp_path):
         # the one family the command continues in the plane (planar group)

@@ -12,8 +12,11 @@ from cforbits.errors import (
     NoBoundOrbitError,
     TargetOutOfRangeError,
 )
+from cforbits.flow import integrate
 from cforbits.model import KineticLaw, Potential
 from cforbits.orbit import (
+    _embed3,
+    _planar_rotation,
     apogee_state,
     find_closed_orbit,
     manifold_samples,
@@ -21,6 +24,7 @@ from cforbits.orbit import (
     rotate_state,
     turning_points,
 )
+from test_nondeg import POOL
 
 CLASSICAL = KineticLaw.classical()
 KEPLER = Potential.kepler()
@@ -232,3 +236,70 @@ class TestManifoldSamples:
     def test_rejects_bad_counts(self, orbit):
         with pytest.raises(ValueError):
             manifold_samples(orbit, 0, 1)
+
+    @pytest.mark.parametrize("group", ["planar", "SO3", "O3"])
+    def test_states_match_pointwise_loop(self, group):
+        # one states() call over all shifts gives the bits of one
+        # state_at() call per sample
+        V = Potential.homogeneous(1.0, 0.5)
+        orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5)
+        s = manifold_samples(orb, 3, 5, group=group)
+        if group == "planar":
+            loop = [rotate_state(_planar_rotation(a), orb.state_at(-th))
+                    for a, th in s.elements]
+        else:
+            loop = [rotate_state(M, _embed3(orb.state_at(-th)))
+                    for M, th in s.elements]
+        assert np.array_equal(s.states, np.array(loop))
+
+
+# --- one radial cycle against a full-period reference ---
+
+REFERENCE_TOL = 1e-14
+REFERENCE_ROWS = [
+    (name, law, Potential.homogeneous(1.0, alpha), k, n, h, L_seed)
+    for name, law, alpha, k, n, h, L_seed in POOL
+] + [
+    # perigee speed 3.2e3: a full-period integration at the default
+    # tolerance drifts by 3e-5 here
+    ("levi_civita_13_7", CLASSICAL, Potential.levi_civita(1.0, 0.1), 13, 7,
+     -0.55, None),
+]
+
+
+@pytest.fixture(scope="module", params=REFERENCE_ROWS,
+                ids=[row[0] for row in REFERENCE_ROWS])
+def pool_orbit(request):
+    _, law, V, k, n, h, L_seed = request.param
+    return find_closed_orbit(law, V, k, n, h, L_seed=L_seed)
+
+
+class TestComposedOrbit:
+    # SciPy raises an rtol below 100 machine epsilons to that floor
+    @pytest.mark.filterwarnings("ignore:At least one element of `rtol`")
+    def test_states_match_full_period_reference(self, pool_orbit):
+        orb = pool_orbit
+        ref = integrate(orb.system, orb.z0, 0.0, orb.T, tol=REFERENCE_TOL)
+        assert np.linalg.norm(ref(orb.T) - orb.z0) <= 1e-8
+        ts = np.linspace(0.0, orb.T, 4001)
+        z_ref = ref(ts)
+        err = np.max(np.abs(orb.states(ts) - z_ref))
+        assert err <= 1e-8 * np.max(np.abs(z_ref))
+
+    def test_state_at_is_states_of_a_scalar(self, pool_orbit):
+        orb = pool_orbit
+        tau = orb.profile.tau
+        for t in (0.0, 0.37 * tau, tau, 1.5 * tau, orb.T - 1e-3 * tau,
+                  orb.T, 2.3 * orb.T, -0.4 * tau):
+            assert np.array_equal(orb.state_at(t), orb.states(np.array([t]))[0])
+
+    def test_states_continuous_across_cycle_boundaries(self, pool_orbit):
+        orb = pool_orbit
+        dt = 1e-9 * orb.T
+        for j in range(1, orb.n + 1):
+            t = j * orb.profile.tau
+            assert np.max(np.abs(orb.states(t - dt) - orb.states(t + dt))) <= 1e-6
+
+    def test_only_one_cycle_is_kept(self, pool_orbit):
+        assert not hasattr(pool_orbit, "trajectory")
+        assert pool_orbit.cycle.t1 == pool_orbit.profile.tau
