@@ -60,11 +60,22 @@ def load_config(path):
     return cfg
 
 
+def _given(cfg, *keys, **renamed):
+    """Keyword arguments from the entries the config sets: each of keys
+    under its own name, and each keyword of renamed from the config key
+    given as its value.  A key the config leaves out keeps the library's
+    default."""
+    pairs = [(k, k) for k in keys] + list(renamed.items())
+    return {name: cfg[k] for name, k in pairs if k in cfg}
+
+
 def _build_law(cfg):
-    kind = cfg["kind"]
-    if kind == "classical":
-        return KineticLaw.classical(m=cfg.get("m", 1.0))
-    return KineticLaw.relativistic(m=cfg.get("m", 1.0), c=cfg.get("c", 1.0))
+    """The kinetic law of a law block; with none, the classical law."""
+    if cfg is None:
+        return KineticLaw.classical()
+    if cfg["kind"] == "classical":
+        return KineticLaw.classical(**_given(cfg, "m"))
+    return KineticLaw.relativistic(**_given(cfg, "m", "c"))
 
 
 def _build_potential(cfg):
@@ -72,50 +83,32 @@ def _build_potential(cfg):
     if kind == "homogeneous":
         if "alpha" not in cfg:
             raise ConfigError("homogeneous potential needs alpha")
-        return Potential.homogeneous(cfg.get("kappa", 1.0), cfg["alpha"])
-    return Potential.levi_civita(cfg.get("kappa", 1.0), cfg.get("lambda", 1.0))
+        return Potential.homogeneous(alpha=cfg["alpha"], **_given(cfg, "kappa"))
+    return Potential.levi_civita(**_given(cfg, "kappa", lam="lambda"))
 
 
-def _find_orbit(law, V, ocfg, tols):
-    kw = dict(
-        phi_tol=tols.get("phi_tol", 1e-11),
-        integrate_tol=tols.get("integrate_tol", 1e-12),
-    )
-    search = ocfg.get("search", "vary_L")
-    if search == "vary_h" and "L" not in ocfg:
+def _find_orbit(law, V, ocfg):
+    if ocfg.get("search") == "vary_h" and "L" not in ocfg:
         raise ConfigError("vary_h search needs an L value")
-    if search == "vary_L" and "h" not in ocfg:
+    if ocfg.get("search") != "vary_h" and "h" not in ocfg:
         raise ConfigError("vary_L search needs an h value")
     return find_closed_orbit(law, V, ocfg["k"], ocfg["n"], ocfg.get("h", 0.0),
-                             search=search, L_seed=ocfg.get("L"), **kw)
+                             **_given(ocfg, "search", L_seed="L"))
 
 
 def _build_perturbation(cfg, T_orbit):
     fam = cfg["family"]
     eps = cfg["eps"]
     if fam == "uniform_electric":
-        Tf = cfg.get("T_forcing")
-        if Tf == "orbit_period":
-            Tf = T_orbit
+        kw = _given(cfg, "profile", "T_forcing")
+        if kw.get("T_forcing") == "orbit_period":
+            kw["T_forcing"] = T_orbit
         return Perturbation.uniform_electric(
-            tuple(cfg.get("e_vec", (1.0, 0.0, 0.0))), eps,
-            profile=cfg.get("profile", "constant"), T_forcing=Tf)
+            tuple(cfg.get("e_vec", (1.0, 0.0, 0.0))), eps, **kw)
     if fam == "uniform_magnetic":
         return Perturbation.uniform_magnetic(
             tuple(cfg.get("B0", (0.0, 0.0, 1.0))), eps)
     return Perturbation.rotating_frame(eps)
-
-
-def _scaled_tols(cfg, tol_scale):
-    tols = dict(cfg.get("tolerances", {}))
-    for key in ("integrate_tol", "phi_tol", "rank_tol"):
-        if key in tols:
-            tols[key] = tols[key] * tol_scale
-        elif tol_scale != 1.0:
-            defaults = {"integrate_tol": 1e-12, "phi_tol": 1e-11,
-                        "rank_tol": 1e-6}
-            tols[key] = defaults[key] * tol_scale
-    return tols
 
 
 class Emitter:
@@ -192,10 +185,20 @@ def _fmt(x):
     return float(f"{x:.12g}")
 
 
-def cmd_orbit(cfg, em: Emitter, tols):
-    law = _build_law(cfg.get("law", {"kind": "classical"}))
+def _write_states(em: Emitter, name, ts, states):
+    """CSV of the phase states at the times ts, one row per time."""
+    d = states.shape[1] // 2
+    header = (["t"] + [f"x{i+1}" for i in range(d)]
+              + [f"p{i+1}" for i in range(d)])
+    rows = [[f"{t:.12g}"] + [f"{v:.12g}" for v in z]
+            for t, z in zip(ts, states)]
+    em.write_csv(name, header, rows)
+
+
+def cmd_orbit(cfg, em: Emitter):
+    law = _build_law(cfg.get("law"))
     V = _build_potential(cfg["potential"])
-    orbit = _find_orbit(law, V, cfg["orbit"], tols)
+    orbit = _find_orbit(law, V, cfg["orbit"])
     p = orbit.profile
     summary = {
         "h": _fmt(p.h), "L": _fmt(p.L),
@@ -206,67 +209,49 @@ def cmd_orbit(cfg, em: Emitter, tols):
         "closure_residual": _fmt(orbit.closure_residual),
     }
     em.write_json("orbit.json", summary)
-    n_s = cfg.get("output", {}).get("trajectory_samples", 1000)
-    d = orbit.dim
-    header = (["t"] + [f"x{i+1}" for i in range(d)]
-              + [f"p{i+1}" for i in range(d)])
-    ts = np.linspace(0.0, orbit.T, n_s)
-    rows = [[f"{t:.12g}"] + [f"{v:.12g}" for v in z]
-            for t, z in zip(ts, orbit.states(ts))]
-    em.write_csv("trajectory.csv", header, rows)
+    ts = np.linspace(0.0, orbit.T,
+                     cfg.get("output", {}).get("trajectory_samples", 1000))
+    _write_states(em, "trajectory.csv", ts, orbit.states(ts))
     return EXIT_OK
 
 
-def cmd_nondeg(cfg, em: Emitter, tols):
+def cmd_nondeg(cfg, em: Emitter):
     cases = cfg.get("cases")
     if not cases:
         if "potential" not in cfg or "orbit" not in cfg:
             raise ConfigError("nondeg needs 'cases' or potential+orbit")
-        cases = [{"name": "case0", "law": cfg.get("law", {"kind": "classical"}),
-                  "potential": cfg["potential"], "orbit": cfg["orbit"]}]
+        cases = [{"name": "case0", "potential": cfg["potential"],
+                  "orbit": cfg["orbit"]}]
     rows = []
     verdicts = []
     disagreement = False
     for i, case in enumerate(cases):
         name = case.get("name", f"case{i}")
-        law = _build_law(case.get("law", cfg.get("law", {"kind": "classical"})))
+        law = _build_law(case.get("law", cfg.get("law")))
         V = _build_potential(case["potential"])
-        orbit = _find_orbit(law, V, case["orbit"], tols)
-        rank_tol = tols.get("rank_tol", 1e-6)
-        fd_step = tols.get("fd_step", 1e-5)
+        orbit = _find_orbit(law, V, case["orbit"])
         try:
-            cc = cross_check(orbit, fd_step=fd_step, rank_tol=rank_tol,
-                             tol=tols.get("integrate_tol", 1e-12))
+            cc = cross_check(orbit)
         except RouteDisagreementError as exc:
             disagreement = True
             em.warn(f"{name}: {exc}")
             verdicts.append({"case": name, "error": str(exc)})
             continue
         a = cc.actions
-        rows.extend([
-            [name, "fixed_period", "actions",
-             f"{a.scale_fixed_period:.6g}", cc.fixed_period_verdict,
-             "", ""],
-            [name, "fixed_period", "monodromy_planar",
-             str(cc.planar_fp.kernel_dim), cc.planar_fp.verdict,
-             f"{cc.planar_fp.gap:.6g}",
-             f"{cc.planar_fp.symplectic_residual:.6g}"],
-            [name, "fixed_period", "monodromy_spatial",
-             str(cc.spatial_fp.kernel_dim), cc.spatial_fp.verdict,
-             f"{cc.spatial_fp.gap:.6g}",
-             f"{cc.spatial_fp.symplectic_residual:.6g}"],
-            [name, "fixed_energy", "actions",
-             f"{a.scale_fixed_energy:.6g}", cc.fixed_energy_verdict,
-             "", ""],
-            [name, "fixed_energy", "monodromy_planar",
-             str(cc.planar_fe.dim_F), cc.planar_fe.verdict,
-             f"{cc.planar_fe.gap:.6g}",
-             f"{cc.planar_fe.symplectic_residual:.6g}"],
-            [name, "fixed_energy", "monodromy_spatial",
-             str(cc.spatial_fe.dim_F), cc.spatial_fe.verdict,
-             f"{cc.spatial_fe.gap:.6g}",
-             f"{cc.spatial_fe.symplectic_residual:.6g}"],
-        ])
+        for problem, scale, verdict, kernels in (
+                ("fixed_period", a.scale_fixed_period, cc.fixed_period_verdict,
+                 [(cc.planar_fp, cc.planar_fp.kernel_dim),
+                  (cc.spatial_fp, cc.spatial_fp.kernel_dim)]),
+                ("fixed_energy", a.scale_fixed_energy, cc.fixed_energy_verdict,
+                 [(cc.planar_fe, cc.planar_fe.dim_F),
+                  (cc.spatial_fe, cc.spatial_fe.dim_F)])):
+            rows.append([name, problem, "actions", f"{scale:.6g}", verdict,
+                         "", ""])
+            for route, (rep, dim) in zip(("monodromy_planar",
+                                          "monodromy_spatial"), kernels):
+                rows.append([name, problem, route, str(dim), rep.verdict,
+                             f"{rep.gap:.6g}",
+                             f"{rep.symplectic_residual:.6g}"])
         verdicts.append({
             "case": name,
             "fixed_period": cc.fixed_period_verdict,
@@ -288,16 +273,19 @@ def cmd_nondeg(cfg, em: Emitter, tols):
     return EXIT_DISAGREEMENT if disagreement else EXIT_OK
 
 
-def cmd_continue(cfg, em: Emitter, tols):
-    law = _build_law(cfg.get("law", {"kind": "classical"}))
-    V = _build_potential(cfg["potential"])
-    orbit = _find_orbit(law, V, cfg["orbit"], tols)
+def cmd_continue(cfg, em: Emitter):
     ccfg = cfg.get("continuation", {})
+    planar = cfg["perturbation"]["family"] == "rotating_frame"
+    if planar and "group" in ccfg:
+        raise ConfigError("rotating_frame continues in the plane, where "
+                          "continuation.group does not apply")
+    law = _build_law(cfg.get("law"))
+    V = _build_potential(cfg["potential"])
+    orbit = _find_orbit(law, V, cfg["orbit"])
     mode = ccfg.get("mode", "fixed_period")
 
     # gate: warn when the unperturbed manifold is degenerate
-    rep = k0_hessian(law, V, orbit.profile.h, orbit.profile.L,
-                     fd_step=tols.get("fd_step", 1e-5))
+    rep = k0_hessian(law, V, orbit.profile.h, orbit.profile.L)
     verdict = (nondeg_fixed_period(rep) if mode == "fixed_period"
                else nondeg_fixed_energy(rep))
     if verdict == "degenerate":
@@ -308,23 +296,18 @@ def cmd_continue(cfg, em: Emitter, tols):
         em.warn(msg)
 
     pert = _build_perturbation(cfg["perturbation"], orbit.T)
-    if pert.family == "rotating_frame":
-        dim = 2
-        group = "planar"
-    else:
-        dim = 3
-        group = ccfg.get("group", "SO3")
-    sys = HamiltonianSystem(law, V, pert, dim)
-    samples = manifold_samples(orbit, ccfg.get("count_rot", 8),
-                               ccfg.get("count_shift", 4), group=group)
+    sys = HamiltonianSystem(law, V, pert, 2 if planar else 3)
+    samples = manifold_samples(
+        orbit, ccfg.get("count_rot", 8), ccfg.get("count_shift", 4),
+        **({"group": "planar"} if planar else _given(ccfg, "group")))
     template = ShootingProblem(
         sys, mode, samples.states[0], orbit.T,
         h=orbit.profile.h if mode == "fixed_energy" else None,
         phase_anchor=samples.states[0] if mode == "fixed_energy" else None,
     )
-    ladder = eps_path(pert.eps, ccfg.get("eps_start", 1e-4))
+    ladder = eps_path(pert.eps, **_given(ccfg, "eps_start"))
     results = multistart(template, samples, ladder,
-                         max_newton=ccfg.get("max_newton", 25))
+                         **_given(ccfg, "max_newton"))
     refined = [distance_to_manifold(r, samples) if r.accepted else r
                for r in results]
     accepted = [r for r in refined if r.accepted]
@@ -360,24 +343,20 @@ def cmd_continue(cfg, em: Emitter, tols):
     if cfg.get("output", {}).get("write_trajectories", False):
         n_s = cfg.get("output", {}).get("trajectory_samples", 500)
         for r in accepted:
-            d = np.asarray(r.z0).size // 2
-            header = (["t"] + [f"x{i+1}" for i in range(d)]
-                      + [f"p{i+1}" for i in range(d)])
             ts = np.linspace(0.0, r.period, n_s)
-            rows = [[f"{t:.12g}"] + [f"{v:.12g}" for v in z]
-                    for t, z in zip(ts, r.trajectory(ts))]
-            em.write_csv(f"continued_seed{r.seed_id}.csv", header, rows)
+            _write_states(em, f"continued_seed{r.seed_id}.csv", ts,
+                          r.trajectory(ts))
     if not accepted:
         em.warn("no accepted continuation results")
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def cmd_limit_classical(cfg, em: Emitter, tols):
+def cmd_limit_classical(cfg, em: Emitter):
     law_cfg = cfg.get("law", {"kind": "relativistic"})
     if law_cfg["kind"] != "relativistic":
         raise ConfigError("limit-classical needs a relativistic law")
-    m = law_cfg.get("m", 1.0)
+    mass = _given(law_cfg, "m")
     V = _build_potential(cfg["potential"])
     ocfg = cfg["orbit"]
     h = ocfg.get("h")
@@ -385,12 +364,12 @@ def cmd_limit_classical(cfg, em: Emitter, tols):
     if h is None or L is None:
         raise ConfigError("limit-classical needs both h and L in orbit")
     c_values = sorted(cfg.get("c_values", [5.0, 10.0, 20.0, 40.0]))
-    classical = KineticLaw.classical(m=m)
+    classical = KineticLaw.classical(**mass)
     pc = radial_profile(classical, V, h, L)
     rows = []
     errs_tau, errs_phi = [], []
     for c in c_values:
-        law = KineticLaw.relativistic(m=m, c=c)
+        law = KineticLaw.relativistic(c=c, **mass)
         p = radial_profile(law, V, h, L)
         e_tau = abs(p.tau - pc.tau)
         e_phi = abs(p.phi - pc.phi)
@@ -438,7 +417,6 @@ def main(argv=None):
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
         p.add_argument("--reproducible", action="store_true")
-        p.add_argument("--tol-scale", type=float, default=1.0)
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
@@ -446,12 +424,11 @@ def main(argv=None):
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
     em = Emitter(args.out, args.config, cfg, args.reproducible)
-    tols = _scaled_tols(cfg, args.tol_scale)
     library_log = logging.getLogger("cforbits")
     handler = _ManifestWarnings(em)
     library_log.addHandler(handler)
     try:
-        code = _COMMANDS[args.command](cfg, em, tols)
+        code = _COMMANDS[args.command](cfg, em)
     except RouteDisagreementError as exc:
         print(f"error: route disagreement: {exc}", file=_sys.stderr)
         code = EXIT_DISAGREEMENT
@@ -464,8 +441,10 @@ def main(argv=None):
         print(f"error: {exc}", file=_sys.stderr)
         code = EXIT_VALIDATION
     finally:
+        # a manifest on every exit, also when an unmapped exception
+        # propagates
         library_log.removeHandler(handler)
-    em.finish()
+        em.finish()
     return code
 
 

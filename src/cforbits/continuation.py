@@ -133,7 +133,7 @@ def _stalled(first, trials):
             and path[-1] > path[-1 - STALL_STEPS] / STALL_FACTOR)
 
 
-def _continue(problem: ShootingProblem, eps_ladder, max_newton, tol):
+def _continue(problem: ShootingProblem, eps_ladder, max_newton):
     """One damped Gauss-Newton ladder over the unknowns u = z0 (fixed
     period) or u = (z0, T) (fixed energy), then an independent re-check.
 
@@ -163,7 +163,7 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton, tol):
 
     def shoot(sys, u):
         z, T = u[:n], period(u)
-        zT, fm = integrate_with_variational(sys, z, 0.0, T, tol=tol)
+        zT, fm = integrate_with_variational(sys, z, 0.0, T)
         R = zT - z
         Jac = fm.value - np.eye(n)
         if fe:
@@ -220,11 +220,12 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton, tol):
                     return reject("damping floor", eps, res)
         if res > RESIDUAL_TOL * scale:
             return reject("stagnation", eps, res)
-    # independent closure re-check at tighter tolerance
+    # closure re-check by a plain dense-output integration at the same
+    # tolerance, which also gives the result its trajectory
     sys = problem.sys.with_eps(target_eps)
     z0, T = u[:n], period(u)
     try:
-        traj = integrate(sys, z0, 0.0, T, tol=1e-12)
+        traj = integrate(sys, z0, 0.0, T)
     except CollisionError:
         return reject("collision in re-check", target_eps, res)
     close = float(np.linalg.norm(traj(T) - z0))
@@ -248,20 +249,20 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton, tol):
 
 
 def continue_fixed_period(problem: ShootingProblem, eps_ladder=None,
-                          max_newton: int = DEFAULT_MAX_NEWTON,
-                          tol: float = 1e-12) -> ContinuationResult:
+                          max_newton: int = DEFAULT_MAX_NEWTON
+                          ) -> ContinuationResult:
     """Continue the seed into a T-periodic solution of the perturbed system."""
     return _continue(replace(problem, mode="fixed_period"), eps_ladder,
-                     max_newton, tol)
+                     max_newton)
 
 
 def continue_fixed_energy(problem: ShootingProblem, eps_ladder=None,
-                          max_newton: int = DEFAULT_MAX_NEWTON,
-                          tol: float = 1e-12) -> ContinuationResult:
+                          max_newton: int = DEFAULT_MAX_NEWTON
+                          ) -> ContinuationResult:
     """Continue the seed into a periodic solution on the energy level h,
     solving for the initial state and the period jointly."""
     return _continue(replace(problem, mode="fixed_energy"), eps_ladder,
-                     max_newton, tol)
+                     max_newton)
 
 
 # --- closeness certification ---
@@ -317,14 +318,13 @@ def distance_to_manifold(result: ContinuationResult,
 # --- multi-start ---
 
 def multistart(problem_template: ShootingProblem, samples: ManifoldSample,
-               eps_ladder=None, max_newton: int = DEFAULT_MAX_NEWTON,
-               tol: float = 1e-12):
+               eps_ladder=None, max_newton: int = DEFAULT_MAX_NEWTON):
     """Run one continuation per manifold sample; returns all results in
     sample order."""
     runner = (continue_fixed_period if problem_template.mode == "fixed_period"
               else continue_fixed_energy)
     return [runner(replace(problem_template, seed=np.asarray(seed, dtype=float),
-                           seed_id=i), eps_ladder, max_newton, tol)
+                           seed_id=i), eps_ladder, max_newton)
             for i, seed in enumerate(samples.states)]
 
 

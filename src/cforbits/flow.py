@@ -53,18 +53,13 @@ class Trajectory:
     """Dense solution over [t0, t1]; calling it evaluates the interpolant."""
 
     times: np.ndarray
-    states: np.ndarray  # (n_samples, 2d)
     t0: float
     t1: float
     _sol: object = None
-    _n_state: int = 0
 
     def __call__(self, t):
-        y = self._sol(t)
-        y = np.asarray(y)
-        if y.ndim == 1:
-            return y[: self._n_state]
-        return y[: self._n_state, :].T
+        y = np.asarray(self._sol(t))
+        return y if y.ndim == 1 else y.T
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,7 @@ def integrate(sys: HamiltonianSystem, z0, t0: float, t1: float,
     """Integrate the phase flow from z0 over [t0, t1]."""
     z0 = np.asarray(z0, dtype=float)
     res = _solve(sys, sys.vector_field, z0, t0, t1, tol, collision_floor, True)
-    return Trajectory(res.t, res.y.T.copy(), t0, t1, res.sol, z0.size)
+    return Trajectory(res.t, t0, t1, res.sol)
 
 
 def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float,

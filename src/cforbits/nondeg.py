@@ -125,20 +125,20 @@ _PLANE = [0, 1, 3, 4]  # x1, x2, p1, p2 inside (x1, x2, x3, p1, p2, p3)
 
 
 def _rotated_cycle_power(sys: HamiltonianSystem, z0, tau: float,
-                         angle: float, n: int, tol: float):
+                         angle: float, n: int):
     """(Rot(-angle) W(tau))^n for the planar flow from z0, with Rot acting on
     both x and p, and the defect |z(tau) - Rot(angle) z0|.
 
     When z(tau) = Rot(angle) z0, rotation equivariance of the flow makes the
     fundamental matrix at n tau equal to Rot(n angle) times the power."""
-    z_tau, fm = integrate_with_variational(sys, z0, 0.0, tau, tol=tol)
+    z_tau, fm = integrate_with_variational(sys, z0, 0.0, tau)
     defect = float(np.linalg.norm(z_tau - rotate_plane(z0, angle)))
     # Rot(-angle) W(tau), the columns of W turned back by angle
     QtW = rotate_plane(fm.value.T, -angle).T
     return np.linalg.matrix_power(QtW, n), defect
 
 
-def _linearizations(orbit: PeriodicOrbit, tol: float):
+def _linearizations(orbit: PeriodicOrbit):
     """Planar and spatial _Linearization, both from one variational solve
     over one radial period of the planar orbit."""
     law, V, profile = orbit.law, orbit.potential, orbit.profile
@@ -146,7 +146,7 @@ def _linearizations(orbit: PeriodicOrbit, tol: float):
     z0 = apogee_state(profile, 2)
     P, defect = _rotated_cycle_power(sys2, z0, profile.tau,
                                      2.0 * math.pi * orbit.k / orbit.n,
-                                     orbit.n, tol)
+                                     orbit.n)
     P3 = np.eye(6)
     P3[np.ix_(_PLANE, _PLANE)] = P
     sys3 = HamiltonianSystem(law, V, Perturbation.zero(), 3)
@@ -211,29 +211,27 @@ def _fixed_energy_report(lin: _Linearization,
     )
 
 
-def check_planar_fixed_period(orbit: PeriodicOrbit, rank_tol: float = RANK_TOL,
-                              tol: float = 1e-12) -> MonodromyReport:
+def check_planar_fixed_period(orbit: PeriodicOrbit,
+                              rank_tol: float = RANK_TOL) -> MonodromyReport:
     """Kernel of I - P for the 4x4 planar monodromy; nondegenerate iff 2."""
     _require_dim(orbit, 2)
-    return _fixed_period_report(_linearizations(orbit, tol)[0], rank_tol)
+    return _fixed_period_report(_linearizations(orbit)[0], rank_tol)
 
 
-def check_spatial_fixed_period(orbit: PeriodicOrbit, rank_tol: float = RANK_TOL,
-                               tol: float = 1e-12) -> MonodromyReport:
+def check_spatial_fixed_period(orbit: PeriodicOrbit,
+                               rank_tol: float = RANK_TOL) -> MonodromyReport:
     """Kernel of I - P for the 6x6 spatial monodromy of the embedded orbit;
     nondegenerate iff 4."""
-    return _fixed_period_report(_linearizations(orbit, tol)[1], rank_tol)
+    return _fixed_period_report(_linearizations(orbit)[1], rank_tol)
 
 
 def check_fixed_energy(orbit: PeriodicOrbit, dim: int = 2,
-                       rank_tol: float = RANK_TOL,
-                       tol: float = 1e-12) -> FixedEnergyKernelReport:
+                       rank_tol: float = RANK_TOL) -> FixedEnergyKernelReport:
     """Kernel of the augmented matrix coupling I - P with the flow direction
     and the energy tangency constraint; nondegenerate iff the kernel has the
     manifold dimension (2 planar, 4 spatial)."""
     _require_dim(orbit, dim)
-    return _fixed_energy_report(_linearizations(orbit, tol)[dim - 2],
-                                rank_tol)
+    return _fixed_energy_report(_linearizations(orbit)[dim - 2], rank_tol)
 
 
 def _grad_hamiltonian(sys: HamiltonianSystem, z0):
@@ -256,17 +254,16 @@ class ConsistencyReport:
     fixed_energy_verdict: str
 
 
-def cross_check(orbit: PeriodicOrbit, fd_step: float = 1e-5,
-                rank_tol: float = RANK_TOL,
-                tol: float = 1e-12) -> ConsistencyReport:
+def cross_check(orbit: PeriodicOrbit,
+                rank_tol: float = RANK_TOL) -> ConsistencyReport:
     """Run both routes on both problems and demand verdict agreement."""
     rep = k0_hessian(orbit.law, orbit.potential,
-                     orbit.profile.h, orbit.profile.L, fd_step=fd_step)
+                     orbit.profile.h, orbit.profile.L)
     det_fp = nondeg_fixed_period(rep)
     det_fe = nondeg_fixed_energy(rep)
     # one radial-period solve serves both problems in both dimensions
     reports = []
-    for lin in _linearizations(orbit, tol):
+    for lin in _linearizations(orbit):
         reports += [_fixed_period_report(lin, rank_tol),
                     _fixed_energy_report(lin, rank_tol)]
     pl_fp, pl_fe, sp_fp, sp_fe = reports

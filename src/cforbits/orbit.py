@@ -38,6 +38,8 @@ log = logging.getLogger(__name__)
 
 ECCENTRICITY_FLOOR = 1e-4
 ANGULAR_MOMENTUM_FLOOR = 1e-6
+# largest resonance residual |phi - k pi/n| a found orbit may keep
+PHI_TOL = 1e-11
 
 # the radial scan grid of turning_points, built once
 _SCAN = np.geomspace(1e-8, 1e6, 8000)
@@ -244,7 +246,7 @@ def apogee_state(profile: RadialProfile, dim: int = 2):
     return np.array(x + p)
 
 
-def _build_orbit(law, V, profile, k, n, dim, tol):
+def _build_orbit(law, V, profile, k, n, dim):
     if profile.eccentricity < ECCENTRICITY_FLOOR:
         raise CircularDegenerateError(
             f"orbit eccentricity {profile.eccentricity:.3g} below the floor")
@@ -252,7 +254,7 @@ def _build_orbit(law, V, profile, k, n, dim, tol):
         raise NoBoundOrbitError("angular momentum below the non-rectilinear floor")
     z0 = apogee_state(profile, dim)
     sys = HamiltonianSystem(law, V, Perturbation.zero(), dim)
-    cycle = integrate(sys, z0, 0.0, profile.tau, tol=tol)
+    cycle = integrate(sys, z0, 0.0, profile.tau)
     residual = float(np.linalg.norm(
         cycle(profile.tau) - rotate_plane(z0, 2.0 * math.pi * k / n)))
     return PeriodicOrbit(profile, k, n, n * profile.tau, z0, cycle, dim,
@@ -305,8 +307,6 @@ def _feasible_L_interval(law, V, h):
 def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
                       h_seed: float, search: str = "vary_L",
                       L_seed: float | None = None,
-                      phi_tol: float = 1e-11,
-                      integrate_tol: float = 1e-12,
                       dim: int = 2) -> PeriodicOrbit:
     """Solve the resonance condition phi(h, L) = k*pi/n by a 1-D root find
     over L at fixed h (or over h at fixed L) and build the closed orbit."""
@@ -349,7 +349,7 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
                 phi_range=(float(phis.min()), float(phis.max())))
         x_star = x_seed if x_seed is not None else float(xs[len(xs) // 2])
         profile = radial_profile(law, V, *point(x_star))
-        return _build_orbit(law, V, profile, k, n, dim, integrate_tol)
+        return _build_orbit(law, V, profile, k, n, dim)
     flips = np.flatnonzero(np.diff(np.sign(phis - target)) != 0)
     if flips.size == 0:
         raise TargetOutOfRangeError(
@@ -367,10 +367,10 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
     except Exception as exc:
         raise RootFindError(f"apsidal root find failed: {exc}") from exc
     profile = radial_profile(law, V, *point(x_star))
-    if abs(profile.phi - target) > max(phi_tol, 1e-11):
+    if abs(profile.phi - target) > PHI_TOL:
         raise RootFindError(
             f"resonance residual {abs(profile.phi - target):.3g} above tolerance")
-    return _build_orbit(law, V, profile, k, n, dim, integrate_tol)
+    return _build_orbit(law, V, profile, k, n, dim)
 
 
 # --- manifold sampling ---

@@ -74,7 +74,9 @@ class TestValidation:
     @pytest.mark.parametrize("extra", [
         {"checks": ["fixed_period/actions_route"]},
         {"continuation": {"refine_distance": True}},
-    ], ids=["checks", "refine_distance"])
+        {"tolerances": {"integrate_tol": 1e-10}},
+        {"continuation": {"group": "planar"}},
+    ], ids=["checks", "refine_distance", "tolerances", "planar_group"])
     def test_checks_key_rejected(self, tmp_path, extra):
         cfg = dict(KEPLER_ORBIT_CFG, **extra)
         path = write_cfg(tmp_path, cfg)
@@ -174,6 +176,17 @@ class TestOrbitCommand:
         assert manifest["warnings"] == ["cforbits.orbit: bracket 1 of 2"]
         assert logging.getLogger("cforbits").handlers == handlers
 
+    def test_unmapped_exception_leaves_a_manifest(self, tmp_path, monkeypatch):
+        def failing_find(*args, **kwargs):
+            raise RuntimeError("integration failed: step size too small")
+
+        monkeypatch.setattr(cforbits.cli, "find_closed_orbit", failing_find)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="integration failed"):
+            main(["orbit", "--config", write_cfg(tmp_path, KEPLER_ORBIT_CFG),
+                  "--out", str(out)])
+        assert json.loads((out / "manifest.json").read_text())["files"] == []
+
 
 class TestNondegCommand:
     def test_two_cases_with_expected_verdicts(self, tmp_path):
@@ -238,6 +251,34 @@ class TestContinueCommand:
         path = write_cfg(tmp_path, cfg)
         assert main(["continue", "--config", path,
                      "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+
+    def test_cosine_profile_without_period_is_validation_error(self, tmp_path):
+        cfg = {
+            "schema_version": 1,
+            "potential": {"kind": "homogeneous", "alpha": 0.5},
+            "orbit": {"k": 4, "n": 5, "h": -1.9},
+            "perturbation": {"family": "uniform_electric", "eps": 1e-4,
+                             "profile": "cosine"},
+        }
+        out = tmp_path / "out"
+        assert main(["continue", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert (out / "manifest.json").exists()
+
+    def test_group_with_rotating_frame_is_validation_error(self, tmp_path):
+        # the rotating frame continues in the plane, so a group would be
+        # ignored
+        cfg = {
+            "schema_version": 1,
+            "potential": {"kind": "homogeneous", "alpha": 0.5},
+            "orbit": {"k": 4, "n": 5, "h": -1.9},
+            "perturbation": {"family": "rotating_frame", "eps": 1e-4},
+            "continuation": {"group": "SO3"},
+        }
+        out = tmp_path / "out"
+        assert main(["continue", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert (out / "manifest.json").exists()
 
     def test_spatial_cosine_electric_run(self, tmp_path):
         cfg = {

@@ -271,8 +271,7 @@ def test_fundamental_matrix_is_a_rotated_power_of_one_radial_period(point):
     z0 = apogee_state(profile, 2)
     angle = 2.0 * profile.phi
     for n in (1, 2, 3):
-        power, defect = _rotated_cycle_power(sys, z0, profile.tau, angle, n,
-                                             1e-12)
+        power, defect = _rotated_cycle_power(sys, z0, profile.tau, angle, n)
         _, fm = integrate_with_variational(sys, z0, 0.0, n * profile.tau)
         Q = np.kron(np.eye(2), _planar_rotation(n * angle))
         W = fm.value
