@@ -69,6 +69,13 @@ def _given(cfg, *keys, **renamed):
     return {name: cfg[k] for name, k in pairs if k in cfg}
 
 
+def _block(cfg, name):
+    """The block of the config a command reads; refused when left out."""
+    if name not in cfg:
+        raise ConfigError(f"config needs a '{name}' block")
+    return cfg[name]
+
+
 def _build_law(cfg):
     """The kinetic law of a law block; with none, the classical law."""
     if cfg is None:
@@ -197,8 +204,8 @@ def _write_states(em: Emitter, name, ts, states):
 
 def cmd_orbit(cfg, em: Emitter):
     law = _build_law(cfg.get("law"))
-    V = _build_potential(cfg["potential"])
-    orbit = _find_orbit(law, V, cfg["orbit"])
+    V = _build_potential(_block(cfg, "potential"))
+    orbit = _find_orbit(law, V, _block(cfg, "orbit"))
     p = orbit.profile
     summary = {
         "h": _fmt(p.h), "L": _fmt(p.L),
@@ -275,13 +282,13 @@ def cmd_nondeg(cfg, em: Emitter):
 
 def cmd_continue(cfg, em: Emitter):
     ccfg = cfg.get("continuation", {})
-    planar = cfg["perturbation"]["family"] == "rotating_frame"
+    planar = _block(cfg, "perturbation")["family"] == "rotating_frame"
     if planar and "group" in ccfg:
         raise ConfigError("rotating_frame continues in the plane, where "
                           "continuation.group does not apply")
     law = _build_law(cfg.get("law"))
-    V = _build_potential(cfg["potential"])
-    orbit = _find_orbit(law, V, cfg["orbit"])
+    V = _build_potential(_block(cfg, "potential"))
+    orbit = _find_orbit(law, V, _block(cfg, "orbit"))
     mode = ccfg.get("mode", "fixed_period")
 
     # gate: warn when the unperturbed manifold is degenerate
@@ -357,8 +364,8 @@ def cmd_limit_classical(cfg, em: Emitter):
     if law_cfg["kind"] != "relativistic":
         raise ConfigError("limit-classical needs a relativistic law")
     mass = _given(law_cfg, "m")
-    V = _build_potential(cfg["potential"])
-    ocfg = cfg["orbit"]
+    V = _build_potential(_block(cfg, "potential"))
+    ocfg = _block(cfg, "orbit")
     h = ocfg.get("h")
     L = ocfg.get("L")
     if h is None or L is None:

@@ -184,18 +184,6 @@ class Potential:
             params=(kappa, lam),
         )
 
-    @classmethod
-    def tabulated(cls, r, V, dV, d2V) -> "Potential":
-        """Cubic interpolation of tabulated columns; analytic-derivative columns
-        are required since V'' enters the Hessian."""
-        from scipy.interpolate import CubicSpline
-
-        r = np.asarray(r, dtype=float)
-        sV = CubicSpline(r, np.asarray(V, dtype=float))
-        sdV = CubicSpline(r, np.asarray(dV, dtype=float))
-        sd2V = CubicSpline(r, np.asarray(d2V, dtype=float))
-        return cls("tabulated", sV, sdV, sd2V, params=(float(r[0]), float(r[-1])))
-
 
 # --- perturbations ---
 

@@ -122,6 +122,17 @@ def turning_points(law: KineticLaw, V: Potential, h: float, L: float):
     return r_min, r_max
 
 
+def _quadratic_coefficient(law: KineticLaw, V: Potential, h: float):
+    """a in r^2 p^2 = a r^2 + b r + c for V = kappa/r with either law and
+    V = kappa/r + lam/r^2 with the classical law; None for other pairs."""
+    kepler = V.kind == "homogeneous" and V.params[1] == 1.0
+    if law.kind == "classical" and (kepler or V.kind == "levi_civita"):
+        return 2.0 * law.m * h
+    if law.kind == "relativistic" and kepler:
+        return 2.0 * law.m * h + (h / law.c) ** 2
+    return None
+
+
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
@@ -137,9 +148,10 @@ def _radial_integrals(law, V, h, L, r_min, r_max, n):
     mid = 0.5 * (r_min + r_max)
     half = 0.5 * (r_max - r_min)
     r = mid + half * np.sin(u)
-    p2 = _p2(law, V, h, L, r)
-    annulus = (r - r_min) * (r_max - r)
-    S = p2 / annulus
+    a = _quadratic_coefficient(law, V, h)
+    # r^2 p^2 = a (r - r_min)(r - r_max) leaves nothing to cancel near the ends
+    S = (_p2(law, V, h, L, r) / ((r - r_min) * (r_max - r)) if a is None
+         else -a / r**2)
     if np.any(S <= 0.0):
         raise QuadratureError("radial admissibility not positive at quadrature nodes")
     sqrtS = np.sqrt(S)
@@ -153,8 +165,8 @@ def _radial_integrals(law, V, h, L, r_min, r_max, n):
 
 
 def _converged_integrals(law, V, h, L, r_min, r_max, rtol=5e-11):
-    # endpoint cancellation in the admissibility function floors the
-    # attainable accuracy around 1e-11 relative; rtol must sit above it
+    # endpoint cancellation in the direct quotient S floors the attainable
+    # accuracy around 1e-11 relative; rtol must sit above it
     prev = None
     for n in (80, 140, 240, 400, 640):
         cur = _radial_integrals(law, V, h, L, r_min, r_max, n)
@@ -269,39 +281,26 @@ def _is_feasible(law, V, h, L):
         return False
 
 
-def _bisect_edge(feasible, good, bad):
-    """Last feasible L after at most 60 geometric bisections of [good, bad],
-    stopping once the midpoint no longer lies strictly inside: every later
-    step would leave both ends as they are."""
-    for _ in range(60):
-        mid = math.sqrt(bad * good)
-        if not min(good, bad) < mid < max(good, bad):
-            break
-        if feasible(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
-
-
 def _feasible_L_interval(law, V, h):
-    """Feasible interval in L (bound non-circular annulus exists) by a coarse
-    geometric scan followed by bisection on both endpoints.  Kinetic laws
-    without a centrifugal barrier (relativistic Kepler with L below kappa/c,
-    steep homogeneous potentials) make small L infeasible, so neither end can
-    be assumed."""
-    scan = np.geomspace(1e-4, 1e4, 160)
-    feas = np.array([_is_feasible(law, V, h, L) for L in scan])
-    if not feas.any():
-        raise NoBoundOrbitError(
-            f"no bound non-circular orbit found at h = {h:g} over the L scan")
-    idx = np.flatnonzero(feas)
-    i0, i1 = idx[0], idx[-1]
-    feasible = lambda L: _is_feasible(law, V, h, L)
-    lo = scan[i0] if i0 == 0 else _bisect_edge(feasible, scan[i0], scan[i0 - 1])
-    if i1 == len(scan) - 1:
+    """Feasible interval in L (a bound non-circular annulus exists).  With
+    g(r) = r^2 kin(h + V(r)), the scan grid of turning_points admits exactly
+    max(g[0], g[-1], 0) <= L^2 < max g, for any potential.  Small L can be
+    infeasible (no centrifugal barrier for relativistic Kepler below
+    kappa/c or steep potentials); the lower edge is floored at 1e-4."""
+    g = _SCAN**2 * _p2(law, V, h, 0.0, _SCAN)
+    lo = max(math.sqrt(max(g[0], g[-1], 0.0)), 1e-4)
+    hi = math.sqrt(max(g.max(), 0.0))
+    if hi > 1e4:
         raise NoBoundOrbitError("feasible L region appears unbounded")
-    return lo, _bisect_edge(feasible, scan[i1], scan[i1 + 1])
+    # the root checks of turning_points reject the top float or two that
+    # its grid admits: step hi to the last float it accepts
+    while _is_feasible(law, V, h, hi):
+        hi = math.nextafter(hi, math.inf)
+    while lo < hi and not _is_feasible(law, V, h, hi):
+        hi = math.nextafter(hi, 0.0)
+    if not lo < hi:
+        raise NoBoundOrbitError(f"no bound non-circular orbit at h = {h:g}")
+    return lo, hi
 
 
 def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,

@@ -76,12 +76,32 @@ class TestValidation:
         {"continuation": {"refine_distance": True}},
         {"tolerances": {"integrate_tol": 1e-10}},
         {"continuation": {"group": "planar"}},
-    ], ids=["checks", "refine_distance", "tolerances", "planar_group"])
+        {"law": {"kind": "classical", "c": 2.0}},
+    ], ids=["checks", "refine_distance", "tolerances", "planar_group",
+            "classical_c"])
     def test_checks_key_rejected(self, tmp_path, extra):
         cfg = dict(KEPLER_ORBIT_CFG, **extra)
         path = write_cfg(tmp_path, cfg)
         assert main(["orbit", "--config", path,
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+    # each command refuses a config without a block it reads, before any
+    # numerical work
+    @pytest.mark.parametrize("command, missing, extra", [
+        ("continue", "perturbation", {}),
+        ("orbit", "potential", {}),
+        ("limit-classical", "orbit",
+         {"law": {"kind": "relativistic"}, "c_values": [5.0, 10.0]}),
+    ], ids=["continue", "orbit", "limit_classical"])
+    def test_missing_block_is_validation_error(self, tmp_path, capsys,
+                                               command, missing, extra):
+        cfg = {k: v for k, v in dict(KEPLER_ORBIT_CFG, **extra).items()
+               if k != missing}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert missing in capsys.readouterr().err
+        assert (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.name)
     def test_demo_config_is_valid(self, path):

@@ -128,14 +128,6 @@ class TestPotential:
         fd = (V.V(r + d) - V.V(r - d)) / (2 * d)
         assert float(V.dV(r)) == pytest.approx(float(fd), rel=1e-8)
 
-    def test_tabulated_matches_kepler(self):
-        r = np.linspace(0.2, 5.0, 400)
-        kep = Potential.kepler()
-        tab = Potential.tabulated(r, kep.V(r), kep.dV(r), kep.d2V(r))
-        rt = np.linspace(0.3, 4.5, 37)
-        assert np.allclose(tab.V(rt), kep.V(rt), rtol=1e-6)
-        assert np.allclose(tab.dV(rt), kep.dV(rt), rtol=1e-5)
-
 
 class TestPerturbation:
     def test_zero_is_autonomous_and_null(self):

@@ -107,7 +107,40 @@ class TestRadialIntegrals:
         assert p.phi == pytest.approx(math.pi / math.sqrt(2 - alpha), rel=5e-3)
 
 
+# pool targets of the benchmark's survey on the kinds whose r^2 p^2 is a
+# quadratic, with the closed-form root of phi = k pi / n:
+# relativistic Kepler (m = kappa = c = 1) phi = pi / sqrt(1 - 1/L^2), and
+# classical Levi-Civita (m = kappa = 1) phi = pi L / sqrt(L^2 - 2 lam)
+LC_TARGETS = ("2:1 3:2 4:3 5:3 5:4 7:4 6:5 7:5 8:5 9:5 7:6 11:6 8:7 9:7 10:7 "
+              "11:7 12:7 13:7")
+CLOSED_FORM_ROWS = [
+    ("lc_l0.1_h-0.5", CLASSICAL, Potential.levi_civita(1.0, 0.1), -0.5,
+     LC_TARGETS, math.sqrt(2.0 * 0.1)),
+    ("relkep_c1_h-0.2", KineticLaw.relativistic(c=1.0), KEPLER, -0.2,
+     "2:1 3:2 4:3 5:3 7:4 7:5 8:5 9:5 11:6 9:7 10:7 11:7 12:7 13:7", 1.0),
+    ("relkep_c1_h-0.18", KineticLaw.relativistic(c=1.0), KEPLER, -0.18,
+     "2:1 3:2 4:3 5:3 5:4 7:4 7:5 8:5 9:5 11:6 9:7 10:7 11:7 12:7 13:7", 1.0),
+    ("relkep_c1_h-0.22", KineticLaw.relativistic(c=1.0), KEPLER, -0.22,
+     "2:1 3:2 4:3 5:3 7:4 7:5 8:5 9:5 11:6 9:7 10:7 11:7 12:7 13:7", 1.0),
+]
+
+
 class TestFindClosedOrbit:
+    @pytest.mark.parametrize("law, V, h, targets, L_scale",
+                             [row[1:] for row in CLOSED_FORM_ROWS],
+                             ids=[row[0] for row in CLOSED_FORM_ROWS])
+    def test_quadratic_kinds_match_closed_form(self, law, V, h, targets,
+                                               L_scale):
+        # L* = L_scale / sqrt(1 - (n/k)^2) for both kinds
+        off = []
+        for kn in targets.split():
+            k, n = map(int, kn.split(":"))
+            L = find_closed_orbit(law, V, k, n, h).profile.L
+            L_star = L_scale / math.sqrt(1.0 - (n / k) ** 2)
+            if abs(L - L_star) > 1e-13 * L_star:
+                off.append((kn, L, L_star))
+        assert off == []
+
     def test_requires_coprime(self):
         with pytest.raises(ValueError):
             find_closed_orbit(CLASSICAL, KEPLER, 2, 4, -0.375)
@@ -260,11 +293,36 @@ REFERENCE_ROWS = [
     (name, law, Potential.homogeneous(1.0, alpha), k, n, h, L_seed)
     for name, law, alpha, k, n, h, L_seed in POOL
 ] + [
-    # perigee speed 3.2e3: a full-period integration at the default
-    # tolerance drifts by 3e-5 here
+    # perigee speed 3.2e3: a full-period integration drifts by 3e-5 here at
+    # the default tolerance and by 1.7e-7 at REFERENCE_TOL, so the closed
+    # form below is the reference for this row
     ("levi_civita_13_7", CLASSICAL, Potential.levi_civita(1.0, 0.1), 13, 7,
      -0.55, None),
 ]
+
+
+def _levi_civita_states(orb, ts):
+    """Closed-form phase states of a classical Levi-Civita orbit started at
+    apogee: r(t) is the Kepler radial motion at L_eff^2 = L^2 - 2 m lam, and
+    the polar angle is L / L_eff times the Kepler true anomaly."""
+    m, (kappa, lam) = orb.law.m, orb.potential.params
+    h, L = orb.profile.h, orb.profile.L
+    L_eff = math.sqrt(L**2 - 2.0 * m * lam)
+    a = kappa / (-2.0 * h)
+    e = math.sqrt(1.0 + 2.0 * h * L_eff**2 / (m * kappa**2))
+    mean_motion = math.sqrt(kappa / (m * a**3))
+    M = math.pi + mean_motion * ts
+    E = M + 0.85 * e * np.sign(np.sin(M))
+    for _ in range(50):  # Newton on Kepler's equation E - e sin E = M
+        E = E - (E - e * np.sin(E) - M) / (1.0 - e * np.cos(E))
+    r = a * (1.0 - e * np.cos(E))
+    beta = e / (1.0 + math.sqrt(1.0 - e**2))
+    nu = E + 2.0 * np.arctan2(beta * np.sin(E), 1.0 - beta * np.cos(E))
+    theta = L / L_eff * (nu - math.pi)
+    p_r = m * a * e * np.sin(E) * mean_motion / (1.0 - e * np.cos(E))
+    p_t = L / r
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([r * c, r * s, p_r * c - p_t * s, p_r * s + p_t * c], axis=1)
 
 
 @pytest.fixture(scope="module", params=REFERENCE_ROWS,
@@ -282,7 +340,8 @@ class TestComposedOrbit:
         ref = integrate(orb.system, orb.z0, 0.0, orb.T, tol=REFERENCE_TOL)
         assert np.linalg.norm(ref(orb.T) - orb.z0) <= 1e-8
         ts = np.linspace(0.0, orb.T, 4001)
-        z_ref = ref(ts)
+        z_ref = (_levi_civita_states(orb, ts)
+                 if orb.potential.kind == "levi_civita" else ref(ts))
         err = np.max(np.abs(orb.states(ts) - z_ref))
         assert err <= 1e-8 * np.max(np.abs(z_ref))
 

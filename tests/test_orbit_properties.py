@@ -1,14 +1,26 @@
 """Property tests of the orbit layer over random inputs (deterministic draws)."""
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from cforbits.errors import NoBoundOrbitError
 from cforbits.model import KineticLaw, Potential
-from cforbits.orbit import find_closed_orbit, turning_points
+from cforbits.orbit import (
+    _feasible_L_interval,
+    _is_feasible,
+    _leggauss,
+    _p2,
+    _quadratic_coefficient,
+    find_closed_orbit,
+    turning_points,
+)
 
 CLASSICAL = KineticLaw.classical()
 ALPHA_HALF = Potential.homogeneous(1.0, 0.5)
+KEPLER = Potential.kepler()
+LEVI_CIVITA = Potential.levi_civita(1.0, 0.1)
 
 # near alpha = 0, V = 1/(alpha r^alpha) ~ 1/alpha - ln r and the constant
 # 1/alpha cancels in h + V, so draws stay |alpha| >= 0.05 away from it
@@ -40,3 +52,102 @@ def test_vary_h_recovers_the_energy_vary_L_started_from(h, kn):
     by_h = find_closed_orbit(CLASSICAL, ALPHA_HALF, k, n, h + 0.05,
                              search="vary_h", L_seed=by_L.profile.L)
     assert by_h.profile.h == pytest.approx(h, abs=1e-9)
+
+
+# --- the feasible L interval against turning_points ---
+
+# the (law, potential, h) triples of the benchmark's resonance survey
+SURVEY_TRIPLES = (
+    [(CLASSICAL, ALPHA_HALF, h) for h in (-1.5, -1.2, -1.9)]
+    + [(CLASSICAL, LEVI_CIVITA, h) for h in (-0.5, -0.55, -0.6)]
+    + [(KineticLaw.relativistic(c=3.0), KEPLER, -0.5)]
+    + [(KineticLaw.relativistic(c=1.0), KEPLER, h) for h in (-0.2, -0.18, -0.22)]
+)
+LOWER_FLOOR = 1e-4
+
+
+def _check_edges(law, V, h):
+    # the reference definition of a feasible L: turning_points finds a
+    # bound non-circular annulus there (_is_feasible)
+    try:
+        lo, hi = _feasible_L_interval(law, V, h)
+    except NoBoundOrbitError:
+        # a draw whose annulus reaches past the scan: nothing to compare
+        assume(False)
+    assert _is_feasible(law, V, h, hi * (1.0 - 1e-9))
+    assert not _is_feasible(law, V, h, hi * (1.0 + 1e-9))
+    if lo > LOWER_FLOOR:
+        assert _is_feasible(law, V, h, lo * (1.0 + 1e-9))
+        assert not _is_feasible(law, V, h, lo * (1.0 - 1e-9))
+
+
+@pytest.mark.parametrize("law, V, h", SURVEY_TRIPLES)
+def test_feasible_interval_edges_on_survey_triples(law, V, h):
+    _check_edges(law, V, h)
+
+
+@st.composite
+def law_potential_h(draw):
+    """A kinetic law, a potential and an energy at which bound orbits
+    exist: the relativistic law with 0 < alpha <= 1 and -0.9 m c^2 <= h < 0
+    (alpha > 1 has no centrifugal barrier), the classical law with h > 0 for
+    a confining homogeneous potential (alpha < 0) and h < 0 otherwise."""
+    if draw(st.booleans()):
+        c = draw(st.floats(1.0, 5.0))
+        law = KineticLaw.relativistic(c=c)
+        V = Potential.homogeneous(1.0, draw(st.floats(0.05, 1.0)))
+        h = -draw(st.floats(0.02, 0.9)) * c**2
+    else:
+        law = CLASSICAL
+        V = (Potential.levi_civita(1.0, draw(st.floats(0.01, 1.0)))
+             if draw(st.booleans()) else Potential.homogeneous(1.0, draw(alphas)))
+        confining = V.kind == "homogeneous" and V.params[1] < 0
+        h = draw(st.floats(0.1, 3.0) if confining else st.floats(-1.5, -0.05))
+    return law, V, h
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(lvh=law_potential_h())
+def test_feasible_interval_edges(lvh):
+    _check_edges(*lvh)
+
+
+# --- the radial integrand of the quadratic kinds ---
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(kind=st.sampled_from(["kepler", "levi_civita", "relativistic"]),
+       m=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0),
+       extra=st.floats(0.01, 1.0), f=st.floats(0.05, 0.9),
+       t=st.floats(0.05, 0.95))
+def test_quadratic_integrand_is_the_direct_quotient(kind, m, kappa, extra, f,
+                                                    t):
+    # extra is lam for Levi-Civita and 1/c for the relativistic law; h is
+    # -f, or -f m c^2 for the relativistic law (bound orbits need
+    # -m c^2 < h < 0); L is a fraction t of the way across the feasible
+    # interval
+    if kind == "relativistic":
+        law = KineticLaw.relativistic(m=m, c=1.0 / extra)
+        h = -f * m / extra**2
+    else:
+        law = KineticLaw.classical(m=m)
+        h = -f
+    V = (Potential.levi_civita(kappa, extra) if kind == "levi_civita"
+         else Potential.kepler(kappa))
+    lo, hi = _feasible_L_interval(law, V, h)
+    L = lo + t * (hi - lo)
+    r_min, r_max = turning_points(law, V, h, L)
+    nodes, _ = _leggauss(80)
+    s = np.sin(0.5 * math.pi * nodes)
+    r = 0.5 * (r_min + r_max) + 0.5 * (r_max - r_min) * s[np.abs(s) <= 0.9]
+    direct = _p2(law, V, h, L, r) / ((r - r_min) * (r_max - r))
+    a = _quadratic_coefficient(law, V, h)
+    assert np.allclose(-a / r**2, direct, rtol=1e-9, atol=0.0)
+
+
+def test_quadratic_coefficient_only_for_the_quadratic_kinds():
+    rel = KineticLaw.relativistic(c=1.0)
+    assert _quadratic_coefficient(CLASSICAL, KEPLER, -0.5) == -1.0
+    assert _quadratic_coefficient(CLASSICAL, LEVI_CIVITA, -0.5) == -1.0
+    assert _quadratic_coefficient(rel, KEPLER, -0.5) == -0.75
+    assert _quadratic_coefficient(CLASSICAL, ALPHA_HALF, -0.5) is None
+    assert _quadratic_coefficient(rel, LEVI_CIVITA, -0.5) is None
