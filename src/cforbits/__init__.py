@@ -29,7 +29,6 @@ from .model import (
 )
 from .flow import (
     DriftReport,
-    FundamentalMatrix,
     Trajectory,
     integrate,
     integrate_with_variational,

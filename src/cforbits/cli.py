@@ -339,6 +339,7 @@ def cmd_continue(cfg, em: Emitter):
                 "distance_to_manifold": _fmt(r.distance)
                 if r.distance is not None else None,
                 "newton_iters": r.newton_iters,
+                "variational_solves": r.variational_solves,
                 "history": [[_fmt(eps), _fmt(lam),
                              _fmt(res) if np.isfinite(res) else None, ok]
                             for eps, lam, res, ok in r.history],

@@ -5,6 +5,11 @@ Fixed-period: damped Gauss-Newton on the time-T return map mismatch, period
 pinned by the (resonant) time-dependent forcing.  Fixed-energy: the period
 joins the unknowns; the system gains an energy row and a phase row that
 removes time-translation freedom, and is solved in the least-squares sense.
+Every Newton trial is shot state-only, for its residual alone.  The
+variational solve, which gives the Jacobian too, runs only where a
+Levenberg-Marquardt step will use it: at a rung's first shot, and at an
+accepted trial after which the rung neither converges nor stalls.  A
+rejected trial keeps the Jacobian of the point it stepped from.
 The unperturbed shooting Jacobian is singular along the manifold of rotated
 and time-shifted copies, so the continuation starts at a small positive
 epsilon and grows it geometrically.
@@ -18,7 +23,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import CollisionError
-from .flow import integrate, integrate_with_variational, symplectic_matrix
+from .flow import (endpoint, integrate, integrate_with_variational,
+                   symplectic_matrix)
 from .model import HamiltonianSystem
 from .orbit import ManifoldSample
 
@@ -99,6 +105,9 @@ class ContinuationResult:
     # one (eps, lam, trial residual, accepted) entry per Newton trial; the
     # trial residual is inf when the trial step was not shot
     history: tuple = ()
+    # variational solves started: one per rung's first shot and one per
+    # accepted trial that another LM step leaves
+    variational_solves: int = 0
 
 
 def eps_path(eps_target: float, eps_start: float = 1e-4,
@@ -140,7 +149,8 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
     Never raises on stagnation, the damping floor or a collision: each ends
     in a rejected result whose ``reason`` names it and whose ``residual``
     and ``newton_iters`` are the last ones reached (residual inf when the
-    rung's first shot collided).  A rung that has not converged ends as
+    rung's first shot collided, the residual of its point when a later
+    variational solve did).  A rung that has not converged ends as
     stagnation after ``max_newton`` trials, or as soon as an accepted step
     leaves it stalled (``_stalled``); a converged rung is never stalled.
     """
@@ -156,60 +166,80 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
     J = symplectic_matrix(problem.sys.dim)
     res = np.inf
     history = []  # (eps, lam, trial residual, accepted) per Newton trial
+    solves = 0  # variational solves started
     scale = 1.0 + np.linalg.norm(z0)
 
     def period(u):
         return u[n] if fe else problem.T
 
-    def shoot(sys, u):
-        z, T = u[:n], period(u)
-        zT, fm = integrate_with_variational(sys, z, 0.0, T)
+    def variational(sys, u):
+        nonlocal solves
+        solves += 1
+        return integrate_with_variational(sys, u[:n], 0.0, period(u))
+
+    def residual(sys, u, zT):
+        # R at u from the end point zT of the shot from u
+        z = u[:n]
         R = zT - z
-        Jac = fm.value - np.eye(n)
         if fe:
             # energy row, and a phase row: step orthogonal to the flow
             # direction at the anchor; T joins the unknowns
             vstar = sys.vector_field(0.0, anchor)
             R = np.concatenate([R, [sys.hamiltonian(0.0, z) - h,
                                     float(vstar @ (z - anchor))]])
+        return R
+
+    def jacobian(sys, u, zT, W):
+        # dR/du at u from the shot's end point zT and fundamental matrix W
+        Jac = W - np.eye(n)
+        if fe:
+            z, T = u[:n], period(u)
+            vstar = sys.vector_field(0.0, anchor)
             gradH = J @ sys.vector_field(0.0, z)
             Jac = np.vstack([np.column_stack([Jac, sys.vector_field(T, zT)]),
                              np.append(gradH, 0.0), np.append(vstar, 0.0)])
-        return R, Jac
+        return Jac
 
     def reject(why, eps, res):
         return ContinuationResult(
             False, f"{why} at eps={eps:g}", u[:n], period(u), eps, res,
             np.inf, np.inf if fe else 0.0, len(history), problem.seed_id,
-            history=tuple(history))
+            history=tuple(history), variational_solves=solves)
 
     for eps in ladder:
         sys = problem.sys.with_eps(eps)
         lam = 1e-8
         try:
-            R, Jac = shoot(sys, u)
+            zT, W = variational(sys, u)
         except CollisionError:
             return reject("collision", eps, np.inf)
+        R, Jac = residual(sys, u, zT), jacobian(sys, u, zT, W)
         res = np.linalg.norm(R)
         first, rung = res, len(history)
         for _ in range(max_newton):
             if res <= RESIDUAL_TOL * scale:
                 break
+            if Jac is None:
+                try:
+                    Jac = jacobian(sys, u, zT, variational(sys, u)[1])
+                except CollisionError:
+                    return reject("collision", eps, res)
             u_try = u + _lm_step(Jac, R, lam)
             if fe and u_try[n] <= 0.1 * problem.T:
                 history.append((eps, lam, np.inf, False))
                 lam *= 10.0
                 continue
             try:
-                R2, Jac2 = shoot(sys, u_try)
+                zT2 = endpoint(sys, u_try[:n], 0.0, period(u_try))
             except CollisionError:
                 history.append((eps, lam, np.inf, False))
                 lam *= 10.0
                 continue
+            R2 = residual(sys, u_try, zT2)
             res2 = np.linalg.norm(R2)
             history.append((eps, lam, float(res2), bool(res2 < res)))
             if res2 < res:
-                u, R, Jac, res = u_try, R2, Jac2, res2
+                u, R, zT, res, Jac = u_try, R2, zT2, res2, None
                 lam = max(lam / 10.0, 1e-12)
                 if (res > RESIDUAL_TOL * scale
                         and _stalled(first, history[rung:])):
@@ -245,7 +275,7 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
     return ContinuationResult(
         ok, "ok" if ok else reason, z0, T, target_eps, close, en, ph,
         len(history), problem.seed_id, trajectory=traj,
-        history=tuple(history))
+        history=tuple(history), variational_solves=solves)
 
 
 def continue_fixed_period(problem: ShootingProblem, eps_ladder=None,

@@ -5,8 +5,11 @@ Uses an explicit adaptive Runge-Kutta scheme of order 8(5,3) (DOP853)
 rather than a symplectic fixed-step method: monodromy accuracy needs tight
 local error control and variational-equation coupling, and the symplectic
 residual is monitored instead of enforced.  Plain trajectories carry DOP853's
-dense output; variational solves return only their end point, since the
-interpolant costs three more right-hand-side evaluations per step.
+dense output.  ``endpoint`` and variational solves return only their end
+point, since the interpolant costs three more right-hand-side evaluations per
+step.  A shooting trial needs only the state from ``endpoint``; the
+variational solve (2d + 4d^2 components) runs only where a Newton step uses
+the Jacobian.
 """
 from __future__ import annotations
 
@@ -20,11 +23,11 @@ from .model import HamiltonianSystem
 
 __all__ = [
     "Trajectory",
-    "FundamentalMatrix",
     "DriftReport",
     "symplectic_matrix",
     "symplectic_residual",
     "integrate",
+    "endpoint",
     "integrate_with_variational",
     "monodromy",
     "invariant_drift",
@@ -60,14 +63,6 @@ class Trajectory:
     def __call__(self, t):
         y = np.asarray(self._sol(t))
         return y if y.ndim == 1 else y.T
-
-
-@dataclass(frozen=True)
-class FundamentalMatrix:
-    """Matrix W(t1) solving W' = J^{-1} Hess(z(t)) W, W(t0) = I."""
-
-    value: np.ndarray
-    symplectic_residual: float
 
 
 @dataclass(frozen=True)
@@ -111,12 +106,21 @@ def integrate(sys: HamiltonianSystem, z0, t0: float, t1: float,
     return Trajectory(res.t, t0, t1, res.sol)
 
 
+def endpoint(sys: HamiltonianSystem, z0, t0: float, t1: float) -> np.ndarray:
+    """State z(t1) of the phase flow from z0; no dense output is built."""
+    z0 = np.asarray(z0, dtype=float)
+    res = _solve(sys, sys.vector_field, z0, t0, t1, DEFAULT_TOL,
+                 COLLISION_FLOOR, False)
+    return res.y[:, -1].copy()
+
+
 def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float,
                                tol: float = DEFAULT_TOL,
                                collision_floor: float = COLLISION_FLOOR):
-    """Jointly integrate the state and the 2d x 2d fundamental matrix.
+    """Jointly integrate the state and the 2d x 2d fundamental matrix W,
+    the solution of W' = J^{-1} Hess(z(t)) W with W(t0) = I.
 
-    Returns ``(z(t1), FundamentalMatrix)``; no dense output is built.
+    Returns ``(z(t1), W(t1))``; no dense output is built.
     """
     z0 = np.asarray(z0, dtype=float)
     n = z0.size
@@ -136,14 +140,12 @@ def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float,
 
     y0 = np.concatenate([z0, np.eye(n).ravel()])
     res = _solve(sys, rhs, y0, t0, t1, tol, collision_floor, False)
-    W = res.y[n:, -1].reshape(n, n)
-    return res.y[:n, -1].copy(), FundamentalMatrix(W, symplectic_residual(W))
+    return res.y[:n, -1].copy(), res.y[n:, -1].reshape(n, n)
 
 
-def monodromy(sys: HamiltonianSystem, orbit, tol: float = DEFAULT_TOL) -> FundamentalMatrix:
+def monodromy(sys: HamiltonianSystem, orbit, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Fundamental matrix at the closure period of a periodic orbit."""
-    _, fm = integrate_with_variational(sys, orbit.z0, 0.0, orbit.T, tol=tol)
-    return fm
+    return integrate_with_variational(sys, orbit.z0, 0.0, orbit.T, tol=tol)[1]
 
 
 def invariant_drift(sys: HamiltonianSystem, traj: Trajectory,

@@ -131,10 +131,10 @@ def _rotated_cycle_power(sys: HamiltonianSystem, z0, tau: float,
 
     When z(tau) = Rot(angle) z0, rotation equivariance of the flow makes the
     fundamental matrix at n tau equal to Rot(n angle) times the power."""
-    z_tau, fm = integrate_with_variational(sys, z0, 0.0, tau)
+    z_tau, W = integrate_with_variational(sys, z0, 0.0, tau)
     defect = float(np.linalg.norm(z_tau - rotate_plane(z0, angle)))
     # Rot(-angle) W(tau), the columns of W turned back by angle
-    QtW = rotate_plane(fm.value.T, -angle).T
+    QtW = rotate_plane(W.T, -angle).T
     return np.linalg.matrix_power(QtW, n), defect
 
 

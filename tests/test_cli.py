@@ -325,6 +325,11 @@ class TestContinueCommand:
             for eps, lam, res, accepted in r["history"]:
                 assert eps > 0.0 and lam > 0.0 and isinstance(accepted, bool)
                 assert res is None or res >= 0.0
+            # eps = 1e-4 is a one-rung ladder: the first shot, then one
+            # solve per accepted trial that another trial follows
+            h = r["history"]
+            steps = sum(1 for a, b in zip(h, h[1:]) if a[3])
+            assert r["variational_solves"] == 1 + steps
 
     def test_planar_rotating_frame_run(self, tmp_path):
         # the one family the command continues in the plane (planar group)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from cforbits import continuation
+from cforbits import continuation, flow
 from cforbits.continuation import (
     STALL_FACTOR,
     STALL_STEPS,
@@ -17,6 +17,7 @@ from cforbits.continuation import (
     eps_path,
     multistart,
 )
+from cforbits.errors import CollisionError
 from cforbits.flow import integrate
 from cforbits.model import (
     HamiltonianSystem,
@@ -135,6 +136,33 @@ class TestFixedPeriod:
 
 
 class TestFailureContract:
+    def test_collision_in_deferred_variational_solve(self, orbit,
+                                                     monkeypatch):
+        # the first variational solve runs at the rung's first shot, the
+        # second only after an accepted trial; its collision ends the run
+        # like a colliding first shot does
+        calls = []
+
+        def second_collides(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise CollisionError("injected")
+            return flow.integrate_with_variational(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "integrate_with_variational",
+                            second_collides)
+        sys = electric_system(orbit, 1e-4)
+        prob = ShootingProblem(sys=sys, mode="fixed_period", seed=orbit.z0,
+                               T=orbit.T)
+        res = continue_fixed_period(prob)
+        assert len(calls) == 2
+        assert not res.accepted
+        assert res.reason.startswith("collision")
+        assert res.variational_solves == 2
+        assert len(res.history) == res.newton_iters == 1
+        assert res.history[0][3]
+        assert res.residual == res.history[0][2]
+
     @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
     def test_stagnation_returns_rejected_result(self, orbit, mode):
         fe = mode == "fixed_energy"
@@ -203,6 +231,75 @@ class TestStallExit:
             assert accepted == sorted(accepted, reverse=True)
             if res.accepted:
                 assert accepted[-1] <= 1e-9 * (1.0 + np.linalg.norm(orbit.z0))
+
+
+def _variational_endpoint(sys, z0, t0, t1):
+    # every trial shot through the variational solve, as before the state-only
+    # shot: the reference path of the deferred Jacobian
+    return flow.integrate_with_variational(sys, z0, t0, t1)[0]
+
+
+@pytest.fixture(scope="module")
+def deferred_and_reference(orbit):
+    """(result, reference result) for the four seeds of the 2 x 2 planar
+    grid at fixed period (two converge, two stall) and one fixed-energy
+    seed, all at eps = 1e-3."""
+    seeds = manifold_samples(orbit, 2, 2, group="planar").states
+    probs = [ShootingProblem(sys=electric_system(orbit, 1e-3),
+                             mode="fixed_period", seed=z, T=orbit.T)
+             for z in seeds]
+    probs.append(ShootingProblem(
+        sys=electric_system(orbit, 1e-3, profile="constant"),
+        mode="fixed_energy", seed=orbit.z0, T=orbit.T, h=orbit.profile.h))
+    samples = manifold_samples(orbit, 6, 6, group="planar")
+
+    def run():
+        out = []
+        for p in probs:
+            runner = (continue_fixed_energy if p.mode == "fixed_energy"
+                      else continue_fixed_period)
+            r = runner(p)
+            out.append(distance_to_manifold(r, samples) if r.accepted else r)
+        return out
+
+    fast = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "endpoint", _variational_endpoint)
+        ref = run()
+    return list(zip(fast, ref))
+
+
+def _expected_solves(res):
+    # one per rung whose first shot ran, one per accepted trial followed by
+    # another LM step on the same rung
+    rungs = sum(1 for e in eps_path(1e-3) if e <= res.eps)
+    h = res.history
+    return rungs + sum(1 for a, b in zip(h, h[1:]) if a[3] and a[0] == b[0])
+
+
+class TestDeferredJacobian:
+    def test_same_path_as_variational_shots(self, deferred_and_reference):
+        outcomes = set()
+        for fast, ref in deferred_and_reference:
+            assert fast.accepted == ref.accepted
+            assert fast.reason.split()[0] == ref.reason.split()[0]
+            assert fast.newton_iters == ref.newton_iters
+            assert [e[3] for e in fast.history] == [e[3] for e in ref.history]
+            assert fast.variational_solves == ref.variational_solves
+            assert np.max(np.abs(fast.z0 - ref.z0)) <= 1e-6
+            assert abs(fast.period - ref.period) <= 1e-6
+            if fast.accepted:
+                assert fast.distance == pytest.approx(ref.distance, rel=1e-6)
+            outcomes.add((fast.accepted, fast.reason.split()[0]))
+        assert outcomes == {(True, "ok"), (False, "stagnation")}
+
+    def test_one_variational_solve_per_point_stepped_from(
+            self, deferred_and_reference):
+        results = [fast for fast, _ in deferred_and_reference]
+        assert any(r.accepted for r in results)
+        assert any(r.reason.startswith("stagnation") for r in results)
+        for r in results:
+            assert r.variational_solves == _expected_solves(r)
 
 
 class TestFixedEnergy:

@@ -7,10 +7,12 @@ from scipy.integrate import solve_ivp
 from cforbits.errors import CollisionError
 from cforbits.flow import (
     integrate,
+    endpoint,
     integrate_with_variational,
     invariant_drift,
     monodromy,
     symplectic_matrix,
+    symplectic_residual,
 )
 from cforbits.model import (
     HamiltonianSystem,
@@ -71,6 +73,18 @@ class TestIntegrate:
         with pytest.raises(CollisionError):
             integrate(sys, z0, 0.0, 5.0)
 
+    def test_endpoint_is_the_trajectory_end(self):
+        # the state-only shot takes the same DOP853 steps as the dense
+        # trajectory; only the interpolant is left out
+        sys = kepler_system()
+        z0 = np.array([2.0, 0.0, 0.0, 0.5])
+        z1 = endpoint(sys, z0, 0.0, 4.0)
+        assert np.max(np.abs(z1 - integrate(sys, z0, 0.0, 4.0)(4.0))) <= 1e-14
+        zv, _ = integrate_with_variational(sys, z0, 0.0, 4.0)
+        assert np.max(np.abs(z1 - zv)) <= 1e-10
+        with pytest.raises(CollisionError):
+            endpoint(sys, np.array([1.0, 0.0, 0.0, 0.0]), 0.0, 5.0)
+
     def test_invariant_drift_over_ten_periods(self):
         sys = kepler_system()
         z0 = np.array([2.0, 0.0, 0.0, 0.5])  # h = -3/8, L = 1
@@ -85,15 +99,15 @@ class TestVariational:
     def test_harmonic_monodromy_is_identity(self):
         sys = harmonic_system()
         z0 = np.array([1.0, 0.0, 0.0, 1.2])
-        _, fm = integrate_with_variational(sys, z0, 0.0, 2 * math.pi)
-        assert np.allclose(fm.value, np.eye(4), atol=1e-9)
-        assert fm.symplectic_residual <= 1e-8
+        _, W = integrate_with_variational(sys, z0, 0.0, 2 * math.pi)
+        assert np.allclose(W, np.eye(4), atol=1e-9)
+        assert symplectic_residual(W) <= 1e-8
 
     def test_fundamental_matrix_vs_flow_differences(self):
         sys = kepler_system()
         z0 = np.array([2.0, 0.0, 0.0, 0.5])
         t1 = 3.0
-        _, fm = integrate_with_variational(sys, z0, 0.0, t1)
+        _, W = integrate_with_variational(sys, z0, 0.0, t1)
         d = 1e-6
         W_fd = np.zeros((4, 4))
         for i in range(4):
@@ -102,21 +116,21 @@ class TestVariational:
             zp = integrate(sys, z0 + e, 0.0, t1)(t1)
             zm = integrate(sys, z0 - e, 0.0, t1)(t1)
             W_fd[:, i] = (zp - zm) / (2 * d)
-        assert np.max(np.abs(fm.value - W_fd)) <= 1e-4
+        assert np.max(np.abs(W - W_fd)) <= 1e-4
 
     def test_symplectic_residual_small(self):
         sys = kepler_system()
         z0 = np.array([2.0, 0.0, 0.0, 0.5])
-        _, fm = integrate_with_variational(sys, z0, 0.0, 20.0)
-        assert fm.symplectic_residual <= 1e-8
+        _, W = integrate_with_variational(sys, z0, 0.0, 20.0)
+        assert symplectic_residual(W) <= 1e-8
 
     def test_monodromy_wrapper(self):
         class Dummy:
             z0 = np.array([1.0, 0.0, 0.0, 1.0])
             T = 2 * math.pi
 
-        fm = monodromy(harmonic_system(), Dummy())
-        assert np.allclose(fm.value, np.eye(4), atol=1e-9)
+        W = monodromy(harmonic_system(), Dummy())
+        assert np.allclose(W, np.eye(4), atol=1e-9)
 
     def test_perturbed_nonautonomous_variational(self):
         pert = Perturbation.uniform_electric((1.0, 0.0), 1e-3,
@@ -124,8 +138,8 @@ class TestVariational:
         sys = HamiltonianSystem(KineticLaw.classical(), Potential.kepler(),
                                 pert, 2)
         z0 = np.array([2.0, 0.0, 0.0, 0.5])
-        _, fm = integrate_with_variational(sys, z0, 0.0, 2.0)
-        assert fm.symplectic_residual <= 1e-8
+        _, W = integrate_with_variational(sys, z0, 0.0, 2.0)
+        assert symplectic_residual(W) <= 1e-8
 
     def test_trajectory_endpoints(self):
         sys = kepler_system()
@@ -174,6 +188,6 @@ class TestVariationalAgainstReference:
                                 z0.size // 2)
         t1 = 6.0
         z_ref, W_ref = reference_variational(sys, z0, t1)
-        z1, fm = integrate_with_variational(sys, z0, 0.0, t1)
+        z1, W = integrate_with_variational(sys, z0, 0.0, t1)
         assert np.max(np.abs(z1 - z_ref)) <= 1e-10
-        assert np.max(np.abs(fm.value - W_ref)) <= 1e-10
+        assert np.max(np.abs(W - W_ref)) <= 1e-10

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cforbits.errors import RouteDisagreementError, UnreliableVerdictError
-from cforbits.flow import integrate_with_variational, monodromy
+from cforbits.flow import (integrate_with_variational, monodromy,
+                           symplectic_residual)
 from cforbits.model import HamiltonianSystem, KineticLaw, Perturbation, Potential
 from cforbits.nondeg import (
     MIN_GAP,
@@ -211,11 +212,11 @@ def reference_reports(orbit):
     monodromy and of the integrated 6x6 monodromy of the embedded orbit."""
     sys3 = HamiltonianSystem(orbit.law, orbit.potential, Perturbation.zero(), 3)
     z3 = apogee_state(orbit.profile, 3)
-    _, fm3 = integrate_with_variational(sys3, z3, 0.0, orbit.T)
-    fm2 = monodromy(orbit.system, orbit)
-    lins = [_Linearization(orbit.system, orbit.z0, fm2.value,
-                           fm2.symplectic_residual, 0.0),
-            _Linearization(sys3, z3, fm3.value, fm3.symplectic_residual, 0.0)]
+    _, W3 = integrate_with_variational(sys3, z3, 0.0, orbit.T)
+    W2 = monodromy(orbit.system, orbit)
+    lins = [_Linearization(orbit.system, orbit.z0, W2,
+                           symplectic_residual(W2), 0.0),
+            _Linearization(sys3, z3, W3, symplectic_residual(W3), 0.0)]
     return [f(lin, RANK_TOL) for lin in lins
             for f in (_fixed_period_report, _fixed_energy_report)]
 
@@ -272,9 +273,8 @@ def test_fundamental_matrix_is_a_rotated_power_of_one_radial_period(point):
     angle = 2.0 * profile.phi
     for n in (1, 2, 3):
         power, defect = _rotated_cycle_power(sys, z0, profile.tau, angle, n)
-        _, fm = integrate_with_variational(sys, z0, 0.0, n * profile.tau)
+        _, W = integrate_with_variational(sys, z0, 0.0, n * profile.tau)
         Q = np.kron(np.eye(2), _planar_rotation(n * angle))
-        W = fm.value
         assert np.max(np.abs(Q @ power - W)) <= \
             1e-8 * max(1.0, np.max(np.abs(W)))
         assert defect <= 1e-9
