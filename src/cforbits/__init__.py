@@ -23,16 +23,12 @@ from .model import (
     HamiltonianSystem,
     KineticLaw,
     Perturbation,
-    PhaseState,
     Potential,
-    eval_fields,
 )
 from .flow import (
-    DriftReport,
     Trajectory,
     integrate,
     integrate_with_variational,
-    invariant_drift,
     monodromy,
     symplectic_matrix,
 )

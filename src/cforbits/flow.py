@@ -23,14 +23,12 @@ from .model import HamiltonianSystem
 
 __all__ = [
     "Trajectory",
-    "DriftReport",
     "symplectic_matrix",
     "symplectic_residual",
     "integrate",
     "endpoint",
     "integrate_with_variational",
     "monodromy",
-    "invariant_drift",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -63,14 +61,6 @@ class Trajectory:
     def __call__(self, t):
         y = np.asarray(self._sol(t))
         return y if y.ndim == 1 else y.T
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    energy_abs: float
-    energy_rel: float
-    momentum_abs: np.ndarray
-    momentum_rel: np.ndarray
 
 
 def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, collision_floor,
@@ -126,13 +116,15 @@ def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float,
     n = z0.size
     d = sys.dim
 
+    HW = np.empty((n, n))  # scratch for Hess W, reused by every evaluation
+
     def rhs(t, y):
         z = y[:n]
         out = np.empty(n + n * n)
         out[:n] = sys.vector_field(t, z)
         # J w' = Hess w  =>  w' = -J Hess w, i.e. the p-rows of Hess W on
         # top and the negated x-rows below
-        HW = sys.hessian(t, z) @ y[n:].reshape(n, n)
+        np.matmul(sys.hessian(t, z), y[n:].reshape(n, n), out=HW)
         dW = out[n:].reshape(n, n)
         dW[:d] = HW[d:]
         np.negative(HW[:d], out=dW[d:])
@@ -146,26 +138,3 @@ def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float,
 def monodromy(sys: HamiltonianSystem, orbit, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Fundamental matrix at the closure period of a periodic orbit."""
     return integrate_with_variational(sys, orbit.z0, 0.0, orbit.T, tol=tol)[1]
-
-
-def invariant_drift(sys: HamiltonianSystem, traj: Trajectory,
-                    n_samples: int = 400) -> DriftReport:
-    """Max drift of energy and angular momentum along a trajectory."""
-    ts = np.linspace(traj.t0, traj.t1, n_samples)
-    energies = np.empty(n_samples)
-    moms = []
-    for i, (t, z) in enumerate(zip(ts, traj(ts))):
-        e, mom = sys.first_integrals(t, z)
-        energies[i] = e
-        moms.append(np.atleast_1d(mom))
-    moms = np.array(moms)
-    e0 = energies[0]
-    m0 = moms[0]
-    e_abs = float(np.max(np.abs(energies - e0)))
-    m_abs = np.max(np.abs(moms - m0), axis=0)
-    return DriftReport(
-        energy_abs=e_abs,
-        energy_rel=e_abs / (1.0 + abs(e0)),
-        momentum_abs=m_abs,
-        momentum_rel=m_abs / (1.0 + np.abs(m0)),
-    )

@@ -3,8 +3,7 @@ perturbed/unperturbed Hamiltonian systems.
 
 All evaluators are pure functions of their inputs; instances are immutable
 after construction and safe to share across threads.  Phase states are flat
-arrays ``z = [x, p]`` of length ``2 * dim``; the :class:`PhaseState` helper
-is provided for convenience.
+arrays ``z = [x, p]`` of length ``2 * dim``.
 """
 from __future__ import annotations
 
@@ -25,8 +24,6 @@ __all__ = [
     "Potential",
     "Perturbation",
     "HamiltonianSystem",
-    "PhaseState",
-    "eval_fields",
 ]
 
 
@@ -81,13 +78,15 @@ class KineticLaw:
     def f_inv(self, s):
         """Momentum magnitude -> speed (inverse of f).
 
-        Takes a Python float or an array without converting it, so the
-        per-step kernels of HamiltonianSystem stay on floats.
+        Takes a Python float or an array without converting it; a float
+        stays a float (math.sqrt, not np.sqrt), so the per-step kernels of
+        HamiltonianSystem make no NumPy call here.
         """
         if self.kind == "classical":
             return s / self.m
         q = s / (self.m * self.c)
-        return s / (self.m * np.sqrt(1.0 + q * q))
+        sqrt = math.sqrt if isinstance(s, float) else np.sqrt
+        return s / (self.m * sqrt(1.0 + q * q))
 
     def f_inv_prime(self, s):
         """Derivative of f_inv; a float or an array as for f_inv (the
@@ -187,11 +186,6 @@ class Potential:
 
 # --- perturbations ---
 
-def _frozen(a):
-    a.setflags(write=False)
-    return a
-
-
 def _skew(b):
     return np.array(
         [[0.0, -b[2], b[1]], [b[2], 0.0, -b[0]], [-b[1], b[0], 0.0]]
@@ -206,10 +200,13 @@ class Perturbation:
     eps = 0.  All built-in scalar and vector potentials are linear in x, so
     their second x-derivatives vanish, and the vector potentials do not
     depend on t.  ``__post_init__`` is the one place that maps a family to
-    its fields: it builds the constant x-derivatives once per instance,
-    ``_DA`` (read-only, None for families without a vector potential) and
-    ``_e`` (the electric direction, None for families without an electric
-    field), and every evaluator below keys off these two.
+    its fields: it builds the constant x-derivatives once per instance as
+    Python floats, padded to three dimensions with zeros so that the
+    kernels of :class:`HamiltonianSystem` read them without a NumPy call:
+    ``_DA`` (the 3 x 3 matrix DA, row by row) and ``_DATDA`` (DA^T DA, in
+    the same layout), both None for families without a vector potential,
+    and ``_e`` (the electric direction, None for families without an
+    electric field).  Every evaluator below keys off these.
     """
 
     family: str = "zero"
@@ -218,21 +215,29 @@ class Perturbation:
     profile: str = "constant"  # time profile of the electric potential
     T_forcing: float = math.inf
     B0: tuple = ()
-    _DA: np.ndarray | None = field(default=None, init=False, repr=False,
-                                   compare=False)
-    _e: np.ndarray | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    _DA: tuple | None = field(default=None, init=False, repr=False,
+                              compare=False)
+    _DATDA: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+    _e: tuple | None = field(default=None, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
-        DA = e = None
+        DA = None
         if self.family == "uniform_magnetic":
             DA = 0.5 * self.eps * _skew(np.asarray(self.B0, dtype=float))
         elif self.family == "rotating_frame":
-            DA = self.eps * np.array([[0.0, 1.0], [0.0, 0.0]])
+            DA = np.zeros((3, 3))
+            DA[0, 1] = self.eps
         elif self.family == "uniform_electric":
-            e = np.asarray(self.e_vec, dtype=float)
-        object.__setattr__(self, "_DA", None if DA is None else _frozen(DA))
-        object.__setattr__(self, "_e", None if e is None else _frozen(e))
+            e = tuple(map(float, self.e_vec))
+            object.__setattr__(self, "_e", e + (0.0,) * (3 - len(e)))
+        if DA is not None:
+            M = DA.T @ DA
+            object.__setattr__(self, "_DA", tuple(DA.ravel().tolist()))
+            # symmetrized, so the Hessian comes out exactly symmetric
+            object.__setattr__(self, "_DATDA",
+                               tuple((0.5 * (M + M.T)).ravel().tolist()))
 
     @classmethod
     def zero(cls) -> "Perturbation":
@@ -284,89 +289,53 @@ class Perturbation:
     def U(self, t: float, x) -> float:
         if self._e is None:
             return 0.0
-        return self.eps * self._g(t) * float(np.dot(self._e, x))
+        return self.eps * self._g(t) * float(np.dot(self._e[:len(x)], x))
 
     def grad_U(self, t: float, x):
         if self._e is None:
             return np.zeros(len(x))
-        return self.eps * self._g(t) * self._e
+        return self.eps * self._g(t) * np.array(self._e[:len(x)])
 
     # vector potential and derivatives; the built-in ones are linear, A = DA x
 
     def A(self, t: float, x):
-        DA = self._DA
-        if DA is None:
-            return np.zeros(len(x))
+        d = len(x)
+        if self._DA is None:
+            return np.zeros(d)
+        x = np.asarray(x, dtype=float).tolist() + [0.0] * (3 - d)
+        return np.array(self._A(*x)[:d])
+
+    def _A(self, x0, x1, x2):
+        """A at x = (x0, x1, x2) as floats; only with a vector potential."""
         if self.family == "uniform_magnetic":
             # eps/2 B0 x x written out in np.cross's operation order, which
-            # DA @ x does not keep
+            # DA x does not keep
             b0, b1, b2 = self.B0
-            x0, x1, x2 = np.asarray(x, dtype=float).tolist()
             c = 0.5 * self.eps
-            return np.array([c * (b1 * x2 - b2 * x1), c * (b2 * x0 - b0 * x2),
-                             c * (b0 * x1 - b1 * x0)])
-        return DA @ np.asarray(x, dtype=float)
+            return (c * (b1 * x2 - b2 * x1), c * (b2 * x0 - b0 * x2),
+                    c * (b0 * x1 - b1 * x0))
+        a00, a01, a02, a10, a11, a12, a20, a21, a22 = self._DA
+        return (a00 * x0 + a01 * x1 + a02 * x2, a10 * x0 + a11 * x1 + a12 * x2,
+                a20 * x0 + a21 * x1 + a22 * x2)
 
     def DA(self, t: float, x):
+        d = len(x)
         if self._DA is None:
-            d = len(x)
             return np.zeros((d, d))
-        return self._DA
+        return np.array(self._DA).reshape(3, 3)[:d, :d]
 
 
-def eval_fields(pert: Perturbation, t: float, x):
-    """Electric and magnetic fields at (t, x).
-
-    E = grad_x U - dA/dt; B = curl_x A (a vector for dim 3, the scalar curl
-    for dim 2).  The built-in vector potentials do not depend on t, so
-    E = grad_x U.
-    """
-    x = np.asarray(x, dtype=float)
-    d = len(x)
-    pert.check_dim(d)
-    if np.linalg.norm(x) == 0.0:
-        raise DomainError("fields undefined at x = 0")
-    E = pert.grad_U(t, x)
-    DA = pert.DA(t, x)
-    if d == 3:
-        B = np.array([DA[2, 1] - DA[1, 2], DA[0, 2] - DA[2, 0], DA[1, 0] - DA[0, 1]])
-    else:
-        B = DA[1, 0] - DA[0, 1]
-    return E, B
-
-
-# --- phase states and the Hamiltonian system ---
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Position/momentum pair; ``z`` is the flat [x, p] layout used everywhere."""
-
-    x: tuple
-    p: tuple
-
-    @classmethod
-    def from_z(cls, z) -> "PhaseState":
-        z = np.asarray(z, dtype=float)
-        d = z.size // 2
-        return cls(tuple(z[:d]), tuple(z[d:]))
-
-    @property
-    def z(self):
-        return np.concatenate([self.x, self.p])
-
-
-_EYE = {d: _frozen(np.eye(d)) for d in (2, 3)}
-
-
-def _as_z(z):
-    if isinstance(z, PhaseState):
-        return z.z
-    return np.asarray(z, dtype=float)
-
+# --- the Hamiltonian system ---
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """Central force problem H = G(|p - A(t,x)|) - V(|x|) - U(t,x) in dim 2 or 3."""
+    """Central force problem H = G(|p - A(t,x)|) - V(|x|) - U(t,x) in dim 2 or 3.
+
+    The kernels unpack z once into Python floats and compute on them with
+    ``math``, written out in three dimensions (a planar state has
+    x2 = p2 = 0): at d = 2 or 3, NumPy's per-call cost on such small arrays
+    outweighs the arithmetic.
+    """
 
     law: KineticLaw
     potential: Potential
@@ -386,82 +355,115 @@ class HamiltonianSystem:
     def is_autonomous(self) -> bool:
         return self.perturbation.is_autonomous
 
-    def _split(self, z):
-        z = _as_z(z)
+    def _unpack(self, z, what):
+        """x, w = p - A(t, x) and r = |x| > 0 as seven floats
+        (x0, x1, x2, w0, w1, w2, r)."""
+        z = np.asarray(z, dtype=float)
         if z.size != 2 * self.dim:
             raise DomainError(f"state has size {z.size}, expected {2 * self.dim}")
-        return z[: self.dim], z[self.dim:]
+        if self.dim == 2:
+            x0, x1, p0, p1 = z.tolist()
+            x2 = p2 = 0.0
+        else:
+            x0, x1, x2, p0, p1, p2 = z.tolist()
+        r = math.hypot(x0, x1, x2)
+        if r == 0.0:
+            raise DomainError(f"{what} undefined at x = 0")
+        if self.perturbation._DA is not None:
+            a0, a1, a2 = self.perturbation._A(x0, x1, x2)
+            p0, p1, p2 = p0 - a0, p1 - a1, p2 - a2
+        return x0, x1, x2, p0, p1, p2, r
 
     def hamiltonian(self, t: float, z) -> float:
-        x, p = self._split(z)
-        r = np.linalg.norm(x)
-        if r == 0.0:
-            raise DomainError("Hamiltonian undefined at x = 0")
-        w = p - self.perturbation.A(t, x)
-        s = np.linalg.norm(w)
-        return float(self.law.G(s) - self.potential.V(r)
-                     - self.perturbation.U(t, x))
+        x0, x1, x2, w0, w1, w2, r = self._unpack(z, "Hamiltonian")
+        return float(self.law.G(math.hypot(w0, w1, w2)) - self.potential.V(r)
+                     - self.perturbation.U(t, (x0, x1, x2)[: self.dim]))
 
     def vector_field(self, t: float, z):
         """Canonical phase velocity (dx/dt, dp/dt) = (grad_p H, -grad_x H)."""
-        x, p = self._split(z)
-        r = math.sqrt(x @ x)
-        if r == 0.0:
-            raise DomainError("vector field undefined at x = 0")
+        x0, x1, x2, w0, w1, w2, r = self._unpack(z, "vector field")
+        s = math.hypot(w0, w1, w2)
+        v0 = v1 = v2 = 0.0
+        if s > 0.0:
+            g = self.law.f_inv(s)
+            v0, v1, v2 = g * w0 / s, g * w1 / s, g * w2 / s
+        c = self.potential._dV(r)
+        f0, f1, f2 = c * x0 / r, c * x1 / r, c * x2 / r
         pert = self.perturbation
-        DA = pert._DA
-        w = p if DA is None else p - pert.A(t, x)
-        s = math.sqrt(w @ w)
-        v = self.law.f_inv(s) * w / s if s > 0.0 else np.zeros(self.dim)
-        pdot = float(self.potential._dV(r)) * x / r
-        if DA is not None:
-            pdot += DA.T @ v
-        if pert._e is not None:
-            pdot += pert.grad_U(t, x)
-        return np.concatenate([v, pdot])
+        if pert._DA is not None:  # + DA^T v
+            a00, a01, a02, a10, a11, a12, a20, a21, a22 = pert._DA
+            f0 += a00 * v0 + a10 * v1 + a20 * v2
+            f1 += a01 * v0 + a11 * v1 + a21 * v2
+            f2 += a02 * v0 + a12 * v1 + a22 * v2
+        if pert._e is not None:  # + grad U
+            c = pert.eps * pert._g(t)
+            e0, e1, e2 = pert._e
+            f0, f1, f2 = f0 + c * e0, f1 + c * e1, f2 + c * e2
+        if self.dim == 2:
+            return np.array([v0, v1, f0, f1])
+        return np.array([v0, v1, v2, f0, f1, f2])
 
     def hessian(self, t: float, z):
         """Symmetric (2d x 2d) matrix of second z-derivatives of H."""
-        x, p = self._split(z)
-        d = self.dim
-        r = math.sqrt(x @ x)
-        if r == 0.0:
-            raise DomainError("Hessian undefined at x = 0")
-        pert = self.perturbation
-        DA = pert._DA
-        w = p if DA is None else p - pert.A(t, x)
-        s = math.sqrt(w @ w)
+        x0, x1, x2, w0, w1, w2, r = self._unpack(z, "Hessian")
+        s = math.hypot(w0, w1, w2)
         if s == 0.0:
             raise DegenerateMomentumError("Hessian singular at p = A(t, x)")
-        u = w / s
-        uu = u[:, None] * u
-        eye = _EYE[d]
-        g = self.law.f_inv(s)
-        gp = self.law.f_inv_prime(s)
-        Kww = gp * uu + (g / s) * (eye - uu)
-
-        ux = x / r
-        uxux = ux[:, None] * ux
-        Vpp = float(self.potential._d2V(r))
-        Vp = float(self.potential._dV(r))
-        Vblock = Vpp * uxux + (Vp / r) * (eye - uxux)
-
-        # built-in U and A families are linear in x, so the D^2 U and D^2 A
-        # terms vanish, and without A: Hxx = -Vblock, Hxp = 0, Hpp = Kww
-        H = np.zeros((2 * d, 2 * d))
-        H[d:, d:] = Kww
-        if DA is None:
-            np.negative(Vblock, out=H[:d, :d])
+        # D^2 G(|w|) = k0 I + k1 u u^T with u = w/s, k0 = g/s, k1 = g' - g/s;
+        # D^2 V(|x|) = v0 I + v1 y y^T with y = x/r, v0 = V'/r, v1 = V'' - V'/r.
+        # The built-in U and A families are linear in x, so D^2 U and D^2 A
+        # vanish: Hpp = K, Hxp = -DA^T K and Hxx = DA^T K DA - D^2 V, where
+        # with q = DA^T u, DA^T K = k0 DA^T + k1 q u^T and
+        # DA^T K DA = k0 DA^T DA + k1 q q^T.  Each entry below i <= j is
+        # formed once and mirrored, so H is exactly symmetric.
+        k0 = self.law.f_inv(s) / s
+        k1 = self.law.f_inv_prime(s) - k0
+        u0, u1, u2 = w0 / s, w1 / s, w2 / s
+        K00, K11, K22 = k1 * (u0 * u0) + k0, k1 * (u1 * u1) + k0, k1 * (u2 * u2) + k0
+        K01, K02, K12 = k1 * (u0 * u1), k1 * (u0 * u2), k1 * (u1 * u2)
+        v0 = self.potential._dV(r) / r
+        v1 = self.potential._d2V(r) - v0
+        y0, y1, y2 = x0 / r, x1 / r, x2 / r
+        X00, X11, X22 = -v1 * (y0 * y0) - v0, -v1 * (y1 * y1) - v0, -v1 * (y2 * y2) - v0
+        X01, X02, X12 = -v1 * (y0 * y1), -v1 * (y0 * y2), -v1 * (y1 * y2)
+        pert = self.perturbation
+        if pert._DA is None:
+            C00 = C01 = C02 = C10 = C11 = C12 = C20 = C21 = C22 = 0.0
         else:
-            AK = DA.T @ Kww
-            H[:d, :d] = AK @ DA - Vblock
-            np.negative(AK, out=H[:d, d:])
-            H[d:, :d] = H[:d, d:].T
-        return H
+            a00, a01, a02, a10, a11, a12, a20, a21, a22 = pert._DA
+            m00, m01, m02, _, m11, m12, _, _, m22 = pert._DATDA
+            q0 = a00 * u0 + a10 * u1 + a20 * u2
+            q1 = a01 * u0 + a11 * u1 + a21 * u2
+            q2 = a02 * u0 + a12 * u1 + a22 * u2
+            X00 += k0 * m00 + k1 * (q0 * q0)
+            X11 += k0 * m11 + k1 * (q1 * q1)
+            X22 += k0 * m22 + k1 * (q2 * q2)
+            X01 += k0 * m01 + k1 * (q0 * q1)
+            X02 += k0 * m02 + k1 * (q0 * q2)
+            X12 += k0 * m12 + k1 * (q1 * q2)
+            # C = Hxp = -(DA^T K), C_ij = -(k0 DA_ji + k1 q_i u_j)
+            C00, C01, C02 = (-(k0 * a00 + k1 * (q0 * u0)), -(k0 * a10 + k1 * (q0 * u1)),
+                             -(k0 * a20 + k1 * (q0 * u2)))
+            C10, C11, C12 = (-(k0 * a01 + k1 * (q1 * u0)), -(k0 * a11 + k1 * (q1 * u1)),
+                             -(k0 * a21 + k1 * (q1 * u2)))
+            C20, C21, C22 = (-(k0 * a02 + k1 * (q2 * u0)), -(k0 * a12 + k1 * (q2 * u1)),
+                             -(k0 * a22 + k1 * (q2 * u2)))
+        if self.dim == 2:
+            return np.array([X00, X01, C00, C01,
+                             X01, X11, C10, C11,
+                             C00, C10, K00, K01,
+                             C01, C11, K01, K11]).reshape(4, 4)
+        return np.array([X00, X01, X02, C00, C01, C02,
+                         X01, X11, X12, C10, C11, C12,
+                         X02, X12, X22, C20, C21, C22,
+                         C00, C10, C20, K00, K01, K02,
+                         C01, C11, C21, K01, K11, K12,
+                         C02, C12, C22, K02, K12, K22]).reshape(6, 6)
 
     def first_integrals(self, t: float, z):
         """Energy and angular momentum (scalar for dim 2, vector for dim 3)."""
-        x, p = self._split(z)
+        z = np.asarray(z, dtype=float)
+        x, p = z[: self.dim], z[self.dim:]
         energy = self.hamiltonian(t, z)
         if self.dim == 2:
             mom = float(x[0] * p[1] - x[1] * p[0])

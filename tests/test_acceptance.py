@@ -20,7 +20,7 @@ from cforbits.continuation import (
     distinct_results,
     multistart,
 )
-from cforbits.flow import integrate, integrate_with_variational, invariant_drift
+from cforbits.flow import integrate, integrate_with_variational
 from cforbits.model import (
     HamiltonianSystem,
     KineticLaw,
@@ -35,6 +35,17 @@ from cforbits.orbit import (
 )
 
 CLASSICAL = KineticLaw.classical()
+
+
+def max_drift(sys, traj, n_samples=400):
+    """Largest change of the energy and of each angular momentum component
+    from their values at t0, over evenly spaced times of a trajectory."""
+    ts = np.linspace(traj.t0, traj.t1, n_samples)
+    values = [sys.first_integrals(t, z) for t, z in zip(ts, traj(ts))]
+    energy = np.array([e for e, _ in values])
+    mom = np.array([np.atleast_1d(m) for _, m in values])
+    return np.max(np.abs(energy - energy[0])), np.max(np.abs(mom - mom[0]), axis=0)
+
 
 # one eccentric k:n orbit per homogeneity exponent; the harmonic (-2) and
 # Kepler (1) rows are the degenerate exceptions of the classification
@@ -168,9 +179,9 @@ class TestCriterion5NumericsHygiene:
     def test_invariant_drift_ten_periods(self, table_orbits):
         orb = table_orbits["kepler"]
         traj = integrate(orb.system, orb.z0, 0.0, 10 * orb.T, tol=1e-12)
-        rep = invariant_drift(orb.system, traj)
-        assert rep.energy_abs <= 1e-10
-        assert np.all(rep.momentum_abs <= 1e-10)
+        energy, mom = max_drift(orb.system, traj)
+        assert energy <= 1e-10
+        assert np.all(mom <= 1e-10)
 
     def test_variational_vs_flow_differences(self, table_orbits):
         orb = table_orbits["alpha_05"]

@@ -12,12 +12,20 @@ from cforbits.model import (
     HamiltonianSystem,
     KineticLaw,
     Perturbation,
-    PhaseState,
     Potential,
-    eval_fields,
 )
 
 RNG = np.random.default_rng(7)
+
+
+def curl_A(pert, x):
+    """B = curl A from the constant Jacobian DA: a vector for dim 3, the
+    scalar curl for dim 2."""
+    DA = pert.DA(0.0, x)
+    if len(x) == 3:
+        return np.array([DA[2, 1] - DA[1, 2], DA[0, 2] - DA[2, 0],
+                         DA[1, 0] - DA[0, 1]])
+    return DA[1, 0] - DA[0, 1]
 
 
 class TestKineticLaw:
@@ -160,7 +168,7 @@ class TestPerturbation:
         p = Perturbation.uniform_magnetic((0.3, -1.2, 0.7), 0.05)
         x = np.array([1.0, 2.0, -0.5])
         DA = p.DA(0.0, x)
-        _, B = eval_fields(p, 0.0, x)
+        B = curl_A(p, x)
         for _ in range(5):
             y = RNG.normal(size=3)
             lhs = DA.T @ y - DA @ y
@@ -169,13 +177,13 @@ class TestPerturbation:
     def test_magnetic_curl_is_eps_B0(self):
         B0 = (0.0, 0.0, 2.0)
         p = Perturbation.uniform_magnetic(B0, 0.25)
-        _, B = eval_fields(p, 0.0, np.array([1.0, 1.0, 1.0]))
+        B = curl_A(p, np.array([1.0, 1.0, 1.0]))
         assert np.allclose(B, 0.25 * np.asarray(B0))
 
     def test_rotating_frame_planar_curl(self):
         p = Perturbation.rotating_frame(0.3)
         x = np.array([0.4, -0.9])
-        _, B = eval_fields(p, 0.0, x)
+        B = curl_A(p, x)
         # A = eps (x2, 0): scalar curl dA2/dx1 - dA1/dx2 = -eps
         assert B == pytest.approx(-0.3)
 
@@ -282,6 +290,34 @@ class TestHamiltonianSystem:
         with pytest.raises(DomainError):
             sys.vector_field(0.0, np.array([1.0, 0.0, 0.1]))
 
+    @pytest.mark.parametrize("dim,pert", [
+        (2, Perturbation.zero()),
+        (2, Perturbation.rotating_frame(0.07)),
+        (3, Perturbation.uniform_electric((0.3, -0.2, 0.1), 0.05)),
+        (3, Perturbation.uniform_magnetic((0.1, 0.2, 0.9), 0.05)),
+    ])
+    def test_kernel_error_contract(self, dim, pert):
+        sys = HamiltonianSystem(KineticLaw.relativistic(m=1.0, c=10.0),
+                                Potential.kepler(), pert, dim)
+        x = np.array([1.2, 0.3, -0.2][:dim])
+        for kernel in (sys.vector_field, sys.hessian):
+            with pytest.raises(DomainError):
+                kernel(0.0, np.ones(2 * dim + 1))
+            with pytest.raises(DomainError):
+                kernel(0.0, np.concatenate([np.zeros(dim), np.ones(dim)]))
+        # at p = A(t, x) the velocity is zero and the Hessian undefined
+        z = np.concatenate([x, pert.A(0.0, x)])
+        f = sys.vector_field(0.0, z)
+        assert np.all(f[:dim] == 0.0)
+        assert np.all(np.isfinite(f))
+        with pytest.raises(DegenerateMomentumError):
+            sys.hessian(0.0, z)
+        # a plain list is a state too
+        z = [1.2, 0.3, -0.2][:dim] + [0.1, 0.7, 0.4][:dim]
+        assert np.array_equal(sys.vector_field(0.0, z),
+                              sys.vector_field(0.0, np.array(z)))
+        assert np.array_equal(sys.hessian(0.0, z), sys.hessian(0.0, np.array(z)))
+
     def test_first_integrals(self):
         sys = self._system()
         z = np.array([2.0, 0.0, 0.0, 0.5])
@@ -291,12 +327,6 @@ class TestHamiltonianSystem:
         z3 = np.array([2.0, 0.0, 0.0, 0.0, 0.5, 0.0])
         _, ell3 = sys3.first_integrals(0.0, z3)
         assert np.allclose(ell3, [0.0, 0.0, 1.0])
-
-    def test_phase_state_round_trip(self):
-        z = np.array([1.0, 2.0, 3.0, 4.0])
-        ps = PhaseState.from_z(z)
-        assert np.allclose(ps.z, z)
-        assert ps.x == (1.0, 2.0)
 
     def test_with_eps(self):
         sys = self._system(pert=Perturbation.uniform_electric((1.0, 0.0), 0.1))

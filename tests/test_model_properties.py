@@ -118,3 +118,69 @@ def test_short_time_fundamental_matrix_is_symplectic(law, V, pert_dim, t1, data)
     _, W = integrate_with_variational(sys, np.concatenate([x, p]), 0.0, t1)
     J = symplectic_matrix(d)
     assert np.max(np.abs(W.T @ J @ W - J)) <= 1e-10
+
+
+def reference_vector_field(sys, t, z):
+    """The vector field in NumPy array arithmetic through the public
+    evaluators: the reference path for the float kernel."""
+    d = sys.dim
+    x, p = z[:d], z[d:]
+    pert = sys.perturbation
+    r = np.linalg.norm(x)
+    w = p - pert.A(t, x)
+    s = np.linalg.norm(w)
+    v = float(sys.law.f_inv(s)) * w / s if s > 0.0 else np.zeros(d)
+    pdot = (float(sys.potential.dV(r)) * x / r + pert.DA(t, x).T @ v
+            + pert.grad_U(t, x))
+    return np.concatenate([v, pdot])
+
+
+def reference_hessian(sys, t, z):
+    """The Hessian in NumPy array arithmetic: [[DA^T K DA - Vb, -DA^T K],
+    [-K DA, K]] with K = D^2 G(|w|) and Vb = D^2 V(|x|)."""
+    d = sys.dim
+    x, p = z[:d], z[d:]
+    pert = sys.perturbation
+    r = np.linalg.norm(x)
+    w = p - pert.A(t, x)
+    s = np.linalg.norm(w)
+    eye = np.eye(d)
+    uu = np.outer(w / s, w / s)
+    g, gp = float(sys.law.f_inv(s)), float(sys.law.f_inv_prime(s))
+    K = gp * uu + (g / s) * (eye - uu)
+    xx = np.outer(x / r, x / r)
+    Vp, Vpp = float(sys.potential.dV(r)), float(sys.potential.d2V(r))
+    Vb = Vpp * xx + (Vp / r) * (eye - xx)
+    DA = pert.DA(t, x)
+    AK = DA.T @ K
+    return np.block([[AK @ DA - Vb, -AK], [-AK.T, K]])
+
+
+def perturbed_systems(d):
+    electric = st.builds(
+        Perturbation.uniform_electric, vectors(d), st.floats(-0.5, 0.5),
+        profile=st.sampled_from(["constant", "cosine"]),
+        T_forcing=st.floats(0.5, 10.0))
+    own = (st.builds(Perturbation.uniform_magnetic, vectors(3),
+                     st.floats(-0.5, 0.5)) if d == 3 else
+           st.builds(Perturbation.rotating_frame, st.floats(-0.5, 0.5)))
+    return st.one_of(st.just(Perturbation.zero()), electric, own)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(law=laws, V=potentials, d=st.sampled_from([2, 3]),
+       t=st.floats(0.0, 10.0), data=st.data())
+def test_kernels_match_the_array_reference(law, V, d, t, data):
+    # every kinetic law, potential kind, perturbation family and dimension
+    pert = data.draw(perturbed_systems(d))
+    x = data.draw(vectors(d))
+    p = data.draw(vectors(d))
+    if np.linalg.norm(x) < 0.1 or np.linalg.norm(p - pert.A(t, x)) < 0.1:
+        reject()
+    sys = HamiltonianSystem(law, V, pert, d)
+    z = np.concatenate([x, p])
+    ref = reference_vector_field(sys, t, z)
+    assert np.max(np.abs(sys.vector_field(t, z) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    H, ref = sys.hessian(t, z), reference_hessian(sys, t, z)
+    assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(H, H.T)
