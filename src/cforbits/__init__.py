@@ -29,7 +29,6 @@ from .flow import (
     Trajectory,
     integrate,
     integrate_with_variational,
-    monodromy,
     symplectic_matrix,
 )
 from .orbit import (

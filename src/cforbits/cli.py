@@ -343,6 +343,9 @@ def cmd_continue(cfg, em: Emitter):
                 "history": [[_fmt(eps), _fmt(lam),
                              _fmt(res) if np.isfinite(res) else None, ok]
                             for eps, lam, res, ok in r.history],
+                "rung_starts": [[_fmt(eps), _fmt(res) if np.isfinite(res)
+                                 else None, predicted]
+                                for eps, res, predicted in r.rung_starts],
             }
             for r in refined
         ],

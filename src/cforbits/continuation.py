@@ -12,7 +12,13 @@ accepted trial after which the rung neither converges nor stalls.  A
 rejected trial keeps the Jacobian of the point it stepped from.
 The unperturbed shooting Jacobian is singular along the manifold of rotated
 and time-shifted copies, so the continuation starts at a small positive
-epsilon and grows it geometrically.
+epsilon and grows it geometrically.  The converged rungs trace a smooth
+branch u(eps), with the seed as its point at eps = 0, and each rung after
+the first starts from a predictor: the Lagrange extrapolation of the last
+(up to) three branch points, linear on the second rung and quadratic from
+the third.  A seed off the critical points of the reduced functional is not
+on that branch, so a predicted rung that ends rejected is run once more
+from the previous rung's point.
 """
 from __future__ import annotations
 
@@ -105,9 +111,12 @@ class ContinuationResult:
     # one (eps, lam, trial residual, accepted) entry per Newton trial; the
     # trial residual is inf when the trial step was not shot
     history: tuple = ()
-    # variational solves started: one per rung's first shot and one per
-    # accepted trial that another LM step leaves
+    # variational solves started: one per rung started (its first shot) and
+    # one per accepted trial that another LM step leaves
     variational_solves: int = 0
+    # one (eps, first-shot residual, predicted) entry per rung started,
+    # fallback re-runs included; the residual is inf when the shot collided
+    rung_starts: tuple = ()
 
 
 def eps_path(eps_target: float, eps_start: float = 1e-4,
@@ -142,9 +151,29 @@ def _stalled(first, trials):
             and path[-1] > path[-1 - STALL_STEPS] / STALL_FACTOR)
 
 
+def _predict(branch, eps):
+    """Start of the rung at eps: Lagrange extrapolation in eps through the
+    last (up to) three converged points (eps_i, u_i) of the branch."""
+    pts = branch[-3:]
+    start = 0.0
+    for i, (ei, ui) in enumerate(pts):
+        start = start + math.prod((eps - ej) / (ei - ej)
+                                  for j, (ej, _) in enumerate(pts)
+                                  if j != i) * ui
+    return start
+
+
 def _continue(problem: ShootingProblem, eps_ladder, max_newton):
     """One damped Gauss-Newton ladder over the unknowns u = z0 (fixed
-    period) or u = (z0, T) (fixed energy), then an independent re-check.
+    period) or u = (z0, T) (fixed energy), then a closing re-check.
+
+    Each rung after the first starts from ``_predict``, the extrapolation of
+    the branch of converged points with the seed at eps = 0: linear on the
+    second rung, quadratic from the third.  The seed lies on the branch only
+    when it is a critical point of the reduced functional, so a predicted
+    rung that ends rejected is run once more from the previous rung's point.
+    Both attempts stay in ``history``, ``variational_solves`` and
+    ``rung_starts``.
 
     Never raises on stagnation, the damping floor or a collision: each ends
     in a rejected result whose ``reason`` names it and whose ``residual``
@@ -166,6 +195,7 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
     J = symplectic_matrix(problem.sys.dim)
     res = np.inf
     history = []  # (eps, lam, trial residual, accepted) per Newton trial
+    starts = []  # (eps, first-shot residual, predicted) per rung started
     solves = 0  # variational solves started
     scale = 1.0 + np.linalg.norm(z0)
 
@@ -200,22 +230,26 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
                              np.append(gradH, 0.0), np.append(vstar, 0.0)])
         return Jac
 
-    def reject(why, eps, res):
+    def reject(why, eps, res, u):
         return ContinuationResult(
             False, f"{why} at eps={eps:g}", u[:n], period(u), eps, res,
             np.inf, np.inf if fe else 0.0, len(history), problem.seed_id,
-            history=tuple(history), variational_solves=solves)
+            history=tuple(history), variational_solves=solves,
+            rung_starts=tuple(starts))
 
-    for eps in ladder:
-        sys = problem.sys.with_eps(eps)
+    def rung(sys, eps, u, predicted):
+        # Newton trials on one rung from u: (u, residual, why), why None
+        # when the rung converged, else the word its rejection starts with
         lam = 1e-8
         try:
             zT, W = variational(sys, u)
         except CollisionError:
-            return reject("collision", eps, np.inf)
+            starts.append((eps, np.inf, predicted))
+            return u, np.inf, "collision"
         R, Jac = residual(sys, u, zT), jacobian(sys, u, zT, W)
         res = np.linalg.norm(R)
-        first, rung = res, len(history)
+        starts.append((eps, float(res), predicted))
+        first, mark = res, len(history)
         for _ in range(max_newton):
             if res <= RESIDUAL_TOL * scale:
                 break
@@ -223,7 +257,7 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
                 try:
                     Jac = jacobian(sys, u, zT, variational(sys, u)[1])
                 except CollisionError:
-                    return reject("collision", eps, res)
+                    return u, res, "collision"
             u_try = u + _lm_step(Jac, R, lam)
             if fe and u_try[n] <= 0.1 * problem.T:
                 history.append((eps, lam, np.inf, False))
@@ -242,22 +276,41 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
                 u, R, zT, res, Jac = u_try, R2, zT2, res2, None
                 lam = max(lam / 10.0, 1e-12)
                 if (res > RESIDUAL_TOL * scale
-                        and _stalled(first, history[rung:])):
-                    return reject("stagnation", eps, res)
+                        and _stalled(first, history[mark:])):
+                    return u, res, "stagnation"
             else:
                 lam *= 10.0
                 if lam > 1e8:
-                    return reject("damping floor", eps, res)
+                    return u, res, "damping floor"
         if res > RESIDUAL_TOL * scale:
-            return reject("stagnation", eps, res)
-    # closure re-check by a plain dense-output integration at the same
-    # tolerance, which also gives the result its trajectory
+            return u, res, "stagnation"
+        return u, res, None
+
+    branch = [(0.0, u)]  # converged (eps, u), the seed at eps = 0
+    for eps in ladder:
+        sys = problem.sys.with_eps(eps)
+        last = branch[-1][1]
+        start = _predict(branch, eps)
+        # on the first rung the branch is the seed alone: no prediction
+        predicted = not np.array_equal(start, last)
+        u, res, why = rung(sys, eps, start, predicted)
+        if why is not None and predicted:
+            u, res, why = rung(sys, eps, last, False)
+        if why is not None:
+            return reject(why, eps, res, u)
+        branch.append((eps, u))
+    # closure re-check by a plain dense-output integration at the target
+    # eps, which also gives the result its trajectory.  In fixed-period mode,
+    # after a last rung that ends on a trial, it takes the same DOP853 steps
+    # as that trial's state-only shot and repeats its closure bit for bit;
+    # what it adds is the dense trajectory and, at fixed energy, the energy
+    # drift along the whole orbit
     sys = problem.sys.with_eps(target_eps)
     z0, T = u[:n], period(u)
     try:
         traj = integrate(sys, z0, 0.0, T)
     except CollisionError:
-        return reject("collision in re-check", target_eps, res)
+        return reject("collision in re-check", target_eps, res, u)
     close = float(np.linalg.norm(traj(T) - z0))
     ok = bool(close <= 10.0 * RESIDUAL_TOL * scale)
     reason = f"re-check failed: closure {close:.3g}"
@@ -275,7 +328,8 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
     return ContinuationResult(
         ok, "ok" if ok else reason, z0, T, target_eps, close, en, ph,
         len(history), problem.seed_id, trajectory=traj,
-        history=tuple(history), variational_solves=solves)
+        history=tuple(history), variational_solves=solves,
+        rung_starts=tuple(starts))
 
 
 def continue_fixed_period(problem: ShootingProblem, eps_ladder=None,

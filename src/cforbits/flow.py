@@ -28,7 +28,6 @@ __all__ = [
     "integrate",
     "endpoint",
     "integrate_with_variational",
-    "monodromy",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -133,8 +132,3 @@ def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float,
     y0 = np.concatenate([z0, np.eye(n).ravel()])
     res = _solve(sys, rhs, y0, t0, t1, tol, collision_floor, False)
     return res.y[:n, -1].copy(), res.y[n:, -1].reshape(n, n)
-
-
-def monodromy(sys: HamiltonianSystem, orbit, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Fundamental matrix at the closure period of a periodic orbit."""
-    return integrate_with_variational(sys, orbit.z0, 0.0, orbit.T, tol=tol)[1]

@@ -111,9 +111,6 @@ class KineticLaw:
         mc = self.m * self.c
         return self.m * self.c**2 * (np.sqrt(1.0 + (s / mc) ** 2) - 1.0)
 
-    def G_prime(self, s):
-        return self.f_inv(s)
-
     def G_inv(self, e):
         """Momentum magnitude at kinetic energy e >= 0."""
         e = np.asarray(e, dtype=float)

@@ -330,6 +330,31 @@ class TestContinueCommand:
             h = r["history"]
             steps = sum(1 for a, b in zip(h, h[1:]) if a[3])
             assert r["variational_solves"] == 1 + steps
+            ((eps, res, predicted),) = r["rung_starts"]
+            assert eps == 1e-4 and res >= 0.0 and predicted is False
+
+    def test_rung_starts_per_seed(self, tmp_path):
+        # eps = 1e-3 is a three-rung ladder; the seed lies on the branch, so
+        # its second and third rungs start predicted and no rung runs twice
+        cfg = {
+            "schema_version": 1,
+            "potential": {"kind": "homogeneous", "alpha": 0.5},
+            "orbit": {"k": 4, "n": 5, "h": -1.9},
+            "perturbation": {"family": "rotating_frame", "eps": 1e-3},
+            "continuation": {"mode": "fixed_energy",
+                             "count_rot": 1, "count_shift": 1},
+        }
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["continue", "--config", path, "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "continuation.json").read_text())
+        (r,) = payload["results"]
+        assert r["accepted"]
+        rungs = [eps for eps, *_ in r["rung_starts"]]
+        assert rungs == pytest.approx([1e-4, 10**-3.5, 1e-3], rel=1e-12)
+        assert {eps for eps, *_ in r["history"]} <= set(rungs)
+        assert [p for *_, p in r["rung_starts"]] == [False, True, True]
+        assert all(res >= 0.0 for _, res, _ in r["rung_starts"])
 
     def test_planar_rotating_frame_run(self, tmp_path):
         # the one family the command continues in the plane (planar group)

@@ -239,42 +239,81 @@ def _variational_endpoint(sys, z0, t0, t1):
     return flow.integrate_with_variational(sys, z0, t0, t1)[0]
 
 
+def _unpredicted(branch, eps):
+    # every rung from the previous rung's point: the reference path of the
+    # predictor
+    return branch[-1][1]
+
+
 @pytest.fixture(scope="module")
-def deferred_and_reference(orbit):
-    """(result, reference result) for the four seeds of the 2 x 2 planar
-    grid at fixed period (two converge, two stall) and one fixed-energy
-    seed, all at eps = 1e-3."""
+def ladder_problems(orbit, orbit3):
+    """(problem, samples) for the four seeds of the 2 x 2 planar grid at
+    fixed period (two converge, two stall), one planar fixed-energy seed and
+    the spatial seed in a magnetic field, all at eps = 1e-3."""
     seeds = manifold_samples(orbit, 2, 2, group="planar").states
-    probs = [ShootingProblem(sys=electric_system(orbit, 1e-3),
-                             mode="fixed_period", seed=z, T=orbit.T)
+    planar = manifold_samples(orbit, 6, 6, group="planar")
+    cases = [(ShootingProblem(sys=electric_system(orbit, 1e-3),
+                              mode="fixed_period", seed=z, T=orbit.T), planar)
              for z in seeds]
-    probs.append(ShootingProblem(
+    cases.append((ShootingProblem(
         sys=electric_system(orbit, 1e-3, profile="constant"),
-        mode="fixed_energy", seed=orbit.z0, T=orbit.T, h=orbit.profile.h))
-    samples = manifold_samples(orbit, 6, 6, group="planar")
+        mode="fixed_energy", seed=orbit.z0, T=orbit.T, h=orbit.profile.h),
+        planar))
+    pert = Perturbation.uniform_magnetic((0.0, 0.0, 1.0), 1e-3)
+    cases.append((ShootingProblem(
+        sys=HamiltonianSystem(CLASSICAL, ALPHA_HALF, pert, 3),
+        mode="fixed_energy", seed=orbit3.z0, T=orbit3.T, h=orbit3.profile.h),
+        manifold_samples(orbit3, 6, 4, group="SO3")))
+    return cases
 
-    def run():
-        out = []
-        for p in probs:
-            runner = (continue_fixed_energy if p.mode == "fixed_energy"
-                      else continue_fixed_period)
-            r = runner(p)
-            out.append(distance_to_manifold(r, samples) if r.accepted else r)
-        return out
 
-    fast = run()
+def _run(cases):
+    out = []
+    for p, samples in cases:
+        runner = (continue_fixed_energy if p.mode == "fixed_energy"
+                  else continue_fixed_period)
+        r = runner(p)
+        out.append(distance_to_manifold(r, samples) if r.accepted else r)
+    return out
+
+
+@pytest.fixture(scope="module")
+def ladder_results(ladder_problems):
+    return _run(ladder_problems)
+
+
+@pytest.fixture(scope="module")
+def deferred_and_reference(ladder_problems, ladder_results):
+    """(result, reference result) for the five planar problems of
+    ``ladder_problems``, the reference shooting every trial through the
+    variational solve."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "endpoint", _variational_endpoint)
-        ref = run()
-    return list(zip(fast, ref))
+        ref = _run(ladder_problems[:5])
+    return list(zip(ladder_results[:5], ref))
+
+
+@pytest.fixture(scope="module")
+def predicted_and_reference(ladder_problems, ladder_results):
+    """(result, reference result) for every problem of ``ladder_problems``,
+    the reference starting each rung from the previous rung's point."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "_predict", _unpredicted)
+        ref = _run(ladder_problems)
+    return list(zip(ladder_results, ref))
+
+
+def _solves(history, starts):
+    # one per rung start, one per accepted trial followed by another LM step
+    # on the same rung; holds for a history in which no rung started twice
+    return starts + sum(1 for a, b in zip(history, history[1:])
+                        if a[3] and a[0] == b[0])
 
 
 def _expected_solves(res):
-    # one per rung whose first shot ran, one per accepted trial followed by
-    # another LM step on the same rung
-    rungs = sum(1 for e in eps_path(1e-3) if e <= res.eps)
-    h = res.history
-    return rungs + sum(1 for a, b in zip(h, h[1:]) if a[3] and a[0] == b[0])
+    eps = [s[0] for s in res.rung_starts]
+    assert len(set(eps)) == len(eps), "a rung was run twice"
+    return _solves(res.history, len(eps))
 
 
 class TestDeferredJacobian:
@@ -294,12 +333,88 @@ class TestDeferredJacobian:
         assert outcomes == {(True, "ok"), (False, "stagnation")}
 
     def test_one_variational_solve_per_point_stepped_from(
-            self, deferred_and_reference):
-        results = [fast for fast, _ in deferred_and_reference]
-        assert any(r.accepted for r in results)
-        assert any(r.reason.startswith("stagnation") for r in results)
-        for r in results:
+            self, ladder_results):
+        assert any(r.accepted for r in ladder_results)
+        assert any(r.reason.startswith("stagnation") for r in ladder_results)
+        for r in ladder_results:
             assert r.variational_solves == _expected_solves(r)
+
+
+class TestPredictor:
+    def test_extrapolation_is_exact_on_polynomials(self):
+        a, b, c = np.array([1.0, -2.0]), np.array([3.0, 0.5]), np.array([-4.0, 7.0])
+        u = lambda e: a + b * e + c * e * e
+        assert np.array_equal(continuation._predict([(0.0, a)], 1e-3), a)
+        line = [(e, a + b * e) for e in (0.0, 1e-4)]
+        assert np.allclose(continuation._predict(line, 1e-3), a + b * 1e-3,
+                           rtol=0.0, atol=1e-14)
+        # only the last three points count; their weights at 2e-3 reach 18
+        branch = [(0.0, a + 1.0)] + [(e, u(e)) for e in (1e-4, 3e-4, 7e-4)]
+        assert np.allclose(continuation._predict(branch, 2e-3), u(2e-3),
+                           rtol=0.0, atol=1e-12)
+
+    def test_same_answers_as_unpredicted_start(self, predicted_and_reference):
+        outcomes = set()
+        for fast, ref in predicted_and_reference:
+            assert fast.accepted == ref.accepted
+            assert fast.reason.split()[0] == ref.reason.split()[0]
+            assert fast.newton_iters <= ref.newton_iters
+            assert fast.variational_solves <= ref.variational_solves
+            if fast.accepted:
+                assert fast.residual <= 1e-9
+                assert fast.distance == pytest.approx(ref.distance, rel=1e-4)
+            outcomes.add((fast.accepted, fast.reason.split()[0]))
+        assert outcomes == {(True, "ok"), (False, "stagnation")}
+        assert (sum(f.newton_iters for f, _ in predicted_and_reference)
+                < sum(r.newton_iters for _, r in predicted_and_reference))
+
+    def test_rungs_after_the_first_start_predicted(self,
+                                                   predicted_and_reference):
+        for fast, ref in predicted_and_reference:
+            eps = [s[0] for s in fast.rung_starts]
+            assert eps == [s[0] for s in ref.rung_starts]
+            assert [s[2] for s in fast.rung_starts] == [
+                i > 0 for i in range(len(eps))]
+            assert not any(s[2] for s in ref.rung_starts)
+            assert fast.rung_starts[0] == ref.rung_starts[0]
+            for s, t in zip(fast.rung_starts[1:], ref.rung_starts[1:]):
+                assert s[1] < t[1]
+
+    def test_rejected_prediction_falls_back(self, orbit, monkeypatch):
+        # a start moved by 0.5 along the flow on the last rung stalls; the
+        # rung is then run again from the previous rung's point, which is
+        # exactly the unpredicted path
+        sys = electric_system(orbit, 1e-3)
+        prob = ShootingProblem(sys=sys, mode="fixed_period", seed=orbit.z0,
+                               T=orbit.T)
+        samples = manifold_samples(orbit, 6, 6, group="planar")
+        monkeypatch.setattr(continuation, "_predict", _unpredicted)
+        ref = distance_to_manifold(continue_fixed_period(prob), samples)
+
+        def far_on_last_rung(branch, eps):
+            last = branch[-1][1]
+            if eps < 1e-3:
+                return last
+            return flow.endpoint(orbit.system, last, 0.0, 0.5)
+
+        monkeypatch.setattr(continuation, "_predict", far_on_last_rung)
+        res = distance_to_manifold(continue_fixed_period(prob), samples)
+        assert ref.accepted and res.accepted, res.reason
+        assert res.distance == pytest.approx(ref.distance, rel=1e-4)
+        assert np.array_equal(res.z0, ref.z0)
+        # the rejected attempt, then the reference's own rung
+        starts = [s[0] for s in res.rung_starts]
+        assert starts == [s[0] for s in ref.rung_starts] + [1e-3]
+        assert [s[2] for s in res.rung_starts] == [False, False, True, False]
+        assert res.rung_starts[-1] == ref.rung_starts[-1]
+        k = sum(1 for e in ref.history if e[0] < 1e-3)
+        m = len(res.history) - len(ref.history)
+        bad = res.history[k:k + m]
+        assert m > 0 and all(e[0] == 1e-3 for e in bad)
+        assert res.history[:k] + res.history[k + m:] == ref.history
+        assert res.newton_iters == ref.newton_iters + m
+        assert res.variational_solves == (ref.variational_solves
+                                          + _solves(bad, 1))
 
 
 class TestFixedEnergy:

@@ -9,7 +9,6 @@ from cforbits.flow import (
     integrate,
     endpoint,
     integrate_with_variational,
-    monodromy,
     symplectic_matrix,
     symplectic_residual,
 )
@@ -132,14 +131,6 @@ class TestVariational:
         z0 = np.array([2.0, 0.0, 0.0, 0.5])
         _, W = integrate_with_variational(sys, z0, 0.0, 20.0)
         assert symplectic_residual(W) <= 1e-8
-
-    def test_monodromy_wrapper(self):
-        class Dummy:
-            z0 = np.array([1.0, 0.0, 0.0, 1.0])
-            T = 2 * math.pi
-
-        W = monodromy(harmonic_system(), Dummy())
-        assert np.allclose(W, np.eye(4), atol=1e-9)
 
     def test_perturbed_nonautonomous_variational(self):
         pert = Perturbation.uniform_electric((1.0, 0.0), 1e-3,

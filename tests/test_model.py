@@ -80,7 +80,7 @@ class TestKineticLaw:
             fd = (law.f_inv(s + d) - law.f_inv(s - d)) / (2 * d)
             assert float(law.f_inv_prime(s)) == pytest.approx(float(fd), rel=1e-8)
             fd = (law.G(s + d) - law.G(s - d)) / (2 * d)
-            assert float(law.G_prime(s)) == pytest.approx(float(fd), rel=1e-8)
+            assert float(law.f_inv(s)) == pytest.approx(float(fd), rel=1e-8)
 
     def test_nonrelativistic_limit(self):
         classical = KineticLaw.classical()

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cforbits.errors import RouteDisagreementError, UnreliableVerdictError
-from cforbits.flow import (integrate_with_variational, monodromy,
-                           symplectic_residual)
+from cforbits.flow import integrate_with_variational, symplectic_residual
 from cforbits.model import HamiltonianSystem, KineticLaw, Perturbation, Potential
 from cforbits.nondeg import (
     MIN_GAP,
@@ -213,7 +212,7 @@ def reference_reports(orbit):
     sys3 = HamiltonianSystem(orbit.law, orbit.potential, Perturbation.zero(), 3)
     z3 = apogee_state(orbit.profile, 3)
     _, W3 = integrate_with_variational(sys3, z3, 0.0, orbit.T)
-    W2 = monodromy(orbit.system, orbit)
+    _, W2 = integrate_with_variational(orbit.system, orbit.z0, 0.0, orbit.T)
     lins = [_Linearization(orbit.system, orbit.z0, W2,
                            symplectic_residual(W2), 0.0),
             _Linearization(sys3, z3, W3, symplectic_residual(W3), 0.0)]
