@@ -11,14 +11,14 @@ Levenberg-Marquardt step will use it: at a rung's first shot, and at an
 accepted trial after which the rung neither converges nor stalls.  A
 rejected trial keeps the Jacobian of the point it stepped from.
 The unperturbed shooting Jacobian is singular along the manifold of rotated
-and time-shifted copies, so the continuation starts at a small positive
-epsilon and grows it geometrically.  The converged rungs trace a smooth
-branch u(eps), with the seed as its point at eps = 0, and each rung after
-the first starts from a predictor: the Lagrange extrapolation of the last
-(up to) three branch points, linear on the second rung and quadratic from
-the third.  A seed off the critical points of the reduced functional is not
-on that branch, so a predicted rung that ends rejected is run once more
-from the previous rung's point.
+and time-shifted copies, so the continuation starts at a small epsilon of
+the target's sign and grows its size geometrically.  The converged rungs
+trace a smooth branch u(eps), with the seed as its point at eps = 0, and
+each rung after the first starts from a predictor: the Lagrange
+extrapolation of the last (up to) three branch points, linear on the second
+rung and quadratic from the third.  A seed off the critical points of the
+reduced functional is not on that branch, so a predicted rung that ends
+rejected is run once more from the previous rung's point.
 """
 from __future__ import annotations
 
@@ -121,16 +121,21 @@ class ContinuationResult:
 
 def eps_path(eps_target: float, eps_start: float = 1e-4,
              factor: float = math.sqrt(10.0)):
-    """Geometric epsilon ladder from eps_start up to eps_target."""
-    if eps_target <= 0:
-        raise ValueError("eps_target must be positive")
-    if eps_target <= eps_start:
+    """Geometric epsilon ladder from eps_start up to eps_target.
+
+    eps ranges over the reals without 0: a negative eps_target gets the
+    mirrored ladder -eps_start, -factor * eps_start, ..., eps_target.
+    """
+    if eps_target == 0:
+        raise ValueError("eps_target must be nonzero")
+    size = abs(eps_target)
+    if size <= eps_start:
         return [eps_target]
     path = [eps_start]
-    while path[-1] * factor < eps_target * 0.999:
+    while path[-1] * factor < size * 0.999:
         path.append(path[-1] * factor)
-    path.append(eps_target)
-    return path
+    path.append(size)
+    return [math.copysign(e, eps_target) for e in path]
 
 
 def _lm_step(Jac, R, lam):

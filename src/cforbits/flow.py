@@ -4,19 +4,28 @@
 Uses an explicit adaptive Runge-Kutta scheme of order 8(5,3) (DOP853)
 rather than a symplectic fixed-step method: monodromy accuracy needs tight
 local error control and variational-equation coupling, and the symplectic
-residual is monitored instead of enforced.  Plain trajectories carry DOP853's
-dense output.  ``endpoint`` and variational solves return only their end
-point, since the interpolant costs three more right-hand-side evaluations per
-step.  A shooting trial needs only the state from ``endpoint``; the
-variational solve (2d + 4d^2 components) runs only where a Newton step uses
-the Jacobian.
+residual is monitored instead of enforced.  Every solve goes through
+``solve_ivp`` with ``_DOP853``: SciPy's DOP853 step arithmetic, in SciPy's
+order, on the raw right-hand side, so steps, states and interpolants are
+SciPy's bit for bit.  The collision floor is checked at the end of every
+accepted step, and ``CollisionError`` reports the end of the step that
+crossed it, not an event time found by root-finding.  Plain trajectories
+carry DOP853's dense output.  ``endpoint`` and variational solves return
+only their end point, since the interpolant costs three more right-hand-side
+evaluations per step.  A shooting trial needs only the state from
+``endpoint``; the variational solve (2d + 4d^2 components) runs only where a
+Newton step uses the Jacobian.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
+from scipy.integrate._ivp.rk import (MAX_FACTOR, MIN_FACTOR, SAFETY,
+                                     Dop853DenseOutput)
 
 from .errors import CollisionError
 from .model import HamiltonianSystem
@@ -52,7 +61,6 @@ def symplectic_residual(W) -> float:
 class Trajectory:
     """Dense solution over [t0, t1]; calling it evaluates the interpolant."""
 
-    times: np.ndarray
     t0: float
     t1: float
     _sol: object = None
@@ -62,50 +70,153 @@ class Trajectory:
         return y if y.ndim == 1 else y.T
 
 
-def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, collision_floor,
-           dense_output):
-    d = sys.dim
+# message prefix of a solve that ended on the collision floor
+COLLIDED = "|x| fell below the collision floor"
 
-    def collision(t, y):
-        return np.linalg.norm(y[:d]) - collision_floor
 
-    collision.terminal = True
-    collision.direction = -1
+class _DOP853(DOP853):
+    """SciPy's DOP853 stepped on the raw right-hand side.
 
-    res = solve_ivp(
-        rhs, (t0, t1), y0, method="DOP853",
-        rtol=tol, atol=tol, dense_output=dense_output, events=collision,
-    )
-    if res.status == 1:
-        raise CollisionError(
-            f"|x| fell below the collision floor {collision_floor:g} "
-            f"at t = {res.t_events[0][0]:.6g}"
-        )
+    ``_step_impl`` and ``_dense_output_impl`` repeat the arithmetic of
+    ``scipy.integrate.DOP853`` in its order (Hairer, Norsett & Wanner,
+    *Solving ODEs I*, II.10), so a solve takes SciPy's steps and gives its
+    states and interpolants bit for bit.  They call the right-hand side
+    without SciPy's two wrapper layers and count ``nfev`` themselves, and
+    keep t, h and the error norms as Python floats.  No caller bounds the
+    step, so ``max_step`` is not read.
+
+    ``dim`` leading components are the position x.  At the end of every
+    accepted step, g = |x| - COLLISION_FLOOR is compared with its value at
+    the previous step end (at t0 for the first): g_old >= 0 and g_new <= 0,
+    the sign rule of a terminal event of direction -1, ends the solve as
+    failed with a ``COLLIDED`` message that names the step's end time.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, dim, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self._rhs = fun
+        self._dim = dim
+        self._g = self._gap(self.y)
+        self.h_abs = float(self.h_abs)
+        self.direction = float(self.direction)
+        K = self.K_extended
+        # (s, K[:s].T, A[s, :s], C[s]) per stage after the first: the views
+        # SciPy slices at every stage, made once per solve
+        self._stages = [(s, K[:s].T, self.A[s, :s], float(self.C[s]))
+                        for s in range(1, self.n_stages)]
+        self._extra = [(s, K[:s].T, a[:s], float(c)) for s, (a, c) in
+                       enumerate(zip(self.A_EXTRA, self.C_EXTRA),
+                                 start=self.n_stages + 1)]
+        self._KB = K[:self.n_stages].T  # K[:-1].T of SciPy's rk_step
+        self._KE = self.K.T  # the stages the error estimate reads
+
+    def _gap(self, y):
+        x = y[:self._dim]
+        return math.sqrt(x @ x) - COLLISION_FLOOR
+
+    def _step_impl(self):
+        t, y, f, rhs, K = self.t, self.y, self.f, self._rhs, self.K
+        rtol, atol, direction = self.rtol, self.atol, self.direction
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = abs(h)
+
+            K[0] = f
+            for s, Ks, a, c in self._stages:
+                K[s] = rhs(t + c * h, y + np.dot(Ks, a) * h)
+            y_new = y + h * np.dot(self._KB, self.B)
+            f_new = rhs(t + h, y_new)
+            K[-1] = f_new
+            self.nfev += self.n_stages
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(self._KE, self.E5) / scale
+            err3 = np.dot(self._KE, self.E3) / scale
+            # np.linalg.norm(v)**2, which is sqrt(v @ v)**2
+            err5_norm_2 = math.sqrt(err5 @ err5) ** 2
+            err3_norm_2 = math.sqrt(err3 @ err3) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * self.n)
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR,
+                                 SAFETY * error_norm ** self.error_exponent)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+            rejected = True
+
+        self.h_previous = h
+        self.y_old = y
+        self.t = t_new
+        self.y = y_new
+        self.h_abs = h_abs
+        self.f = f_new
+        g = self._gap(y_new)
+        if self._g >= 0 and g <= 0:
+            return False, (f"{COLLIDED} {COLLISION_FLOOR:g} in the step "
+                           f"ending at t = {t_new:.6g}")
+        self._g = g
+        return True, None
+
+    def _dense_output_impl(self):
+        K, h, t_old, y_old = self.K_extended, self.h_previous, self.t_old, self.y_old
+        for s, Ks, a, c in self._extra:
+            K[s] = self._rhs(t_old + c * h, y_old + np.dot(Ks, a) * h)
+        self.nfev += len(self._extra)
+
+        F = np.empty((INTERPOLATOR_POWER, self.n), dtype=y_old.dtype)
+        f_old = K[0]
+        delta_y = self.y - y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[3:] = h * np.dot(self.D, K)
+        return Dop853DenseOutput(t_old, self.t, y_old, F)
+
+
+def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, dense_output):
+    res = solve_ivp(rhs, (t0, t1), y0, method=_DOP853, rtol=tol, atol=tol,
+                    dense_output=dense_output, dim=sys.dim)
     if not res.success:
+        if res.message.startswith(COLLIDED):
+            raise CollisionError(res.message)
         raise RuntimeError(f"integration failed: {res.message}")
     return res
 
 
 def integrate(sys: HamiltonianSystem, z0, t0: float, t1: float,
-              tol: float = DEFAULT_TOL,
-              collision_floor: float = COLLISION_FLOOR) -> Trajectory:
+              tol: float = DEFAULT_TOL) -> Trajectory:
     """Integrate the phase flow from z0 over [t0, t1]."""
     z0 = np.asarray(z0, dtype=float)
-    res = _solve(sys, sys.vector_field, z0, t0, t1, tol, collision_floor, True)
-    return Trajectory(res.t, t0, t1, res.sol)
+    res = _solve(sys, sys.vector_field, z0, t0, t1, tol, True)
+    return Trajectory(t0, t1, res.sol)
 
 
 def endpoint(sys: HamiltonianSystem, z0, t0: float, t1: float) -> np.ndarray:
     """State z(t1) of the phase flow from z0; no dense output is built."""
     z0 = np.asarray(z0, dtype=float)
-    res = _solve(sys, sys.vector_field, z0, t0, t1, DEFAULT_TOL,
-                 COLLISION_FLOOR, False)
+    res = _solve(sys, sys.vector_field, z0, t0, t1, DEFAULT_TOL, False)
     return res.y[:, -1].copy()
 
 
-def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float,
-                               tol: float = DEFAULT_TOL,
-                               collision_floor: float = COLLISION_FLOOR):
+def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float):
     """Jointly integrate the state and the 2d x 2d fundamental matrix W,
     the solution of W' = J^{-1} Hess(z(t)) W with W(t0) = I.
 
@@ -130,5 +241,5 @@ def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float,
         return out
 
     y0 = np.concatenate([z0, np.eye(n).ravel()])
-    res = _solve(sys, rhs, y0, t0, t1, tol, collision_floor, False)
+    res = _solve(sys, rhs, y0, t0, t1, DEFAULT_TOL, False)
     return res.y[:n, -1].copy(), res.y[n:, -1].reshape(n, n)

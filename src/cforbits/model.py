@@ -62,19 +62,6 @@ class KineticLaw:
     def a(self) -> float:
         return self.c if self.kind == "relativistic" else math.inf
 
-    def f(self, s):
-        """Speed -> momentum magnitude."""
-        s = np.asarray(s, dtype=float)
-        if self.kind == "classical":
-            return self.m * s
-        return self.m * s / np.sqrt(1.0 - (s / self.c) ** 2)
-
-    def f_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == "classical":
-            return np.full_like(s, self.m)
-        return self.m * (1.0 - (s / self.c) ** 2) ** -1.5
-
     def f_inv(self, s):
         """Momentum magnitude -> speed (inverse of f).
 
@@ -96,15 +83,9 @@ class KineticLaw:
         q = s / (self.m * self.c)
         return 1.0 / (self.m * (1.0 + q * q) ** 1.5)
 
-    def F(self, s):
-        """Kinetic energy as a function of speed."""
-        s = np.asarray(s, dtype=float)
-        if self.kind == "classical":
-            return 0.5 * self.m * s**2
-        return self.m * self.c**2 * (1.0 - np.sqrt(1.0 - (s / self.c) ** 2))
-
     def G(self, s):
-        """Kinetic energy as a function of momentum magnitude (Legendre dual of F)."""
+        """Kinetic energy as a function of momentum magnitude (Legendre dual of
+        the kinetic energy as a function of speed)."""
         s = np.asarray(s, dtype=float)
         if self.kind == "classical":
             return s**2 / (2.0 * self.m)

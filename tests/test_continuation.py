@@ -60,9 +60,13 @@ class TestEpsPath:
     def test_small_target_single_rung(self):
         assert eps_path(5e-5) == [5e-5]
 
-    def test_rejects_nonpositive(self):
+    def test_rejects_zero(self):
         with pytest.raises(ValueError):
             eps_path(0.0)
+
+    def test_negative_target_mirrors_the_ladder(self):
+        assert eps_path(-1e-3) == [-e for e in eps_path(1e-3)]
+        assert eps_path(-5e-5) == [-5e-5]
 
 
 class TestShootingProblemValidation:
@@ -415,6 +419,44 @@ class TestPredictor:
         assert res.newton_iters == ref.newton_iters + m
         assert res.variational_solves == (ref.variational_solves
                                           + _solves(bad, 1))
+
+
+def assert_mirrored(neg, pos):
+    """neg equals pos bit for bit except for the sign of eps."""
+    assert neg.eps == -pos.eps
+    assert neg.history == tuple((-e, *rest) for e, *rest in pos.history)
+    assert neg.rung_starts == tuple((-e, *rest) for e, *rest in pos.rung_starts)
+    for name in ("accepted", "reason", "period", "residual", "energy_residual",
+                 "phase_residual", "newton_iters", "variational_solves"):
+        assert getattr(neg, name) == getattr(pos, name), name
+    assert np.array_equal(neg.z0, pos.z0)
+    ts = np.linspace(0.0, pos.period, 101)
+    assert np.array_equal(neg.trajectory(ts), pos.trajectory(ts))
+
+
+class TestSignedEps:
+    @pytest.mark.parametrize("mode,profile,eps", [
+        ("fixed_period", "cosine", 1e-3),
+        ("fixed_energy", "constant", 3e-4),
+    ])
+    def test_negative_eps_is_the_reversed_field(self, orbit, mode, profile,
+                                                eps):
+        # eps ranges over the reals without 0, and (-eps) e and eps (-e) are
+        # the same field to the last bit, so both continuations take the
+        # same path on the mirrored ladder
+        T_forcing = orbit.T if profile == "cosine" else math.inf
+        results = []
+        for e_vec, size in (((1.0, 0.0), -eps), ((-1.0, -0.0), eps)):
+            pert = Perturbation.uniform_electric(e_vec, size, profile=profile,
+                                                 T_forcing=T_forcing)
+            sys = HamiltonianSystem(CLASSICAL, ALPHA_HALF, pert, 2)
+            prob = ShootingProblem(sys=sys, mode=mode, seed=orbit.z0,
+                                   T=orbit.T, h=orbit.profile.h)
+            results.append(continue_fixed_period(prob) if mode == "fixed_period"
+                           else continue_fixed_energy(prob))
+        assert results[0].accepted, results[0].reason
+        assert len(results[0].rung_starts) == len(eps_path(eps))
+        assert_mirrored(*results)
 
 
 class TestFixedEnergy:

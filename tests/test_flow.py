@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from cforbits import flow
 from cforbits.errors import CollisionError
 from cforbits.flow import (
     integrate,
@@ -18,6 +21,8 @@ from cforbits.model import (
     Perturbation,
     Potential,
 )
+from test_model_properties import (PROPERTY, laws, perturbed_systems,
+                                   potentials, vectors)
 
 
 def harmonic_system(dim=2):
@@ -29,6 +34,12 @@ def harmonic_system(dim=2):
 def kepler_system(dim=2):
     return HamiltonianSystem(KineticLaw.classical(), Potential.kepler(),
                              Perturbation.zero(), dim)
+
+
+def step_times(traj):
+    """Times of the accepted steps of a trajectory: the breakpoints of its
+    piecewise interpolant, from t0 to t1."""
+    return traj._sol.ts
 
 
 def max_drift(sys, traj, n_samples=400):
@@ -70,7 +81,7 @@ class TestIntegrate:
         # output is elementwise, so each row equals the call at its time
         sys = kepler_system()
         traj = integrate(sys, [2.0, 0.0, 0.0, 0.5], 0.0, 30.0)
-        ts = np.concatenate([np.linspace(0.0, 30.0, 401), traj.times])
+        ts = np.concatenate([np.linspace(0.0, 30.0, 401), step_times(traj)])
         for t, z in zip(ts, traj(ts)):
             assert np.array_equal(z, traj(t))
 
@@ -191,3 +202,168 @@ class TestVariationalAgainstReference:
         z1, W = integrate_with_variational(sys, z0, 0.0, t1)
         assert np.max(np.abs(z1 - z_ref)) <= 1e-10
         assert np.max(np.abs(W - W_ref)) <= 1e-10
+
+
+# --- flow's DOP853 subclass against SciPy's stock DOP853 ---
+
+def stock_solve_ivp(fun, t_span, y0, method, dim, **options):
+    """The stock path: SciPy's own DOP853 through solve_ivp, with the
+    collision floor as a terminal event of direction -1; ``method`` is
+    flow's subclass and is set aside."""
+    def collision(t, y):
+        return np.linalg.norm(y[:dim]) - flow.COLLISION_FLOOR
+
+    collision.terminal = True
+    collision.direction = -1
+    return solve_ivp(fun, t_span, y0, method="DOP853", events=collision,
+                     **options)
+
+
+def through(solver, call):
+    """``call()`` with ``flow.solve_ivp`` replaced by ``solver``; returns
+    its value (or the CollisionError or other RuntimeError it raised) and
+    every solve result.  A stock solve that ends on its event raises
+    CollisionError."""
+    results = []
+
+    def recorder(*args, **kwargs):
+        res = solver(*args, **kwargs)
+        results.append(res)
+        if res.status == 1:
+            raise CollisionError("collision event")
+        return res
+
+    with mock.patch.object(flow, "solve_ivp", recorder):
+        try:
+            out = call()
+        except RuntimeError as exc:
+            out = exc
+    return out, results
+
+
+def assert_same_solve(new, stock):
+    """The same solve bit for bit: a finished one, or one that failed on
+    the step size, takes the same steps with the same RHS count and ends
+    with the same message; one that collided stops on the step the stock
+    event fired in.  That step is not in ``new.t``, and the stock count has
+    the three RHS calls of the step's interpolant, which the stock path
+    builds for its root search (or its dense output) and flow's does not."""
+    assert len(new) == len(stock) == 1
+    new, stock = new[0], stock[0]
+    if stock.status == 1:
+        assert new.status == -1 and new.message.startswith(flow.COLLIDED)
+        assert np.array_equal(new.t, stock.t[:-1])
+        assert new.nfev == stock.nfev - 3
+        return
+    assert new.status == stock.status
+    assert new.message == stock.message
+    assert np.array_equal(new.t, stock.t)
+    assert np.array_equal(new.y, stock.y)
+    assert new.nfev == stock.nfev
+
+
+def assert_same_outcome(new, stock):
+    if isinstance(stock, Exception):
+        # a collision's message names the event or the step end
+        assert type(new) is type(stock)
+        assert isinstance(new, CollisionError) or str(new) == str(stock)
+        return
+    for a, b in zip(new if isinstance(new, tuple) else (new,),
+                    stock if isinstance(stock, tuple) else (stock,)):
+        assert np.array_equal(a, b)
+
+
+def compare_to_stock(sys, z0, t0, t1):
+    for call, dense in (
+            (lambda: flow.endpoint(sys, z0, t0, t1), False),
+            (lambda: flow.integrate_with_variational(sys, z0, t0, t1), False),
+            (lambda: flow.integrate(sys, z0, t0, t1), True)):
+        out, new = through(solve_ivp, call)
+        ref, stock = through(stock_solve_ivp, call)
+        assert_same_solve(new, stock)
+        if dense and not isinstance(ref, Exception):
+            # step times and the interpolant on a grid, past both ends too
+            assert np.array_equal(step_times(out), step_times(ref))
+            ts = np.linspace(t0 - 0.1 * (t1 - t0), t1 + 0.1 * (t1 - t0), 257)
+            assert np.array_equal(out(ts), ref(ts))
+            assert np.array_equal(out(t1), ref(t1))
+        else:
+            assert_same_outcome(out, ref)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(law=laws, V=potentials, d=st.sampled_from([2, 3]),
+       t0=st.floats(-2.0, 2.0), span=st.floats(-3.0, 3.0), data=st.data())
+def test_steps_are_stock_dop853_bit_for_bit(law, V, d, t0, span, data):
+    # every kinetic law, potential kind, perturbation family and dimension,
+    # forward and backward in time
+    pert = data.draw(perturbed_systems(d))
+    x = data.draw(vectors(d))
+    p = data.draw(vectors(d, st.floats(-1.0, 1.0)))
+    if np.linalg.norm(x) < 0.5 or np.linalg.norm(p - pert.A(t0, x)) < 0.1:
+        reject()
+    compare_to_stock(HamiltonianSystem(law, V, pert, d),
+                     np.concatenate([x, p]), t0, t0 + span)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radial_infall_collides_on_the_event_step(d):
+    # L = 0, falling inward from r = 1 (p != 0, where the Hessian is
+    # defined): the fall reaches the centre before t = pi/2^1.5
+    sys = kepler_system(d)
+    z0 = np.zeros(2 * d)
+    z0[0], z0[d] = 1.0, -0.1
+    for call in (lambda: flow.endpoint(sys, z0, 0.0, 5.0),
+                 lambda: flow.integrate(sys, z0, 0.0, 5.0),
+                 lambda: flow.integrate_with_variational(sys, z0, 0.0, 5.0)):
+        out, new = through(solve_ivp, call)
+        assert isinstance(out, CollisionError)
+        assert "in the step ending at t = " in str(out)
+        _, stock = through(stock_solve_ivp, call)
+        assert stock[0].status == 1
+        assert_same_solve(new, stock)
+
+
+def test_step_size_failure_is_the_stock_one():
+    # backward in time this is a radial fall, and the Levi-Civita force
+    # (1/r^3 at the centre) shrinks the step below the spacing of the
+    # floats before |x| reaches the collision floor
+    sys = HamiltonianSystem(KineticLaw.classical(),
+                            Potential.levi_civita(1.0, 0.1),
+                            Perturbation.zero(), 2)
+    z0 = np.array([1.0, 0.0, 1.0, 0.0])
+    with pytest.raises(RuntimeError, match="step size"):
+        endpoint(sys, z0, 0.0, -1.0)
+    compare_to_stock(sys, z0, 0.0, -1.0)
+
+
+def test_one_solve_ivp_call_per_integration_with_honest_counts():
+    # perfbench counts flow.nfev and flow.steps from what flow.solve_ivp
+    # returns: every integration must pass through it exactly once, with
+    # nfev the RHS calls made and len(t) - 1 the steps accepted
+    pert = Perturbation.uniform_electric((0.3, -0.2), 1e-2, profile="cosine",
+                                         T_forcing=2.0)
+    sys = HamiltonianSystem(KineticLaw.classical(), Potential.kepler(), pert, 2)
+    z0 = np.array([2.0, 0.0, 0.0, 0.5])
+    counts = {"rhs": 0, "steps": 0}
+    field, step = HamiltonianSystem.vector_field, flow._DOP853.step
+
+    def counted_field(self, t, z):
+        counts["rhs"] += 1
+        return field(self, t, z)
+
+    def counted_step(self):
+        message = step(self)
+        counts["steps"] += self.status != "failed"
+        return message
+
+    for call in (lambda: flow.endpoint(sys, z0, 0.0, 6.0),
+                 lambda: flow.integrate(sys, z0, 0.0, 6.0),
+                 lambda: flow.integrate_with_variational(sys, z0, 0.0, 6.0)):
+        counts.update(rhs=0, steps=0)
+        with mock.patch.object(HamiltonianSystem, "vector_field", counted_field), \
+                mock.patch.object(flow._DOP853, "step", counted_step):
+            _, results = through(solve_ivp, call)
+        assert len(results) == 1
+        assert results[0].nfev == counts["rhs"] > 0
+        assert len(results[0].t) - 1 == counts["steps"] > 0
