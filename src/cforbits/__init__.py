@@ -11,6 +11,7 @@ from .errors import (
     CollisionError,
     DegenerateMomentumError,
     DomainError,
+    IntegrationError,
     NoBoundOrbitError,
     QuadratureError,
     RootFindError,
@@ -51,11 +52,7 @@ from .actions import (
 )
 from .nondeg import (
     ConsistencyReport,
-    FixedEnergyKernelReport,
-    MonodromyReport,
-    check_fixed_energy,
-    check_planar_fixed_period,
-    check_spatial_fixed_period,
+    KernelReport,
     cross_check,
     kernel_dimension,
 )

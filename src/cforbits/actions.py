@@ -22,6 +22,7 @@ __all__ = [
     "ActionPoint",
     "NondegReport",
     "DET_THRESHOLD",
+    "FD_STEP",
     "action_point",
     "frequencies",
     "k0_hessian",
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 DET_THRESHOLD = 1e-3
+# relative finite-difference step of the frequency map in h and in L
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -73,20 +76,19 @@ class NondegReport:
     det_fixed_energy: float
     scale_fixed_period: float  # |det| / ||hessian||_F^2
     scale_fixed_energy: float  # |det3| / (||hessian||_F * |grad|^2)
-    fd_step: float
 
 
 def _omega(law, V, h, L):
     return np.array(frequencies(radial_profile(law, V, h, L)))
 
 
-def k0_hessian(law: KineticLaw, V: Potential, h: float, L: float,
-               fd_step: float = 1e-5) -> NondegReport:
+def k0_hessian(law: KineticLaw, V: Potential, h: float,
+               L: float) -> NondegReport:
     """Hessian of the action-variable Hamiltonian at (h, L) by central
     differences of the frequency map through the (h, L) chart."""
     point = action_point(law, V, h, L)
-    dh = fd_step * (1.0 + abs(h))
-    dL = fd_step * (1.0 + abs(L))
+    dh = FD_STEP * (1.0 + abs(h))
+    dL = FD_STEP * (1.0 + abs(L))
     dom_dh = (_omega(law, V, h + dh, L) - _omega(law, V, h - dh, L)) / (2.0 * dh)
     dom_dL = (_omega(law, V, h, L + dL) - _omega(law, V, h, L - dL)) / (2.0 * dL)
     Domega = np.column_stack([dom_dh, dom_dL])
@@ -119,17 +121,16 @@ def k0_hessian(law: KineticLaw, V: Potential, h: float, L: float,
         point=point, hessian=H, gradient=grad, symmetry_defect=defect,
         det_fixed_period=det2, det_fixed_energy=det3,
         scale_fixed_period=scale2, scale_fixed_energy=scale3,
-        fd_step=fd_step,
     )
 
 
-def nondeg_fixed_period(report: NondegReport,
-                        threshold: float = DET_THRESHOLD) -> str:
+def nondeg_fixed_period(report: NondegReport) -> str:
     """Verdict on the fixed-period non-degeneracy determinant."""
-    return "nondegenerate" if report.scale_fixed_period > threshold else "degenerate"
+    return ("nondegenerate" if report.scale_fixed_period > DET_THRESHOLD
+            else "degenerate")
 
 
-def nondeg_fixed_energy(report: NondegReport,
-                        threshold: float = DET_THRESHOLD) -> str:
+def nondeg_fixed_energy(report: NondegReport) -> str:
     """Verdict on the bordered (isoenergetic) determinant."""
-    return "nondegenerate" if report.scale_fixed_energy > threshold else "degenerate"
+    return ("nondegenerate" if report.scale_fixed_energy > DET_THRESHOLD
+            else "degenerate")

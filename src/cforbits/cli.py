@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys as _sys
 import time
 from importlib import resources
@@ -23,14 +24,12 @@ from . import __version__
 from .actions import k0_hessian, nondeg_fixed_energy, nondeg_fixed_period
 from .errors import CForbitsError, RouteDisagreementError
 from .model import HamiltonianSystem, KineticLaw, Perturbation, Potential
-from .nondeg import check_fixed_energy, check_planar_fixed_period, \
-    check_spatial_fixed_period, cross_check
+from .nondeg import cross_check
 from .orbit import find_closed_orbit, manifold_samples, radial_profile
 from .continuation import (
     ShootingProblem,
     distance_to_manifold,
     distinct_results,
-    eps_path,
     multistart,
 )
 
@@ -121,8 +120,7 @@ def _build_perturbation(cfg, T_orbit):
 class Emitter:
     """Writes JSON/CSV artifacts plus a run manifest into one directory."""
 
-    def __init__(self, out_dir, config_path, cfg, reproducible):
-        import os
+    def __init__(self, out_dir, config_path, reproducible):
         self.out = out_dir
         os.makedirs(out_dir, exist_ok=True)
         self.reproducible = reproducible
@@ -131,13 +129,11 @@ class Emitter:
         self.files = []
         with open(config_path, "rb") as f:
             self.config_sha256 = hashlib.sha256(f.read()).hexdigest()
-        self.cfg = cfg
 
     def warn(self, msg):
         self.warnings.append(msg)
 
     def write_json(self, name, payload):
-        import os
         payload = dict(payload)
         payload["schema_version"] = 1
         payload["manifest"] = "manifest.json"
@@ -149,7 +145,6 @@ class Emitter:
         return path
 
     def write_csv(self, name, header, rows):
-        import os
         path = os.path.join(self.out, name)
         with open(path, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f, lineterminator="\r\n")
@@ -160,7 +155,6 @@ class Emitter:
         return path
 
     def finish(self):
-        import os
         manifest = {
             "schema_version": 1,
             "toolkit_version": __version__,
@@ -247,17 +241,15 @@ def cmd_nondeg(cfg, em: Emitter):
         a = cc.actions
         for problem, scale, verdict, kernels in (
                 ("fixed_period", a.scale_fixed_period, cc.fixed_period_verdict,
-                 [(cc.planar_fp, cc.planar_fp.kernel_dim),
-                  (cc.spatial_fp, cc.spatial_fp.kernel_dim)]),
+                 (cc.planar_fp, cc.spatial_fp)),
                 ("fixed_energy", a.scale_fixed_energy, cc.fixed_energy_verdict,
-                 [(cc.planar_fe, cc.planar_fe.dim_F),
-                  (cc.spatial_fe, cc.spatial_fe.dim_F)])):
+                 (cc.planar_fe, cc.spatial_fe))):
             rows.append([name, problem, "actions", f"{scale:.6g}", verdict,
                          "", ""])
-            for route, (rep, dim) in zip(("monodromy_planar",
-                                          "monodromy_spatial"), kernels):
-                rows.append([name, problem, route, str(dim), rep.verdict,
-                             f"{rep.gap:.6g}",
+            for route, rep in zip(("monodromy_planar", "monodromy_spatial"),
+                                  kernels):
+                rows.append([name, problem, route, str(rep.kernel_dim),
+                             rep.verdict, f"{rep.gap:.6g}",
                              f"{rep.symplectic_residual:.6g}"])
         verdicts.append({
             "case": name,
@@ -265,8 +257,8 @@ def cmd_nondeg(cfg, em: Emitter):
             "fixed_energy": cc.fixed_energy_verdict,
             "planar_kernel_dim": cc.planar_fp.kernel_dim,
             "spatial_kernel_dim": cc.spatial_fp.kernel_dim,
-            "planar_dim_F": cc.planar_fe.dim_F,
-            "spatial_dim_F": cc.spatial_fe.dim_F,
+            "planar_dim_F": cc.planar_fe.kernel_dim,
+            "spatial_dim_F": cc.spatial_fe.kernel_dim,
             "det_fixed_period_normalized": _fmt(a.scale_fixed_period),
             "det_fixed_energy_normalized": _fmt(a.scale_fixed_energy),
             # |z(tau) - Rot(2 pi k/n) z0|: residual of the one-radial-period
@@ -310,11 +302,8 @@ def cmd_continue(cfg, em: Emitter):
     template = ShootingProblem(
         sys, mode, samples.states[0], orbit.T,
         h=orbit.profile.h if mode == "fixed_energy" else None,
-        phase_anchor=samples.states[0] if mode == "fixed_energy" else None,
     )
-    ladder = eps_path(pert.eps, **_given(ccfg, "eps_start"))
-    results = multistart(template, samples, ladder,
-                         **_given(ccfg, "max_newton"))
+    results = multistart(template, samples)
     refined = [distance_to_manifold(r, samples) if r.accepted else r
                for r in results]
     accepted = [r for r in refined if r.accepted]
@@ -434,7 +423,7 @@ def main(argv=None):
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
-    em = Emitter(args.out, args.config, cfg, args.reproducible)
+    em = Emitter(args.out, args.config, args.reproducible)
     library_log = logging.getLogger("cforbits")
     handler = _ManifestWarnings(em)
     library_log.addHandler(handler)

@@ -3,8 +3,9 @@ electromagnetically perturbed system.
 
 Fixed-period: damped Gauss-Newton on the time-T return map mismatch, period
 pinned by the (resonant) time-dependent forcing.  Fixed-energy: the period
-joins the unknowns; the system gains an energy row and a phase row that
-removes time-translation freedom, and is solved in the least-squares sense.
+joins the unknowns; the system gains an energy row and a phase row,
+anchored at the seed, that removes time-translation freedom, and is solved
+in the least-squares sense.
 Every Newton trial is shot state-only, for its residual alone.  The
 variational solve, which gives the Jacobian too, runs only where a
 Levenberg-Marquardt step will use it: at a rung's first shot, and at an
@@ -28,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import CollisionError
+from .errors import CollisionError, IntegrationError
 from .flow import (endpoint, integrate, integrate_with_variational,
                    symplectic_matrix)
 from .model import HamiltonianSystem
@@ -47,7 +48,10 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-9
 ENERGY_TOL = 1e-10
-DEFAULT_MAX_NEWTON = 25
+MAX_NEWTON = 25
+# the eps ladder starts at EPS_START and grows by EPS_FACTOR per rung
+EPS_START = 1e-4
+EPS_FACTOR = math.sqrt(10.0)
 # a rung stalls once its residual has not fallen by STALL_FACTOR over its
 # last STALL_STEPS accepted steps; converging paths fall far faster
 STALL_STEPS = 3
@@ -60,7 +64,8 @@ class ShootingProblem:
 
     mode "fixed_period" keeps T fixed (the forcing period must divide it);
     mode "fixed_energy" solves for (z0, T) on the level set H = h and
-    requires an autonomous perturbation.
+    requires an autonomous perturbation; its phase row is anchored at the
+    seed.
     """
 
     sys: HamiltonianSystem
@@ -68,7 +73,6 @@ class ShootingProblem:
     seed: np.ndarray
     T: float
     h: float | None = None
-    phase_anchor: np.ndarray | None = None
     seed_id: int = 0
 
     def __post_init__(self):
@@ -115,25 +119,24 @@ class ContinuationResult:
     # one per accepted trial that another LM step leaves
     variational_solves: int = 0
     # one (eps, first-shot residual, predicted) entry per rung started,
-    # fallback re-runs included; the residual is inf when the shot collided
+    # fallback re-runs included; the residual is inf when the shot failed
     rung_starts: tuple = ()
 
 
-def eps_path(eps_target: float, eps_start: float = 1e-4,
-             factor: float = math.sqrt(10.0)):
-    """Geometric epsilon ladder from eps_start up to eps_target.
+def eps_path(eps_target: float):
+    """Geometric epsilon ladder from EPS_START up to eps_target.
 
     eps ranges over the reals without 0: a negative eps_target gets the
-    mirrored ladder -eps_start, -factor * eps_start, ..., eps_target.
+    mirrored ladder -EPS_START, -EPS_FACTOR * EPS_START, ..., eps_target.
     """
     if eps_target == 0:
         raise ValueError("eps_target must be nonzero")
     size = abs(eps_target)
-    if size <= eps_start:
+    if size <= EPS_START:
         return [eps_target]
-    path = [eps_start]
-    while path[-1] * factor < size * 0.999:
-        path.append(path[-1] * factor)
+    path = [EPS_START]
+    while path[-1] * EPS_FACTOR < size * 0.999:
+        path.append(path[-1] * EPS_FACTOR)
     path.append(size)
     return [math.copysign(e, eps_target) for e in path]
 
@@ -168,7 +171,13 @@ def _predict(branch, eps):
     return start
 
 
-def _continue(problem: ShootingProblem, eps_ladder, max_newton):
+def _failure(exc: IntegrationError) -> str:
+    """Reason word of an integration that ended early."""
+    return ("collision" if isinstance(exc, CollisionError)
+            else "integration failure")
+
+
+def _continue(problem: ShootingProblem):
     """One damped Gauss-Newton ladder over the unknowns u = z0 (fixed
     period) or u = (z0, T) (fixed energy), then a closing re-check.
 
@@ -180,23 +189,24 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
     Both attempts stay in ``history``, ``variational_solves`` and
     ``rung_starts``.
 
-    Never raises on stagnation, the damping floor or a collision: each ends
-    in a rejected result whose ``reason`` names it and whose ``residual``
-    and ``newton_iters`` are the last ones reached (residual inf when the
-    rung's first shot collided, the residual of its point when a later
-    variational solve did).  A rung that has not converged ends as
-    stagnation after ``max_newton`` trials, or as soon as an accepted step
-    leaves it stalled (``_stalled``); a converged rung is never stalled.
+    Never raises on stagnation, the damping floor or an integration that
+    ends early: each ends in a rejected result whose ``reason`` names it
+    (``collision``, or ``integration failure`` for a step size below the
+    spacing of the floats) and whose ``residual`` and ``newton_iters`` are
+    the last ones reached (residual inf when the rung's first shot failed,
+    the residual of its point when a later variational solve did).  A trial
+    shot that fails is a rejected trial.  A rung that has not converged ends
+    as stagnation after ``MAX_NEWTON`` trials, or as soon as an accepted
+    step leaves it stalled (``_stalled``); a converged rung is never
+    stalled.
     """
     fe = problem.mode == "fixed_energy"
     target_eps = problem.sys.perturbation.eps
-    ladder = list(eps_ladder) if eps_ladder is not None else eps_path(target_eps)
     z0 = np.asarray(problem.seed, dtype=float).copy()
     n = z0.size
     u = np.append(z0, problem.T) if fe else z0
     h = problem.h
-    anchor = (np.asarray(problem.phase_anchor, dtype=float)
-              if problem.phase_anchor is not None else z0.copy())
+    anchor = z0.copy()
     J = symplectic_matrix(problem.sys.dim)
     res = np.inf
     history = []  # (eps, lam, trial residual, accepted) per Newton trial
@@ -218,7 +228,7 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
         R = zT - z
         if fe:
             # energy row, and a phase row: step orthogonal to the flow
-            # direction at the anchor; T joins the unknowns
+            # direction at the seed; T joins the unknowns
             vstar = sys.vector_field(0.0, anchor)
             R = np.concatenate([R, [sys.hamiltonian(0.0, z) - h,
                                     float(vstar @ (z - anchor))]])
@@ -248,21 +258,21 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
         lam = 1e-8
         try:
             zT, W = variational(sys, u)
-        except CollisionError:
+        except IntegrationError as exc:
             starts.append((eps, np.inf, predicted))
-            return u, np.inf, "collision"
+            return u, np.inf, _failure(exc)
         R, Jac = residual(sys, u, zT), jacobian(sys, u, zT, W)
         res = np.linalg.norm(R)
         starts.append((eps, float(res), predicted))
         first, mark = res, len(history)
-        for _ in range(max_newton):
+        for _ in range(MAX_NEWTON):
             if res <= RESIDUAL_TOL * scale:
                 break
             if Jac is None:
                 try:
                     Jac = jacobian(sys, u, zT, variational(sys, u)[1])
-                except CollisionError:
-                    return u, res, "collision"
+                except IntegrationError as exc:
+                    return u, res, _failure(exc)
             u_try = u + _lm_step(Jac, R, lam)
             if fe and u_try[n] <= 0.1 * problem.T:
                 history.append((eps, lam, np.inf, False))
@@ -270,7 +280,7 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
                 continue
             try:
                 zT2 = endpoint(sys, u_try[:n], 0.0, period(u_try))
-            except CollisionError:
+            except IntegrationError:
                 history.append((eps, lam, np.inf, False))
                 lam *= 10.0
                 continue
@@ -292,7 +302,7 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
         return u, res, None
 
     branch = [(0.0, u)]  # converged (eps, u), the seed at eps = 0
-    for eps in ladder:
+    for eps in eps_path(target_eps):
         sys = problem.sys.with_eps(eps)
         last = branch[-1][1]
         start = _predict(branch, eps)
@@ -314,8 +324,8 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
     z0, T = u[:n], period(u)
     try:
         traj = integrate(sys, z0, 0.0, T)
-    except CollisionError:
-        return reject("collision in re-check", target_eps, res, u)
+    except IntegrationError as exc:
+        return reject(f"{_failure(exc)} in re-check", target_eps, res, u)
     close = float(np.linalg.norm(traj(T) - z0))
     ok = bool(close <= 10.0 * RESIDUAL_TOL * scale)
     reason = f"re-check failed: closure {close:.3g}"
@@ -337,21 +347,15 @@ def _continue(problem: ShootingProblem, eps_ladder, max_newton):
         rung_starts=tuple(starts))
 
 
-def continue_fixed_period(problem: ShootingProblem, eps_ladder=None,
-                          max_newton: int = DEFAULT_MAX_NEWTON
-                          ) -> ContinuationResult:
+def continue_fixed_period(problem: ShootingProblem) -> ContinuationResult:
     """Continue the seed into a T-periodic solution of the perturbed system."""
-    return _continue(replace(problem, mode="fixed_period"), eps_ladder,
-                     max_newton)
+    return _continue(replace(problem, mode="fixed_period"))
 
 
-def continue_fixed_energy(problem: ShootingProblem, eps_ladder=None,
-                          max_newton: int = DEFAULT_MAX_NEWTON
-                          ) -> ContinuationResult:
+def continue_fixed_energy(problem: ShootingProblem) -> ContinuationResult:
     """Continue the seed into a periodic solution on the energy level h,
     solving for the initial state and the period jointly."""
-    return _continue(replace(problem, mode="fixed_energy"), eps_ladder,
-                     max_newton)
+    return _continue(replace(problem, mode="fixed_energy"))
 
 
 # --- closeness certification ---
@@ -406,18 +410,21 @@ def distance_to_manifold(result: ContinuationResult,
 
 # --- multi-start ---
 
-def multistart(problem_template: ShootingProblem, samples: ManifoldSample,
-               eps_ladder=None, max_newton: int = DEFAULT_MAX_NEWTON):
+def multistart(problem_template: ShootingProblem, samples: ManifoldSample):
     """Run one continuation per manifold sample; returns all results in
     sample order."""
     runner = (continue_fixed_period if problem_template.mode == "fixed_period"
               else continue_fixed_energy)
     return [runner(replace(problem_template, seed=np.asarray(seed, dtype=float),
-                           seed_id=i), eps_ladder, max_newton)
+                           seed_id=i))
             for i, seed in enumerate(samples.states)]
 
 
-def distinct_results(results, scale: float | None = None, n_t: int = 64):
+# distinct_results compares position curves at N_CURVE times over one period
+N_CURVE = 64
+
+
+def distinct_results(results):
     """Deduplicate accepted results by pairwise trajectory sup-distance.
 
     Two solutions count as the same when their position curves stay within
@@ -426,12 +433,11 @@ def distinct_results(results, scale: float | None = None, n_t: int = 64):
     accepted = [r for r in results if r.accepted and r.trajectory is not None]
     if not accepted:
         return []
-    if scale is None:
-        scale = max(10.0 * max(r.residual for r in accepted), 1e-7)
+    scale = max(10.0 * max(r.residual for r in accepted), 1e-7)
     reps = []
     for r in accepted:
         dim = np.asarray(r.z0).size // 2
-        curve = r.trajectory(np.linspace(0.0, r.period, n_t))[:, :dim]
+        curve = r.trajectory(np.linspace(0.0, r.period, N_CURVE))[:, :dim]
         dup = False
         for _, c in reps:
             if c.shape == curve.shape and np.max(np.linalg.norm(c - curve, axis=1)) <= scale:

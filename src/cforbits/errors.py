@@ -17,7 +17,12 @@ class UnsupportedConfigurationError(CForbitsError, ValueError):
     """Perturbation family incompatible with the spatial dimension."""
 
 
-class CollisionError(CForbitsError, RuntimeError):
+class IntegrationError(CForbitsError, RuntimeError):
+    """An integration ended before its final time (the step size fell below
+    the spacing of the floats, or a collision)."""
+
+
+class CollisionError(IntegrationError):
     """Trajectory fell below the collision floor on |x|."""
 
 

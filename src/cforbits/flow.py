@@ -9,7 +9,9 @@ residual is monitored instead of enforced.  Every solve goes through
 order, on the raw right-hand side, so steps, states and interpolants are
 SciPy's bit for bit.  The collision floor is checked at the end of every
 accepted step, and ``CollisionError`` reports the end of the step that
-crossed it, not an event time found by root-finding.  Plain trajectories
+crossed it, not an event time found by root-finding.  Any other early end
+(a step size below the spacing of the floats) raises its base class
+``IntegrationError``.  Plain trajectories
 carry DOP853's dense output.  ``endpoint`` and variational solves return
 only their end point, since the interpolant costs three more right-hand-side
 evaluations per step.  A shooting trial needs only the state from
@@ -27,7 +29,7 @@ from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
 from scipy.integrate._ivp.rk import (MAX_FACTOR, MIN_FACTOR, SAFETY,
                                      Dop853DenseOutput)
 
-from .errors import CollisionError
+from .errors import CollisionError, IntegrationError
 from .model import HamiltonianSystem
 
 __all__ = [
@@ -197,7 +199,7 @@ def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, dense_output):
     if not res.success:
         if res.message.startswith(COLLIDED):
             raise CollisionError(res.message)
-        raise RuntimeError(f"integration failed: {res.message}")
+        raise IntegrationError(f"integration failed: {res.message}")
     return res
 
 

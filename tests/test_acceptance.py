@@ -132,8 +132,8 @@ class TestCriterion3RelativisticKepler:
         assert cc.fixed_energy_verdict == "nondegenerate"
         assert cc.planar_fp.kernel_dim == 2
         assert cc.spatial_fp.kernel_dim == 4
-        assert cc.planar_fe.dim_F == 2
-        assert cc.spatial_fe.dim_F == 4
+        assert cc.planar_fe.kernel_dim == 2
+        assert cc.spatial_fe.kernel_dim == 4
 
 
 class TestCriterion4ClosedFormAnchors:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cforbits import actions
 from cforbits.actions import (
     DET_THRESHOLD,
     action_point,
@@ -107,11 +108,12 @@ class TestK0Hessian:
         rep = k0_hessian(CLASSICAL, V, -1.5, 0.2761)
         assert rep.symmetry_defect <= 1e-4 * np.linalg.norm(rep.hessian)
 
-    def test_fd_step_stability(self):
+    def test_fd_step_stability(self, monkeypatch):
         # halving the step moves the determinant scale by a few percent at most
         V = Potential.homogeneous(1.0, 0.5)
-        a = k0_hessian(CLASSICAL, V, -1.5, 0.2761, fd_step=1e-5)
-        b = k0_hessian(CLASSICAL, V, -1.5, 0.2761, fd_step=5e-6)
+        a = k0_hessian(CLASSICAL, V, -1.5, 0.2761)
+        monkeypatch.setattr(actions, "FD_STEP", 0.5 * actions.FD_STEP)
+        b = k0_hessian(CLASSICAL, V, -1.5, 0.2761)
         assert a.scale_fixed_period == pytest.approx(
             b.scale_fixed_period, rel=0.05)
         assert a.scale_fixed_energy == pytest.approx(

@@ -373,3 +373,20 @@ class TestContinueCommand:
         assert payload["n_accepted"] == 1
         (r,) = payload["results"]
         assert r["distance_to_manifold"] <= 0.1
+
+    def test_each_fixed_energy_seed_anchors_its_own_phase_row(self, tmp_path):
+        # the tau/2-shifted seed converges only with the phase row anchored
+        # at itself; anchored at seed 0 it stagnates
+        cfg = {
+            "schema_version": 1,
+            "potential": {"kind": "homogeneous", "alpha": 0.5},
+            "orbit": {"k": 4, "n": 5, "h": -1.9},
+            "perturbation": {"family": "rotating_frame", "eps": 1e-4},
+            "continuation": {"mode": "fixed_energy",
+                             "count_rot": 1, "count_shift": 2},
+        }
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["continue", "--config", path, "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "continuation.json").read_text())
+        assert payload["n_accepted"] == 2

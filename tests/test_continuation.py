@@ -17,7 +17,7 @@ from cforbits.continuation import (
     eps_path,
     multistart,
 )
-from cforbits.errors import CollisionError
+from cforbits.errors import CollisionError, IntegrationError
 from cforbits.flow import integrate
 from cforbits.model import (
     HamiltonianSystem,
@@ -128,47 +128,54 @@ class TestFixedPeriod:
             devs.append(np.max(np.abs(res.z0 - orbit.z0)))
         assert 1.5 <= devs[0] / devs[1] <= 3.0
 
-    def test_convergence_on_last_allowed_iteration_is_accepted(self, orbit):
+    def test_convergence_on_last_allowed_iteration_is_accepted(
+            self, orbit, monkeypatch):
         # this solve needs exactly 3 Newton iterations
         sys = electric_system(orbit, 1e-4)
         prob = ShootingProblem(sys=sys, mode="fixed_period", seed=orbit.z0,
                                T=orbit.T)
-        res = continue_fixed_period(prob, max_newton=3)
+        monkeypatch.setattr(continuation, "MAX_NEWTON", 3)
+        res = continue_fixed_period(prob)
         assert res.accepted, res.reason
         assert res.newton_iters == 3
         assert res.residual <= 1e-8
 
 
 class TestFailureContract:
+    @pytest.mark.parametrize("error, word", [
+        (CollisionError, "collision"),
+        (IntegrationError, "integration failure"),
+    ], ids=["collision", "step_size"])
     def test_collision_in_deferred_variational_solve(self, orbit,
-                                                     monkeypatch):
+                                                     monkeypatch, error, word):
         # the first variational solve runs at the rung's first shot, the
-        # second only after an accepted trial; its collision ends the run
-        # like a colliding first shot does
+        # second only after an accepted trial; its failure ends the run like
+        # a failing first shot does, with the failure's own reason word
         calls = []
 
-        def second_collides(*args, **kwargs):
+        def second_fails(*args, **kwargs):
             calls.append(args)
             if len(calls) == 2:
-                raise CollisionError("injected")
+                raise error("injected")
             return flow.integrate_with_variational(*args, **kwargs)
 
         monkeypatch.setattr(continuation, "integrate_with_variational",
-                            second_collides)
+                            second_fails)
         sys = electric_system(orbit, 1e-4)
         prob = ShootingProblem(sys=sys, mode="fixed_period", seed=orbit.z0,
                                T=orbit.T)
         res = continue_fixed_period(prob)
         assert len(calls) == 2
         assert not res.accepted
-        assert res.reason.startswith("collision")
+        assert res.reason.startswith(f"{word} at eps=")
         assert res.variational_solves == 2
         assert len(res.history) == res.newton_iters == 1
         assert res.history[0][3]
         assert res.residual == res.history[0][2]
 
     @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
-    def test_stagnation_returns_rejected_result(self, orbit, mode):
+    def test_stagnation_returns_rejected_result(self, orbit, mode,
+                                                monkeypatch):
         fe = mode == "fixed_energy"
         sys = electric_system(orbit, 1e-3,
                               profile="constant" if fe else "cosine")
@@ -176,7 +183,8 @@ class TestFailureContract:
         prob = ShootingProblem(sys=sys, mode=mode, seed=seed, T=orbit.T,
                                h=orbit.profile.h if fe else None)
         runner = continue_fixed_energy if fe else continue_fixed_period
-        res = runner(prob, max_newton=1)
+        monkeypatch.setattr(continuation, "MAX_NEWTON", 1)
+        res = runner(prob)
         assert not res.accepted
         assert res.newton_iters == 1
         assert np.isfinite(res.residual)
@@ -186,7 +194,7 @@ class TestFailureContract:
 class TestStallExit:
     def test_stalled_seed_is_rejected_early(self, orbit):
         # the tau/2 seed: its residual stops halving on the first rung, long
-        # before DEFAULT_MAX_NEWTON trials
+        # before MAX_NEWTON trials
         sys = electric_system(orbit, 1e-3)
         seed = manifold_samples(orbit, 2, 2, group="planar").states[1]
         prob = ShootingProblem(sys=sys, mode="fixed_period", seed=seed,
@@ -218,15 +226,16 @@ class TestStallExit:
         assert fast.history == ref.history
 
     @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
-    def test_history_has_one_entry_per_trial(self, orbit, mode):
+    def test_history_has_one_entry_per_trial(self, orbit, mode, monkeypatch):
         fe = mode == "fixed_energy"
         sys = electric_system(orbit, 1e-4,
                               profile="constant" if fe else "cosine")
         prob = ShootingProblem(sys=sys, mode=mode, seed=orbit.z0, T=orbit.T,
                                h=orbit.profile.h if fe else None)
         runner = continue_fixed_energy if fe else continue_fixed_period
-        for max_newton in (1, continuation.DEFAULT_MAX_NEWTON):
-            res = runner(prob, max_newton=max_newton)
+        for max_newton in (1, continuation.MAX_NEWTON):
+            monkeypatch.setattr(continuation, "MAX_NEWTON", max_newton)
+            res = runner(prob)
             assert len(res.history) == res.newton_iters >= 1
             for eps, lam, r, ok in res.history:
                 assert eps == 1e-4 and lam > 0.0

@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cforbits import nondeg
 from cforbits.errors import RouteDisagreementError, UnreliableVerdictError
-from cforbits.flow import integrate_with_variational, symplectic_residual
+from cforbits.flow import integrate_with_variational
 from cforbits.model import HamiltonianSystem, KineticLaw, Perturbation, Potential
 from cforbits.nondeg import (
     MIN_GAP,
-    RANK_TOL,
-    _fixed_energy_report,
-    _fixed_period_report,
-    _Linearization,
+    _reports,
     _rotated_cycle_power,
-    check_fixed_energy,
-    check_planar_fixed_period,
-    check_spatial_fixed_period,
     cross_check,
     kernel_dimension,
 )
@@ -48,6 +43,21 @@ def alpha_half_orbit():
                              3, 4, -1.5)
 
 
+@pytest.fixture(scope="module")
+def kepler_cc(kepler_orbit):
+    return cross_check(kepler_orbit)
+
+
+@pytest.fixture(scope="module")
+def harmonic_cc(harmonic_orbit):
+    return cross_check(harmonic_orbit)
+
+
+@pytest.fixture(scope="module")
+def alpha_half_cc(alpha_half_orbit):
+    return cross_check(alpha_half_orbit)
+
+
 class TestKernelDimension:
     def test_zero_matrix(self):
         dim, gap, sv = kernel_dimension(np.zeros((4, 4)))
@@ -71,113 +81,121 @@ class TestKernelDimension:
         dim, _, _ = kernel_dimension(1e-9 * np.ones((4, 4)))
         assert dim == 4
 
-    def test_custom_rank_tol(self):
+    def test_custom_rank_tol(self, monkeypatch):
         M = np.diag([1.0, 1e-4])
-        assert kernel_dimension(M, rank_tol=1e-3)[0] == 1
-        assert kernel_dimension(M, rank_tol=1e-5)[0] == 0
+        monkeypatch.setattr(nondeg, "RANK_TOL", 1e-3)
+        assert kernel_dimension(M)[0] == 1
+        monkeypatch.setattr(nondeg, "RANK_TOL", 1e-5)
+        assert kernel_dimension(M)[0] == 0
 
 
 class TestFixedPeriodChecks:
-    def test_kepler_planar_kernel_three(self, kepler_orbit):
-        rep = check_planar_fixed_period(kepler_orbit)
+    def test_kepler_planar_kernel_three(self, kepler_cc):
+        rep = kepler_cc.planar_fp
         assert rep.kernel_dim == 3
         assert rep.verdict == "degenerate"
         assert rep.gap >= 100.0
         assert rep.symplectic_residual <= 1e-8
 
-    def test_kepler_spatial_kernel_five(self, kepler_orbit):
-        rep = check_spatial_fixed_period(kepler_orbit)
+    def test_kepler_spatial_kernel_five(self, kepler_cc):
+        rep = kepler_cc.spatial_fp
         assert rep.kernel_dim == 5
         assert rep.verdict == "degenerate"
 
-    def test_harmonic_kernels_full(self, harmonic_orbit):
-        assert check_planar_fixed_period(harmonic_orbit).kernel_dim == 4
-        assert check_spatial_fixed_period(harmonic_orbit).kernel_dim == 6
+    def test_harmonic_kernels_full(self, harmonic_cc):
+        assert harmonic_cc.planar_fp.kernel_dim == 4
+        assert harmonic_cc.spatial_fp.kernel_dim == 6
 
-    def test_alpha_half_nondegenerate(self, alpha_half_orbit):
-        pl = check_planar_fixed_period(alpha_half_orbit)
-        sp = check_spatial_fixed_period(alpha_half_orbit)
+    def test_alpha_half_nondegenerate(self, alpha_half_cc):
+        pl = alpha_half_cc.planar_fp
+        sp = alpha_half_cc.spatial_fp
         assert pl.kernel_dim == 2 and pl.verdict == "nondegenerate"
         assert sp.kernel_dim == 4 and sp.verdict == "nondegenerate"
         assert sp.kernel_dim - pl.kernel_dim == 2
 
-    def test_flow_direction_in_kernel(self, alpha_half_orbit):
+    def test_flow_direction_in_kernel(self, alpha_half_orbit, alpha_half_cc):
         # z'(0) is always a kernel vector of I - P
-        rep = check_planar_fixed_period(alpha_half_orbit)
+        rep = alpha_half_cc.planar_fp
         orb = alpha_half_orbit
         v = orb.system.vector_field(0.0, orb.z0)
         r = (np.eye(4) - rep.P) @ v
         assert np.linalg.norm(r) <= 1e-6 * np.linalg.norm(v)
 
-    def test_spatial_contains_planar_block(self, alpha_half_orbit):
+    def test_spatial_contains_planar_block(self, alpha_half_cc):
         # the embedded 6x6 monodromy restricted to the orbit plane must match
         # the 4x4 planar monodromy
-        pl = check_planar_fixed_period(alpha_half_orbit)
-        sp = check_spatial_fixed_period(alpha_half_orbit)
+        pl = alpha_half_cc.planar_fp
+        sp = alpha_half_cc.spatial_fp
         idx = [0, 1, 3, 4]  # x1, x2, p1, p2 inside (x1,x2,x3,p1,p2,p3)
         block = sp.P[np.ix_(idx, idx)]
         assert np.max(np.abs(block - pl.P)) <= 1e-8
 
-    def test_planar_check_rejects_spatial_orbit(self):
+    def test_spatial_orbit_gets_the_planar_orbits_reports(self, kepler_cc):
+        # the reports are built from the radial profile alone, so the
+        # embedded copy of an orbit gets the same ones
         orb = find_closed_orbit(CLASSICAL, KEPLER, 1, 1, -0.375, L_seed=1.0,
                                 dim=3)
-        with pytest.raises(ValueError):
-            check_planar_fixed_period(orb)
+        cc = cross_check(orb)
+        for name in ("planar_fp", "planar_fe", "spatial_fp", "spatial_fe"):
+            a, b = getattr(cc, name), getattr(kepler_cc, name)
+            assert a.kernel_dim == b.kernel_dim and a.gap == b.gap
+            assert np.array_equal(a.matrix, b.matrix)
 
-    def test_multipliers_on_unit_circle(self, alpha_half_orbit):
-        rep = check_planar_fixed_period(alpha_half_orbit)
+    def test_multipliers_on_unit_circle(self, alpha_half_cc):
+        P = alpha_half_cc.planar_fp.P
         # eigenvalues of the near-defective P carry sqrt-of-roundoff noise
-        assert np.max(np.abs(np.abs(rep.eigenvalues) - 1.0)) <= 1e-4
+        assert np.max(np.abs(np.abs(np.linalg.eigvals(P)) - 1.0)) <= 1e-4
 
 
 class TestFixedEnergyChecks:
-    def test_kepler_dims(self, kepler_orbit):
-        assert check_fixed_energy(kepler_orbit, 2).dim_F == 3
-        assert check_fixed_energy(kepler_orbit, 3).dim_F == 5
+    def test_kepler_dims(self, kepler_cc):
+        assert kepler_cc.planar_fe.kernel_dim == 3
+        assert kepler_cc.spatial_fe.kernel_dim == 5
 
-    def test_harmonic_dims(self, harmonic_orbit):
-        assert check_fixed_energy(harmonic_orbit, 2).dim_F == 3
-        assert check_fixed_energy(harmonic_orbit, 3).dim_F == 5
+    def test_harmonic_dims(self, harmonic_cc):
+        assert harmonic_cc.planar_fe.kernel_dim == 3
+        assert harmonic_cc.spatial_fe.kernel_dim == 5
 
-    def test_alpha_half_dims(self, alpha_half_orbit):
-        pl = check_fixed_energy(alpha_half_orbit, 2)
-        sp = check_fixed_energy(alpha_half_orbit, 3)
-        assert pl.dim_F == 2 and pl.verdict == "nondegenerate"
-        assert sp.dim_F == 4 and sp.verdict == "nondegenerate"
+    def test_alpha_half_dims(self, alpha_half_cc):
+        pl = alpha_half_cc.planar_fe
+        sp = alpha_half_cc.spatial_fe
+        assert pl.kernel_dim == 2 and pl.verdict == "nondegenerate"
+        assert sp.kernel_dim == 4 and sp.verdict == "nondegenerate"
         assert pl.gap >= 100.0 and sp.gap >= 100.0
 
-    def test_augmented_matrix_shape(self, alpha_half_orbit):
-        rep = check_fixed_energy(alpha_half_orbit, 2)
-        assert rep.augmented_matrix.shape == (5, 5)
+    def test_augmented_matrix_shape(self, alpha_half_cc):
+        rep = alpha_half_cc.planar_fe
+        assert rep.matrix.shape == (5, 5)
         # corner entry is the zero of the bordered structure
-        assert rep.augmented_matrix[4, 4] == 0.0
+        assert rep.matrix[4, 4] == 0.0
 
     def test_relativistic_kepler(self):
         law = KineticLaw.relativistic(m=1.0, c=1.0)
         orb = find_closed_orbit(law, KEPLER, 4, 3, -0.2,
                                 L_seed=math.sqrt(16.0 / 7.0))
-        assert check_planar_fixed_period(orb).kernel_dim == 2
-        assert check_fixed_energy(orb, 2).dim_F == 2
+        cc = cross_check(orb)
+        assert cc.planar_fp.kernel_dim == 2
+        assert cc.planar_fe.kernel_dim == 2
 
 
 class TestCrossCheck:
-    def test_agreement_nondegenerate(self, alpha_half_orbit):
-        rep = cross_check(alpha_half_orbit)
+    def test_agreement_nondegenerate(self, alpha_half_cc):
+        rep = alpha_half_cc
         assert rep.fixed_period_verdict == "nondegenerate"
         assert rep.fixed_energy_verdict == "nondegenerate"
         assert rep.planar_fp.kernel_dim == 2
-        assert rep.spatial_fe.dim_F == 4
+        assert rep.spatial_fe.kernel_dim == 4
 
-    def test_agreement_degenerate(self, kepler_orbit):
-        rep = cross_check(kepler_orbit)
-        assert rep.fixed_period_verdict == "degenerate"
-        assert rep.fixed_energy_verdict == "degenerate"
+    def test_agreement_degenerate(self, kepler_cc):
+        assert kepler_cc.fixed_period_verdict == "degenerate"
+        assert kepler_cc.fixed_energy_verdict == "degenerate"
 
-    def test_disagreement_raises(self, alpha_half_orbit):
+    def test_disagreement_raises(self, alpha_half_orbit, monkeypatch):
         # an absurd rank tolerance inflates the monodromy kernel (or wrecks
         # the gap margin); either way the cross-check must refuse to agree
+        monkeypatch.setattr(nondeg, "RANK_TOL", 0.9)
         with pytest.raises((RouteDisagreementError, UnreliableVerdictError)):
-            cross_check(alpha_half_orbit, rank_tol=0.9)
+            cross_check(alpha_half_orbit)
 
 
 # --- one radial period against the full-period references ---
@@ -213,11 +231,8 @@ def reference_reports(orbit):
     z3 = apogee_state(orbit.profile, 3)
     _, W3 = integrate_with_variational(sys3, z3, 0.0, orbit.T)
     _, W2 = integrate_with_variational(orbit.system, orbit.z0, 0.0, orbit.T)
-    lins = [_Linearization(orbit.system, orbit.z0, W2,
-                           symplectic_residual(W2), 0.0),
-            _Linearization(sys3, z3, W3, symplectic_residual(W3), 0.0)]
-    return [f(lin, RANK_TOL) for lin in lins
-            for f in (_fixed_period_report, _fixed_energy_report)]
+    return [*_reports(orbit.system, orbit.z0, W2, 0.0),
+            *_reports(sys3, z3, W3, 0.0)]
 
 
 @pytest.mark.parametrize("name, law, alpha, k, n, h, L_seed", POOL,
@@ -229,9 +244,7 @@ def test_radial_period_monodromy_matches_full_period(name, law, alpha, k, n,
     cc = cross_check(orbit)
     got = [cc.planar_fp, cc.planar_fe, cc.spatial_fp, cc.spatial_fe]
     ref = reference_reports(orbit)
-    dims = lambda reps: [reps[0].kernel_dim, reps[1].dim_F,
-                         reps[2].kernel_dim, reps[3].dim_F]
-    assert dims(got) == dims(ref)
+    assert [r.kernel_dim for r in got] == [r.kernel_dim for r in ref]
     for new, old in zip(got, ref):
         assert new.verdict == old.verdict
         assert new.gap >= MIN_GAP
