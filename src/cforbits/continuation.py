@@ -212,7 +212,6 @@ def _continue(problem: ShootingProblem):
     history = []  # (eps, lam, trial residual, accepted) per Newton trial
     starts = []  # (eps, first-shot residual, predicted) per rung started
     solves = 0  # variational solves started
-    scale = 1.0 + np.linalg.norm(z0)
 
     def period(u):
         return u[n] if fe else problem.T
@@ -266,7 +265,7 @@ def _continue(problem: ShootingProblem):
         starts.append((eps, float(res), predicted))
         first, mark = res, len(history)
         for _ in range(MAX_NEWTON):
-            if res <= RESIDUAL_TOL * scale:
+            if res <= RESIDUAL_TOL:
                 break
             if Jac is None:
                 try:
@@ -290,14 +289,13 @@ def _continue(problem: ShootingProblem):
             if res2 < res:
                 u, R, zT, res, Jac = u_try, R2, zT2, res2, None
                 lam = max(lam / 10.0, 1e-12)
-                if (res > RESIDUAL_TOL * scale
-                        and _stalled(first, history[mark:])):
+                if res > RESIDUAL_TOL and _stalled(first, history[mark:]):
                     return u, res, "stagnation"
             else:
                 lam *= 10.0
                 if lam > 1e8:
                     return u, res, "damping floor"
-        if res > RESIDUAL_TOL * scale:
+        if res > RESIDUAL_TOL:
             return u, res, "stagnation"
         return u, res, None
 
@@ -327,7 +325,7 @@ def _continue(problem: ShootingProblem):
     except IntegrationError as exc:
         return reject(f"{_failure(exc)} in re-check", target_eps, res, u)
     close = float(np.linalg.norm(traj(T) - z0))
-    ok = bool(close <= 10.0 * RESIDUAL_TOL * scale)
+    ok = bool(close <= 10.0 * RESIDUAL_TOL)
     reason = f"re-check failed: closure {close:.3g}"
     en, ph = np.inf, 0.0
     if fe:

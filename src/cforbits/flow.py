@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
-from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
-from scipy.integrate._ivp.rk import (MAX_FACTOR, MIN_FACTOR, SAFETY,
-                                     Dop853DenseOutput)
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import CollisionError, IntegrationError
 from .model import HamiltonianSystem
@@ -79,13 +77,13 @@ COLLIDED = "|x| fell below the collision floor"
 class _DOP853(DOP853):
     """SciPy's DOP853 stepped on the raw right-hand side.
 
-    ``_step_impl`` and ``_dense_output_impl`` repeat the arithmetic of
-    ``scipy.integrate.DOP853`` in its order (Hairer, Norsett & Wanner,
-    *Solving ODEs I*, II.10), so a solve takes SciPy's steps and gives its
-    states and interpolants bit for bit.  They call the right-hand side
-    without SciPy's two wrapper layers and count ``nfev`` themselves, and
-    keep t, h and the error norms as Python floats.  No caller bounds the
-    step, so ``max_step`` is not read.
+    ``_step_impl`` repeats the arithmetic of ``scipy.integrate.DOP853`` in
+    its order (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10), so a
+    solve takes SciPy's steps and gives its states bit for bit.  It calls
+    the right-hand side without SciPy's two wrapper layers and counts
+    ``nfev`` itself, and keeps t, h and the error norms as Python floats.
+    No caller bounds the step, so ``max_step`` is not read.  Dense output
+    is SciPy's own, built from the state ``_step_impl`` leaves.
 
     ``dim`` leading components are the position x.  At the end of every
     accepted step, g = |x| - COLLISION_FLOOR is compared with its value at
@@ -106,9 +104,6 @@ class _DOP853(DOP853):
         # SciPy slices at every stage, made once per solve
         self._stages = [(s, K[:s].T, self.A[s, :s], float(self.C[s]))
                         for s in range(1, self.n_stages)]
-        self._extra = [(s, K[:s].T, a[:s], float(c)) for s, (a, c) in
-                       enumerate(zip(self.A_EXTRA, self.C_EXTRA),
-                                 start=self.n_stages + 1)]
         self._KB = K[:self.n_stages].T  # K[:-1].T of SciPy's rk_step
         self._KE = self.K.T  # the stages the error estimate reads
 
@@ -176,21 +171,6 @@ class _DOP853(DOP853):
                            f"ending at t = {t_new:.6g}")
         self._g = g
         return True, None
-
-    def _dense_output_impl(self):
-        K, h, t_old, y_old = self.K_extended, self.h_previous, self.t_old, self.y_old
-        for s, Ks, a, c in self._extra:
-            K[s] = self._rhs(t_old + c * h, y_old + np.dot(Ks, a) * h)
-        self.nfev += len(self._extra)
-
-        F = np.empty((INTERPOLATOR_POWER, self.n), dtype=y_old.dtype)
-        f_old = K[0]
-        delta_y = self.y - y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(self.D, K)
-        return Dop853DenseOutput(t_old, self.t, y_old, F)
 
 
 def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, dense_output):

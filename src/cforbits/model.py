@@ -34,8 +34,7 @@ class KineticLaw:
     """Radial profile f of the momentum-velocity map p = f(|v|) v/|v|.
 
     Built-in kinds: ``classical`` (f(s) = m s) and ``relativistic``
-    (f(s) = m s / sqrt(1 - s^2/c^2)).  ``a`` is the velocity-domain radius
-    (c in the relativistic case, +inf otherwise).
+    (f(s) = m s / sqrt(1 - s^2/c^2)).
     """
 
     kind: str
@@ -57,10 +56,6 @@ class KineticLaw:
     @classmethod
     def relativistic(cls, m: float = 1.0, c: float = 1.0) -> "KineticLaw":
         return cls("relativistic", m=m, c=c)
-
-    @property
-    def a(self) -> float:
-        return self.c if self.kind == "relativistic" else math.inf
 
     def f_inv(self, s):
         """Momentum magnitude -> speed (inverse of f).
@@ -92,12 +87,18 @@ class KineticLaw:
         mc = self.m * self.c
         return self.m * self.c**2 * (np.sqrt(1.0 + (s / mc) ** 2) - 1.0)
 
+    def p_squared(self, e):
+        """Squared momentum magnitude G^{-1}(e)^2 at kinetic energy e: the
+        polynomial 2 m e (+ (e/c)^2 for the relativistic law), so it
+        extends to e < 0.  Takes a float or an array without converting it."""
+        p2 = 2.0 * self.m * e
+        if self.kind == "relativistic":
+            p2 = p2 + (e / self.c) ** 2
+        return p2
+
     def G_inv(self, e):
         """Momentum magnitude at kinetic energy e >= 0."""
-        e = np.asarray(e, dtype=float)
-        if self.kind == "classical":
-            return np.sqrt(2.0 * self.m * e)
-        return np.sqrt(2.0 * self.m * e + (e / self.c) ** 2)
+        return np.sqrt(self.p_squared(np.asarray(e, dtype=float)))
 
 
 # --- potentials ---
@@ -108,22 +109,15 @@ class Potential:
 
     The Hamiltonian carries the potential with a minus sign,
     H = G(|p|) - V(|x|), so an attractive force corresponds to V' < 0.
+    ``V``, ``dV`` and ``d2V`` are the callables themselves: each takes a
+    float or an array of radii and computes on it as given.
     """
 
     kind: str
-    _V: Callable
-    _dV: Callable
-    _d2V: Callable
+    V: Callable
+    dV: Callable
+    d2V: Callable
     params: tuple = ()
-
-    def V(self, r):
-        return self._V(np.asarray(r, dtype=float))
-
-    def dV(self, r):
-        return self._dV(np.asarray(r, dtype=float))
-
-    def d2V(self, r):
-        return self._d2V(np.asarray(r, dtype=float))
 
     @classmethod
     def homogeneous(cls, kappa: float = 1.0, alpha: float = 1.0) -> "Potential":
@@ -243,10 +237,6 @@ class Perturbation:
     def is_autonomous(self) -> bool:
         return not (self.family == "uniform_electric" and self.profile == "cosine")
 
-    def scaled(self, eps: float) -> "Perturbation":
-        """Same family with a different perturbation size."""
-        return replace(self, eps=eps)
-
     def check_dim(self, dim: int):
         if self.family == "rotating_frame" and dim != 2:
             raise UnsupportedConfigurationError("rotating_frame is 2D only")
@@ -327,11 +317,7 @@ class HamiltonianSystem:
             self.perturbation.check_dim(self.dim)
 
     def with_eps(self, eps: float) -> "HamiltonianSystem":
-        return replace(self, perturbation=self.perturbation.scaled(eps))
-
-    @property
-    def is_autonomous(self) -> bool:
-        return self.perturbation.is_autonomous
+        return replace(self, perturbation=replace(self.perturbation, eps=eps))
 
     def _unpack(self, z, what):
         """x, w = p - A(t, x) and r = |x| > 0 as seven floats
@@ -365,7 +351,7 @@ class HamiltonianSystem:
         if s > 0.0:
             g = self.law.f_inv(s)
             v0, v1, v2 = g * w0 / s, g * w1 / s, g * w2 / s
-        c = self.potential._dV(r)
+        c = self.potential.dV(r)
         f0, f1, f2 = c * x0 / r, c * x1 / r, c * x2 / r
         pert = self.perturbation
         if pert._DA is not None:  # + DA^T v
@@ -399,8 +385,8 @@ class HamiltonianSystem:
         u0, u1, u2 = w0 / s, w1 / s, w2 / s
         K00, K11, K22 = k1 * (u0 * u0) + k0, k1 * (u1 * u1) + k0, k1 * (u2 * u2) + k0
         K01, K02, K12 = k1 * (u0 * u1), k1 * (u0 * u2), k1 * (u1 * u2)
-        v0 = self.potential._dV(r) / r
-        v1 = self.potential._d2V(r) - v0
+        v0 = self.potential.dV(r) / r
+        v1 = self.potential.d2V(r) - v0
         y0, y1, y2 = x0 / r, x1 / r, x2 / r
         X00, X11, X22 = -v1 * (y0 * y0) - v0, -v1 * (y1 * y1) - v0, -v1 * (y2 * y2) - v0
         X01, X02, X12 = -v1 * (y0 * y1), -v1 * (y0 * y2), -v1 * (y1 * y2)

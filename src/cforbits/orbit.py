@@ -67,11 +67,7 @@ def _p2(law: KineticLaw, V: Potential, h: float, L: float, r):
     """Squared radial momentum G^{-1}(h+V)^2 - L^2/r^2, extended smoothly
     through h+V = 0 so root bracketing sees a sign change."""
     r = np.asarray(r, dtype=float)
-    q = h + V.V(r)
-    kin = 2.0 * law.m * q
-    if law.kind == "relativistic":
-        kin = kin + (q / law.c) ** 2
-    return kin - L**2 / r**2
+    return law.p_squared(h + V.V(r)) - L**2 / r**2
 
 
 def turning_points(law: KineticLaw, V: Potential, h: float, L: float):
@@ -126,10 +122,8 @@ def _quadratic_coefficient(law: KineticLaw, V: Potential, h: float):
     """a in r^2 p^2 = a r^2 + b r + c for V = kappa/r with either law and
     V = kappa/r + lam/r^2 with the classical law; None for other pairs."""
     kepler = V.kind == "homogeneous" and V.params[1] == 1.0
-    if law.kind == "classical" and (kepler or V.kind == "levi_civita"):
-        return 2.0 * law.m * h
-    if law.kind == "relativistic" and kepler:
-        return 2.0 * law.m * h + (h / law.c) ** 2
+    if kepler or (law.kind == "classical" and V.kind == "levi_civita"):
+        return law.p_squared(h)
     return None
 
 
@@ -228,10 +222,6 @@ class PeriodicOrbit:
         return rotate_plane(self.cycle(t - j * tau),
                             2.0 * math.pi * self.k * j / self.n)
 
-    def state_at(self, t: float):
-        """Phase state at the time t, reduced modulo the period."""
-        return self.states(float(t))
-
 
 def rotate_plane(z, angle):
     """Rot(angle) acting on both x and p in the x1-x2 plane of the phase
@@ -308,7 +298,9 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
                       L_seed: float | None = None,
                       dim: int = 2) -> PeriodicOrbit:
     """Solve the resonance condition phi(h, L) = k*pi/n by a 1-D root find
-    over L at fixed h (or over h at fixed L) and build the closed orbit."""
+    over L at fixed h (or over h at fixed L) and build the closed orbit.
+    Where the apsidal angle is constant along the scan (classical Kepler,
+    harmonic), every L closes and the vary_L search needs L_seed."""
     if math.gcd(k, n) != 1:
         raise ValueError(f"k = {k} and n = {n} must be coprime")
     target = k * math.pi / n
@@ -346,8 +338,11 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
             raise TargetOutOfRangeError(
                 f"apsidal angle is constant at {phis[0]:.9g}, target {target:.9g}",
                 phi_range=(float(phis.min()), float(phis.max())))
-        x_star = x_seed if x_seed is not None else float(xs[len(xs) // 2])
-        profile = radial_profile(law, V, *point(x_star))
+        if x_seed is None:
+            raise ValueError(
+                "apsidal angle is constant over the scanned L values, so every "
+                "L gives a closed orbit: pass L_seed to choose one")
+        profile = radial_profile(law, V, *point(x_seed))
         return _build_orbit(law, V, profile, k, n, dim)
     flips = np.flatnonzero(np.diff(np.sign(phis - target)) != 0)
     if flips.size == 0:

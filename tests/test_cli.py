@@ -103,6 +103,44 @@ class TestValidation:
         assert missing in capsys.readouterr().err
         assert (out / "manifest.json").exists()
 
+    # keys the block's kind or family does not read
+    @pytest.mark.parametrize("command, block, extra", [
+        ("orbit", "potential", {"kind": "levi_civita", "alpha": 1.0}),
+        ("orbit", "potential", {"kind": "homogeneous", "alpha": 1.0,
+                                "lambda": 0.1}),
+        ("continue", "perturbation", {"family": "rotating_frame", "eps": 1e-4,
+                                      "e_vec": [1.0, 0.0]}),
+        ("continue", "perturbation", {"family": "rotating_frame", "eps": 1e-4,
+                                      "B0": [0.0, 0.0, 1.0]}),
+        ("continue", "perturbation", {"family": "rotating_frame", "eps": 1e-4,
+                                      "profile": "constant"}),
+        ("continue", "perturbation", {"family": "rotating_frame", "eps": 1e-4,
+                                      "T_forcing": 2.0}),
+        ("continue", "perturbation", {"family": "uniform_electric",
+                                      "eps": 1e-4, "T_forcing": 2.0}),
+        ("continue", "perturbation", {"family": "uniform_electric",
+                                      "eps": 1e-4, "profile": "constant",
+                                      "T_forcing": 2.0}),
+    ], ids=["levi_civita_alpha", "homogeneous_lambda", "rotating_e_vec",
+            "rotating_B0", "rotating_profile", "rotating_T_forcing",
+            "T_forcing_without_profile", "constant_profile_T_forcing"])
+    def test_ignored_key_rejected(self, tmp_path, capsys, command, block,
+                                  extra):
+        cfg = dict(KEPLER_ORBIT_CFG, **{block: extra})
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "validation" in capsys.readouterr().err
+
+    def test_constant_apsidal_angle_without_L(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(KEPLER_ORBIT_CFG))
+        del cfg["orbit"]["L"]
+        out = tmp_path / "out"
+        assert main(["nondeg", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "L_seed" in capsys.readouterr().err
+        assert (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.name)
     def test_demo_config_is_valid(self, path):
         assert load_config(path)["schema_version"] == 1
@@ -133,7 +171,7 @@ class TestOrbitCommand:
 
     def test_rows_match_pointwise_states(self, tmp_path):
         # the CSV comes from one states() call over the grid; each row has
-        # the digits of one state_at() call at its time
+        # the digits of one states() call at its time alone
         cfg = {"schema_version": 1,
                "potential": {"kind": "homogeneous", "alpha": 0.5},
                "orbit": {"k": 3, "n": 4, "h": -1.5},
@@ -145,7 +183,7 @@ class TestOrbitCommand:
             rows = list(csv.reader(f))[1:]
         orbit = find_closed_orbit(KineticLaw.classical(),
                                   Potential.homogeneous(1.0, 0.5), 3, 4, -1.5)
-        loop = [[f"{t:.12g}"] + [f"{v:.12g}" for v in orbit.state_at(t)]
+        loop = [[f"{t:.12g}"] + [f"{v:.12g}" for v in orbit.states(t)]
                 for t in np.linspace(0.0, orbit.T, 301)]
         assert rows == loop
 

@@ -489,6 +489,21 @@ class TestFixedEnergy:
         assert res.accepted
         assert res.energy_residual <= 1e-10
 
+    def test_accepted_closure_is_within_the_absolute_tolerance(
+            self, orbit3, monkeypatch):
+        # with a linear-only predictor this run passes through closures just
+        # above RESIDUAL_TOL (1.04e-9); an accepted result is within it
+        predict = continuation._predict
+        monkeypatch.setattr(continuation, "_predict",
+                            lambda branch, eps: predict(branch[-2:], eps))
+        pert = Perturbation.uniform_magnetic((0.0, 0.0, 1.0), 1e-3)
+        sys = HamiltonianSystem(CLASSICAL, ALPHA_HALF, pert, 3)
+        prob = ShootingProblem(sys=sys, mode="fixed_energy", seed=orbit3.z0,
+                               T=orbit3.T, h=orbit3.profile.h)
+        res = continue_fixed_energy(prob)
+        assert res.accepted
+        assert res.residual <= continuation.RESIDUAL_TOL
+
 
 def _uncontinued(z0, T, traj):
     return ContinuationResult(True, "ok", z0, T, 1e-4, 0.0, 0.0, 0.0, 0, 0,
@@ -513,14 +528,14 @@ class TestDistance:
             M = M @ np.diag([1.0, -1.0, 1.0])
         M = M[: base.dim, : base.dim]
         theta = shift * base.profile.tau
-        z0 = rotate_state(M, base.state_at(-theta))
+        z0 = rotate_state(M, base.states(-theta))
         traj = integrate(base.system, z0, 0.0, base.T, tol=1e-12)
         samples = manifold_samples(base, 4, 4, group=group)
         out = distance_to_manifold(_uncontinued(z0, base.T, traj), samples)
         assert out.distance <= 1e-8
         R, th = out.distance_element
         ts = np.linspace(0.0, base.T, 50)
-        mapped = np.array([R @ base.state_at(t - th)[: base.dim] for t in ts])
+        mapped = np.array([R @ base.states(t - th)[: base.dim] for t in ts])
         assert np.max(np.linalg.norm(
             mapped - traj(ts)[:, : base.dim], axis=1)) <= 1e-8
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +50,6 @@ class TestKineticLaw:
         law = KineticLaw.classical(m=2.0)
         assert law.G(4.0) == pytest.approx(4.0)  # s^2 / (2m)
         assert law.f_inv(6.0) == pytest.approx(3.0)
-        assert math.isinf(law.a)
 
     def test_relativistic_closed_forms(self):
         m, c = 1.5, 3.0
@@ -59,7 +59,6 @@ class TestKineticLaw:
         p = 2.7
         assert law.G(p) == pytest.approx(
             m * c**2 * (math.sqrt(1 + p**2 / (m * c) ** 2) - 1))
-        assert law.a == c
 
     @pytest.mark.parametrize("law", [
         KineticLaw.classical(m=1.3),
@@ -208,9 +207,14 @@ class TestPerturbation:
             Perturbation.uniform_electric((1, 0, 0), 0.1).check_dim(2)
 
     def test_scaled_changes_only_eps(self):
-        p = Perturbation.uniform_magnetic((0, 0, 1), 0.1).scaled(0.2)
+        p = replace(Perturbation.uniform_magnetic((0, 0, 1), 0.1), eps=0.2)
         assert p.eps == 0.2
         assert p.family == "uniform_magnetic"
+        # the cached derivatives are rebuilt for the new size
+        assert p._DA == Perturbation.uniform_magnetic((0, 0, 1), 0.2)._DA
+        e = replace(Perturbation.uniform_electric((1.0, 2.0), 0.1), eps=0.3)
+        assert e._e == (1.0, 2.0, 0.0) and e._DA is None
+        assert e.grad_U(0.0, (1.0, 1.0)).tolist() == [0.3, 0.6]
 
 
 class TestHamiltonianSystem:

@@ -93,6 +93,15 @@ def test_legendre_identity_and_round_trips(law, frac, q):
                               rel=1e-10, abs=1e-12 * (1.0 + pmag * w))
 
 
+@settings(PROPERTY, max_examples=100)
+@given(law=laws, q=st.floats(0.1, 5.0))
+def test_p_squared_inverts_G(law, q):
+    # momenta from 0.1 m c up: below, the sqrt(1 + (p/mc)^2) - 1 of the
+    # relativistic G cancels about eps (mc/p)^2 of its relative accuracy
+    pmag = q * law.m * (law.c if law.kind == "relativistic" else 1.0)
+    assert law.p_squared(float(law.G(pmag))) == pytest.approx(pmag**2, rel=1e-12)
+
+
 systems = st.one_of(
     st.tuples(st.just(Perturbation.zero()), st.sampled_from([2, 3])),
     st.tuples(st.builds(Perturbation.uniform_magnetic, st.just(tuple(B0)),

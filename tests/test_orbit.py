@@ -186,6 +186,18 @@ class TestFindClosedOrbit:
                                  L_seed=1.0)
         assert by_h.profile == by_L.profile
 
+    @pytest.mark.parametrize("V, k, n, h, miss", [
+        (KEPLER, 1, 1, -0.375, (2, 1)),
+        (HARMONIC, 1, 2, 1.25, (1, 1)),
+    ], ids=["kepler", "harmonic"])
+    def test_constant_apsidal_angle_needs_L_seed(self, V, k, n, h, miss):
+        # every L of the scan closes, so no L is the answer
+        with pytest.raises(ValueError, match="L_seed"):
+            find_closed_orbit(CLASSICAL, V, k, n, h)
+        # a target the constant angle misses is out of range, as before
+        with pytest.raises(TargetOutOfRangeError):
+            find_closed_orbit(CLASSICAL, V, *miss, h)
+
     def test_spatial_embedding(self):
         orb = find_closed_orbit(CLASSICAL, KEPLER, 1, 1, -0.375, L_seed=1.0,
                                 dim=3)
@@ -273,15 +285,15 @@ class TestManifoldSamples:
     @pytest.mark.parametrize("group", ["planar", "SO3", "O3"])
     def test_states_match_pointwise_loop(self, group):
         # one states() call over all shifts gives the bits of one
-        # state_at() call per sample
+        # states() call per sample
         V = Potential.homogeneous(1.0, 0.5)
         orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5)
         s = manifold_samples(orb, 3, 5, group=group)
         if group == "planar":
-            loop = [rotate_state(_planar_rotation(a), orb.state_at(-th))
+            loop = [rotate_state(_planar_rotation(a), orb.states(-th))
                     for a, th in s.elements]
         else:
-            loop = [rotate_state(M, _embed3(orb.state_at(-th)))
+            loop = [rotate_state(M, _embed3(orb.states(-th)))
                     for M, th in s.elements]
         assert np.array_equal(s.states, np.array(loop))
 
@@ -350,7 +362,7 @@ class TestComposedOrbit:
         tau = orb.profile.tau
         for t in (0.0, 0.37 * tau, tau, 1.5 * tau, orb.T - 1e-3 * tau,
                   orb.T, 2.3 * orb.T, -0.4 * tau):
-            assert np.array_equal(orb.state_at(t), orb.states(np.array([t]))[0])
+            assert np.array_equal(orb.states(t), orb.states(np.array([t]))[0])
 
     def test_states_continuous_across_cycle_boundaries(self, pool_orbit):
         orb = pool_orbit
