@@ -15,6 +15,7 @@ import math
 import os
 import sys as _sys
 import time
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -49,13 +50,20 @@ def _schema():
         return json.load(f)
 
 
+@lru_cache(maxsize=1)
+def _validator():
+    """The validator of the shipped schema, built once."""
+    schema = _schema()
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def load_config(path):
     with open(path, "r", encoding="utf-8") as f:
         cfg = json.load(f)
-    try:
-        jsonschema.validate(cfg, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config validation failed: {exc.message}") from exc
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config validation failed: {error.message}")
     return cfg
 
 
@@ -127,8 +135,12 @@ class Emitter:
         self.t0 = time.time()
         self.warnings = []
         self.files = []
-        with open(config_path, "rb") as f:
-            self.config_sha256 = hashlib.sha256(f.read()).hexdigest()
+        try:
+            with open(config_path, "rb") as f:
+                self.config_sha256 = hashlib.sha256(f.read()).hexdigest()
+        except OSError:
+            # a config that cannot be read; main refuses it
+            self.config_sha256 = None
 
     def warn(self, msg):
         self.warnings.append(msg)
@@ -418,12 +430,14 @@ def main(argv=None):
         p.add_argument("--out", default=".")
         p.add_argument("--reproducible", action="store_true")
     args = parser.parse_args(argv)
+    em = Emitter(args.out, args.config, args.reproducible)
     try:
         cfg = load_config(args.config)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # unreadable, not UTF-8 or not JSON, or refused by the schema
         print(f"error: {exc}", file=_sys.stderr)
+        em.finish()
         return EXIT_VALIDATION
-    em = Emitter(args.out, args.config, args.reproducible)
     library_log = logging.getLogger("cforbits")
     handler = _ManifestWarnings(em)
     library_log.addHandler(handler)

@@ -293,44 +293,91 @@ def _feasible_L_interval(law, V, h):
     return lo, hi
 
 
+# the apsidal-angle scans kept for reuse: one per (law, potential, search,
+# energy level), shared by every k:n target at that level
+SCAN_CACHE_SIZE = 64
+# fraction of its width by which a clipped vary_h grid end is pulled inside
+# the bound energies; at 1e-3 the near-circular end of alpha = 0.5 still
+# meets the quadrature floor of the direct quotient
+_H_PULL = 1e-2
+
+
+def _point(search, h, L, x):
+    """(h, L) at the scan unknown x: L at fixed h, or h at fixed L."""
+    return (h, x) if search == "vary_L" else (x, L)
+
+
+def _bound_energies(law, V, h, L):
+    """61 energies over [h - 2 span, h + 2 span], span = max(1, |h|),
+    clipped to the bound orbits at momentum L.  On the scan grid of
+    turning_points these are min U_eff < h < min(U_eff[0], U_eff[-1]) with
+    U_eff(r) = G(L/r) - V(r); a clipped end is pulled inside.  Empty when
+    no energy is bound."""
+    U = law.G(L / _SCAN) - V.V(_SCAN)
+    span = max(1.0, abs(h))
+    lo, hi = h - 2 * span, h + 2 * span
+    lo_b, hi_b = max(lo, U.min()), min(hi, U[0], U[-1])
+    if not lo_b < hi_b:
+        return np.empty(0)
+    pull = _H_PULL * (hi_b - lo_b)
+    return np.linspace(lo_b + pull if lo_b > lo else lo,
+                       hi_b - pull if hi_b < hi else hi, 61)
+
+
+@lru_cache(maxsize=SCAN_CACHE_SIZE)
+def _scan(profile, law, V, search, h, L):
+    """The apsidal angle over the grid of one search, which knows no
+    target: the unknowns x (L at fixed h for vary_L, with L = None; h at
+    fixed L for vary_h) at which profile returned, and phi there, as
+    read-only arrays.  profile is the radial_profile the caller sees; as
+    part of the key, a scan made through one binding of it (a test's
+    stand-in, a tracer's wrapper) is never served through another."""
+    if search == "vary_L":
+        L_lo, L_hi = _feasible_L_interval(law, V, h)
+        grid = np.geomspace(max(L_lo * 1.001, ANGULAR_MOMENTUM_FLOOR),
+                            0.999 * L_hi, 48)
+    else:
+        grid = _bound_energies(law, V, h, L)
+    xs, phis = [], []
+    for x in grid:
+        try:
+            phis.append(profile(law, V, *_point(search, h, L, x)).phi)
+            xs.append(x)
+        except (NoBoundOrbitError, CircularDegenerateError, QuadratureError):
+            continue
+    xs, phis = np.array(xs), np.array(phis)
+    xs.flags.writeable = phis.flags.writeable = False
+    return xs, phis
+
+
 def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
                       h_seed: float, search: str = "vary_L",
                       L_seed: float | None = None,
                       dim: int = 2) -> PeriodicOrbit:
     """Solve the resonance condition phi(h, L) = k*pi/n by a 1-D root find
     over L at fixed h (or over h at fixed L) and build the closed orbit.
-    Where the apsidal angle is constant along the scan (classical Kepler,
-    harmonic), every L closes and the vary_L search needs L_seed."""
+    The root is bracketed on a scan of phi that depends on (law, V,
+    search, h_seed) and, for vary_h, L_seed, but not on k:n; it is computed
+    once and reused by every target at that energy level (the
+    SCAN_CACHE_SIZE most recently used scans are kept).  Where the apsidal angle is constant
+    along the scan (classical Kepler, harmonic), every L closes and the
+    vary_L search needs L_seed."""
     if math.gcd(k, n) != 1:
         raise ValueError(f"k = {k} and n = {n} must be coprime")
     target = k * math.pi / n
-    # each mode is a scan grid over one unknown x and the map x -> (h, L)
     if search == "vary_L":
-        L_lo, L_hi = _feasible_L_interval(law, V, h_seed)
-        grid = np.geomspace(max(L_lo * 1.001, ANGULAR_MOMENTUM_FLOOR),
-                            0.999 * L_hi, 48)
-        point = lambda x: (h_seed, x)
-        x_seed, scanned = L_seed, f"L values at h = {h_seed:g}"
+        L_fixed, x_seed, scanned = None, L_seed, f"L values at h = {h_seed:g}"
     elif search == "vary_h":
         if L_seed is None:
             raise ValueError("vary_h search needs L_seed (the fixed momentum)")
-        span = max(1.0, abs(h_seed))
-        grid = np.linspace(h_seed - 2 * span, h_seed + 2 * span, 61)
-        point = lambda x: (x, L_seed)
-        x_seed, scanned = h_seed, f"h values at L = {L_seed:g}"
+        L_fixed, x_seed, scanned = L_seed, h_seed, f"h values at L = {L_seed:g}"
     else:
         raise ValueError(f"unknown search mode: {search!r}")
+    point = lambda x: _point(search, h_seed, L_fixed, x)
     phi_at = lambda x: radial_profile(law, V, *point(x)).phi
-    xs, phis = [], []
-    for x in grid:
-        try:
-            phis.append(phi_at(x))
-            xs.append(x)
-        except (NoBoundOrbitError, CircularDegenerateError, QuadratureError):
-            continue
+    xs, phis = _scan(radial_profile, law, V, search, h_seed, L_fixed)
     if len(xs) < 2:
         raise NoBoundOrbitError(f"too few feasible {scanned}")
-    xs, phis = np.array(xs), np.array(phis)
     if np.ptp(phis) < 1e-9:
         # apsidal angle constant along the scan (Kepler/harmonic signature):
         # every scanned orbit is closed, or none is

@@ -3,6 +3,7 @@ import json
 import logging
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from cforbits.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    ConfigError,
     load_config,
     main,
 )
@@ -40,12 +42,45 @@ class TestValidation:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["orbit", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
+        # a manifest without a config hash: there was nothing to hash
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config_sha256"] is None
+        assert manifest["files"] == []
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["orbit", "--config", str(p),
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert (tmp_path / "manifest.json").exists()
+
+    def test_config_not_utf8(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"schema_version": \xff}')
+        assert main(["orbit", "--config", str(p),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert (tmp_path / "manifest.json").exists()
+
+    def test_shipped_schema_is_a_valid_schema(self):
+        schema = cforbits.cli._schema()
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("cfg", [
+        dict(KEPLER_ORBIT_CFG, surprise=1),
+        {k: v for k, v in KEPLER_ORBIT_CFG.items() if k != "schema_version"},
+        dict(KEPLER_ORBIT_CFG, law={"kind": "classical", "c": 2.0}),
+        dict(KEPLER_ORBIT_CFG, potential={"kind": "levi_civita", "alpha": 1.0}),
+        dict(KEPLER_ORBIT_CFG, orbit={"k": "1", "n": 1, "h": -0.375}),
+    ], ids=["unknown_key", "no_schema_version", "classical_c",
+            "levi_civita_alpha", "string_k"])
+    def test_refusal_message_is_jsonschemas(self, tmp_path, cfg):
+        # the prebuilt validator refuses with the message jsonschema.validate
+        # gives for the same config and schema
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(cfg, cforbits.cli._schema())
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, cfg))
+        assert str(exc.value) == f"config validation failed: {ref.value.message}"
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = dict(KEPLER_ORBIT_CFG)
@@ -131,6 +166,7 @@ class TestValidation:
         assert main([command, "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_VALIDATION
         assert "validation" in capsys.readouterr().err
+        assert (out / "manifest.json").exists()
 
     def test_constant_apsidal_angle_without_L(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(KEPLER_ORBIT_CFG))

@@ -17,6 +17,7 @@ from cforbits.model import KineticLaw, Potential
 from cforbits.orbit import (
     _embed3,
     _planar_rotation,
+    _scan,
     apogee_state,
     find_closed_orbit,
     manifold_samples,
@@ -176,6 +177,22 @@ class TestFindClosedOrbit:
                                 L_seed=0.3)
         assert abs(orb.profile.phi - 3 * math.pi / 4) <= 1e-11
         assert orb.profile.L == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("V, h, L", [
+        (Potential.homogeneous(1.0, 0.5), -1.5, 0.3),
+        (HARMONIC, 1.25, 1.0),
+        (KEPLER, -0.375, 1.0),
+    ], ids=["alpha_05", "harmonic", "kepler"])
+    def test_vary_h_scans_bound_energies_only(self, V, h, L):
+        # every energy of the 61-point grid has a bound non-circular orbit
+        xs, phis = _scan(radial_profile, CLASSICAL, V, "vary_h", h, L)
+        assert len(xs) == len(phis) == 61
+
+    def test_vary_h_without_bound_energies(self):
+        # relativistic Kepler below L = kappa / c has no centrifugal barrier
+        with pytest.raises(NoBoundOrbitError, match="too few feasible h values"):
+            find_closed_orbit(KineticLaw.relativistic(c=1.0), KEPLER, 4, 3,
+                              -0.2, search="vary_h", L_seed=0.5)
 
     @pytest.mark.parametrize("V, k, n, h", [(HARMONIC, 1, 2, 1.25),
                                             (KEPLER, 1, 1, -0.375)],

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cforbits.errors import NoBoundOrbitError
+import cforbits.orbit as orbit_module
+from cforbits.errors import NoBoundOrbitError, TargetOutOfRangeError
 from cforbits.model import KineticLaw, Potential
 from cforbits.orbit import (
     _feasible_L_interval,
@@ -13,7 +14,9 @@ from cforbits.orbit import (
     _leggauss,
     _p2,
     _quadratic_coefficient,
+    _scan,
     find_closed_orbit,
+    radial_profile,
     turning_points,
 )
 
@@ -151,3 +154,103 @@ def test_quadratic_coefficient_only_for_the_quadratic_kinds():
     assert _quadratic_coefficient(rel, KEPLER, -0.5) == -0.75
     assert _quadratic_coefficient(CLASSICAL, ALPHA_HALF, -0.5) is None
     assert _quadratic_coefficient(rel, LEVI_CIVITA, -0.5) is None
+
+
+# --- the apsidal-angle scan shared by the targets of one energy level ---
+
+# the benchmark survey's targets: coprime k:n, n <= 7, k pi / n in [pi/2, 2 pi]
+SURVEY_TARGETS = tuple((k, n) for n in range(1, 8) for k in range(1, 2 * n + 1)
+                       if math.gcd(k, n) == 1 and 2 * k >= n)
+
+
+def _outcome(law, V, k, n, h):
+    """The bits of the found orbit, or the type and message of the error."""
+    try:
+        orbit = find_closed_orbit(law, V, k, n, h)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return orbit.z0.tobytes(), orbit.T, orbit.profile, orbit.closure_residual
+
+
+@pytest.mark.parametrize("law, V, h", SURVEY_TRIPLES)
+def test_shared_scan_gives_the_cold_scans_bits(law, V, h):
+    cold = []
+    for k, n in SURVEY_TARGETS:
+        _scan.cache_clear()
+        cold.append(_outcome(law, V, k, n, h))
+    # the cache now holds the scan the last target made; every target
+    # reads it
+    before = _scan.cache_info()
+    warm = [_outcome(law, V, k, n, h) for k, n in SURVEY_TARGETS]
+    after = _scan.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == len(SURVEY_TARGETS)
+    assert warm == cold
+
+
+def _scans_made(*calls):
+    """Scans find_closed_orbit computes for the calls from an empty cache;
+    each call's target, pi/2, is out of range, so no orbit is built."""
+    _scan.cache_clear()
+    for law, V, h, kw in calls:
+        with pytest.raises(TargetOutOfRangeError):
+            find_closed_orbit(law, V, 1, 2, h, **kw)
+    return _scan.cache_info().misses
+
+
+ALPHA_HALF_TWIN = Potential.homogeneous(1.0, 0.5)
+
+
+@pytest.mark.parametrize("first, second", [
+    ((CLASSICAL, LEVI_CIVITA, -0.5, {}), (CLASSICAL, LEVI_CIVITA, -0.55, {})),
+    ((CLASSICAL, KEPLER, -0.5, {}),
+     (KineticLaw.relativistic(c=3.0), KEPLER, -0.5, {})),
+    ((CLASSICAL, ALPHA_HALF, -1.5, {}), (CLASSICAL, ALPHA_HALF_TWIN, -1.5, {})),
+    ((CLASSICAL, ALPHA_HALF, -1.5, {"search": "vary_h", "L_seed": 0.3}),
+     (CLASSICAL, ALPHA_HALF, -1.5, {"search": "vary_h", "L_seed": 0.5})),
+], ids=["h", "law", "equal_parameter_potential", "vary_h_L_seed"])
+def test_scans_are_kept_apart(first, second):
+    assert _scans_made(first, second) == 2
+
+
+def test_equal_parameter_potentials_are_not_equal():
+    # Potential compares its callables by identity
+    assert ALPHA_HALF_TWIN != ALPHA_HALF
+
+
+def test_vary_L_scan_does_not_depend_on_L_seed():
+    assert _scans_made((CLASSICAL, ALPHA_HALF, -1.5, {}),
+                       (CLASSICAL, ALPHA_HALF, -1.5, {"L_seed": 0.5}),
+                       (CLASSICAL, ALPHA_HALF, -1.5, {"L_seed": 0.7})) == 1
+
+
+def test_a_rebound_radial_profile_gets_its_own_scan(monkeypatch):
+    # a stand-in for radial_profile (a test's, a tracer's) is what the scan
+    # evaluates, never a scan made through the function it replaced
+    _scans_made((CLASSICAL, ALPHA_HALF, -1.5, {}))
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return radial_profile(*args)
+
+    monkeypatch.setattr(orbit_module, "radial_profile", counting)
+    with pytest.raises(TargetOutOfRangeError):
+        find_closed_orbit(CLASSICAL, ALPHA_HALF, 1, 2, -1.5)
+    assert len(seen) == 48
+    assert _scan.cache_info().misses == 2
+
+
+def test_a_cached_scan_cannot_be_changed():
+    key = (radial_profile, CLASSICAL, ALPHA_HALF, "vary_L", -1.5, None)
+    xs, phis = _scan(*key)
+    first = xs.copy(), phis.copy()
+    for values in (xs, phis):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            values *= 2.0
+    again = _scan(*key)
+    assert again[0] is xs
+    assert np.array_equal(again[0], first[0])
+    assert np.array_equal(again[1], first[1])
