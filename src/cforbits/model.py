@@ -80,12 +80,14 @@ class KineticLaw:
 
     def G(self, s):
         """Kinetic energy as a function of momentum magnitude (Legendre dual of
-        the kinetic energy as a function of speed)."""
+        the kinetic energy as a function of speed).  The relativistic
+        m c^2 (sqrt(1 + q^2) - 1), q = s/(m c), is written as
+        m c^2 q^2 / (sqrt(1 + q^2) + 1), which does not cancel at small q."""
         s = np.asarray(s, dtype=float)
         if self.kind == "classical":
             return s**2 / (2.0 * self.m)
-        mc = self.m * self.c
-        return self.m * self.c**2 * (np.sqrt(1.0 + (s / mc) ** 2) - 1.0)
+        q2 = (s / (self.m * self.c)) ** 2
+        return self.m * self.c**2 * q2 / (np.sqrt(1.0 + q2) + 1.0)
 
     def p_squared(self, e):
         """Squared momentum magnitude G^{-1}(e)^2 at kinetic energy e: the

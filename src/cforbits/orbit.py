@@ -188,12 +188,16 @@ class PeriodicOrbit:
     """Closed non-circular orbit with apsidal angle k*pi/n and period n*tau.
 
     Starts at apogee on the positive x1-axis with L > 0; for dim 3 the orbit
-    is embedded in the plane x3 = p3 = 0.  Only one radial cycle [0, tau] is
-    integrated (``cycle``); the rest of the orbit is that cycle turned by
-    multiples of 2 pi k/n, which is exact because the unperturbed flow
-    commutes with rotations and z(tau) = Rot(2 pi k/n) z0.
-    ``closure_residual`` is the defect |z(tau) - Rot(2 pi k/n) z0| of that
-    cycle, equal to |z(T) - z0| of the composed orbit.
+    is embedded in the plane x3 = p3 = 0.  Only half a radial cycle, apogee
+    to perigee over [0, tau/2], is integrated (``cycle``).  The other half
+    is its mirror image under the time reversal about the perigee line,
+    z(tau - s) = reflect_apsis(z(s), k pi/n), which is exact because the
+    unperturbed flow is reversible; the rest of the orbit is that cycle
+    turned by multiples of 2 pi k/n, which is exact because the flow
+    commutes with rotations.  ``closure_residual`` is the jump
+    |z(tau/2) - reflect_apsis(z(tau/2), k pi/n)| at the perigee junction,
+    the only discontinuity of the composed orbit: its apogee boundaries
+    are continuous up to rounding.
     """
 
     profile: RadialProfile
@@ -214,13 +218,20 @@ class PeriodicOrbit:
 
     def states(self, t):
         """Phase states at the times t (a scalar or an array), t reduced
-        modulo the period: the radial cycle at t - j tau, turned by
-        2 pi k j/n, where j = min(floor(t / tau), n - 1)."""
+        modulo the period.  With j = min(floor(t / tau), n - 1) and
+        s = t - j tau, the radial cycle is the half cycle at s for
+        s <= tau/2 and its apsis reflection reflect_apsis(cycle(tau - s),
+        k pi/n) beyond; it is turned by 2 pi k j/n.  Elementwise, so a time
+        gives the same bits alone or in an array."""
         t = np.mod(np.asarray(t, dtype=float), self.T)
         tau = self.profile.tau
         j = np.minimum(np.floor(t / tau), self.n - 1)
-        return rotate_plane(self.cycle(t - j * tau),
-                            2.0 * math.pi * self.k * j / self.n)
+        s = t - j * tau
+        mirrored = s > 0.5 * tau
+        z = self.cycle(np.where(mirrored, tau - s, s))
+        z = np.where(mirrored[..., None],
+                     reflect_apsis(z, math.pi * self.k / self.n), z)
+        return rotate_plane(z, 2.0 * math.pi * self.k * j / self.n)
 
 
 def rotate_plane(z, angle):
@@ -235,6 +246,19 @@ def rotate_plane(z, angle):
         out[..., i] = c * z[..., i] - s * z[..., i + 1]
         out[..., i + 1] = s * z[..., i] + c * z[..., i + 1]
     return out
+
+
+def reflect_apsis(z, a):
+    """Time reversal about the apsis line at the angle a in the x1-x2
+    plane, R_a(x, p) = (S_a x, -S_a p) with S_a the reflection that fixes
+    that line (and the x3 axis): the flip (x2, p1, p3) -> -(x2, p1, p3), then
+    Rot(2a).  Anti-symplectic, and it maps solutions of the unperturbed
+    flow to solutions run backwards.  Elementwise like rotate_plane."""
+    z = np.array(z, dtype=float)
+    d = z.shape[-1] // 2
+    z[..., 1] *= -1.0
+    z[..., d::2] *= -1.0  # p1, and p3 in space
+    return rotate_plane(z, 2.0 * a)
 
 
 def apogee_state(profile: RadialProfile, dim: int = 2):
@@ -256,9 +280,10 @@ def _build_orbit(law, V, profile, k, n, dim):
         raise NoBoundOrbitError("angular momentum below the non-rectilinear floor")
     z0 = apogee_state(profile, dim)
     sys = HamiltonianSystem(law, V, Perturbation.zero(), dim)
-    cycle = integrate(sys, z0, 0.0, profile.tau)
+    cycle = integrate(sys, z0, 0.0, 0.5 * profile.tau)
+    perigee = cycle(cycle.t1)
     residual = float(np.linalg.norm(
-        cycle(profile.tau) - rotate_plane(z0, 2.0 * math.pi * k / n)))
+        perigee - reflect_apsis(perigee, math.pi * k / n)))
     return PeriodicOrbit(profile, k, n, n * profile.tau, z0, cycle, dim,
                          residual, law, V)
 

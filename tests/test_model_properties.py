@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from cforbits.flow import integrate_with_variational, symplectic_matrix
@@ -94,12 +94,16 @@ def test_legendre_identity_and_round_trips(law, frac, q):
 
 
 @settings(PROPERTY, max_examples=100)
-@given(law=laws, q=st.floats(0.1, 5.0))
-def test_p_squared_inverts_G(law, q):
-    # momenta from 0.1 m c up: below, the sqrt(1 + (p/mc)^2) - 1 of the
-    # relativistic G cancels about eps (mc/p)^2 of its relative accuracy
+@given(law=laws, log_q=st.floats(math.log(1e-6), math.log(5.0)))
+@example(law=KineticLaw.relativistic(m=0.8, c=2.5), log_q=math.log(1e-6))
+@example(law=KineticLaw.relativistic(m=0.8, c=2.5), log_q=math.log(1e-3))
+def test_p_squared_inverts_G(law, log_q):
+    # momenta from 1e-6 m c up, log-uniform: the relativistic G has no
+    # sqrt(1 + q^2) - 1 to cancel at small q = p/(m c)
+    q = math.exp(log_q)
     pmag = q * law.m * (law.c if law.kind == "relativistic" else 1.0)
-    assert law.p_squared(float(law.G(pmag))) == pytest.approx(pmag**2, rel=1e-12)
+    assert law.p_squared(float(law.G(pmag))) == pytest.approx(pmag**2, rel=1e-14)
+
 
 
 systems = st.one_of(

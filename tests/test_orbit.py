@@ -22,6 +22,8 @@ from cforbits.orbit import (
     find_closed_orbit,
     manifold_samples,
     radial_profile,
+    reflect_apsis,
+    rotate_plane,
     rotate_state,
     turning_points,
 )
@@ -315,7 +317,7 @@ class TestManifoldSamples:
         assert np.array_equal(s.states, np.array(loop))
 
 
-# --- one radial cycle against a full-period reference ---
+# --- half a radial cycle against full-period and full-cycle references ---
 
 REFERENCE_TOL = 1e-14
 REFERENCE_ROWS = [
@@ -390,4 +392,58 @@ class TestComposedOrbit:
 
     def test_only_one_cycle_is_kept(self, pool_orbit):
         assert not hasattr(pool_orbit, "trajectory")
-        assert pool_orbit.cycle.t1 == pool_orbit.profile.tau
+        assert pool_orbit.cycle.t1 == 0.5 * pool_orbit.profile.tau
+
+    def test_states_match_full_cycle_composition(self, pool_orbit):
+        # one integrated radial cycle [0, tau] turned by 2 pi k j/n, the
+        # composition before the apsis mirror
+        orb = pool_orbit
+        tau = orb.profile.tau
+        full = integrate(orb.system, orb.z0, 0.0, tau)
+        ts = np.linspace(0.0, orb.T, 4001)
+        j = np.minimum(np.floor(ts / tau), orb.n - 1)
+        ref = rotate_plane(full(ts - j * tau),
+                           2.0 * math.pi * orb.k * j / orb.n)
+        err = np.max(np.abs(orb.states(ts) - ref))
+        assert err <= 1e-9 * np.max(np.abs(ref))
+
+    def test_second_half_cycle_is_the_apsis_mirror(self, pool_orbit):
+        # states(j tau + tau - s) = Rot(2 pi k j/n) R(states(s)), with s
+        # the time states() mirrors
+        orb = pool_orbit
+        tau = orb.profile.tau
+        a = math.pi * orb.k / orb.n
+        for j in range(orb.n):
+            for u in (0.5000001, 0.61, 0.83, 0.9999999):
+                t = j * tau + u * tau
+                s = tau - (t - j * tau)
+                want = rotate_plane(reflect_apsis(orb.states(s), a),
+                                    2.0 * math.pi * orb.k * j / orb.n)
+                assert np.array_equal(orb.states(t), want)
+
+    def test_perigee_jump_is_the_closure_residual(self, pool_orbit):
+        # a few ulps either side of each perigee: the jump differs from the
+        # closure residual by at most the motion over those ulps
+        orb = pool_orbit
+        tau = orb.profile.tau
+        perigee = orb.cycle(0.5 * tau)
+        speed = np.linalg.norm(orb.system.vector_field(0.0, perigee))
+        dt = 4 * math.ulp(orb.T)
+        slack = 4 * dt * speed + 1e-14 * np.max(np.abs(perigee))
+        for j in range(orb.n):
+            t = j * tau + 0.5 * tau
+            jump = np.linalg.norm(orb.states(t + dt) - orb.states(t - dt))
+            assert abs(jump - orb.closure_residual) <= slack
+            assert jump <= 1e-6
+
+    def test_spatial_states_embed_the_planar_ones(self, pool_orbit):
+        # the same profile built as a dim-3 orbit; its steps differ from the
+        # planar ones (the error norm counts six components), not its states
+        orb = pool_orbit
+        spatial = orbit_module._build_orbit(orb.law, orb.potential,
+                                            orb.profile, orb.k, orb.n, 3)
+        ts = np.linspace(0.0, orb.T, 1001)
+        z2, z3 = orb.states(ts), spatial.states(ts)
+        assert np.all(z3[:, [2, 5]] == 0.0)
+        err = np.max(np.abs(z3 - np.array([_embed3(z) for z in z2])))
+        assert err <= 1e-9 * np.max(np.abs(z2))
