@@ -42,9 +42,7 @@ from .orbit import (
     turning_points,
 )
 from .actions import (
-    ActionPoint,
     NondegReport,
-    action_point,
     frequencies,
     k0_hessian,
     nondeg_fixed_energy,

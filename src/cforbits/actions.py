@@ -1,9 +1,11 @@
 """Action-angle route to non-degeneracy of the planar unperturbed problem.
 
-The chart (h, L) -> (I1, I2) has the closed Jacobian row (0, 1) and
-dI1/dh = tau/(2 pi), dI1/dL = -phi/pi, so the Hessian of the Hamiltonian
-in action variables is assembled from finite differences of the frequency
-map alone.
+The radial profile at a chart point (h, L) carries all the action-angle
+data the route reads: the actions (I1, I2) = (action, L), the frequencies
+(2 pi/tau, 2 phi/tau), and the chart (h, L) -> (I1, I2), whose Jacobian has
+the closed row (0, 1) and dI1/dh = tau/(2 pi), dI1/dL = -phi/pi.  So the
+Hessian of the Hamiltonian in action variables is assembled from finite
+differences of the frequency map alone.
 """
 from __future__ import annotations
 
@@ -19,11 +21,9 @@ from .model import KineticLaw, Potential
 from .orbit import RadialProfile, radial_profile, turning_points  # noqa: F401
 
 __all__ = [
-    "ActionPoint",
     "NondegReport",
     "DET_THRESHOLD",
     "FD_STEP",
-    "action_point",
     "frequencies",
     "k0_hessian",
     "nondeg_fixed_period",
@@ -35,42 +35,20 @@ DET_THRESHOLD = 1e-3
 FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class ActionPoint:
-    """Action variables and frequencies at chart point (h, L)."""
-
-    h: float
-    L: float
-    I1: float  # radial action
-    I2: float  # angular momentum
-    omega1: float  # radial frequency 2 pi / tau
-    omega2: float  # angular frequency 2 phi / tau
-    dI1_dh: float
-    dI1_dL: float
-
-
 def frequencies(profile: RadialProfile):
     """(radial, angular) frequency pair of a radial profile."""
     return 2.0 * math.pi / profile.tau, 2.0 * profile.phi / profile.tau
 
 
-def action_point(law: KineticLaw, V: Potential, h: float, L: float) -> ActionPoint:
-    p = radial_profile(law, V, h, L)
-    omega1, omega2 = frequencies(p)
-    return ActionPoint(
-        h=h, L=L, I1=p.action, I2=L, omega1=omega1, omega2=omega2,
-        dI1_dh=p.tau / (2.0 * math.pi), dI1_dL=-p.phi / math.pi,
-    )
-
-
 @dataclass(frozen=True)
 class NondegReport:
-    """Hessian and gradient of the action-variable Hamiltonian at a profile,
-    with both non-degeneracy determinants and their scale-normalized forms."""
+    """Hessian and gradient of the action-variable Hamiltonian at a radial
+    profile, with both non-degeneracy determinants and their scale-normalized
+    forms."""
 
-    point: ActionPoint
+    profile: RadialProfile
     hessian: np.ndarray  # 2x2, symmetrized
-    gradient: np.ndarray  # (omega1, omega2)
+    gradient: np.ndarray  # frequencies(profile)
     symmetry_defect: float
     det_fixed_period: float
     det_fixed_energy: float
@@ -86,20 +64,21 @@ def k0_hessian(law: KineticLaw, V: Potential, h: float,
                L: float) -> NondegReport:
     """Hessian of the action-variable Hamiltonian at (h, L) by central
     differences of the frequency map through the (h, L) chart."""
-    point = action_point(law, V, h, L)
+    p = radial_profile(law, V, h, L)
     dh = FD_STEP * (1.0 + abs(h))
     dL = FD_STEP * (1.0 + abs(L))
     dom_dh = (_omega(law, V, h + dh, L) - _omega(law, V, h - dh, L)) / (2.0 * dh)
     dom_dL = (_omega(law, V, h, L + dL) - _omega(law, V, h, L - dL)) / (2.0 * dL)
     Domega = np.column_stack([dom_dh, dom_dL])
-    DI = np.array([[point.dI1_dh, point.dI1_dL], [0.0, 1.0]])
+    # the chart Jacobian d(I1, I2)/d(h, L)
+    DI = np.array([[p.tau / (2.0 * math.pi), -p.phi / math.pi], [0.0, 1.0]])
     if abs(np.linalg.det(DI)) < 1e-12:
         raise ChartSingularityError(
             f"chart Jacobian singular at (h, L) = ({h:g}, {L:g})")
     H = Domega @ np.linalg.inv(DI)
     defect = float(abs(H[0, 1] - H[1, 0]))
     H = 0.5 * (H + H.T)
-    grad = np.array([point.omega1, point.omega2])
+    grad = np.array(frequencies(p))
     det2 = float(np.linalg.det(H))
     B = np.zeros((3, 3))
     B[:2, :2] = H
@@ -110,7 +89,7 @@ def k0_hessian(law: KineticLaw, V: Potential, h: float,
     ng = float(np.linalg.norm(grad))
     # a Hessian below this floor is indistinguishable from fd noise on a
     # linear K0 (harmonic case); self-normalizing noise would report O(1)
-    flat_floor = 1e-6 * ng / max(abs(point.I1), abs(point.I2), 1e-12)
+    flat_floor = 1e-6 * ng / max(abs(p.action), abs(p.L), 1e-12)
     if nH <= flat_floor:
         scale2 = 0.0
         scale3 = 0.0
@@ -118,7 +97,7 @@ def k0_hessian(law: KineticLaw, V: Potential, h: float,
         scale2 = abs(det2) / nH**2
         scale3 = abs(det3) / (nH * ng**2)
     return NondegReport(
-        point=point, hessian=H, gradient=grad, symmetry_defect=defect,
+        profile=p, hessian=H, gradient=grad, symmetry_defect=defect,
         det_fixed_period=det2, det_fixed_energy=det3,
         scale_fixed_period=scale2, scale_fixed_energy=scale3,
     )

@@ -1,8 +1,9 @@
 """Command-line front end: config-driven orbit construction, non-degeneracy
 sweeps, continuation runs and the non-relativistic limit table.
 
-Exit codes: 0 success, 2 config validation failure, 3 numerical failure,
-4 route disagreement.
+Exit codes: 0 success, 2 config validation failure (a perturbation the
+system's dimension refuses included), 3 numerical failure, 4 route
+disagreement.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ import jsonschema
 
 from . import __version__
 from .actions import k0_hessian, nondeg_fixed_energy, nondeg_fixed_period
-from .errors import CForbitsError, RouteDisagreementError
+from .errors import (CForbitsError, RouteDisagreementError,
+                     UnsupportedConfigurationError)
 from .model import HamiltonianSystem, KineticLaw, Perturbation, Potential
 from .nondeg import cross_check
 from .orbit import find_closed_orbit, manifold_samples, radial_profile
@@ -368,6 +370,8 @@ def cmd_limit_classical(cfg, em: Emitter):
     law_cfg = cfg.get("law", {"kind": "relativistic"})
     if law_cfg["kind"] != "relativistic":
         raise ConfigError("limit-classical needs a relativistic law")
+    if "c" in law_cfg:
+        raise ConfigError("limit-classical sweeps c_values and reads no law.c")
     mass = _given(law_cfg, "m")
     V = _build_potential(_block(cfg, "potential"))
     ocfg = _block(cfg, "orbit")
@@ -449,7 +453,9 @@ def main(argv=None):
     except CForbitsError as exc:
         code_name = type(exc).__name__
         print(f"error: [{code_name}] {exc}", file=_sys.stderr)
-        code = EXIT_NUMERICAL
+        code = (EXIT_VALIDATION
+                if isinstance(exc, UnsupportedConfigurationError)
+                else EXIT_NUMERICAL)
     except ValueError as exc:
         # constructor rejections (bad alpha, bad mode, ...) are config errors
         print(f"error: {exc}", file=_sys.stderr)

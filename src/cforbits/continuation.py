@@ -195,10 +195,11 @@ def _continue(problem: ShootingProblem):
     spacing of the floats) and whose ``residual`` and ``newton_iters`` are
     the last ones reached (residual inf when the rung's first shot failed,
     the residual of its point when a later variational solve did).  A trial
-    shot that fails is a rejected trial.  A rung that has not converged ends
-    as stagnation after ``MAX_NEWTON`` trials, or as soon as an accepted
-    step leaves it stalled (``_stalled``); a converged rung is never
-    stalled.
+    shot that fails is a rejected trial.  A rung converges when
+    |R| <= ``RESIDUAL_TOL`` and, at fixed energy, its energy row is within
+    the re-check's ``ENERGY_TOL``.  A rung that has not converged ends as
+    stagnation after ``MAX_NEWTON`` trials, or as soon as an accepted step
+    leaves it stalled (``_stalled``); a converged rung is never stalled.
     """
     fe = problem.mode == "fixed_energy"
     target_eps = problem.sys.perturbation.eps
@@ -244,6 +245,11 @@ def _continue(problem: ShootingProblem):
                              np.append(gradH, 0.0), np.append(vstar, 0.0)])
         return Jac
 
+    def converged(R, res):
+        # the rung's contract, the re-check's too: |R| <= RESIDUAL_TOL and,
+        # at fixed energy, |H(z0) - h| <= ENERGY_TOL
+        return res <= RESIDUAL_TOL and not (fe and abs(R[n]) > ENERGY_TOL)
+
     def reject(why, eps, res, u):
         return ContinuationResult(
             False, f"{why} at eps={eps:g}", u[:n], period(u), eps, res,
@@ -265,7 +271,7 @@ def _continue(problem: ShootingProblem):
         starts.append((eps, float(res), predicted))
         first, mark = res, len(history)
         for _ in range(MAX_NEWTON):
-            if res <= RESIDUAL_TOL:
+            if converged(R, res):
                 break
             if Jac is None:
                 try:
@@ -289,13 +295,13 @@ def _continue(problem: ShootingProblem):
             if res2 < res:
                 u, R, zT, res, Jac = u_try, R2, zT2, res2, None
                 lam = max(lam / 10.0, 1e-12)
-                if res > RESIDUAL_TOL and _stalled(first, history[mark:]):
+                if not converged(R, res) and _stalled(first, history[mark:]):
                     return u, res, "stagnation"
             else:
                 lam *= 10.0
                 if lam > 1e8:
                     return u, res, "damping floor"
-        if res > RESIDUAL_TOL:
+        if not converged(R, res):
             return u, res, "stagnation"
         return u, res, None
 

@@ -170,9 +170,9 @@ def _skew(b):
 class Perturbation:
     """Closed catalogue of electromagnetic perturbation families.
 
-    Evaluators include the size ``eps``; ``U`` and ``A`` vanish identically at
-    eps = 0.  All built-in scalar and vector potentials are linear in x, so
-    their second x-derivatives vanish, and the vector potentials do not
+    The fields include the size ``eps`` and vanish at eps = 0.  Every
+    built-in scalar potential U = eps g(t) e.x and vector potential A = DA x
+    is linear in x, so its second x-derivatives vanish, and A does not
     depend on t.  ``__post_init__`` is the one place that maps a family to
     its fields: it builds the constant x-derivatives once per instance as
     Python floats, padded to three dimensions with zeros so that the
@@ -180,7 +180,8 @@ class Perturbation:
     ``_DA`` (the 3 x 3 matrix DA, row by row) and ``_DATDA`` (DA^T DA, in
     the same layout), both None for families without a vector potential,
     and ``_e`` (the electric direction, None for families without an
-    electric field).  Every evaluator below keys off these.
+    electric field).  Those kernels read the fields from these and ``_g``
+    alone.
     """
 
     family: str = "zero"
@@ -254,46 +255,6 @@ class Perturbation:
             return math.cos(2.0 * math.pi * t / self.T_forcing)
         return 1.0
 
-    # scalar potential and derivatives
-
-    def U(self, t: float, x) -> float:
-        if self._e is None:
-            return 0.0
-        return self.eps * self._g(t) * float(np.dot(self._e[:len(x)], x))
-
-    def grad_U(self, t: float, x):
-        if self._e is None:
-            return np.zeros(len(x))
-        return self.eps * self._g(t) * np.array(self._e[:len(x)])
-
-    # vector potential and derivatives; the built-in ones are linear, A = DA x
-
-    def A(self, t: float, x):
-        d = len(x)
-        if self._DA is None:
-            return np.zeros(d)
-        x = np.asarray(x, dtype=float).tolist() + [0.0] * (3 - d)
-        return np.array(self._A(*x)[:d])
-
-    def _A(self, x0, x1, x2):
-        """A at x = (x0, x1, x2) as floats; only with a vector potential."""
-        if self.family == "uniform_magnetic":
-            # eps/2 B0 x x written out in np.cross's operation order, which
-            # DA x does not keep
-            b0, b1, b2 = self.B0
-            c = 0.5 * self.eps
-            return (c * (b1 * x2 - b2 * x1), c * (b2 * x0 - b0 * x2),
-                    c * (b0 * x1 - b1 * x0))
-        a00, a01, a02, a10, a11, a12, a20, a21, a22 = self._DA
-        return (a00 * x0 + a01 * x1 + a02 * x2, a10 * x0 + a11 * x1 + a12 * x2,
-                a20 * x0 + a21 * x1 + a22 * x2)
-
-    def DA(self, t: float, x):
-        d = len(x)
-        if self._DA is None:
-            return np.zeros((d, d))
-        return np.array(self._DA).reshape(3, 3)[:d, :d]
-
 
 # --- the Hamiltonian system ---
 
@@ -315,8 +276,7 @@ class HamiltonianSystem:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
-        if self.perturbation.family != "zero":
-            self.perturbation.check_dim(self.dim)
+        self.perturbation.check_dim(self.dim)
 
     def with_eps(self, eps: float) -> "HamiltonianSystem":
         return replace(self, perturbation=replace(self.perturbation, eps=eps))
@@ -335,15 +295,21 @@ class HamiltonianSystem:
         r = math.hypot(x0, x1, x2)
         if r == 0.0:
             raise DomainError(f"{what} undefined at x = 0")
-        if self.perturbation._DA is not None:
-            a0, a1, a2 = self.perturbation._A(x0, x1, x2)
-            p0, p1, p2 = p0 - a0, p1 - a1, p2 - a2
+        if self.perturbation._DA is not None:  # w = p - DA x
+            a00, a01, a02, a10, a11, a12, a20, a21, a22 = self.perturbation._DA
+            p0 -= a00 * x0 + a01 * x1 + a02 * x2
+            p1 -= a10 * x0 + a11 * x1 + a12 * x2
+            p2 -= a20 * x0 + a21 * x1 + a22 * x2
         return x0, x1, x2, p0, p1, p2, r
 
     def hamiltonian(self, t: float, z) -> float:
         x0, x1, x2, w0, w1, w2, r = self._unpack(z, "Hamiltonian")
-        return float(self.law.G(math.hypot(w0, w1, w2)) - self.potential.V(r)
-                     - self.perturbation.U(t, (x0, x1, x2)[: self.dim]))
+        H = self.law.G(math.hypot(w0, w1, w2)) - self.potential.V(r)
+        pert = self.perturbation
+        if pert._e is not None:  # U = eps g(t) e.x
+            e0, e1, e2 = pert._e
+            H -= pert.eps * pert._g(t) * (e0 * x0 + e1 * x1 + e2 * x2)
+        return float(H)
 
     def vector_field(self, t: float, z):
         """Canonical phase velocity (dx/dt, dp/dt) = (grad_p H, -grad_x H)."""

@@ -476,12 +476,6 @@ def _so3_sequence(count: int):
     return mats
 
 
-def _planar_rotation(a: float):
-    """Rotation of the plane by the angle a."""
-    return np.array([[math.cos(a), -math.sin(a)],
-                     [math.sin(a), math.cos(a)]])
-
-
 def rotate_state(M, z):
     """Apply a spatial rotation to both the position and momentum blocks."""
     z = np.asarray(z, dtype=float)
@@ -504,9 +498,9 @@ def manifold_samples(orbit: PeriodicOrbit, count_rot: int, count_shift: int,
         if orbit.dim != 2:
             raise ValueError("planar group needs a dim-2 orbit")
         angles = np.linspace(0.0, 2.0 * math.pi, count_rot, endpoint=False)
-        mats = [_planar_rotation(a) for a in angles]
         elements = tuple((a, th) for a in angles for th in thetas)
-        states = np.array([rotate_state(M, z) for M in mats for z in shifted])
+        states = rotate_plane(np.tile(shifted, (count_rot, 1)),
+                              np.repeat(angles, count_shift))
         return ManifoldSample(orbit, group, elements, states)
     if group == "SO3":
         mats = _so3_sequence(count_rot)

@@ -33,6 +33,7 @@ from cforbits.orbit import (
     manifold_samples,
     radial_profile,
 )
+from test_model import field_jacobian
 
 CLASSICAL = KineticLaw.classical()
 
@@ -224,7 +225,9 @@ class TestCriterion5NumericsHygiene:
         B0 = np.array([0.3, -0.2, 1.1])
         eps = 1e-3
         pert = Perturbation.uniform_magnetic(tuple(B0), eps)
-        DA = pert.DA(0.0, np.array([0.7, -0.4, 0.2]))
+        # the DA the kernels use, read off the Hessian
+        sys = HamiltonianSystem(CLASSICAL, Potential.kepler(), pert, 3)
+        DA = field_jacobian(sys, np.array([0.7, -0.4, 0.2, 0.3, 0.1, -0.5]))
         rng = np.random.default_rng(11)
         for _ in range(5):
             y = rng.standard_normal(3)

@@ -6,7 +6,6 @@ import pytest
 from cforbits import actions
 from cforbits.actions import (
     DET_THRESHOLD,
-    action_point,
     frequencies,
     k0_hessian,
     nondeg_fixed_energy,
@@ -21,17 +20,20 @@ HARMONIC = Potential.harmonic()
 
 
 class TestActionPoint:
+    # the action point of a chart point (h, L) is its radial profile:
+    # (I1, I2) = (action, L), frequencies (2 pi/tau, 2 phi/tau)
+
     def test_kepler_radial_action(self):
         # I1 = 1/sqrt(-2h) - L
         for h, L in ((-0.375, 1.0), (-0.25, 0.8), (-0.5, 0.6)):
-            pt = action_point(CLASSICAL, KEPLER, h, L)
-            assert pt.I1 == pytest.approx((-2 * h) ** -0.5 - L, abs=1e-8)
-            assert pt.I2 == L
+            p = radial_profile(CLASSICAL, KEPLER, h, L)
+            assert p.action == pytest.approx((-2 * h) ** -0.5 - L, abs=1e-8)
+            assert p.L == L
 
     def test_harmonic_radial_action(self):
         # I1 = h/2 - L/2 for V = -r^2/2 (kappa = 1)
-        pt = action_point(CLASSICAL, HARMONIC, 1.25, 1.0)
-        assert pt.I1 == pytest.approx(0.125, abs=1e-8)
+        p = radial_profile(CLASSICAL, HARMONIC, 1.25, 1.0)
+        assert p.action == pytest.approx(0.125, abs=1e-8)
 
     def test_frequencies_helper(self):
         p = radial_profile(CLASSICAL, KEPLER, -0.375, 1.0)
@@ -40,25 +42,24 @@ class TestActionPoint:
         assert w2 == pytest.approx(2 * p.phi / p.tau)
 
     def test_chart_jacobian_identity(self):
-        # dI1/dh must equal tau / (2 pi) as an identity of the chart, and the
-        # reported analytic value must match a finite difference of I1
+        # the chart row k0_hessian uses, dI1/dh = tau/(2 pi) and
+        # dI1/dL = -phi/pi, against finite differences of the action
+        action = lambda h, L: radial_profile(CLASSICAL, KEPLER, h, L).action
         for h, L in ((-0.375, 1.0), (-0.3, 0.7)):
-            pt = action_point(CLASSICAL, KEPLER, h, L)
+            p = radial_profile(CLASSICAL, KEPLER, h, L)
             d = 1e-6
-            fd_h = (action_point(CLASSICAL, KEPLER, h + d, L).I1
-                    - action_point(CLASSICAL, KEPLER, h - d, L).I1) / (2 * d)
-            fd_L = (action_point(CLASSICAL, KEPLER, h, L + d).I1
-                    - action_point(CLASSICAL, KEPLER, h, L - d).I1) / (2 * d)
-            assert pt.dI1_dh == pytest.approx(fd_h, abs=1e-6)
-            assert pt.dI1_dL == pytest.approx(fd_L, abs=1e-6)
+            fd_h = (action(h + d, L) - action(h - d, L)) / (2 * d)
+            fd_L = (action(h, L + d) - action(h, L - d)) / (2 * d)
+            assert p.tau / (2 * math.pi) == pytest.approx(fd_h, abs=1e-6)
+            assert -p.phi / math.pi == pytest.approx(fd_L, abs=1e-6)
 
     def test_chart_jacobian_identity_homogeneous(self):
         V = Potential.homogeneous(1.0, 0.5)
-        pt = action_point(CLASSICAL, V, -1.5, 0.3)
+        action = lambda h: radial_profile(CLASSICAL, V, h, 0.3).action
+        p = radial_profile(CLASSICAL, V, -1.5, 0.3)
         d = 1e-6
-        fd_h = (action_point(CLASSICAL, V, -1.5 + d, 0.3).I1
-                - action_point(CLASSICAL, V, -1.5 - d, 0.3).I1) / (2 * d)
-        assert pt.dI1_dh == pytest.approx(fd_h, abs=1e-6)
+        fd_h = (action(-1.5 + d) - action(-1.5 - d)) / (2 * d)
+        assert p.tau / (2 * math.pi) == pytest.approx(fd_h, abs=1e-6)
 
 
 class TestK0Hessian:
@@ -66,10 +67,10 @@ class TestK0Hessian:
         # K0(I) = -1/(2 (I1+I2)^2): hessian = -3 (I1+I2)^-4 * ones(2, 2)
         h, L = -0.375, 1.0
         rep = k0_hessian(CLASSICAL, KEPLER, h, L)
-        s = rep.point.I1 + rep.point.I2
+        s = rep.profile.action + rep.profile.L
         want = -3.0 * s ** -4 * np.ones((2, 2))
         assert np.max(np.abs(rep.hessian - want)) <= 1e-5
-        assert rep.gradient[0] == pytest.approx(rep.point.omega1)
+        assert rep.gradient.tolist() == list(frequencies(rep.profile))
 
     def test_kepler_degenerate_but_isoenergetic_nondeg_small(self):
         rep = k0_hessian(CLASSICAL, KEPLER, -0.375, 1.0)

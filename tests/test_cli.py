@@ -181,6 +181,37 @@ class TestValidation:
     def test_demo_config_is_valid(self, path):
         assert load_config(path)["schema_version"] == 1
 
+    def test_limit_classical_refuses_law_c(self, tmp_path, capsys):
+        # the command sweeps c_values, so a law.c would go unread
+        cfg = {
+            "schema_version": 1,
+            "law": {"kind": "relativistic", "m": 1.0, "c": 3.0},
+            "potential": {"kind": "homogeneous", "alpha": 1.0},
+            "orbit": {"k": 1, "n": 1, "h": -0.375, "L": 1.0},
+            "c_values": [5.0, 10.0],
+        }
+        out = tmp_path / "out"
+        assert main(["limit-classical", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "law.c" in capsys.readouterr().err
+        assert (out / "manifest.json").exists()
+
+    def test_field_the_dimension_refuses_is_validation_error(self, tmp_path,
+                                                             capsys):
+        # a planar electric vector for a spatial run
+        cfg = {
+            "schema_version": 1,
+            "potential": {"kind": "homogeneous", "alpha": 0.5},
+            "orbit": {"k": 4, "n": 5, "h": -1.9},
+            "perturbation": {"family": "uniform_electric", "eps": 1e-4,
+                             "e_vec": [1.0, 0.0]},
+        }
+        out = tmp_path / "out"
+        assert main(["continue", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "UnsupportedConfigurationError" in capsys.readouterr().err
+        assert (out / "manifest.json").exists()
+
     def test_limit_classical_rejects_classical_law(self, tmp_path):
         cfg = json.loads(json.dumps(KEPLER_ORBIT_CFG))
         cfg["c_values"] = [5.0, 10.0]

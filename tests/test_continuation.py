@@ -489,6 +489,20 @@ class TestFixedEnergy:
         assert res.accepted
         assert res.energy_residual <= 1e-10
 
+    def test_converged_rungs_pass_the_energy_recheck(self, orbit):
+        # a rung converges only with its energy row within ENERGY_TOL, the
+        # re-check's bound: with |R| <= RESIDUAL_TOL alone, seed 1 of this
+        # run ends Newton at energy 1.23e-10 and fails the re-check
+        sys = electric_system(orbit, 1e-3, profile="constant")
+        samples = manifold_samples(orbit, 2, 2, group="planar")
+        template = ShootingProblem(sys=sys, mode="fixed_energy",
+                                   seed=samples.states[0], T=orbit.T,
+                                   h=orbit.profile.h)
+        for res in multistart(template, samples):
+            assert "energy" not in res.reason or res.accepted
+            if res.accepted:
+                assert res.energy_residual <= continuation.ENERGY_TOL
+
     def test_accepted_closure_is_within_the_absolute_tolerance(
             self, orbit3, monkeypatch):
         # with a linear-only predictor this run passes through closures just

@@ -21,6 +21,7 @@ from cforbits.model import (
     Perturbation,
     Potential,
 )
+from test_model import vector_potential
 from test_model_properties import (PROPERTY, laws, perturbed_systems,
                                    potentials, vectors)
 
@@ -300,7 +301,8 @@ def test_steps_are_stock_dop853_bit_for_bit(law, V, d, t0, span, data):
     pert = data.draw(perturbed_systems(d))
     x = data.draw(vectors(d))
     p = data.draw(vectors(d, st.floats(-1.0, 1.0)))
-    if np.linalg.norm(x) < 0.5 or np.linalg.norm(p - pert.A(t0, x)) < 0.1:
+    if (np.linalg.norm(x) < 0.5
+            or np.linalg.norm(p - vector_potential(pert, x)) < 0.1):
         reject()
     compare_to_stock(HamiltonianSystem(law, V, pert, d),
                      np.concatenate([x, p]), t0, t0 + span)

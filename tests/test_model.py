@@ -35,11 +35,46 @@ def energy_of_speed(law, s):
     return law.m * law.c**2 * (1.0 - np.sqrt(1.0 - (s / law.c) ** 2))
 
 
-def curl_A(pert, x):
-    """B = curl A from the constant Jacobian DA: a vector for dim 3, the
-    scalar curl for dim 2."""
-    DA = pert.DA(0.0, x)
-    if len(x) == 3:
+def family_field(pert, t, d):
+    """(DA, grad U) of a perturbation in d dimensions, built from the
+    family's own parameters: A = eps/2 B0 x x for the magnetic family,
+    A = eps (x2, 0) for the rotating frame, U = eps g(t) e.x for the
+    electric one, and none for the zero family."""
+    DA, grad_U = np.zeros((d, d)), np.zeros(d)
+    if pert.family == "uniform_magnetic":
+        b0, b1, b2 = pert.B0
+        DA = 0.5 * pert.eps * np.array(
+            [[0.0, -b2, b1], [b2, 0.0, -b0], [-b1, b0, 0.0]])
+    elif pert.family == "rotating_frame":
+        DA[0, 1] = pert.eps
+    elif pert.family == "uniform_electric":
+        g = (math.cos(2.0 * math.pi * t / pert.T_forcing)
+             if pert.profile == "cosine" else 1.0)
+        grad_U = pert.eps * g * np.array(pert.e_vec, dtype=float)
+    return DA, grad_U
+
+
+def vector_potential(pert, x):
+    """A(x) = DA x of family_field, summed in the kernels' order, so that
+    p = A(x) gives p - A = 0 exactly."""
+    x = np.asarray(x, dtype=float).tolist()
+    DA, _ = family_field(pert, 0.0, len(x))
+    return np.array([sum(a * xi for a, xi in zip(row, x))
+                     for row in DA.tolist()])
+
+
+def field_jacobian(sys, z):
+    """DA as the kernels use it, read off the Hessian at z: its p-x block
+    is -K DA, with K its p-p block."""
+    d = sys.dim
+    H = sys.hessian(0.0, z)
+    return -np.linalg.solve(H[d:, d:], H[d:, :d])
+
+
+def curl(DA):
+    """B = curl A of a linear A = DA x: a vector for dim 3, the scalar curl
+    for dim 2."""
+    if len(DA) == 3:
         return np.array([DA[2, 1] - DA[1, 2], DA[0, 2] - DA[2, 0],
                          DA[1, 0] - DA[0, 1]])
     return DA[1, 0] - DA[0, 1]
@@ -149,25 +184,45 @@ class TestPotential:
 
 
 class TestPerturbation:
+    # each family is checked through the kernels of a classical Kepler
+    # system, against the same system without the field
+    LAW, V = KineticLaw.classical(), Potential.kepler()
+
+    def _systems(self, pert, dim=2):
+        return (HamiltonianSystem(self.LAW, self.V, pert, dim),
+                HamiltonianSystem(self.LAW, self.V, Perturbation.zero(), dim))
+
     def test_zero_is_autonomous_and_null(self):
         p = Perturbation.zero()
         assert p.is_autonomous
-        x = np.array([1.0, 2.0])
-        assert p.U(0.3, x) == 0.0
-        assert np.all(p.A(0.3, x) == 0.0)
+        sys, _ = self._systems(p)
+        z = np.array([1.0, 2.0, 0.3, -0.4])
+        r = math.sqrt(5.0)
+        # H = |p|^2/2 - 1/r and dp/dt = V'(r) x/r: no field
+        assert sys.hamiltonian(0.3, z) == pytest.approx(0.125 - 1.0 / r)
+        assert np.allclose(sys.vector_field(0.3, z),
+                           [0.3, -0.4, -1.0 / r**3, -2.0 / r**3], rtol=1e-14)
 
     def test_electric_potential_and_gradient(self):
-        p = Perturbation.uniform_electric((1.0, 2.0), 0.1)
-        x = np.array([3.0, -1.0])
-        assert p.U(0.0, x) == pytest.approx(0.1 * (3.0 - 2.0))
-        assert np.allclose(p.grad_U(0.0, x), [0.1, 0.2])
+        sys, free = self._systems(Perturbation.uniform_electric((1.0, 2.0), 0.1))
+        z = np.array([3.0, -1.0, 0.2, 0.5])
+        # H = G - V - U with U = eps e.x, and dp/dt gains grad U = eps e
+        assert free.hamiltonian(0.0, z) - sys.hamiltonian(0.0, z) == \
+            pytest.approx(0.1 * (3.0 - 2.0))
+        f, f0 = sys.vector_field(0.0, z), free.vector_field(0.0, z)
+        assert np.array_equal(f[:2], f0[:2])
+        assert np.allclose(f[2:] - f0[2:], [0.1, 0.2], rtol=1e-14)
 
     def test_cosine_profile_periodicity(self):
         p = Perturbation.uniform_electric((1.0, 0.0), 1.0, profile="cosine",
                                           T_forcing=2.0)
-        x = np.array([1.0, 0.0])
-        assert p.U(0.0, x) == pytest.approx(p.U(2.0, x), abs=1e-14)
-        assert p.U(0.5, x) == pytest.approx(0.0, abs=1e-15)
+        sys, free = self._systems(p)
+        z = np.array([1.0, 0.0, 0.0, 0.8])
+        assert sys.hamiltonian(0.0, z) == pytest.approx(
+            sys.hamiltonian(2.0, z), abs=1e-14)
+        # g(T/4) = 0: the field is off a quarter period in
+        assert sys.hamiltonian(0.5, z) == pytest.approx(
+            free.hamiltonian(0.5, z), abs=1e-15)
         assert not p.is_autonomous
 
     def test_cosine_needs_finite_period(self):
@@ -175,11 +230,12 @@ class TestPerturbation:
             Perturbation.uniform_electric((1.0, 0.0), 1.0, profile="cosine")
 
     def test_magnetic_field_identity(self):
-        # (DA)^T y - (DA) y = y x curl A for every y
+        # (DA)^T y - (DA) y = y x curl A for every y, with the DA the
+        # kernels use
         p = Perturbation.uniform_magnetic((0.3, -1.2, 0.7), 0.05)
-        x = np.array([1.0, 2.0, -0.5])
-        DA = p.DA(0.0, x)
-        B = curl_A(p, x)
+        sys, _ = self._systems(p, 3)
+        DA = field_jacobian(sys, np.array([1.0, 2.0, -0.5, 0.3, 0.1, 0.4]))
+        B = curl(DA)
         for _ in range(5):
             y = RNG.normal(size=3)
             lhs = DA.T @ y - DA @ y
@@ -187,16 +243,15 @@ class TestPerturbation:
 
     def test_magnetic_curl_is_eps_B0(self):
         B0 = (0.0, 0.0, 2.0)
-        p = Perturbation.uniform_magnetic(B0, 0.25)
-        B = curl_A(p, np.array([1.0, 1.0, 1.0]))
-        assert np.allclose(B, 0.25 * np.asarray(B0))
+        sys, _ = self._systems(Perturbation.uniform_magnetic(B0, 0.25), 3)
+        DA = field_jacobian(sys, np.array([1.0, 1.0, 1.0, 0.2, -0.3, 0.1]))
+        assert np.allclose(curl(DA), 0.25 * np.asarray(B0))
 
     def test_rotating_frame_planar_curl(self):
-        p = Perturbation.rotating_frame(0.3)
-        x = np.array([0.4, -0.9])
-        B = curl_A(p, x)
+        sys, _ = self._systems(Perturbation.rotating_frame(0.3))
+        DA = field_jacobian(sys, np.array([0.4, -0.9, 0.5, 0.2]))
         # A = eps (x2, 0): scalar curl dA2/dx1 - dA1/dx2 = -eps
-        assert B == pytest.approx(-0.3)
+        assert curl(DA) == pytest.approx(-0.3)
 
     def test_dimension_restrictions(self):
         with pytest.raises(UnsupportedConfigurationError):
@@ -214,7 +269,10 @@ class TestPerturbation:
         assert p._DA == Perturbation.uniform_magnetic((0, 0, 1), 0.2)._DA
         e = replace(Perturbation.uniform_electric((1.0, 2.0), 0.1), eps=0.3)
         assert e._e == (1.0, 2.0, 0.0) and e._DA is None
-        assert e.grad_U(0.0, (1.0, 1.0)).tolist() == [0.3, 0.6]
+        sys, free = self._systems(e)
+        z = np.array([1.0, 1.0, 0.1, 0.2])
+        assert free.hamiltonian(0.0, z) - sys.hamiltonian(0.0, z) == \
+            pytest.approx(0.3 * 1.0 + 0.3 * 2.0)
 
 
 class TestHamiltonianSystem:
@@ -322,7 +380,7 @@ class TestHamiltonianSystem:
             with pytest.raises(DomainError):
                 kernel(0.0, np.concatenate([np.zeros(dim), np.ones(dim)]))
         # at p = A(t, x) the velocity is zero and the Hessian undefined
-        z = np.concatenate([x, pert.A(0.0, x)])
+        z = np.concatenate([x, vector_potential(pert, x)])
         f = sys.vector_field(0.0, z)
         assert np.all(f[:dim] == 0.0)
         assert np.all(np.isfinite(f))

@@ -9,7 +9,8 @@ from scipy.spatial.transform import Rotation
 
 from cforbits.flow import integrate_with_variational, symplectic_matrix
 from cforbits.model import HamiltonianSystem, KineticLaw, Perturbation, Potential
-from test_model import energy_of_speed, momentum_of_speed
+from test_model import (energy_of_speed, family_field, momentum_of_speed,
+                        vector_potential)
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
@@ -67,7 +68,8 @@ def test_planar_rotation_equivariance(law, V, x, p, theta):
 def test_magnetic_equivariance_about_the_field(law, V, x, p, theta, eps):
     # A = eps/2 B0 x x commutes with rotations that fix B0
     pert = Perturbation.uniform_magnetic(tuple(B0), eps)
-    if np.linalg.norm(x) < 0.1 or np.linalg.norm(p - pert.A(0.0, x)) < 0.1:
+    if (np.linalg.norm(x) < 0.1
+            or np.linalg.norm(p - vector_potential(pert, x)) < 0.1):
         reject()
     sys = HamiltonianSystem(law, V, pert, 3)
     R = Rotation.from_rotvec(theta * B0 / np.linalg.norm(B0)).as_matrix()
@@ -126,7 +128,7 @@ def test_short_time_fundamental_matrix_is_symplectic(law, V, pert_dim, t1, data)
     if not 1.5 <= np.linalg.norm(x) <= 3.0:
         reject()
     p = data.draw(vectors(d, st.floats(-0.3, 0.3)))
-    if np.linalg.norm(p - pert.A(0.0, x)) < 1e-3:
+    if np.linalg.norm(p - vector_potential(pert, x)) < 1e-3:
         reject()  # the Hessian is undefined at p = A
     sys = HamiltonianSystem(law, V, pert, d)
     _, W = integrate_with_variational(sys, np.concatenate([x, p]), 0.0, t1)
@@ -135,28 +137,28 @@ def test_short_time_fundamental_matrix_is_symplectic(law, V, pert_dim, t1, data)
 
 
 def reference_vector_field(sys, t, z):
-    """The vector field in NumPy array arithmetic through the public
-    evaluators: the reference path for the float kernel."""
+    """The vector field in NumPy array arithmetic, with the field built from
+    the family's parameters: the reference path for the float kernel."""
     d = sys.dim
     x, p = z[:d], z[d:]
-    pert = sys.perturbation
+    DA, grad_U = family_field(sys.perturbation, t, d)
     r = np.linalg.norm(x)
-    w = p - pert.A(t, x)
+    w = p - DA @ x
     s = np.linalg.norm(w)
     v = float(sys.law.f_inv(s)) * w / s if s > 0.0 else np.zeros(d)
-    pdot = (float(sys.potential.dV(r)) * x / r + pert.DA(t, x).T @ v
-            + pert.grad_U(t, x))
+    pdot = float(sys.potential.dV(r)) * x / r + DA.T @ v + grad_U
     return np.concatenate([v, pdot])
 
 
 def reference_hessian(sys, t, z):
     """The Hessian in NumPy array arithmetic: [[DA^T K DA - Vb, -DA^T K],
-    [-K DA, K]] with K = D^2 G(|w|) and Vb = D^2 V(|x|)."""
+    [-K DA, K]] with K = D^2 G(|w|), Vb = D^2 V(|x|) and DA built from the
+    family's parameters."""
     d = sys.dim
     x, p = z[:d], z[d:]
-    pert = sys.perturbation
+    DA, _ = family_field(sys.perturbation, t, d)
     r = np.linalg.norm(x)
-    w = p - pert.A(t, x)
+    w = p - DA @ x
     s = np.linalg.norm(w)
     eye = np.eye(d)
     uu = np.outer(w / s, w / s)
@@ -165,7 +167,6 @@ def reference_hessian(sys, t, z):
     xx = np.outer(x / r, x / r)
     Vp, Vpp = float(sys.potential.dV(r)), float(sys.potential.d2V(r))
     Vb = Vpp * xx + (Vp / r) * (eye - xx)
-    DA = pert.DA(t, x)
     AK = DA.T @ K
     return np.block([[AK @ DA - Vb, -AK], [-AK.T, K]])
 
@@ -189,7 +190,8 @@ def test_kernels_match_the_array_reference(law, V, d, t, data):
     pert = data.draw(perturbed_systems(d))
     x = data.draw(vectors(d))
     p = data.draw(vectors(d))
-    if np.linalg.norm(x) < 0.1 or np.linalg.norm(p - pert.A(t, x)) < 0.1:
+    if (np.linalg.norm(x) < 0.1
+            or np.linalg.norm(p - vector_potential(pert, x)) < 0.1):
         reject()
     sys = HamiltonianSystem(law, V, pert, d)
     z = np.concatenate([x, p])
@@ -198,3 +200,37 @@ def test_kernels_match_the_array_reference(law, V, d, t, data):
     H, ref = sys.hessian(t, z), reference_hessian(sys, t, z)
     assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(H, H.T)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(law=laws, V=potentials, d=st.sampled_from([2, 3]),
+       t=st.floats(0.0, 10.0), data=st.data())
+def test_vector_field_is_the_equation_of_motion(law, V, d, t, data):
+    # the paper's equation of motion in w = p - A(x): dx/dt is the velocity
+    # of momentum w, and dw/dt = V'(|x|) x/|x| + eps g(t) e + dx/dt x (eps B0),
+    # with the scalar curl -eps of A = eps (x2, 0) for the rotating frame
+    pert = data.draw(perturbed_systems(d))
+    x = data.draw(vectors(d))
+    p = data.draw(vectors(d))
+    w = p - vector_potential(pert, x)
+    r, s = np.linalg.norm(x), np.linalg.norm(w)
+    if r < 0.1 or s < 0.1:
+        reject()
+    f = HamiltonianSystem(law, V, pert, d).vector_field(t, np.concatenate([x, p]))
+    xdot, pdot = f[:d], f[d:]
+    # A is linear and static, so dA(x)/dt = A(dx/dt)
+    wdot = pdot - vector_potential(pert, xdot)
+    force = float(V.dV(r)) * x / r
+    if pert.family == "uniform_electric":
+        g = (math.cos(2.0 * math.pi * t / pert.T_forcing)
+             if pert.profile == "cosine" else 1.0)
+        force = force + pert.eps * g * np.asarray(pert.e_vec)
+    elif pert.family == "uniform_magnetic":
+        force = force + np.cross(xdot, pert.eps * np.asarray(pert.B0))
+    elif pert.family == "rotating_frame":
+        b = -pert.eps  # dA2/dx1 - dA1/dx2
+        force = force + b * np.array([xdot[1], -xdot[0]])
+    speed = float(law.f_inv(s))
+    assert np.max(np.abs(xdot - speed * w / s)) <= 1e-14 * speed
+    scale = np.max(np.abs(force)) + np.max(np.abs(pdot))
+    assert np.max(np.abs(wdot - force)) <= 1e-14 * scale

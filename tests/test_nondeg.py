@@ -16,7 +16,6 @@ from cforbits.nondeg import (
     kernel_dimension,
 )
 from cforbits.orbit import (
-    _planar_rotation,
     apogee_state,
     find_closed_orbit,
     radial_profile,
@@ -286,7 +285,8 @@ def test_fundamental_matrix_is_a_rotated_power_of_one_radial_period(point):
     for n in (1, 2, 3):
         power, defect = _rotated_cycle_power(sys, z0, profile.tau, angle, n)
         _, W = integrate_with_variational(sys, z0, 0.0, n * profile.tau)
-        Q = np.kron(np.eye(2), _planar_rotation(n * angle))
+        c, s = math.cos(n * angle), math.sin(n * angle)
+        Q = np.kron(np.eye(2), [[c, -s], [s, c]])
         assert np.max(np.abs(Q @ power - W)) <= \
             1e-8 * max(1.0, np.max(np.abs(W)))
         assert defect <= 1e-9

@@ -16,7 +16,6 @@ from cforbits.flow import integrate
 from cforbits.model import KineticLaw, Potential
 from cforbits.orbit import (
     _embed3,
-    _planar_rotation,
     _scan,
     apogee_state,
     find_closed_orbit,
@@ -309,8 +308,7 @@ class TestManifoldSamples:
         orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5)
         s = manifold_samples(orb, 3, 5, group=group)
         if group == "planar":
-            loop = [rotate_state(_planar_rotation(a), orb.states(-th))
-                    for a, th in s.elements]
+            loop = [rotate_plane(orb.states(-th), a) for a, th in s.elements]
         else:
             loop = [rotate_state(M, _embed3(orb.states(-th)))
                     for M, th in s.elements]
