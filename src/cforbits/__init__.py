@@ -25,6 +25,7 @@ from .model import (
     KineticLaw,
     Perturbation,
     Potential,
+    reversor,
 )
 from .flow import (
     Trajectory,

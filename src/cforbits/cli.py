@@ -332,6 +332,7 @@ def cmd_continue(cfg, em: Emitter):
         "results": [
             {
                 "seed_id": r.seed_id,
+                "path": r.path,
                 "accepted": r.accepted,
                 "reason": r.reason,
                 "residual": _fmt(r.residual) if np.isfinite(r.residual) else None,

@@ -1,6 +1,23 @@
 """Shooting continuation of unperturbed periodic orbits into the
 electromagnetically perturbed system.
 
+Every family of the catalogue is reversible: with a = ``reversor`` of its
+perturbation, R_a = ``orbit.reflect_apsis(., a)`` maps solutions to
+solutions run backwards.  An orbit that meets Fix(R_a) at t = 0 and at T/2
+is T-periodic, and shooting from Fix(R_a) to Fix(R_a) over half a period
+removes the rotation and time-shift freedom that makes the full-period
+Jacobian singular at eps = 0 (Devaney, Trans. AMS 218 (1976); Lamb &
+Roberts, Physica D 112 (1998)).  At eps = 0 its solutions are the apsis
+states of the k:n orbit on the line a: in the plane they are isolated where
+the mode's non-degeneracy holds; in space the orbit can still be tilted
+about the axis normal to that line in its plane, and the field selects
+among the tilts, so the half-system is regular at eps != 0 only.  A seed
+on Fix(R_a) therefore takes the symmetric path first: plain Newton on that
+half-period system at the target eps, straight from the seed.  A seed off
+Fix(R_a), and a seed whose symmetric attempt fails, takes the eps ladder
+below, the one path to non-symmetric solutions.  Both paths end in the same
+closing re-check.
+
 Fixed-period: damped Gauss-Newton on the time-T return map mismatch, period
 pinned by the (resonant) time-dependent forcing.  Fixed-energy: the period
 joins the unknowns; the system gains an energy row and a phase row,
@@ -32,8 +49,8 @@ from scipy.optimize import minimize_scalar
 from .errors import CollisionError, IntegrationError
 from .flow import (endpoint, integrate, integrate_with_variational,
                    symplectic_matrix)
-from .model import HamiltonianSystem
-from .orbit import ManifoldSample
+from .model import HamiltonianSystem, reversor
+from .orbit import ManifoldSample, reflect_apsis, rotate_plane
 
 __all__ = [
     "ShootingProblem",
@@ -56,6 +73,9 @@ EPS_FACTOR = math.sqrt(10.0)
 # last STALL_STEPS accepted steps; converging paths fall far faster
 STALL_STEPS = 3
 STALL_FACTOR = 2.0
+# a seed lies on the fixed set of the reversor R_a, and takes the symmetric
+# path, when |R_a z - z| <= FIX_TOL (1 + |z|)
+FIX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,21 +126,28 @@ class ContinuationResult:
     eps: float
     residual: float
     energy_residual: float
+    # at fixed energy |v*.(z0 - seed)|, v* the flow at the seed: the
+    # ladder's phase row; Fix(R_a) fixes the phase of a symmetric result
     phase_residual: float
     newton_iters: int
     seed_id: int
     trajectory: object = None
     distance: float | None = None
     distance_element: tuple | None = None
-    # one (eps, lam, trial residual, accepted) entry per Newton trial; the
-    # trial residual is inf when the trial step was not shot
+    # one (eps, lam, trial residual, accepted) entry per Newton trial, a
+    # symmetric attempt's undamped steps (lam 0) first; the trial residual
+    # is inf when the trial step was not shot
     history: tuple = ()
-    # variational solves started: one per rung started (its first shot) and
-    # one per accepted trial that another LM step leaves
+    # variational solves started: one per point of a symmetric attempt (the
+    # seed and each step), one per rung started (its first shot) and one per
+    # accepted trial that another LM step leaves
     variational_solves: int = 0
     # one (eps, first-shot residual, predicted) entry per rung started,
     # fallback re-runs included; the residual is inf when the shot failed
     rung_starts: tuple = ()
+    # "symmetric" for a result of the half-period system on Fix(R_a),
+    # "ladder" for a result of the eps ladder
+    path: str = "ladder"
 
 
 def eps_path(eps_target: float):
@@ -177,9 +204,32 @@ def _failure(exc: IntegrationError) -> str:
             else "integration failure")
 
 
+def _fix_angle(problem: ShootingProblem):
+    """Angle a of the reversor R_a of the problem's perturbation when its
+    seed lies on Fix(R_a), |R_a z - z| <= FIX_TOL (1 + |z|); else None."""
+    a = reversor(problem.sys.perturbation)
+    z = np.asarray(problem.seed, dtype=float)
+    gap = np.linalg.norm(reflect_apsis(z, a) - z)
+    return a if gap <= FIX_TOL * (1.0 + np.linalg.norm(z)) else None
+
+
 def _continue(problem: ShootingProblem):
-    """One damped Gauss-Newton ladder over the unknowns u = z0 (fixed
-    period) or u = (z0, T) (fixed energy), then a closing re-check.
+    """Newton on the half-period system of a reversor for a seed on its
+    fixed set, else (or when that fails) one damped Gauss-Newton ladder over
+    the unknowns u = z0 (fixed period) or u = (z0, T) (fixed energy); then
+    a closing re-check.
+
+    The symmetric path runs plain Newton at the target eps from the seed:
+    its unknowns are the R_a-even coordinates of z0 in the frame turned by
+    a (and T at fixed energy), its residual the R_a-odd coordinates of
+    z(T/2) (and H(z0) - h), and each iterate takes one variational solve
+    over [0, T/2].  It converges as a rung does; it gives way to the ladder
+    as soon as a step fails to lower the residual, stalls or takes T below
+    a tenth of the seed's, an integration ends early, the half-system is
+    singular or ``MAX_NEWTON`` steps pass without convergence.  Its steps
+    stay in ``history`` (with lam 0) and its solves in
+    ``variational_solves``; the ladder then runs as if it had not been
+    tried.
 
     Each rung after the first starts from ``_predict``, the extrapolation of
     the branch of converged points with the seed at eps = 0: linear on the
@@ -205,7 +255,6 @@ def _continue(problem: ShootingProblem):
     target_eps = problem.sys.perturbation.eps
     z0 = np.asarray(problem.seed, dtype=float).copy()
     n = z0.size
-    u = np.append(z0, problem.T) if fe else z0
     h = problem.h
     anchor = z0.copy()
     J = symplectic_matrix(problem.sys.dim)
@@ -213,6 +262,7 @@ def _continue(problem: ShootingProblem):
     history = []  # (eps, lam, trial residual, accepted) per Newton trial
     starts = []  # (eps, first-shot residual, predicted) per rung started
     solves = 0  # variational solves started
+    path = "ladder"
 
     def period(u):
         return u[n] if fe else problem.T
@@ -245,17 +295,76 @@ def _continue(problem: ShootingProblem):
                              np.append(gradH, 0.0), np.append(vstar, 0.0)])
         return Jac
 
-    def converged(R, res):
+    def converged(R, res, i):
         # the rung's contract, the re-check's too: |R| <= RESIDUAL_TOL and,
-        # at fixed energy, |H(z0) - h| <= ENERGY_TOL
-        return res <= RESIDUAL_TOL and not (fe and abs(R[n]) > ENERGY_TOL)
+        # at fixed energy, |H(z0) - h| = |R[i]| <= ENERGY_TOL
+        return res <= RESIDUAL_TOL and not (fe and abs(R[i]) > ENERGY_TOL)
 
     def reject(why, eps, res, u):
         return ContinuationResult(
             False, f"{why} at eps={eps:g}", u[:n], period(u), eps, res,
             np.inf, np.inf if fe else 0.0, len(history), problem.seed_id,
             history=tuple(history), variational_solves=solves,
-            rung_starts=tuple(starts))
+            rung_starts=tuple(starts), path=path)
+
+    def symmetric(a):
+        # Newton on the half-period system of R_a at the target eps from
+        # the seed: the point u it converged to, or None
+        nonlocal res
+        sys, d = problem.sys, problem.sys.dim
+        odd = [1, *range(d, n, 2)]  # the coordinates R_0 flips
+        # rows: the even and odd coordinate directions of the frame turned
+        # by a, so z0 = v @ Be and the residual is Bo @ z(T/2)
+        B = rotate_plane(np.eye(n), a)
+        Be, Bo = np.delete(B, odd, axis=0), B[odd]
+
+        def point(v):
+            # u = z0 (and T) at the unknowns v
+            return np.append(v[:-1] @ Be, v[-1]) if fe else v @ Be
+
+        def shoot(v):
+            nonlocal solves
+            u = point(v)
+            z, T = u[:n], period(u)
+            solves += 1
+            zh, W = integrate_with_variational(sys, z, 0.0, 0.5 * T)
+            R, Jac = Bo @ zh, Bo @ W @ Be.T
+            if fe:
+                R = np.append(R, sys.hamiltonian(0.0, z) - h)
+                dT = 0.5 * (Bo @ sys.vector_field(0.5 * T, zh))
+                gradH = Be @ (J @ sys.vector_field(0.0, z))
+                Jac = np.vstack([np.column_stack([Jac, dT]),
+                                 np.append(gradH, 0.0)])
+            return R, Jac
+
+        v = np.append(Be @ z0, problem.T) if fe else Be @ z0
+        try:
+            R, Jac = shoot(v)
+        except IntegrationError:
+            return None
+        res = first = np.linalg.norm(R)
+        mark = len(history)
+        for _ in range(MAX_NEWTON):
+            if converged(R, res, -1):
+                break
+            try:
+                v_try = v - np.linalg.solve(Jac, R)
+            except np.linalg.LinAlgError:
+                return None
+            res2 = np.inf  # unless the step is shot
+            if not (fe and v_try[-1] <= 0.1 * problem.T):
+                try:
+                    R2, Jac2 = shoot(v_try)
+                    res2 = np.linalg.norm(R2)
+                except IntegrationError:
+                    pass
+            history.append((target_eps, 0.0, float(res2), bool(res2 < res)))
+            if not res2 < res:
+                return None
+            v, R, Jac, res = v_try, R2, Jac2, res2
+            if not converged(R, res, -1) and _stalled(first, history[mark:]):
+                return None
+        return point(v) if converged(R, res, -1) else None
 
     def rung(sys, eps, u, predicted):
         # Newton trials on one rung from u: (u, residual, why), why None
@@ -271,7 +380,7 @@ def _continue(problem: ShootingProblem):
         starts.append((eps, float(res), predicted))
         first, mark = res, len(history)
         for _ in range(MAX_NEWTON):
-            if converged(R, res):
+            if converged(R, res, n):
                 break
             if Jac is None:
                 try:
@@ -295,35 +404,43 @@ def _continue(problem: ShootingProblem):
             if res2 < res:
                 u, R, zT, res, Jac = u_try, R2, zT2, res2, None
                 lam = max(lam / 10.0, 1e-12)
-                if not converged(R, res) and _stalled(first, history[mark:]):
+                if not converged(R, res, n) and _stalled(first, history[mark:]):
                     return u, res, "stagnation"
             else:
                 lam *= 10.0
                 if lam > 1e8:
                     return u, res, "damping floor"
-        if not converged(R, res):
+        if not converged(R, res, n):
             return u, res, "stagnation"
         return u, res, None
 
-    branch = [(0.0, u)]  # converged (eps, u), the seed at eps = 0
-    for eps in eps_path(target_eps):
-        sys = problem.sys.with_eps(eps)
-        last = branch[-1][1]
-        start = _predict(branch, eps)
-        # on the first rung the branch is the seed alone: no prediction
-        predicted = not np.array_equal(start, last)
-        u, res, why = rung(sys, eps, start, predicted)
-        if why is not None and predicted:
-            u, res, why = rung(sys, eps, last, False)
-        if why is not None:
-            return reject(why, eps, res, u)
-        branch.append((eps, u))
+    a = _fix_angle(problem)
+    u = None if a is None else symmetric(a)
+    if u is not None:
+        path = "symmetric"
+    else:
+        u = np.append(z0, problem.T) if fe else z0
+        branch = [(0.0, u)]  # converged (eps, u), the seed at eps = 0
+        for eps in eps_path(target_eps):
+            sys = problem.sys.with_eps(eps)
+            last = branch[-1][1]
+            start = _predict(branch, eps)
+            # on the first rung the branch is the seed alone: no prediction
+            predicted = not np.array_equal(start, last)
+            u, res, why = rung(sys, eps, start, predicted)
+            if why is not None and predicted:
+                u, res, why = rung(sys, eps, last, False)
+            if why is not None:
+                return reject(why, eps, res, u)
+            branch.append((eps, u))
     # closure re-check by a plain dense-output integration at the target
-    # eps, which also gives the result its trajectory.  In fixed-period mode,
-    # after a last rung that ends on a trial, it takes the same DOP853 steps
-    # as that trial's state-only shot and repeats its closure bit for bit;
-    # what it adds is the dense trajectory and, at fixed energy, the energy
-    # drift along the whole orbit
+    # eps, which also gives the result its trajectory.  For a symmetric
+    # result it is an independent full-period integration: Newton saw only
+    # half periods.  In fixed-period mode, after a last rung that ends on a
+    # trial, it takes the same DOP853 steps as that trial's state-only shot
+    # and repeats its closure bit for bit; what it adds is the dense
+    # trajectory and, at fixed energy, the energy drift along the whole
+    # orbit
     sys = problem.sys.with_eps(target_eps)
     z0, T = u[:n], period(u)
     try:
@@ -348,7 +465,7 @@ def _continue(problem: ShootingProblem):
         ok, "ok" if ok else reason, z0, T, target_eps, close, en, ph,
         len(history), problem.seed_id, trajectory=traj,
         history=tuple(history), variational_solves=solves,
-        rung_starts=tuple(starts))
+        rung_starts=tuple(starts), path=path)
 
 
 def continue_fixed_period(problem: ShootingProblem) -> ContinuationResult:

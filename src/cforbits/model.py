@@ -24,6 +24,7 @@ __all__ = [
     "Potential",
     "Perturbation",
     "HamiltonianSystem",
+    "reversor",
 ]
 
 
@@ -234,6 +235,11 @@ class Perturbation:
 
     @classmethod
     def rotating_frame(cls, eps: float) -> "Perturbation":
+        """A = (eps x2, 0): the planar uniform magnetic field B = -eps z in
+        Landau gauge, not a rotating frame.  For the classical law in
+        symmetric gauge, H = G - V - omega L + eps^2 r^2/8m with the Larmor
+        rate omega = -eps/2m: the frame turning at omega,
+        H = G - V - omega L, plus eps^2 r^2/8m."""
         return cls("rotating_frame", eps=eps)
 
     @property
@@ -254,6 +260,23 @@ class Perturbation:
         if self.profile == "cosine":
             return math.cos(2.0 * math.pi * t / self.T_forcing)
         return 1.0
+
+
+def reversor(perturbation: Perturbation) -> float:
+    """Angle a of an apsis line whose time reversal
+    R_a = ``orbit.reflect_apsis(., a)`` is a reversor of every system with
+    this perturbation: H(-t, R_a z) = H(t, z) and
+    f(-t, R_a z) = -R_a f(t, z).  R_a flips x2, p1 and p3 in the frame
+    turned by a, so it needs a field that reflection fixes there: the
+    electric direction (the cosine profile is even in t) and the magnetic
+    axis lie in the plane of the apsis line and x3, and the Landau gauge of
+    ``rotating_frame`` is symmetric about the x1 axis alone."""
+    if perturbation.family == "uniform_electric":
+        return math.atan2(perturbation.e_vec[1], perturbation.e_vec[0])
+    if perturbation.family == "uniform_magnetic":
+        # any a when B is along x3: the field is symmetric about its axis
+        return math.atan2(perturbation.B0[1], perturbation.B0[0])
+    return 0.0  # rotating_frame, and the zero field
 
 
 # --- the Hamiltonian system ---

@@ -20,8 +20,8 @@ from cforbits.cli import (
 from cforbits.model import KineticLaw, Potential
 from cforbits.orbit import find_closed_orbit
 
-DEMO_CONFIGS = sorted(
-    (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
+DEMO_CONFIGS = sorted(DEMO_DIR.glob("*.json"))
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -425,22 +425,71 @@ class TestContinueCommand:
         assert payload["n_distinct"] >= 1
         ok = [r for r in payload["results"] if r["accepted"]]
         assert all(r["residual"] <= 1e-7 for r in ok)
+        # the apogee seed lies on the fixed set of the reversor, the seed
+        # shifted by tau/2 does not
+        assert [r["path"] for r in payload["results"]] == ["symmetric",
+                                                            "ladder"]
         for r in payload["results"]:
             assert len(r["history"]) == r["newton_iters"]
+            symmetric = r["path"] == "symmetric"
             for eps, lam, res, accepted in r["history"]:
-                assert eps > 0.0 and lam > 0.0 and isinstance(accepted, bool)
+                assert eps > 0.0 and isinstance(accepted, bool)
+                assert lam == 0.0 if symmetric else lam > 0.0
                 assert res is None or res >= 0.0
+            h = r["history"]
+            if symmetric:
+                # undamped Newton: one half-period solve per iterate
+                assert r["accepted"] and all(e[3] for e in h)
+                assert r["variational_solves"] == 1 + len(h)
+                assert r["rung_starts"] == []
+                continue
             # eps = 1e-4 is a one-rung ladder: the first shot, then one
             # solve per accepted trial that another trial follows
-            h = r["history"]
             steps = sum(1 for a, b in zip(h, h[1:]) if a[3])
             assert r["variational_solves"] == 1 + steps
             ((eps, res, predicted),) = r["rung_starts"]
             assert eps == 1e-4 and res >= 0.0 and predicted is False
 
-    def test_rung_starts_per_seed(self, tmp_path):
+    def test_demo_run_changes_only_the_seed_on_the_fixed_set(
+            self, tmp_path, monkeypatch):
+        # continue_alpha05.json: seed 0, the apogee on the field's line,
+        # lies on Fix(R_0) and takes the symmetric path; the other seven
+        # (its tau/2 shift and the SO(3)-turned seeds) take the ladder and
+        # write what the ladder alone writes
+        config = str(DEMO_DIR / "continue_alpha05.json")
+        runs = []
+        for ladder_only in (False, True):
+            if ladder_only:
+                monkeypatch.setattr(cforbits.continuation, "_fix_angle",
+                                    lambda problem: None)
+            out = tmp_path / ("ladder" if ladder_only else "default")
+            assert main(["continue", "--config", config, "--out", str(out),
+                         "--reproducible"]) == EXIT_OK
+            runs.append(out)
+        both, ladder = (json.loads((out / "continuation.json").read_text())
+                        for out in runs)
+        assert [r["path"] for r in both["results"]] == (["symmetric"]
+                                                        + ["ladder"] * 7)
+        assert both["results"][1:] == ladder["results"][1:]
+        first = both["results"][0]
+        assert first["accepted"] and ladder["results"][0]["accepted"]
+        assert first["residual"] <= 1e-9
+        assert {k: v for k, v in both.items() if k != "results"} == {
+            k: v for k, v in ladder.items() if k != "results"}
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(p.name for p in runs[1].iterdir())
+        assert names == ["continuation.json", "continued_seed0.csv",
+                         "manifest.json"]
+        assert ((runs[0] / "manifest.json").read_bytes()
+                == (runs[1] / "manifest.json").read_bytes())
+
+    def test_rung_starts_per_seed(self, tmp_path, monkeypatch):
         # eps = 1e-3 is a three-rung ladder; the seed lies on the branch, so
-        # its second and third rungs start predicted and no rung runs twice
+        # its second and third rungs start predicted and no rung runs twice.
+        # The seed lies on the reversor's fixed set too: it is put on the
+        # ladder, as a seed off that set is
+        monkeypatch.setattr(cforbits.continuation, "_fix_angle",
+                            lambda problem: None)
         cfg = {
             "schema_version": 1,
             "potential": {"kind": "homogeneous", "alpha": 0.5},

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, root
 from scipy.spatial.transform import Rotation
 
 from cforbits import continuation, flow
@@ -25,7 +27,12 @@ from cforbits.model import (
     Perturbation,
     Potential,
 )
-from cforbits.orbit import find_closed_orbit, manifold_samples, rotate_state
+from cforbits.orbit import (
+    find_closed_orbit,
+    manifold_samples,
+    radial_profile,
+    rotate_state,
+)
 
 CLASSICAL = KineticLaw.classical()
 ALPHA_HALF = Potential.homogeneous(1.0, 0.5)
@@ -40,6 +47,17 @@ def orbit():
 @pytest.fixture(scope="module")
 def orbit3():
     return find_closed_orbit(CLASSICAL, ALPHA_HALF, 4, 5, -1.9, dim=3)
+
+
+def on_the_ladder(mp):
+    # every seed takes the eps ladder, as a seed off the reversor's fixed
+    # set does
+    mp.setattr(continuation, "_fix_angle", lambda problem: None)
+
+
+@pytest.fixture
+def ladder(monkeypatch):
+    on_the_ladder(monkeypatch)
 
 
 def electric_system(orbit, eps, profile="cosine"):
@@ -129,7 +147,7 @@ class TestFixedPeriod:
         assert 1.5 <= devs[0] / devs[1] <= 3.0
 
     def test_convergence_on_last_allowed_iteration_is_accepted(
-            self, orbit, monkeypatch):
+            self, orbit, monkeypatch, ladder):
         # this solve needs exactly 3 Newton iterations
         sys = electric_system(orbit, 1e-4)
         prob = ShootingProblem(sys=sys, mode="fixed_period", seed=orbit.z0,
@@ -146,8 +164,8 @@ class TestFailureContract:
         (CollisionError, "collision"),
         (IntegrationError, "integration failure"),
     ], ids=["collision", "step_size"])
-    def test_collision_in_deferred_variational_solve(self, orbit,
-                                                     monkeypatch, error, word):
+    def test_collision_in_deferred_variational_solve(self, orbit, monkeypatch,
+                                                     ladder, error, word):
         # the first variational solve runs at the rung's first shot, the
         # second only after an accepted trial; its failure ends the run like
         # a failing first shot does, with the failure's own reason word
@@ -209,7 +227,7 @@ class TestStallExit:
         assert steps[-1] == res.residual
         assert steps[-1] > steps[-1 - STALL_STEPS] / STALL_FACTOR
 
-    def test_converging_path_is_unchanged(self, orbit, monkeypatch):
+    def test_converging_path_is_unchanged(self, orbit, monkeypatch, ladder):
         # reference path: the same solve with the stall exit out of reach
         sys = electric_system(orbit, 1e-3)
         seed = manifold_samples(orbit, 2, 2, group="planar").states[0]
@@ -226,7 +244,8 @@ class TestStallExit:
         assert fast.history == ref.history
 
     @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
-    def test_history_has_one_entry_per_trial(self, orbit, mode, monkeypatch):
+    def test_history_has_one_entry_per_trial(self, orbit, mode, monkeypatch,
+                                             ladder):
         fe = mode == "fixed_energy"
         sys = electric_system(orbit, 1e-4,
                               profile="constant" if fe else "cosine")
@@ -292,7 +311,9 @@ def _run(cases):
 
 @pytest.fixture(scope="module")
 def ladder_results(ladder_problems):
-    return _run(ladder_problems)
+    with pytest.MonkeyPatch.context() as mp:
+        on_the_ladder(mp)
+        return _run(ladder_problems)
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +322,7 @@ def deferred_and_reference(ladder_problems, ladder_results):
     ``ladder_problems``, the reference shooting every trial through the
     variational solve."""
     with pytest.MonkeyPatch.context() as mp:
+        on_the_ladder(mp)
         mp.setattr(continuation, "endpoint", _variational_endpoint)
         ref = _run(ladder_problems[:5])
     return list(zip(ladder_results[:5], ref))
@@ -311,6 +333,7 @@ def predicted_and_reference(ladder_problems, ladder_results):
     """(result, reference result) for every problem of ``ladder_problems``,
     the reference starting each rung from the previous rung's point."""
     with pytest.MonkeyPatch.context() as mp:
+        on_the_ladder(mp)
         mp.setattr(continuation, "_predict", _unpredicted)
         ref = _run(ladder_problems)
     return list(zip(ladder_results, ref))
@@ -393,7 +416,7 @@ class TestPredictor:
             for s, t in zip(fast.rung_starts[1:], ref.rung_starts[1:]):
                 assert s[1] < t[1]
 
-    def test_rejected_prediction_falls_back(self, orbit, monkeypatch):
+    def test_rejected_prediction_falls_back(self, orbit, monkeypatch, ladder):
         # a start moved by 0.5 along the flow on the last rung stalls; the
         # rung is then run again from the previous rung's point, which is
         # exactly the unpredicted path
@@ -449,7 +472,7 @@ class TestSignedEps:
         ("fixed_energy", "constant", 3e-4),
     ])
     def test_negative_eps_is_the_reversed_field(self, orbit, mode, profile,
-                                                eps):
+                                                eps, ladder):
         # eps ranges over the reals without 0, and (-eps) e and eps (-e) are
         # the same field to the last bit, so both continuations take the
         # same path on the mirrored ladder
@@ -504,7 +527,7 @@ class TestFixedEnergy:
                 assert res.energy_residual <= continuation.ENERGY_TOL
 
     def test_accepted_closure_is_within_the_absolute_tolerance(
-            self, orbit3, monkeypatch):
+            self, orbit3, monkeypatch, ladder):
         # with a linear-only predictor this run passes through closures just
         # above RESIDUAL_TOL (1.04e-9); an accepted result is within it
         predict = continuation._predict
@@ -610,3 +633,290 @@ class TestMultistart:
             False, "failed", orbit.z0, orbit.T, 1e-4, np.inf, np.inf, 0.0,
             0, 0)
         assert distinct_results([res]) == []
+
+
+# --- the symmetric path ---
+
+def _on_fix(problem):
+    return continuation._fix_angle(problem) is not None
+
+
+class TestFixedSet:
+    def test_only_apogee_seeds_on_the_field_line_lie_on_it(self, orbit,
+                                                           orbit3):
+        # the 32-seed grid: rotations by multiples of pi/4 and shifts by
+        # multiples of tau/4; the field is along x1, so R_0 is the reversor
+        # and only the apogee states at rotations 0 and pi are fixed by it
+        sys = electric_system(orbit, 1e-3)
+        samples = manifold_samples(orbit, 8, 4, group="planar")
+        on = [i for i, z in enumerate(samples.states)
+              if _on_fix(ShootingProblem(sys, "fixed_period", z, orbit.T))]
+        assert on == [0, 16]
+        pert = Perturbation.uniform_magnetic((0.0, 0.0, 1.0), 1e-3)
+        sys3 = HamiltonianSystem(CLASSICAL, ALPHA_HALF, pert, 3)
+        samples3 = manifold_samples(orbit3, 6, 4, group="SO3")
+        on = [i for i, z in enumerate(samples3.states)
+              if _on_fix(ShootingProblem(sys3, "fixed_energy", z, orbit3.T,
+                                         h=orbit3.profile.h))]
+        assert on == [0]
+
+    def test_the_fixed_set_turns_with_the_field(self, orbit):
+        # the apogee seed turned by 0.7 lies on Fix(R_0.7), the reversor of
+        # the field turned by 0.7, and not on Fix(R_0)
+        c, s = math.cos(0.7), math.sin(0.7)
+        seed = rotate_state(np.array([[c, -s], [s, c]]), orbit.z0)
+        for e_vec, on in (((c, s), True), ((1.0, 0.0), False)):
+            pert = Perturbation.uniform_electric(e_vec, 1e-3)
+            sys = HamiltonianSystem(CLASSICAL, ALPHA_HALF, pert, 2)
+            prob = ShootingProblem(sys, "fixed_period", seed, orbit.T)
+            assert _on_fix(prob) is on
+
+
+# the four problems of ladder_problems whose seed lies on the fixed set:
+# seeds 0 and 2 of the fixed-period grid (the benchmark's multistart
+# problem), the planar fixed-energy seed and the spatial one (the
+# benchmark's spatial problem)
+SYMMETRIC = (0, 2, 4, 5)
+
+
+@pytest.fixture(scope="module")
+def symmetric_results(ladder_problems):
+    return _run([ladder_problems[i] for i in SYMMETRIC])
+
+
+class TestSymmetricPath:
+    def test_results_pass_the_unchanged_recheck(self, ladder_problems,
+                                                symmetric_results):
+        for i, r in zip(SYMMETRIC, symmetric_results):
+            assert _on_fix(ladder_problems[i][0])
+            assert r.path == "symmetric"
+            assert r.accepted and r.reason == "ok"
+            assert r.residual <= continuation.RESIDUAL_TOL
+            assert r.distance <= 0.1
+            # plain Newton: every step lowers the residual, one half-period
+            # solve per iterate and one at the seed
+            assert r.history and all(e[1] == 0.0 and e[3] for e in r.history)
+            assert r.variational_solves == r.newton_iters + 1
+            assert r.rung_starts == ()
+            if ladder_problems[i][0].mode == "fixed_energy":
+                assert r.energy_residual <= continuation.ENERGY_TOL
+
+    def test_on_the_ladder_solution_set(self, ladder_problems, ladder_results,
+                                        symmetric_results):
+        # at fixed energy both paths find the same orbit, each at its own
+        # phase; at fixed period they land on one curve of solutions, whose
+        # points lie at the same distance from the manifold to first order.
+        # The distance samples the orbit from its start, so it moves with
+        # the phase (by 3.8e-4 relative on the planar fixed-energy orbit)
+        for i, sym in zip(SYMMETRIC, symmetric_results):
+            lad = ladder_results[i]
+            assert lad.accepted and lad.path == "ladder"
+            assert sym.distance == pytest.approx(lad.distance, rel=2e-3)
+            if ladder_problems[i][0].mode == "fixed_energy":
+                assert abs(sym.period - lad.period) <= 1e-9
+
+    def test_fed_back_the_ladder_accepts_it_at_its_first_shot(
+            self, ladder_problems, symmetric_results, monkeypatch, ladder):
+        # a one-rung ladder at the target eps, started at the symmetric
+        # solution: its first shot already converged
+        monkeypatch.setattr(continuation, "EPS_START", 1e-3)
+        for i, sym in zip(SYMMETRIC, symmetric_results):
+            p = ladder_problems[i][0]
+            back = _run([(replace(p, seed=sym.z0, T=sym.period),
+                          ladder_problems[i][1])])[0]
+            assert back.accepted and back.path == "ladder"
+            assert back.newton_iters == 0 and back.variational_solves == 1
+            ((eps, first, predicted),) = back.rung_starts
+            assert eps == 1e-3 and not predicted
+            assert first <= continuation.RESIDUAL_TOL
+            assert np.array_equal(back.z0, sym.z0)
+            assert back.period == sym.period
+
+    def test_distance_is_first_order_in_eps(self, ladder_problems,
+                                            symmetric_results):
+        for i, sym in ((0, symmetric_results[0]), (5, symmetric_results[3])):
+            p, samples = ladder_problems[i]
+            half = replace(p, sys=p.sys.with_eps(5e-4))
+            res = _run([(half, samples)])[0]
+            assert res.accepted and res.path == "symmetric"
+            assert 1.5 <= sym.distance / res.distance <= 3.0
+
+    @pytest.mark.parametrize("i, failure", [
+        (0, "first solve"), (4, "first solve"), (0, "later solve"),
+        (4, "later solve"), (4, "MAX_NEWTON")])
+    def test_failed_attempt_falls_back_to_the_ladder(
+            self, ladder_problems, ladder_results, i, failure, monkeypatch):
+        p, samples = ladder_problems[i]
+        ref = ladder_results[i]
+        halves = []
+
+        def failing(sys, z0, t0, t1):
+            if t1 < 0.75 * p.T:  # a half-period solve
+                halves.append(t1)
+                if failure == "first solve" or len(halves) == 2:
+                    raise IntegrationError("injected")
+            return flow.integrate_with_variational(sys, z0, t0, t1)
+
+        if failure == "MAX_NEWTON":
+            # one step is not enough at eps = 1e-3
+            monkeypatch.setattr(continuation, "MAX_NEWTON", 1)
+            res = _run([(p, samples)])[0]
+            on_the_ladder(monkeypatch)
+            ref = _run([(p, samples)])[0]
+        else:
+            monkeypatch.setattr(continuation, "integrate_with_variational",
+                                failing)
+            res = _run([(p, samples)])[0]
+        assert res.path == ref.path == "ladder"
+        assert np.array_equal(res.z0, ref.z0)
+        assert res.period == ref.period
+        assert res.residual == ref.residual
+        assert res.reason == ref.reason
+        assert res.accepted == ref.accepted
+        assert res.rung_starts == ref.rung_starts
+        # the failed attempt stays in the history and the solve count
+        tried = len(res.history) - len(ref.history)
+        assert res.history[tried:] == ref.history
+        assert all(e[:2] == (1e-3, 0.0) for e in res.history[:tried])
+        assert tried == {"first solve": 0, "later solve": 1,
+                         "MAX_NEWTON": 1}[failure]
+        assert res.variational_solves == ref.variational_solves + 1 + tried
+
+    @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
+    def test_harmonic_half_system_falls_back(self, mode, monkeypatch):
+        # the harmonic oscillator is degenerate: its half-system is
+        # singular at eps = 0, Newton from the seed soon raises the
+        # residual, and the ladder decides
+        V = Potential.harmonic()
+        orb = find_closed_orbit(CLASSICAL, V, 1, 2, 1.25, L_seed=1.0)
+        fe = mode == "fixed_energy"
+        pert = Perturbation.uniform_electric(
+            (1.0, 0.0), 1e-3, profile="constant" if fe else "cosine",
+            T_forcing=math.inf if fe else orb.T)
+        prob = ShootingProblem(HamiltonianSystem(CLASSICAL, V, pert, 2), mode,
+                               orb.z0, orb.T, h=orb.profile.h)
+        assert _on_fix(prob)
+        res = continuation._continue(prob)
+        on_the_ladder(monkeypatch)
+        ref = continuation._continue(prob)
+        assert res.path == "ladder"
+        tried = len(res.history) - len(ref.history)
+        assert tried > 0 and not res.history[tried - 1][3]
+        assert res.history[tried:] == ref.history
+        for name in ("accepted", "reason", "period", "residual"):
+            assert getattr(res, name) == getattr(ref, name), name
+        assert np.array_equal(res.z0, ref.z0)
+
+
+# --- an exact reference: the Larmor reduction of rotating_frame ---
+
+class Larmor:
+    """Closed-form k:n solutions in a uniform magnetic field B = b z, for
+    the classical law with m = 1.  In symmetric gauge H = K_eff - omega L
+    with the Larmor rate omega = b/2, and K_eff, with
+    V_eff = V - omega^2 r^2/2, commutes with L.  So a solution in the plane
+    normal to B is a K_eff orbit turned at the rate -omega: it advances by
+    2 phi_eff - omega tau_eff per radial period, closes as k:n when
+    n (2 phi_eff - omega tau_eff) = 2 pi k, and has period n tau_eff.
+    ``rotating_frame`` is b = -eps in Landau gauge, ``uniform_magnetic``
+    with B0 = (0, 0, 1) is b = eps."""
+
+    def __init__(self, V, k, n, omega):
+        self.k, self.n, self.omega = k, n, omega
+        c = omega * omega
+        self.V_eff = Potential("custom", lambda r: V.V(r) - 0.5 * c * r**2,
+                               lambda r: V.dV(r) - c * r,
+                               lambda r: V.d2V(r) - c)
+
+    def _conditions(self, K, ell):
+        # (T, turn mismatch) of the K_eff orbit at (K, ell)
+        p = radial_profile(CLASSICAL, self.V_eff, K, ell)
+        return (self.n * p.tau,
+                self.n * (2.0 * p.phi - self.omega * p.tau)
+                - 2.0 * math.pi * self.k)
+
+    def period_at_energy(self, h, L):
+        """Period of the solution at energy h = K - omega ell, ell near L."""
+        w = self.omega
+        ell = brentq(lambda l: self._conditions(h + w * l, l)[1], 0.9 * L,
+                     1.1 * L, xtol=1e-15, rtol=1e-15)
+        return self._conditions(h + w * ell, ell)[0]
+
+    def energy_at_period(self, T, h, L):
+        """Energy K - omega ell of the solution of period T, from (h, L)."""
+        sol = root(lambda x: np.subtract(self._conditions(*x), (T, 0.0)),
+                   [h, L], tol=1e-14)
+        assert np.max(np.abs(np.subtract(self._conditions(*sol.x),
+                                         (T, 0.0)))) <= 1e-10
+        K, ell = sol.x
+        return K - self.omega * ell
+
+
+LARMOR_ORBITS = {
+    "alpha_05": (ALPHA_HALF, 4, 5, -1.9),
+    "levi_civita": (Potential.levi_civita(1.0, 0.1), 7, 6, -0.55),
+}
+# the symmetric path runs Newton on to 1e-14 or below; the ladder stops at
+# the first trial whose full-period closure is within RESIDUAL_TOL, which
+# leaves the period up to 5.6e-9 off on the Levi-Civita orbit
+LARMOR_PERIOD_TOL = {"symmetric": 1e-9, "ladder": 1e-8}
+LARMOR_ENERGY_TOL = 1e-10
+
+
+@pytest.fixture(scope="module")
+def larmor_orbits():
+    return {name: find_closed_orbit(CLASSICAL, V, k, n, h)
+            for name, (V, k, n, h) in LARMOR_ORBITS.items()}
+
+
+def _larmor_run(orbits, name, mode, eps, seed):
+    # seed 0 is the apogee, on Fix(R_0); seed 1 is shifted by tau/2, off it
+    orb = orbits[name]
+    z = manifold_samples(orb, 1, 2, group="planar").states[seed]
+    sys = HamiltonianSystem(CLASSICAL, orb.potential,
+                            Perturbation.rotating_frame(eps), 2)
+    prob = ShootingProblem(sys, mode, z, orb.T, h=orb.profile.h)
+    res = continuation._continue(prob)
+    assert res.accepted, res.reason
+    assert res.path == ("symmetric" if seed == 0 else "ladder")
+    V, k, n, _ = LARMOR_ORBITS[name]
+    return orb, sys, res, V, k, n
+
+
+class TestLarmorReference:
+    @pytest.mark.parametrize("name, eps, seed", [
+        ("alpha_05", 1e-4, 0), ("alpha_05", 1e-3, 0), ("alpha_05", 1e-2, 0),
+        ("alpha_05", 1e-4, 1), ("levi_civita", 1e-4, 0),
+        ("levi_civita", 1e-3, 0), ("levi_civita", 1e-2, 0),
+        ("levi_civita", 1e-4, 1),
+    ])
+    def test_fixed_energy_period(self, larmor_orbits, name, eps, seed):
+        orb, _, res, V, k, n = _larmor_run(larmor_orbits, name,
+                                           "fixed_energy", eps, seed)
+        h, L = orb.profile.h, orb.profile.L
+        T = Larmor(V, k, n, -eps / 2.0).period_at_energy(h, L)
+        assert abs(res.period - T) <= LARMOR_PERIOD_TOL[res.path]
+        # the opposite sign of omega misses by 1.5e-3 at eps = 1e-4
+        wrong = Larmor(V, k, n, eps / 2.0).period_at_energy(h, L)
+        assert abs(res.period - wrong) > 1e-4
+
+    @pytest.mark.parametrize("name, eps, seed", [
+        ("alpha_05", 1e-4, 0), ("alpha_05", 1e-3, 0), ("alpha_05", 1e-4, 1),
+        ("levi_civita", 1e-4, 0), ("levi_civita", 1e-3, 0),
+        ("levi_civita", 1e-4, 1),
+    ])
+    def test_fixed_period_energy(self, larmor_orbits, name, eps, seed):
+        orb, sys, res, V, k, n = _larmor_run(larmor_orbits, name,
+                                             "fixed_period", eps, seed)
+        h = Larmor(V, k, n, -eps / 2.0).energy_at_period(
+            orb.T, orb.profile.h, orb.profile.L)
+        assert abs(sys.hamiltonian(0.0, res.z0) - h) <= LARMOR_ENERGY_TOL
+
+    def test_spatial_magnetic_period(self, orbit3, symmetric_results):
+        # the spatial fixed-energy solution in B = eps x3 lies in the plane
+        # normal to B, where the same reduction holds with omega = eps/2
+        res = symmetric_results[SYMMETRIC.index(5)]
+        assert res.z0[2] == res.z0[5] == 0.0
+        T = Larmor(ALPHA_HALF, 4, 5, 0.5e-3).period_at_energy(
+            orbit3.profile.h, orbit3.profile.L)
+        assert abs(res.period - T) <= LARMOR_PERIOD_TOL[res.path]

@@ -8,7 +8,9 @@ from hypothesis import example, given, reject, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from cforbits.flow import integrate_with_variational, symplectic_matrix
-from cforbits.model import HamiltonianSystem, KineticLaw, Perturbation, Potential
+from cforbits.model import (HamiltonianSystem, KineticLaw, Perturbation,
+                            Potential, reversor)
+from cforbits.orbit import reflect_apsis
 from test_model import (energy_of_speed, family_field, momentum_of_speed,
                         vector_potential)
 
@@ -234,3 +236,27 @@ def test_vector_field_is_the_equation_of_motion(law, V, d, t, data):
     assert np.max(np.abs(xdot - speed * w / s)) <= 1e-14 * speed
     scale = np.max(np.abs(force)) + np.max(np.abs(pdot))
     assert np.max(np.abs(wdot - force)) <= 1e-14 * scale
+
+
+@settings(PROPERTY, max_examples=300)
+@given(law=laws, V=potentials, d=st.sampled_from([2, 3]),
+       t=st.floats(-10.0, 10.0), data=st.data())
+def test_reversor_reverses_the_flow(law, V, d, t, data):
+    # R_a = reflect_apsis(., reversor(pert)) maps solutions to solutions run
+    # backwards, f(-t, R_a z) = -R_a f(t, z), and keeps H: for every family
+    # and law, an electric direction with e3 != 0 and a tilted B included
+    pert = data.draw(perturbed_systems(d))
+    x = data.draw(vectors(d))
+    p = data.draw(vectors(d))
+    if (np.linalg.norm(x) < 0.1
+            or np.linalg.norm(p - vector_potential(pert, x)) < 0.1):
+        reject()
+    sys = HamiltonianSystem(law, V, pert, d)
+    a = reversor(pert)
+    z = np.concatenate([x, p])
+    Rz = reflect_apsis(z, a)
+    f = sys.vector_field(t, z)
+    back = sys.vector_field(-t, Rz) + reflect_apsis(f, a)
+    assert np.max(np.abs(back)) <= 1e-14 * np.max(np.abs(f))
+    H = sys.hamiltonian(t, z)
+    assert abs(sys.hamiltonian(-t, Rz) - H) <= 1e-14 * max(1.0, abs(H))
