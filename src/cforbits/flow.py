@@ -11,12 +11,14 @@ SciPy's bit for bit.  The collision floor is checked at the end of every
 accepted step, and ``CollisionError`` reports the end of the step that
 crossed it, not an event time found by root-finding.  Any other early end
 (a step size below the spacing of the floats) raises its base class
-``IntegrationError``.  Plain trajectories
-carry DOP853's dense output.  ``endpoint`` and variational solves return
-only their end point, since the interpolant costs three more right-hand-side
-evaluations per step.  A shooting trial needs only the state from
-``endpoint``; the variational solve (2d + 4d^2 components) runs only where a
-Newton step uses the Jacobian.
+``IntegrationError``.  Plain trajectories carry DOP853's dense output, but
+each step's interpolant, which costs three more right-hand-side evaluations,
+is built by SciPy's own method the first time a time in that step is read:
+a step nobody reads costs nothing, and ``nfev`` counts only the calls made
+during the solve.  ``endpoint`` and variational solves return only their end
+point.  A shooting trial needs only the state from ``endpoint``; the
+variational solve (2d + 4d^2 components) runs only where a Newton step uses
+the Jacobian.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853, DenseOutput, solve_ivp
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import CollisionError, IntegrationError
@@ -83,7 +85,8 @@ class _DOP853(DOP853):
     the right-hand side without SciPy's two wrapper layers and counts
     ``nfev`` itself, and keeps t, h and the error norms as Python floats.
     No caller bounds the step, so ``max_step`` is not read.  Dense output
-    is SciPy's own, built from the state ``_step_impl`` leaves.
+    is SciPy's own, built from the state ``_step_impl`` leaves, but only
+    when it is first read (``_DeferredDenseOutput``).
 
     ``dim`` leading components are the position x.  At the end of every
     accepted step, g = |x| - COLLISION_FLOOR is compared with its value at
@@ -171,6 +174,43 @@ class _DOP853(DOP853):
                            f"ending at t = {t_new:.6g}")
         self._g = g
         return True, None
+
+    def _dense_output_impl(self):
+        return _DeferredDenseOutput(self)
+
+
+class _DeferredDenseOutput(DenseOutput):
+    """The interpolant of one accepted step, built on the first call.
+
+    It keeps the state of the step that SciPy's
+    ``DOP853._dense_output_impl`` reads (the stages K[0..12], h, t_old, t,
+    y_old, y and f), and on the first call runs that method with this
+    object in the solver's place: the three extra stages and the
+    interpolant are SciPy's bit for bit, made from the same numbers.  The
+    interpolant is kept and the copied state dropped.
+    """
+
+    A_EXTRA, C_EXTRA, D = DOP853.A_EXTRA, DOP853.C_EXTRA, DOP853.D
+    n_stages = DOP853.n_stages
+
+    def __init__(self, solver):
+        super().__init__(solver.t_old, solver.t)
+        # SciPy's method writes the extra stages into rows 13-15
+        self.K_extended = solver.K_extended.copy()
+        self.h_previous = solver.h_previous
+        # a step makes y and f anew, but y_old of the first step may be the
+        # caller's initial state
+        self.y_old = solver.y_old.copy()
+        self.y, self.f = solver.y, solver.f
+        self.fun = solver._rhs
+        self.n = solver.n
+        self._dense = None
+
+    def _call_impl(self, t):
+        if self._dense is None:
+            self._dense = DOP853._dense_output_impl(self)
+            del self.K_extended, self.y_old, self.y, self.f, self.fun
+        return self._dense._call_impl(t)
 
 
 def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, dense_output):

@@ -414,14 +414,3 @@ class HamiltonianSystem:
                          C00, C10, C20, K00, K01, K02,
                          C01, C11, C21, K01, K11, K12,
                          C02, C12, C22, K02, K12, K22]).reshape(6, 6)
-
-    def first_integrals(self, t: float, z):
-        """Energy and angular momentum (scalar for dim 2, vector for dim 3)."""
-        z = np.asarray(z, dtype=float)
-        x, p = z[: self.dim], z[self.dim:]
-        energy = self.hamiltonian(t, z)
-        if self.dim == 2:
-            mom = float(x[0] * p[1] - x[1] * p[0])
-        else:
-            mom = np.cross(x, p)
-        return energy, mom

@@ -197,7 +197,10 @@ class PeriodicOrbit:
     commutes with rotations.  ``closure_residual`` is the jump
     |z(tau/2) - reflect_apsis(z(tau/2), k pi/n)| at the perigee junction,
     the only discontinuity of the composed orbit: its apogee boundaries
-    are continuous up to rounding.
+    are continuous up to rounding.  ``cycle`` builds each step's
+    interpolant when a time in it is first read, so ``closure_residual``
+    costs the last step's only, and a caller that reads no state pays for
+    no other.
     """
 
     profile: RadialProfile
@@ -399,7 +402,12 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
     else:
         raise ValueError(f"unknown search mode: {search!r}")
     point = lambda x: _point(search, h_seed, L_fixed, x)
-    phi_at = lambda x: radial_profile(law, V, *point(x)).phi
+    profiles = {}  # x -> radial_profile, for each x the root search tries
+
+    def phi_at(x):
+        profiles[x] = radial_profile(law, V, *point(x))
+        return profiles[x].phi
+
     xs, phis = _scan(radial_profile, law, V, search, h_seed, L_fixed)
     if len(xs) < 2:
         raise NoBoundOrbitError(f"too few feasible {scanned}")
@@ -432,7 +440,8 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
                         xtol=1e-14, rtol=8.9e-16)
     except Exception as exc:
         raise RootFindError(f"apsidal root find failed: {exc}") from exc
-    profile = radial_profile(law, V, *point(x_star))
+    # brentq returns a point it evaluated
+    profile = profiles[x_star]
     if abs(profile.phi - target) > PHI_TOL:
         raise RootFindError(
             f"resonance residual {abs(profile.phi - target):.3g} above tolerance")

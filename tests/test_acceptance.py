@@ -33,19 +33,9 @@ from cforbits.orbit import (
     manifold_samples,
     radial_profile,
 )
-from test_model import field_jacobian
+from test_model import field_jacobian, max_drift
 
 CLASSICAL = KineticLaw.classical()
-
-
-def max_drift(sys, traj, n_samples=400):
-    """Largest change of the energy and of each angular momentum component
-    from their values at t0, over evenly spaced times of a trajectory."""
-    ts = np.linspace(traj.t0, traj.t1, n_samples)
-    values = [sys.first_integrals(t, z) for t, z in zip(ts, traj(ts))]
-    energy = np.array([e for e, _ in values])
-    mom = np.array([np.atleast_1d(m) for _, m in values])
-    return np.max(np.abs(energy - energy[0])), np.max(np.abs(mom - mom[0]), axis=0)
 
 
 # one eccentric k:n orbit per homogeneity exponent; the harmonic (-2) and

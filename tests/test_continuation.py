@@ -20,17 +20,19 @@ from cforbits.continuation import (
     multistart,
 )
 from cforbits.errors import CollisionError, IntegrationError
-from cforbits.flow import integrate
+from cforbits.flow import integrate, symplectic_matrix
 from cforbits.model import (
     HamiltonianSystem,
     KineticLaw,
     Perturbation,
     Potential,
+    reversor,
 )
 from cforbits.orbit import (
     find_closed_orbit,
     manifold_samples,
     radial_profile,
+    rotate_plane,
     rotate_state,
 )
 
@@ -679,6 +681,36 @@ class TestFixedSet:
 SYMMETRIC = (0, 2, 4, 5)
 
 
+# condition number of the half-period system at the symmetric solutions,
+# measured 331 and 336 (seeds 0 and 2 at fixed period), 1,599 (planar,
+# fixed energy) and 11,814 (spatial): bounds about 3x above.  Its smallest
+# singular value, measured 0.268, 0.258, 0.0543 and 0.00736, is at least
+# HALF_SYSTEM_SMIN, 7x below the smallest
+HALF_SYSTEM_COND = {(2, "fixed_period"): 1e3, (2, "fixed_energy"): 5e3,
+                    (3, "fixed_energy"): 4e4}
+HALF_SYSTEM_SMIN = 1e-3
+
+
+def half_period_jacobian(sys, mode, z0, T):
+    """The symmetric path's Newton matrix at (z0, T), rebuilt: Bo W(T/2)
+    Be^T, with Be and Bo the even and odd coordinate directions of R_a in
+    the frame turned by the reversor's angle a, bordered at fixed energy by
+    the period column Bo f(T/2) / 2 and the energy row Be J f(0)."""
+    d, n = sys.dim, 2 * sys.dim
+    a = reversor(sys.perturbation)
+    B = rotate_plane(np.eye(n), a)
+    odd = [1, *range(d, n, 2)]  # x2, p1 (and p3): the coordinates R_0 flips
+    Be, Bo = np.delete(B, odd, axis=0), B[odd]
+    zh, W = flow.integrate_with_variational(sys, z0, 0.0, 0.5 * T)
+    Jac = Bo @ W @ Be.T
+    if mode == "fixed_energy":
+        gradH = Be @ (symplectic_matrix(d) @ sys.vector_field(0.0, z0))
+        Jac = np.vstack([
+            np.column_stack([Jac, 0.5 * (Bo @ sys.vector_field(0.5 * T, zh))]),
+            np.append(gradH, 0.0)])
+    return Jac
+
+
 @pytest.fixture(scope="module")
 def symmetric_results(ladder_problems):
     return _run([ladder_problems[i] for i in SYMMETRIC])
@@ -700,6 +732,23 @@ class TestSymmetricPath:
             assert r.rung_starts == ()
             if ladder_problems[i][0].mode == "fixed_energy":
                 assert r.energy_residual <= continuation.ENERGY_TOL
+
+    def test_solutions_are_isolated(self, ladder_problems, symmetric_results):
+        # a regular half-period system: each solution is isolated on
+        # Fix(R_a), unlike the curve of full-period solutions at fixed
+        # period
+        for i, r in zip(SYMMETRIC, symmetric_results):
+            sys, mode = ladder_problems[i][0].sys, ladder_problems[i][0].mode
+            Jac = half_period_jacobian(sys, mode, r.z0, r.period)
+            assert np.linalg.cond(Jac) <= HALF_SYSTEM_COND[sys.dim, mode]
+            assert np.linalg.svd(Jac, compute_uv=False)[-1] >= HALF_SYSTEM_SMIN
+        # the degenerate harmonic orbit, whose half-system vanishes at
+        # eps = 0 (singular values 1.2e-11)
+        V = Potential.harmonic()
+        orb = find_closed_orbit(CLASSICAL, V, 1, 2, 1.25, L_seed=1.0)
+        sys = HamiltonianSystem(CLASSICAL, V, Perturbation.zero(), 2)
+        Jac = half_period_jacobian(sys, "fixed_period", orb.z0, orb.T)
+        assert np.linalg.svd(Jac, compute_uv=False)[0] <= 1e-10
 
     def test_on_the_ladder_solution_set(self, ladder_problems, ladder_results,
                                         symmetric_results):
@@ -835,12 +884,17 @@ class Larmor:
                 self.n * (2.0 * p.phi - self.omega * p.tau)
                 - 2.0 * math.pi * self.k)
 
-    def period_at_energy(self, h, L):
-        """Period of the solution at energy h = K - omega ell, ell near L."""
+    def profile_at_energy(self, h, L):
+        """K_eff profile of the solution at energy h = K - omega ell, ell
+        near L; its r_min and r_max are the extremes of |x| along it."""
         w = self.omega
         ell = brentq(lambda l: self._conditions(h + w * l, l)[1], 0.9 * L,
                      1.1 * L, xtol=1e-15, rtol=1e-15)
-        return self._conditions(h + w * ell, ell)[0]
+        return radial_profile(CLASSICAL, self.V_eff, h + w * ell, ell)
+
+    def period_at_energy(self, h, L):
+        """Period of the solution at energy h = K - omega ell, ell near L."""
+        return self.n * self.profile_at_energy(h, L).tau
 
     def energy_at_period(self, T, h, L):
         """Energy K - omega ell of the solution of period T, from (h, L)."""
@@ -861,12 +915,32 @@ LARMOR_ORBITS = {
 # leaves the period up to 5.6e-9 off on the Levi-Civita orbit
 LARMOR_PERIOD_TOL = {"symmetric": 1e-9, "ladder": 1e-8}
 LARMOR_ENERGY_TOL = 1e-10
+# measured at most 3.6e-11 (alpha = 0.5 at eps = 1e-2); the extremes move
+# from the unperturbed orbit's by 1.3e-4 at eps = 1e-4
+LARMOR_RADIUS_TOL = 1e-10
 
 
 @pytest.fixture(scope="module")
 def larmor_orbits():
     return {name: find_closed_orbit(CLASSICAL, V, k, n, h)
             for name, (V, k, n, h) in LARMOR_ORBITS.items()}
+
+
+def radial_extremes(sys, traj, T):
+    """Smallest and largest |x| along a planar trajectory over [0, T]: |x|
+    at both ends and at the roots of x . dx/dt, bracketed on a grid and
+    refined by brentq on the dense output."""
+    def g(t):
+        z = traj(t)
+        return float(z[:2] @ sys.vector_field(t, z)[:2])
+
+    ts = np.linspace(0.0, T, 801)
+    gs = [g(t) for t in ts]
+    times = [0.0, T] + [brentq(g, a, b, xtol=1e-15, rtol=8.9e-16)
+                        for a, b, ga, gb in zip(ts, ts[1:], gs, gs[1:])
+                        if ga * gb < 0.0]
+    r = np.linalg.norm(traj(np.array(times))[:, :2], axis=1)
+    return r.min(), r.max()
 
 
 def _larmor_run(orbits, name, mode, eps, seed):
@@ -891,11 +965,16 @@ class TestLarmorReference:
         ("levi_civita", 1e-4, 1),
     ])
     def test_fixed_energy_period(self, larmor_orbits, name, eps, seed):
-        orb, _, res, V, k, n = _larmor_run(larmor_orbits, name,
-                                           "fixed_energy", eps, seed)
+        orb, sys, res, V, k, n = _larmor_run(larmor_orbits, name,
+                                             "fixed_energy", eps, seed)
         h, L = orb.profile.h, orb.profile.L
-        T = Larmor(V, k, n, -eps / 2.0).period_at_energy(h, L)
+        profile = Larmor(V, k, n, -eps / 2.0).profile_at_energy(h, L)
+        T = n * profile.tau
         assert abs(res.period - T) <= LARMOR_PERIOD_TOL[res.path]
+        # |x| does not depend on the gauge or the turning frame
+        r_min, r_max = radial_extremes(sys, res.trajectory, res.period)
+        assert abs(r_min - profile.r_min) <= LARMOR_RADIUS_TOL
+        assert abs(r_max - profile.r_max) <= LARMOR_RADIUS_TOL
         # the opposite sign of omega misses by 1.5e-3 at eps = 1e-4
         wrong = Larmor(V, k, n, eps / 2.0).period_at_energy(h, L)
         assert abs(res.period - wrong) > 1e-4

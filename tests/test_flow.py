@@ -21,7 +21,8 @@ from cforbits.model import (
     Perturbation,
     Potential,
 )
-from test_model import vector_potential
+from cforbits.orbit import find_closed_orbit
+from test_model import max_drift, vector_potential
 from test_model_properties import (PROPERTY, laws, perturbed_systems,
                                    potentials, vectors)
 
@@ -41,16 +42,6 @@ def step_times(traj):
     """Times of the accepted steps of a trajectory: the breakpoints of its
     piecewise interpolant, from t0 to t1."""
     return traj._sol.ts
-
-
-def max_drift(sys, traj, n_samples=400):
-    """Largest change of the energy and of each angular momentum component
-    from their values at t0, over evenly spaced times of a trajectory."""
-    ts = np.linspace(traj.t0, traj.t1, n_samples)
-    values = [sys.first_integrals(t, z) for t, z in zip(ts, traj(ts))]
-    energy = np.array([e for e, _ in values])
-    mom = np.array([np.atleast_1d(m) for _, m in values])
-    return np.max(np.abs(energy - energy[0])), np.max(np.abs(mom - mom[0]), axis=0)
 
 
 class TestSymplecticMatrix:
@@ -242,25 +233,30 @@ def through(solver, call):
     return out, results
 
 
-def assert_same_solve(new, stock):
+def assert_same_solve(new, stock, dense=False):
     """The same solve bit for bit: a finished one, or one that failed on
-    the step size, takes the same steps with the same RHS count and ends
-    with the same message; one that collided stops on the step the stock
-    event fired in.  That step is not in ``new.t``, and the stock count has
-    the three RHS calls of the step's interpolant, which the stock path
-    builds for its root search (or its dense output) and flow's does not."""
+    the step size, takes the same steps and ends with the same message; one
+    that collided stops on the step the stock event fired in, which is not
+    in ``new.t``.  The RHS counts differ by exactly the three calls of each
+    interpolant the stock path builds during the solve and flow's does not:
+    of every step with ``dense`` output, whose interpolants flow builds only
+    when they are read, and otherwise of the collision step, where the
+    stock path builds one for its root search.  A solve over an empty
+    interval takes one step of length 0, whose interpolant is a constant
+    that costs no RHS call on either path."""
     assert len(new) == len(stock) == 1
     new, stock = new[0], stock[0]
+    steps = np.count_nonzero(np.diff(stock.t))
+    built = steps if dense else int(stock.status == 1)
+    assert new.nfev == stock.nfev - 3 * built
     if stock.status == 1:
         assert new.status == -1 and new.message.startswith(flow.COLLIDED)
         assert np.array_equal(new.t, stock.t[:-1])
-        assert new.nfev == stock.nfev - 3
         return
     assert new.status == stock.status
     assert new.message == stock.message
     assert np.array_equal(new.t, stock.t)
     assert np.array_equal(new.y, stock.y)
-    assert new.nfev == stock.nfev
 
 
 def assert_same_outcome(new, stock):
@@ -281,7 +277,7 @@ def compare_to_stock(sys, z0, t0, t1):
             (lambda: flow.integrate(sys, z0, t0, t1), True)):
         out, new = through(solve_ivp, call)
         ref, stock = through(stock_solve_ivp, call)
-        assert_same_solve(new, stock)
+        assert_same_solve(new, stock, dense)
         if dense and not isinstance(ref, Exception):
             # step times and the interpolant on a grid, past both ends too
             assert np.array_equal(step_times(out), step_times(ref))
@@ -315,15 +311,16 @@ def test_radial_infall_collides_on_the_event_step(d):
     sys = kepler_system(d)
     z0 = np.zeros(2 * d)
     z0[0], z0[d] = 1.0, -0.1
-    for call in (lambda: flow.endpoint(sys, z0, 0.0, 5.0),
-                 lambda: flow.integrate(sys, z0, 0.0, 5.0),
-                 lambda: flow.integrate_with_variational(sys, z0, 0.0, 5.0)):
+    for call, dense in ((lambda: flow.endpoint(sys, z0, 0.0, 5.0), False),
+                        (lambda: flow.integrate(sys, z0, 0.0, 5.0), True),
+                        (lambda: flow.integrate_with_variational(sys, z0, 0.0, 5.0),
+                         False)):
         out, new = through(solve_ivp, call)
         assert isinstance(out, CollisionError)
         assert "in the step ending at t = " in str(out)
         _, stock = through(stock_solve_ivp, call)
         assert stock[0].status == 1
-        assert_same_solve(new, stock)
+        assert_same_solve(new, stock, dense)
 
 
 def test_step_size_failure_is_the_stock_one():
@@ -369,3 +366,31 @@ def test_one_solve_ivp_call_per_integration_with_honest_counts():
         assert len(results) == 1
         assert results[0].nfev == counts["rhs"] > 0
         assert len(results[0].t) - 1 == counts["steps"] > 0
+
+
+def test_interpolants_are_built_once_when_first_read():
+    # a closed orbit's half cycle: the solve builds no interpolant, its
+    # closure_residual reads one (the last step's), a read at every step
+    # builds each of the others once, and a second read calls nothing
+    counts = {"rhs": 0}
+    field = HamiltonianSystem.vector_field
+
+    def counted_field(self, t, z):
+        counts["rhs"] += 1
+        return field(self, t, z)
+
+    with mock.patch.object(HamiltonianSystem, "vector_field", counted_field):
+        orbit, (res,) = through(solve_ivp, lambda: find_closed_orbit(
+            KineticLaw.classical(), Potential.homogeneous(1.0, 0.5), 4, 5,
+            -1.9))
+        assert counts["rhs"] == res.nfev + 3
+        steps = step_times(orbit.cycle)
+        assert len(steps) - 1 == len(res.t) - 1 > 1
+        ts = np.concatenate([np.linspace(0.0, orbit.T, 401),
+                             0.5 * (steps[1:] + steps[:-1])])
+        counts["rhs"] = 0
+        first = orbit.states(ts)
+        assert counts["rhs"] == 3 * (len(steps) - 2)
+        counts["rhs"] = 0
+        assert np.array_equal(orbit.states(ts), first)
+        assert counts["rhs"] == 0

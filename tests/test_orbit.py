@@ -165,6 +165,26 @@ class TestFindClosedOrbit:
         # resonance ties the frequencies: omega2/omega1 = k/n
         assert (orb.profile.phi / math.pi) == pytest.approx(3 / 4, abs=1e-11)
 
+    @pytest.mark.parametrize("search, L_seed", [("vary_L", None),
+                                                 ("vary_h", 0.3)])
+    def test_root_profile_comes_from_the_root_search(self, monkeypatch,
+                                                     search, L_seed):
+        # the profile at the root is the one brentq computed there, not a
+        # second quadrature at the same point
+        made = []
+
+        def recorded(*args):
+            made.append(radial_profile(*args))
+            return made[-1]
+
+        monkeypatch.setattr(orbit_module, "radial_profile", recorded)
+        V = Potential.homogeneous(1.0, 0.5)
+        orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5, search=search,
+                                L_seed=L_seed)
+        at_root = [p for p in made
+                   if (p.h, p.L) == (orb.profile.h, orb.profile.L)]
+        assert len(at_root) == 1 and at_root[0] is orb.profile
+
     def test_unreachable_target(self):
         # alpha=0.5 apsidal angles live in (2pi/3, pi/sqrt(1.5)); pi/2 is out
         V = Potential.homogeneous(1.0, 0.5)
