@@ -335,6 +335,7 @@ def cmd_continue(cfg, em: Emitter):
                 "path": r.path,
                 "accepted": r.accepted,
                 "reason": r.reason,
+                "z0": [_fmt(v) for v in r.z0],
                 "residual": _fmt(r.residual) if np.isfinite(r.residual) else None,
                 "energy_residual": _fmt(r.energy_residual)
                 if np.isfinite(r.energy_residual) else None,
@@ -344,6 +345,7 @@ def cmd_continue(cfg, em: Emitter):
                 if r.distance is not None else None,
                 "newton_iters": r.newton_iters,
                 "variational_solves": r.variational_solves,
+                "state_shots": r.state_shots,
                 "history": [[_fmt(eps), _fmt(lam),
                              _fmt(res) if np.isfinite(res) else None, ok]
                             for eps, lam, res, ok in r.history],

@@ -23,11 +23,17 @@ pinned by the (resonant) time-dependent forcing.  Fixed-energy: the period
 joins the unknowns; the system gains an energy row and a phase row,
 anchored at the seed, that removes time-translation freedom, and is solved
 in the least-squares sense.
-Every Newton trial is shot state-only, for its residual alone.  The
-variational solve, which gives the Jacobian too, runs only where a
-Levenberg-Marquardt step will use it: at a rung's first shot, and at an
+Every shot of the ladder, a rung's first and each Newton trial, is
+state-only at ``DEFAULT_TOL``, and every residual that decides acceptance,
+convergence, a stall or a rung start comes from one.  The variational
+solve, which gives the Jacobian, runs only at a point a Levenberg-Marquardt
+step leaves: a rung's first point unless its first shot converged, and an
 accepted trial after which the rung neither converges nor stalls.  A
-rejected trial keeps the Jacobian of the point it stepped from.
+rejected trial keeps the Jacobian of the point it stepped from.  That
+Jacobian only steers the step, so it is solved only as accurately as the
+residual needs (``_jacobian_tol``): an inexact Newton method whose
+Jacobian error shrinks with the residual keeps its rate, and the steps are
+exact again once |R| <= ``RESIDUAL_TOL``.
 The unperturbed shooting Jacobian is singular along the manifold of rotated
 and time-shifted copies, so the continuation starts at a small epsilon of
 the target's sign and grows its size geometrically.  The converged rungs
@@ -47,8 +53,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import CollisionError, IntegrationError
-from .flow import (endpoint, integrate, integrate_with_variational,
-                   symplectic_matrix)
+from .flow import (DEFAULT_TOL, endpoint, integrate,
+                   integrate_with_variational, symplectic_matrix)
 from .model import HamiltonianSystem, reversor
 from .orbit import ManifoldSample, reflect_apsis, rotate_plane
 
@@ -139,9 +145,13 @@ class ContinuationResult:
     # is inf when the trial step was not shot
     history: tuple = ()
     # variational solves started: one per point of a symmetric attempt (the
-    # seed and each step), one per rung started (its first shot) and one per
-    # accepted trial that another LM step leaves
+    # seed and each step), and on the ladder one per point an LM step
+    # leaves (a rung's first point unless its first shot converged, and
+    # each accepted trial the rung goes on from), at ``_jacobian_tol``
     variational_solves: int = 0
+    # state-only shots started on the ladder: one per rung started (its
+    # first shot) and one per trial shot
+    state_shots: int = 0
     # one (eps, first-shot residual, predicted) entry per rung started,
     # fallback re-runs included; the residual is inf when the shot failed
     rung_starts: tuple = ()
@@ -198,6 +208,16 @@ def _predict(branch, eps):
     return start
 
 
+def _jacobian_tol(res):
+    """Integration tolerance of the variational solve at a ladder point of
+    residual |R| = res: DEFAULT_TOL once res <= RESIDUAL_TOL, looser in
+    proportion above it.  The Jacobian only steers the LM step, and an
+    inexact Newton method keeps its rate when the Jacobian's error shrinks
+    with the residual (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19
+    (1982))."""
+    return DEFAULT_TOL * max(1.0, res / RESIDUAL_TOL)
+
+
 def _failure(exc: IntegrationError) -> str:
     """Reason word of an integration that ended early."""
     return ("collision" if isinstance(exc, CollisionError)
@@ -244,7 +264,7 @@ def _continue(problem: ShootingProblem):
     (``collision``, or ``integration failure`` for a step size below the
     spacing of the floats) and whose ``residual`` and ``newton_iters`` are
     the last ones reached (residual inf when the rung's first shot failed,
-    the residual of its point when a later variational solve did).  A trial
+    the residual of its point when a variational solve did).  A trial
     shot that fails is a rejected trial.  A rung converges when
     |R| <= ``RESIDUAL_TOL`` and, at fixed energy, its energy row is within
     the re-check's ``ENERGY_TOL``.  A rung that has not converged ends as
@@ -262,15 +282,23 @@ def _continue(problem: ShootingProblem):
     history = []  # (eps, lam, trial residual, accepted) per Newton trial
     starts = []  # (eps, first-shot residual, predicted) per rung started
     solves = 0  # variational solves started
+    shots = 0  # state-only shots started on the ladder
     path = "ladder"
 
     def period(u):
         return u[n] if fe else problem.T
 
-    def variational(sys, u):
+    def state_shot(sys, u):
+        nonlocal shots
+        shots += 1
+        return endpoint(sys, u[:n], 0.0, period(u))
+
+    def variational(sys, u, res):
+        # the fundamental matrix at u, where the residual is res
         nonlocal solves
         solves += 1
-        return integrate_with_variational(sys, u[:n], 0.0, period(u))
+        return integrate_with_variational(sys, u[:n], 0.0, period(u),
+                                          tol=_jacobian_tol(res))[1]
 
     def residual(sys, u, zT):
         # R at u from the end point zT of the shot from u
@@ -305,7 +333,7 @@ def _continue(problem: ShootingProblem):
             False, f"{why} at eps={eps:g}", u[:n], period(u), eps, res,
             np.inf, np.inf if fe else 0.0, len(history), problem.seed_id,
             history=tuple(history), variational_solves=solves,
-            rung_starts=tuple(starts), path=path)
+            state_shots=shots, rung_starts=tuple(starts), path=path)
 
     def symmetric(a):
         # Newton on the half-period system of R_a at the target eps from
@@ -371,11 +399,11 @@ def _continue(problem: ShootingProblem):
         # when the rung converged, else the word its rejection starts with
         lam = 1e-8
         try:
-            zT, W = variational(sys, u)
+            zT = state_shot(sys, u)
         except IntegrationError as exc:
             starts.append((eps, np.inf, predicted))
             return u, np.inf, _failure(exc)
-        R, Jac = residual(sys, u, zT), jacobian(sys, u, zT, W)
+        R, Jac = residual(sys, u, zT), None
         res = np.linalg.norm(R)
         starts.append((eps, float(res), predicted))
         first, mark = res, len(history)
@@ -384,7 +412,7 @@ def _continue(problem: ShootingProblem):
                 break
             if Jac is None:
                 try:
-                    Jac = jacobian(sys, u, zT, variational(sys, u)[1])
+                    Jac = jacobian(sys, u, zT, variational(sys, u, res))
                 except IntegrationError as exc:
                     return u, res, _failure(exc)
             u_try = u + _lm_step(Jac, R, lam)
@@ -393,7 +421,7 @@ def _continue(problem: ShootingProblem):
                 lam *= 10.0
                 continue
             try:
-                zT2 = endpoint(sys, u_try[:n], 0.0, period(u_try))
+                zT2 = state_shot(sys, u_try)
             except IntegrationError:
                 history.append((eps, lam, np.inf, False))
                 lam *= 10.0
@@ -436,11 +464,11 @@ def _continue(problem: ShootingProblem):
     # closure re-check by a plain dense-output integration at the target
     # eps, which also gives the result its trajectory.  For a symmetric
     # result it is an independent full-period integration: Newton saw only
-    # half periods.  In fixed-period mode, after a last rung that ends on a
-    # trial, it takes the same DOP853 steps as that trial's state-only shot
-    # and repeats its closure bit for bit; what it adds is the dense
-    # trajectory and, at fixed energy, the energy drift along the whole
-    # orbit
+    # half periods.  After the ladder it takes the same DOP853 steps as the
+    # state-only shot that converged (the last rung's last trial, or its
+    # first shot) and repeats its closure bit for bit; what it adds is the
+    # dense trajectory and, at fixed energy, the energy drift along the
+    # whole orbit
     sys = problem.sys.with_eps(target_eps)
     z0, T = u[:n], period(u)
     try:
@@ -465,7 +493,7 @@ def _continue(problem: ShootingProblem):
         ok, "ok" if ok else reason, z0, T, target_eps, close, en, ph,
         len(history), problem.seed_id, trajectory=traj,
         history=tuple(history), variational_solves=solves,
-        rung_starts=tuple(starts), path=path)
+        state_shots=shots, rung_starts=tuple(starts), path=path)
 
 
 def continue_fixed_period(problem: ShootingProblem) -> ContinuationResult:

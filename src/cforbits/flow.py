@@ -18,7 +18,10 @@ a step nobody reads costs nothing, and ``nfev`` counts only the calls made
 during the solve.  ``endpoint`` and variational solves return only their end
 point.  A shooting trial needs only the state from ``endpoint``; the
 variational solve (2d + 4d^2 components) runs only where a Newton step uses
-the Jacobian.
+the Jacobian.  Every solve runs at ``DEFAULT_TOL`` unless its caller says
+otherwise: ``integrate`` takes a tighter ``tol`` for reference solutions,
+and ``integrate_with_variational`` a looser one for a Jacobian that only
+steers a Newton step far from convergence.
 """
 from __future__ import annotations
 
@@ -238,9 +241,11 @@ def endpoint(sys: HamiltonianSystem, z0, t0: float, t1: float) -> np.ndarray:
     return res.y[:, -1].copy()
 
 
-def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float):
+def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float,
+                               t1: float, *, tol: float = DEFAULT_TOL):
     """Jointly integrate the state and the 2d x 2d fundamental matrix W,
-    the solution of W' = J^{-1} Hess(z(t)) W with W(t0) = I.
+    the solution of W' = J^{-1} Hess(z(t)) W with W(t0) = I, at
+    ``rtol = atol = tol``.
 
     Returns ``(z(t1), W(t1))``; no dense output is built.
     """
@@ -263,5 +268,5 @@ def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float, t1: float)
         return out
 
     y0 = np.concatenate([z0, np.eye(n).ravel()])
-    res = _solve(sys, rhs, y0, t0, t1, DEFAULT_TOL, False)
+    res = _solve(sys, rhs, y0, t0, t1, tol, False)
     return res.y[:n, -1].copy(), res.y[n:, -1].reshape(n, n)

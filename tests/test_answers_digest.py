@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import subprocess
@@ -46,3 +47,52 @@ def test_two_runs_are_byte_identical_and_compare_as_such(tmp_path):
     assert ("demos.sha256.a.csv: 1 of 1 values differ; not finite "
             "floats in x.json") in lines
     assert "survey.z0: bit-identical (12 values)" in lines
+
+
+def load_tool(monkeypatch):
+    # the tool puts the checkout on sys.path when it is imported
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("answers_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_continue_demos_record_their_seeds(tmp_path, monkeypatch):
+    # a stand-in for the continue command that writes two seeds, one of them
+    # in the form of an older continuation.json without state_shots
+    tool = load_tool(monkeypatch)
+    (tmp_path / "demos" / "configs").mkdir(parents=True)
+    (tmp_path / "demos" / "configs" / "continue_x.json").write_text("{}")
+    seeds = [{"seed_id": 0, "accepted": True, "reason": "ok",
+              "path": "symmetric", "z0": [1.5, -0.0, 0.0, 0.25],
+              "period": 13.9, "residual": 8.5e-11,
+              "distance_to_manifold": 0.005, "newton_iters": 3,
+              "variational_solves": 4, "state_shots": 0, "history": []},
+             {"seed_id": 1, "accepted": False,
+              "reason": "stagnation at eps=0.0001", "path": "ladder",
+              "z0": [-1.5, 0.0, 0.0, -0.25], "period": 13.9,
+              "residual": 7.8e-4, "distance_to_manifold": None,
+              "newton_iters": 14, "variational_solves": 4}]
+
+    def main(argv):
+        out = Path(argv[argv.index("--out") + 1])
+        (out / "continuation.json").write_text(json.dumps({"results": seeds}))
+        return 0
+
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool.cli, "main", main)
+    old = tool.digest(["demos"], None)
+    (entry,) = old["demos"].values()
+    assert list(entry["sha256"]) == ["continuation.json"]
+    first, second = entry["seeds"]
+    assert set(first) == set(tool.SEED_FIELDS)
+    assert set(tool.SEED_FIELDS) - set(second) == {"state_shots"}
+    assert first["z0"][3] == (0.25).hex() and second["residual"] == (7.8e-4).hex()
+    seeds[1]["z0"][0] = math.nextafter(-1.5, 0.0)
+    lines = tool.compare(old, tool.digest(["demos"], None))
+    assert "demos.seeds.path: bit-identical (2 values)" in lines
+    assert (f"demos.seeds.z0: 1 of 8 values differ, max abs "
+            f"{1.5 - abs(seeds[1]['z0'][0]):.3g}, max rel "
+            f"{(1.5 - abs(seeds[1]['z0'][0])) / 1.5:.3g}") in lines
+    assert "demos.seeds.state_shots: bit-identical (1 values)" in lines

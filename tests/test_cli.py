@@ -437,16 +437,21 @@ class TestContinueCommand:
                 assert lam == 0.0 if symmetric else lam > 0.0
                 assert res is None or res >= 0.0
             h = r["history"]
+            assert len(r["z0"]) == 6
             if symmetric:
                 # undamped Newton: one half-period solve per iterate
                 assert r["accepted"] and all(e[3] for e in h)
                 assert r["variational_solves"] == 1 + len(h)
-                assert r["rung_starts"] == []
+                assert r["rung_starts"] == [] and r["state_shots"] == 0
                 continue
-            # eps = 1e-4 is a one-rung ladder: the first shot, then one
-            # solve per accepted trial that another trial follows
+            # eps = 1e-4 is a one-rung ladder: one solve at the first point
+            # (its first shot did not converge), then one per accepted trial
+            # that another trial follows; one state-only shot at the start
+            # and one per trial shot
+            assert h
             steps = sum(1 for a, b in zip(h, h[1:]) if a[3])
             assert r["variational_solves"] == 1 + steps
+            assert r["state_shots"] == 1 + sum(1 for e in h if e[2] is not None)
             ((eps, res, predicted),) = r["rung_starts"]
             assert eps == 1e-4 and res >= 0.0 and predicted is False
 

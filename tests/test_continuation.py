@@ -168,7 +168,7 @@ class TestFailureContract:
     ], ids=["collision", "step_size"])
     def test_collision_in_deferred_variational_solve(self, orbit, monkeypatch,
                                                      ladder, error, word):
-        # the first variational solve runs at the rung's first shot, the
+        # the first variational solve runs at the rung's first point, the
         # second only after an accepted trial; its failure ends the run like
         # a failing first shot does, with the failure's own reason word
         calls = []
@@ -192,6 +192,24 @@ class TestFailureContract:
         assert len(res.history) == res.newton_iters == 1
         assert res.history[0][3]
         assert res.residual == res.history[0][2]
+
+    def test_failed_first_jacobian_leaves_the_first_shot_residual(
+            self, orbit, monkeypatch, ladder):
+        # the rung's first shot is state-only: a variational solve that
+        # fails at the first point leaves that shot's finite residual
+        def fails(*args, **kwargs):
+            raise CollisionError("injected")
+
+        monkeypatch.setattr(continuation, "integrate_with_variational", fails)
+        sys = electric_system(orbit, 1e-4)
+        prob = ShootingProblem(sys=sys, mode="fixed_period", seed=orbit.z0,
+                               T=orbit.T)
+        res = continue_fixed_period(prob)
+        assert not res.accepted and res.reason.startswith("collision at eps=")
+        assert res.variational_solves == res.state_shots == 1
+        assert res.history == ()
+        ((eps, first, predicted),) = res.rung_starts
+        assert np.isfinite(first) and res.residual == first
 
     @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
     def test_stagnation_returns_rejected_result(self, orbit, mode,
@@ -341,17 +359,19 @@ def predicted_and_reference(ladder_problems, ladder_results):
     return list(zip(ladder_results, ref))
 
 
-def _solves(history, starts):
-    # one per rung start, one per accepted trial followed by another LM step
-    # on the same rung; holds for a history in which no rung started twice
-    return starts + sum(1 for a, b in zip(history, history[1:])
-                        if a[3] and a[0] == b[0])
+def _solves(history):
+    # one per point an LM step leaves: before the first trial of a rung, and
+    # before a trial that follows an accepted one on the same rung (a rung
+    # whose first shot converged takes none); holds for a history in which
+    # no rung started twice
+    return sum(1 for i, e in enumerate(history)
+               if i == 0 or history[i - 1][0] != e[0] or history[i - 1][3])
 
 
 def _expected_solves(res):
     eps = [s[0] for s in res.rung_starts]
     assert len(set(eps)) == len(eps), "a rung was run twice"
-    return _solves(res.history, len(eps))
+    return _solves(res.history)
 
 
 class TestDeferredJacobian:
@@ -376,6 +396,74 @@ class TestDeferredJacobian:
         assert any(r.reason.startswith("stagnation") for r in ladder_results)
         for r in ladder_results:
             assert r.variational_solves == _expected_solves(r)
+
+    def test_one_state_shot_per_rung_start_and_trial_shot(
+            self, ladder_results):
+        for r in ladder_results:
+            shot = sum(1 for _, lam, res, _ in r.history
+                       if lam > 0.0 and np.isfinite(res))
+            assert r.state_shots == len(r.rung_starts) + shot > 1
+
+
+def test_jacobian_tolerance_follows_the_residual():
+    tol, res_tol = flow.DEFAULT_TOL, continuation.RESIDUAL_TOL
+    for res in (0.0, 1e-15, 0.5 * res_tol, res_tol):
+        assert continuation._jacobian_tol(res) == tol
+    for res in (np.nextafter(res_tol, 1.0), 2e-9, 1e-3, 1e-2, 1.0, 1e3):
+        assert continuation._jacobian_tol(res) > tol
+        assert continuation._jacobian_tol(res) == pytest.approx(
+            tol * res / res_tol, rel=1e-15)
+
+
+def _exact_jacobian_tol(res):
+    # every Jacobian at DEFAULT_TOL: the reference path of the inexact one
+    return flow.DEFAULT_TOL
+
+
+@pytest.fixture(scope="module")
+def exact_jacobian_results(ladder_problems):
+    """With every Jacobian solved at DEFAULT_TOL: every problem of
+    ``ladder_problems`` on the ladder, then the 2 x 2 fixed-period grid on
+    its own paths (seeds 0 and 2 symmetric, 1 and 3 on the ladder)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "_jacobian_tol", _exact_jacobian_tol)
+        grid = _run(ladder_problems[:4])
+        on_the_ladder(mp)
+        return _run(ladder_problems), grid
+
+
+class TestInexactJacobian:
+    @staticmethod
+    def assert_same_answer(fast, ref):
+        # the solution sets are not isolated (a curve at fixed period, the
+        # phase at fixed energy), so z0 is not compared pointwise
+        assert fast.path == ref.path
+        assert fast.accepted == ref.accepted
+        assert fast.reason.split()[0] == ref.reason.split()[0]
+        assert len(fast.rung_starts) == len(ref.rung_starts)
+        if fast.accepted:
+            assert fast.distance == pytest.approx(ref.distance, rel=2e-3)
+
+    def test_same_answers_as_exact_jacobians(self, ladder_problems,
+                                             ladder_results,
+                                             exact_jacobian_results):
+        refs, _ = exact_jacobian_results
+        outcomes = set()
+        for (p, _), fast, ref in zip(ladder_problems, ladder_results, refs):
+            self.assert_same_answer(fast, ref)
+            if fast.accepted and p.mode == "fixed_energy":
+                assert abs(fast.period - ref.period) <= 1e-9
+            outcomes.add((fast.accepted, fast.reason.split()[0]))
+        assert outcomes == {(True, "ok"), (False, "stagnation")}
+
+    def test_grid_on_its_own_paths(self, ladder_results, symmetric_results,
+                                   exact_jacobian_results):
+        _, grid = exact_jacobian_results
+        fast = [symmetric_results[0], ladder_results[1], symmetric_results[1],
+                ladder_results[3]]
+        assert [r.path for r in grid] == ["symmetric", "ladder"] * 2
+        for f, ref in zip(fast, grid):
+            self.assert_same_answer(f, ref)
 
 
 class TestPredictor:
@@ -452,7 +540,7 @@ class TestPredictor:
         assert res.history[:k] + res.history[k + m:] == ref.history
         assert res.newton_iters == ref.newton_iters + m
         assert res.variational_solves == (ref.variational_solves
-                                          + _solves(bad, 1))
+                                          + _solves(bad))
 
 
 def assert_mirrored(neg, pos):
@@ -774,7 +862,9 @@ class TestSymmetricPath:
             back = _run([(replace(p, seed=sym.z0, T=sym.period),
                           ladder_problems[i][1])])[0]
             assert back.accepted and back.path == "ladder"
-            assert back.newton_iters == 0 and back.variational_solves == 1
+            # its first shot is state-only, so it takes no variational solve
+            assert back.newton_iters == 0 and back.variational_solves == 0
+            assert back.state_shots == 1
             ((eps, first, predicted),) = back.rung_starts
             assert eps == 1e-3 and not predicted
             assert first <= continuation.RESIDUAL_TOL
@@ -799,12 +889,12 @@ class TestSymmetricPath:
         ref = ladder_results[i]
         halves = []
 
-        def failing(sys, z0, t0, t1):
+        def failing(sys, z0, t0, t1, *, tol=flow.DEFAULT_TOL):
             if t1 < 0.75 * p.T:  # a half-period solve
                 halves.append(t1)
                 if failure == "first solve" or len(halves) == 2:
                     raise IntegrationError("injected")
-            return flow.integrate_with_variational(sys, z0, t0, t1)
+            return flow.integrate_with_variational(sys, z0, t0, t1, tol=tol)
 
         if failure == "MAX_NEWTON":
             # one step is not enough at eps = 1e-3

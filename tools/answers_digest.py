@@ -16,7 +16,9 @@ the same code and machine give the same bytes.  It has four parts:
 * ``continuation``: the ``multistart_fp`` and ``spatial_fe`` results at
   seed 0, with their distances and trajectories at 37 times;
 * ``demos``: the sha256 of every artifact that ``cforbits <command>
-  --reproducible`` writes for each of ``demos/configs/*.json``.
+  --reproducible`` writes for each of ``demos/configs/*.json``, and for a
+  ``continue_*`` config the per-seed fields ``SEED_FIELDS`` of its
+  ``continuation.json``, so that a changed result shows by how much.
 
 ``--parts`` selects parts and ``--limit N`` keeps the first N entries of
 each (survey points, pool rows, continuation workloads, demo configs).
@@ -49,6 +51,11 @@ N_TIMES = 37
 # the subcommand that runs each demo config, by file-name prefix
 DEMO_COMMANDS = {"orbit_": "orbit", "nondeg_": "nondeg",
                  "continue_": "continue", "limit_": "limit-classical"}
+# the per-seed fields of continuation.json a continue demo records; a field
+# that an older continuation.json lacks is left out
+SEED_FIELDS = ("accepted", "reason", "path", "z0", "period", "residual",
+               "distance_to_manifold", "newton_iters", "variational_solves",
+               "state_shots")
 
 
 def _hex(value):
@@ -134,11 +141,12 @@ def pool(limit):
 
 
 def _result(r):
+    # a field that an older ContinuationResult lacks is left out
     out = {name: getattr(r, name) for name in (
         "accepted", "reason", "z0", "period", "eps", "residual",
         "energy_residual", "phase_residual", "newton_iters", "seed_id",
         "distance", "distance_element", "history", "variational_solves",
-        "rung_starts", "path")}
+        "state_shots", "rung_starts", "path") if hasattr(r, name)}
     if r.trajectory is not None:
         out["trajectory"] = r.trajectory(_times(r.period))
     return out
@@ -180,7 +188,13 @@ def demos(limit):
                              "--reproducible"])
             files = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                      for f in sorted(Path(tmp).iterdir())}
-        out[config.name] = {"exit_code": code, "sha256": files}
+            out[config.name] = {"exit_code": code, "sha256": files}
+            if command == "continue":
+                payload = json.loads((Path(tmp) / "continuation.json")
+                                     .read_text(encoding="utf-8"))
+                out[config.name]["seeds"] = [
+                    {k: r[k] for k in SEED_FIELDS if k in r}
+                    for r in payload["results"]]
     return out
 
 
