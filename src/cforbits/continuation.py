@@ -16,7 +16,11 @@ on Fix(R_a) therefore takes the symmetric path first: plain Newton on that
 half-period system at the target eps, straight from the seed.  A seed off
 Fix(R_a), and a seed whose symmetric attempt fails, takes the eps ladder
 below, the one path to non-symmetric solutions.  Both paths end in the same
-closing re-check.
+closing re-check.  Both take every residual from a state-only shot (the
+symmetric path's half-period shots at the tighter ``HALF_SHOT_TOL``) and
+run the variational solve, for the Jacobian, only at a point a step
+leaves, solved only as accurately as the residual needs
+(``_jacobian_tol``).
 
 Fixed-period: damped Gauss-Newton on the time-T return map mismatch, period
 pinned by the (resonant) time-dependent forcing.  Fixed-energy: the period
@@ -82,6 +86,10 @@ STALL_FACTOR = 2.0
 # a seed lies on the fixed set of the reversor R_a, and takes the symmetric
 # path, when |R_a z - z| <= FIX_TOL (1 + |z|)
 FIX_TOL = 1e-12
+# integration tolerance of the symmetric path's state-only half-period
+# shots: at DEFAULT_TOL the Levi-Civita 7:6 Larmor periods miss the exact
+# reference by 1.5-1.6e-9, at 1e-13 the worst fixed-energy case by 1.2e-10
+HALF_SHOT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -144,13 +152,15 @@ class ContinuationResult:
     # symmetric attempt's undamped steps (lam 0) first; the trial residual
     # is inf when the trial step was not shot
     history: tuple = ()
-    # variational solves started: one per point of a symmetric attempt (the
-    # seed and each step), and on the ladder one per point an LM step
-    # leaves (a rung's first point unless its first shot converged, and
-    # each accepted trial the rung goes on from), at ``_jacobian_tol``
+    # variational solves started, one per point a step leaves, at
+    # ``_jacobian_tol``: in a symmetric attempt each point a Newton step
+    # leaves (none at the point it converged at), and on the ladder each
+    # point an LM step leaves (a rung's first point unless its first shot
+    # converged, and each accepted trial the rung goes on from)
     variational_solves: int = 0
-    # state-only shots started on the ladder: one per rung started (its
-    # first shot) and one per trial shot
+    # state-only shots started: in a symmetric attempt one half-period shot
+    # at the seed and one per step shot, and on the ladder one per rung
+    # started (its first shot) and one per trial shot
     state_shots: int = 0
     # one (eps, first-shot residual, predicted) entry per rung started,
     # fallback re-runs included; the residual is inf when the shot failed
@@ -209,9 +219,9 @@ def _predict(branch, eps):
 
 
 def _jacobian_tol(res):
-    """Integration tolerance of the variational solve at a ladder point of
+    """Integration tolerance of the variational solve at a point of
     residual |R| = res: DEFAULT_TOL once res <= RESIDUAL_TOL, looser in
-    proportion above it.  The Jacobian only steers the LM step, and an
+    proportion above it.  The Jacobian only steers the step, and an
     inexact Newton method keeps its rate when the Jacobian's error shrinks
     with the residual (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19
     (1982))."""
@@ -242,12 +252,15 @@ def _continue(problem: ShootingProblem):
     The symmetric path runs plain Newton at the target eps from the seed:
     its unknowns are the R_a-even coordinates of z0 in the frame turned by
     a (and T at fixed energy), its residual the R_a-odd coordinates of
-    z(T/2) (and H(z0) - h), and each iterate takes one variational solve
-    over [0, T/2].  It converges as a rung does; it gives way to the ladder
-    as soon as a step fails to lower the residual, stalls or takes T below
-    a tenth of the seed's, an integration ends early, the half-system is
-    singular or ``MAX_NEWTON`` steps pass without convergence.  Its steps
-    stay in ``history`` (with lam 0) and its solves in
+    z(T/2) (and H(z0) - h).  Each residual, the seed's and each step's,
+    comes from a state-only shot over [0, T/2] at ``HALF_SHOT_TOL``, and
+    each point a step leaves takes one variational solve over [0, T/2] at
+    ``_jacobian_tol``, so a converged point takes none.  It converges as a
+    rung does; it gives way to the ladder as soon as a step fails to lower
+    the residual, stalls or takes T below a tenth of the seed's, a shot or
+    a solve ends early, the half-system is singular or ``MAX_NEWTON`` steps
+    pass without convergence.  Its steps stay in ``history`` (with lam 0)
+    and its shots and solves in ``state_shots`` and
     ``variational_solves``; the ladder then runs as if it had not been
     tried.
 
@@ -256,8 +269,8 @@ def _continue(problem: ShootingProblem):
     second rung, quadratic from the third.  The seed lies on the branch only
     when it is a critical point of the reduced functional, so a predicted
     rung that ends rejected is run once more from the previous rung's point.
-    Both attempts stay in ``history``, ``variational_solves`` and
-    ``rung_starts``.
+    Both attempts stay in ``history``, ``variational_solves``,
+    ``state_shots`` and ``rung_starts``.
 
     Never raises on stagnation, the damping floor or an integration that
     ends early: each ends in a rejected result whose ``reason`` names it
@@ -282,22 +295,24 @@ def _continue(problem: ShootingProblem):
     history = []  # (eps, lam, trial residual, accepted) per Newton trial
     starts = []  # (eps, first-shot residual, predicted) per rung started
     solves = 0  # variational solves started
-    shots = 0  # state-only shots started on the ladder
+    shots = 0  # state-only shots started
     path = "ladder"
 
     def period(u):
         return u[n] if fe else problem.T
 
-    def state_shot(sys, u):
+    def state_shot(sys, z, t1, tol=DEFAULT_TOL):
+        # the state at t1 of the flow from z at t = 0
         nonlocal shots
         shots += 1
-        return endpoint(sys, u[:n], 0.0, period(u))
+        return endpoint(sys, z, 0.0, t1, tol=tol)
 
-    def variational(sys, u, res):
-        # the fundamental matrix at u, where the residual is res
+    def variational(sys, z, t1, res):
+        # the fundamental matrix over [0, t1] from z, where the residual is
+        # res
         nonlocal solves
         solves += 1
-        return integrate_with_variational(sys, u[:n], 0.0, period(u),
+        return integrate_with_variational(sys, z, 0.0, t1,
                                           tol=_jacobian_tol(res))[1]
 
     def residual(sys, u, zT):
@@ -351,23 +366,31 @@ def _continue(problem: ShootingProblem):
             return np.append(v[:-1] @ Be, v[-1]) if fe else v @ Be
 
         def shoot(v):
-            nonlocal solves
+            # R at v from a state-only half-period shot, and the shot's end
+            # state z(T/2)
             u = point(v)
             z, T = u[:n], period(u)
-            solves += 1
-            zh, W = integrate_with_variational(sys, z, 0.0, 0.5 * T)
-            R, Jac = Bo @ zh, Bo @ W @ Be.T
+            zh = state_shot(sys, z, 0.5 * T, HALF_SHOT_TOL)
+            R = Bo @ zh
             if fe:
                 R = np.append(R, sys.hamiltonian(0.0, z) - h)
+            return R, zh
+
+        def half_jacobian(v, zh, res):
+            # dR/dv at v from the shot's end state zh, where |R| = res
+            u = point(v)
+            z, T = u[:n], period(u)
+            Jac = Bo @ variational(sys, z, 0.5 * T, res) @ Be.T
+            if fe:
                 dT = 0.5 * (Bo @ sys.vector_field(0.5 * T, zh))
                 gradH = Be @ (J @ sys.vector_field(0.0, z))
                 Jac = np.vstack([np.column_stack([Jac, dT]),
                                  np.append(gradH, 0.0)])
-            return R, Jac
+            return Jac
 
         v = np.append(Be @ z0, problem.T) if fe else Be @ z0
         try:
-            R, Jac = shoot(v)
+            R, zh = shoot(v)
         except IntegrationError:
             return None
         res = first = np.linalg.norm(R)
@@ -376,20 +399,20 @@ def _continue(problem: ShootingProblem):
             if converged(R, res, -1):
                 break
             try:
-                v_try = v - np.linalg.solve(Jac, R)
-            except np.linalg.LinAlgError:
+                v_try = v - np.linalg.solve(half_jacobian(v, zh, res), R)
+            except (IntegrationError, np.linalg.LinAlgError):
                 return None
             res2 = np.inf  # unless the step is shot
             if not (fe and v_try[-1] <= 0.1 * problem.T):
                 try:
-                    R2, Jac2 = shoot(v_try)
+                    R2, zh2 = shoot(v_try)
                     res2 = np.linalg.norm(R2)
                 except IntegrationError:
                     pass
             history.append((target_eps, 0.0, float(res2), bool(res2 < res)))
             if not res2 < res:
                 return None
-            v, R, Jac, res = v_try, R2, Jac2, res2
+            v, R, zh, res = v_try, R2, zh2, res2
             if not converged(R, res, -1) and _stalled(first, history[mark:]):
                 return None
         return point(v) if converged(R, res, -1) else None
@@ -399,7 +422,7 @@ def _continue(problem: ShootingProblem):
         # when the rung converged, else the word its rejection starts with
         lam = 1e-8
         try:
-            zT = state_shot(sys, u)
+            zT = state_shot(sys, u[:n], period(u))
         except IntegrationError as exc:
             starts.append((eps, np.inf, predicted))
             return u, np.inf, _failure(exc)
@@ -412,7 +435,8 @@ def _continue(problem: ShootingProblem):
                 break
             if Jac is None:
                 try:
-                    Jac = jacobian(sys, u, zT, variational(sys, u, res))
+                    Jac = jacobian(sys, u, zT,
+                                   variational(sys, u[:n], period(u), res))
                 except IntegrationError as exc:
                     return u, res, _failure(exc)
             u_try = u + _lm_step(Jac, R, lam)
@@ -421,7 +445,7 @@ def _continue(problem: ShootingProblem):
                 lam *= 10.0
                 continue
             try:
-                zT2 = state_shot(sys, u_try)
+                zT2 = state_shot(sys, u_try[:n], period(u_try))
             except IntegrationError:
                 history.append((eps, lam, np.inf, False))
                 lam *= 10.0
@@ -538,17 +562,26 @@ def distance_to_manifold(result: ContinuationResult,
     X = traj(ts)[:, :dim]
     proper = samples.group != "O3"
 
-    def fit(theta):
+    def score(base):
+        # sup-norm and rotation of the fit of the base states at ts - theta
         Y = np.zeros_like(X)
-        Y[:, :orbit.dim] = orbit.states(ts - theta)[:, :orbit.dim]
+        Y[:, :orbit.dim] = base[:, :orbit.dim]
         U, _, Vt = np.linalg.svd(X.T @ Y)
         if proper and np.linalg.det(U @ Vt) < 0:
             U[:, -1] = -U[:, -1]
         M = U @ Vt
         return float(np.max(np.linalg.norm(X - Y @ M.T, axis=1))), M
 
+    def fit(theta):
+        return score(orbit.states(ts - theta))
+
+    # the grid in one evaluation: states is elementwise, so each shift's
+    # slice has the bits of its own call
     step = orbit.profile.tau / N_SHIFTS
-    scores = [fit(step * i)[0] for i in range(N_SHIFTS)]
+    shifts = step * np.arange(N_SHIFTS)
+    grid = orbit.states((ts - shifts[:, None]).ravel())
+    scores = [score(base)[0]
+              for base in grid.reshape(N_SHIFTS, N_SAMPLES, -1)]
     th0 = step * int(np.argmin(scores))
     best = minimize_scalar(lambda s: fit(th0 + s)[0], bounds=(-step, step),
                            method="bounded", options={"xatol": 1e-12})

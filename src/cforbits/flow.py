@@ -20,8 +20,9 @@ point.  A shooting trial needs only the state from ``endpoint``; the
 variational solve (2d + 4d^2 components) runs only where a Newton step uses
 the Jacobian.  Every solve runs at ``DEFAULT_TOL`` unless its caller says
 otherwise: ``integrate`` takes a tighter ``tol`` for reference solutions,
-and ``integrate_with_variational`` a looser one for a Jacobian that only
-steers a Newton step far from convergence.
+``endpoint`` a tighter one for the half-period shots of the symmetric
+shooting path, and ``integrate_with_variational`` a looser one for a
+Jacobian that only steers a Newton step far from convergence.
 """
 from __future__ import annotations
 
@@ -234,10 +235,12 @@ def integrate(sys: HamiltonianSystem, z0, t0: float, t1: float,
     return Trajectory(t0, t1, res.sol)
 
 
-def endpoint(sys: HamiltonianSystem, z0, t0: float, t1: float) -> np.ndarray:
-    """State z(t1) of the phase flow from z0; no dense output is built."""
+def endpoint(sys: HamiltonianSystem, z0, t0: float, t1: float, *,
+             tol: float = DEFAULT_TOL) -> np.ndarray:
+    """State z(t1) of the phase flow from z0 at ``rtol = atol = tol``; no
+    dense output is built."""
     z0 = np.asarray(z0, dtype=float)
-    res = _solve(sys, sys.vector_field, z0, t0, t1, DEFAULT_TOL, False)
+    res = _solve(sys, sys.vector_field, z0, t0, t1, tol, False)
     return res.y[:, -1].copy()
 
 

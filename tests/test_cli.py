@@ -439,10 +439,13 @@ class TestContinueCommand:
             h = r["history"]
             assert len(r["z0"]) == 6
             if symmetric:
-                # undamped Newton: one half-period solve per iterate
+                # undamped Newton: one state-only half-period shot per
+                # iterate and one at the seed, one variational solve per
+                # point a step leaves
                 assert r["accepted"] and all(e[3] for e in h)
-                assert r["variational_solves"] == 1 + len(h)
-                assert r["rung_starts"] == [] and r["state_shots"] == 0
+                assert r["variational_solves"] == r["newton_iters"]
+                assert r["state_shots"] == r["newton_iters"] + 1
+                assert r["rung_starts"] == []
                 continue
             # eps = 1e-4 is a one-rung ladder: one solve at the first point
             # (its first shot did not converge), then one per accepted trial

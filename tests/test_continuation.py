@@ -29,6 +29,7 @@ from cforbits.model import (
     reversor,
 )
 from cforbits.orbit import (
+    PeriodicOrbit,
     find_closed_orbit,
     manifold_samples,
     radial_profile,
@@ -285,10 +286,10 @@ class TestStallExit:
                 assert accepted[-1] <= 1e-9 * (1.0 + np.linalg.norm(orbit.z0))
 
 
-def _variational_endpoint(sys, z0, t0, t1):
+def _variational_endpoint(sys, z0, t0, t1, *, tol=flow.DEFAULT_TOL):
     # every trial shot through the variational solve, as before the state-only
     # shot: the reference path of the deferred Jacobian
-    return flow.integrate_with_variational(sys, z0, t0, t1)[0]
+    return flow.integrate_with_variational(sys, z0, t0, t1, tol=tol)[0]
 
 
 def _unpredicted(branch, eps):
@@ -690,6 +691,29 @@ class TestDistance:
         assert out.distance <= 0.1
         assert out.distance_element is not None
 
+    def test_shift_grid_is_the_per_shift_loop_bit_for_bit(
+            self, ladder_problems, symmetric_results, monkeypatch):
+        # the grid is the first states call; each shift's slice has the bits
+        # of the per-shift call at ts - theta, so each score has them too
+        states = PeriodicOrbit.states
+        calls = []
+
+        def recorded(self, t):
+            out = states(self, t)
+            calls.append((self, out))
+            return out
+
+        monkeypatch.setattr(PeriodicOrbit, "states", recorded)
+        n_shifts, n_samples = continuation.N_SHIFTS, continuation.N_SAMPLES
+        for i, r in zip(SYMMETRIC, symmetric_results):
+            calls.clear()
+            distance_to_manifold(r, ladder_problems[i][1])
+            base, grid = calls[0]
+            ts = np.linspace(0.0, r.period, n_samples)
+            step = base.profile.tau / n_shifts
+            for k, shift in enumerate(grid.reshape(n_shifts, n_samples, -1)):
+                assert np.array_equal(shift, states(base, ts - step * k))
+
     def test_requires_trajectory(self, orbit):
         res = ContinuationResult(
             False, "failed", orbit.z0, orbit.T, 1e-4, np.inf, np.inf, 0.0,
@@ -799,6 +823,25 @@ def half_period_jacobian(sys, mode, z0, T):
     return Jac
 
 
+# the symmetric fixed-energy result misses the harmonic period 2 pi by
+# 9.8e-14: a bound about 10x above
+HARMONIC_PERIOD_TOL = 1e-12
+
+
+def harmonic_problem(mode):
+    """The degenerate harmonic 1:2 orbit from its apogee on Fix(R_0), in a
+    constant (fixed energy) or resonant cosine (fixed period) electric
+    field along x1 at eps = 1e-3."""
+    V = Potential.harmonic()
+    orb = find_closed_orbit(CLASSICAL, V, 1, 2, 1.25, L_seed=1.0)
+    fe = mode == "fixed_energy"
+    pert = Perturbation.uniform_electric(
+        (1.0, 0.0), 1e-3, profile="constant" if fe else "cosine",
+        T_forcing=math.inf if fe else orb.T)
+    return ShootingProblem(HamiltonianSystem(CLASSICAL, V, pert, 2), mode,
+                           orb.z0, orb.T, h=orb.profile.h)
+
+
 @pytest.fixture(scope="module")
 def symmetric_results(ladder_problems):
     return _run([ladder_problems[i] for i in SYMMETRIC])
@@ -813,10 +856,12 @@ class TestSymmetricPath:
             assert r.accepted and r.reason == "ok"
             assert r.residual <= continuation.RESIDUAL_TOL
             assert r.distance <= 0.1
-            # plain Newton: every step lowers the residual, one half-period
-            # solve per iterate and one at the seed
+            # plain Newton: every step lowers the residual, one state-only
+            # half-period shot per iterate and one at the seed, and one
+            # variational solve per point a step leaves
             assert r.history and all(e[1] == 0.0 and e[3] for e in r.history)
-            assert r.variational_solves == r.newton_iters + 1
+            assert r.variational_solves == r.newton_iters
+            assert r.state_shots == r.newton_iters + 1
             assert r.rung_starts == ()
             if ladder_problems[i][0].mode == "fixed_energy":
                 assert r.energy_residual <= continuation.ENERGY_TOL
@@ -882,19 +927,23 @@ class TestSymmetricPath:
 
     @pytest.mark.parametrize("i, failure", [
         (0, "first solve"), (4, "first solve"), (0, "later solve"),
-        (4, "later solve"), (4, "MAX_NEWTON")])
+        (4, "later solve"), (0, "seed shot"), (4, "seed shot"),
+        (0, "trial shot"), (4, "trial shot"), (4, "MAX_NEWTON")])
     def test_failed_attempt_falls_back_to_the_ladder(
             self, ladder_problems, ladder_results, i, failure, monkeypatch):
         p, samples = ladder_problems[i]
         ref = ladder_results[i]
         halves = []
 
-        def failing(sys, z0, t0, t1, *, tol=flow.DEFAULT_TOL):
-            if t1 < 0.75 * p.T:  # a half-period solve
-                halves.append(t1)
-                if failure == "first solve" or len(halves) == 2:
-                    raise IntegrationError("injected")
-            return flow.integrate_with_variational(sys, z0, t0, t1, tol=tol)
+        def failing(call, nth):
+            # call, with its nth half-period integration ended early
+            def wrapped(sys, z0, t0, t1, *, tol=flow.DEFAULT_TOL):
+                if t1 < 0.75 * p.T:  # a half-period integration
+                    halves.append(t1)
+                    if len(halves) == nth:
+                        raise IntegrationError("injected")
+                return call(sys, z0, t0, t1, tol=tol)
+            return wrapped
 
         if failure == "MAX_NEWTON":
             # one step is not enough at eps = 1e-3
@@ -903,8 +952,11 @@ class TestSymmetricPath:
             on_the_ladder(monkeypatch)
             ref = _run([(p, samples)])[0]
         else:
-            monkeypatch.setattr(continuation, "integrate_with_variational",
-                                failing)
+            name, call = (("endpoint", flow.endpoint) if "shot" in failure
+                          else ("integrate_with_variational",
+                                flow.integrate_with_variational))
+            nth = 1 if failure in ("first solve", "seed shot") else 2
+            monkeypatch.setattr(continuation, name, failing(call, nth))
             res = _run([(p, samples)])[0]
         assert res.path == ref.path == "ladder"
         assert np.array_equal(res.z0, ref.z0)
@@ -913,27 +965,26 @@ class TestSymmetricPath:
         assert res.reason == ref.reason
         assert res.accepted == ref.accepted
         assert res.rung_starts == ref.rung_starts
-        # the failed attempt stays in the history and the solve count
+        # the failed attempt stays in the history and the counts: a shot at
+        # the seed and one per step, a variational solve per point stepped
+        # from
         tried = len(res.history) - len(ref.history)
         assert res.history[tried:] == ref.history
         assert all(e[:2] == (1e-3, 0.0) for e in res.history[:tried])
-        assert tried == {"first solve": 0, "later solve": 1,
-                         "MAX_NEWTON": 1}[failure]
-        assert res.variational_solves == ref.variational_solves + 1 + tried
+        assert (tried, res.variational_solves - ref.variational_solves,
+                res.state_shots - ref.state_shots) == {
+            "first solve": (0, 1, 1), "later solve": (1, 2, 2),
+            "seed shot": (0, 0, 1), "trial shot": (1, 1, 2),
+            "MAX_NEWTON": (1, 1, 2)}[failure]
+        if failure == "trial shot":
+            assert res.history[0][2:] == (math.inf, False)
 
-    @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
+    @pytest.mark.parametrize("mode", ["fixed_period"])
     def test_harmonic_half_system_falls_back(self, mode, monkeypatch):
         # the harmonic oscillator is degenerate: its half-system is
         # singular at eps = 0, Newton from the seed soon raises the
         # residual, and the ladder decides
-        V = Potential.harmonic()
-        orb = find_closed_orbit(CLASSICAL, V, 1, 2, 1.25, L_seed=1.0)
-        fe = mode == "fixed_energy"
-        pert = Perturbation.uniform_electric(
-            (1.0, 0.0), 1e-3, profile="constant" if fe else "cosine",
-            T_forcing=math.inf if fe else orb.T)
-        prob = ShootingProblem(HamiltonianSystem(CLASSICAL, V, pert, 2), mode,
-                               orb.z0, orb.T, h=orb.profile.h)
+        prob = harmonic_problem(mode)
         assert _on_fix(prob)
         res = continuation._continue(prob)
         on_the_ladder(monkeypatch)
@@ -945,6 +996,19 @@ class TestSymmetricPath:
         for name in ("accepted", "reason", "period", "residual"):
             assert getattr(res, name) == getattr(ref, name), name
         assert np.array_equal(res.z0, ref.z0)
+
+    def test_harmonic_fixed_energy_converges_on_the_half_system(self):
+        # at fixed energy Newton on the degenerate half-system converges
+        # from the seed; every orbit of the shifted oscillator has period
+        # 2 pi, which the result meets to 9.8e-14 (the ladder's to 4.8e-10)
+        prob = harmonic_problem("fixed_energy")
+        assert _on_fix(prob)
+        res = continuation._continue(prob)
+        assert res.path == "symmetric" and res.accepted
+        assert res.history and all(e[1] == 0.0 and e[3] for e in res.history)
+        assert res.variational_solves == res.newton_iters
+        assert res.state_shots == res.newton_iters + 1
+        assert abs(res.period - 2.0 * math.pi) <= HARMONIC_PERIOD_TOL
 
 
 # --- an exact reference: the Larmor reduction of rotating_frame ---
@@ -1033,13 +1097,18 @@ def radial_extremes(sys, traj, T):
     return r.min(), r.max()
 
 
-def _larmor_run(orbits, name, mode, eps, seed):
+def larmor_problem(orbits, name, mode, eps, seed):
     # seed 0 is the apogee, on Fix(R_0); seed 1 is shifted by tau/2, off it
     orb = orbits[name]
     z = manifold_samples(orb, 1, 2, group="planar").states[seed]
     sys = HamiltonianSystem(CLASSICAL, orb.potential,
                             Perturbation.rotating_frame(eps), 2)
-    prob = ShootingProblem(sys, mode, z, orb.T, h=orb.profile.h)
+    return ShootingProblem(sys, mode, z, orb.T, h=orb.profile.h)
+
+
+def _larmor_run(orbits, name, mode, eps, seed):
+    prob = larmor_problem(orbits, name, mode, eps, seed)
+    orb, sys = orbits[name], prob.sys
     res = continuation._continue(prob)
     assert res.accepted, res.reason
     assert res.path == ("symmetric" if seed == 0 else "ladder")
@@ -1089,3 +1158,48 @@ class TestLarmorReference:
         T = Larmor(ALPHA_HALF, 4, 5, 0.5e-3).period_at_energy(
             orbit3.profile.h, orbit3.profile.L)
         assert abs(res.period - T) <= LARMOR_PERIOD_TOL[res.path]
+
+
+# the apogee seeds of TestLarmorReference: (name, mode, eps)
+LARMOR_APOGEE = tuple(
+    [(name, "fixed_energy", eps) for name in LARMOR_ORBITS
+     for eps in (1e-4, 1e-3, 1e-2)]
+    + [(name, "fixed_period", eps) for name in LARMOR_ORBITS
+       for eps in (1e-4, 1e-3)])
+# with every half-period Jacobian at DEFAULT_TOL the symmetric solutions
+# move by at most 7.8e-12 in z0 and 4.8e-12 in the period: bounds about
+# 10x above
+SYMMETRIC_Z0_TOL = 1e-10
+SYMMETRIC_PERIOD_TOL = 5e-11
+
+
+@pytest.fixture(scope="module")
+def symmetric_and_exact_jacobian(ladder_problems, symmetric_results,
+                                 larmor_orbits):
+    """(result, reference result) for every symmetric problem: those of
+    ``SYMMETRIC`` and the Larmor apogee seeds, the reference solving every
+    half-period Jacobian at DEFAULT_TOL."""
+    problems = ([ladder_problems[i][0] for i in SYMMETRIC]
+                + [larmor_problem(larmor_orbits, name, mode, eps, 0)
+                   for name, mode, eps in LARMOR_APOGEE])
+    fast = symmetric_results + [continuation._continue(p)
+                                for p in problems[len(SYMMETRIC):]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "_jacobian_tol", _exact_jacobian_tol)
+        ref = [continuation._continue(p) for p in problems]
+    return list(zip(fast, ref))
+
+
+class TestInexactHalfPeriodJacobian:
+    def test_same_solutions_as_exact_jacobians(
+            self, symmetric_and_exact_jacobian):
+        # symmetric solutions are isolated on Fix(R_a): z0 is compared
+        # pointwise
+        for fast, ref in symmetric_and_exact_jacobian:
+            assert fast.path == ref.path == "symmetric"
+            assert fast.accepted and ref.accepted
+            assert fast.newton_iters == ref.newton_iters
+            assert fast.variational_solves == ref.variational_solves
+            assert fast.state_shots == ref.state_shots
+            assert np.max(np.abs(fast.z0 - ref.z0)) <= SYMMETRIC_Z0_TOL
+            assert abs(fast.period - ref.period) <= SYMMETRIC_PERIOD_TOL
