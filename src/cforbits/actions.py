@@ -60,11 +60,13 @@ def _omega(law, V, h, L):
     return np.array(frequencies(radial_profile(law, V, h, L)))
 
 
-def k0_hessian(law: KineticLaw, V: Potential, h: float,
-               L: float) -> NondegReport:
+def k0_hessian(law: KineticLaw, V: Potential, h: float, L: float, *,
+               profile: RadialProfile | None = None) -> NondegReport:
     """Hessian of the action-variable Hamiltonian at (h, L) by central
-    differences of the frequency map through the (h, L) chart."""
-    p = radial_profile(law, V, h, L)
+    differences of the frequency map through the (h, L) chart.  ``profile``
+    is the radial profile at (h, L) when the caller holds it (a found
+    orbit's ``profile``); else it is computed here."""
+    p = radial_profile(law, V, h, L) if profile is None else profile
     dh = FD_STEP * (1.0 + abs(h))
     dL = FD_STEP * (1.0 + abs(L))
     dom_dh = (_omega(law, V, h + dh, L) - _omega(law, V, h - dh, L)) / (2.0 * dh)

@@ -200,6 +200,11 @@ def _fmt(x):
     return float(f"{x:.12g}")
 
 
+def _finite(x):
+    """_fmt(x) for a finite x; None for None, inf or nan."""
+    return _fmt(x) if x is not None and math.isfinite(x) else None
+
+
 def _write_states(em: Emitter, name, ts, states):
     """CSV of the phase states at the times ts, one row per time."""
     d = states.shape[1] // 2
@@ -298,7 +303,8 @@ def cmd_continue(cfg, em: Emitter):
     mode = ccfg.get("mode", "fixed_period")
 
     # gate: warn when the unperturbed manifold is degenerate
-    rep = k0_hessian(law, V, orbit.profile.h, orbit.profile.L)
+    rep = k0_hessian(law, V, orbit.profile.h, orbit.profile.L,
+                     profile=orbit.profile)
     verdict = (nondeg_fixed_period(rep) if mode == "fixed_period"
                else nondeg_fixed_energy(rep))
     if verdict == "degenerate":
@@ -336,21 +342,20 @@ def cmd_continue(cfg, em: Emitter):
                 "accepted": r.accepted,
                 "reason": r.reason,
                 "z0": [_fmt(v) for v in r.z0],
-                "residual": _fmt(r.residual) if np.isfinite(r.residual) else None,
-                "energy_residual": _fmt(r.energy_residual)
-                if np.isfinite(r.energy_residual) else None,
+                "residual": _finite(r.residual),
+                "energy_residual": _finite(r.energy_residual),
                 "period": _fmt(r.period),
                 "period_shift_rel": _fmt(abs(r.period - orbit.T) / orbit.T),
-                "distance_to_manifold": _fmt(r.distance)
-                if r.distance is not None else None,
+                "distance_to_manifold": _finite(r.distance),
                 "newton_iters": r.newton_iters,
                 "variational_solves": r.variational_solves,
                 "state_shots": r.state_shots,
-                "history": [[_fmt(eps), _fmt(lam),
-                             _fmt(res) if np.isfinite(res) else None, ok]
+                "half_condition": _finite(r.half_condition),
+                "reduced_gradient": _finite(r.reduced_gradient),
+                "reduced_distance": _finite(r.reduced_distance),
+                "history": [[_fmt(eps), _fmt(lam), _finite(res), ok]
                             for eps, lam, res, ok in r.history],
-                "rung_starts": [[_fmt(eps), _fmt(res) if np.isfinite(res)
-                                 else None, predicted]
+                "rung_starts": [[_fmt(eps), _finite(res), predicted]
                                 for eps, res, predicted in r.rung_starts],
             }
             for r in refined

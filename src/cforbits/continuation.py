@@ -47,6 +47,12 @@ extrapolation of the last (up to) three branch points, linear on the second
 rung and quadratic from the third.  A seed off the critical points of the
 reduced functional is not on that branch, so a predicted rung that ends
 rejected is run once more from the previous rung's point.
+
+``multistart`` asks each manifold sample the paper's question before either
+path runs: the perturbed orbits continue from critical points of the
+reduced functional Gamma (``reduced_functional``), a closed form in a few
+moments of the base orbit.  A sample farther than ``SCREEN_DISTANCE`` from
+Gamma's critical set, to first order, comes back rejected unshot.
 """
 from __future__ import annotations
 
@@ -60,7 +66,8 @@ from .errors import CollisionError, IntegrationError
 from .flow import (DEFAULT_TOL, endpoint, integrate,
                    integrate_with_variational, symplectic_matrix)
 from .model import HamiltonianSystem, reversor
-from .orbit import ManifoldSample, reflect_apsis, rotate_plane
+from .orbit import (ManifoldSample, field_moments, reflect_apsis,
+                    rotate_plane)
 
 __all__ = [
     "ShootingProblem",
@@ -69,6 +76,8 @@ __all__ = [
     "continue_fixed_period",
     "continue_fixed_energy",
     "distance_to_manifold",
+    "ReducedPoint",
+    "reduced_functional",
     "multistart",
     "distinct_results",
 ]
@@ -166,8 +175,19 @@ class ContinuationResult:
     # fallback re-runs included; the residual is inf when the shot failed
     rung_starts: tuple = ()
     # "symmetric" for a result of the half-period system on Fix(R_a),
-    # "ladder" for a result of the eps ladder
+    # "ladder" for a result of the eps ladder, "screened" for a multistart
+    # seed rejected unshot off the reduced functional's critical set
     path: str = "ladder"
+    # condition number of the last half-period Jacobian a symmetric attempt
+    # solved with; None when it solved with none
+    half_condition: float | None = None
+    # a multistart seed's |grad Gamma| and its first-order distance
+    # |grad Gamma| / ||Hess Gamma||_2 to Gamma's critical set (see
+    # ``reduced_functional``); None outside ``multistart``.  Where
+    # |grad Gamma| is within the quadrature's error, Gamma is flat to first
+    # order and the distance a ratio of rounding errors
+    reduced_gradient: float | None = None
+    reduced_distance: float | None = None
 
 
 def eps_path(eps_target: float):
@@ -297,6 +317,7 @@ def _continue(problem: ShootingProblem):
     solves = 0  # variational solves started
     shots = 0  # state-only shots started
     path = "ladder"
+    cond = None  # of the last half-period Jacobian solved with
 
     def period(u):
         return u[n] if fe else problem.T
@@ -348,12 +369,13 @@ def _continue(problem: ShootingProblem):
             False, f"{why} at eps={eps:g}", u[:n], period(u), eps, res,
             np.inf, np.inf if fe else 0.0, len(history), problem.seed_id,
             history=tuple(history), variational_solves=solves,
-            state_shots=shots, rung_starts=tuple(starts), path=path)
+            state_shots=shots, rung_starts=tuple(starts), path=path,
+            half_condition=cond)
 
     def symmetric(a):
         # Newton on the half-period system of R_a at the target eps from
         # the seed: the point u it converged to, or None
-        nonlocal res
+        nonlocal res, cond
         sys, d = problem.sys, problem.sys.dim
         odd = [1, *range(d, n, 2)]  # the coordinates R_0 flips
         # rows: the even and odd coordinate directions of the frame turned
@@ -399,9 +421,11 @@ def _continue(problem: ShootingProblem):
             if converged(R, res, -1):
                 break
             try:
-                v_try = v - np.linalg.solve(half_jacobian(v, zh, res), R)
+                Jac = half_jacobian(v, zh, res)
+                v_try = v - np.linalg.solve(Jac, R)
             except (IntegrationError, np.linalg.LinAlgError):
                 return None
+            cond = float(np.linalg.cond(Jac))
             res2 = np.inf  # unless the step is shot
             if not (fe and v_try[-1] <= 0.1 * problem.T):
                 try:
@@ -517,7 +541,8 @@ def _continue(problem: ShootingProblem):
         ok, "ok" if ok else reason, z0, T, target_eps, close, en, ph,
         len(history), problem.seed_id, trajectory=traj,
         history=tuple(history), variational_solves=solves,
-        state_shots=shots, rung_starts=tuple(starts), path=path)
+        state_shots=shots, rung_starts=tuple(starts), path=path,
+        half_condition=cond)
 
 
 def continue_fixed_period(problem: ShootingProblem) -> ContinuationResult:
@@ -590,16 +615,176 @@ def distance_to_manifold(result: ContinuationResult,
     return replace(result, distance=d, distance_element=(M, theta))
 
 
+# --- the reduced functional ---
+
+# periodic-trapezoid nodes per radial period of the reduced functional's
+# moments; the error estimate compares them with half as many
+MOMENT_NODES = 512
+# a multistart seed whose first-order distance |grad Gamma| / ||Hess Gamma||_2
+# to the critical set of the reduced functional exceeds SCREEN_DISTANCE
+# (radians of the manifold coordinates) is rejected unshot.  Measured on the
+# 4:5 orbit under the resonant cosine field at eps 1e-4 to 1e-2, the ladder
+# converges from seeds turned off the critical circle up to 0.0299 and
+# stalls from 0.0314 on, as on tilts of the spatial orbit in a magnetic
+# field from 0.04 on; the bound keeps a factor of 3 above the first, and
+# lies below every 32-grid seed the ladder stalls on (>= 0.155) and the
+# benchmark's tau/2 seeds (0.71)
+SCREEN_DISTANCE = 0.1
+
+
+@dataclass(frozen=True)
+class ReducedPoint:
+    """The reduced functional at one element of the manifold, in the
+    coordinates (psi, phi) of that element: the rotation generators (one in
+    the plane, three in space), then the radial phase phi = 2 pi theta/tau,
+    all in radians.  ``gradient_error`` is the quadrature's error estimate
+    of ``gradient``: its change from half the nodes plus the rounding of
+    the sums."""
+
+    value: float
+    gradient: np.ndarray
+    hessian: np.ndarray
+    gradient_error: float
+
+    @property
+    def distance(self) -> float:
+        """First-order distance |grad| / ||Hess||_2 to the critical set."""
+        g = float(np.linalg.norm(self.gradient))
+        h = float(np.linalg.norm(self.hessian, 2))
+        return g / h if h > 0.0 else (math.inf if g > 0.0 else 0.0)
+
+
+def _generators(dim):
+    """Basis of the rotation generators: G_i x = e_i x x in space, the
+    quarter turn in the plane."""
+    if dim == 2:
+        return np.array([[[0.0, -1.0], [1.0, 0.0]]])
+    return np.array([np.cross(e, np.eye(3)).T for e in np.eye(3)])
+
+
+def reduced_functional(orbit, perturbation, group: str, elements):
+    """The paper's reduced functional Gamma(g) = int_0^T [U1(t, g.x) +
+    <A1(g.x), g.x'>] dt on the manifold of rotated (M) and time-shifted
+    (theta) copies g.x(t) = M x(t - theta) of the unperturbed orbit, with
+    U1 = g(t) e.x and A1 = DA1 x the first-order fields of the
+    perturbation (Ambrosetti, Coti Zelati & Ekeland, JDE 67 (1987);
+    Weinstein, Math. Z. 159 (1978)); one ``ReducedPoint`` per element (M,
+    theta) of ``elements`` (an angle for M in the ``planar`` group).
+
+    Both fields are linear in x, so with C, S and P the moments of
+    ``orbit.field_moments`` at the forcing frequency omega,
+    Gamma = e^T M c(theta) + tr(DA1 M P M^T) with c(theta) =
+    cos(omega theta) C - sin(omega theta) S, and its derivatives along
+    exp(sum psi_i G_i) M and theta are closed forms in the same moments.
+    They are computed once per call, at MOMENT_NODES and at half as many
+    nodes per radial period."""
+    dim = 2 if group == "planar" else 3
+    eps = perturbation.eps
+    e = np.zeros(dim)
+    DA = np.zeros((dim, dim))
+    if perturbation._e is not None:
+        e = np.array(perturbation._e[:dim])
+    if perturbation._DA is not None:
+        DA = np.array(perturbation._DA).reshape(3, 3)[:dim, :dim] / eps
+    omega = (0.0 if perturbation.is_autonomous
+             else 2.0 * math.pi / perturbation.T_forcing)
+    dphi = orbit.profile.tau / (2.0 * math.pi)  # d theta / d phi
+    G = _generators(dim)
+    r = len(G)
+
+    def moments(nodes):
+        C, S, P, size_x, size_xv = field_moments(orbit, omega, nodes)
+        pad = dim - orbit.dim
+        C, S = np.pad(C, (0, pad)), np.pad(S, (0, pad))
+        return C, S, np.pad(P, (0, pad)), size_x, size_xv
+
+    def derivatives(M, theta, C, S, P):
+        # Gamma, its gradient and its Hessian at (M, theta)
+        cw, sw = math.cos(omega * theta), math.sin(omega * theta)
+        c = cw * C - sw * S
+        c1 = -omega * (sw * C + cw * S) * dphi  # dc/dphi
+        c2 = -omega**2 * c * dphi**2
+
+        def quad(A, B):
+            # int <DA1 A x, B v> dt = <DA1^T, A P B^T>
+            return np.sum(DA.T * (A @ P @ np.swapaxes(B, -1, -2)),
+                          axis=(-2, -1))
+
+        def form(A, B):
+            # the part of quad symmetric in A and B
+            return quad(A, B) + quad(B, A)
+
+        dN = G @ M  # (r, dim, dim)
+        d2N = 0.5 * (G[:, None] @ G[None, :] + G[None, :] @ G[:, None]) @ M
+        grad = np.empty(r + 1)
+        hess = np.empty((r + 1, r + 1))
+        grad[:r] = dN @ c @ e + form(dN, M)
+        grad[r] = e @ M @ c1
+        hess[:r, :r] = (d2N @ c @ e + form(d2N, M)
+                        + form(dN[:, None], dN[None, :]))
+        hess[:r, r] = hess[r, :r] = dN @ c1 @ e
+        hess[r, r] = e @ M @ c2
+        return e @ M @ c + quad(M, M), grad, hess
+
+    nodes = orbit.n * MOMENT_NODES
+    fine, coarse = moments(nodes), moments(nodes // 2)
+    # the sums' rounding, bounded by the number of terms times the size of
+    # what they add up
+    rounding = nodes * np.finfo(float).eps * (
+        np.linalg.norm(e) * (1.0 + omega * dphi) * fine[3]
+        + 2.0 * np.linalg.norm(DA) * fine[4])
+    points = []
+    for M, theta in elements:
+        if group == "planar":
+            M = np.array([[math.cos(M), -math.sin(M)],
+                          [math.sin(M), math.cos(M)]])
+        value, grad, hess = derivatives(M, theta, *fine[:3])
+        _, grad_coarse, _ = derivatives(M, theta, *coarse[:3])
+        err = float(np.linalg.norm(grad - grad_coarse)) + rounding
+        points.append(ReducedPoint(float(value), grad, hess, err))
+    return points
+
+
 # --- multi-start ---
 
 def multistart(problem_template: ShootingProblem, samples: ManifoldSample):
     """Run one continuation per manifold sample; returns all results in
-    sample order."""
+    sample order.
+
+    The paper continues an unperturbed orbit only from the critical points
+    of the reduced functional Gamma on its manifold (``reduced_functional``),
+    so each sample is first put that question, with no integration.  A
+    sample whose first-order distance to Gamma's critical set,
+    delta = |grad Gamma| / ||Hess Gamma||_2, exceeds SCREEN_DISTANCE comes
+    back as a rejected result with path "screened", no shot, no solve and
+    no Newton step, and a reason naming delta.  Where |grad Gamma| is within
+    the quadrature's error estimate nothing is screened: a constant
+    electric field on an orbit with n >= 2, ``rotating_frame`` and the zero
+    field have Gamma constant at first order.  Every other sample runs
+    ``continue_fixed_period`` or ``continue_fixed_energy`` as given.  Every
+    result carries the sample's |grad Gamma| and delta
+    (``reduced_gradient``, ``reduced_distance``)."""
     runner = (continue_fixed_period if problem_template.mode == "fixed_period"
               else continue_fixed_energy)
-    return [runner(replace(problem_template, seed=np.asarray(seed, dtype=float),
-                           seed_id=i))
-            for i, seed in enumerate(samples.states)]
+    fe = problem_template.mode == "fixed_energy"
+    pert = problem_template.sys.perturbation
+    points = reduced_functional(samples.base, pert, samples.group,
+                                samples.elements)
+    results = []
+    for i, (seed, point) in enumerate(zip(samples.states, points)):
+        seed = np.asarray(seed, dtype=float)
+        grad, dist = float(np.linalg.norm(point.gradient)), point.distance
+        if grad > point.gradient_error and dist > SCREEN_DISTANCE:
+            result = ContinuationResult(
+                False, f"screened: reduced-functional distance delta = "
+                f"{dist:.3g} above {SCREEN_DISTANCE:g}", seed,
+                problem_template.T, pert.eps, np.inf, np.inf,
+                np.inf if fe else 0.0, 0, i, path="screened")
+        else:
+            result = runner(replace(problem_template, seed=seed, seed_id=i))
+        results.append(replace(result, reduced_gradient=grad,
+                               reduced_distance=dist))
+    return results
 
 
 # distinct_results compares position curves at N_CURVE times over one period

@@ -166,8 +166,8 @@ class ConsistencyReport:
 def cross_check(orbit: PeriodicOrbit) -> ConsistencyReport:
     """Run both routes on both problems, planar and spatial, and demand
     verdict agreement."""
-    rep = k0_hessian(orbit.law, orbit.potential,
-                     orbit.profile.h, orbit.profile.L)
+    rep = k0_hessian(orbit.law, orbit.potential, orbit.profile.h,
+                     orbit.profile.L, profile=orbit.profile)
     det_fp = nondeg_fixed_period(rep)
     det_fe = nondeg_fixed_energy(rep)
     # one radial-period solve serves both problems in both dimensions

@@ -363,6 +363,94 @@ class TestLimitClassicalCommand:
         assert payload["phi_errors"][-1] <= 1e-3
 
 
+def run_continue(tmp_path, cfg):
+    """continuation.json of a successful continue run of cfg."""
+    out = tmp_path / "out"
+    assert main(["continue", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == EXIT_OK
+    return json.loads((out / "continuation.json").read_text())
+
+
+def check_seed_records(payload):
+    """The per-seed records of continuation.json account for their shots,
+    solves and steps as their path runs them."""
+    for r in payload["results"]:
+        assert len(r["history"]) == r["newton_iters"]
+        assert len(r["z0"]) == len(payload["results"][0]["z0"])
+        assert r["reduced_gradient"] >= 0.0
+        if r["path"] == "screened":
+            # rejected unshot, off the critical set of the reduced
+            # functional by more than the screen's bound
+            assert not r["accepted"] and "delta = " in r["reason"]
+            assert (r["reduced_distance"]
+                    > cforbits.continuation.SCREEN_DISTANCE)
+            assert r["newton_iters"] == r["variational_solves"] == 0
+            assert r["state_shots"] == 0 and r["rung_starts"] == []
+            assert r["residual"] is None and r["half_condition"] is None
+            continue
+        if r["accepted"]:
+            assert r["residual"] <= 1e-7
+        symmetric = r["path"] == "symmetric"
+        for eps, lam, res, accepted in r["history"]:
+            assert eps > 0.0 and isinstance(accepted, bool)
+            assert lam == 0.0 if symmetric else lam > 0.0
+            assert res is None or res >= 0.0
+        h = r["history"]
+        if symmetric:
+            # undamped Newton: one state-only half-period shot per iterate
+            # and one at the seed, one variational solve per point a step
+            # leaves, each Jacobian's condition recorded
+            assert r["accepted"] and all(e[3] for e in h)
+            assert r["variational_solves"] == r["newton_iters"]
+            assert r["state_shots"] == r["newton_iters"] + 1
+            assert r["rung_starts"] == []
+            assert r["half_condition"] >= 1.0
+            continue
+        # a ladder whose trials ran on one rung (eps = 1e-4 is a one-rung
+        # ladder): one solve at the first point (its first shot did not
+        # converge), then one per accepted trial that another trial follows;
+        # any ladder: one state-only shot per rung started and one per trial
+        # shot
+        assert h and r["half_condition"] is None
+        steps = sum(1 for a, b in zip(h, h[1:]) if a[3])
+        if all(eps == h[0][0] for eps, *_ in h):
+            assert r["variational_solves"] == 1 + steps
+            ((eps, res, predicted),) = r["rung_starts"]
+            assert res >= 0.0 and predicted is False
+        assert r["state_shots"] == (len(r["rung_starts"])
+                                    + sum(1 for e in h if e[2] is not None))
+
+
+def fixed_set_runs(config, tmp_path, monkeypatch, names):
+    """continuation.json of a --reproducible continue run of config and of
+    one with every seed kept off the symmetric path; asserts that only seed
+    0 differs, that both write the files names and the same manifest."""
+    runs = []
+    for ladder_only in (False, True):
+        if ladder_only:
+            monkeypatch.setattr(cforbits.continuation, "_fix_angle",
+                                lambda problem: None)
+        out = tmp_path / ("ladder" if ladder_only else "default")
+        assert main(["continue", "--config", config, "--out", str(out),
+                     "--reproducible"]) == EXIT_OK
+        runs.append(out)
+    both, ladder = (json.loads((out / "continuation.json").read_text())
+                    for out in runs)
+    assert both["results"][0]["path"] == "symmetric"
+    assert ladder["results"][0]["path"] == "ladder"
+    assert both["results"][1:] == ladder["results"][1:]
+    first = both["results"][0]
+    assert first["accepted"] and ladder["results"][0]["accepted"]
+    assert first["residual"] <= 1e-9
+    assert {k: v for k, v in both.items() if k != "results"} == {
+        k: v for k, v in ladder.items() if k != "results"}
+    for out in runs:
+        assert sorted(p.name for p in out.iterdir()) == names
+    assert ((runs[0] / "manifest.json").read_bytes()
+            == (runs[1] / "manifest.json").read_bytes())
+    return both, ladder
+
+
 class TestContinueCommand:
     def test_degenerate_base_refused_without_override(self, tmp_path):
         cfg = {
@@ -417,79 +505,65 @@ class TestContinueCommand:
             "continuation": {"mode": "fixed_period", "group": "SO3",
                              "count_rot": 1, "count_shift": 2},
         }
-        path = write_cfg(tmp_path, cfg)
-        out = tmp_path / "out"
-        assert main(["continue", "--config", path, "--out", str(out)]) == EXIT_OK
-        payload = json.loads((out / "continuation.json").read_text())
+        payload = run_continue(tmp_path, cfg)
         assert payload["n_accepted"] >= 1
         assert payload["n_distinct"] >= 1
-        ok = [r for r in payload["results"] if r["accepted"]]
-        assert all(r["residual"] <= 1e-7 for r in ok)
-        # the apogee seed lies on the fixed set of the reversor, the seed
-        # shifted by tau/2 does not
+        # the apogee seed lies on the fixed set of the reversor; the seed
+        # shifted by tau/2 lies off the critical set of the reduced
+        # functional and is screened
+        assert [r["path"] for r in payload["results"]] == ["symmetric",
+                                                            "screened"]
+        check_seed_records(payload)
+
+    def test_spatial_constant_electric_run(self, tmp_path):
+        # the spatial run in a constant field, whose reduced functional is
+        # constant at first order: the tau/2 seed takes the ladder
+        cfg = {
+            "schema_version": 1,
+            "potential": {"kind": "homogeneous", "alpha": 0.5},
+            "orbit": {"k": 4, "n": 5, "h": -1.9},
+            "perturbation": {"family": "uniform_electric", "eps": 1e-4,
+                             "profile": "constant",
+                             "e_vec": [1.0, 0.0, 0.0]},
+            "continuation": {"mode": "fixed_period", "group": "SO3",
+                             "count_rot": 1, "count_shift": 2},
+        }
+        payload = run_continue(tmp_path, cfg)
+        assert payload["n_accepted"] >= 1
         assert [r["path"] for r in payload["results"]] == ["symmetric",
                                                             "ladder"]
-        for r in payload["results"]:
-            assert len(r["history"]) == r["newton_iters"]
-            symmetric = r["path"] == "symmetric"
-            for eps, lam, res, accepted in r["history"]:
-                assert eps > 0.0 and isinstance(accepted, bool)
-                assert lam == 0.0 if symmetric else lam > 0.0
-                assert res is None or res >= 0.0
-            h = r["history"]
-            assert len(r["z0"]) == 6
-            if symmetric:
-                # undamped Newton: one state-only half-period shot per
-                # iterate and one at the seed, one variational solve per
-                # point a step leaves
-                assert r["accepted"] and all(e[3] for e in h)
-                assert r["variational_solves"] == r["newton_iters"]
-                assert r["state_shots"] == r["newton_iters"] + 1
-                assert r["rung_starts"] == []
-                continue
-            # eps = 1e-4 is a one-rung ladder: one solve at the first point
-            # (its first shot did not converge), then one per accepted trial
-            # that another trial follows; one state-only shot at the start
-            # and one per trial shot
-            assert h
-            steps = sum(1 for a, b in zip(h, h[1:]) if a[3])
-            assert r["variational_solves"] == 1 + steps
-            assert r["state_shots"] == 1 + sum(1 for e in h if e[2] is not None)
-            ((eps, res, predicted),) = r["rung_starts"]
-            assert eps == 1e-4 and res >= 0.0 and predicted is False
+        check_seed_records(payload)
 
     def test_demo_run_changes_only_the_seed_on_the_fixed_set(
             self, tmp_path, monkeypatch):
         # continue_alpha05.json: seed 0, the apogee on the field's line,
         # lies on Fix(R_0) and takes the symmetric path; the other seven
-        # (its tau/2 shift and the SO(3)-turned seeds) take the ladder and
-        # write what the ladder alone writes
-        config = str(DEMO_DIR / "continue_alpha05.json")
-        runs = []
-        for ladder_only in (False, True):
-            if ladder_only:
-                monkeypatch.setattr(cforbits.continuation, "_fix_angle",
-                                    lambda problem: None)
-            out = tmp_path / ("ladder" if ladder_only else "default")
-            assert main(["continue", "--config", config, "--out", str(out),
-                         "--reproducible"]) == EXIT_OK
-            runs.append(out)
-        both, ladder = (json.loads((out / "continuation.json").read_text())
-                        for out in runs)
+        # (its tau/2 shift and the SO(3)-turned seeds) lie off the critical
+        # set of the reduced functional and are screened, with or without
+        # the symmetric path
+        both, ladder = fixed_set_runs(
+            str(DEMO_DIR / "continue_alpha05.json"), tmp_path, monkeypatch,
+            ["continuation.json", "continued_seed0.csv", "manifest.json"])
         assert [r["path"] for r in both["results"]] == (["symmetric"]
-                                                        + ["ladder"] * 7)
-        assert both["results"][1:] == ladder["results"][1:]
-        first = both["results"][0]
-        assert first["accepted"] and ladder["results"][0]["accepted"]
-        assert first["residual"] <= 1e-9
-        assert {k: v for k, v in both.items() if k != "results"} == {
-            k: v for k, v in ladder.items() if k != "results"}
-        names = sorted(p.name for p in runs[0].iterdir())
-        assert names == sorted(p.name for p in runs[1].iterdir())
-        assert names == ["continuation.json", "continued_seed0.csv",
-                         "manifest.json"]
-        assert ((runs[0] / "manifest.json").read_bytes()
-                == (runs[1] / "manifest.json").read_bytes())
+                                                        + ["screened"] * 7)
+
+    def test_constant_field_run_changes_only_the_seed_on_the_fixed_set(
+            self, tmp_path, monkeypatch):
+        # the demo run in a constant field, on a 2 x 2 grid: no seed is
+        # screened, and the three seeds off the fixed set take the ladder
+        # and write what the ladder alone writes
+        cfg = json.loads((DEMO_DIR / "continue_alpha05.json").read_text())
+        cfg["perturbation"] = {"family": "uniform_electric", "eps": 1e-3,
+                               "profile": "constant",
+                               "e_vec": [1.0, 0.0, 0.0]}
+        cfg["continuation"].update(count_rot=2, count_shift=2)
+        both, ladder = fixed_set_runs(
+            write_cfg(tmp_path, cfg), tmp_path, monkeypatch,
+            ["continuation.json", "continued_seed0.csv",
+             "continued_seed1.csv", "manifest.json"])
+        assert [r["path"] for r in both["results"]] == (["symmetric"]
+                                                        + ["ladder"] * 3)
+        check_seed_records(both)
 
     def test_rung_starts_per_seed(self, tmp_path, monkeypatch):
         # eps = 1e-3 is a three-rung ladder; the seed lies on the branch, so

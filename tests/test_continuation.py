@@ -29,10 +29,12 @@ from cforbits.model import (
     reversor,
 )
 from cforbits.orbit import (
+    ManifoldSample,
     PeriodicOrbit,
     find_closed_orbit,
     manifold_samples,
     radial_profile,
+    reflect_apsis,
     rotate_plane,
     rotate_state,
 )
@@ -875,6 +877,11 @@ class TestSymmetricPath:
             Jac = half_period_jacobian(sys, mode, r.z0, r.period)
             assert np.linalg.cond(Jac) <= HALF_SYSTEM_COND[sys.dim, mode]
             assert np.linalg.svd(Jac, compute_uv=False)[-1] >= HALF_SYSTEM_SMIN
+            # the result records the condition of the last Jacobian Newton
+            # solved with, one step before the solution: 1.3e-5 relative
+            # from the rebuilt one at most
+            assert r.half_condition == pytest.approx(np.linalg.cond(Jac),
+                                                     rel=1e-3)
         # the degenerate harmonic orbit, whose half-system vanishes at
         # eps = 0 (singular values 1.2e-11)
         V = Potential.harmonic()
@@ -1009,6 +1016,10 @@ class TestSymmetricPath:
         assert res.variational_solves == res.newton_iters
         assert res.state_shots == res.newton_iters + 1
         assert abs(res.period - 2.0 * math.pi) <= HARMONIC_PERIOD_TOL
+        # accepted on a singular half-system, which the result shows: the
+        # last Jacobian solved with has condition 2.7e10, against 331-11,814
+        # at the regular symmetric solutions
+        assert res.half_condition >= 1e9
 
 
 # --- an exact reference: the Larmor reduction of rotating_frame ---
@@ -1203,3 +1214,326 @@ class TestInexactHalfPeriodJacobian:
             assert fast.state_shots == ref.state_shots
             assert np.max(np.abs(fast.z0 - ref.z0)) <= SYMMETRIC_Z0_TOL
             assert abs(fast.period - ref.period) <= SYMMETRIC_PERIOD_TOL
+
+
+# --- the reduced functional and the multistart screen ---
+
+def direct_gamma(orbit, pert, M, theta, nodes=2048):
+    """Gamma at the element (M, theta) by the trapezoid rule over the copy
+    t -> M x(t - theta) itself, with nodes per radial period: U1 = g(t) e.x
+    for the electric field, A1 = B0 x x / 2 for the magnetic field and
+    A1 = (x2, 0) for rotating_frame."""
+    N = orbit.n * nodes
+    t = orbit.T * np.arange(N) / N
+    z = orbit.states(t - theta)
+    d, D = orbit.dim, M.shape[0]
+    p = z[:, d:]
+    s = np.linalg.norm(p, axis=1)
+    v = (orbit.law.f_inv(s) / s)[:, None] * p
+    X = np.pad(z[:, :d], ((0, 0), (0, D - d))) @ M.T
+    Vel = np.pad(v, ((0, 0), (0, D - d))) @ M.T
+    f = np.zeros(N)
+    if pert.family == "uniform_electric":
+        g = (np.cos(2.0 * math.pi * t / pert.T_forcing)
+             if pert.profile == "cosine" else 1.0)
+        f = g * (X @ np.array(pert.e_vec))
+    elif pert.family == "uniform_magnetic":
+        f = np.sum(0.5 * np.cross(np.array(pert.B0), X) * Vel, axis=1)
+    elif pert.family == "rotating_frame":
+        f = X[:, 1] * Vel[:, 0]
+    return orbit.T / N * float(np.sum(f))
+
+
+def turned(group, psi, M):
+    """exp(sum psi_i G_i) M: the turn by psi about x3 in the plane, by the
+    rotation vector psi in space."""
+    if group == "planar":
+        c, s = math.cos(psi[0]), math.sin(psi[0])
+        return np.array([[c, -s], [s, c]]) @ M
+    return Rotation.from_rotvec(psi).as_matrix() @ M
+
+
+def matrix(group, M):
+    return turned(group, [M], np.eye(2)) if group == "planar" else M
+
+
+@pytest.fixture(scope="module")
+def alpha15():
+    # the pool's alpha = 1.5 3:2 orbit (n = 2)
+    return find_closed_orbit(CLASSICAL, Potential.homogeneous(1.0, 1.5), 3, 2,
+                             -0.5)
+
+
+# closed forms against direct quadrature and differences: Gamma measured to
+# 2.0e-12, the gradient against central differences (step 1e-4) to 4.7e-9
+# and the Hessian against second differences (step 1e-3) to 3.9e-7, each
+# relative to the largest value of its kind over the case
+GAMMA_TOL = 1e-10
+GRADIENT_TOL = 1e-7
+HESSIAN_TOL = 1e-5
+
+
+def reference_cases(orbit, orbit3, alpha15):
+    """(orbit, perturbation, group) of the reference test: the plane and
+    SO(3), electric fields off the axes, a tilted magnetic field."""
+    return {
+        "planar cosine 4:5": (orbit, Perturbation.uniform_electric(
+            (0.6, -0.8), 1e-3, profile="cosine", T_forcing=orbit.T),
+            "planar"),
+        "planar cosine 3:2": (alpha15, Perturbation.uniform_electric(
+            (0.6, -0.8), 1e-3, profile="cosine", T_forcing=alpha15.T),
+            "planar"),
+        "planar rotating_frame": (orbit, Perturbation.rotating_frame(1e-3),
+                                  "planar"),
+        "SO3 cosine 4:5": (orbit3, Perturbation.uniform_electric(
+            (0.3, -0.5, 0.8), 1e-3, profile="cosine", T_forcing=orbit3.T),
+            "SO3"),
+        "SO3 constant 3:2": (alpha15, Perturbation.uniform_electric(
+            (0.3, -0.5, 0.8), 1e-3), "SO3"),
+        "SO3 magnetic 4:5": (orbit3, Perturbation.uniform_magnetic(
+            (0.2, -0.4, 1.0), 1e-3), "SO3"),
+    }
+
+
+class TestReducedFunctional:
+    @pytest.mark.parametrize("case", ["planar cosine 4:5", "planar cosine 3:2",
+                                      "planar rotating_frame",
+                                      "SO3 cosine 4:5", "SO3 constant 3:2",
+                                      "SO3 magnetic 4:5"])
+    def test_closed_forms_against_quadrature_and_differences(
+            self, case, orbit, orbit3, alpha15):
+        orb, pert, group = reference_cases(orbit, orbit3, alpha15)[case]
+        rng = np.random.default_rng(7)
+        tau = orb.profile.tau
+        if group == "planar":
+            elements = [(a, th) for a, th in zip(rng.uniform(0, 2 * math.pi, 3),
+                                                 rng.uniform(0, orb.T, 3))]
+        else:
+            elements = [(M, th) for M, th in zip(
+                Rotation.random(3, random_state=7).as_matrix(),
+                rng.uniform(0, orb.T, 3))]
+        points = continuation.reduced_functional(orb, pert, group, elements)
+        r = 1 if group == "planar" else 3
+
+        def gamma(element, u):
+            # Gamma at the coordinates u = (psi, phi) of the element
+            M, th = element
+            return direct_gamma(orb, pert, turned(group, u[:r],
+                                                  matrix(group, M)),
+                                th + tau * u[r] / (2.0 * math.pi))
+
+        scale = max(abs(direct_gamma(orb, pert, matrix(group, M), th))
+                    for M, th in elements) + 1.0
+        gscale = max(np.max(np.abs(p.gradient)) for p in points) + 1.0
+        hscale = max(np.max(np.abs(p.hessian)) for p in points) + 1.0
+        for element, point in zip(elements, points):
+            u0 = np.zeros(r + 1)
+            assert abs(point.value - gamma(element, u0)) <= GAMMA_TOL * scale
+            E = np.eye(r + 1)
+            h = 1e-4
+            grad = [(gamma(element, h * E[i]) - gamma(element, -h * E[i]))
+                    / (2 * h) for i in range(r + 1)]
+            assert np.max(np.abs(point.gradient - grad)) <= GRADIENT_TOL * gscale
+            h = 1e-3
+            hess = np.empty((r + 1, r + 1))
+            for i in range(r + 1):
+                for j in range(r + 1):
+                    hess[i, j] = sum(
+                        si * sj * gamma(element, h * (si * E[i] + sj * E[j]))
+                        for si in (1, -1) for sj in (1, -1)) / (4 * h * h)
+            assert np.max(np.abs(point.hessian - hess)) <= HESSIAN_TOL * hscale
+            assert point.gradient_error <= 1e-10 * gscale
+
+    def test_one_mode_on_4_5_with_circles_of_rank_one(self, orbit):
+        # item 5's hypothesis at first order: the 4:5 orbit has Fourier
+        # modes m = 4 + 5j in units of 2 pi/T, so the resonant cosine
+        # couples to m = -1 alone and Gamma is one mode in psi + 2 pi
+        # theta/T (theta the samples' shift, the state M z(-theta)).  Its
+        # critical set is two circles, psi + 2 pi theta/T = beta and
+        # beta + pi, where the Hessian has rank 1
+        T = orbit.T
+        pert = Perturbation.uniform_electric((1.0, 0.0), 1e-3,
+                                             profile="cosine", T_forcing=T)
+
+        def at(elements):
+            return continuation.reduced_functional(orbit, pert, "planar",
+                                                   elements)
+
+        ring = [p.value for p in at([(2 * math.pi * j / 16, 0.0)
+                                     for j in range(16)])]
+        modes = np.abs(np.fft.rfft(ring)) / 16
+        assert np.all(np.delete(modes, 1) <= 1e-12 * modes[1])
+        rng = np.random.default_rng(3)
+        for psi, th, s in rng.uniform(0.0, 2 * math.pi, (4, 3)):
+            one, other = at([(psi, th), (psi + s, th - s * T / (2 * math.pi))])
+            assert abs(one.value - other.value) <= 1e-12 * modes[1]
+        beta = math.atan2(-np.fft.rfft(ring)[1].imag, np.fft.rfft(ring)[1].real)
+        circles = [(beta + k * math.pi - 2 * math.pi * th / T, th)
+                   for k in (0, 1) for th in np.linspace(0.0, T, 5)]
+        for point in at(circles):
+            assert np.linalg.norm(point.gradient) <= point.gradient_error
+            sv = np.linalg.svd(point.hessian, compute_uv=False)
+            assert sv[0] >= 1.0 and sv[1] <= 1e-11 * sv[0]
+
+    def test_isolated_critical_points_on_3_2(self, alpha15):
+        # the prediction for n <= 2: the 3:2 orbit has the modes m = +1 and
+        # m = -1, so Gamma has two modes and isolated critical points, 8 on
+        # the torus, each with a Hessian of rank 2
+        T, tau = alpha15.T, alpha15.profile.tau
+        pert = Perturbation.uniform_electric((1.0, 0.0), 1e-3,
+                                             profile="cosine", T_forcing=T)
+        # Newton on grad Gamma from an 8 x 8 grid of (psi, theta)
+        U = np.array([(psi, th)
+                      for psi in np.linspace(0.0, 2 * math.pi, 8,
+                                             endpoint=False)
+                      for th in np.linspace(0.0, T, 8, endpoint=False)])
+        for _ in range(30):
+            points = continuation.reduced_functional(
+                alpha15, pert, "planar", [tuple(u) for u in U])
+            U = U + [np.linalg.lstsq(p.hessian, -p.gradient, rcond=None)[0]
+                     * [1.0, tau / (2 * math.pi)] for p in points]
+        found = []
+        for u, p in zip(U, points):
+            if np.linalg.norm(p.gradient) > p.gradient_error:
+                continue
+            if not any(abs(math.remainder(u[0] - a, 2 * math.pi))
+                       + abs(math.remainder(u[1] - b, T)) <= 1e-6
+                       for a, b in found):
+                found.append(u)
+            sv = np.linalg.svd(p.hessian, compute_uv=False)
+            assert sv[1] >= 1e-2 * sv[0]
+        assert len(found) == 8
+
+    @pytest.mark.parametrize("family", ["constant", "cosine", "rotating_frame",
+                                        "spatial constant", "spatial cosine",
+                                        "magnetic"])
+    def test_apsis_states_on_the_reversor_line_are_critical(
+            self, family, orbit, orbit3):
+        # Palais's principle of symmetric criticality: the copies whose
+        # apogee (theta = 0) or perigee (theta = tau/2) lies on the line a of
+        # the reversor R_a start on Fix(R_a) and are critical points of Gamma
+        spatial = family in ("spatial constant", "spatial cosine", "magnetic")
+        orb = orbit3 if spatial else orbit
+        e = (0.6, 0.8, 0.0) if spatial else (0.6, 0.8)
+        pert = {
+            "constant": Perturbation.uniform_electric(e, 1e-3),
+            "spatial constant": Perturbation.uniform_electric(e, 1e-3),
+            "cosine": Perturbation.uniform_electric(
+                e, 1e-3, profile="cosine", T_forcing=orb.T),
+            "spatial cosine": Perturbation.uniform_electric(
+                e, 1e-3, profile="cosine", T_forcing=orb.T),
+            "rotating_frame": Perturbation.rotating_frame(1e-3),
+            "magnetic": Perturbation.uniform_magnetic((0.0, 0.0, 1.0), 1e-3),
+        }[family]
+        a = reversor(pert)
+        half = 0.5 * orb.profile.tau
+        # the perigee at -tau/2 lies at the angle -k pi/n
+        angles = [(a, 0.0), (a + math.pi, 0.0),
+                  (a + math.pi * orb.k / orb.n, half),
+                  (a + math.pi * orb.k / orb.n + math.pi, half)]
+        if spatial:
+            elements = [(Rotation.from_rotvec([0.0, 0.0, b]).as_matrix(), th)
+                        for b, th in angles]
+            group = "SO3"
+        else:
+            elements, group = angles, "planar"
+        for (b, th), point in zip(angles, continuation.reduced_functional(
+                orb, pert, group, elements)):
+            z = rotate_plane(orb.states(-th), b)
+            assert np.linalg.norm(reflect_apsis(z, a) - z) <= 1e-9
+            assert np.linalg.norm(point.gradient) <= point.gradient_error
+
+
+def multistart_fp_grid(orbit, beta):
+    """One turn of the benchmark's multistart problem: the 2 x 2 planar grid
+    turned by beta under the resonant cosine field along beta, eps =
+    1e-3."""
+    c, s = math.cos(beta), math.sin(beta)
+    base = manifold_samples(orbit, 2, 2, group="planar")
+    samples = ManifoldSample(orbit, "planar",
+                             tuple((a + beta, th) for a, th in base.elements),
+                             rotate_plane(base.states, beta))
+    pert = Perturbation.uniform_electric((c, s), 1e-3, profile="cosine",
+                                         T_forcing=orbit.T)
+    template = ShootingProblem(HamiltonianSystem(CLASSICAL, ALPHA_HALF, pert,
+                                                 2), "fixed_period",
+                               samples.states[0], orbit.T)
+    return template, samples
+
+
+def same_run(a, b):
+    """Whether two results of one seed are the same bit for bit."""
+    return (a.accepted == b.accepted and a.reason == b.reason
+            and a.path == b.path and np.array_equal(a.z0, b.z0)
+            and a.period == b.period and a.residual == b.residual
+            and a.history == b.history and a.newton_iters == b.newton_iters
+            and a.variational_solves == b.variational_solves
+            and a.state_shots == b.state_shots
+            and a.rung_starts == b.rung_starts)
+
+
+class TestScreen:
+    def test_screening_changes_no_accepted_seed(self, orbit, monkeypatch):
+        # the tau/2 seeds (delta 0.71) are screened; the ladder stalls on
+        # both; the apogee seeds on the field's line run as they would
+        # unscreened
+        template, samples = multistart_fp_grid(orbit, 3 * math.pi / 4)
+        screened = multistart(template, samples)
+        bound = continuation.SCREEN_DISTANCE
+        monkeypatch.setattr(continuation, "SCREEN_DISTANCE", math.inf)
+        shot = multistart(template, samples)
+        assert [r.path for r in screened] == ["symmetric", "screened"] * 2
+        assert [r.path for r in shot] == ["symmetric", "ladder"] * 2
+        for a, b in zip(screened, shot):
+            assert a.reduced_gradient == b.reduced_gradient
+            assert a.reduced_distance == b.reduced_distance
+            if a.path == "screened":
+                assert not b.accepted
+                assert a.reduced_distance > bound
+                assert a.reduced_distance == pytest.approx(0.71, abs=0.01)
+            else:
+                # critical by Palais's principle: measured 3.2e-13
+                assert a.accepted and same_run(a, b)
+                assert a.reduced_gradient <= 1e-11
+
+    def test_a_screened_seed_is_rejected_unshot(self, orbit):
+        template, samples = multistart_fp_grid(orbit, 0.0)
+        r = multistart(template, samples)[1]
+        assert not r.accepted and r.path == "screened"
+        assert r.newton_iters == r.state_shots == r.variational_solves == 0
+        assert r.history == () and r.rung_starts == ()
+        assert r.trajectory is None and r.half_condition is None
+        assert f"delta = {r.reduced_distance:.3g}" in r.reason
+        assert np.array_equal(r.z0, samples.states[1])
+        assert r.seed_id == 1 and r.period == orbit.T
+
+    @pytest.mark.parametrize("family", ["constant", "rotating_frame"])
+    def test_constant_first_order_functional_screens_nothing(
+            self, family, orbit, monkeypatch):
+        # Gamma is constant at first order for a constant electric field on
+        # an orbit with n >= 2 and for rotating_frame: |grad Gamma| is within
+        # the quadrature's error, so no seed is screened, and every result
+        # is the one an unscreened run gives
+        if family == "constant":
+            sys = electric_system(orbit, 1e-4, profile="constant")
+            template = ShootingProblem(sys, "fixed_period", orbit.z0, orbit.T)
+            samples = manifold_samples(orbit, 2, 2, group="planar")
+        else:
+            sys = HamiltonianSystem(CLASSICAL, ALPHA_HALF,
+                                    Perturbation.rotating_frame(1e-4), 2)
+            template = ShootingProblem(sys, "fixed_energy", orbit.z0, orbit.T,
+                                       h=orbit.profile.h)
+            samples = manifold_samples(orbit, 1, 2, group="planar")
+        results = multistart(template, samples)
+        assert all(r.path != "screened" for r in results)
+        # rounding: measured 4.2e-13 (constant) and 4.8e-13 (rotating_frame)
+        assert all(r.reduced_gradient <= 1e-11 for r in results)
+        monkeypatch.setattr(continuation, "SCREEN_DISTANCE", math.inf)
+        for a, b in zip(results, multistart(template, samples)):
+            assert same_run(a, b)
+
+    def test_reduced_fields_only_from_multistart(self, orbit):
+        sys = electric_system(orbit, 1e-4)
+        r = continue_fixed_period(ShootingProblem(sys, "fixed_period",
+                                                  orbit.z0, orbit.T))
+        assert r.reduced_gradient is None and r.reduced_distance is None

@@ -14,7 +14,8 @@ the same code and machine give the same bytes.  It has four parts:
   determinants, or the error it raised;
 * ``pool``: ``cross_check`` on the 13 rows of the ``nondeg_table`` pool;
 * ``continuation``: the ``multistart_fp`` and ``spatial_fe`` results at
-  seed 0, with their distances and trajectories at 37 times;
+  seed 0, with their paths, distances, trajectories at 37 times, the
+  half-period condition and the reduced functional's gradient and distance;
 * ``demos``: the sha256 of every artifact that ``cforbits <command>
   --reproducible`` writes for each of ``demos/configs/*.json``, and for a
   ``continue_*`` config the per-seed fields ``SEED_FIELDS`` of its
@@ -55,7 +56,8 @@ DEMO_COMMANDS = {"orbit_": "orbit", "nondeg_": "nondeg",
 # that an older continuation.json lacks is left out
 SEED_FIELDS = ("accepted", "reason", "path", "z0", "period", "residual",
                "distance_to_manifold", "newton_iters", "variational_solves",
-               "state_shots")
+               "state_shots", "half_condition", "reduced_gradient",
+               "reduced_distance")
 
 
 def _hex(value):
@@ -146,7 +148,8 @@ def _result(r):
         "accepted", "reason", "z0", "period", "eps", "residual",
         "energy_residual", "phase_residual", "newton_iters", "seed_id",
         "distance", "distance_element", "history", "variational_solves",
-        "state_shots", "rung_starts", "path") if hasattr(r, name)}
+        "state_shots", "rung_starts", "path", "half_condition",
+        "reduced_gradient", "reduced_distance") if hasattr(r, name)}
     if r.trajectory is not None:
         out["trajectory"] = r.trajectory(_times(r.period))
     return out
