@@ -57,7 +57,6 @@ from .nondeg import (
 )
 from .continuation import (
     ContinuationResult,
-    ReducedPoint,
     ShootingProblem,
     continue_fixed_energy,
     continue_fixed_period,
@@ -65,7 +64,6 @@ from .continuation import (
     distinct_results,
     eps_path,
     multistart,
-    reduced_functional,
 )
 
 __version__ = "0.1.0"

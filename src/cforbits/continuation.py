@@ -66,8 +66,7 @@ from .errors import CollisionError, IntegrationError
 from .flow import (DEFAULT_TOL, endpoint, integrate,
                    integrate_with_variational, symplectic_matrix)
 from .model import HamiltonianSystem, reversor
-from .orbit import (ManifoldSample, field_moments, reflect_apsis,
-                    rotate_plane)
+from .orbit import ManifoldSample, reflect_apsis, rotate_plane
 
 __all__ = [
     "ShootingProblem",
@@ -178,14 +177,14 @@ class ContinuationResult:
     # "ladder" for a result of the eps ladder, "screened" for a multistart
     # seed rejected unshot off the reduced functional's critical set
     path: str = "ladder"
-    # condition number of the last half-period Jacobian a symmetric attempt
-    # solved with; None when it solved with none
+    # condition number of the last half-period Jacobian the symmetric path
+    # solved with; None when it solved with none or fell back to the ladder
     half_condition: float | None = None
     # a multistart seed's |grad Gamma| and its first-order distance
     # |grad Gamma| / ||Hess Gamma||_2 to Gamma's critical set (see
     # ``reduced_functional``); None outside ``multistart``.  Where
-    # |grad Gamma| is within the quadrature's error, Gamma is flat to first
-    # order and the distance a ratio of rounding errors
+    # |grad Gamma| is within its error estimate, Gamma is flat to first
+    # order and the distance a ratio of errors
     reduced_gradient: float | None = None
     reduced_distance: float | None = None
 
@@ -495,6 +494,7 @@ def _continue(problem: ShootingProblem):
     if u is not None:
         path = "symmetric"
     else:
+        cond = None  # the ladder solves no half-period Jacobian
         u = np.append(z0, problem.T) if fe else z0
         branch = [(0.0, u)]  # converged (eps, u), the seed at eps = 0
         for eps in eps_path(target_eps):
@@ -637,9 +637,9 @@ class ReducedPoint:
     """The reduced functional at one element of the manifold, in the
     coordinates (psi, phi) of that element: the rotation generators (one in
     the plane, three in space), then the radial phase phi = 2 pi theta/tau,
-    all in radians.  ``gradient_error`` is the quadrature's error estimate
-    of ``gradient``: its change from half the nodes plus the rounding of
-    the sums."""
+    all in radians.  ``gradient_error`` is the error estimate of
+    ``gradient``: its change from half the nodes plus bounds of the sums'
+    rounding and of the base orbit's own error."""
 
     value: float
     gradient: np.ndarray
@@ -662,6 +662,26 @@ def _generators(dim):
     return np.array([np.cross(e, np.eye(3)).T for e in np.eye(3)])
 
 
+def _field_moments(orbit, omega, nodes):
+    """The moments of the orbit that a field linear in x sees over one
+    period, by the periodic trapezoid rule on ``nodes`` equally spaced times
+    of ``orbit.states``: (C, S, P, size_x, size_xv, z_min) with
+    C = int cos(omega t) x dt, S = int sin(omega t) x dt and
+    P = int x v^T dt, v = dH0/dp the velocity, the sizes int |x| dt and
+    int |x| |v| dt of the integrands, and the smallest |z| at a node."""
+    t = orbit.T * np.arange(nodes) / nodes
+    z = orbit.states(t)
+    x, p = z[:, :orbit.dim], z[:, orbit.dim:]
+    s = np.linalg.norm(p, axis=1)
+    v = (orbit.law.f_inv(s) / s)[:, None] * p
+    r = np.linalg.norm(x, axis=1)
+    w = orbit.T / nodes
+    return (w * (np.cos(omega * t) @ x), w * (np.sin(omega * t) @ x),
+            w * (x.T @ v), w * float(np.sum(r)),
+            w * float(np.sum(r * np.linalg.norm(v, axis=1))),
+            float(np.min(np.linalg.norm(z, axis=1))))
+
+
 def reduced_functional(orbit, perturbation, group: str, elements):
     """The paper's reduced functional Gamma(g) = int_0^T [U1(t, g.x) +
     <A1(g.x), g.x'>] dt on the manifold of rotated (M) and time-shifted
@@ -671,8 +691,8 @@ def reduced_functional(orbit, perturbation, group: str, elements):
     Weinstein, Math. Z. 159 (1978)); one ``ReducedPoint`` per element (M,
     theta) of ``elements`` (an angle for M in the ``planar`` group).
 
-    Both fields are linear in x, so with C, S and P the moments of
-    ``orbit.field_moments`` at the forcing frequency omega,
+    Both fields are linear in x, so with C, S and P the moments of the
+    orbit (``_field_moments``) at the forcing frequency omega,
     Gamma = e^T M c(theta) + tr(DA1 M P M^T) with c(theta) =
     cos(omega theta) C - sin(omega theta) S, and its derivatives along
     exp(sum psi_i G_i) M and theta are closed forms in the same moments.
@@ -693,10 +713,10 @@ def reduced_functional(orbit, perturbation, group: str, elements):
     r = len(G)
 
     def moments(nodes):
-        C, S, P, size_x, size_xv = field_moments(orbit, omega, nodes)
+        C, S, P, *sizes = _field_moments(orbit, omega, nodes)
         pad = dim - orbit.dim
         C, S = np.pad(C, (0, pad)), np.pad(S, (0, pad))
-        return C, S, np.pad(P, (0, pad)), size_x, size_xv
+        return (C, S, np.pad(P, (0, pad)), *sizes)
 
     def derivatives(M, theta, C, S, P):
         # Gamma, its gradient and its Hessian at (M, theta)
@@ -729,8 +749,14 @@ def reduced_functional(orbit, perturbation, group: str, elements):
     nodes = orbit.n * MOMENT_NODES
     fine, coarse = moments(nodes), moments(nodes // 2)
     # the sums' rounding, bounded by the number of terms times the size of
-    # what they add up
-    rounding = nodes * np.finfo(float).eps * (
+    # what they add up, and the base orbit's own error: its closure
+    # residual over the smallest |z| is a relative error of the states it
+    # reads, in x and in v alike.  Where Gamma is flat at first order only
+    # because the orbit closes (rotating_frame on the 3:2 orbit of alpha =
+    # 1.5, whose turn by 2 pi k/n = 3 pi averages nothing), the gradient is
+    # that error, 8.8e-12 against a rounding bound of 3.5e-12
+    rel = orbit.closure_residual / fine[5]
+    rounding = (nodes * np.finfo(float).eps + 2.0 * rel) * (
         np.linalg.norm(e) * (1.0 + omega * dphi) * fine[3]
         + 2.0 * np.linalg.norm(DA) * fine[4])
     points = []
@@ -758,9 +784,10 @@ def multistart(problem_template: ShootingProblem, samples: ManifoldSample):
     delta = |grad Gamma| / ||Hess Gamma||_2, exceeds SCREEN_DISTANCE comes
     back as a rejected result with path "screened", no shot, no solve and
     no Newton step, and a reason naming delta.  Where |grad Gamma| is within
-    the quadrature's error estimate nothing is screened: a constant
-    electric field on an orbit with n >= 2, ``rotating_frame`` and the zero
-    field have Gamma constant at first order.  Every other sample runs
+    its error estimate (quadrature, rounding and the base orbit's own
+    error) nothing is screened: a constant electric field on an orbit with
+    n >= 2, ``rotating_frame`` in the plane and the zero field have Gamma
+    constant at first order.  Every other sample runs
     ``continue_fixed_period`` or ``continue_fixed_energy`` as given.  Every
     result carries the sample's |grad Gamma| and delta
     (``reduced_gradient``, ``reduced_distance``)."""

@@ -237,25 +237,6 @@ class PeriodicOrbit:
         return rotate_plane(z, 2.0 * math.pi * self.k * j / self.n)
 
 
-def field_moments(orbit: PeriodicOrbit, omega: float, nodes: int):
-    """The moments of the orbit that a field linear in x sees over one
-    period, by the periodic trapezoid rule on ``nodes`` equally spaced times
-    of ``states``: (C, S, P, size_x, size_xv) with C = int cos(omega t) x dt,
-    S = int sin(omega t) x dt and P = int x v^T dt, v = dH0/dp the
-    velocity, and the sizes int |x| dt and int |x| |v| dt of the
-    integrands."""
-    t = orbit.T * np.arange(nodes) / nodes
-    z = orbit.states(t)
-    x, p = z[:, :orbit.dim], z[:, orbit.dim:]
-    s = np.linalg.norm(p, axis=1)
-    v = (orbit.law.f_inv(s) / s)[:, None] * p
-    r = np.linalg.norm(x, axis=1)
-    w = orbit.T / nodes
-    return (w * (np.cos(omega * t) @ x), w * (np.sin(omega * t) @ x),
-            w * (x.T @ v), w * float(np.sum(r)),
-            w * float(np.sum(r * np.linalg.norm(v, axis=1))))
-
-
 def rotate_plane(z, angle):
     """Rot(angle) acting on both x and p in the x1-x2 plane of the phase
     states z (last axis (x, p)); angle broadcasts against the leading axes.

@@ -371,12 +371,14 @@ def run_continue(tmp_path, cfg):
     return json.loads((out / "continuation.json").read_text())
 
 
-def check_seed_records(payload):
-    """The per-seed records of continuation.json account for their shots,
-    solves and steps as their path runs them."""
+def check_seed_records(payload, one_rung_eps=None):
+    """The per-seed records of a spatial fixed-period run's
+    continuation.json account for their shots, solves and steps as their
+    path runs them; with one_rung_eps, every ladder is the one rung at that
+    eps."""
     for r in payload["results"]:
         assert len(r["history"]) == r["newton_iters"]
-        assert len(r["z0"]) == len(payload["results"][0]["z0"])
+        assert len(r["z0"]) == 6
         assert r["reduced_gradient"] >= 0.0
         if r["path"] == "screened":
             # rejected unshot, off the critical set of the reduced
@@ -406,19 +408,20 @@ def check_seed_records(payload):
             assert r["rung_starts"] == []
             assert r["half_condition"] >= 1.0
             continue
-        # a ladder whose trials ran on one rung (eps = 1e-4 is a one-rung
-        # ladder): one solve at the first point (its first shot did not
-        # converge), then one per accepted trial that another trial follows;
         # any ladder: one state-only shot per rung started and one per trial
-        # shot
+        # shot, and no half-period Jacobian
         assert h and r["half_condition"] is None
-        steps = sum(1 for a, b in zip(h, h[1:]) if a[3])
-        if all(eps == h[0][0] for eps, *_ in h):
-            assert r["variational_solves"] == 1 + steps
-            ((eps, res, predicted),) = r["rung_starts"]
-            assert res >= 0.0 and predicted is False
         assert r["state_shots"] == (len(r["rung_starts"])
                                     + sum(1 for e in h if e[2] is not None))
+        if one_rung_eps is None:
+            continue
+        # a one-rung ladder (eps = 1e-4): one solve at the first point (its
+        # first shot did not converge), then one per accepted trial that
+        # another trial follows
+        steps = sum(1 for a, b in zip(h, h[1:]) if a[3])
+        assert r["variational_solves"] == 1 + steps
+        ((eps, res, predicted),) = r["rung_starts"]
+        assert eps == one_rung_eps and res >= 0.0 and predicted is False
 
 
 def fixed_set_runs(config, tmp_path, monkeypatch, names):
@@ -513,7 +516,7 @@ class TestContinueCommand:
         # functional and is screened
         assert [r["path"] for r in payload["results"]] == ["symmetric",
                                                             "screened"]
-        check_seed_records(payload)
+        check_seed_records(payload, one_rung_eps=1e-4)
 
     def test_spatial_constant_electric_run(self, tmp_path):
         # the spatial run in a constant field, whose reduced functional is
@@ -532,7 +535,7 @@ class TestContinueCommand:
         assert payload["n_accepted"] >= 1
         assert [r["path"] for r in payload["results"]] == ["symmetric",
                                                             "ladder"]
-        check_seed_records(payload)
+        check_seed_records(payload, one_rung_eps=1e-4)
 
     def test_demo_run_changes_only_the_seed_on_the_fixed_set(
             self, tmp_path, monkeypatch):
