@@ -14,8 +14,12 @@ the same code and machine give the same bytes.  It has four parts:
   determinants, or the error it raised;
 * ``pool``: ``cross_check`` on the 13 rows of the ``nondeg_table`` pool;
 * ``continuation``: the ``multistart_fp`` and ``spatial_fe`` results at
-  seed 0, with their paths, distances, trajectories at 37 times, the
-  half-period condition and the reduced functional's gradient and distance;
+  seed 0, and ``multistart`` on the benchmark's 4:5 orbit in a constant
+  field along x1 at eps = 1e-3 on a 2 x 2 planar grid, at fixed period and
+  at fixed energy (Gamma is flat there, so no seed is screened and the
+  tau/2 seeds take the eps ladder), with their paths, distances,
+  trajectories at 37 times, the half-period condition and the reduced
+  functional's gradient and distance;
 * ``demos``: the sha256 of every artifact that ``cforbits <command>
   --reproducible`` writes for each of ``demos/configs/*.json``, and for a
   ``continue_*`` config the per-seed fields ``SEED_FIELDS`` of its
@@ -174,9 +178,25 @@ def _spatial():
     return {"spatial_fe": _result(r)}
 
 
+def _ladder():
+    orbit = workloads.base_orbit(2)
+    samples = cf.manifold_samples(orbit, 2, 2, group="planar")
+    pert = cf.Perturbation.uniform_electric((1.0, 0.0), 1e-3)
+    system = cf.HamiltonianSystem(orbit.law, orbit.potential, pert, 2)
+    out = {}
+    for mode in ("fixed_period", "fixed_energy"):
+        template = cf.ShootingProblem(system, mode, samples.states[0],
+                                      orbit.T, h=orbit.profile.h)
+        for r in cf.multistart(template, samples):
+            if r.accepted:
+                r = cf.distance_to_manifold(r, samples)
+            out[f"ladder {mode} seed {r.seed_id}"] = _result(r)
+    return out
+
+
 def continuation(limit):
     out = {}
-    for run in (_multistart, _spatial)[:limit]:
+    for run in (_multistart, _spatial, _ladder)[:limit]:
         out.update(run())
     return out
 
