@@ -11,36 +11,27 @@ Roberts, Physica D 112 (1998)).  At eps = 0 its solutions are the apsis
 states of the k:n orbit on the line a: in the plane they are isolated where
 the mode's non-degeneracy holds; in space the orbit can still be tilted
 about the axis normal to that line in its plane, and the field selects
-among the tilts, so the half-system is regular at eps != 0 only.  A seed
-on Fix(R_a) therefore takes the symmetric path first: plain Newton on that
-half-period system at the target eps, straight from the seed.  A seed off
-Fix(R_a), and a seed whose symmetric attempt fails, takes the eps ladder
-below, the one path to non-symmetric solutions.  Both paths end in the same
-closing re-check.  Both take every residual from a state-only shot (the
-symmetric path's half-period shots at the tighter ``HALF_SHOT_TOL``) and
-run the variational solve, for the Jacobian, only at a point a step
-leaves, solved only as accurately as the residual needs
-(``_jacobian_tol``).
+among the tilts, so the half-system is regular at eps != 0 only.
 
-Fixed-period: damped Gauss-Newton on the time-T return map mismatch, period
-pinned by the (resonant) time-dependent forcing.  Fixed-energy: the period
-joins the unknowns; the system gains an energy row and a phase row,
-anchored at the seed, that removes time-translation freedom, and is solved
-in the least-squares sense.
-Every shot of the ladder, a rung's first and each Newton trial, is
-state-only at ``DEFAULT_TOL``, and every residual that decides acceptance,
-convergence, a stall or a rung start comes from one.  The variational
-solve, which gives the Jacobian, runs only at a point a Levenberg-Marquardt
-step leaves: a rung's first point unless its first shot converged, and an
-accepted trial after which the rung neither converges nor stalls.  A
-rejected trial keeps the Jacobian of the point it stepped from.  That
-Jacobian only steers the step, so it is solved only as accurately as the
-residual needs (``_jacobian_tol``): an inexact Newton method whose
-Jacobian error shrinks with the residual keeps its rate, and the steps are
-exact again once |R| <= ``RESIDUAL_TOL``.
+One Newton driver solves every system (``_continue``).  Each residual comes
+from a state-only shot, and the variational solve, for the Jacobian, runs
+only at a point a step leaves, solved only as accurately as the residual
+needs (``_jacobian_tol``): an inexact Newton method whose Jacobian error
+shrinks with the residual keeps its rate, and the steps are exact again
+once |R| <= ``RESIDUAL_TOL``.  A seed on Fix(R_a) first takes the
+symmetric path: the driver, undamped, on that half-period system at the
+target eps, straight from the seed, with shots at the tighter
+``HALF_SHOT_TOL``.  A seed off Fix(R_a), and a seed whose symmetric attempt
+fails, takes the eps ladder, the one path to non-symmetric solutions: the
+driver with Levenberg-Marquardt damping on the full-period mismatch, one
+rung per eps.  At fixed period the period is pinned by the (resonant)
+time-dependent forcing.  At fixed energy the period joins the unknowns and
+the system gains an energy row and a phase row, anchored at the seed, that
+removes time-translation freedom, and is solved in the least-squares sense.
+Both paths end in the same closing re-check.
 The unperturbed shooting Jacobian is singular along the manifold of rotated
-and time-shifted copies, so the continuation starts at a small epsilon of
-the target's sign and grows its size geometrically.  The converged rungs
+and time-shifted copies, so the ladder starts at a small epsilon of the
+target's sign and grows its size geometrically.  The converged rungs
 trace a smooth branch u(eps), with the seed as its point at eps = 0, and
 each rung after the first starts from a predictor: the Lagrange
 extrapolation of the last (up to) three branch points, linear on the second
@@ -87,8 +78,8 @@ MAX_NEWTON = 25
 # the eps ladder starts at EPS_START and grows by EPS_FACTOR per rung
 EPS_START = 1e-4
 EPS_FACTOR = math.sqrt(10.0)
-# a rung stalls once its residual has not fallen by STALL_FACTOR over its
-# last STALL_STEPS accepted steps; converging paths fall far faster
+# the Newton driver stalls once its residual has not fallen by STALL_FACTOR
+# over its last STALL_STEPS accepted steps; converging paths fall far faster
 STALL_STEPS = 3
 STALL_FACTOR = 2.0
 # a seed lies on the fixed set of the reversor R_a, and takes the symmetric
@@ -216,15 +207,6 @@ def _lm_step(Jac, R, lam):
     return step
 
 
-def _stalled(first, trials):
-    """Whether a rung's residual, from its first shot through its accepted
-    trials, failed to fall by STALL_FACTOR over the last STALL_STEPS
-    accepted steps."""
-    path = [first] + [r for _, _, r, ok in trials if ok]
-    return (len(path) > STALL_STEPS
-            and path[-1] > path[-1 - STALL_STEPS] / STALL_FACTOR)
-
-
 def _predict(branch, eps):
     """Start of the rung at eps: Lagrange extrapolation in eps through the
     last (up to) three converged points (eps_i, u_i) of the branch."""
@@ -264,44 +246,54 @@ def _fix_angle(problem: ShootingProblem):
 
 def _continue(problem: ShootingProblem):
     """Newton on the half-period system of a reversor for a seed on its
-    fixed set, else (or when that fails) one damped Gauss-Newton ladder over
-    the unknowns u = z0 (fixed period) or u = (z0, T) (fixed energy); then
-    a closing re-check.
+    fixed set, else (or when that fails) on each rung of the eps ladder;
+    then a closing re-check.
 
-    The symmetric path runs plain Newton at the target eps from the seed:
-    its unknowns are the R_a-even coordinates of z0 in the frame turned by
-    a (and T at fixed energy), its residual the R_a-odd coordinates of
-    z(T/2) (and H(z0) - h).  Each residual, the seed's and each step's,
-    comes from a state-only shot over [0, T/2] at ``HALF_SHOT_TOL``, and
-    each point a step leaves takes one variational solve over [0, T/2] at
-    ``_jacobian_tol``, so a converged point takes none.  It converges as a
-    rung does; it gives way to the ladder as soon as a step fails to lower
-    the residual, stalls or takes T below a tenth of the seed's, a shot or
-    a solve ends early, the half-system is singular or ``MAX_NEWTON`` steps
-    pass without convergence.  Its steps stay in ``history`` (with lam 0)
-    and its shots and solves in ``state_shots`` and
-    ``variational_solves``; the ladder then runs as if it had not been
-    tried.
+    One Newton driver serves both systems.  From its first shot it runs
+    trials: a step from the point's Jacobian, which the variational solve
+    gives once per point a step leaves (none at a point that converged),
+    then a state-only shot at the step's end, accepted when it lowers |R|.
+    A trial whose step takes T to a tenth of the seed's or below (at fixed
+    energy) is rejected unshot, one whose shot ends early is rejected, and
+    a rejected trial keeps its point's Jacobian.  Each trial leaves one
+    (eps, lam, trial residual, accepted) entry in ``history``, with
+    residual inf when the trial was not shot.  The driver converges when
+    |R| <= ``RESIDUAL_TOL`` and, at fixed energy, the energy row is within
+    the re-check's ``ENERGY_TOL``.  It ends unconverged as ``stagnation``
+    after ``MAX_NEWTON`` trials, or as soon as an accepted trial leaves |R|
+    above 1/``STALL_FACTOR`` of what it was ``STALL_STEPS`` accepted trials
+    earlier (the first shot counting as the start); as ``damping floor``
+    once a rejected trial takes lam past 1e8 (for lam 0, at the first); as
+    ``collision`` or ``integration failure`` when the first shot or a
+    variational solve ends early; and as ``singular Jacobian`` when a step
+    cannot be solved for.
 
-    Each rung after the first starts from ``_predict``, the extrapolation of
-    the branch of converged points with the seed at eps = 0: linear on the
-    second rung, quadratic from the third.  The seed lies on the branch only
-    when it is a critical point of the reduced functional, so a predicted
-    rung that ends rejected is run once more from the previous rung's point.
-    Both attempts stay in ``history``, ``variational_solves``,
-    ``state_shots`` and ``rung_starts``.
+    The half-period system of R_a runs at the target eps from the seed,
+    with lam 0: plain Newton steps, each ``np.linalg.solve``.  Its unknowns
+    v are the R_a-even coordinates of z0 in the frame turned by a (and T at
+    fixed energy), its residual the R_a-odd coordinates of z(T/2) (and
+    H(z0) - h); its shots run over [0, T/2] at ``HALF_SHOT_TOL``.  If the
+    driver does not converge on it, the seed takes the ladder as if it had
+    not been tried, the attempt's trials staying in ``history``,
+    ``state_shots`` and ``variational_solves``.
 
-    Never raises on stagnation, the damping floor or an integration that
-    ends early: each ends in a rejected result whose ``reason`` names it
-    (``collision``, or ``integration failure`` for a step size below the
-    spacing of the floats) and whose ``residual`` and ``newton_iters`` are
-    the last ones reached (residual inf when the rung's first shot failed,
-    the residual of its point when a variational solve did).  A trial
-    shot that fails is a rejected trial.  A rung converges when
-    |R| <= ``RESIDUAL_TOL`` and, at fixed energy, its energy row is within
-    the re-check's ``ENERGY_TOL``.  A rung that has not converged ends as
-    stagnation after ``MAX_NEWTON`` trials, or as soon as an accepted step
-    leaves it stalled (``_stalled``); a converged rung is never stalled.
+    Each ladder rung runs the driver over the unknowns u = z0 (fixed
+    period) or u = (z0, T) (fixed energy) with Levenberg-Marquardt damping
+    from lam = 1e-8, divided by 10 per accepted trial (down to 1e-12) and
+    multiplied by 10 per rejected one.  Each rung after the first starts
+    from ``_predict``, the extrapolation of the branch of converged points
+    with the seed at eps = 0: linear on the second rung, quadratic from the
+    third.  The seed lies on the branch only when it is a critical point of
+    the reduced functional, so a predicted rung that ends rejected is run
+    once more from the previous rung's point.  Both attempts stay in
+    ``history``, ``variational_solves``, ``state_shots`` and
+    ``rung_starts``.  A rung that ends unconverged ends the run.
+
+    Never raises on a failed rung: it ends in a rejected result whose
+    ``reason`` is the driver's word at the rung's eps, and whose
+    ``residual`` and ``newton_iters`` are the last ones reached (residual
+    inf when the rung's first shot failed, the residual of its point when
+    a variational solve did).
     """
     fe = problem.mode == "fixed_energy"
     target_eps = problem.sys.perturbation.eps
@@ -310,13 +302,13 @@ def _continue(problem: ShootingProblem):
     h = problem.h
     anchor = z0.copy()
     J = symplectic_matrix(problem.sys.dim)
-    res = np.inf
     history = []  # (eps, lam, trial residual, accepted) per Newton trial
     starts = []  # (eps, first-shot residual, predicted) per rung started
     solves = 0  # variational solves started
     shots = 0  # state-only shots started
     path = "ladder"
     cond = None  # of the last half-period Jacobian solved with
+    half_jac = None  # the last half-period Jacobian
 
     def period(u):
         return u[n] if fe else problem.T
@@ -335,33 +327,118 @@ def _continue(problem: ShootingProblem):
         return integrate_with_variational(sys, z, 0.0, t1,
                                           tol=_jacobian_tol(res))[1]
 
-    def residual(sys, u, zT):
-        # R at u from the end point zT of the shot from u
-        z = u[:n]
-        R = zT - z
-        if fe:
-            # energy row, and a phase row: step orthogonal to the flow
-            # direction at the seed; T joins the unknowns
-            vstar = sys.vector_field(0.0, anchor)
-            R = np.concatenate([R, [sys.hamiltonian(0.0, z) - h,
-                                    float(vstar @ (z - anchor))]])
-        return R
-
-    def jacobian(sys, u, zT, W):
-        # dR/du at u from the shot's end point zT and fundamental matrix W
-        Jac = W - np.eye(n)
-        if fe:
-            z, T = u[:n], period(u)
-            vstar = sys.vector_field(0.0, anchor)
-            gradH = J @ sys.vector_field(0.0, z)
-            Jac = np.vstack([np.column_stack([Jac, sys.vector_field(T, zT)]),
-                             np.append(gradH, 0.0), np.append(vstar, 0.0)])
-        return Jac
-
     def converged(R, res, i):
-        # the rung's contract, the re-check's too: |R| <= RESIDUAL_TOL and,
-        # at fixed energy, |H(z0) - h| = |R[i]| <= ENERGY_TOL
+        # the driver's contract, the re-check's too: |R| <= RESIDUAL_TOL
+        # and, at fixed energy, |H(z0) - h| = |R[i]| <= ENERGY_TOL
         return res <= RESIDUAL_TOL and not (fe and abs(R[i]) > ENERGY_TOL)
+
+    def newton(eps, v, shoot, jacobian, energy, lam):
+        # the driver: trials at eps from the unknowns v of a system with
+        # shot shoot(v) -> (R, end state), Jacobian jacobian(v, end, |R|)
+        # and energy row R[energy].  Returns (v, |R|, first-shot |R|, why),
+        # why None when it converged, else its failure word
+        try:
+            R, end = shoot(v)
+        except IntegrationError as exc:
+            return v, np.inf, np.inf, _failure(exc)
+        res = first = np.linalg.norm(R)
+        steps, Jac = [first], None  # |R| at the first shot and each accept
+        for _ in range(MAX_NEWTON):
+            if converged(R, res, energy):
+                return v, res, first, None
+            try:
+                if Jac is None:
+                    Jac = jacobian(v, end, res)
+                v_try = v + (_lm_step(Jac, R, lam) if lam
+                             else -np.linalg.solve(Jac, R))
+            except IntegrationError as exc:
+                return v, res, first, _failure(exc)
+            except np.linalg.LinAlgError:
+                return v, res, first, "singular Jacobian"
+            res2 = np.inf  # unless the trial is shot
+            if not (fe and v_try[-1] <= 0.1 * problem.T):
+                try:
+                    R2, end2 = shoot(v_try)
+                    res2 = np.linalg.norm(R2)
+                except IntegrationError:
+                    pass
+            history.append((eps, lam, float(res2), bool(res2 < res)))
+            if not res2 < res:
+                lam *= 10.0
+                if not 0.0 < lam <= 1e8:
+                    return v, res, first, "damping floor"
+                continue
+            v, R, end, res, Jac = v_try, R2, end2, res2, None
+            lam = lam and max(lam / 10.0, 1e-12)  # lam 0 stays undamped
+            steps.append(res)
+            if (not converged(R, res, energy) and len(steps) > STALL_STEPS
+                    and res > steps[-1 - STALL_STEPS] / STALL_FACTOR):
+                return v, res, first, "stagnation"
+        why = None if converged(R, res, energy) else "stagnation"
+        return v, res, first, why
+
+    def half_system(a):
+        # the half-period system of R_a at the target eps: the unknowns at
+        # the seed, their map to u, the shot and the Jacobian
+        sys, d = problem.sys, problem.sys.dim
+        odd = [1, *range(d, n, 2)]  # the coordinates R_0 flips
+        # rows: the even and odd coordinate directions of the frame turned
+        # by a, so z0 = v @ Be and the residual is Bo @ z(T/2)
+        B = rotate_plane(np.eye(n), a)
+        Be, Bo = np.delete(B, odd, axis=0), B[odd]
+
+        def point(v):
+            return np.append(v[:-1] @ Be, v[-1]) if fe else v @ Be
+
+        def shoot(v):
+            u = point(v)
+            z, T = u[:n], period(u)
+            zh = state_shot(sys, z, 0.5 * T, HALF_SHOT_TOL)
+            R = Bo @ zh
+            if fe:
+                R = np.append(R, sys.hamiltonian(0.0, z) - h)
+            return R, zh
+
+        def jacobian(v, zh, res):
+            nonlocal half_jac
+            u = point(v)
+            z, T = u[:n], period(u)
+            Jac = Bo @ variational(sys, z, 0.5 * T, res) @ Be.T
+            if fe:
+                dT = 0.5 * (Bo @ sys.vector_field(0.5 * T, zh))
+                gradH = Be @ (J @ sys.vector_field(0.0, z))
+                Jac = np.vstack([np.column_stack([Jac, dT]),
+                                 np.append(gradH, 0.0)])
+            half_jac = Jac
+            return Jac
+
+        v = np.append(Be @ z0, problem.T) if fe else Be @ z0
+        return v, point, shoot, jacobian
+
+    def rung_system(sys):
+        # the full-period system of a rung: the shot and the Jacobian
+        def shoot(u):
+            zT = state_shot(sys, u[:n], period(u))
+            R = zT - u[:n]
+            if fe:
+                # energy row, and a phase row: step orthogonal to the flow
+                # direction at the seed; T joins the unknowns
+                vstar = sys.vector_field(0.0, anchor)
+                R = np.concatenate([R, [sys.hamiltonian(0.0, u[:n]) - h,
+                                        float(vstar @ (u[:n] - anchor))]])
+            return R, zT
+
+        def jacobian(u, zT, res):
+            Jac = variational(sys, u[:n], period(u), res) - np.eye(n)
+            if fe:
+                vstar = sys.vector_field(0.0, anchor)
+                gradH = J @ sys.vector_field(0.0, u[:n])
+                Jac = np.vstack([
+                    np.column_stack([Jac, sys.vector_field(period(u), zT)]),
+                    np.append(gradH, 0.0), np.append(vstar, 0.0)])
+            return Jac
+
+        return shoot, jacobian
 
     def reject(why, eps, res, u):
         return ContinuationResult(
@@ -371,141 +448,28 @@ def _continue(problem: ShootingProblem):
             state_shots=shots, rung_starts=tuple(starts), path=path,
             half_condition=cond)
 
-    def symmetric(a):
-        # Newton on the half-period system of R_a at the target eps from
-        # the seed: the point u it converged to, or None
-        nonlocal res, cond
-        sys, d = problem.sys, problem.sys.dim
-        odd = [1, *range(d, n, 2)]  # the coordinates R_0 flips
-        # rows: the even and odd coordinate directions of the frame turned
-        # by a, so z0 = v @ Be and the residual is Bo @ z(T/2)
-        B = rotate_plane(np.eye(n), a)
-        Be, Bo = np.delete(B, odd, axis=0), B[odd]
-
-        def point(v):
-            # u = z0 (and T) at the unknowns v
-            return np.append(v[:-1] @ Be, v[-1]) if fe else v @ Be
-
-        def shoot(v):
-            # R at v from a state-only half-period shot, and the shot's end
-            # state z(T/2)
-            u = point(v)
-            z, T = u[:n], period(u)
-            zh = state_shot(sys, z, 0.5 * T, HALF_SHOT_TOL)
-            R = Bo @ zh
-            if fe:
-                R = np.append(R, sys.hamiltonian(0.0, z) - h)
-            return R, zh
-
-        def half_jacobian(v, zh, res):
-            # dR/dv at v from the shot's end state zh, where |R| = res
-            u = point(v)
-            z, T = u[:n], period(u)
-            Jac = Bo @ variational(sys, z, 0.5 * T, res) @ Be.T
-            if fe:
-                dT = 0.5 * (Bo @ sys.vector_field(0.5 * T, zh))
-                gradH = Be @ (J @ sys.vector_field(0.0, z))
-                Jac = np.vstack([np.column_stack([Jac, dT]),
-                                 np.append(gradH, 0.0)])
-            return Jac
-
-        v = np.append(Be @ z0, problem.T) if fe else Be @ z0
-        try:
-            R, zh = shoot(v)
-        except IntegrationError:
-            return None
-        res = first = np.linalg.norm(R)
-        mark = len(history)
-        for _ in range(MAX_NEWTON):
-            if converged(R, res, -1):
-                break
-            try:
-                Jac = half_jacobian(v, zh, res)
-                v_try = v - np.linalg.solve(Jac, R)
-            except (IntegrationError, np.linalg.LinAlgError):
-                return None
-            cond = float(np.linalg.cond(Jac))
-            res2 = np.inf  # unless the step is shot
-            if not (fe and v_try[-1] <= 0.1 * problem.T):
-                try:
-                    R2, zh2 = shoot(v_try)
-                    res2 = np.linalg.norm(R2)
-                except IntegrationError:
-                    pass
-            history.append((target_eps, 0.0, float(res2), bool(res2 < res)))
-            if not res2 < res:
-                return None
-            v, R, zh, res = v_try, R2, zh2, res2
-            if not converged(R, res, -1) and _stalled(first, history[mark:]):
-                return None
-        return point(v) if converged(R, res, -1) else None
-
-    def rung(sys, eps, u, predicted):
-        # Newton trials on one rung from u: (u, residual, why), why None
-        # when the rung converged, else the word its rejection starts with
-        lam = 1e-8
-        try:
-            zT = state_shot(sys, u[:n], period(u))
-        except IntegrationError as exc:
-            starts.append((eps, np.inf, predicted))
-            return u, np.inf, _failure(exc)
-        R, Jac = residual(sys, u, zT), None
-        res = np.linalg.norm(R)
-        starts.append((eps, float(res), predicted))
-        first, mark = res, len(history)
-        for _ in range(MAX_NEWTON):
-            if converged(R, res, n):
-                break
-            if Jac is None:
-                try:
-                    Jac = jacobian(sys, u, zT,
-                                   variational(sys, u[:n], period(u), res))
-                except IntegrationError as exc:
-                    return u, res, _failure(exc)
-            u_try = u + _lm_step(Jac, R, lam)
-            if fe and u_try[n] <= 0.1 * problem.T:
-                history.append((eps, lam, np.inf, False))
-                lam *= 10.0
-                continue
-            try:
-                zT2 = state_shot(sys, u_try[:n], period(u_try))
-            except IntegrationError:
-                history.append((eps, lam, np.inf, False))
-                lam *= 10.0
-                continue
-            R2 = residual(sys, u_try, zT2)
-            res2 = np.linalg.norm(R2)
-            history.append((eps, lam, float(res2), bool(res2 < res)))
-            if res2 < res:
-                u, R, zT, res, Jac = u_try, R2, zT2, res2, None
-                lam = max(lam / 10.0, 1e-12)
-                if not converged(R, res, n) and _stalled(first, history[mark:]):
-                    return u, res, "stagnation"
-            else:
-                lam *= 10.0
-                if lam > 1e8:
-                    return u, res, "damping floor"
-        if not converged(R, res, n):
-            return u, res, "stagnation"
-        return u, res, None
-
     a = _fix_angle(problem)
-    u = None if a is None else symmetric(a)
-    if u is not None:
-        path = "symmetric"
-    else:
-        cond = None  # the ladder solves no half-period Jacobian
+    if a is not None:
+        v, point, shoot, jacobian = half_system(a)
+        v, res, _, why = newton(target_eps, v, shoot, jacobian, -1, 0.0)
+        if why is None:
+            path, u = "symmetric", point(v)
+            if half_jac is not None:
+                cond = float(np.linalg.cond(half_jac))
+    if path == "ladder":
         u = np.append(z0, problem.T) if fe else z0
         branch = [(0.0, u)]  # converged (eps, u), the seed at eps = 0
         for eps in eps_path(target_eps):
-            sys = problem.sys.with_eps(eps)
+            shoot, jacobian = rung_system(problem.sys.with_eps(eps))
             last = branch[-1][1]
-            start = _predict(branch, eps)
             # on the first rung the branch is the seed alone: no prediction
-            predicted = not np.array_equal(start, last)
-            u, res, why = rung(sys, eps, start, predicted)
-            if why is not None and predicted:
-                u, res, why = rung(sys, eps, last, False)
+            for start in (_predict(branch, eps), last):
+                predicted = not np.array_equal(start, last)
+                u, res, first, why = newton(eps, start, shoot, jacobian, n,
+                                            1e-8)
+                starts.append((eps, float(first), predicted))
+                if why is None or not predicted:
+                    break
             if why is not None:
                 return reject(why, eps, res, u)
             branch.append((eps, u))

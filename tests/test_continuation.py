@@ -214,6 +214,31 @@ class TestFailureContract:
         ((eps, first, predicted),) = res.rung_starts
         assert np.isfinite(first) and res.residual == first
 
+    def test_every_rejected_trial_counts_toward_the_damping_floor(
+            self, orbit, monkeypatch, ladder):
+        # a step that takes T to 0: every trial is rejected unshot by the
+        # period guard, and each raises lam tenfold until it passes 1e8
+        def to_zero_period(Jac, R, lam):
+            return np.append(np.zeros(orbit.z0.size), -orbit.T)
+
+        monkeypatch.setattr(continuation, "_lm_step", to_zero_period)
+        sys = electric_system(orbit, 1e-4, profile="constant")
+        prob = ShootingProblem(sys=sys, mode="fixed_energy", seed=orbit.z0,
+                               T=orbit.T, h=orbit.profile.h)
+        res = continue_fixed_energy(prob)
+        assert not res.accepted
+        assert res.reason == "damping floor at eps=0.0001"
+        assert len(res.history) == res.newton_iters == 17
+        assert all(e[0] == 1e-4 and e[2:] == (math.inf, False)
+                   for e in res.history)
+        lams = [e[1] for e in res.history]
+        assert lams[0] == 1e-8 and lams[-1] == pytest.approx(1e8)
+        assert lams[1:] == pytest.approx([10.0 * lam for lam in lams[:-1]])
+        # the first shot and the Jacobian at the seed, nothing after
+        assert res.state_shots == res.variational_solves == 1
+        ((eps, first, predicted),) = res.rung_starts
+        assert res.residual == first
+
     @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
     def test_stagnation_returns_rejected_result(self, orbit, mode,
                                                 monkeypatch):
@@ -935,7 +960,8 @@ class TestSymmetricPath:
     @pytest.mark.parametrize("i, failure", [
         (0, "first solve"), (4, "first solve"), (0, "later solve"),
         (4, "later solve"), (0, "seed shot"), (4, "seed shot"),
-        (0, "trial shot"), (4, "trial shot"), (4, "MAX_NEWTON")])
+        (0, "trial shot"), (4, "trial shot"), (4, "MAX_NEWTON"),
+        (0, "stall"), (4, "stall")])
     def test_failed_attempt_falls_back_to_the_ladder(
             self, ladder_problems, ladder_results, i, failure, monkeypatch):
         p, samples = ladder_problems[i]
@@ -952,9 +978,14 @@ class TestSymmetricPath:
                 return call(sys, z0, t0, t1, tol=tol)
             return wrapped
 
-        if failure == "MAX_NEWTON":
-            # one step is not enough at eps = 1e-3
-            monkeypatch.setattr(continuation, "MAX_NEWTON", 1)
+        if failure in ("MAX_NEWTON", "stall"):
+            if failure == "MAX_NEWTON":
+                # one step is not enough at eps = 1e-3
+                monkeypatch.setattr(continuation, "MAX_NEWTON", 1)
+            else:
+                # the first accepted step that does not converge stalls
+                monkeypatch.setattr(continuation, "STALL_STEPS", 1)
+                monkeypatch.setattr(continuation, "STALL_FACTOR", 1e30)
             res = _run([(p, samples)])[0]
             on_the_ladder(monkeypatch)
             ref = _run([(p, samples)])[0]
@@ -982,7 +1013,7 @@ class TestSymmetricPath:
                 res.state_shots - ref.state_shots) == {
             "first solve": (0, 1, 1), "later solve": (1, 2, 2),
             "seed shot": (0, 0, 1), "trial shot": (1, 1, 2),
-            "MAX_NEWTON": (1, 1, 2)}[failure]
+            "MAX_NEWTON": (1, 1, 2), "stall": (1, 1, 2)}[failure]
         if failure == "trial shot":
             assert res.history[0][2:] == (math.inf, False)
         # the Jacobians of the failed attempt describe no result
