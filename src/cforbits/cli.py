@@ -338,7 +338,6 @@ def cmd_continue(cfg, em: Emitter):
         "results": [
             {
                 "seed_id": r.seed_id,
-                "path": r.path,
                 "accepted": r.accepted,
                 "reason": r.reason,
                 "z0": [_fmt(v) for v in r.z0],
@@ -353,10 +352,10 @@ def cmd_continue(cfg, em: Emitter):
                 "half_condition": _finite(r.half_condition),
                 "reduced_gradient": _finite(r.reduced_gradient),
                 "reduced_distance": _finite(r.reduced_distance),
-                "history": [[_fmt(eps), _fmt(lam), _finite(res), ok]
-                            for eps, lam, res, ok in r.history],
-                "rung_starts": [[_fmt(eps), _finite(res), predicted]
-                                for eps, res, predicted in r.rung_starts],
+                "history": [[_fmt(eps), _finite(res), ok]
+                            for eps, res, ok in r.history],
+                "rung_starts": [[_fmt(eps), _finite(res)]
+                                for eps, res in r.rung_starts],
             }
             for r in refined
         ],

@@ -13,37 +13,24 @@ the mode's non-degeneracy holds; in space the orbit can still be tilted
 about the axis normal to that line in its plane, and the field selects
 among the tilts, so the half-system is regular at eps != 0 only.
 
-One Newton driver solves every system (``_continue``).  Each residual comes
-from a state-only shot, and the variational solve, for the Jacobian, runs
-only at a point a step leaves, solved only as accurately as the residual
-needs (``_jacobian_tol``): an inexact Newton method whose Jacobian error
-shrinks with the residual keeps its rate, and the steps are exact again
-once |R| <= ``RESIDUAL_TOL``.  A seed on Fix(R_a) first takes the
-symmetric path: the driver, undamped, on that half-period system at the
-target eps, straight from the seed, with shots at the tighter
-``HALF_SHOT_TOL``.  A seed off Fix(R_a), and a seed whose symmetric attempt
-fails, takes the eps ladder, the one path to non-symmetric solutions: the
-driver with Levenberg-Marquardt damping on the full-period mismatch, one
-rung per eps.  At fixed period the period is pinned by the (resonant)
-time-dependent forcing.  At fixed energy the period joins the unknowns and
-the system gains an energy row and a phase row, anchored at the seed, that
-removes time-translation freedom, and is solved in the least-squares sense.
-Both paths end in the same closing re-check.
-The unperturbed shooting Jacobian is singular along the manifold of rotated
-and time-shifted copies, so the ladder starts at a small epsilon of the
-target's sign and grows its size geometrically.  The converged rungs
-trace a smooth branch u(eps), with the seed as its point at eps = 0, and
-each rung after the first starts from a predictor: the Lagrange
-extrapolation of the last (up to) three branch points, linear on the second
-rung and quadratic from the third.  A seed off the critical points of the
-reduced functional is not on that branch, so a predicted rung that ends
-rejected is run once more from the previous rung's point.
+Every continuation solves that half-period system, and a seed off Fix(R_a)
+comes back rejected unshot.  One Newton driver (``_continue``) runs it at
+the target eps straight from the seed and, when that fails, rung by rung
+along ``eps_path``, each rung from the previous rung's solution.  Each
+residual comes from a state-only half-period shot at ``HALF_SHOT_TOL``,
+and the variational solve, for the Jacobian, runs only at a point a step
+leaves, solved only as accurately as the residual needs
+(``_jacobian_tol``): an inexact Newton method whose Jacobian error shrinks
+with the residual keeps its rate, and the steps are exact again once
+|R| <= ``RESIDUAL_TOL``.  At fixed period the period is pinned by the
+(resonant) time-dependent forcing; at fixed energy it joins the unknowns,
+and the system gains an energy row.  Every result ends in the same closing
+re-check, an independent full-period integration.
 
-``multistart`` asks each manifold sample the paper's question before either
-path runs: the perturbed orbits continue from critical points of the
-reduced functional Gamma (``reduced_functional``), a closed form in a few
-moments of the base orbit.  A sample farther than ``SCREEN_DISTANCE`` from
-Gamma's critical set, to first order, comes back rejected unshot.
+``multistart`` runs one continuation per manifold sample and gives each
+result the paper's diagnostics: the gradient of the reduced functional
+Gamma (``reduced_functional``) at the sample and its first-order distance
+to Gamma's critical set.
 """
 from __future__ import annotations
 
@@ -82,12 +69,12 @@ EPS_FACTOR = math.sqrt(10.0)
 # over its last STALL_STEPS accepted steps; converging paths fall far faster
 STALL_STEPS = 3
 STALL_FACTOR = 2.0
-# a seed lies on the fixed set of the reversor R_a, and takes the symmetric
-# path, when |R_a z - z| <= FIX_TOL (1 + |z|)
+# a seed lies on the fixed set of the reversor R_a, and is continued, when
+# |R_a z - z| <= FIX_TOL (1 + |z|)
 FIX_TOL = 1e-12
-# integration tolerance of the symmetric path's state-only half-period
-# shots: at DEFAULT_TOL the Levi-Civita 7:6 Larmor periods miss the exact
-# reference by 1.5-1.6e-9, at 1e-13 the worst fixed-energy case by 1.2e-10
+# integration tolerance of the state-only half-period shots: at
+# DEFAULT_TOL the Levi-Civita 7:6 Larmor periods miss the exact reference
+# by 1.5-1.6e-9, at 1e-13 the worst fixed-energy case by 1.2e-10
 HALF_SHOT_TOL = 1e-13
 
 
@@ -97,8 +84,8 @@ class ShootingProblem:
 
     mode "fixed_period" keeps T fixed (the forcing period must divide it);
     mode "fixed_energy" solves for (z0, T) on the level set H = h and
-    requires an autonomous perturbation; its phase row is anchored at the
-    seed.
+    requires an autonomous perturbation.  The seed must lie on the fixed
+    set of the perturbation's reversor to be continued.
     """
 
     sys: HamiltonianSystem
@@ -132,6 +119,12 @@ class ShootingProblem:
 
 @dataclass(frozen=True)
 class ContinuationResult:
+    """The outcome of one continuation: accepted or not, with the driver's
+    or the re-check's reason, the solution (z0, period) reached, its
+    closure ``residual`` and, at fixed energy, ``energy_residual``, and
+    what the runs of the driver did.  ``eps`` is the eps of the run that
+    ended a rejected result, else the target's."""
+
     accepted: bool
     reason: str
     z0: np.ndarray
@@ -139,37 +132,25 @@ class ContinuationResult:
     eps: float
     residual: float
     energy_residual: float
-    # at fixed energy |v*.(z0 - seed)|, v* the flow at the seed: the
-    # ladder's phase row; Fix(R_a) fixes the phase of a symmetric result
-    phase_residual: float
     newton_iters: int
     seed_id: int
     trajectory: object = None
     distance: float | None = None
     distance_element: tuple | None = None
-    # one (eps, lam, trial residual, accepted) entry per Newton trial, a
-    # symmetric attempt's undamped steps (lam 0) first; the trial residual
-    # is inf when the trial step was not shot
+    # one (eps, trial residual, accepted) entry per Newton trial; the trial
+    # residual is inf when the trial step was not shot
     history: tuple = ()
-    # variational solves started, one per point a step leaves, at
-    # ``_jacobian_tol``: in a symmetric attempt each point a Newton step
-    # leaves (none at the point it converged at), and on the ladder each
-    # point an LM step leaves (a rung's first point unless its first shot
-    # converged, and each accepted trial the rung goes on from)
+    # variational solves started, one per point a Newton step leaves (none
+    # at a point a run converged at), at ``_jacobian_tol``
     variational_solves: int = 0
-    # state-only shots started: in a symmetric attempt one half-period shot
-    # at the seed and one per step shot, and on the ladder one per rung
-    # started (its first shot) and one per trial shot
+    # state-only half-period shots started: one per run of the driver (its
+    # first shot) and one per trial shot
     state_shots: int = 0
-    # one (eps, first-shot residual, predicted) entry per rung started,
-    # fallback re-runs included; the residual is inf when the shot failed
+    # one (eps, first-shot residual) pair per run of the driver, the direct
+    # attempt first; the residual is inf when the shot failed
     rung_starts: tuple = ()
-    # "symmetric" for a result of the half-period system on Fix(R_a),
-    # "ladder" for a result of the eps ladder, "screened" for a multistart
-    # seed rejected unshot off the reduced functional's critical set
-    path: str = "ladder"
-    # condition number of the last half-period Jacobian the symmetric path
-    # solved with; None when it solved with none or fell back to the ladder
+    # condition number of the last half-period Jacobian of the run that
+    # converged; None when that run solved with none or none converged
     half_condition: float | None = None
     # a multistart seed's |grad Gamma| and its first-order distance
     # |grad Gamma| / ||Hess Gamma||_2 to Gamma's critical set (see
@@ -198,27 +179,6 @@ def eps_path(eps_target: float):
     return [math.copysign(e, eps_target) for e in path]
 
 
-def _lm_step(Jac, R, lam):
-    # least-squares Levenberg-Marquardt step for (possibly) rectangular Jac
-    m, n = Jac.shape
-    A = np.vstack([Jac, math.sqrt(lam) * np.eye(n)])
-    b = np.concatenate([-R, np.zeros(n)])
-    step, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return step
-
-
-def _predict(branch, eps):
-    """Start of the rung at eps: Lagrange extrapolation in eps through the
-    last (up to) three converged points (eps_i, u_i) of the branch."""
-    pts = branch[-3:]
-    start = 0.0
-    for i, (ei, ui) in enumerate(pts):
-        start = start + math.prod((eps - ej) / (ei - ej)
-                                  for j, (ej, _) in enumerate(pts)
-                                  if j != i) * ui
-    return start
-
-
 def _jacobian_tol(res):
     """Integration tolerance of the variational solve at a point of
     residual |R| = res: DEFAULT_TOL once res <= RESIDUAL_TOL, looser in
@@ -235,278 +195,192 @@ def _failure(exc: IntegrationError) -> str:
             else "integration failure")
 
 
-def _fix_angle(problem: ShootingProblem):
-    """Angle a of the reversor R_a of the problem's perturbation when its
-    seed lies on Fix(R_a), |R_a z - z| <= FIX_TOL (1 + |z|); else None."""
-    a = reversor(problem.sys.perturbation)
-    z = np.asarray(problem.seed, dtype=float)
-    gap = np.linalg.norm(reflect_apsis(z, a) - z)
-    return a if gap <= FIX_TOL * (1.0 + np.linalg.norm(z)) else None
-
-
 def _continue(problem: ShootingProblem):
-    """Newton on the half-period system of a reversor for a seed on its
-    fixed set, else (or when that fails) on each rung of the eps ladder;
-    then a closing re-check.
+    """Newton on the half-period system of the reversor R_a, at the target
+    eps from the seed and, when that fails, along the eps ladder; then a
+    closing re-check.
 
-    One Newton driver serves both systems.  From its first shot it runs
-    trials: a step from the point's Jacobian, which the variational solve
-    gives once per point a step leaves (none at a point that converged),
-    then a state-only shot at the step's end, accepted when it lowers |R|.
-    A trial whose step takes T to a tenth of the seed's or below (at fixed
-    energy) is rejected unshot, one whose shot ends early is rejected, and
-    a rejected trial keeps its point's Jacobian.  Each trial leaves one
-    (eps, lam, trial residual, accepted) entry in ``history``, with
-    residual inf when the trial was not shot.  The driver converges when
-    |R| <= ``RESIDUAL_TOL`` and, at fixed energy, the energy row is within
-    the re-check's ``ENERGY_TOL``.  It ends unconverged as ``stagnation``
-    after ``MAX_NEWTON`` trials, or as soon as an accepted trial leaves |R|
-    above 1/``STALL_FACTOR`` of what it was ``STALL_STEPS`` accepted trials
-    earlier (the first shot counting as the start); as ``damping floor``
-    once a rejected trial takes lam past 1e8 (for lam 0, at the first); as
-    ``collision`` or ``integration failure`` when the first shot or a
-    variational solve ends early; and as ``singular Jacobian`` when a step
-    cannot be solved for.
+    A seed off Fix(R_a), |R_a z - z| > ``FIX_TOL`` (1 + |z|), comes back
+    rejected with no shot, no solve and no trial, its reason naming the
+    gap |R_a z - z|.  The system's unknowns v are the R_a-even coordinates
+    of z0 in the frame turned by a (and T at fixed energy), its residual
+    the R_a-odd coordinates of z(T/2) (and H(z0) - h); its shots run over
+    [0, T/2] at ``HALF_SHOT_TOL``.
 
-    The half-period system of R_a runs at the target eps from the seed,
-    with lam 0: plain Newton steps, each ``np.linalg.solve``.  Its unknowns
-    v are the R_a-even coordinates of z0 in the frame turned by a (and T at
-    fixed energy), its residual the R_a-odd coordinates of z(T/2) (and
-    H(z0) - h); its shots run over [0, T/2] at ``HALF_SHOT_TOL``.  If the
-    driver does not converge on it, the seed takes the ladder as if it had
-    not been tried, the attempt's trials staying in ``history``,
-    ``state_shots`` and ``variational_solves``.
+    One Newton driver runs the system at one eps.  From its first shot it
+    runs trials: a plain Newton step (``np.linalg.solve``) from the point's
+    Jacobian, which the variational solve gives at each point a step
+    leaves (none at a point that converged), then a state-only shot at the
+    step's end, accepted when it lowers |R|.  A trial whose step takes T
+    to a tenth of the seed's or below (at fixed energy) is not shot.  Each
+    trial leaves one (eps, trial residual, accepted) entry in ``history``,
+    with residual inf when the trial was not shot, and each run one (eps,
+    first-shot residual) pair in ``rung_starts``.  The driver converges
+    when |R| <= ``RESIDUAL_TOL`` and, at fixed energy, the energy row is
+    within the re-check's ``ENERGY_TOL``.  It ends unconverged as
+    ``rejected step`` at the first trial that does not lower |R|; as
+    ``stagnation`` after ``MAX_NEWTON`` trials, or as soon as an accepted
+    trial leaves |R| above 1/``STALL_FACTOR`` of what it was
+    ``STALL_STEPS`` accepted trials earlier (the first shot counting as the
+    start); as ``collision`` or ``integration failure`` when the first
+    shot or a variational solve ends early; and as ``singular Jacobian``
+    when a step cannot be solved for.
 
-    Each ladder rung runs the driver over the unknowns u = z0 (fixed
-    period) or u = (z0, T) (fixed energy) with Levenberg-Marquardt damping
-    from lam = 1e-8, divided by 10 per accepted trial (down to 1e-12) and
-    multiplied by 10 per rejected one.  Each rung after the first starts
-    from ``_predict``, the extrapolation of the branch of converged points
-    with the seed at eps = 0: linear on the second rung, quadratic from the
-    third.  The seed lies on the branch only when it is a critical point of
-    the reduced functional, so a predicted rung that ends rejected is run
-    once more from the previous rung's point.  Both attempts stay in
-    ``history``, ``variational_solves``, ``state_shots`` and
-    ``rung_starts``.  A rung that ends unconverged ends the run.
+    The first run is at the target eps, from the seed.  If it ends
+    unconverged and ``eps_path`` has more than the one rung it ran, the
+    driver runs each rung in turn, the first from the seed and each other
+    from the previous rung's solution (with its period, at fixed energy);
+    the first run's trials stay in ``history``, ``state_shots`` and
+    ``variational_solves``.  A rung that ends unconverged ends the ladder.
 
-    Never raises on a failed rung: it ends in a rejected result whose
-    ``reason`` is the driver's word at the rung's eps, and whose
+    Never raises on a failed run: it ends in a rejected result whose
+    ``reason`` is the driver's word at the run's eps, and whose
     ``residual`` and ``newton_iters`` are the last ones reached (residual
-    inf when the rung's first shot failed, the residual of its point when
-    a variational solve did).
+    inf when the run's first shot failed, the residual of its point when a
+    variational solve did).
     """
     fe = problem.mode == "fixed_energy"
     target_eps = problem.sys.perturbation.eps
     z0 = np.asarray(problem.seed, dtype=float).copy()
-    n = z0.size
-    h = problem.h
-    anchor = z0.copy()
-    J = symplectic_matrix(problem.sys.dim)
-    history = []  # (eps, lam, trial residual, accepted) per Newton trial
-    starts = []  # (eps, first-shot residual, predicted) per rung started
-    solves = 0  # variational solves started
-    shots = 0  # state-only shots started
-    path = "ladder"
-    cond = None  # of the last half-period Jacobian solved with
-    half_jac = None  # the last half-period Jacobian
+    n, d, h = z0.size, problem.sys.dim, problem.h
+    a = reversor(problem.sys.perturbation)
+    gap = float(np.linalg.norm(reflect_apsis(z0, a) - z0))
+    if gap > FIX_TOL * (1.0 + np.linalg.norm(z0)):
+        return ContinuationResult(
+            False, f"off the fixed set: |R_a z - z| = {gap:.3g}", z0,
+            problem.T, target_eps, np.inf, np.inf, 0, problem.seed_id)
+    J = symplectic_matrix(d)
+    # rows: the even and odd coordinate directions of R_a in the frame
+    # turned by a, so z0 = v @ Be and the residual is Bo @ z(T/2)
+    B = rotate_plane(np.eye(n), a)
+    odd = [1, *range(d, n, 2)]  # the coordinates R_0 flips
+    Be, Bo = np.delete(B, odd, axis=0), B[odd]
+    history = []  # (eps, trial residual, accepted) per Newton trial
+    starts = []  # (eps, first-shot residual) per run of the driver
+    solves = shots = 0
+    half_jac = None  # the last Jacobian of the current run
 
-    def period(u):
-        return u[n] if fe else problem.T
+    def point(v):
+        # (z0, T) of the unknowns v
+        return (v[:-1] @ Be, v[-1]) if fe else (v @ Be, problem.T)
 
-    def state_shot(sys, z, t1, tol=DEFAULT_TOL):
-        # the state at t1 of the flow from z at t = 0
+    def shoot(sys, v):
+        # the residual at v and the state at T/2
         nonlocal shots
+        z, T = point(v)
         shots += 1
-        return endpoint(sys, z, 0.0, t1, tol=tol)
+        zh = endpoint(sys, z, 0.0, 0.5 * T, tol=HALF_SHOT_TOL)
+        R = Bo @ zh
+        if fe:
+            R = np.append(R, sys.hamiltonian(0.0, z) - h)
+        return R, zh
 
-    def variational(sys, z, t1, res):
-        # the fundamental matrix over [0, t1] from z, where the residual is
-        # res
-        nonlocal solves
+    def jacobian(sys, v, zh, res):
+        # the Jacobian at v, where the residual is res
+        nonlocal solves, half_jac
+        z, T = point(v)
         solves += 1
-        return integrate_with_variational(sys, z, 0.0, t1,
-                                          tol=_jacobian_tol(res))[1]
+        W = integrate_with_variational(sys, z, 0.0, 0.5 * T,
+                                       tol=_jacobian_tol(res))[1]
+        half_jac = Bo @ W @ Be.T
+        if fe:
+            dT = 0.5 * (Bo @ sys.vector_field(0.5 * T, zh))
+            gradH = Be @ (J @ sys.vector_field(0.0, z))
+            half_jac = np.vstack([np.column_stack([half_jac, dT]),
+                                  np.append(gradH, 0.0)])
+        return half_jac
 
-    def converged(R, res, i):
+    def converged(R, res):
         # the driver's contract, the re-check's too: |R| <= RESIDUAL_TOL
-        # and, at fixed energy, |H(z0) - h| = |R[i]| <= ENERGY_TOL
-        return res <= RESIDUAL_TOL and not (fe and abs(R[i]) > ENERGY_TOL)
+        # and, at fixed energy, |H(z0) - h| = |R[-1]| <= ENERGY_TOL
+        return res <= RESIDUAL_TOL and not (fe and abs(R[-1]) > ENERGY_TOL)
 
-    def newton(eps, v, shoot, jacobian, energy, lam):
-        # the driver: trials at eps from the unknowns v of a system with
-        # shot shoot(v) -> (R, end state), Jacobian jacobian(v, end, |R|)
-        # and energy row R[energy].  Returns (v, |R|, first-shot |R|, why),
-        # why None when it converged, else its failure word
+    def newton(sys, v):
+        # one run of the driver at the eps of sys from the unknowns v.
+        # Returns (v, |R|, why), why None when it converged, else its
+        # failure word
+        nonlocal half_jac
+        eps, half_jac = sys.perturbation.eps, None
         try:
-            R, end = shoot(v)
+            R, end = shoot(sys, v)
         except IntegrationError as exc:
-            return v, np.inf, np.inf, _failure(exc)
-        res = first = np.linalg.norm(R)
-        steps, Jac = [first], None  # |R| at the first shot and each accept
+            starts.append((eps, math.inf))
+            return v, np.inf, _failure(exc)
+        res = np.linalg.norm(R)
+        starts.append((eps, float(res)))
+        steps = [res]  # |R| at the first shot and each accepted trial
         for _ in range(MAX_NEWTON):
-            if converged(R, res, energy):
-                return v, res, first, None
+            if converged(R, res):
+                return v, res, None
             try:
-                if Jac is None:
-                    Jac = jacobian(v, end, res)
-                v_try = v + (_lm_step(Jac, R, lam) if lam
-                             else -np.linalg.solve(Jac, R))
+                v_try = v - np.linalg.solve(jacobian(sys, v, end, res), R)
             except IntegrationError as exc:
-                return v, res, first, _failure(exc)
+                return v, res, _failure(exc)
             except np.linalg.LinAlgError:
-                return v, res, first, "singular Jacobian"
+                return v, res, "singular Jacobian"
             res2 = np.inf  # unless the trial is shot
             if not (fe and v_try[-1] <= 0.1 * problem.T):
                 try:
-                    R2, end2 = shoot(v_try)
+                    R2, end2 = shoot(sys, v_try)
                     res2 = np.linalg.norm(R2)
                 except IntegrationError:
                     pass
-            history.append((eps, lam, float(res2), bool(res2 < res)))
+            history.append((eps, float(res2), bool(res2 < res)))
             if not res2 < res:
-                lam *= 10.0
-                if not 0.0 < lam <= 1e8:
-                    return v, res, first, "damping floor"
-                continue
-            v, R, end, res, Jac = v_try, R2, end2, res2, None
-            lam = lam and max(lam / 10.0, 1e-12)  # lam 0 stays undamped
+                return v, res, "rejected step"
+            v, R, end, res = v_try, R2, end2, res2
             steps.append(res)
-            if (not converged(R, res, energy) and len(steps) > STALL_STEPS
+            if (not converged(R, res) and len(steps) > STALL_STEPS
                     and res > steps[-1 - STALL_STEPS] / STALL_FACTOR):
-                return v, res, first, "stagnation"
-        why = None if converged(R, res, energy) else "stagnation"
-        return v, res, first, why
+                return v, res, "stagnation"
+        return v, res, None if converged(R, res) else "stagnation"
 
-    def half_system(a):
-        # the half-period system of R_a at the target eps: the unknowns at
-        # the seed, their map to u, the shot and the Jacobian
-        sys, d = problem.sys, problem.sys.dim
-        odd = [1, *range(d, n, 2)]  # the coordinates R_0 flips
-        # rows: the even and odd coordinate directions of the frame turned
-        # by a, so z0 = v @ Be and the residual is Bo @ z(T/2)
-        B = rotate_plane(np.eye(n), a)
-        Be, Bo = np.delete(B, odd, axis=0), B[odd]
-
-        def point(v):
-            return np.append(v[:-1] @ Be, v[-1]) if fe else v @ Be
-
-        def shoot(v):
-            u = point(v)
-            z, T = u[:n], period(u)
-            zh = state_shot(sys, z, 0.5 * T, HALF_SHOT_TOL)
-            R = Bo @ zh
-            if fe:
-                R = np.append(R, sys.hamiltonian(0.0, z) - h)
-            return R, zh
-
-        def jacobian(v, zh, res):
-            nonlocal half_jac
-            u = point(v)
-            z, T = u[:n], period(u)
-            Jac = Bo @ variational(sys, z, 0.5 * T, res) @ Be.T
-            if fe:
-                dT = 0.5 * (Bo @ sys.vector_field(0.5 * T, zh))
-                gradH = Be @ (J @ sys.vector_field(0.0, z))
-                Jac = np.vstack([np.column_stack([Jac, dT]),
-                                 np.append(gradH, 0.0)])
-            half_jac = Jac
-            return Jac
-
-        v = np.append(Be @ z0, problem.T) if fe else Be @ z0
-        return v, point, shoot, jacobian
-
-    def rung_system(sys):
-        # the full-period system of a rung: the shot and the Jacobian
-        def shoot(u):
-            zT = state_shot(sys, u[:n], period(u))
-            R = zT - u[:n]
-            if fe:
-                # energy row, and a phase row: step orthogonal to the flow
-                # direction at the seed; T joins the unknowns
-                vstar = sys.vector_field(0.0, anchor)
-                R = np.concatenate([R, [sys.hamiltonian(0.0, u[:n]) - h,
-                                        float(vstar @ (u[:n] - anchor))]])
-            return R, zT
-
-        def jacobian(u, zT, res):
-            Jac = variational(sys, u[:n], period(u), res) - np.eye(n)
-            if fe:
-                vstar = sys.vector_field(0.0, anchor)
-                gradH = J @ sys.vector_field(0.0, u[:n])
-                Jac = np.vstack([
-                    np.column_stack([Jac, sys.vector_field(period(u), zT)]),
-                    np.append(gradH, 0.0), np.append(vstar, 0.0)])
-            return Jac
-
-        return shoot, jacobian
-
-    def reject(why, eps, res, u):
+    def result(ok, reason, v, res, en=np.inf, traj=None):
+        # at the eps of the last run, the target's once a run converged
+        z, T = point(v)
         return ContinuationResult(
-            False, f"{why} at eps={eps:g}", u[:n], period(u), eps, res,
-            np.inf, np.inf if fe else 0.0, len(history), problem.seed_id,
-            history=tuple(history), variational_solves=solves,
-            state_shots=shots, rung_starts=tuple(starts), path=path,
-            half_condition=cond)
+            ok, reason, z, T, starts[-1][0], res, en, len(history),
+            problem.seed_id, trajectory=traj, history=tuple(history),
+            variational_solves=solves, state_shots=shots,
+            rung_starts=tuple(starts), half_condition=cond)
 
-    a = _fix_angle(problem)
-    if a is not None:
-        v, point, shoot, jacobian = half_system(a)
-        v, res, _, why = newton(target_eps, v, shoot, jacobian, -1, 0.0)
-        if why is None:
-            path, u = "symmetric", point(v)
-            if half_jac is not None:
-                cond = float(np.linalg.cond(half_jac))
-    if path == "ladder":
-        u = np.append(z0, problem.T) if fe else z0
-        branch = [(0.0, u)]  # converged (eps, u), the seed at eps = 0
-        for eps in eps_path(target_eps):
-            shoot, jacobian = rung_system(problem.sys.with_eps(eps))
-            last = branch[-1][1]
-            # on the first rung the branch is the seed alone: no prediction
-            for start in (_predict(branch, eps), last):
-                predicted = not np.array_equal(start, last)
-                u, res, first, why = newton(eps, start, shoot, jacobian, n,
-                                            1e-8)
-                starts.append((eps, float(first), predicted))
-                if why is None or not predicted:
-                    break
+    cond = None  # of the last Jacobian of the run that converged
+    seed = np.append(Be @ z0, problem.T) if fe else Be @ z0
+    v, res, why = newton(problem.sys, seed)
+    rungs = eps_path(target_eps)
+    if why is not None and len(rungs) > 1:
+        v = seed
+        for eps in rungs:
+            v, res, why = newton(problem.sys.with_eps(eps), v)
             if why is not None:
-                return reject(why, eps, res, u)
-            branch.append((eps, u))
+                break
+    if why is not None:
+        return result(False, f"{why} at eps={starts[-1][0]:g}", v, res)
+    if half_jac is not None:
+        cond = float(np.linalg.cond(half_jac))
     # closure re-check by a plain dense-output integration at the target
-    # eps, which also gives the result its trajectory.  For a symmetric
-    # result it is an independent full-period integration: Newton saw only
-    # half periods.  After the ladder it takes the same DOP853 steps as the
-    # state-only shot that converged (the last rung's last trial, or its
-    # first shot) and repeats its closure bit for bit; what it adds is the
-    # dense trajectory and, at fixed energy, the energy drift along the
-    # whole orbit
-    sys = problem.sys.with_eps(target_eps)
-    z0, T = u[:n], period(u)
+    # eps, which also gives the result its trajectory: an independent
+    # full-period integration, where Newton saw only half periods
+    sys = problem.sys
+    z, T = point(v)
     try:
-        traj = integrate(sys, z0, 0.0, T)
+        traj = integrate(sys, z, 0.0, T)
     except IntegrationError as exc:
-        return reject(f"{_failure(exc)} in re-check", target_eps, res, u)
-    close = float(np.linalg.norm(traj(T) - z0))
+        return result(False, f"{_failure(exc)} in re-check at "
+                      f"eps={target_eps:g}", v, res)
+    close = float(np.linalg.norm(traj(T) - z))
     ok = bool(close <= 10.0 * RESIDUAL_TOL)
     reason = f"re-check failed: closure {close:.3g}"
-    en, ph = np.inf, 0.0
+    en = np.inf
     if fe:
-        en = abs(float(sys.hamiltonian(0.0, z0)) - h)
+        en = abs(float(sys.hamiltonian(0.0, z)) - h)
         # energy conservation along the whole orbit
         ts = np.linspace(0.0, T, 200)
-        drift = max(abs(float(sys.hamiltonian(t, z)) - h)
-                    for t, z in zip(ts, traj(ts)))
-        vstar = sys.vector_field(0.0, anchor)
-        ph = abs(float(vstar @ (z0 - anchor)))
+        drift = max(abs(float(sys.hamiltonian(t, zt)) - h)
+                    for t, zt in zip(ts, traj(ts)))
         ok = ok and en <= ENERGY_TOL and drift <= 1e-9
         reason += f", energy {en:.3g}, drift {drift:.3g}"
-    return ContinuationResult(
-        ok, "ok" if ok else reason, z0, T, target_eps, close, en, ph,
-        len(history), problem.seed_id, trajectory=traj,
-        history=tuple(history), variational_solves=solves,
-        state_shots=shots, rung_starts=tuple(starts), path=path,
-        half_condition=cond)
+    return result(ok, "ok" if ok else reason, v, close, en, traj)
 
 
 def continue_fixed_period(problem: ShootingProblem) -> ContinuationResult:
@@ -584,16 +458,6 @@ def distance_to_manifold(result: ContinuationResult,
 # periodic-trapezoid nodes per radial period of the reduced functional's
 # moments; the error estimate compares them with half as many
 MOMENT_NODES = 512
-# a multistart seed whose first-order distance |grad Gamma| / ||Hess Gamma||_2
-# to the critical set of the reduced functional exceeds SCREEN_DISTANCE
-# (radians of the manifold coordinates) is rejected unshot.  Measured on the
-# 4:5 orbit under the resonant cosine field at eps 1e-4 to 1e-2, the ladder
-# converges from seeds turned off the critical circle up to 0.0299 and
-# stalls from 0.0314 on, as on tilts of the spatial orbit in a magnetic
-# field from 0.04 on; the bound keeps a factor of 3 above the first, and
-# lies below every 32-grid seed the ladder stalls on (>= 0.155) and the
-# benchmark's tau/2 seeds (0.71)
-SCREEN_DISTANCE = 0.1
 
 
 @dataclass(frozen=True)
@@ -741,41 +605,29 @@ def multistart(problem_template: ShootingProblem, samples: ManifoldSample):
     """Run one continuation per manifold sample; returns all results in
     sample order.
 
-    The paper continues an unperturbed orbit only from the critical points
-    of the reduced functional Gamma on its manifold (``reduced_functional``),
-    so each sample is first put that question, with no integration.  A
-    sample whose first-order distance to Gamma's critical set,
-    delta = |grad Gamma| / ||Hess Gamma||_2, exceeds SCREEN_DISTANCE comes
-    back as a rejected result with path "screened", no shot, no solve and
-    no Newton step, and a reason naming delta.  Where |grad Gamma| is within
-    its error estimate (quadrature, rounding and the base orbit's own
-    error) nothing is screened: a constant electric field on an orbit with
-    n >= 2, ``rotating_frame`` in the plane and the zero field have Gamma
-    constant at first order.  Every other sample runs
-    ``continue_fixed_period`` or ``continue_fixed_energy`` as given.  Every
-    result carries the sample's |grad Gamma| and delta
-    (``reduced_gradient``, ``reduced_distance``)."""
+    Every sample runs ``continue_fixed_period`` or ``continue_fixed_energy``
+    as the template's mode says, which continues it if it lies on the
+    reversor's fixed set and else rejects it unshot.  The paper continues
+    an orbit only from the critical points of the reduced functional Gamma
+    on its manifold (``reduced_functional``), and an apsis copy on the
+    reversor's line is one by symmetry (Palais, CMP 69 (1979)).  So every
+    result carries the sample's |grad Gamma| and its first-order distance
+    delta = |grad Gamma| / ||Hess Gamma||_2 to Gamma's critical set
+    (``reduced_gradient``, ``reduced_distance``), as diagnostics: a
+    constant electric field on an orbit with n >= 2, ``rotating_frame`` in
+    the plane and the zero field have Gamma constant at first order, where
+    |grad Gamma| is within its error estimate and delta a ratio of
+    errors."""
     runner = (continue_fixed_period if problem_template.mode == "fixed_period"
               else continue_fixed_energy)
-    fe = problem_template.mode == "fixed_energy"
-    pert = problem_template.sys.perturbation
-    points = reduced_functional(samples.base, pert, samples.group,
-                                samples.elements)
-    results = []
-    for i, (seed, point) in enumerate(zip(samples.states, points)):
-        seed = np.asarray(seed, dtype=float)
-        grad, dist = float(np.linalg.norm(point.gradient)), point.distance
-        if grad > point.gradient_error and dist > SCREEN_DISTANCE:
-            result = ContinuationResult(
-                False, f"screened: reduced-functional distance delta = "
-                f"{dist:.3g} above {SCREEN_DISTANCE:g}", seed,
-                problem_template.T, pert.eps, np.inf, np.inf,
-                np.inf if fe else 0.0, 0, i, path="screened")
-        else:
-            result = runner(replace(problem_template, seed=seed, seed_id=i))
-        results.append(replace(result, reduced_gradient=grad,
-                               reduced_distance=dist))
-    return results
+    points = reduced_functional(samples.base, problem_template.sys.perturbation,
+                                samples.group, samples.elements)
+    return [replace(runner(replace(problem_template,
+                                   seed=np.asarray(seed, dtype=float),
+                                   seed_id=i)),
+                    reduced_gradient=float(np.linalg.norm(point.gradient)),
+                    reduced_distance=point.distance)
+            for i, (seed, point) in enumerate(zip(samples.states, points))]
 
 
 # distinct_results compares position curves at N_CURVE times over one period

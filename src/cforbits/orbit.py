@@ -266,13 +266,14 @@ def reflect_apsis(z, a):
 
 def apogee_state(profile: RadialProfile, dim: int = 2):
     """Initial condition at r = r_max on the positive x1-axis."""
-    if dim == 2:
-        x = [profile.r_max, 0.0]
-        p = [0.0, profile.L / profile.r_max]
-    else:
-        x = [profile.r_max, 0.0, 0.0]
-        p = [0.0, profile.L / profile.r_max, 0.0]
-    return np.array(x + p)
+    return _apsis_state(profile.r_max, profile.L, dim)
+
+
+def _apsis_state(r, L, dim):
+    """The state at the apsis r on the positive x1-axis: p = L/r along x2."""
+    z = np.zeros(2 * dim)
+    z[0], z[dim + 1] = r, L / r
+    return z
 
 
 def _build_orbit(law, V, profile, k, n, dim):
@@ -497,12 +498,24 @@ def rotate_state(M, z):
 
 def manifold_samples(orbit: PeriodicOrbit, count_rot: int, count_shift: int,
                      group: str = "SO3") -> ManifoldSample:
-    """Sample (rotation, time shift) elements and their initial states."""
+    """Sample (rotation, time shift) elements and their initial states.
+
+    The apsis samples are built from the radial profile: shift 0 is the
+    apogee ``z0``, and shift tau/2 (an even ``count_shift``) the perigee
+    (r_min, L/r_min) at the angle (2n - 1) k pi/n, where ``states`` puts
+    it, without the error of the perigee junction that ``states`` carries
+    there.  So an apsis sample on a reversor's line lies on its fixed set
+    to rounding."""
     if count_rot < 1 or count_shift < 1:
         raise ValueError("counts must be >= 1")
-    tau = orbit.profile.tau
-    thetas = np.linspace(0.0, tau, count_shift, endpoint=False)
+    p = orbit.profile
+    thetas = np.linspace(0.0, p.tau, count_shift, endpoint=False)
     shifted = orbit.states(-thetas)
+    shifted[0] = orbit.z0
+    if count_shift % 2 == 0:
+        shifted[count_shift // 2] = rotate_plane(
+            _apsis_state(p.r_min, p.L, orbit.dim),
+            math.pi * orbit.k * (2 * orbit.n - 1) / orbit.n)
     if group == "planar":
         if orbit.dim != 2:
             raise ValueError("planar group needs a dim-2 orbit")

@@ -66,14 +66,14 @@ def test_continue_demos_record_their_seeds(tmp_path, monkeypatch):
     (tmp_path / "demos" / "configs").mkdir(parents=True)
     (tmp_path / "demos" / "configs" / "continue_x.json").write_text("{}")
     seeds = [{"seed_id": 0, "accepted": True, "reason": "ok",
-              "path": "symmetric", "z0": [1.5, -0.0, 0.0, 0.25],
+              "z0": [1.5, -0.0, 0.0, 0.25],
               "period": 13.9, "residual": 8.5e-11,
               "distance_to_manifold": 0.005, "newton_iters": 3,
               "variational_solves": 4, "state_shots": 0,
               "half_condition": 331.2, "reduced_gradient": 3.2e-13,
               "reduced_distance": 9.8e-14, "history": []},
              {"seed_id": 1, "accepted": False,
-              "reason": "stagnation at eps=0.0001", "path": "ladder",
+              "reason": "stagnation at eps=0.0001",
               "z0": [-1.5, 0.0, 0.0, -0.25], "period": 13.9,
               "residual": 7.8e-4, "distance_to_manifold": None,
               "newton_iters": 14, "variational_solves": 4}]
@@ -96,7 +96,7 @@ def test_continue_demos_record_their_seeds(tmp_path, monkeypatch):
     assert first["z0"][3] == (0.25).hex() and second["residual"] == (7.8e-4).hex()
     seeds[1]["z0"][0] = math.nextafter(-1.5, 0.0)
     lines = tool.compare(old, tool.digest(["demos"], None))
-    assert "demos.seeds.path: bit-identical (2 values)" in lines
+    assert "demos.seeds.reason: bit-identical (2 values)" in lines
     assert (f"demos.seeds.z0: 1 of 8 values differ, max abs "
             f"{1.5 - abs(seeds[1]['z0'][0]):.3g}, max rel "
             f"{(1.5 - abs(seeds[1]['z0'][0])) / 1.5:.3g}") in lines

@@ -373,85 +373,56 @@ def run_continue(tmp_path, cfg):
 
 def check_seed_records(payload, one_rung_eps=None):
     """The per-seed records of a spatial fixed-period run's
-    continuation.json account for their shots, solves and steps as their
-    path runs them; with one_rung_eps, every ladder is the one rung at that
-    eps."""
+    continuation.json account for their shots, solves and steps; with
+    one_rung_eps, every continued seed made the one run at that eps."""
     for r in payload["results"]:
         assert len(r["history"]) == r["newton_iters"]
         assert len(r["z0"]) == 6
         assert r["reduced_gradient"] >= 0.0
-        if r["path"] == "screened":
-            # rejected unshot, off the critical set of the reduced
-            # functional by more than the screen's bound
-            assert not r["accepted"] and "delta = " in r["reason"]
-            assert (r["reduced_distance"]
-                    > cforbits.continuation.SCREEN_DISTANCE)
+        if r["reason"].startswith("off the fixed set"):
+            # rejected unshot, off the fixed set of the reversor
+            assert not r["accepted"]
             assert r["newton_iters"] == r["variational_solves"] == 0
             assert r["state_shots"] == 0 and r["rung_starts"] == []
             assert r["residual"] is None and r["half_condition"] is None
             continue
         if r["accepted"]:
             assert r["residual"] <= 1e-7
-        symmetric = r["path"] == "symmetric"
-        for eps, lam, res, accepted in r["history"]:
-            assert eps > 0.0 and isinstance(accepted, bool)
-            assert lam == 0.0 if symmetric else lam > 0.0
-            assert res is None or res >= 0.0
-        h = r["history"]
-        if symmetric:
-            # undamped Newton: one state-only half-period shot per iterate
-            # and one at the seed, one variational solve per point a step
-            # leaves, each Jacobian's condition recorded
-            assert r["accepted"] and all(e[3] for e in h)
-            assert r["variational_solves"] == r["newton_iters"]
-            assert r["state_shots"] == r["newton_iters"] + 1
-            assert r["rung_starts"] == []
             assert r["half_condition"] >= 1.0
-            continue
-        # any ladder: one state-only shot per rung started and one per trial
-        # shot, and no half-period Jacobian
-        assert h and r["half_condition"] is None
+        for eps, res, accepted in r["history"]:
+            assert eps > 0.0 and isinstance(accepted, bool)
+            assert res is None or res >= 0.0
+        # a rejected trial ends its run, so every trial steps from a point
+        # of its own; one state-only half-period shot per run of the
+        # driver and one per trial shot
+        h = r["history"]
+        assert r["variational_solves"] == r["newton_iters"]
         assert r["state_shots"] == (len(r["rung_starts"])
-                                    + sum(1 for e in h if e[2] is not None))
-        if one_rung_eps is None:
-            continue
-        # a one-rung ladder (eps = 1e-4): one solve at the first point (its
-        # first shot did not converge), then one per accepted trial that
-        # another trial follows
-        steps = sum(1 for a, b in zip(h, h[1:]) if a[3])
-        assert r["variational_solves"] == 1 + steps
-        ((eps, res, predicted),) = r["rung_starts"]
-        assert eps == one_rung_eps and res >= 0.0 and predicted is False
+                                    + sum(1 for e in h if e[1] is not None))
+        assert all(eps > 0.0 and res >= 0.0 for eps, res in r["rung_starts"])
+        if one_rung_eps is not None:
+            assert [eps for eps, _ in r["rung_starts"]] == [one_rung_eps]
 
 
-def fixed_set_runs(config, tmp_path, monkeypatch, names):
-    """continuation.json of a --reproducible continue run of config and of
-    one with every seed kept off the symmetric path; asserts that only seed
-    0 differs, that both write the files names and the same manifest."""
+def fixed_set_run(config, tmp_path, names):
+    """continuation.json of a --reproducible continue run of config, whose
+    seed 0 alone lies on the reversor's fixed set: asserts that seed 0 is
+    accepted and every other seed rejected unshot, and that the run and a
+    second one both write the files names, with the same bytes."""
     runs = []
-    for ladder_only in (False, True):
-        if ladder_only:
-            monkeypatch.setattr(cforbits.continuation, "_fix_angle",
-                                lambda problem: None)
-        out = tmp_path / ("ladder" if ladder_only else "default")
+    for out in (tmp_path / "first", tmp_path / "second"):
         assert main(["continue", "--config", config, "--out", str(out),
                      "--reproducible"]) == EXIT_OK
-        runs.append(out)
-    both, ladder = (json.loads((out / "continuation.json").read_text())
-                    for out in runs)
-    assert both["results"][0]["path"] == "symmetric"
-    assert ladder["results"][0]["path"] == "ladder"
-    assert both["results"][1:] == ladder["results"][1:]
-    first = both["results"][0]
-    assert first["accepted"] and ladder["results"][0]["accepted"]
-    assert first["residual"] <= 1e-9
-    assert {k: v for k, v in both.items() if k != "results"} == {
-        k: v for k, v in ladder.items() if k != "results"}
-    for out in runs:
         assert sorted(p.name for p in out.iterdir()) == names
-    assert ((runs[0] / "manifest.json").read_bytes()
-            == (runs[1] / "manifest.json").read_bytes())
-    return both, ladder
+        runs.append(out)
+    for name in names:
+        assert ((runs[0] / name).read_bytes()
+                == (runs[1] / name).read_bytes()), name
+    payload = json.loads((runs[0] / "continuation.json").read_text())
+    first, *others = payload["results"]
+    assert first["accepted"] and first["residual"] <= 1e-9
+    assert all(r["reason"].startswith("off the fixed set") for r in others)
+    return payload
 
 
 class TestContinueCommand:
@@ -512,15 +483,15 @@ class TestContinueCommand:
         assert payload["n_accepted"] >= 1
         assert payload["n_distinct"] >= 1
         # the apogee seed lies on the fixed set of the reversor; the seed
-        # shifted by tau/2 lies off the critical set of the reduced
-        # functional and is screened
-        assert [r["path"] for r in payload["results"]] == ["symmetric",
-                                                            "screened"]
+        # shifted by tau/2, a perigee at -4 pi/5 from the field's line,
+        # lies off it and is rejected unshot
+        assert [r["accepted"] for r in payload["results"]] == [True, False]
         check_seed_records(payload, one_rung_eps=1e-4)
 
     def test_spatial_constant_electric_run(self, tmp_path):
         # the spatial run in a constant field, whose reduced functional is
-        # constant at first order: the tau/2 seed takes the ladder
+        # constant at first order: the tau/2 seed lies off the fixed set all
+        # the same
         cfg = {
             "schema_version": 1,
             "potential": {"kind": "homogeneous", "alpha": 0.5},
@@ -533,54 +504,48 @@ class TestContinueCommand:
         }
         payload = run_continue(tmp_path, cfg)
         assert payload["n_accepted"] >= 1
-        assert [r["path"] for r in payload["results"]] == ["symmetric",
-                                                            "ladder"]
+        assert [r["accepted"] for r in payload["results"]] == [True, False]
         check_seed_records(payload, one_rung_eps=1e-4)
 
     def test_demo_run_changes_only_the_seed_on_the_fixed_set(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         # continue_alpha05.json: seed 0, the apogee on the field's line,
-        # lies on Fix(R_0) and takes the symmetric path; the other seven
-        # (its tau/2 shift and the SO(3)-turned seeds) lie off the critical
-        # set of the reduced functional and are screened, with or without
-        # the symmetric path
-        both, ladder = fixed_set_runs(
-            str(DEMO_DIR / "continue_alpha05.json"), tmp_path, monkeypatch,
+        # lies on Fix(R_0) and is continued; the other seven (its tau/2
+        # shift and the SO(3)-turned seeds) lie off it and are rejected
+        # unshot
+        payload = fixed_set_run(
+            str(DEMO_DIR / "continue_alpha05.json"), tmp_path,
             ["continuation.json", "continued_seed0.csv", "manifest.json"])
-        assert [r["path"] for r in both["results"]] == (["symmetric"]
-                                                        + ["screened"] * 7)
+        assert payload["n_seeds"] == 8 and payload["n_accepted"] == 1
 
     def test_constant_field_run_changes_only_the_seed_on_the_fixed_set(
-            self, tmp_path, monkeypatch):
-        # the demo run in a constant field, on a 2 x 2 grid: no seed is
-        # screened, and the three seeds off the fixed set take the ladder
-        # and write what the ladder alone writes
+            self, tmp_path):
+        # the demo run in a constant field, on a 2 x 2 grid, whose reduced
+        # functional is constant at first order: still only seed 0 lies on
+        # the fixed set and is continued
         cfg = json.loads((DEMO_DIR / "continue_alpha05.json").read_text())
         cfg["perturbation"] = {"family": "uniform_electric", "eps": 1e-3,
                                "profile": "constant",
                                "e_vec": [1.0, 0.0, 0.0]}
         cfg["continuation"].update(count_rot=2, count_shift=2)
-        both, ladder = fixed_set_runs(
-            write_cfg(tmp_path, cfg), tmp_path, monkeypatch,
-            ["continuation.json", "continued_seed0.csv",
-             "continued_seed1.csv", "manifest.json"])
-        assert [r["path"] for r in both["results"]] == (["symmetric"]
-                                                        + ["ladder"] * 3)
-        check_seed_records(both)
+        payload = fixed_set_run(
+            write_cfg(tmp_path, cfg), tmp_path,
+            ["continuation.json", "continued_seed0.csv", "manifest.json"])
+        assert payload["n_seeds"] == 4
+        check_seed_records(payload)
 
-    def test_rung_starts_per_seed(self, tmp_path, monkeypatch):
-        # eps = 1e-3 is a three-rung ladder; the seed lies on the branch, so
-        # its second and third rungs start predicted and no rung runs twice.
-        # The seed lies on the reversor's fixed set too: it is put on the
-        # ladder, as a seed off that set is
-        monkeypatch.setattr(cforbits.continuation, "_fix_angle",
-                            lambda problem: None)
+    def test_rung_starts_per_seed(self, tmp_path):
+        # the apogee on x1 in a constant field along x1 at eps = 1e-2: the
+        # direct attempt fails, and the seed is continued along the eps
+        # ladder, one (eps, first-shot residual) pair per run
         cfg = {
             "schema_version": 1,
             "potential": {"kind": "homogeneous", "alpha": 0.5},
             "orbit": {"k": 4, "n": 5, "h": -1.9},
-            "perturbation": {"family": "rotating_frame", "eps": 1e-3},
-            "continuation": {"mode": "fixed_energy",
+            "perturbation": {"family": "uniform_electric", "eps": 1e-2,
+                             "profile": "constant",
+                             "e_vec": [1.0, 0.0, 0.0]},
+            "continuation": {"mode": "fixed_period",
                              "count_rot": 1, "count_shift": 1},
         }
         path = write_cfg(tmp_path, cfg)
@@ -589,11 +554,12 @@ class TestContinueCommand:
         payload = json.loads((out / "continuation.json").read_text())
         (r,) = payload["results"]
         assert r["accepted"]
-        rungs = [eps for eps, *_ in r["rung_starts"]]
-        assert rungs == pytest.approx([1e-4, 10**-3.5, 1e-3], rel=1e-12)
+        rungs = [eps for eps, _ in r["rung_starts"]]
+        assert rungs == pytest.approx(
+            [1e-2, 1e-4, 10**-3.5, 1e-3, 10**-2.5, 1e-2], rel=1e-12)
         assert {eps for eps, *_ in r["history"]} <= set(rungs)
-        assert [p for *_, p in r["rung_starts"]] == [False, True, True]
-        assert all(res >= 0.0 for _, res, _ in r["rung_starts"])
+        assert all(res >= 0.0 for _, res in r["rung_starts"])
+        check_seed_records(payload)
 
     def test_planar_rotating_frame_run(self, tmp_path):
         # the one family the command continues in the plane (planar group)
@@ -612,20 +578,3 @@ class TestContinueCommand:
         assert payload["n_accepted"] == 1
         (r,) = payload["results"]
         assert r["distance_to_manifold"] <= 0.1
-
-    def test_each_fixed_energy_seed_anchors_its_own_phase_row(self, tmp_path):
-        # the tau/2-shifted seed converges only with the phase row anchored
-        # at itself; anchored at seed 0 it stagnates
-        cfg = {
-            "schema_version": 1,
-            "potential": {"kind": "homogeneous", "alpha": 0.5},
-            "orbit": {"k": 4, "n": 5, "h": -1.9},
-            "perturbation": {"family": "rotating_frame", "eps": 1e-4},
-            "continuation": {"mode": "fixed_energy",
-                             "count_rot": 1, "count_shift": 2},
-        }
-        path = write_cfg(tmp_path, cfg)
-        out = tmp_path / "out"
-        assert main(["continue", "--config", path, "--out", str(out)]) == EXIT_OK
-        payload = json.loads((out / "continuation.json").read_text())
-        assert payload["n_accepted"] == 2

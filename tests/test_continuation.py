@@ -54,22 +54,22 @@ def orbit3():
     return find_closed_orbit(CLASSICAL, ALPHA_HALF, 4, 5, -1.9, dim=3)
 
 
-def on_the_ladder(mp):
-    # every seed takes the eps ladder, as a seed off the reversor's fixed
-    # set does
-    mp.setattr(continuation, "_fix_angle", lambda problem: None)
-
-
-@pytest.fixture
-def ladder(monkeypatch):
-    on_the_ladder(monkeypatch)
-
-
 def electric_system(orbit, eps, profile="cosine"):
     T_forcing = orbit.T if profile == "cosine" else None
     pert = Perturbation.uniform_electric((1.0, 0.0), eps, profile=profile,
                                          T_forcing=T_forcing)
     return HamiltonianSystem(CLASSICAL, ALPHA_HALF, pert, 2)
+
+
+def ladder_problem(orbit, mode="fixed_period"):
+    """A seed in a constant field along x1 at eps = 1e-2 whose direct
+    attempt fails, so that the eps ladder continues it: the apogee on x1 at
+    fixed period, the perigee (r_min, L/r_min) on x1 at fixed energy."""
+    p = orbit.profile
+    seed = (orbit.z0 if mode == "fixed_period"
+            else np.array([p.r_min, 0.0, 0.0, p.L / p.r_min]))
+    return ShootingProblem(electric_system(orbit, 1e-2, profile="constant"),
+                           mode, seed, orbit.T, h=p.h)
 
 
 class TestEpsPath:
@@ -152,9 +152,9 @@ class TestFixedPeriod:
         assert 1.5 <= devs[0] / devs[1] <= 3.0
 
     def test_convergence_on_last_allowed_iteration_is_accepted(
-            self, orbit, monkeypatch, ladder):
-        # this solve needs exactly 3 Newton iterations
-        sys = electric_system(orbit, 1e-4)
+            self, orbit, monkeypatch):
+        # this solve needs exactly 3 Newton iterations at eps = 1e-3
+        sys = electric_system(orbit, 1e-3)
         prob = ShootingProblem(sys=sys, mode="fixed_period", seed=orbit.z0,
                                T=orbit.T)
         monkeypatch.setattr(continuation, "MAX_NEWTON", 3)
@@ -162,18 +162,34 @@ class TestFixedPeriod:
         assert res.accepted, res.reason
         assert res.newton_iters == 3
         assert res.residual <= 1e-8
+        assert len(res.rung_starts) == 1
+
+
+def failing_half_shot(call, nth, halves, T):
+    """call, with its nth half-period integration (t1 below 3T/4) ended
+    early; halves records the t1 of each."""
+    def wrapped(sys, z0, t0, t1, *, tol=flow.DEFAULT_TOL):
+        if t1 < 0.75 * T:
+            halves.append(t1)
+            if len(halves) == nth:
+                raise IntegrationError("injected")
+        return call(sys, z0, t0, t1, tol=tol)
+    return wrapped
 
 
 class TestFailureContract:
+    # at eps = 1e-4 the eps ladder is the one rung the direct attempt runs,
+    # so the attempt's failure ends the continuation
+
     @pytest.mark.parametrize("error, word", [
         (CollisionError, "collision"),
         (IntegrationError, "integration failure"),
     ], ids=["collision", "step_size"])
     def test_collision_in_deferred_variational_solve(self, orbit, monkeypatch,
-                                                     ladder, error, word):
-        # the first variational solve runs at the rung's first point, the
-        # second only after an accepted trial; its failure ends the run like
-        # a failing first shot does, with the failure's own reason word
+                                                     error, word):
+        # the first variational solve runs at the seed, the second only
+        # after an accepted trial; its failure ends the run like a failing
+        # first shot does, with the failure's own reason word
         calls = []
 
         def second_fails(*args, **kwargs):
@@ -190,16 +206,16 @@ class TestFailureContract:
         res = continue_fixed_period(prob)
         assert len(calls) == 2
         assert not res.accepted
-        assert res.reason.startswith(f"{word} at eps=")
+        assert res.reason == f"{word} at eps=0.0001"
         assert res.variational_solves == 2
         assert len(res.history) == res.newton_iters == 1
-        assert res.history[0][3]
-        assert res.residual == res.history[0][2]
+        assert res.history[0][2]
+        assert res.residual == res.history[0][1]
 
     def test_failed_first_jacobian_leaves_the_first_shot_residual(
-            self, orbit, monkeypatch, ladder):
-        # the rung's first shot is state-only: a variational solve that
-        # fails at the first point leaves that shot's finite residual
+            self, orbit, monkeypatch):
+        # the first shot is state-only: a variational solve that fails at
+        # the seed leaves that shot's finite residual
         def fails(*args, **kwargs):
             raise CollisionError("injected")
 
@@ -211,42 +227,40 @@ class TestFailureContract:
         assert not res.accepted and res.reason.startswith("collision at eps=")
         assert res.variational_solves == res.state_shots == 1
         assert res.history == ()
-        ((eps, first, predicted),) = res.rung_starts
+        ((eps, first),) = res.rung_starts
+        assert eps == 1e-4
         assert np.isfinite(first) and res.residual == first
 
-    def test_every_rejected_trial_counts_toward_the_damping_floor(
-            self, orbit, monkeypatch, ladder):
-        # a step that takes T to 0: every trial is rejected unshot by the
-        # period guard, and each raises lam tenfold until it passes 1e8
-        def to_zero_period(Jac, R, lam):
-            return np.append(np.zeros(orbit.z0.size), -orbit.T)
-
-        monkeypatch.setattr(continuation, "_lm_step", to_zero_period)
-        sys = electric_system(orbit, 1e-4, profile="constant")
-        prob = ShootingProblem(sys=sys, mode="fixed_energy", seed=orbit.z0,
-                               T=orbit.T, h=orbit.profile.h)
-        res = continue_fixed_energy(prob)
+    @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
+    def test_a_rejected_trial_ends_the_run(self, orbit, mode, monkeypatch):
+        # the first trial's shot ends early: the trial is rejected, and the
+        # run ends there with the seed's point and residual
+        fe = mode == "fixed_energy"
+        halves = []
+        monkeypatch.setattr(continuation, "endpoint", failing_half_shot(
+            flow.endpoint, 2, halves, orbit.T))
+        sys = electric_system(orbit, 1e-4,
+                              profile="constant" if fe else "cosine")
+        prob = ShootingProblem(sys=sys, mode=mode, seed=orbit.z0, T=orbit.T,
+                               h=orbit.profile.h)
+        res = continuation._continue(prob)
         assert not res.accepted
-        assert res.reason == "damping floor at eps=0.0001"
-        assert len(res.history) == res.newton_iters == 17
-        assert all(e[0] == 1e-4 and e[2:] == (math.inf, False)
-                   for e in res.history)
-        lams = [e[1] for e in res.history]
-        assert lams[0] == 1e-8 and lams[-1] == pytest.approx(1e8)
-        assert lams[1:] == pytest.approx([10.0 * lam for lam in lams[:-1]])
-        # the first shot and the Jacobian at the seed, nothing after
-        assert res.state_shots == res.variational_solves == 1
-        ((eps, first, predicted),) = res.rung_starts
+        assert res.reason == "rejected step at eps=0.0001"
+        assert res.history == ((1e-4, math.inf, False),)
+        assert res.newton_iters == 1
+        assert (res.state_shots, res.variational_solves) == (2, 1)
+        ((eps, first),) = res.rung_starts
         assert res.residual == first
+        assert np.array_equal(res.z0, orbit.z0)
 
     @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
     def test_stagnation_returns_rejected_result(self, orbit, mode,
                                                 monkeypatch):
+        # the seed needs two Newton steps at eps = 1e-4
         fe = mode == "fixed_energy"
-        sys = electric_system(orbit, 1e-3,
+        sys = electric_system(orbit, 1e-4,
                               profile="constant" if fe else "cosine")
-        seed = manifold_samples(orbit, 2, 2, group="planar").states[1]
-        prob = ShootingProblem(sys=sys, mode=mode, seed=seed, T=orbit.T,
+        prob = ShootingProblem(sys=sys, mode=mode, seed=orbit.z0, T=orbit.T,
                                h=orbit.profile.h if fe else None)
         runner = continue_fixed_energy if fe else continue_fixed_period
         monkeypatch.setattr(continuation, "MAX_NEWTON", 1)
@@ -258,42 +272,48 @@ class TestFailureContract:
 
 
 class TestStallExit:
-    def test_stalled_seed_is_rejected_early(self, orbit):
-        # the tau/2 seed: its residual stops halving on the first rung, long
-        # before MAX_NEWTON trials
-        sys = electric_system(orbit, 1e-3)
-        seed = manifold_samples(orbit, 2, 2, group="planar").states[1]
-        prob = ShootingProblem(sys=sys, mode="fixed_period", seed=seed,
+    def test_stalled_seed_is_rejected_early(self, orbit, monkeypatch):
+        # every Jacobian ten times too large: each step goes a tenth of the
+        # way, the residual falls by about a tenth per step, and the run
+        # stalls after STALL_STEPS accepted steps, long before MAX_NEWTON
+        def tenfold(*args, **kwargs):
+            z, W = flow.integrate_with_variational(*args, **kwargs)
+            return z, 10.0 * W
+
+        monkeypatch.setattr(continuation, "integrate_with_variational",
+                            tenfold)
+        sys = electric_system(orbit, 1e-4)
+        prob = ShootingProblem(sys=sys, mode="fixed_period", seed=orbit.z0,
                                T=orbit.T)
         res = continue_fixed_period(prob)
         assert not res.accepted
         assert res.reason.startswith("stagnation")
         assert res.newton_iters <= 15
         assert len(res.history) == res.newton_iters
-        steps = [r for e, _, r, ok in res.history if ok and e == res.eps]
+        ((_, first),) = res.rung_starts
+        steps = [first] + [r for e, r, ok in res.history if ok]
         assert len(steps) > STALL_STEPS
         assert steps[-1] == res.residual
         assert steps[-1] > steps[-1 - STALL_STEPS] / STALL_FACTOR
 
-    def test_converging_path_is_unchanged(self, orbit, monkeypatch, ladder):
-        # reference path: the same solve with the stall exit out of reach
-        sys = electric_system(orbit, 1e-3)
-        seed = manifold_samples(orbit, 2, 2, group="planar").states[0]
-        prob = ShootingProblem(sys=sys, mode="fixed_period", seed=seed,
-                               T=orbit.T)
+    def test_converging_path_is_unchanged(self, orbit, monkeypatch):
+        # reference path: the same solve with the stall exit out of reach,
+        # on the eps ladder
+        prob = ladder_problem(orbit)
         fast = continue_fixed_period(prob)
         monkeypatch.setattr(continuation, "STALL_STEPS", 10**9)
         ref = continue_fixed_period(prob)
         assert fast.accepted and ref.accepted
+        assert len(fast.rung_starts) > 1
         assert np.array_equal(fast.z0, ref.z0)
         assert fast.period == ref.period
         assert fast.residual == ref.residual
         assert fast.newton_iters == ref.newton_iters
         assert fast.history == ref.history
+        assert fast.rung_starts == ref.rung_starts
 
     @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
-    def test_history_has_one_entry_per_trial(self, orbit, mode, monkeypatch,
-                                             ladder):
+    def test_history_has_one_entry_per_trial(self, orbit, mode, monkeypatch):
         fe = mode == "fixed_energy"
         sys = electric_system(orbit, 1e-4,
                               profile="constant" if fe else "cosine")
@@ -304,10 +324,10 @@ class TestStallExit:
             monkeypatch.setattr(continuation, "MAX_NEWTON", max_newton)
             res = runner(prob)
             assert len(res.history) == res.newton_iters >= 1
-            for eps, lam, r, ok in res.history:
-                assert eps == 1e-4 and lam > 0.0
+            for eps, r, ok in res.history:
+                assert eps == 1e-4
                 assert np.isfinite(r) or not ok
-            accepted = [r for *_, r, ok in res.history if ok]
+            accepted = [r for _, r, ok in res.history if ok]
             assert accepted == sorted(accepted, reverse=True)
             if res.accepted:
                 assert accepted[-1] <= 1e-9 * (1.0 + np.linalg.norm(orbit.z0))
@@ -319,17 +339,12 @@ def _variational_endpoint(sys, z0, t0, t1, *, tol=flow.DEFAULT_TOL):
     return flow.integrate_with_variational(sys, z0, t0, t1, tol=tol)[0]
 
 
-def _unpredicted(branch, eps):
-    # every rung from the previous rung's point: the reference path of the
-    # predictor
-    return branch[-1][1]
-
-
 @pytest.fixture(scope="module")
-def ladder_problems(orbit, orbit3):
-    """(problem, samples) for the four seeds of the 2 x 2 planar grid at
-    fixed period (two converge, two stall), one planar fixed-energy seed and
-    the spatial seed in a magnetic field, all at eps = 1e-3."""
+def problems(orbit, orbit3):
+    """(problem, samples) at eps = 1e-3 for the four seeds of the 2 x 2
+    planar grid at fixed period (the benchmark's multistart problem), the
+    planar apogee at fixed energy in a constant field, and the spatial
+    apogee in a magnetic field (the benchmark's spatial problem)."""
     seeds = manifold_samples(orbit, 2, 2, group="planar").states
     planar = manifold_samples(orbit, 6, 6, group="planar")
     cases = [(ShootingProblem(sys=electric_system(orbit, 1e-3),
@@ -347,6 +362,17 @@ def ladder_problems(orbit, orbit3):
     return cases
 
 
+# the problems whose seed lies on the reversor's fixed set: the apogee seeds
+# 0 and 2 of the grid, the planar fixed-energy seed and the spatial one; the
+# grid's tau/2 seeds 1 and 3, perigees off the field's line, do not
+SYMMETRIC = (0, 2, 4, 5)
+
+
+@pytest.fixture(scope="module")
+def symmetric_problems(problems):
+    return [problems[i] for i in SYMMETRIC]
+
+
 def _run(cases):
     out = []
     for p, samples in cases:
@@ -358,78 +384,62 @@ def _run(cases):
 
 
 @pytest.fixture(scope="module")
-def ladder_results(ladder_problems):
-    with pytest.MonkeyPatch.context() as mp:
-        on_the_ladder(mp)
-        return _run(ladder_problems)
+def symmetric_results(symmetric_problems):
+    return _run(symmetric_problems)
 
 
 @pytest.fixture(scope="module")
-def deferred_and_reference(ladder_problems, ladder_results):
-    """(result, reference result) for the five planar problems of
-    ``ladder_problems``, the reference shooting every trial through the
-    variational solve."""
+def ladder_cases(orbit):
+    """(problem, samples) of the ladder problem in both modes."""
+    planar = manifold_samples(orbit, 6, 6, group="planar")
+    return [(ladder_problem(orbit, mode), planar)
+            for mode in ("fixed_period", "fixed_energy")]
+
+
+@pytest.fixture(scope="module")
+def ladder_results(ladder_cases):
+    return _run(ladder_cases)
+
+
+@pytest.fixture(scope="module")
+def deferred_and_reference(symmetric_problems, symmetric_results,
+                           ladder_cases, ladder_results):
+    """(result, reference result) for the planar problems of
+    ``symmetric_problems`` and the fixed-period ladder problem, the
+    reference shooting every trial through the variational solve."""
+    cases = symmetric_problems[:3] + ladder_cases[:1]
     with pytest.MonkeyPatch.context() as mp:
-        on_the_ladder(mp)
         mp.setattr(continuation, "endpoint", _variational_endpoint)
-        ref = _run(ladder_problems[:5])
-    return list(zip(ladder_results[:5], ref))
-
-
-@pytest.fixture(scope="module")
-def predicted_and_reference(ladder_problems, ladder_results):
-    """(result, reference result) for every problem of ``ladder_problems``,
-    the reference starting each rung from the previous rung's point."""
-    with pytest.MonkeyPatch.context() as mp:
-        on_the_ladder(mp)
-        mp.setattr(continuation, "_predict", _unpredicted)
-        ref = _run(ladder_problems)
-    return list(zip(ladder_results, ref))
-
-
-def _solves(history):
-    # one per point an LM step leaves: before the first trial of a rung, and
-    # before a trial that follows an accepted one on the same rung (a rung
-    # whose first shot converged takes none); holds for a history in which
-    # no rung started twice
-    return sum(1 for i, e in enumerate(history)
-               if i == 0 or history[i - 1][0] != e[0] or history[i - 1][3])
-
-
-def _expected_solves(res):
-    eps = [s[0] for s in res.rung_starts]
-    assert len(set(eps)) == len(eps), "a rung was run twice"
-    return _solves(res.history)
+        ref = _run(cases)
+    return list(zip(symmetric_results[:3] + ladder_results[:1], ref))
 
 
 class TestDeferredJacobian:
     def test_same_path_as_variational_shots(self, deferred_and_reference):
-        outcomes = set()
         for fast, ref in deferred_and_reference:
-            assert fast.accepted == ref.accepted
-            assert fast.reason.split()[0] == ref.reason.split()[0]
+            assert fast.accepted and ref.accepted
             assert fast.newton_iters == ref.newton_iters
-            assert [e[3] for e in fast.history] == [e[3] for e in ref.history]
+            assert [e[2] for e in fast.history] == [e[2] for e in ref.history]
+            assert [e for e, _ in fast.rung_starts] == [
+                e for e, _ in ref.rung_starts]
             assert fast.variational_solves == ref.variational_solves
             assert np.max(np.abs(fast.z0 - ref.z0)) <= 1e-6
             assert abs(fast.period - ref.period) <= 1e-6
-            if fast.accepted:
-                assert fast.distance == pytest.approx(ref.distance, rel=1e-6)
-            outcomes.add((fast.accepted, fast.reason.split()[0]))
-        assert outcomes == {(True, "ok"), (False, "stagnation")}
+            assert fast.distance == pytest.approx(ref.distance, rel=1e-6)
+        assert len(deferred_and_reference[-1][0].rung_starts) > 1
 
     def test_one_variational_solve_per_point_stepped_from(
-            self, ladder_results):
-        assert any(r.accepted for r in ladder_results)
-        assert any(r.reason.startswith("stagnation") for r in ladder_results)
-        for r in ladder_results:
-            assert r.variational_solves == _expected_solves(r)
+            self, symmetric_results, ladder_results):
+        # a rejected trial ends its run, so every trial steps from a point
+        # of its own
+        for r in symmetric_results + ladder_results:
+            assert r.accepted
+            assert r.variational_solves == r.newton_iters == len(r.history)
 
     def test_one_state_shot_per_rung_start_and_trial_shot(
-            self, ladder_results):
-        for r in ladder_results:
-            shot = sum(1 for _, lam, res, _ in r.history
-                       if lam > 0.0 and np.isfinite(res))
+            self, symmetric_results, ladder_results):
+        for r in symmetric_results + ladder_results:
+            shot = sum(1 for _, res, _ in r.history if np.isfinite(res))
             assert r.state_shots == len(r.rung_starts) + shot > 1
 
 
@@ -449,151 +459,79 @@ def _exact_jacobian_tol(res):
 
 
 @pytest.fixture(scope="module")
-def exact_jacobian_results(ladder_problems):
-    """With every Jacobian solved at DEFAULT_TOL: every problem of
-    ``ladder_problems`` on the ladder, then the 2 x 2 fixed-period grid on
-    its own paths (seeds 0 and 2 symmetric, 1 and 3 on the ladder)."""
+def exact_jacobian_results(problems, ladder_cases):
+    """With every Jacobian solved at DEFAULT_TOL: the ladder problem in both
+    modes, then the 2 x 2 fixed-period grid (seeds 0 and 2 continued, 1 and
+    3 off the fixed set)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "_jacobian_tol", _exact_jacobian_tol)
-        grid = _run(ladder_problems[:4])
-        on_the_ladder(mp)
-        return _run(ladder_problems), grid
+        return _run(ladder_cases), _run(problems[:4])
 
 
 class TestInexactJacobian:
+    # TestInexactHalfPeriodJacobian compares direct runs; these compare the
+    # eps ladder's runs, and a grid with seeds off the fixed set
+
     @staticmethod
     def assert_same_answer(fast, ref):
-        # the solution sets are not isolated (a curve at fixed period, the
-        # phase at fixed energy), so z0 is not compared pointwise
-        assert fast.path == ref.path
+        # the solutions are isolated on the fixed set: z0 is compared
+        # pointwise
         assert fast.accepted == ref.accepted
-        assert fast.reason.split()[0] == ref.reason.split()[0]
-        assert len(fast.rung_starts) == len(ref.rung_starts)
+        assert fast.reason == ref.reason
+        assert [e for e, _ in fast.rung_starts] == [
+            e for e, _ in ref.rung_starts]
         if fast.accepted:
-            assert fast.distance == pytest.approx(ref.distance, rel=2e-3)
+            assert np.max(np.abs(fast.z0 - ref.z0)) <= SYMMETRIC_Z0_TOL
+            assert abs(fast.period - ref.period) <= SYMMETRIC_PERIOD_TOL
+            assert fast.distance == pytest.approx(ref.distance, rel=1e-9)
 
-    def test_same_answers_as_exact_jacobians(self, ladder_problems,
-                                             ladder_results,
+    def test_same_answers_as_exact_jacobians(self, ladder_results,
                                              exact_jacobian_results):
         refs, _ = exact_jacobian_results
-        outcomes = set()
-        for (p, _), fast, ref in zip(ladder_problems, ladder_results, refs):
+        for fast, ref in zip(ladder_results, refs):
+            assert len(fast.rung_starts) > 1
             self.assert_same_answer(fast, ref)
-            if fast.accepted and p.mode == "fixed_energy":
-                assert abs(fast.period - ref.period) <= 1e-9
-            outcomes.add((fast.accepted, fast.reason.split()[0]))
-        assert outcomes == {(True, "ok"), (False, "stagnation")}
 
-    def test_grid_on_its_own_paths(self, ladder_results, symmetric_results,
+    def test_grid_on_its_own_paths(self, problems, symmetric_results,
                                    exact_jacobian_results):
         _, grid = exact_jacobian_results
-        fast = [symmetric_results[0], ladder_results[1], symmetric_results[1],
-                ladder_results[3]]
-        assert [r.path for r in grid] == ["symmetric", "ladder"] * 2
+        fast = [symmetric_results[0], *_run(problems[1:2]),
+                symmetric_results[1], *_run(problems[3:4])]
+        assert [r.accepted for r in grid] == [True, False] * 2
         for f, ref in zip(fast, grid):
             self.assert_same_answer(f, ref)
 
 
-class TestPredictor:
-    def test_extrapolation_is_exact_on_polynomials(self):
-        a, b, c = np.array([1.0, -2.0]), np.array([3.0, 0.5]), np.array([-4.0, 7.0])
-        u = lambda e: a + b * e + c * e * e
-        assert np.array_equal(continuation._predict([(0.0, a)], 1e-3), a)
-        line = [(e, a + b * e) for e in (0.0, 1e-4)]
-        assert np.allclose(continuation._predict(line, 1e-3), a + b * 1e-3,
-                           rtol=0.0, atol=1e-14)
-        # only the last three points count; their weights at 2e-3 reach 18
-        branch = [(0.0, a + 1.0)] + [(e, u(e)) for e in (1e-4, 3e-4, 7e-4)]
-        assert np.allclose(continuation._predict(branch, 2e-3), u(2e-3),
-                           rtol=0.0, atol=1e-12)
-
-    def test_same_answers_as_unpredicted_start(self, predicted_and_reference):
-        outcomes = set()
-        for fast, ref in predicted_and_reference:
-            assert fast.accepted == ref.accepted
-            assert fast.reason.split()[0] == ref.reason.split()[0]
-            assert fast.newton_iters <= ref.newton_iters
-            assert fast.variational_solves <= ref.variational_solves
-            if fast.accepted:
-                assert fast.residual <= 1e-9
-                assert fast.distance == pytest.approx(ref.distance, rel=1e-4)
-            outcomes.add((fast.accepted, fast.reason.split()[0]))
-        assert outcomes == {(True, "ok"), (False, "stagnation")}
-        assert (sum(f.newton_iters for f, _ in predicted_and_reference)
-                < sum(r.newton_iters for _, r in predicted_and_reference))
-
-    def test_rungs_after_the_first_start_predicted(self,
-                                                   predicted_and_reference):
-        for fast, ref in predicted_and_reference:
-            eps = [s[0] for s in fast.rung_starts]
-            assert eps == [s[0] for s in ref.rung_starts]
-            assert [s[2] for s in fast.rung_starts] == [
-                i > 0 for i in range(len(eps))]
-            assert not any(s[2] for s in ref.rung_starts)
-            assert fast.rung_starts[0] == ref.rung_starts[0]
-            for s, t in zip(fast.rung_starts[1:], ref.rung_starts[1:]):
-                assert s[1] < t[1]
-
-    def test_rejected_prediction_falls_back(self, orbit, monkeypatch, ladder):
-        # a start moved by 0.5 along the flow on the last rung stalls; the
-        # rung is then run again from the previous rung's point, which is
-        # exactly the unpredicted path
-        sys = electric_system(orbit, 1e-3)
-        prob = ShootingProblem(sys=sys, mode="fixed_period", seed=orbit.z0,
-                               T=orbit.T)
-        samples = manifold_samples(orbit, 6, 6, group="planar")
-        monkeypatch.setattr(continuation, "_predict", _unpredicted)
-        ref = distance_to_manifold(continue_fixed_period(prob), samples)
-
-        def far_on_last_rung(branch, eps):
-            last = branch[-1][1]
-            if eps < 1e-3:
-                return last
-            return flow.endpoint(orbit.system, last, 0.0, 0.5)
-
-        monkeypatch.setattr(continuation, "_predict", far_on_last_rung)
-        res = distance_to_manifold(continue_fixed_period(prob), samples)
-        assert ref.accepted and res.accepted, res.reason
-        assert res.distance == pytest.approx(ref.distance, rel=1e-4)
-        assert np.array_equal(res.z0, ref.z0)
-        # the rejected attempt, then the reference's own rung
-        starts = [s[0] for s in res.rung_starts]
-        assert starts == [s[0] for s in ref.rung_starts] + [1e-3]
-        assert [s[2] for s in res.rung_starts] == [False, False, True, False]
-        assert res.rung_starts[-1] == ref.rung_starts[-1]
-        k = sum(1 for e in ref.history if e[0] < 1e-3)
-        m = len(res.history) - len(ref.history)
-        bad = res.history[k:k + m]
-        assert m > 0 and all(e[0] == 1e-3 for e in bad)
-        assert res.history[:k] + res.history[k + m:] == ref.history
-        assert res.newton_iters == ref.newton_iters + m
-        assert res.variational_solves == (ref.variational_solves
-                                          + _solves(bad))
-
-
 def assert_mirrored(neg, pos):
-    """neg equals pos bit for bit except for the sign of eps."""
+    """neg takes the runs and trials of pos on the mirrored ladder, to the
+    same solution.  Its reversor's angle is pos's turned by pi, whose frame
+    differs by rounding, so the solutions agree to rounding, not bit for
+    bit."""
     assert neg.eps == -pos.eps
-    assert neg.history == tuple((-e, *rest) for e, *rest in pos.history)
-    assert neg.rung_starts == tuple((-e, *rest) for e, *rest in pos.rung_starts)
-    for name in ("accepted", "reason", "period", "residual", "energy_residual",
-                 "phase_residual", "newton_iters", "variational_solves"):
+    assert [e for e, *_ in neg.history] == [-e for e, *_ in pos.history]
+    assert [ok for *_, ok in neg.history] == [ok for *_, ok in pos.history]
+    assert [e for e, _ in neg.rung_starts] == [-e for e, _ in pos.rung_starts]
+    for name in ("accepted", "reason", "newton_iters", "variational_solves",
+                 "state_shots"):
         assert getattr(neg, name) == getattr(pos, name), name
-    assert np.array_equal(neg.z0, pos.z0)
+    assert np.max(np.abs(neg.z0 - pos.z0)) <= 1e-13
+    assert neg.period == pytest.approx(pos.period, rel=1e-14)
     ts = np.linspace(0.0, pos.period, 101)
-    assert np.array_equal(neg.trajectory(ts), pos.trajectory(ts))
+    assert np.max(np.abs(neg.trajectory(ts) - pos.trajectory(ts))) <= 1e-11
 
 
 class TestSignedEps:
     @pytest.mark.parametrize("mode,profile,eps", [
         ("fixed_period", "cosine", 1e-3),
         ("fixed_energy", "constant", 3e-4),
+        ("fixed_period", "constant", -1e-2),
     ])
     def test_negative_eps_is_the_reversed_field(self, orbit, mode, profile,
-                                                eps, ladder):
+                                                eps):
         # eps ranges over the reals without 0, and (-eps) e and eps (-e) are
         # the same field to the last bit, so both continuations take the
-        # same path on the mirrored ladder
+        # same runs, on the mirrored ladder where the direct attempt fails
+        # (the field along +x1 at 1e-2)
         T_forcing = orbit.T if profile == "cosine" else math.inf
         results = []
         for e_vec, size in (((1.0, 0.0), -eps), ((-1.0, -0.0), eps)):
@@ -605,7 +543,9 @@ class TestSignedEps:
             results.append(continue_fixed_period(prob) if mode == "fixed_period"
                            else continue_fixed_energy(prob))
         assert results[0].accepted, results[0].reason
-        assert len(results[0].rung_starts) == len(eps_path(eps))
+        starts = [e for e, _ in results[0].rung_starts]
+        assert starts == ([-eps] + [-e for e in eps_path(eps)] if eps < 0
+                          else [-eps])
         assert_mirrored(*results)
 
 
@@ -631,9 +571,8 @@ class TestFixedEnergy:
         assert res.energy_residual <= 1e-10
 
     def test_converged_rungs_pass_the_energy_recheck(self, orbit):
-        # a rung converges only with its energy row within ENERGY_TOL, the
-        # re-check's bound: with |R| <= RESIDUAL_TOL alone, seed 1 of this
-        # run ends Newton at energy 1.23e-10 and fails the re-check
+        # a run converges only with its energy row within ENERGY_TOL, the
+        # re-check's bound, so no result fails the re-check on its energy
         sys = electric_system(orbit, 1e-3, profile="constant")
         samples = manifold_samples(orbit, 2, 2, group="planar")
         template = ShootingProblem(sys=sys, mode="fixed_energy",
@@ -644,13 +583,10 @@ class TestFixedEnergy:
             if res.accepted:
                 assert res.energy_residual <= continuation.ENERGY_TOL
 
-    def test_accepted_closure_is_within_the_absolute_tolerance(
-            self, orbit3, monkeypatch, ladder):
-        # with a linear-only predictor this run passes through closures just
-        # above RESIDUAL_TOL (1.04e-9); an accepted result is within it
-        predict = continuation._predict
-        monkeypatch.setattr(continuation, "_predict",
-                            lambda branch, eps: predict(branch[-2:], eps))
+    def test_accepted_closure_is_within_the_absolute_tolerance(self, orbit3):
+        # the re-check accepts a closure up to 10 RESIDUAL_TOL; this spatial
+        # solution, independently integrated over the whole period, closes
+        # within RESIDUAL_TOL itself
         pert = Perturbation.uniform_magnetic((0.0, 0.0, 1.0), 1e-3)
         sys = HamiltonianSystem(CLASSICAL, ALPHA_HALF, pert, 3)
         prob = ShootingProblem(sys=sys, mode="fixed_energy", seed=orbit3.z0,
@@ -661,7 +597,7 @@ class TestFixedEnergy:
 
 
 def _uncontinued(z0, T, traj):
-    return ContinuationResult(True, "ok", z0, T, 1e-4, 0.0, 0.0, 0.0, 0, 0,
+    return ContinuationResult(True, "ok", z0, T, 1e-4, 0.0, 0.0, 0, 0,
                               trajectory=traj)
 
 
@@ -719,7 +655,7 @@ class TestDistance:
         assert out.distance_element is not None
 
     def test_shift_grid_is_the_per_shift_loop_bit_for_bit(
-            self, ladder_problems, symmetric_results, monkeypatch):
+            self, symmetric_problems, symmetric_results, monkeypatch):
         # the grid is the first states call; each shift's slice has the bits
         # of the per-shift call at ts - theta, so each score has them too
         states = PeriodicOrbit.states
@@ -732,9 +668,9 @@ class TestDistance:
 
         monkeypatch.setattr(PeriodicOrbit, "states", recorded)
         n_shifts, n_samples = continuation.N_SHIFTS, continuation.N_SAMPLES
-        for i, r in zip(SYMMETRIC, symmetric_results):
+        for (_, samples), r in zip(symmetric_problems, symmetric_results):
             calls.clear()
-            distance_to_manifold(r, ladder_problems[i][1])
+            distance_to_manifold(r, samples)
             base, grid = calls[0]
             ts = np.linspace(0.0, r.period, n_samples)
             step = base.profile.tau / n_shifts
@@ -743,11 +679,27 @@ class TestDistance:
 
     def test_requires_trajectory(self, orbit):
         res = ContinuationResult(
-            False, "failed", orbit.z0, orbit.T, 1e-4, np.inf, np.inf, 0.0,
-            0, 0)
+            False, "failed", orbit.z0, orbit.T, 1e-4, np.inf, np.inf, 0, 0)
         samples = manifold_samples(orbit, 2, 2, group="planar")
         with pytest.raises(ValueError):
             distance_to_manifold(res, samples)
+
+
+def multistart_fp_grid(orbit, beta):
+    """One turn of the benchmark's multistart problem: the 2 x 2 planar grid
+    turned by beta under the resonant cosine field along beta, eps =
+    1e-3."""
+    c, s = math.cos(beta), math.sin(beta)
+    base = manifold_samples(orbit, 2, 2, group="planar")
+    samples = ManifoldSample(orbit, "planar",
+                             tuple((a + beta, th) for a, th in base.elements),
+                             rotate_plane(base.states, beta))
+    pert = Perturbation.uniform_electric((c, s), 1e-3, profile="cosine",
+                                         T_forcing=orbit.T)
+    template = ShootingProblem(HamiltonianSystem(CLASSICAL, ALPHA_HALF, pert,
+                                                 2), "fixed_period",
+                               samples.states[0], orbit.T)
+    return template, samples
 
 
 class TestMultistart:
@@ -771,15 +723,46 @@ class TestMultistart:
 
     def test_distinct_results_empty_without_accepts(self, orbit):
         res = ContinuationResult(
-            False, "failed", orbit.z0, orbit.T, 1e-4, np.inf, np.inf, 0.0,
-            0, 0)
+            False, "failed", orbit.z0, orbit.T, 1e-4, np.inf, np.inf, 0, 0)
         assert distinct_results([res]) == []
 
+    def test_every_sample_goes_to_the_runner(self, orbit):
+        # the benchmark's grid turned by 3 pi/4: the apogee samples lie on
+        # the field's line and are accepted, critical points of Gamma by
+        # Palais's principle (measured 3.2e-13); the tau/2 samples, perigees
+        # off that line, come back from the runner rejected unshot, off
+        # Gamma's critical set (delta 0.71).  Every result carries its
+        # sample's gradient and distance
+        template, samples = multistart_fp_grid(orbit, 3 * math.pi / 4)
+        results = multistart(template, samples)
+        assert [r.accepted for r in results] == [True, False] * 2
+        points = continuation.reduced_functional(
+            orbit, template.sys.perturbation, "planar", samples.elements)
+        for r, p in zip(results, points):
+            assert r.reduced_gradient == float(np.linalg.norm(p.gradient))
+            assert r.reduced_distance == p.distance
+            if r.accepted:
+                assert r.reduced_gradient <= 1e-11
+            else:
+                assert r.reason.startswith("off the fixed set")
+                assert r.newton_iters == r.state_shots == 0
+                assert r.reduced_distance == pytest.approx(0.71, abs=0.01)
 
-# --- the symmetric path ---
+    def test_reduced_fields_only_from_multistart(self, orbit):
+        sys = electric_system(orbit, 1e-4)
+        r = continue_fixed_period(ShootingProblem(sys, "fixed_period",
+                                                  orbit.z0, orbit.T))
+        assert r.reduced_gradient is None and r.reduced_distance is None
+
+
+# --- the fixed set and the half-period system ---
 
 def _on_fix(problem):
-    return continuation._fix_angle(problem) is not None
+    # the membership rule of the continuation: |R_a z - z| <= FIX_TOL (1 + |z|)
+    a = reversor(problem.sys.perturbation)
+    z = np.asarray(problem.seed, dtype=float)
+    return bool(np.linalg.norm(reflect_apsis(z, a) - z)
+                <= continuation.FIX_TOL * (1.0 + np.linalg.norm(z)))
 
 
 class TestFixedSet:
@@ -788,6 +771,7 @@ class TestFixedSet:
         # the 32-seed grid: rotations by multiples of pi/4 and shifts by
         # multiples of tau/4; the field is along x1, so R_0 is the reversor
         # and only the apogee states at rotations 0 and pi are fixed by it
+        # (the perigees lie at -4 pi/5 from their rotation)
         sys = electric_system(orbit, 1e-3)
         samples = manifold_samples(orbit, 8, 4, group="planar")
         on = [i for i, z in enumerate(samples.states)
@@ -812,29 +796,73 @@ class TestFixedSet:
             prob = ShootingProblem(sys, "fixed_period", seed, orbit.T)
             assert _on_fix(prob) is on
 
+    @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
+    def test_an_off_fix_seed_is_rejected_unshot(self, orbit, mode,
+                                                monkeypatch):
+        # the tau/2 sample of the 2 x 2 grid, a perigee at -4 pi/5 from the
+        # field's line: no shot, no solve and no Newton step
+        def unused(*args, **kwargs):
+            raise AssertionError("integrated an off-Fix seed")
 
-# the four problems of ladder_problems whose seed lies on the fixed set:
-# seeds 0 and 2 of the fixed-period grid (the benchmark's multistart
-# problem), the planar fixed-energy seed and the spatial one (the
-# benchmark's spatial problem)
-SYMMETRIC = (0, 2, 4, 5)
+        for name in ("endpoint", "integrate_with_variational", "integrate"):
+            monkeypatch.setattr(continuation, name, unused)
+        fe = mode == "fixed_energy"
+        sys = electric_system(orbit, 1e-3,
+                              profile="constant" if fe else "cosine")
+        seed = manifold_samples(orbit, 2, 2, group="planar").states[1]
+        prob = ShootingProblem(sys, mode, seed, orbit.T,
+                               h=orbit.profile.h, seed_id=1)
+        assert not _on_fix(prob)
+        r = continuation._continue(prob)
+        gap = np.linalg.norm(reflect_apsis(seed, 0.0) - seed)
+        assert not r.accepted
+        assert r.reason == f"off the fixed set: |R_a z - z| = {gap:.3g}"
+        assert r.newton_iters == r.state_shots == r.variational_solves == 0
+        assert r.history == () and r.rung_starts == ()
+        assert r.trajectory is None and r.half_condition is None
+        assert np.array_equal(r.z0, seed) and r.period == orbit.T
+        assert r.eps == 1e-3 and r.seed_id == 1
+        assert r.residual == r.energy_residual == math.inf
+
+    def test_exact_perigee_sample_on_the_field_line(self, orbit,
+                                                    monkeypatch):
+        # the sample (9 pi/5, tau/2) is the perigee turned onto the
+        # negative x1 axis.  Built from states() it lay 9.0e-11 off Fix(R_0)
+        # (the perigee junction's error); built from the profile it lies on
+        # it to rounding, and the continuation accepts it in 3 steps
+        samples = manifold_samples(orbit, 10, 2, group="planar")
+        a, th = samples.elements[19]
+        assert a == pytest.approx(9 * math.pi / 5)
+        assert th == 0.5 * orbit.profile.tau
+        z = samples.states[19]
+        p = orbit.profile
+        assert np.allclose(z, [-p.r_min, 0.0, 0.0, -p.L / p.r_min],
+                           rtol=0.0, atol=1e-14)
+        assert np.linalg.norm(z - rotate_plane(orbit.states(-th), a)) <= 1e-9
+        prob = ShootingProblem(electric_system(orbit, 1e-3), "fixed_period",
+                               z, orbit.T)
+        assert _on_fix(prob)
+        res = continue_fixed_period(prob)
+        assert res.accepted, res.reason
+        assert res.newton_iters == 3 and len(res.rung_starts) == 1
 
 
-# condition number of the half-period system at the symmetric solutions,
-# measured 331 and 336 (seeds 0 and 2 at fixed period), 1,599 (planar,
-# fixed energy) and 11,814 (spatial): bounds about 3x above.  Its smallest
-# singular value, measured 0.268, 0.258, 0.0543 and 0.00736, is at least
-# HALF_SYSTEM_SMIN, 7x below the smallest
+# the condition number of the half-period system at the solutions of
+# ``symmetric_problems``, measured 331 and 336 (seeds 0 and 2 at fixed period), 1,599
+# (planar, fixed energy) and 11,814 (spatial): bounds about 3x above.  Its
+# smallest singular value, measured 0.268, 0.258, 0.0543 and 0.00736, is at
+# least HALF_SYSTEM_SMIN, 7x below the smallest
 HALF_SYSTEM_COND = {(2, "fixed_period"): 1e3, (2, "fixed_energy"): 5e3,
                     (3, "fixed_energy"): 4e4}
 HALF_SYSTEM_SMIN = 1e-3
 
 
 def half_period_jacobian(sys, mode, z0, T):
-    """The symmetric path's Newton matrix at (z0, T), rebuilt: Bo W(T/2)
-    Be^T, with Be and Bo the even and odd coordinate directions of R_a in
-    the frame turned by the reversor's angle a, bordered at fixed energy by
-    the period column Bo f(T/2) / 2 and the energy row Be J f(0)."""
+    """The Newton matrix of the half-period system at (z0, T), rebuilt:
+    Bo W(T/2) Be^T, with Be and Bo the even and odd coordinate directions
+    of R_a in the frame turned by the reversor's angle a, bordered at fixed
+    energy by the period column Bo f(T/2) / 2 and the energy row
+    Be J f(0)."""
     d, n = sys.dim, 2 * sys.dim
     a = reversor(sys.perturbation)
     B = rotate_plane(np.eye(n), a)
@@ -869,36 +897,37 @@ def harmonic_problem(mode):
                            orb.z0, orb.T, h=orb.profile.h)
 
 
-@pytest.fixture(scope="module")
-def symmetric_results(ladder_problems):
-    return _run([ladder_problems[i] for i in SYMMETRIC])
+def assert_plain_newton(r):
+    """r converged at its first run, the direct attempt: every step lowers
+    the residual, one state-only half-period shot per iterate and one at
+    the seed, and one variational solve per point a step leaves."""
+    assert r.history and all(ok for *_, ok in r.history)
+    assert {e for e, *_ in r.history} == {r.eps}
+    assert r.variational_solves == r.newton_iters
+    assert r.state_shots == r.newton_iters + 1
+    ((eps, first),) = r.rung_starts
+    assert eps == r.eps and first > continuation.RESIDUAL_TOL
 
 
 class TestSymmetricPath:
-    def test_results_pass_the_unchanged_recheck(self, ladder_problems,
+    def test_results_pass_the_unchanged_recheck(self, symmetric_problems,
                                                 symmetric_results):
-        for i, r in zip(SYMMETRIC, symmetric_results):
-            assert _on_fix(ladder_problems[i][0])
-            assert r.path == "symmetric"
+        for (p, _), r in zip(symmetric_problems, symmetric_results):
+            assert _on_fix(p)
             assert r.accepted and r.reason == "ok"
             assert r.residual <= continuation.RESIDUAL_TOL
             assert r.distance <= 0.1
-            # plain Newton: every step lowers the residual, one state-only
-            # half-period shot per iterate and one at the seed, and one
-            # variational solve per point a step leaves
-            assert r.history and all(e[1] == 0.0 and e[3] for e in r.history)
-            assert r.variational_solves == r.newton_iters
-            assert r.state_shots == r.newton_iters + 1
-            assert r.rung_starts == ()
-            if ladder_problems[i][0].mode == "fixed_energy":
+            assert_plain_newton(r)
+            if p.mode == "fixed_energy":
                 assert r.energy_residual <= continuation.ENERGY_TOL
 
-    def test_solutions_are_isolated(self, ladder_problems, symmetric_results):
+    def test_solutions_are_isolated(self, symmetric_problems,
+                                    symmetric_results):
         # a regular half-period system: each solution is isolated on
         # Fix(R_a), unlike the curve of full-period solutions at fixed
         # period
-        for i, r in zip(SYMMETRIC, symmetric_results):
-            sys, mode = ladder_problems[i][0].sys, ladder_problems[i][0].mode
+        for (p, _), r in zip(symmetric_problems, symmetric_results):
+            sys, mode = p.sys, p.mode
             Jac = half_period_jacobian(sys, mode, r.z0, r.period)
             assert np.linalg.cond(Jac) <= HALF_SYSTEM_COND[sys.dim, mode]
             assert np.linalg.svd(Jac, compute_uv=False)[-1] >= HALF_SYSTEM_SMIN
@@ -915,47 +944,58 @@ class TestSymmetricPath:
         Jac = half_period_jacobian(sys, "fixed_period", orb.z0, orb.T)
         assert np.linalg.svd(Jac, compute_uv=False)[0] <= 1e-10
 
-    def test_on_the_ladder_solution_set(self, ladder_problems, ladder_results,
-                                        symmetric_results):
-        # at fixed energy both paths find the same orbit, each at its own
-        # phase; at fixed period they land on one curve of solutions, whose
-        # points lie at the same distance from the manifold to first order.
-        # The distance samples the orbit from its start, so it moves with
-        # the phase (by 3.8e-4 relative on the planar fixed-energy orbit)
-        for i, sym in zip(SYMMETRIC, symmetric_results):
-            lad = ladder_results[i]
-            assert lad.accepted and lad.path == "ladder"
-            assert sym.distance == pytest.approx(lad.distance, rel=2e-3)
-            if ladder_problems[i][0].mode == "fixed_energy":
-                assert abs(sym.period - lad.period) <= 1e-9
-
-    def test_fed_back_the_ladder_accepts_it_at_its_first_shot(
-            self, ladder_problems, symmetric_results, monkeypatch, ladder):
-        # a one-rung ladder at the target eps, started at the symmetric
-        # solution: its first shot already converged
-        monkeypatch.setattr(continuation, "EPS_START", 1e-3)
-        for i, sym in zip(SYMMETRIC, symmetric_results):
-            p = ladder_problems[i][0]
-            back = _run([(replace(p, seed=sym.z0, T=sym.period),
-                          ladder_problems[i][1])])[0]
-            assert back.accepted and back.path == "ladder"
+    def test_fed_back_the_solution_converges_at_its_first_shot(
+            self, symmetric_problems, symmetric_results):
+        # a symmetric solution lies on Fix(R_a) to rounding: fed back as the
+        # seed, its first half-period shot has already converged
+        for (p, samples), sym in zip(symmetric_problems, symmetric_results):
+            back = _run([(replace(p, seed=sym.z0, T=sym.period), samples)])[0]
+            assert back.accepted
             # its first shot is state-only, so it takes no variational solve
             assert back.newton_iters == 0 and back.variational_solves == 0
-            assert back.state_shots == 1
-            ((eps, first, predicted),) = back.rung_starts
-            assert eps == 1e-3 and not predicted
-            assert first <= continuation.RESIDUAL_TOL
-            assert np.array_equal(back.z0, sym.z0)
+            assert back.state_shots == 1 and back.half_condition is None
+            ((eps, first),) = back.rung_starts
+            assert eps == 1e-3 and first <= continuation.RESIDUAL_TOL
+            assert np.max(np.abs(back.z0 - sym.z0)) <= 1e-15 * (
+                1.0 + np.max(np.abs(sym.z0)))
             assert back.period == sym.period
 
-    def test_distance_is_first_order_in_eps(self, ladder_problems,
+    def test_distance_is_first_order_in_eps(self, problems,
                                             symmetric_results):
-        for i, sym in ((0, symmetric_results[0]), (5, symmetric_results[3])):
-            p, samples = ladder_problems[i]
+        for i in (0, 5):
+            p, samples = problems[i]
             half = replace(p, sys=p.sys.with_eps(5e-4))
             res = _run([(half, samples)])[0]
-            assert res.accepted and res.path == "symmetric"
+            assert res.accepted and len(res.rung_starts) == 1
+            sym = symmetric_results[SYMMETRIC.index(i)]
             assert 1.5 <= sym.distance / res.distance <= 3.0
+
+    @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
+    def test_failed_direct_attempt_continues_on_the_ladder(
+            self, ladder_results, mode):
+        # an apsis on x1 in a constant field along x1 at eps = 1e-2 (the
+        # apogee at fixed period, the perigee at fixed energy): the direct
+        # attempt fails; the seed is then continued on the half-period
+        # system from 1e-4 to 1e-2, each rung from the previous rung's
+        # solution, with its period at fixed energy
+        r = ladder_results[mode == "fixed_energy"]
+        assert r.accepted, r.reason
+        assert r.eps == 1e-2 and r.residual <= continuation.RESIDUAL_TOL
+        assert r.distance <= 0.1
+        rungs = eps_path(1e-2)
+        assert rungs[0] == 1e-4 and rungs[-1] == 1e-2 and len(rungs) == 5
+        assert [e for e, _ in r.rung_starts] == [1e-2] + rungs
+        # the direct attempt ends at a rejected step, then the rungs run in
+        # turn
+        tried = r.history.index(next(e for e in r.history if e[0] != 1e-2))
+        assert tried >= 1 and not r.history[tried - 1][2]
+        assert all(e[0] == 1e-2 for e in r.history[:tried])
+        rest = [e for e, *_ in r.history[tried:]]
+        assert rest == sorted(rest) and set(rest) <= set(rungs)
+        # each rung starts closer than the seed is at the target
+        assert all(first < r.rung_starts[0][1] for _, first in r.rung_starts[1:])
+        assert r.variational_solves == r.newton_iters == len(r.history)
+        assert r.half_condition >= 1.0
 
     @pytest.mark.parametrize("i, failure", [
         (0, "first solve"), (4, "first solve"), (0, "later solve"),
@@ -963,92 +1003,78 @@ class TestSymmetricPath:
         (0, "trial shot"), (4, "trial shot"), (4, "MAX_NEWTON"),
         (0, "stall"), (4, "stall")])
     def test_failed_attempt_falls_back_to_the_ladder(
-            self, ladder_problems, ladder_results, i, failure, monkeypatch):
-        p, samples = ladder_problems[i]
-        ref = ladder_results[i]
-        halves = []
-
-        def failing(call, nth):
-            # call, with its nth half-period integration ended early
-            def wrapped(sys, z0, t0, t1, *, tol=flow.DEFAULT_TOL):
-                if t1 < 0.75 * p.T:  # a half-period integration
-                    halves.append(t1)
-                    if len(halves) == nth:
-                        raise IntegrationError("injected")
-                return call(sys, z0, t0, t1, tol=tol)
-            return wrapped
-
-        if failure in ("MAX_NEWTON", "stall"):
-            if failure == "MAX_NEWTON":
-                # one step is not enough at eps = 1e-3
-                monkeypatch.setattr(continuation, "MAX_NEWTON", 1)
-            else:
-                # the first accepted step that does not converge stalls
-                monkeypatch.setattr(continuation, "STALL_STEPS", 1)
-                monkeypatch.setattr(continuation, "STALL_FACTOR", 1e30)
-            res = _run([(p, samples)])[0]
-            on_the_ladder(monkeypatch)
-            ref = _run([(p, samples)])[0]
-        else:
-            name, call = (("endpoint", flow.endpoint) if "shot" in failure
-                          else ("integrate_with_variational",
-                                flow.integrate_with_variational))
-            nth = 1 if failure in ("first solve", "seed shot") else 2
-            monkeypatch.setattr(continuation, name, failing(call, nth))
-            res = _run([(p, samples)])[0]
-        assert res.path == ref.path == "ladder"
+            self, problems, i, failure, monkeypatch):
+        # a direct attempt that fails in any way is followed by the eps
+        # ladder from the seed, which runs as it does after an attempt whose
+        # seed shot fails (the reference, run under the same patches)
+        p, samples = problems[i]
+        if failure == "MAX_NEWTON":
+            # one step is not enough at eps = 1e-3 (nor on the ladder)
+            monkeypatch.setattr(continuation, "MAX_NEWTON", 1)
+        elif failure == "stall":
+            # the first accepted step that does not converge stalls
+            monkeypatch.setattr(continuation, "STALL_STEPS", 1)
+            monkeypatch.setattr(continuation, "STALL_FACTOR", 1e30)
+        runs = []
+        for kind in (failure, "seed shot"):
+            name, call = (("integrate_with_variational",
+                           flow.integrate_with_variational)
+                          if "solve" in kind else ("endpoint", flow.endpoint))
+            nth = 2 if kind in ("later solve", "trial shot") else 1
+            with monkeypatch.context() as mp:
+                if kind not in ("MAX_NEWTON", "stall"):
+                    mp.setattr(continuation, name,
+                               failing_half_shot(call, nth, [], p.T))
+                runs.append(_run([(p, samples)])[0])
+        res, ref = runs
         assert np.array_equal(res.z0, ref.z0)
         assert res.period == ref.period
         assert res.residual == ref.residual
         assert res.reason == ref.reason
         assert res.accepted == ref.accepted
-        assert res.rung_starts == ref.rung_starts
+        assert res.half_condition == ref.half_condition
+        assert res.rung_starts[1:] == ref.rung_starts[1:]
+        assert [e for e, _ in res.rung_starts] == [1e-3] + eps_path(1e-3)[
+            :len(res.rung_starts) - 1]
         # the failed attempt stays in the history and the counts: a shot at
         # the seed and one per step, a variational solve per point stepped
         # from
         tried = len(res.history) - len(ref.history)
         assert res.history[tried:] == ref.history
-        assert all(e[:2] == (1e-3, 0.0) for e in res.history[:tried])
+        assert all(e[0] == 1e-3 for e in res.history[:tried])
         assert (tried, res.variational_solves - ref.variational_solves,
                 res.state_shots - ref.state_shots) == {
-            "first solve": (0, 1, 1), "later solve": (1, 2, 2),
-            "seed shot": (0, 0, 1), "trial shot": (1, 1, 2),
-            "MAX_NEWTON": (1, 1, 2), "stall": (1, 1, 2)}[failure]
+            "first solve": (0, 1, 0), "later solve": (1, 2, 1),
+            "seed shot": (0, 0, 0), "trial shot": (1, 1, 1),
+            "MAX_NEWTON": (1, 1, 1), "stall": (1, 1, 1)}[failure]
         if failure == "trial shot":
-            assert res.history[0][2:] == (math.inf, False)
-        # the Jacobians of the failed attempt describe no result
-        assert res.half_condition is None
+            assert res.history[0][1:] == (math.inf, False)
 
     @pytest.mark.parametrize("mode", ["fixed_period"])
-    def test_harmonic_half_system_falls_back(self, mode, monkeypatch):
+    def test_harmonic_half_system_falls_back(self, mode):
         # the harmonic oscillator is degenerate: its half-system is
-        # singular at eps = 0, Newton from the seed soon raises the
-        # residual, and the ladder decides
+        # singular at eps = 0, and Newton from the seed raises the residual
+        # at its first step, at the target eps and on the first rung alike
         prob = harmonic_problem(mode)
         assert _on_fix(prob)
         res = continuation._continue(prob)
-        on_the_ladder(monkeypatch)
-        ref = continuation._continue(prob)
-        assert res.path == "ladder"
-        tried = len(res.history) - len(ref.history)
-        assert tried > 0 and not res.history[tried - 1][3]
-        assert res.history[tried:] == ref.history
+        assert not res.accepted
+        assert res.reason == "rejected step at eps=0.0001"
+        assert [e for e, _ in res.rung_starts] == [1e-3, 1e-4]
+        assert [(e, ok) for e, _, ok in res.history] == [(1e-3, False),
+                                                         (1e-4, False)]
         assert res.half_condition is None
-        for name in ("accepted", "reason", "period", "residual"):
-            assert getattr(res, name) == getattr(ref, name), name
-        assert np.array_equal(res.z0, ref.z0)
+        assert np.array_equal(res.z0, prob.seed)
 
     def test_harmonic_fixed_energy_converges_on_the_half_system(self):
         # at fixed energy Newton on the degenerate half-system converges
         # from the seed; every orbit of the shifted oscillator has period
-        # 2 pi, which the result meets to 9.8e-14 (the ladder's to 4.8e-10)
+        # 2 pi, which the result meets to 9.8e-14
         prob = harmonic_problem("fixed_energy")
         assert _on_fix(prob)
         res = continuation._continue(prob)
-        assert res.path == "symmetric" and res.accepted
-        assert res.history and all(e[1] == 0.0 and e[3] for e in res.history)
-        assert res.variational_solves == res.newton_iters
-        assert res.state_shots == res.newton_iters + 1
+        assert res.accepted
+        assert_plain_newton(res)
         assert abs(res.period - 2.0 * math.pi) <= HARMONIC_PERIOD_TOL
         # accepted on a singular half-system, which the result shows: the
         # last Jacobian solved with has condition 2.7e10, against 331-11,814
@@ -1109,10 +1135,8 @@ LARMOR_ORBITS = {
     "alpha_05": (ALPHA_HALF, 4, 5, -1.9),
     "levi_civita": (Potential.levi_civita(1.0, 0.1), 7, 6, -0.55),
 }
-# the symmetric path runs Newton on to 1e-14 or below; the ladder stops at
-# the first trial whose full-period closure is within RESIDUAL_TOL, which
-# leaves the period up to 5.6e-9 off on the Levi-Civita orbit
-LARMOR_PERIOD_TOL = {"symmetric": 1e-9, "ladder": 1e-8}
+# Newton on the half-period system runs on to 1e-14 or below
+LARMOR_PERIOD_TOL = 1e-9
 LARMOR_ENERGY_TOL = 1e-10
 # measured at most 3.6e-11 (alpha = 0.5 at eps = 1e-2); the extremes move
 # from the unperturbed orbit's by 1.3e-4 at eps = 1e-4
@@ -1143,20 +1167,34 @@ def radial_extremes(sys, traj, T):
 
 
 def larmor_problem(orbits, name, mode, eps, seed):
-    # seed 0 is the apogee, on Fix(R_0); seed 1 is shifted by tau/2, off it
+    # seed 0 is the apogee, seed 1 the exact perigee (r_min, L/r_min), both
+    # on the x1 line and so on Fix(R_0)
     orb = orbits[name]
-    z = manifold_samples(orb, 1, 2, group="planar").states[seed]
+    p = orb.profile
+    z = orb.z0 if seed == 0 else np.array([p.r_min, 0.0, 0.0, p.L / p.r_min])
     sys = HamiltonianSystem(CLASSICAL, orb.potential,
                             Perturbation.rotating_frame(eps), 2)
     return ShootingProblem(sys, mode, z, orb.T, h=orb.profile.h)
 
 
 def _larmor_run(orbits, name, mode, eps, seed):
+    """The continuation of a Larmor problem, or None where it is rejected
+    as expected: on the Levi-Civita 7:6 orbit from perigee, Newton
+    converges on the half-period system, but the re-check's closure from
+    perigee, 1.6e-8 to 2.0e-8, misses its bound 1e-8: the integrator's
+    error at perigee.  At eps = 1e-4 a tol-1e-14 integration closes the
+    same solution to 2.6e-10 from perigee and to 2.1e-11 to 2.2e-11 from
+    T/4."""
     prob = larmor_problem(orbits, name, mode, eps, seed)
     orb, sys = orbits[name], prob.sys
     res = continuation._continue(prob)
+    if (name, seed) == ("levi_civita", 1):
+        assert not res.accepted
+        assert res.reason.startswith("re-check failed: closure ")
+        assert len(res.rung_starts) == 1
+        return None
     assert res.accepted, res.reason
-    assert res.path == ("symmetric" if seed == 0 else "ladder")
+    assert len(res.rung_starts) == 1
     V, k, n, _ = LARMOR_ORBITS[name]
     return orb, sys, res, V, k, n
 
@@ -1169,12 +1207,14 @@ class TestLarmorReference:
         ("levi_civita", 1e-4, 1),
     ])
     def test_fixed_energy_period(self, larmor_orbits, name, eps, seed):
-        orb, sys, res, V, k, n = _larmor_run(larmor_orbits, name,
-                                             "fixed_energy", eps, seed)
+        run = _larmor_run(larmor_orbits, name, "fixed_energy", eps, seed)
+        if run is None:
+            return
+        orb, sys, res, V, k, n = run
         h, L = orb.profile.h, orb.profile.L
         profile = Larmor(V, k, n, -eps / 2.0).profile_at_energy(h, L)
         T = n * profile.tau
-        assert abs(res.period - T) <= LARMOR_PERIOD_TOL[res.path]
+        assert abs(res.period - T) <= LARMOR_PERIOD_TOL
         # |x| does not depend on the gauge or the turning frame
         r_min, r_max = radial_extremes(sys, res.trajectory, res.period)
         assert abs(r_min - profile.r_min) <= LARMOR_RADIUS_TOL
@@ -1189,8 +1229,10 @@ class TestLarmorReference:
         ("levi_civita", 1e-4, 1),
     ])
     def test_fixed_period_energy(self, larmor_orbits, name, eps, seed):
-        orb, sys, res, V, k, n = _larmor_run(larmor_orbits, name,
-                                             "fixed_period", eps, seed)
+        run = _larmor_run(larmor_orbits, name, "fixed_period", eps, seed)
+        if run is None:
+            return
+        orb, sys, res, V, k, n = run
         h = Larmor(V, k, n, -eps / 2.0).energy_at_period(
             orb.T, orb.profile.h, orb.profile.L)
         assert abs(sys.hamiltonian(0.0, res.z0) - h) <= LARMOR_ENERGY_TOL
@@ -1202,7 +1244,7 @@ class TestLarmorReference:
         assert res.z0[2] == res.z0[5] == 0.0
         T = Larmor(ALPHA_HALF, 4, 5, 0.5e-3).period_at_energy(
             orbit3.profile.h, orbit3.profile.L)
-        assert abs(res.period - T) <= LARMOR_PERIOD_TOL[res.path]
+        assert abs(res.period - T) <= LARMOR_PERIOD_TOL
 
 
 # the apogee seeds of TestLarmorReference: (name, mode, eps)
@@ -1219,19 +1261,19 @@ SYMMETRIC_PERIOD_TOL = 5e-11
 
 
 @pytest.fixture(scope="module")
-def symmetric_and_exact_jacobian(ladder_problems, symmetric_results,
+def symmetric_and_exact_jacobian(symmetric_problems, symmetric_results,
                                  larmor_orbits):
-    """(result, reference result) for every symmetric problem: those of
-    ``SYMMETRIC`` and the Larmor apogee seeds, the reference solving every
-    half-period Jacobian at DEFAULT_TOL."""
-    problems = ([ladder_problems[i][0] for i in SYMMETRIC]
-                + [larmor_problem(larmor_orbits, name, mode, eps, 0)
-                   for name, mode, eps in LARMOR_APOGEE])
+    """(result, reference result) for every problem of
+    ``symmetric_problems`` and the Larmor apogee seeds, the reference
+    solving every half-period Jacobian at DEFAULT_TOL."""
+    cases = ([p for p, _ in symmetric_problems]
+             + [larmor_problem(larmor_orbits, name, mode, eps, 0)
+                for name, mode, eps in LARMOR_APOGEE])
     fast = symmetric_results + [continuation._continue(p)
-                                for p in problems[len(SYMMETRIC):]]
+                                for p in cases[len(symmetric_problems):]]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "_jacobian_tol", _exact_jacobian_tol)
-        ref = [continuation._continue(p) for p in problems]
+        ref = [continuation._continue(p) for p in cases]
     return list(zip(fast, ref))
 
 
@@ -1241,7 +1283,7 @@ class TestInexactHalfPeriodJacobian:
         # symmetric solutions are isolated on Fix(R_a): z0 is compared
         # pointwise
         for fast, ref in symmetric_and_exact_jacobian:
-            assert fast.path == ref.path == "symmetric"
+            assert len(fast.rung_starts) == len(ref.rung_starts) == 1
             assert fast.accepted and ref.accepted
             assert fast.newton_iters == ref.newton_iters
             assert fast.variational_solves == ref.variational_solves
@@ -1250,7 +1292,7 @@ class TestInexactHalfPeriodJacobian:
             assert abs(fast.period - ref.period) <= SYMMETRIC_PERIOD_TOL
 
 
-# --- the reduced functional and the multistart screen ---
+# --- the reduced functional ---
 
 def direct_gamma(orbit, pert, M, theta, nodes=2048):
     """Gamma at the element (M, theta) by the trapezoid rule over the copy
@@ -1481,107 +1523,16 @@ class TestReducedFunctional:
             assert np.linalg.norm(reflect_apsis(z, a) - z) <= 1e-9
             assert np.linalg.norm(point.gradient) <= point.gradient_error
 
-
-def multistart_fp_grid(orbit, beta):
-    """One turn of the benchmark's multistart problem: the 2 x 2 planar grid
-    turned by beta under the resonant cosine field along beta, eps =
-    1e-3."""
-    c, s = math.cos(beta), math.sin(beta)
-    base = manifold_samples(orbit, 2, 2, group="planar")
-    samples = ManifoldSample(orbit, "planar",
-                             tuple((a + beta, th) for a, th in base.elements),
-                             rotate_plane(base.states, beta))
-    pert = Perturbation.uniform_electric((c, s), 1e-3, profile="cosine",
-                                         T_forcing=orbit.T)
-    template = ShootingProblem(HamiltonianSystem(CLASSICAL, ALPHA_HALF, pert,
-                                                 2), "fixed_period",
-                               samples.states[0], orbit.T)
-    return template, samples
-
-
-def same_run(a, b):
-    """Whether two results of one seed are the same bit for bit."""
-    return (a.accepted == b.accepted and a.reason == b.reason
-            and a.path == b.path and np.array_equal(a.z0, b.z0)
-            and a.period == b.period and a.residual == b.residual
-            and a.history == b.history and a.newton_iters == b.newton_iters
-            and a.variational_solves == b.variational_solves
-            and a.state_shots == b.state_shots
-            and a.rung_starts == b.rung_starts)
-
-
-class TestScreen:
-    def test_screening_changes_no_accepted_seed(self, orbit, monkeypatch):
-        # the tau/2 seeds (delta 0.71) are screened; the ladder stalls on
-        # both; the apogee seeds on the field's line run as they would
-        # unscreened
-        template, samples = multistart_fp_grid(orbit, 3 * math.pi / 4)
-        screened = multistart(template, samples)
-        bound = continuation.SCREEN_DISTANCE
-        monkeypatch.setattr(continuation, "SCREEN_DISTANCE", math.inf)
-        shot = multistart(template, samples)
-        assert [r.path for r in screened] == ["symmetric", "screened"] * 2
-        assert [r.path for r in shot] == ["symmetric", "ladder"] * 2
-        for a, b in zip(screened, shot):
-            assert a.reduced_gradient == b.reduced_gradient
-            assert a.reduced_distance == b.reduced_distance
-            if a.path == "screened":
-                assert not b.accepted
-                assert a.reduced_distance > bound
-                assert a.reduced_distance == pytest.approx(0.71, abs=0.01)
-            else:
-                # critical by Palais's principle: measured 3.2e-13
-                assert a.accepted and same_run(a, b)
-                assert a.reduced_gradient <= 1e-11
-
-    def test_a_screened_seed_is_rejected_unshot(self, orbit):
-        template, samples = multistart_fp_grid(orbit, 0.0)
-        r = multistart(template, samples)[1]
-        assert not r.accepted and r.path == "screened"
-        assert r.newton_iters == r.state_shots == r.variational_solves == 0
-        assert r.history == () and r.rung_starts == ()
-        assert r.trajectory is None and r.half_condition is None
-        assert f"delta = {r.reduced_distance:.3g}" in r.reason
-        assert np.array_equal(r.z0, samples.states[1])
-        assert r.seed_id == 1 and r.period == orbit.T
-
-    @pytest.mark.parametrize("family", ["constant", "rotating_frame"])
-    def test_constant_first_order_functional_screens_nothing(
-            self, family, orbit, monkeypatch):
-        # Gamma is constant at first order for a constant electric field on
-        # an orbit with n >= 2 and for rotating_frame: |grad Gamma| is within
-        # the quadrature's error, so no seed is screened, and every result
-        # is the one an unscreened run gives
-        if family == "constant":
-            sys = electric_system(orbit, 1e-4, profile="constant")
-            template = ShootingProblem(sys, "fixed_period", orbit.z0, orbit.T)
-            samples = manifold_samples(orbit, 2, 2, group="planar")
-        else:
-            sys = HamiltonianSystem(CLASSICAL, ALPHA_HALF,
-                                    Perturbation.rotating_frame(1e-4), 2)
-            template = ShootingProblem(sys, "fixed_energy", orbit.z0, orbit.T,
-                                       h=orbit.profile.h)
-            samples = manifold_samples(orbit, 1, 2, group="planar")
-        results = multistart(template, samples)
-        assert all(r.path != "screened" for r in results)
-        # rounding: measured 4.2e-13 (constant) and 4.8e-13 (rotating_frame)
-        assert all(r.reduced_gradient <= 1e-11 for r in results)
-        monkeypatch.setattr(continuation, "SCREEN_DISTANCE", math.inf)
-        for a, b in zip(results, multistart(template, samples)):
-            assert same_run(a, b)
-
     @pytest.mark.parametrize("case", ["levi_civita constant",
                                       "relativistic constant",
                                       "alpha15 rotating_frame"])
-    def test_flat_functional_screens_nothing_on_other_orbits(
-            self, case, alpha15, monkeypatch):
+    def test_flat_within_error(self, case, alpha15):
         # Gamma is flat at first order for a constant field on the n >= 2
         # Levi-Civita 7:6 and relativistic Kepler 4:3 orbits in space, and
         # for rotating_frame on the 3:2 orbit in the plane, where it is flat
         # only because the orbit closes: there its gradient is the base
         # orbit's own error (8.8e-12, above the quadrature's and rounding's
-        # 3.5e-12), so the error estimate must cover it.  Every seed is
-        # handed to the runner, which stands in for the shots here
+        # 3.5e-12), so the error estimate must cover it
         if case == "alpha15 rotating_frame":
             orb, group = alpha15, "planar"
             pert = Perturbation.rotating_frame(1e-3)
@@ -1600,24 +1551,3 @@ class TestScreen:
         for point in continuation.reduced_functional(orb, pert, group,
                                                      samples.elements):
             assert np.linalg.norm(point.gradient) <= point.gradient_error
-        shot = []
-
-        def runner(p):
-            shot.append(p.seed_id)
-            return ContinuationResult(False, "unshot", p.seed, p.T,
-                                      pert.eps, math.inf, math.inf, 0.0, 0,
-                                      p.seed_id)
-
-        monkeypatch.setattr(continuation, "continue_fixed_period", runner)
-        sys = HamiltonianSystem(orb.law, orb.potential, pert, orb.dim)
-        template = ShootingProblem(sys, "fixed_period", orb.z0, orb.T)
-        results = multistart(template, samples)
-        assert shot == list(range(len(samples.states)))
-        assert all(r.path == "ladder" and r.reason == "unshot"
-                   for r in results)
-
-    def test_reduced_fields_only_from_multistart(self, orbit):
-        sys = electric_system(orbit, 1e-4)
-        r = continue_fixed_period(ShootingProblem(sys, "fixed_period",
-                                                  orbit.z0, orbit.T))
-        assert r.reduced_gradient is None and r.reduced_distance is None

@@ -334,6 +334,37 @@ class TestManifoldSamples:
                     for M, th in s.elements]
         assert np.array_equal(s.states, np.array(loop))
 
+    @pytest.mark.parametrize("group", ["planar", "SO3"])
+    def test_apsis_samples_from_the_profile(self, group):
+        # shift 0 is the apogee z0, which states(0) gives bit for bit, so
+        # those samples are the states() loop's; shift tau/2 is the exact
+        # perigee (r_min, L/r_min) where states() puts it, at the angle
+        # 7 k pi/4 on the 3:4 orbit, off states() by the perigee junction's
+        # error (measured 7.0e-12 to 9.5e-12 here, closure residual 2.0e-11)
+        V = Potential.homogeneous(1.0, 0.5)
+        orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5,
+                                dim=2 if group == "planar" else 3)
+        assert np.array_equal(orb.states(0.0), orb.z0)
+        p, d = orb.profile, orb.dim
+        perigee = np.zeros(2 * d)
+        perigee[0], perigee[d + 1] = p.r_min, p.L / p.r_min
+        perigee = rotate_plane(perigee, math.pi * 3 * 7 / 4)
+        s = manifold_samples(orb, 3, 4, group=group)
+        for i, (M, th) in enumerate(s.elements):
+            def turn(z):
+                if group == "planar":
+                    return rotate_plane(z, M)
+                return rotate_state(M, _embed3(z))
+            old = turn(orb.states(-th))
+            if i % 4 == 0:
+                assert np.array_equal(s.states[i], old)
+            elif i % 4 == 2:
+                assert th == 0.5 * p.tau
+                assert np.array_equal(s.states[i], turn(perigee))
+                assert 0.0 < np.max(np.abs(s.states[i] - old)) <= 1e-10
+            else:
+                assert np.array_equal(s.states[i], old)
+
 
 # --- half a radial cycle against full-period and full-cycle references ---
 

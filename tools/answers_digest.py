@@ -15,11 +15,12 @@ the same code and machine give the same bytes.  It has four parts:
 * ``pool``: ``cross_check`` on the 13 rows of the ``nondeg_table`` pool;
 * ``continuation``: the ``multistart_fp`` and ``spatial_fe`` results at
   seed 0, and ``multistart`` on the benchmark's 4:5 orbit in a constant
-  field along x1 at eps = 1e-3 on a 2 x 2 planar grid, at fixed period and
-  at fixed energy (Gamma is flat there, so no seed is screened and the
-  tau/2 seeds take the eps ladder), with their paths, distances,
-  trajectories at 37 times, the half-period condition and the reduced
-  functional's gradient and distance;
+  field along x1 at eps = 1e-2 on a 2 x 2 planar grid, at fixed period and
+  at fixed energy (there seed 0 at fixed period fails at the target eps
+  and takes the eps ladder, so a ladder change shows), with their
+  distances, trajectories at 37 times, Newton histories and rung starts,
+  the half-period condition and the reduced functional's gradient and
+  distance;
 * ``demos``: the sha256 of every artifact that ``cforbits <command>
   --reproducible`` writes for each of ``demos/configs/*.json``, and for a
   ``continue_*`` config the per-seed fields ``SEED_FIELDS`` of its
@@ -58,7 +59,7 @@ DEMO_COMMANDS = {"orbit_": "orbit", "nondeg_": "nondeg",
                  "continue_": "continue", "limit_": "limit-classical"}
 # the per-seed fields of continuation.json a continue demo records; a field
 # that an older continuation.json lacks is left out
-SEED_FIELDS = ("accepted", "reason", "path", "z0", "period", "residual",
+SEED_FIELDS = ("accepted", "reason", "z0", "period", "residual",
                "distance_to_manifold", "newton_iters", "variational_solves",
                "state_shots", "half_condition", "reduced_gradient",
                "reduced_distance")
@@ -150,10 +151,10 @@ def _result(r):
     # a field that an older ContinuationResult lacks is left out
     out = {name: getattr(r, name) for name in (
         "accepted", "reason", "z0", "period", "eps", "residual",
-        "energy_residual", "phase_residual", "newton_iters", "seed_id",
-        "distance", "distance_element", "history", "variational_solves",
-        "state_shots", "rung_starts", "path", "half_condition",
-        "reduced_gradient", "reduced_distance") if hasattr(r, name)}
+        "energy_residual", "newton_iters", "seed_id", "distance",
+        "distance_element", "history", "variational_solves", "state_shots",
+        "rung_starts", "half_condition", "reduced_gradient",
+        "reduced_distance") if hasattr(r, name)}
     if r.trajectory is not None:
         out["trajectory"] = r.trajectory(_times(r.period))
     return out
@@ -178,10 +179,10 @@ def _spatial():
     return {"spatial_fe": _result(r)}
 
 
-def _ladder():
+def _constant_field():
     orbit = workloads.base_orbit(2)
     samples = cf.manifold_samples(orbit, 2, 2, group="planar")
-    pert = cf.Perturbation.uniform_electric((1.0, 0.0), 1e-3)
+    pert = cf.Perturbation.uniform_electric((1.0, 0.0), 1e-2)
     system = cf.HamiltonianSystem(orbit.law, orbit.potential, pert, 2)
     out = {}
     for mode in ("fixed_period", "fixed_energy"):
@@ -190,13 +191,13 @@ def _ladder():
         for r in cf.multistart(template, samples):
             if r.accepted:
                 r = cf.distance_to_manifold(r, samples)
-            out[f"ladder {mode} seed {r.seed_id}"] = _result(r)
+            out[f"constant field {mode} seed {r.seed_id}"] = _result(r)
     return out
 
 
 def continuation(limit):
     out = {}
-    for run in (_multistart, _spatial, _ladder)[:limit]:
+    for run in (_multistart, _spatial, _constant_field)[:limit]:
         out.update(run())
     return out
 
