@@ -236,6 +236,11 @@ def cmd_orbit(cfg, em: Emitter):
 
 
 def cmd_nondeg(cfg, em: Emitter):
+    """Cross-check every case.  A case whose routes disagree, or that fails
+    numerically (any other toolkit error but an unsupported
+    configuration), is recorded as a {"case", "error"} entry and the other
+    cases go on; the exit code is 3 if any case failed numerically, else 4
+    if any disagreed."""
     cases = cfg.get("cases")
     if not cases:
         if "potential" not in cfg or "orbit" not in cfg:
@@ -244,18 +249,27 @@ def cmd_nondeg(cfg, em: Emitter):
                   "orbit": cfg["orbit"]}]
     rows = []
     verdicts = []
-    disagreement = False
+    disagreement = failed = False
     for i, case in enumerate(cases):
         name = case.get("name", f"case{i}")
         law = _build_law(case.get("law", cfg.get("law")))
         V = _build_potential(case["potential"])
-        orbit = _find_orbit(law, V, case["orbit"])
         try:
-            cc = cross_check(orbit)
+            cc = cross_check(_find_orbit(law, V, case["orbit"]))
         except RouteDisagreementError as exc:
             disagreement = True
             em.warn(f"{name}: {exc}")
             verdicts.append({"case": name, "error": str(exc)})
+            continue
+        except UnsupportedConfigurationError:
+            raise
+        except CForbitsError as exc:
+            # a numerical failure of one case; the other cases still count
+            failed = True
+            error = f"[{type(exc).__name__}] {exc}"
+            print(f"error: {name}: {error}", file=_sys.stderr)
+            em.warn(f"{name}: {error}")
+            verdicts.append({"case": name, "error": error})
             continue
         a = cc.actions
         for problem, scale, verdict, kernels in (
@@ -288,6 +302,8 @@ def cmd_nondeg(cfg, em: Emitter):
                  ["case", "problem", "route", "value", "verdict",
                   "gap", "symplectic_residual"], rows)
     em.write_json("nondeg.json", {"verdicts": verdicts})
+    if failed:
+        return EXIT_NUMERICAL
     return EXIT_DISAGREEMENT if disagreement else EXIT_OK
 
 

@@ -41,9 +41,10 @@ ANGULAR_MOMENTUM_FLOOR = 1e-6
 # largest resonance residual |phi - k pi/n| a found orbit may keep
 PHI_TOL = 1e-11
 
-# the radial scan grid of turning_points, built once
+# the radial scan grid of turning_points and its squares, built once
 _SCAN = np.geomspace(1e-8, 1e6, 8000)
-_SCAN.flags.writeable = False
+_SCAN2 = _SCAN**2
+_SCAN.flags.writeable = _SCAN2.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -63,27 +64,45 @@ class RadialProfile:
         return (self.r_max - self.r_min) / self.r_max
 
 
-def _p2(law: KineticLaw, V: Potential, h: float, L: float, r):
-    """Squared radial momentum G^{-1}(h+V)^2 - L^2/r^2, extended smoothly
-    through h+V = 0 so root bracketing sees a sign change."""
+def _p2(law: KineticLaw, V: Potential, h, L2, r):
+    """Squared radial momentum G^{-1}(h+V)^2 - L^2/r^2 at the squared
+    angular momentum L2, extended smoothly through h+V = 0 so root
+    bracketing sees a sign change."""
     r = np.asarray(r, dtype=float)
-    return law.p_squared(h + V.V(r)) - L**2 / r**2
+    return law.p_squared(h + V.V(r)) - L2 / r**2
+
+
+@lru_cache(maxsize=8)
+def _V_on_scan(V: Potential):
+    """V on the scan grid, read-only, for the last few potentials: it does
+    not depend on (h, L), so every profile and scan at V shares it."""
+    out = V.V(_SCAN)
+    out.flags.writeable = False
+    return out
 
 
 def turning_points(law: KineticLaw, V: Potential, h: float, L: float):
     """Bracket the two simple roots of the radial admissibility function on
-    a fixed log grid over [1e-8, 1e6] and refine them to 1e-12 relative
-    accuracy."""
+    a fixed log grid over [1e-8, 1e6] and refine each by brentq at
+    xtol = 1e-15, rtol = 8.9e-16 (about 4 ulp)."""
+    return _bracket(law, V, h, L,
+                    law.p_squared(h + _V_on_scan(V)) - L**2 / _SCAN2)
+
+
+def _bracket(law, V, h, L, vals):
+    """turning_points at (h, L) from vals, _p2 on the scan grid (which
+    _V_on_scan and _SCAN2 give with the same bits): the annulus rules, the
+    refinement of its two roots and the checks of the roots."""
     if L == 0.0:
         raise NoBoundOrbitError("rectilinear limit L = 0 is out of scope")
     rs = _SCAN
-    vals = _p2(law, V, h, L, rs)
+    L2 = L**2
     pos = vals > 0.0
     if not pos.any():
         i = int(np.argmax(vals))
         lo = rs[max(i - 1, 0)]
         hi = rs[min(i + 1, len(rs) - 1)]
-        res = minimize_scalar(lambda r: -_p2(law, V, h, L, r),
+        res = minimize_scalar(lambda r: -_p2(law, V, h, L2, r),
                               bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-14})
         if -res.fun > -1e-10 * (1.0 + abs(h)):
@@ -106,7 +125,7 @@ def turning_points(law: KineticLaw, V: Potential, h: float, L: float):
         i1 = j
         while i1 < len(rs) - 1 and vals[i1 + 1] > 0.0:
             i1 += 1
-    f = lambda r: float(_p2(law, V, h, L, r))
+    f = lambda r: float(_p2(law, V, h, L2, r))
     r_min = brentq(f, rs[i0 - 1], rs[i0], xtol=1e-15, rtol=8.9e-16)
     r_max = brentq(f, rs[i1], rs[i1 + 1], xtol=1e-15, rtol=8.9e-16)
     if r_max - r_min < 1e-10 * r_max:
@@ -127,57 +146,100 @@ def _quadratic_coefficient(law: KineticLaw, V: Potential, h: float):
     return None
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+# the node counts of the quadrature ladder
+_LADDER = (80, 140, 240, 400, 640)
 
 
-def _radial_integrals(law, V, h, L, r_min, r_max, n):
-    """Half-cycle radial time, swept angle and action integral by
-    Gauss-Legendre after the singularity-removing substitution
-    r = mid + half*sin(u)."""
-    nodes, weights = _leggauss(n)
+@lru_cache(maxsize=len(_LADDER))
+def _nodes(n: int):
+    """n-point Gauss-Legendre rule on u in [-pi/2, pi/2]: the weights w,
+    sin(u) and w cos(u)^2."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
     u = 0.5 * math.pi * nodes
     w = 0.5 * math.pi * weights
+    return w, np.sin(u), w * np.cos(u) ** 2
+
+
+def _radial_integrals(law, V, rows, quadratic, n):
+    """Half-cycle radial time, swept angle and action integral of each row
+    by n-node Gauss-Legendre after the singularity-removing substitution
+    r = mid + half*sin(u), as a (rows, 3) list, and for each row whether
+    its integrand fails to be positive at every node.  rows stacks the
+    columns h, L, L^2, r_min, r_max, half^2 and a (the quadratic
+    coefficient, read when quadratic).  Elementwise along the rows, with
+    sums along the nodes, so a row gets the same bits in any batch."""
+    h, L, L2, r_min, r_max, half2, a = rows
+    w, sin_u, w_cos2 = _nodes(n)
     mid = 0.5 * (r_min + r_max)
     half = 0.5 * (r_max - r_min)
-    r = mid + half * np.sin(u)
-    a = _quadratic_coefficient(law, V, h)
-    # r^2 p^2 = a (r - r_min)(r - r_max) leaves nothing to cancel near the ends
-    S = (_p2(law, V, h, L, r) / ((r - r_min) * (r_max - r)) if a is None
-         else -a / r**2)
-    if np.any(S <= 0.0):
-        raise QuadratureError("radial admissibility not positive at quadrature nodes")
-    sqrtS = np.sqrt(S)
+    r = mid + half * sin_u
+    r2 = r**2
     q = h + V.V(r)
+    # r^2 p^2 = a (r - r_min)(r - r_max) leaves nothing to cancel near the
+    # ends; otherwise the direct quotient of _p2 at the nodes
+    S = (-a / r2 if quadratic
+         else (law.p_squared(q) - L2 / r2) / ((r - r_min) * (r_max - r)))
+    bad = np.any(S <= 0.0, axis=-1).tolist()
+    sqrtS = np.sqrt(S)
     pmag = law.G_inv(np.maximum(q, 0.0))
     gp = law.f_inv(pmag)  # G'(|p|)
-    tau_half = float(np.sum(w * pmag / (gp * sqrtS)))
-    phi = float(np.sum(w * L / (r**2 * sqrtS)))
-    action = float(half**2 * np.sum(w * np.cos(u) ** 2 * sqrtS) / math.pi)
-    return tau_half, phi, action
+    return np.array([np.sum(w * pmag / (gp * sqrtS), axis=-1),
+                     np.sum(w * L / (r2 * sqrtS), axis=-1),
+                     half2[:, 0] * np.sum(w_cos2 * sqrtS, axis=-1) / math.pi
+                     ]).T.tolist(), bad
 
 
 def _converged_integrals(law, V, h, L, r_min, r_max, rtol=5e-11):
+    """(tau/2, phi, action) at each (h[i], L[i]) with turning points
+    (r_min[i], r_max[i]), the rows being sequences of floats: each row
+    stops at the first rung of the ladder within rtol of the rung before.
+    Returns a list with the values of each row that converges, None on
+    the others, and the QuadratureError message of each of those, by
+    row."""
     # endpoint cancellation in the direct quotient S floors the attainable
     # accuracy around 1e-11 relative; rtol must sit above it
-    prev = None
-    for n in (80, 140, 240, 400, 640):
-        cur = _radial_integrals(law, V, h, L, r_min, r_max, n)
-        if prev is not None:
-            err = max(abs(a - b) / (1.0 + abs(a)) for a, b in zip(cur, prev))
-            if err <= rtol:
-                return cur
-        prev = cur
-    raise QuadratureError(
-        f"radial quadrature did not converge to {rtol:g} at (h, L) = ({h:g}, {L:g})")
+    coef = [_quadratic_coefficient(law, V, x) for x in h]
+    quadratic = None not in coef
+    # squared one float at a time: a float's x**2 (C pow) and NumPy's
+    # array square can differ in the last bit
+    rows = np.array([h, L, [x**2 for x in L], r_min, r_max,
+                     [(0.5 * (hi - lo))**2 for lo, hi in zip(r_min, r_max)],
+                     coef if quadratic else h], dtype=float)
+    out = [None] * len(h)
+    failed = {}
+    # the rows still on the ladder, their columns and their last values
+    todo, block, prev = list(range(len(h))), rows[:, :, None], None
+    for n in _LADDER:
+        cur, bad = _radial_integrals(law, V, block, quadratic, n)
+        keep = []
+        for j, i in enumerate(todo):
+            if bad[j]:
+                failed[i] = "radial admissibility not positive at quadrature nodes"
+            elif prev is not None and max(
+                    abs(a - b) / (1.0 + abs(a))
+                    for a, b in zip(cur[j], prev[j])) <= rtol:
+                out[i] = cur[j]
+            else:
+                keep.append(j)
+        if not keep:
+            return out, failed
+        if len(keep) < len(todo):
+            block = block[:, keep]
+        todo, prev = [todo[j] for j in keep], [cur[j] for j in keep]
+    for i in todo:
+        failed[i] = (f"radial quadrature did not converge to {rtol:g} at "
+                     f"(h, L) = ({h[i]:g}, {L[i]:g})")
+    return out, failed
 
 
 def radial_profile(law: KineticLaw, V: Potential, h: float, L: float) -> RadialProfile:
     """Turning points plus radial period, apsidal angle and radial action at
     (h, L), all from one converged quadrature."""
     r_min, r_max = turning_points(law, V, h, L)
-    tau_half, phi, action = _converged_integrals(law, V, h, L, r_min, r_max)
+    out, failed = _converged_integrals(law, V, [h], [L], [r_min], [r_max])
+    if failed:
+        raise QuadratureError(failed[0])
+    tau_half, phi, action = out[0]
     return RadialProfile(h, L, r_min, r_max, 2.0 * tau_half, phi, action)
 
 
@@ -292,30 +354,33 @@ def _build_orbit(law, V, profile, k, n, dim):
                          residual, law, V)
 
 
-def _is_feasible(law, V, h, L):
+def _is_feasible(law, V, h, L, probe=None):
+    """Whether turning_points, or the binding of it given as probe, finds
+    a bound non-circular annulus at (h, L)."""
     try:
-        turning_points(law, V, h, L)
+        (probe or turning_points)(law, V, h, L)
         return True
     except (NoBoundOrbitError, CircularDegenerateError):
         return False
 
 
-def _feasible_L_interval(law, V, h):
+def _feasible_L_interval(law, V, h, probe=None):
     """Feasible interval in L (a bound non-circular annulus exists).  With
     g(r) = r^2 kin(h + V(r)), the scan grid of turning_points admits exactly
     max(g[0], g[-1], 0) <= L^2 < max g, for any potential.  Small L can be
     infeasible (no centrifugal barrier for relativistic Kepler below
-    kappa/c or steep potentials); the lower edge is floored at 1e-4."""
-    g = _SCAN**2 * _p2(law, V, h, 0.0, _SCAN)
+    kappa/c or steep potentials); the lower edge is floored at 1e-4.
+    The edge is stepped by _is_feasible with probe."""
+    g = _SCAN2 * law.p_squared(h + _V_on_scan(V))
     lo = max(math.sqrt(max(g[0], g[-1], 0.0)), 1e-4)
     hi = math.sqrt(max(g.max(), 0.0))
     if hi > 1e4:
         raise NoBoundOrbitError("feasible L region appears unbounded")
     # the root checks of turning_points reject the top float or two that
     # its grid admits: step hi to the last float it accepts
-    while _is_feasible(law, V, h, hi):
+    while _is_feasible(law, V, h, hi, probe):
         hi = math.nextafter(hi, math.inf)
-    while lo < hi and not _is_feasible(law, V, h, hi):
+    while lo < hi and not _is_feasible(law, V, h, hi, probe):
         hi = math.nextafter(hi, 0.0)
     if not lo < hi:
         raise NoBoundOrbitError(f"no bound non-circular orbit at h = {h:g}")
@@ -342,7 +407,7 @@ def _bound_energies(law, V, h, L):
     turning_points these are min U_eff < h < min(U_eff[0], U_eff[-1]) with
     U_eff(r) = G(L/r) - V(r); a clipped end is pulled inside.  Empty when
     no energy is bound."""
-    U = law.G(L / _SCAN) - V.V(_SCAN)
+    U = law.G(L / _SCAN) - _V_on_scan(V)
     span = max(1.0, abs(h))
     lo, hi = h - 2 * span, h + 2 * span
     lo_b, hi_b = max(lo, U.min()), min(hi, U[0], U[-1])
@@ -353,28 +418,49 @@ def _bound_energies(law, V, h, L):
                        hi_b - pull if hi_b < hi else hi, 61)
 
 
-@lru_cache(maxsize=SCAN_CACHE_SIZE)
-def _scan(profile, law, V, search, h, L):
-    """The apsidal angle over the grid of one search, which knows no
-    target: the unknowns x (L at fixed h for vary_L, with L = None; h at
-    fixed L for vary_h) at which profile returned, and phi there, as
-    read-only arrays.  profile is the radial_profile the caller sees; as
-    part of the key, a scan made through one binding of it (a test's
-    stand-in, a tracer's wrapper) is never served through another."""
+def _scan_grid(probe, law, V, search, h, L):
+    """The unknowns x a scan evaluates: 48 L values across the feasible
+    interval (its edge stepped by probe) at fixed h for vary_L, or the
+    bound energies at fixed L for vary_h."""
     if search == "vary_L":
-        L_lo, L_hi = _feasible_L_interval(law, V, h)
-        grid = np.geomspace(max(L_lo * 1.001, ANGULAR_MOMENTUM_FLOOR),
+        L_lo, L_hi = _feasible_L_interval(law, V, h, probe)
+        return np.geomspace(max(L_lo * 1.001, ANGULAR_MOMENTUM_FLOOR),
                             0.999 * L_hi, 48)
+    return _bound_energies(law, V, h, L)
+
+
+@lru_cache(maxsize=SCAN_CACHE_SIZE)
+def _scan(probe, law, V, search, h, L):
+    """The apsidal angle over the grid of one search, which knows no
+    target: the unknowns x of _scan_grid (L at fixed h for vary_L, with
+    L = None; h at fixed L for vary_h) at which radial_profile returns,
+    and phi there, as read-only arrays.  One pass over the grid gives
+    radial_profile's bits at every x: on the radial grid, p_squared(h + V)
+    is formed once at fixed h and L^2/r^2 once at fixed L; each row's
+    turning points come from _bracket, and every row's phi from one run
+    of the ladder.  probe is the turning_points binding the caller sees,
+    which steps the edge of the feasible L interval; as part of the key,
+    a scan made through one binding of it (a test's stand-in, a tracer's
+    wrapper) is never served through another."""
+    grid = _scan_grid(probe, law, V, search, h, L)
+    Vs = _V_on_scan(V)
+    if search == "vary_L":
+        kin = law.p_squared(h + Vs)
+        rows = ((h, x, kin - x**2 / _SCAN2) for x in grid)
     else:
-        grid = _bound_energies(law, V, h, L)
-    xs, phis = [], []
-    for x in grid:
+        cent = L**2 / _SCAN2
+        rows = ((x, L, law.p_squared(x + Vs) - cent) for x in grid)
+    kept = []  # (x, h, L, r_min, r_max) of each row with an annulus
+    for x, (hx, Lx, vals) in zip(grid, rows):
         try:
-            phis.append(profile(law, V, *_point(search, h, L, x)).phi)
-            xs.append(x)
-        except (NoBoundOrbitError, CircularDegenerateError, QuadratureError):
+            kept.append((x, hx, Lx, *_bracket(law, V, hx, Lx, vals)))
+        except (NoBoundOrbitError, CircularDegenerateError):
             continue
-    xs, phis = np.array(xs), np.array(phis)
+    xs, hs, Ls, r_min, r_max = zip(*kept) if kept else ((),) * 5
+    out, _ = _converged_integrals(law, V, hs, Ls, r_min, r_max)
+    # the rows on which radial_profile raises are left out
+    xs = np.array([x for x, v in zip(xs, out) if v is not None])
+    phis = np.array([v[1] for v in out if v is not None])
     xs.flags.writeable = phis.flags.writeable = False
     return xs, phis
 
@@ -409,7 +495,7 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
         profiles[x] = radial_profile(law, V, *point(x))
         return profiles[x].phi
 
-    xs, phis = _scan(radial_profile, law, V, search, h_seed, L_fixed)
+    xs, phis = _scan(turning_points, law, V, search, h_seed, L_fixed)
     if len(xs) < 2:
         raise NoBoundOrbitError(f"too few feasible {scanned}")
     if np.ptp(phis) < 1e-9:

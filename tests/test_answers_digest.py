@@ -9,9 +9,12 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "answers_digest.py"
 SUBSET = ("--parts", "survey", "pool", "--limit", "1")
 
 
-def run(*args):
-    return subprocess.run([sys.executable, str(TOOL), *args], check=True,
-                          capture_output=True).stdout
+def run(*args, code=0):
+    """The tool's output, after checking its exit status."""
+    done = subprocess.run([sys.executable, str(TOOL), *args],
+                          capture_output=True)
+    assert done.returncode == code, done.stderr
+    return done.stdout
 
 
 def test_two_runs_are_byte_identical_and_compare_as_such(tmp_path):
@@ -39,7 +42,7 @@ def test_two_runs_are_byte_identical_and_compare_as_such(tmp_path):
     doc["pool"]["harmonic"]["fixed_period_verdict"] = "nondegenerate"
     doc["demos"]["x.json"]["sha256"]["a.csv"] = "ab13"
     new.write_text(json.dumps(doc))
-    lines = run("--compare", str(old), str(new)).decode().splitlines()
+    lines = run("--compare", str(old), str(new), code=1).decode().splitlines()
     assert (f"survey.T: 1 of 3 values differ, max abs {T2 - T:.3g}, "
             f"max rel {(T2 - T) / T2:.3g}") in lines
     assert ("pool.fixed_period_verdict: 1 of 1 values differ; not finite "
@@ -47,6 +50,11 @@ def test_two_runs_are_byte_identical_and_compare_as_such(tmp_path):
     assert ("demos.sha256.a.csv: 1 of 1 values differ; not finite "
             "floats in x.json") in lines
     assert "survey.z0: bit-identical (12 values)" in lines
+    # a field in one digest only
+    del doc["demos"]
+    new.write_text(json.dumps(doc))
+    lines = run("--compare", str(old), str(new), code=1).decode().splitlines()
+    assert "demos.sha256.a.csv: only in old" in lines
 
 
 def load_tool(monkeypatch):
@@ -95,7 +103,8 @@ def test_continue_demos_record_their_seeds(tmp_path, monkeypatch):
         "reduced_distance"}
     assert first["z0"][3] == (0.25).hex() and second["residual"] == (7.8e-4).hex()
     seeds[1]["z0"][0] = math.nextafter(-1.5, 0.0)
-    lines = tool.compare(old, tool.digest(["demos"], None))
+    lines, same = tool.compare(old, tool.digest(["demos"], None))
+    assert not same
     assert "demos.seeds.reason: bit-identical (2 values)" in lines
     assert (f"demos.seeds.z0: 1 of 8 values differ, max abs "
             f"{1.5 - abs(seeds[1]['z0'][0]):.3g}, max rel "

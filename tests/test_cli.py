@@ -17,6 +17,7 @@ from cforbits.cli import (
     load_config,
     main,
 )
+from cforbits.errors import RouteDisagreementError
 from cforbits.model import KineticLaw, Potential
 from cforbits.orbit import find_closed_orbit
 
@@ -342,6 +343,49 @@ class TestNondegCommand:
         assert rows[0] == ["case", "problem", "route", "value", "verdict",
                            "gap", "symplectic_residual"]
         assert len(rows) == 1 + 12  # header + 6 rows per case
+
+    # alpha = 0.5 at h = -1.5: 3:4 exists, and pi/2 (1:2) is out of range
+    CASES = [{"name": "a05",
+              "potential": {"kind": "homogeneous", "alpha": 0.5},
+              "orbit": {"k": 3, "n": 4, "h": -1.5}},
+             {"name": "a05_out_of_range",
+              "potential": {"kind": "homogeneous", "alpha": 0.5},
+              "orbit": {"k": 1, "n": 2, "h": -1.5}}]
+
+    def test_a_numerically_failed_case_keeps_the_others(self, tmp_path,
+                                                         capsys):
+        path = write_cfg(tmp_path, {"schema_version": 1, "cases": self.CASES})
+        out = tmp_path / "out"
+        assert main(["nondeg", "--config", path, "--out", str(out)]) == \
+            EXIT_NUMERICAL
+        good, bad = json.loads((out / "nondeg.json").read_text())["verdicts"]
+        assert good["case"] == "a05" and good["fixed_period"] == "nondegenerate"
+        assert sorted(bad) == ["case", "error"]
+        assert bad["case"] == "a05_out_of_range"
+        assert bad["error"].startswith("[TargetOutOfRangeError] ")
+        with open(out / "nondeg.csv", newline="") as f:
+            assert len(list(csv.reader(f))) == 1 + 6  # header + one case
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == ["nondeg.csv", "nondeg.json"]
+        assert manifest["warnings"] == [f"a05_out_of_range: {bad['error']}"]
+        assert f"error: a05_out_of_range: {bad['error']}" in capsys.readouterr().err
+
+    def test_a_numerical_failure_wins_over_a_disagreement(self, tmp_path,
+                                                          monkeypatch):
+        def disagreeing(orbit):
+            raise RouteDisagreementError("routes disagree")
+
+        monkeypatch.setattr(cforbits.cli, "cross_check", disagreeing)
+        path = write_cfg(tmp_path, {"schema_version": 1, "cases": self.CASES})
+        out = tmp_path / "out"
+        assert main(["nondeg", "--config", path, "--out", str(out)]) == \
+            EXIT_NUMERICAL
+        errors = [v["error"] for v in
+                  json.loads((out / "nondeg.json").read_text())["verdicts"]]
+        assert errors[0] == "routes disagree"
+        path = write_cfg(tmp_path, {"schema_version": 1, "cases": self.CASES[:1]})
+        assert main(["nondeg", "--config", path, "--out", str(out)]) == \
+            EXIT_DISAGREEMENT
 
 
 class TestLimitClassicalCommand:

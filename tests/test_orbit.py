@@ -206,7 +206,7 @@ class TestFindClosedOrbit:
     ], ids=["alpha_05", "harmonic", "kepler"])
     def test_vary_h_scans_bound_energies_only(self, V, h, L):
         # every energy of the 61-point grid has a bound non-circular orbit
-        xs, phis = _scan(radial_profile, CLASSICAL, V, "vary_h", h, L)
+        xs, phis = _scan(turning_points, CLASSICAL, V, "vary_h", h, L)
         assert len(xs) == len(phis) == 61
 
     def test_vary_h_without_bound_energies(self):
@@ -244,14 +244,18 @@ class TestFindClosedOrbit:
 
     def test_extra_brackets_are_logged(self, monkeypatch, caplog):
         # an apsidal angle that crosses the target several times over the
-        # feasible L interval of alpha = 0.5 at h = -1.5
+        # feasible L interval of alpha = 0.5 at h = -1.5, on the scan grid
+        # and in the root search
         target = 3 * math.pi / 4
+        phi = lambda L: target + np.sin(20 * L)
+        V = Potential.homogeneous(1.0, 0.5)
+        xs, _ = _scan(turning_points, CLASSICAL, V, "vary_L", -1.5, None)
+        monkeypatch.setattr(orbit_module, "_scan", lambda *key: (xs, phi(xs)))
         monkeypatch.setattr(
             orbit_module, "radial_profile",
-            lambda law, V, h, L: SimpleNamespace(phi=target + math.sin(20 * L)))
+            lambda law, V, h, L: SimpleNamespace(phi=phi(L)))
         monkeypatch.setattr(orbit_module, "_build_orbit",
                             lambda law, V, profile, *rest: profile)
-        V = Potential.homogeneous(1.0, 0.5)
         with caplog.at_level(logging.WARNING, logger="cforbits.orbit"):
             profile = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5)
         assert abs(profile.phi - target) <= 1e-11

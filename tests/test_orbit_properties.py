@@ -4,17 +4,26 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from perfbench import workloads
 
 import cforbits.orbit as orbit_module
-from cforbits.errors import NoBoundOrbitError, TargetOutOfRangeError
+from cforbits import cli
+from cforbits.errors import (
+    CircularDegenerateError,
+    NoBoundOrbitError,
+    QuadratureError,
+    TargetOutOfRangeError,
+)
 from cforbits.model import KineticLaw, Potential
 from cforbits.orbit import (
     _feasible_L_interval,
     _is_feasible,
-    _leggauss,
+    _nodes,
     _p2,
+    _point,
     _quadratic_coefficient,
     _scan,
+    _scan_grid,
     find_closed_orbit,
     radial_profile,
     turning_points,
@@ -139,10 +148,9 @@ def test_quadratic_integrand_is_the_direct_quotient(kind, m, kappa, extra, f,
     lo, hi = _feasible_L_interval(law, V, h)
     L = lo + t * (hi - lo)
     r_min, r_max = turning_points(law, V, h, L)
-    nodes, _ = _leggauss(80)
-    s = np.sin(0.5 * math.pi * nodes)
+    _, s, _ = _nodes(80)
     r = 0.5 * (r_min + r_max) + 0.5 * (r_max - r_min) * s[np.abs(s) <= 0.9]
-    direct = _p2(law, V, h, L, r) / ((r - r_min) * (r_max - r))
+    direct = _p2(law, V, h, L**2, r) / ((r - r_min) * (r_max - r))
     a = _quadratic_coefficient(law, V, h)
     assert np.allclose(-a / r**2, direct, rtol=1e-9, atol=0.0)
 
@@ -224,25 +232,28 @@ def test_vary_L_scan_does_not_depend_on_L_seed():
                        (CLASSICAL, ALPHA_HALF, -1.5, {"L_seed": 0.7})) == 1
 
 
-def test_a_rebound_radial_profile_gets_its_own_scan(monkeypatch):
-    # a stand-in for radial_profile (a test's, a tracer's) is what the scan
-    # evaluates, never a scan made through the function it replaced
+def test_a_rebound_turning_points_gets_its_own_scan(monkeypatch):
+    # a stand-in for turning_points (a test's, a tracer's) is what the
+    # scan's probes of the feasible L interval call, never a scan made
+    # through the function it replaced
     _scans_made((CLASSICAL, ALPHA_HALF, -1.5, {}))
-    seen = []
+    seen, probes = [], []
 
     def counting(*args):
         seen.append(args)
-        return radial_profile(*args)
+        return turning_points(*args)
 
-    monkeypatch.setattr(orbit_module, "radial_profile", counting)
+    monkeypatch.setattr(orbit_module, "turning_points", counting)
     with pytest.raises(TargetOutOfRangeError):
         find_closed_orbit(CLASSICAL, ALPHA_HALF, 1, 2, -1.5)
-    assert len(seen) == 48
     assert _scan.cache_info().misses == 2
+    _feasible_L_interval(CLASSICAL, ALPHA_HALF, -1.5,
+                         lambda *args: probes.append(args) or turning_points(*args))
+    assert seen and seen == probes
 
 
 def test_a_cached_scan_cannot_be_changed():
-    key = (radial_profile, CLASSICAL, ALPHA_HALF, "vary_L", -1.5, None)
+    key = (turning_points, CLASSICAL, ALPHA_HALF, "vary_L", -1.5, None)
     xs, phis = _scan(*key)
     first = xs.copy(), phis.copy()
     for values in (xs, phis):
@@ -254,3 +265,53 @@ def test_a_cached_scan_cannot_be_changed():
     assert again[0] is xs
     assert np.array_equal(again[0], first[0])
     assert np.array_equal(again[1], first[1])
+
+
+# --- the batched scan against the per-point radial_profile ---
+
+def _scan_cases():
+    """Every survey triple, every nondeg_table row and the two anchors of
+    the benchmark, as (label, law, potential, h, L or None)."""
+    for stratum in workloads.SURVEY_STRATA:
+        for t in stratum:
+            yield (t.label, *t.build(), t.h, None)
+    rows = (workloads.HARMONIC, workloads.KEPLER,
+            *(row for stratum in workloads.TABLE_STRATA for row in stratum))
+    for name, law, potential, orbit in rows:
+        yield (name, cli._build_law(law), cli._build_potential(potential),
+               orbit["h"], orbit.get("L"))
+
+
+SCAN_CASES = tuple(_scan_cases())
+
+
+def _per_point(law, V, search, h, L, grid):
+    xs, phis = [], []
+    for x in grid:
+        try:
+            phis.append(radial_profile(law, V, *_point(search, h, L, x)).phi)
+            xs.append(x)
+        except (NoBoundOrbitError, CircularDegenerateError, QuadratureError):
+            continue
+    return np.array(xs), np.array(phis)
+
+
+@pytest.mark.parametrize("search", ["vary_L", "vary_h"])
+@pytest.mark.parametrize("label, law, V, h, L", SCAN_CASES,
+                         ids=[c[0] for c in SCAN_CASES])
+def test_scan_is_the_per_point_profiles_bit_for_bit(label, law, V, h, L, search):
+    if search == "vary_L":
+        L = None
+    elif L is None:
+        # a momentum in the middle of the feasible interval at h
+        L = 0.5 * sum(_feasible_L_interval(law, V, h))
+    grid = _scan_grid(turning_points, law, V, search, h, L)
+    xs, phis = _scan.__wrapped__(turning_points, law, V, search, h, L)
+    ref_xs, ref_phis = _per_point(law, V, search, h, L, grid)
+    assert len(grid) == (48 if search == "vary_L" else 61)
+    assert xs.tobytes() == ref_xs.tobytes()
+    assert phis.tobytes() == ref_phis.tobytes()
+    dropped = {("hom_a05_h-1.5", "vary_L"): 3, ("alpha_05", "vary_L"): 3,
+               ("alpha_15", "vary_L"): 16}.get((label, search))
+    if dropped is not None:
+        assert len(grid) - len(xs) == dropped

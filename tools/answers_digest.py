@@ -31,7 +31,11 @@ each (survey points, pool rows, continuation workloads, demo configs).
 ``--compare`` prints one line per field: "bit-identical", or the largest
 absolute and relative difference of its floats and the number of values
 that differ, and the entries where any other value (an error, a verdict,
-a hash, an integer, inf) differs.
+a hash, an integer, inf) differs.  It exits with 0 when every field is
+bit-identical, and with 1 when any field differs or is in one digest
+only, so a "same numbers" check can be scripted:
+
+    python3 tools/answers_digest.py --compare old.json new.json > /dev/null
 """
 from __future__ import annotations
 
@@ -263,12 +267,13 @@ def _fields(doc):
 
 
 def _describe(old, new):
+    """The comparison of one field, and whether it is bit-identical."""
     n = sum(len(v) for v in old.values())
     if old.keys() != new.keys() or any(len(old[e]) != len(new[e]) for e in old):
         changed = sorted(set(old) ^ set(new)
                          | {e for e in set(old) & set(new)
                             if len(old[e]) != len(new[e])})
-        return f"different entries or shapes: {', '.join(changed[:5])}"
+        return f"different entries or shapes: {', '.join(changed[:5])}", False
     differ, text, abs_max, rel_max = 0, [], 0.0, 0.0
     for entry in old:
         for a, b in zip(old[entry], new[entry]):
@@ -284,7 +289,7 @@ def _describe(old, new):
             abs_max = max(abs_max, diff)
             rel_max = max(rel_max, diff and diff / max(abs(fa), abs(fb)))
     if not differ:
-        return f"bit-identical ({n} values)"
+        return f"bit-identical ({n} values)", True
     out = f"{differ} of {n} values differ"
     if differ > len(text):
         out += f", max abs {abs_max:.3g}, max rel {rel_max:.3g}"
@@ -292,19 +297,22 @@ def _describe(old, new):
         names = sorted(set(text))
         out += f"; not finite floats in {', '.join(names[:5])}"
         out += " ..." if len(names) > 5 else ""
-    return out
+    return out, False
 
 
 def compare(old, new):
-    """One line per field of the two digests."""
+    """One line per field of the two digests, and whether every field is
+    in both and bit-identical."""
     a, b = _fields(old), _fields(new)
-    lines = []
+    lines, same = [], True
     for field in sorted(a.keys() | b.keys()):
         if field not in b or field not in a:
-            lines.append(f"{field}: only in {'old' if field in a else 'new'}")
+            text, identical = f"only in {'old' if field in a else 'new'}", False
         else:
-            lines.append(f"{field}: {_describe(a[field], b[field])}")
-    return lines
+            text, identical = _describe(a[field], b[field])
+        lines.append(f"{field}: {text}")
+        same &= identical
+    return lines, same
 
 
 def main(argv=None):
@@ -316,8 +324,9 @@ def main(argv=None):
     if args.compare:
         old, new = (json.loads(Path(f).read_text(encoding="utf-8"))
                     for f in args.compare)
-        print("\n".join(compare(old, new)))
-        return 0
+        lines, same = compare(old, new)
+        print("\n".join(lines))
+        return 0 if same else 1
     json.dump(digest(args.parts, args.limit), sys.stdout, indent=1,
               sort_keys=True)
     sys.stdout.write("\n")

@@ -1,0 +1,107 @@
+"""Alternating parent/change pairs of one benchmark workload, and whether a
+speed claim holds.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload nondeg_table --seed 0
+
+PARENT and CHANGE are the roots of two source checkouts.  Each pair runs
+``perfbench/run.py --workload W --seed S --seconds R --trace 0`` once from
+each checkout's root, each run its own process, with R the ``run_seconds``
+of CHANGE's ``BENCHMARK.json``; the parent runs first in the even pairs and
+the change in the odd ones.  A run that fails, or whose report is not
+``correct``, is refused: the tool stops with exit code 2.
+
+For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
+median and quartiles (``statistics.quantiles``, inclusive method), the
+change's wins (the pairs in which the change is better in the metric's
+direction; a tie counts for neither side) and whether the gain rule holds:
+the change wins at least 9 in 10 of the pairs, and its median is better
+than the parent's by more than the parent's interquartile range.
+``--pairs`` sets the number of pairs (10).  The tool only reads the
+checkouts; ``perfbench/run.py`` leaves its working files in each one's
+``.perfbench_out/``.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WIN_SHARE = 0.9
+
+
+def run_once(checkout, workload, seed, seconds):
+    """The end-to-end report of one untraced run from the checkout's root."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    # run.py exits 0 only after printing a correct report as its last line
+    report = (json.loads(done.stdout.strip().splitlines()[-1])
+              if done.returncode == 0 else None)
+    if not (report and report["correct"]):
+        raise RuntimeError(f"run in {checkout} refused (exit {done.returncode}):\n"
+                           f"{done.stdout}{done.stderr}")
+    return report
+
+
+def _spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def summarize(parent, change, metrics):
+    """Per metric of ``metrics`` (BENCHMARK.json's end_to_end entries), the
+    medians and quartiles of both sides, the change's wins and the gain
+    rule, from the reports of the pairs (``parent[i]`` with ``change[i]``)."""
+    rows = []
+    for m in metrics:
+        sign = 1.0 if m["better"] == "higher" else -1.0
+        p = [r["metrics"][m["name"]]["value"] for r in parent]
+        c = [r["metrics"][m["name"]]["value"] for r in change]
+        wins = sum(sign * (b - a) > 0.0 for a, b in zip(p, c))
+        (pm, p1, p3), (cm, c1, c3) = _spread(p), _spread(c)
+        rows.append({"metric": m["name"], "unit": m["unit"],
+                     "parent": (pm, p1, p3), "change": (cm, c1, c3),
+                     "wins": wins, "pairs": len(p),
+                     "gain": wins >= WIN_SHARE * len(p) and sign * (cm - pm) > p3 - p1})
+    return rows
+
+
+def format_rows(rows):
+    return [f"{r['metric']}: parent {r['parent'][0]:.6g} [{r['parent'][1]:.6g}, "
+            f"{r['parent'][2]:.6g}], change {r['change'][0]:.6g} "
+            f"[{r['change'][1]:.6g}, {r['change'][2]:.6g}] {r['unit']}; "
+            f"change wins {r['wins']}/{r['pairs']}; gain rule "
+            f"{'holds' if r['gain'] else 'fails'}" for r in rows]
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pairs", type=int, default=10)
+    args = p.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    sides = {"parent": [], "change": []}
+    try:
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                sides[side].append(run_once(getattr(args, side), args.workload,
+                                            args.seed, spec["run_seconds"]))
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs")
+    print("\n".join(format_rows(summarize(sides["parent"], sides["change"],
+                                          spec["end_to_end"]))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
