@@ -1,9 +1,8 @@
 """Command-line front end: config-driven orbit construction, non-degeneracy
 sweeps, continuation runs and the non-relativistic limit table.
 
-Exit codes: 0 success, 2 config validation failure (a perturbation the
-system's dimension refuses included), 3 numerical failure, 4 route
-disagreement.
+Exit codes: 0 success, 2 config validation failure, 3 numerical failure,
+4 route disagreement.
 """
 from __future__ import annotations
 
@@ -295,7 +294,8 @@ def cmd_nondeg(cfg, em: Emitter):
             "det_fixed_period_normalized": _fmt(a.scale_fixed_period),
             "det_fixed_energy_normalized": _fmt(a.scale_fixed_energy),
             # |z(tau) - Rot(2 pi k/n) z0|: residual of the one-radial-period
-            # factorization every monodromy above is built from
+            # factorization every monodromy above is built from, with z(tau)
+            # the apogee mirrored about the perigee and stepped back to tau
             "radial_defect": _fmt(cc.planar_fp.radial_defect),
         })
     em.write_csv("nondeg.csv",
@@ -309,9 +309,12 @@ def cmd_nondeg(cfg, em: Emitter):
 
 def cmd_continue(cfg, em: Emitter):
     ccfg = cfg.get("continuation", {})
-    planar = _block(cfg, "perturbation")["family"] == "rotating_frame"
+    pcfg = _block(cfg, "perturbation")
+    planar = (pcfg["family"] == "rotating_frame"
+              or len(pcfg.get("e_vec", ())) == 2)
     if planar and "group" in ccfg:
-        raise ConfigError("rotating_frame continues in the plane, where "
+        raise ConfigError("a planar field (rotating_frame, or a 2-component "
+                          "e_vec) continues in the plane, where "
                           "continuation.group does not apply")
     law = _build_law(cfg.get("law"))
     V = _build_potential(_block(cfg, "potential"))
@@ -330,7 +333,7 @@ def cmd_continue(cfg, em: Emitter):
             raise ConfigError(msg + " (set proceed_if_degenerate to force)")
         em.warn(msg)
 
-    pert = _build_perturbation(cfg["perturbation"], orbit.T)
+    pert = _build_perturbation(pcfg, orbit.T)
     sys = HamiltonianSystem(law, V, pert, 2 if planar else 3)
     samples = manifold_samples(
         orbit, ccfg.get("count_rot", 8), ccfg.get("count_shift", 4),

@@ -7,13 +7,22 @@ the spatial manifold (rotations in O(3) plus shifts) is 4-dimensional.
 Non-degeneracy means the linearization sees exactly those dimensions and
 nothing more.
 
-Every monodromy comes from one variational solve over one radial period
-tau = T/n.  The unperturbed flow commutes with rotations and a k:n orbit
-returns to its apogee rotated by 2 pi k/n after each radial period, so with
-W = W(tau) and Q the rotation by -2 pi k/n of both x and p, the planar
-monodromy is P = (Q W)^n.  Rotating the orbit plane gives two T-periodic
-solutions and the coupling blocks vanish at x3 = p3 = 0, so the spatial
-monodromy of the embedded orbit is P + I_2 (direct sum).
+Every monodromy comes from one variational solve over half a radial
+period.  The unperturbed flow commutes with rotations and a k:n orbit
+returns to its apogee rotated by 2 pi k/n after each radial period tau, so
+with W = W(tau) and Q the rotation by -2 pi k/n of both x and p, the planar
+monodromy is P = (Q W)^n.  W itself comes from the solve over [0, tau/2]:
+the flow is reversible under the time reversal R about every apsis line
+(Devaney, Trans. AMS 218 (1976); Lamb & Roberts, Physica D 112 (1998)),
+and the apogee z0 lies on the fixed set of R_0, so the radial period is
+the half from apogee to perigee followed by its mirror image.  tau/2 is
+off the true perigee time by the quadrature error of tau, which the
+perigee shear would amplify, so one Newton step on x.p = 0 first moves the
+half to the perigee, and a step of the same size moves the mirrored
+period back to tau (``_rotated_cycle_power``).  Rotating the orbit plane
+gives two T-periodic solutions and the coupling blocks vanish at
+x3 = p3 = 0, so the spatial monodromy of the embedded orbit is P + I_2
+(direct sum).
 """
 from __future__ import annotations
 
@@ -29,10 +38,10 @@ from .actions import (
     nondeg_fixed_period,
 )
 from .errors import RouteDisagreementError, UnreliableVerdictError
-from .flow import integrate_with_variational, symplectic_matrix, \
-    symplectic_residual
+from .flow import DEFAULT_TOL, integrate_with_variational, \
+    symplectic_matrix, symplectic_residual
 from .model import HamiltonianSystem, Perturbation
-from .orbit import PeriodicOrbit, apogee_state, rotate_plane
+from .orbit import PeriodicOrbit, apogee_state, reflect_apsis, rotate_plane
 
 __all__ = [
     "KernelReport",
@@ -46,6 +55,10 @@ __all__ = [
 RANK_TOL = 1e-6
 MIN_GAP = 10.0
 MAX_SYMPLECTIC_RESIDUAL = 1e-6
+# |delta| ||A|| above which the second-order term (delta ||A||)^2 / 2 that a
+# first-order step of length delta neglects exceeds the integration
+# tolerance: derived from DEFAULT_TOL, not a setting of its own
+MAX_PERIGEE_STEP = math.sqrt(2.0 * DEFAULT_TOL)
 
 
 def kernel_dimension(M):
@@ -82,7 +95,9 @@ class KernelReport:
     ``matrix`` is I - P for the fixed-period problem, and the bordered
     matrix [[I - P, z'], [grad H^T, 0]] for the fixed-energy one, with z'
     the flow direction.  ``radial_defect`` is |z(tau) - Rot(2 pi k/n) z0|
-    at the end of the one radial period the monodromy P was built from."""
+    at the end of the one radial period the monodromy P was built from,
+    with z(tau) the apogee's mirror image about the perigee, stepped by
+    the perigee-time correction."""
 
     P: np.ndarray
     matrix: np.ndarray
@@ -100,13 +115,43 @@ _PLANE = [0, 1, 3, 4]  # x1, x2, p1, p2 inside (x1, x2, x3, p1, p2, p3)
 
 def _rotated_cycle_power(sys: HamiltonianSystem, z0, tau: float,
                          angle: float, n: int):
-    """(Rot(-angle) W(tau))^n for the planar flow from z0, with Rot acting on
-    both x and p, and the defect |z(tau) - Rot(angle) z0|.
+    """(Rot(-angle) W(tau))^n for the flow of the unperturbed system sys
+    from the apogee z0, with Rot acting on both x and p, and the defect
+    |z(tau) - Rot(angle) z0|.
 
     When z(tau) = Rot(angle) z0, rotation equivariance of the flow makes the
-    fundamental matrix at n tau equal to Rot(n angle) times the power."""
-    z_tau, W = integrate_with_variational(sys, z0, 0.0, tau)
-    defect = float(np.linalg.norm(z_tau - rotate_plane(z0, angle)))
+    fundamental matrix at n tau equal to Rot(n angle) times the power.
+
+    Only [0, tau/2] is integrated.  One Newton step on x.p = 0, of length
+    delta, moves z and W from tau/2 to the perigee time t_p = tau/2 + delta
+    to first order.  z(t_p) lies on the fixed set of the apsis reversal R
+    at its polar angle, and z0 on that of R_0, so the flow's reversibility
+    gives W(2 t_p) = R W(t_p)^-1 R W(t_p) and z(2 t_p) = R z0.  A step of
+    -2 delta, again to first order, ends at tau.  ``UnreliableVerdictError``
+    when |delta| ||A(z(tau/2))||_2 passes ``MAX_PERIGEE_STEP``."""
+    z, W = integrate_with_variational(sys, z0, 0.0, 0.5 * tau)
+    d = sys.dim
+    f = sys.vector_field(0.0, z)
+    # d/dt (x.p) = x'.p + x.p'
+    delta = -(z[:d] @ z[d:]) / (f[:d] @ z[d:] + z[:d] @ f[d:])
+    # A = J^T Hess, the matrix of the variational equation W' = A W
+    JT = symplectic_matrix(d).T
+    A = JT @ sys.hessian(0.0, z)
+    step = abs(delta) * np.linalg.norm(A, 2)
+    if step > MAX_PERIGEE_STEP:
+        raise UnreliableVerdictError(
+            f"tau/2 is {delta:.3g} off the perigee: the first-order step "
+            f"|delta| ||A|| = {step:.3g} passes {MAX_PERIGEE_STEP:.3g}")
+    z = z + delta * f
+    W = W + delta * (A @ W)
+    # the rows of reflect_apsis(I, a) are the columns of R
+    R = reflect_apsis(np.eye(2 * d), math.atan2(z[1], z[0])).T
+    W = R @ np.linalg.solve(W, R @ W)
+    z = R @ z0
+    eps = -2.0 * delta
+    W = W + eps * (JT @ sys.hessian(0.0, z) @ W)
+    z = z + eps * sys.vector_field(0.0, z)
+    defect = float(np.linalg.norm(z - rotate_plane(z0, angle)))
     # Rot(-angle) W(tau), the columns of W turned back by angle
     QtW = rotate_plane(W.T, -angle).T
     return np.linalg.matrix_power(QtW, n), defect
@@ -170,7 +215,7 @@ def cross_check(orbit: PeriodicOrbit) -> ConsistencyReport:
                      orbit.profile.L, profile=orbit.profile)
     det_fp = nondeg_fixed_period(rep)
     det_fe = nondeg_fixed_energy(rep)
-    # one radial-period solve serves both problems in both dimensions
+    # one half-radial-period solve serves both problems in both dimensions
     law, V, profile = orbit.law, orbit.potential, orbit.profile
     sys2 = HamiltonianSystem(law, V, Perturbation.zero(), 2)
     z0 = apogee_state(profile, 2)

@@ -17,9 +17,11 @@ from cforbits.cli import (
     load_config,
     main,
 )
+from cforbits.continuation import ShootingProblem, multistart
 from cforbits.errors import RouteDisagreementError
-from cforbits.model import KineticLaw, Potential
-from cforbits.orbit import find_closed_orbit
+from cforbits.model import HamiltonianSystem, KineticLaw, Perturbation, \
+    Potential
+from cforbits.orbit import find_closed_orbit, manifold_samples
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
 DEMO_CONFIGS = sorted(DEMO_DIR.glob("*.json"))
@@ -197,21 +199,34 @@ class TestValidation:
         assert "law.c" in capsys.readouterr().err
         assert (out / "manifest.json").exists()
 
-    def test_field_the_dimension_refuses_is_validation_error(self, tmp_path,
-                                                             capsys):
-        # a planar electric vector for a spatial run
+    def test_group_with_planar_electric_vector_is_validation_error(
+            self, tmp_path, capsys):
+        # a planar electric vector continues in the plane, so a group would
+        # be ignored
         cfg = {
             "schema_version": 1,
             "potential": {"kind": "homogeneous", "alpha": 0.5},
             "orbit": {"k": 4, "n": 5, "h": -1.9},
             "perturbation": {"family": "uniform_electric", "eps": 1e-4,
                              "e_vec": [1.0, 0.0]},
+            "continuation": {"group": "SO3"},
         }
         out = tmp_path / "out"
         assert main(["continue", "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_VALIDATION
-        assert "UnsupportedConfigurationError" in capsys.readouterr().err
+        assert "continuation.group" in capsys.readouterr().err
         assert (out / "manifest.json").exists()
+
+    def test_limit_classical_refuses_repeated_c_values(self, tmp_path, capsys):
+        # a repeated c makes the fit of the convergence orders rank-deficient
+        cfg = json.loads((DEMO_DIR / "limit_classical.json").read_text())
+        cfg["c_values"] = [5.0, 5.0]
+        out = tmp_path / "out"
+        assert main(["limit-classical", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "non-unique" in capsys.readouterr().err
+        assert (out / "manifest.json").exists()
+        assert not (out / "limit_classical.json").exists()
 
     def test_limit_classical_rejects_classical_law(self, tmp_path):
         cfg = json.loads(json.dumps(KEPLER_ORBIT_CFG))
@@ -604,6 +619,48 @@ class TestContinueCommand:
         assert {eps for eps, *_ in r["history"]} <= set(rungs)
         assert all(res >= 0.0 for _, res in r["rung_starts"])
         check_seed_records(payload)
+
+    def test_planar_electric_vector_run_is_multistart(self, tmp_path,
+                                                      monkeypatch):
+        # a 2-component e_vec continues in the plane: the benchmark's planar
+        # multistart problem, a cosine field along x1 on a 2 x 2 grid, gives
+        # the library's results bit for bit
+        cfg = {
+            "schema_version": 1,
+            "potential": {"kind": "homogeneous", "alpha": 0.5},
+            "orbit": {"k": 4, "n": 5, "h": -1.9},
+            "perturbation": {"family": "uniform_electric", "eps": 1e-3,
+                             "profile": "cosine",
+                             "T_forcing": "orbit_period",
+                             "e_vec": [1.0, 0.0]},
+            "continuation": {"mode": "fixed_period",
+                             "count_rot": 2, "count_shift": 2},
+        }
+        ran = []
+
+        def recorded(*args):
+            ran.append(multistart(*args))
+            return ran[-1]
+
+        monkeypatch.setattr(cforbits.cli, "multistart", recorded)
+        payload = run_continue(tmp_path, cfg)
+        orbit = find_closed_orbit(KineticLaw.classical(),
+                                  Potential.homogeneous(1.0, 0.5), 4, 5, -1.9)
+        samples = manifold_samples(orbit, 2, 2, group="planar")
+        pert = Perturbation.uniform_electric((1.0, 0.0), 1e-3,
+                                             profile="cosine",
+                                             T_forcing=orbit.T)
+        sys = HamiltonianSystem(orbit.law, orbit.potential, pert, 2)
+        want = multistart(ShootingProblem(sys, "fixed_period",
+                                          samples.states[0], orbit.T),
+                          samples)
+        assert [r["seed_id"] for r in payload["results"] if r["accepted"]] \
+            == [0, 2]
+        assert all(len(r["z0"]) == 4 for r in payload["results"])
+        (got,) = ran
+        for a, b in zip(got, want, strict=True):
+            assert a.accepted == b.accepted
+            assert np.array_equal(a.z0, b.z0)
 
     def test_planar_rotating_frame_run(self, tmp_path):
         # the one family the command continues in the plane (planar group)

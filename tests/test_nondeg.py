@@ -19,6 +19,7 @@ from cforbits.orbit import (
     apogee_state,
     find_closed_orbit,
     radial_profile,
+    reflect_apsis,
 )
 
 CLASSICAL = KineticLaw.classical()
@@ -222,6 +223,16 @@ POOL = [
     ("rel_kepler_h022", RELATIVISTIC, 1.0, 4, 3, -0.22, REL_L),
 ]
 
+REFERENCE_TOL = 1e-14
+# the pool with its potentials, and an orbit with a perigee speed of 3.2e3
+REFERENCE_ROWS = [
+    (name, law, Potential.homogeneous(1.0, alpha), k, n, h, L_seed)
+    for name, law, alpha, k, n, h, L_seed in POOL
+] + [
+    ("levi_civita_13_7", CLASSICAL, Potential.levi_civita(1.0, 0.1), 13, 7,
+     -0.55, None),
+]
+
 
 def reference_reports(orbit):
     """Fixed-period and fixed-energy reports of the full-period 4x4
@@ -290,3 +301,41 @@ def test_fundamental_matrix_is_a_rotated_power_of_one_radial_period(point):
         assert np.max(np.abs(Q @ power - W)) <= \
             1e-8 * max(1.0, np.max(np.abs(W)))
         assert defect <= 1e-9
+
+
+# SciPy raises an rtol below 100 machine epsilons to that floor
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol`")
+@pytest.mark.parametrize("name, law, V, k, n, h, L_seed", REFERENCE_ROWS,
+                         ids=[row[0] for row in REFERENCE_ROWS])
+def test_half_period_monodromy_matches_full_period_reference(name, law, V, k,
+                                                             n, h, L_seed):
+    # W(tau) from [0, tau/2], the perigee step and the reversor errs by at
+    # most twice as much as a full-tau solve at the default tolerance, both
+    # against a full-tau solve at REFERENCE_TOL
+    orbit = find_closed_orbit(law, V, k, n, h, L_seed=L_seed)
+    sys, z0, tau = orbit.system, orbit.z0, orbit.profile.tau
+    _, W_ref = integrate_with_variational(sys, z0, 0.0, tau, tol=REFERENCE_TOL)
+    scale = np.max(np.abs(W_ref))
+
+    def error(W):
+        return np.max(np.abs(W - W_ref)) / scale
+
+    W, _ = _rotated_cycle_power(sys, z0, tau, 0.0, 1)
+    _, W_full = integrate_with_variational(sys, z0, 0.0, tau)
+    assert error(W) <= 2.0 * error(W_full)
+    if name == "alpha_05_h12":
+        # the mirror image about tau/2 itself, without the perigee step:
+        # tau/2 misses the perigee, and the perigee shear shows it
+        z, W_half = integrate_with_variational(sys, z0, 0.0, 0.5 * tau)
+        R = reflect_apsis(np.eye(4), math.atan2(z[1], z[0])).T
+        assert error(R @ np.linalg.solve(W_half, R @ W_half)) > 1e-8
+
+
+def test_perigee_step_beyond_first_order_raises(alpha_half_orbit):
+    # tau/2 is then 5e-5 tau off the perigee, far beyond what a first-order
+    # step carries to within the integration tolerance
+    orb = alpha_half_orbit
+    with pytest.raises(UnreliableVerdictError, match="off the perigee"):
+        _rotated_cycle_power(orb.system, orb.z0,
+                             orb.profile.tau * (1.0 + 1e-4),
+                             2.0 * math.pi * orb.k / orb.n, orb.n)

@@ -26,7 +26,7 @@ from cforbits.orbit import (
     rotate_state,
     turning_points,
 )
-from test_nondeg import POOL
+from test_nondeg import REFERENCE_ROWS, REFERENCE_TOL
 
 CLASSICAL = KineticLaw.classical()
 KEPLER = Potential.kepler()
@@ -372,19 +372,9 @@ class TestManifoldSamples:
 
 # --- half a radial cycle against full-period and full-cycle references ---
 
-REFERENCE_TOL = 1e-14
-REFERENCE_ROWS = [
-    (name, law, Potential.homogeneous(1.0, alpha), k, n, h, L_seed)
-    for name, law, alpha, k, n, h, L_seed in POOL
-] + [
-    # perigee speed 3.2e3: a full-period integration drifts by 3e-5 here at
-    # the default tolerance and by 1.7e-7 at REFERENCE_TOL, so the closed
-    # form below is the reference for this row
-    ("levi_civita_13_7", CLASSICAL, Potential.levi_civita(1.0, 0.1), 13, 7,
-     -0.55, None),
-]
-
-
+# levi_civita_13_7 has a perigee speed of 3.2e3: a full-period integration
+# drifts by 3e-5 there at the default tolerance and by 1.7e-7 at
+# REFERENCE_TOL, so the closed form below is the reference for that row
 def _levi_civita_states(orb, ts):
     """Closed-form phase states of a classical Levi-Civita orbit started at
     apogee: r(t) is the Kepler radial motion at L_eff^2 = L^2 - 2 m lam, and
