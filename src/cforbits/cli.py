@@ -25,9 +25,11 @@ from . import __version__
 from .actions import k0_hessian, nondeg_fixed_energy, nondeg_fixed_period
 from .errors import (CForbitsError, RouteDisagreementError,
                      UnsupportedConfigurationError)
-from .model import HamiltonianSystem, KineticLaw, Perturbation, Potential
+from .model import (HamiltonianSystem, KineticLaw, Perturbation, Potential,
+                    reversor)
 from .nondeg import cross_check
-from .orbit import find_closed_orbit, manifold_samples, radial_profile
+from .orbit import (ManifoldSample, find_closed_orbit, manifold_samples,
+                    radial_profile, rotate_plane)
 from .continuation import (
     ShootingProblem,
     distance_to_manifold,
@@ -307,6 +309,19 @@ def cmd_nondeg(cfg, em: Emitter):
     return EXIT_DISAGREEMENT if disagreement else EXIT_OK
 
 
+def _turned(samples: ManifoldSample, a: float) -> ManifoldSample:
+    """The manifold samples turned by the angle a about x3, elements and
+    states alike."""
+    if samples.group == "planar":
+        elements = tuple((psi + a, th) for psi, th in samples.elements)
+    else:
+        c, s = math.cos(a), math.sin(a)
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        elements = tuple((turn @ M, th) for M, th in samples.elements)
+    return ManifoldSample(samples.base, samples.group, elements,
+                          rotate_plane(samples.states, a))
+
+
 def cmd_continue(cfg, em: Emitter):
     ccfg = cfg.get("continuation", {})
     pcfg = _block(cfg, "perturbation")
@@ -338,6 +353,11 @@ def cmd_continue(cfg, em: Emitter):
     samples = manifold_samples(
         orbit, ccfg.get("count_rot", 8), ccfg.get("count_shift", 4),
         **({"group": "planar"} if planar else _given(ccfg, "group")))
+    # the apsis samples are built on the line x1: turned onto the
+    # reversor's line, those on it lie on its fixed set for a field off x1
+    a = reversor(pert)
+    if a:
+        samples = _turned(samples, a)
     template = ShootingProblem(
         sys, mode, samples.states[0], orbit.T,
         h=orbit.profile.h if mode == "fixed_energy" else None,
@@ -367,6 +387,7 @@ def cmd_continue(cfg, em: Emitter):
                 "distance_to_manifold": _finite(r.distance),
                 "newton_iters": r.newton_iters,
                 "variational_solves": r.variational_solves,
+                "jacobian_reuses": r.jacobian_reuses,
                 "state_shots": r.state_shots,
                 "half_condition": _finite(r.half_condition),
                 "reduced_gradient": _finite(r.reduced_gradient),
@@ -375,6 +396,7 @@ def cmd_continue(cfg, em: Emitter):
                             for eps, res, ok in r.history],
                 "rung_starts": [[_fmt(eps), _finite(res)]
                                 for eps, res in r.rung_starts],
+                "contractions": [_fmt(theta) for theta in r.contractions],
             }
             for r in refined
         ],

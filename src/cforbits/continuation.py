@@ -22,8 +22,10 @@ and the variational solve, for the Jacobian, runs only at a point a step
 leaves, solved only as accurately as the residual needs
 (``_jacobian_tol``): an inexact Newton method whose Jacobian error shrinks
 with the residual keeps its rate, and the steps are exact again once
-|R| <= ``RESIDUAL_TOL``.  At fixed period the period is pinned by the
-(resonant) time-dependent forcing; at fixed energy it joins the unknowns,
+|R| <= ``RESIDUAL_TOL``.  Where the contraction of the last step predicts
+that the same Jacobian converges (``_reuse_jacobian``), the next step reuses
+it and no variational solve runs.  At fixed period the period is pinned by
+the (resonant) time-dependent forcing; at fixed energy it joins the unknowns,
 and the system gains an energy row.  Every result ends in the same closing
 re-check, an independent full-period integration.
 
@@ -72,6 +74,16 @@ STALL_FACTOR = 2.0
 # a seed lies on the fixed set of the reversor R_a, and is continued, when
 # |R_a z - z| <= FIX_TOL (1 + |z|)
 FIX_TOL = 1e-12
+# Jacobian reuse: a trial stepped with a freshly solved Jacobian J, accepted
+# without converging, has the contraction Theta = |J^-1 R(v+)| / |dv|, and
+# by the Kantorovich estimate a simplified-Newton step with the same J
+# leaves a residual of about 2 Theta |R(v+)| (Deuflhard, *Newton Methods for
+# Nonlinear Problems*, Springer 2004, ch. 2).  The next trial reuses J when
+# that prediction is within REUSE_RESIDUAL, a quarter of RESIDUAL_TOL: the
+# prediction missed the measured residual by 0.80-2.19x over the six
+# iterates of the multistart_fp and spatial_fe seeds.  Derived from
+# RESIDUAL_TOL, not a setting of its own
+REUSE_RESIDUAL = 0.25 * RESIDUAL_TOL
 # integration tolerance of the state-only half-period shots: at
 # DEFAULT_TOL the Levi-Civita 7:6 Larmor periods miss the exact reference
 # by 1.5-1.6e-9, at 1e-13 the worst fixed-energy case by 1.2e-10
@@ -140,17 +152,25 @@ class ContinuationResult:
     # one (eps, trial residual, accepted) entry per Newton trial; the trial
     # residual is inf when the trial step was not shot
     history: tuple = ()
-    # variational solves started, one per point a Newton step leaves (none
-    # at a point a run converged at), at ``_jacobian_tol``
+    # variational solves started, at ``_jacobian_tol``: one per trial that
+    # does not reuse its Jacobian, so variational_solves + jacobian_reuses
+    # is the number of trials when no solve ends a run
     variational_solves: int = 0
+    # trials that reused the Jacobian of the trial before (``_continue``)
+    jacobian_reuses: int = 0
     # state-only half-period shots started: one per run of the driver (its
     # first shot) and one per trial shot
     state_shots: int = 0
     # one (eps, first-shot residual) pair per run of the driver, the direct
     # attempt first; the residual is inf when the shot failed
     rung_starts: tuple = ()
-    # condition number of the last half-period Jacobian of the run that
-    # converged; None when that run solved with none or none converged
+    # the contraction Theta = |J^-1 R(v+)| / |dv| of each accepted trial, in
+    # the order of ``history``: J the Jacobian the trial stepped with, dv its
+    # step and R(v+) the residual it reached
+    contractions: tuple = ()
+    # condition number of the last half-period Jacobian that the run that
+    # converged solved for (a reused one is not solved again); None when
+    # that run solved none or none converged
     half_condition: float | None = None
     # a multistart seed's |grad Gamma| and its first-order distance
     # |grad Gamma| / ||Hess Gamma||_2 to Gamma's critical set (see
@@ -189,6 +209,14 @@ def _jacobian_tol(res):
     return DEFAULT_TOL * max(1.0, res / RESIDUAL_TOL)
 
 
+def _reuse_jacobian(theta, res):
+    """Whether the trial after an accepted one, at the residual |R| = res
+    and with the contraction theta of the Jacobian it stepped with, reuses
+    that Jacobian: its predicted simplified-Newton residual
+    2 theta |R| is within ``REUSE_RESIDUAL``."""
+    return 2.0 * theta * res <= REUSE_RESIDUAL
+
+
 def _failure(exc: IntegrationError) -> str:
     """Reason word of an integration that ended early."""
     return ("collision" if isinstance(exc, CollisionError)
@@ -211,18 +239,26 @@ def _continue(problem: ShootingProblem):
     runs trials: a plain Newton step (``np.linalg.solve``) from the point's
     Jacobian, which the variational solve gives at each point a step
     leaves (none at a point that converged), then a state-only shot at the
-    step's end, accepted when it lowers |R|.  A trial whose step takes T
-    to a tenth of the seed's or below (at fixed energy) is not shot.  Each
+    step's end, accepted when it lowers |R|.  Each accepted trial records
+    its contraction Theta = |J^-1 R(v+)| / |dv| in ``contractions``, J the
+    Jacobian it stepped with.  After a trial with a freshly solved J that
+    is not the run's first, accepted without converging, the next trial
+    reuses J instead of solving one when ``_reuse_jacobian(Theta, |R|)``
+    says so; a reused J serves that one trial, and a reused trial that does
+    not lower |R| is followed by a fresh Jacobian at the same point, so a
+    reused trial never ends a run.  A trial whose step takes T to a tenth
+    of the seed's or below (at fixed energy) is not shot.  Each
     trial leaves one (eps, trial residual, accepted) entry in ``history``,
     with residual inf when the trial was not shot, and each run one (eps,
     first-shot residual) pair in ``rung_starts``.  The driver converges
     when |R| <= ``RESIDUAL_TOL`` and, at fixed energy, the energy row is
     within the re-check's ``ENERGY_TOL``.  It ends unconverged as
-    ``rejected step`` at the first trial that does not lower |R|; as
-    ``stagnation`` after ``MAX_NEWTON`` trials, or as soon as an accepted
-    trial leaves |R| above 1/``STALL_FACTOR`` of what it was
-    ``STALL_STEPS`` accepted trials earlier (the first shot counting as the
-    start); as ``collision`` or ``integration failure`` when the first
+    ``rejected step`` at the first trial with a fresh Jacobian that does
+    not lower |R|; as ``stagnation`` after ``MAX_NEWTON`` trials (one more
+    when the last reused its Jacobian), or as soon as an accepted trial
+    with a fresh Jacobian leaves |R| above 1/``STALL_FACTOR`` of what it
+    was ``STALL_STEPS`` accepted trials earlier (the first shot counting as
+    the start); as ``collision`` or ``integration failure`` when the first
     shot or a variational solve ends early; and as ``singular Jacobian``
     when a step cannot be solved for.
 
@@ -230,8 +266,9 @@ def _continue(problem: ShootingProblem):
     unconverged and ``eps_path`` has more than the one rung it ran, the
     driver runs each rung in turn, the first from the seed and each other
     from the previous rung's solution (with its period, at fixed energy);
-    the first run's trials stay in ``history``, ``state_shots`` and
-    ``variational_solves``.  A rung that ends unconverged ends the ladder.
+    the first run's trials stay in ``history``, ``contractions``,
+    ``state_shots``, ``variational_solves`` and ``jacobian_reuses``.  A
+    rung that ends unconverged ends the ladder.
 
     Never raises on a failed run: it ends in a rejected result whose
     ``reason`` is the driver's word at the run's eps, and whose
@@ -257,7 +294,8 @@ def _continue(problem: ShootingProblem):
     Be, Bo = np.delete(B, odd, axis=0), B[odd]
     history = []  # (eps, trial residual, accepted) per Newton trial
     starts = []  # (eps, first-shot residual) per run of the driver
-    solves = shots = 0
+    contractions = []  # Theta per accepted trial
+    solves = shots = reuses = 0
     half_jac = None  # the last Jacobian of the current run
 
     def point(v):
@@ -299,7 +337,7 @@ def _continue(problem: ShootingProblem):
         # one run of the driver at the eps of sys from the unknowns v.
         # Returns (v, |R|, why), why None when it converged, else its
         # failure word
-        nonlocal half_jac
+        nonlocal half_jac, reuses
         eps, half_jac = sys.perturbation.eps, None
         try:
             R, end = shoot(sys, v)
@@ -309,15 +347,26 @@ def _continue(problem: ShootingProblem):
         res = np.linalg.norm(R)
         starts.append((eps, float(res)))
         steps = [res]  # |R| at the first shot and each accepted trial
-        for _ in range(MAX_NEWTON):
-            if converged(R, res):
-                return v, res, None
+        jac = None  # the Jacobian the next trial reuses, if any
+        solved = trials = 0  # Jacobians solved and trials of this run
+        reused = False  # whether the last trial reused its Jacobian
+        while not converged(R, res):
+            # a reused trial never ends a run
+            if trials >= MAX_NEWTON and not reused:
+                return v, res, "stagnation"
+            reused = jac is not None
             try:
-                v_try = v - np.linalg.solve(jacobian(sys, v, end, res), R)
+                if not reused:
+                    jac = jacobian(sys, v, end, res)
+                    solved += 1
+                dv = np.linalg.solve(jac, R)
             except IntegrationError as exc:
                 return v, res, _failure(exc)
             except np.linalg.LinAlgError:
                 return v, res, "singular Jacobian"
+            reuses += reused
+            trials += 1
+            v_try = v - dv
             res2 = np.inf  # unless the trial is shot
             if not (fe and v_try[-1] <= 0.1 * problem.T):
                 try:
@@ -327,13 +376,24 @@ def _continue(problem: ShootingProblem):
                     pass
             history.append((eps, float(res2), bool(res2 < res)))
             if not res2 < res:
+                if reused:
+                    # a fresh Jacobian at the same point
+                    jac = None
+                    continue
                 return v, res, "rejected step"
+            theta = float(np.linalg.norm(np.linalg.solve(jac, R2))
+                          / np.linalg.norm(dv))
+            contractions.append(theta)
             v, R, end, res = v_try, R2, end2, res2
             steps.append(res)
-            if (not converged(R, res) and len(steps) > STALL_STEPS
+            if (reused or solved == 1 or converged(R, res)
+                    or not _reuse_jacobian(theta, res)):
+                jac = None
+            if (not reused and not converged(R, res)
+                    and len(steps) > STALL_STEPS
                     and res > steps[-1 - STALL_STEPS] / STALL_FACTOR):
                 return v, res, "stagnation"
-        return v, res, None if converged(R, res) else "stagnation"
+        return v, res, None
 
     def result(ok, reason, v, res, en=np.inf, traj=None):
         # at the eps of the last run, the target's once a run converged
@@ -341,8 +401,9 @@ def _continue(problem: ShootingProblem):
         return ContinuationResult(
             ok, reason, z, T, starts[-1][0], res, en, len(history),
             problem.seed_id, trajectory=traj, history=tuple(history),
-            variational_solves=solves, state_shots=shots,
-            rung_starts=tuple(starts), half_condition=cond)
+            variational_solves=solves, jacobian_reuses=reuses,
+            state_shots=shots, rung_starts=tuple(starts),
+            contractions=tuple(contractions), half_condition=cond)
 
     cond = None  # of the last Jacobian of the run that converged
     seed = np.append(Be @ z0, problem.T) if fe else Be @ z0

@@ -15,22 +15,28 @@ crossed it, not an event time found by root-finding.  Any other early end
 each step's interpolant, which costs three more right-hand-side evaluations,
 is built by SciPy's own method the first time a time in that step is read:
 a step nobody reads costs nothing, and ``nfev`` counts only the calls made
-during the solve.  ``endpoint`` and variational solves return only their end
-point.  A shooting trial needs only the state from ``endpoint``; the
-variational solve (2d + 4d^2 components) runs only where a Newton step uses
-the Jacobian.  Every solve runs at ``DEFAULT_TOL`` unless its caller says
-otherwise: ``integrate`` takes a tighter ``tol`` for reference solutions,
-``endpoint`` a tighter one for the half-period shots of the symmetric
-shooting path, and ``integrate_with_variational`` a looser one for a
-Jacobian that only steers a Newton step far from convergence.
+during the solve.  A ``Trajectory`` keeps the coefficients of the steps it
+has built stacked, and evaluates all the times of a call in one vectorized
+pass over them, with SciPy's choice of step and SciPy's Horner order, so
+each value is that of SciPy's ``OdeSolution`` bit for bit.  ``endpoint``
+and variational solves return only their end point.  A shooting trial needs
+only the state from ``endpoint``; the variational solve (2d + 4d^2
+components) runs only where a Newton step uses a new Jacobian.  Every solve
+runs at ``DEFAULT_TOL`` unless its caller says otherwise: ``integrate``
+takes a tighter ``tol`` for reference solutions, ``endpoint`` a tighter one
+for the half-period shots of the symmetric shooting path, and
+``integrate_with_variational`` a looser one for a Jacobian that only steers
+a Newton step far from convergence.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import DOP853, DenseOutput, solve_ivp
+from scipy.integrate._ivp.base import ConstantDenseOutput
+from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import CollisionError, IntegrationError
@@ -65,15 +71,83 @@ def symplectic_residual(W) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense solution over [t0, t1]; calling it evaluates the interpolant."""
+    """Dense solution over [t0, t1]; calling it evaluates the interpolant.
+
+    A time t gives a state of shape (n,), an array of m times an (m, n)
+    array.  Every call is one pass over all its times: the step of each is
+    found as SciPy's ``OdeSolution`` finds it (the earlier step at a step
+    boundary, the first or last step outside [t0, t1]), and each step's
+    DOP853 polynomial is evaluated in SciPy's Horner order from the stacked
+    coefficients of ``_steps``, so the values are SciPy's bit for bit.
+    """
 
     t0: float
     t1: float
-    _sol: object = None
+    _sol: object = None  # SciPy's OdeSolution of the solve
+    _steps: "_StepStack" = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __call__(self, t):
-        y = np.asarray(self._sol(t))
-        return y if y.ndim == 1 else y.T
+        t = np.asarray(t)
+        ts = t.reshape(-1)  # a scalar is a batch of one
+        sol = self._sol
+        seg = np.searchsorted(sol.ts_sorted, ts, side=sol.side) - 1
+        np.clip(seg, 0, sol.n_segments - 1, out=seg)
+        if not sol.ascending:
+            seg = sol.n_segments - 1 - seg
+        first = sol.interpolants[0]
+        if isinstance(first, ConstantDenseOutput):
+            # a solve over an empty interval: SciPy's constant interpolant
+            y = np.tile(first.value, (ts.size, 1))
+        else:
+            if self._steps is None:
+                object.__setattr__(self, "_steps",
+                                   _StepStack(sol.interpolants))
+            F, t_old, h, y_old = self._steps.rows(seg)
+            # Dop853DenseOutput._call_impl, for every time at once
+            x = ((ts - t_old) / h)[:, None]
+            y = np.zeros(y_old.shape)
+            for i, f in enumerate(reversed(F)):
+                y += f
+                if i % 2 == 0:
+                    y *= x
+                else:
+                    y *= 1 - x
+            y += y_old
+        return y[0] if t.ndim == 0 else y
+
+
+class _StepStack:
+    """The DOP853 interpolants of a solve's steps, stacked: F[:, j], t_old[j],
+    h[j] and y_old[j] are step j's coefficients, start, length and start
+    state (SciPy's ``Dop853DenseOutput``), filled when a time in step j is
+    first read.  A step's interpolant is a ``_DeferredDenseOutput``, or
+    SciPy's own where a solve ran SciPy's DOP853."""
+
+    def __init__(self, interpolants):
+        m = len(interpolants)
+        self.interpolants = interpolants
+        self.t_old, self.h = np.empty(m), np.empty(m)
+        self.built = np.zeros(m, dtype=bool)
+        self.F = self.y_old = None  # sized at the first step built
+
+    def rows(self, seg):
+        """(F, t_old, h, y_old) of the steps ``seg``, one row per entry,
+        after building the interpolants of those not built yet."""
+        new = seg[~self.built[seg]]
+        if new.size:
+            for j in np.unique(new):
+                dense = self.interpolants[j]
+                if isinstance(dense, _DeferredDenseOutput):
+                    dense = dense.dense()
+                if self.F is None:
+                    m, n = self.built.size, dense.y_old.size
+                    self.F = np.empty((INTERPOLATOR_POWER, m, n))
+                    self.y_old = np.empty((m, n))
+                self.F[:, j], self.y_old[j] = dense.F, dense.y_old
+                self.t_old[j], self.h[j] = dense.t_old, dense.h
+                self.built[j] = True
+        return self.F[:, seg], self.t_old[seg], self.h[seg], self.y_old[seg]
 
 
 # message prefix of a solve that ended on the collision floor
@@ -191,7 +265,8 @@ class _DeferredDenseOutput(DenseOutput):
     y_old, y and f), and on the first call runs that method with this
     object in the solver's place: the three extra stages and the
     interpolant are SciPy's bit for bit, made from the same numbers.  The
-    interpolant is kept and the copied state dropped.
+    interpolant is kept and the copied state dropped.  ``Trajectory`` reads
+    it through ``dense``.
     """
 
     A_EXTRA, C_EXTRA, D = DOP853.A_EXTRA, DOP853.C_EXTRA, DOP853.D
@@ -210,11 +285,16 @@ class _DeferredDenseOutput(DenseOutput):
         self.n = solver.n
         self._dense = None
 
-    def _call_impl(self, t):
+    def dense(self):
+        """SciPy's ``Dop853DenseOutput`` of the step, built on the first
+        call."""
         if self._dense is None:
             self._dense = DOP853._dense_output_impl(self)
             del self.K_extended, self.y_old, self.y, self.f, self.fun
-        return self._dense._call_impl(t)
+        return self._dense
+
+    def _call_impl(self, t):
+        return self.dense()._call_impl(t)
 
 
 def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, dense_output):

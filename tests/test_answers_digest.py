@@ -68,8 +68,8 @@ def load_tool(monkeypatch):
 
 def test_continue_demos_record_their_seeds(tmp_path, monkeypatch):
     # a stand-in for the continue command that writes two seeds, one of them
-    # in the form of an older continuation.json without state_shots and the
-    # fields after it
+    # in the form of an older continuation.json without jacobian_reuses and
+    # the fields after it
     tool = load_tool(monkeypatch)
     (tmp_path / "demos" / "configs").mkdir(parents=True)
     (tmp_path / "demos" / "configs" / "continue_x.json").write_text("{}")
@@ -77,8 +77,10 @@ def test_continue_demos_record_their_seeds(tmp_path, monkeypatch):
               "z0": [1.5, -0.0, 0.0, 0.25],
               "period": 13.9, "residual": 8.5e-11,
               "distance_to_manifold": 0.005, "newton_iters": 3,
-              "variational_solves": 4, "state_shots": 0,
-              "half_condition": 331.2, "reduced_gradient": 3.2e-13,
+              "variational_solves": 2, "jacobian_reuses": 1,
+              "state_shots": 0, "half_condition": 331.2,
+              "contractions": [0.0086, 6.3e-4, 1.0e-3],
+              "reduced_gradient": 3.2e-13,
               "reduced_distance": 9.8e-14, "history": []},
              {"seed_id": 1, "accepted": False,
               "reason": "stagnation at eps=0.0001",
@@ -99,8 +101,8 @@ def test_continue_demos_record_their_seeds(tmp_path, monkeypatch):
     first, second = entry["seeds"]
     assert set(first) == set(tool.SEED_FIELDS)
     assert set(tool.SEED_FIELDS) - set(second) == {
-        "state_shots", "half_condition", "reduced_gradient",
-        "reduced_distance"}
+        "jacobian_reuses", "state_shots", "half_condition", "contractions",
+        "reduced_gradient", "reduced_distance"}
     assert first["z0"][3] == (0.25).hex() and second["residual"] == (7.8e-4).hex()
     seeds[1]["z0"][0] = math.nextafter(-1.5, 0.0)
     lines, same = tool.compare(old, tool.digest(["demos"], None))

@@ -64,3 +64,54 @@ def test_a_run_that_is_not_correct_is_refused(tool, monkeypatch):
     monkeypatch.setattr(tool.subprocess, "run", lambda *a, **k: Done)
     with pytest.raises(RuntimeError, match="refused"):
         tool.run_once(".", "nondeg_table", 0, 5)
+
+
+def traced(counts):
+    """A traced report with the counts {name: value} and a wall time."""
+    metrics = {name: {"value": v, "unit": "count"}
+               for name, v in counts.items()}
+    metrics["trace.pass_s"] = {"value": 0.2, "unit": "s"}
+    return {"correct": True, "metrics": metrics}
+
+
+def test_traced_counts_that_differ(tool):
+    parent = traced({"flow.nfev": 16408, "flow.variational.calls": 3,
+                     "continuation.newton_iters": 3})
+    change = traced({"flow.nfev": 14510, "flow.variational.calls": 2,
+                     "continuation.newton_iters": 3})
+    change["metrics"]["trace.pass_s"]["value"] = 0.12  # not a count
+    assert tool.count_differences(parent, change) == [
+        "flow.nfev: parent 16408, change 14510",
+        "flow.variational.calls: parent 3, change 2"]
+    assert tool.count_differences(parent, parent) == []
+    # a count in one report only
+    del change["metrics"]["continuation.newton_iters"]
+    assert tool.count_differences(parent, change)[-1] == (
+        "continuation.newton_iters: parent 3, change None")
+
+
+def test_trace_adds_one_traced_run_per_side(tool, monkeypatch, capsys):
+    # canned runs: no benchmark runs, and BENCHMARK.json from this checkout
+    runs = []
+    change = TOOL.parents[1]
+
+    def run_once(checkout, workload, seed, seconds, trace=0):
+        side = "change" if checkout == change else "parent"
+        runs.append((side, trace))
+        if trace:
+            return traced({"flow.nfev": 14510 if side == "change" else 16408})
+        return {"correct": True, "metrics": {
+            "ops_per_min": {"value": 110 if side == "change" else 100},
+            "setup_s": {"value": 0.5}, "peak_rss_mb": {"value": 90.0},
+            "ok_share": {"value": 1.0}}}
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    args = ["parent", str(change), "--workload", "spatial_fe", "--pairs", "2"]
+    assert tool.main(args + ["--trace"]) == 0
+    assert runs == [("parent", 0), ("change", 0), ("change", 0),
+                    ("parent", 0), ("parent", 1), ("change", 1)]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "flow.nfev: parent 16408, change 14510")
+    runs.clear()
+    assert tool.main(args) == 0
+    assert [trace for _, trace in runs] == [0] * 4

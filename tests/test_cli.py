@@ -451,11 +451,14 @@ def check_seed_records(payload, one_rung_eps=None):
         for eps, res, accepted in r["history"]:
             assert eps > 0.0 and isinstance(accepted, bool)
             assert res is None or res >= 0.0
-        # a rejected trial ends its run, so every trial steps from a point
-        # of its own; one state-only half-period shot per run of the
-        # driver and one per trial shot
+        # every trial steps with a Jacobian solved at its point or reused
+        # from the trial before; one contraction per accepted trial; one
+        # state-only half-period shot per run of the driver and one per
+        # trial shot
         h = r["history"]
-        assert r["variational_solves"] == r["newton_iters"]
+        assert (r["variational_solves"] + r["jacobian_reuses"]
+                == r["newton_iters"])
+        assert len(r["contractions"]) == sum(1 for e in h if e[2])
         assert r["state_shots"] == (len(r["rung_starts"])
                                     + sum(1 for e in h if e[1] is not None))
         assert all(eps > 0.0 and res >= 0.0 for eps, res in r["rung_starts"])
@@ -619,6 +622,44 @@ class TestContinueCommand:
         assert {eps for eps, *_ in r["history"]} <= set(rungs)
         assert all(res >= 0.0 for _, res in r["rung_starts"])
         check_seed_records(payload)
+
+    def test_field_off_x1_continues_the_turned_seeds(self, tmp_path):
+        # the demo run with its field along x2: the samples are turned onto
+        # the reversor's line, so the same seed as along x1 is continued, to
+        # the quarter turn of its solution
+        cfg = json.loads((DEMO_DIR / "continue_alpha05.json").read_text())
+        cfg["output"] = {"write_trajectories": False}
+        (tmp_path / "x1").mkdir()
+        (tmp_path / "x2").mkdir()
+        along_x1 = run_continue(tmp_path / "x1", cfg)
+        cfg["perturbation"]["e_vec"] = [0.0, 1.0, 0.0]
+        along_x2 = run_continue(tmp_path / "x2", cfg)
+        accepted = [[r["seed_id"] for r in p["results"] if r["accepted"]]
+                    for p in (along_x1, along_x2)]
+        assert accepted[0] == accepted[1] == [0]
+        z, w = (np.array(p["results"][0]["z0"]) for p in (along_x1, along_x2))
+        quarter = np.array([-z[1], z[0], z[2], -z[4], z[3], z[5]])
+        # to the last of the 12 digits continuation.json writes
+        assert np.max(np.abs(w - quarter)) <= 1e-10
+        check_seed_records(along_x2, one_rung_eps=1e-3)
+
+    def test_planar_field_at_30_degrees_continues(self, tmp_path):
+        # a planar field at 30 degrees on an 8 x 2 grid: the apogee seeds on
+        # the reversor's line, the first and the one turned by pi, are
+        # continued
+        cfg = json.loads((DEMO_DIR / "continue_alpha05.json").read_text())
+        cfg["output"] = {"write_trajectories": False}
+        cfg["perturbation"]["e_vec"] = [np.cos(np.pi / 6), np.sin(np.pi / 6)]
+        cfg["continuation"]["count_rot"] = 8
+        payload = run_continue(tmp_path, cfg)
+        assert payload["n_seeds"] == 16
+        assert [r["seed_id"] for r in payload["results"]
+                if r["accepted"]] == [0, 8]
+        for r in payload["results"]:
+            if r["accepted"]:
+                x = np.array(r["z0"][:2])
+                # on the field's line
+                assert abs(x[0] * 0.5 - x[1] * np.cos(np.pi / 6)) <= 1e-10
 
     def test_planar_electric_vector_run_is_multistart(self, tmp_path,
                                                       monkeypatch):

@@ -428,13 +428,14 @@ class TestDeferredJacobian:
             assert fast.distance == pytest.approx(ref.distance, rel=1e-6)
         assert len(deferred_and_reference[-1][0].rung_starts) > 1
 
-    def test_one_variational_solve_per_point_stepped_from(
+    def test_every_trial_solves_or_reuses_its_jacobian(
             self, symmetric_results, ladder_results):
-        # a rejected trial ends its run, so every trial steps from a point
-        # of its own
+        # every trial steps with a Jacobian solved at its point or, once,
+        # with the one the trial before stepped with
         for r in symmetric_results + ladder_results:
             assert r.accepted
-            assert r.variational_solves == r.newton_iters == len(r.history)
+            assert (r.variational_solves + r.jacobian_reuses
+                    == r.newton_iters == len(r.history))
 
     def test_one_state_shot_per_rung_start_and_trial_shot(
             self, symmetric_results, ladder_results):
@@ -900,10 +901,11 @@ def harmonic_problem(mode):
 def assert_plain_newton(r):
     """r converged at its first run, the direct attempt: every step lowers
     the residual, one state-only half-period shot per iterate and one at
-    the seed, and one variational solve per point a step leaves."""
+    the seed, and per trial one variational solve or one reused Jacobian."""
     assert r.history and all(ok for *_, ok in r.history)
     assert {e for e, *_ in r.history} == {r.eps}
-    assert r.variational_solves == r.newton_iters
+    assert (r.variational_solves + r.jacobian_reuses
+            == r.newton_iters == len(r.history))
     assert r.state_shots == r.newton_iters + 1
     ((eps, first),) = r.rung_starts
     assert eps == r.eps and first > continuation.RESIDUAL_TOL
@@ -922,7 +924,7 @@ class TestSymmetricPath:
                 assert r.energy_residual <= continuation.ENERGY_TOL
 
     def test_solutions_are_isolated(self, symmetric_problems,
-                                    symmetric_results):
+                                    symmetric_results, monkeypatch):
         # a regular half-period system: each solution is isolated on
         # Fix(R_a), unlike the curve of full-period solutions at fixed
         # period
@@ -932,9 +934,24 @@ class TestSymmetricPath:
             assert np.linalg.cond(Jac) <= HALF_SYSTEM_COND[sys.dim, mode]
             assert np.linalg.svd(Jac, compute_uv=False)[-1] >= HALF_SYSTEM_SMIN
             # the result records the condition of the last Jacobian Newton
-            # solved with, one step before the solution: 1.3e-5 relative
-            # from the rebuilt one at most
-            assert r.half_condition == pytest.approx(np.linalg.cond(Jac),
+            # solved, at the point of the run's last variational solve (one
+            # or two steps before the solution): the same rebuilt there
+            solved = []
+
+            def recorded(sys, z0, t0, t1, **kwargs):
+                solved.append((z0, 2.0 * t1))
+                return flow.integrate_with_variational(sys, z0, t0, t1,
+                                                       **kwargs)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(continuation, "integrate_with_variational",
+                           recorded)
+                again = continuation._continue(p)
+            assert np.array_equal(again.z0, r.z0)
+            assert len(solved) == r.variational_solves
+            z_last, T_last = solved[-1]
+            last = half_period_jacobian(sys, mode, z_last, T_last)
+            assert r.half_condition == pytest.approx(np.linalg.cond(last),
                                                      rel=1e-3)
         # the degenerate harmonic orbit, whose half-system vanishes at
         # eps = 0 (singular values 1.2e-11)
@@ -994,7 +1011,8 @@ class TestSymmetricPath:
         assert rest == sorted(rest) and set(rest) <= set(rungs)
         # each rung starts closer than the seed is at the target
         assert all(first < r.rung_starts[0][1] for _, first in r.rung_starts[1:])
-        assert r.variational_solves == r.newton_iters == len(r.history)
+        assert (r.variational_solves + r.jacobian_reuses
+                == r.newton_iters == len(r.history))
         assert r.half_condition >= 1.0
 
     @pytest.mark.parametrize("i, failure", [
@@ -1290,6 +1308,159 @@ class TestInexactHalfPeriodJacobian:
             assert fast.state_shots == ref.state_shots
             assert np.max(np.abs(fast.z0 - ref.z0)) <= SYMMETRIC_Z0_TOL
             assert abs(fast.period - ref.period) <= SYMMETRIC_PERIOD_TOL
+
+
+# --- Jacobian reuse against a fresh Jacobian at every trial ---
+
+def _no_reuse(theta, res):
+    # every trial with a Jacobian solved at its point: the reference path of
+    # Jacobian reuse
+    return False
+
+
+# the Larmor perigee seeds of TestLarmorReference: (name, mode, eps)
+LARMOR_PERIGEE = tuple((name, mode, 1e-4) for name in LARMOR_ORBITS
+                       for mode in ("fixed_energy", "fixed_period"))
+# a reused Jacobian moves the solutions by at most 5.3e-11 in z0 and
+# 3.0e-11 in the distance (the answers digest's continuation results)
+REUSE_Z0_TOL = 1e-9
+REUSE_PERIOD_TOL = 1e-9
+REUSE_DISTANCE_TOL = 1e-6
+
+
+@pytest.fixture(scope="module")
+def constant_field_cases(orbit):
+    """(problem, samples) of the answers digest's constant-field seeds: the
+    apsis seeds 0 and 2 of the 2 x 2 planar grid in a constant field along
+    x1 at eps = 1e-2, in both modes, but for seed 0 at fixed period, which
+    is the ladder problem."""
+    samples = manifold_samples(orbit, 2, 2, group="planar")
+    sys = electric_system(orbit, 1e-2, profile="constant")
+    return [(ShootingProblem(sys, mode, samples.states[i], orbit.T,
+                             h=orbit.profile.h), samples)
+            for mode, i in (("fixed_period", 2), ("fixed_energy", 0),
+                            ("fixed_energy", 2))]
+
+
+@pytest.fixture(scope="module")
+def reused_and_reference(symmetric_problems, symmetric_results, ladder_cases,
+                         ladder_results, constant_field_cases,
+                         symmetric_and_exact_jacobian, larmor_orbits):
+    """(result, reference result) for the symmetric and ladder problems,
+    the digest's constant-field seeds and the Larmor seeds, the reference
+    solving a fresh Jacobian at every trial."""
+    distanced = symmetric_problems + ladder_cases + constant_field_cases
+    apogee = [larmor_problem(larmor_orbits, name, mode, eps, 0)
+              for name, mode, eps in LARMOR_APOGEE]
+    perigee = [larmor_problem(larmor_orbits, name, mode, eps, 1)
+               for name, mode, eps in LARMOR_PERIGEE]
+    fast = (symmetric_results + ladder_results + _run(constant_field_cases)
+            + [f for f, _ in
+               symmetric_and_exact_jacobian[len(symmetric_problems):]]
+            + [continuation._continue(p) for p in perigee])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "_reuse_jacobian", _no_reuse)
+        ref = _run(distanced) + [continuation._continue(p)
+                                 for p in apogee + perigee]
+    return list(zip(fast, ref))
+
+
+class TestJacobianReuse:
+    def test_same_answers_as_fresh_jacobians(self, reused_and_reference):
+        for fast, ref in reused_and_reference:
+            assert ref.jacobian_reuses == 0
+            assert fast.accepted == ref.accepted
+            assert fast.reason == ref.reason
+            assert fast.newton_iters == ref.newton_iters
+            assert (fast.variational_solves + fast.jacobian_reuses
+                    == ref.variational_solves)
+            if fast.accepted:
+                assert np.max(np.abs(fast.z0 - ref.z0)) <= REUSE_Z0_TOL * (
+                    1.0 + np.max(np.abs(ref.z0)))
+                assert abs(fast.period - ref.period) <= REUSE_PERIOD_TOL
+            if ref.distance is not None:
+                assert fast.distance == pytest.approx(
+                    ref.distance, rel=REUSE_DISTANCE_TOL)
+        # the spatial problem and the ladder reuse
+        assert sum(f.jacobian_reuses for f, _ in reused_and_reference) >= 5
+
+    def test_fires_on_the_spatial_problem_and_not_the_grid(
+            self, symmetric_results):
+        # the contraction of each accepted trial's Jacobian predicts the
+        # residual of a step that reuses it as 2 Theta |R|: 1.2e-10 on the
+        # spatial problem's second trial, 3.8e-9 and 2.3e-9 on the grid's
+        # apogee seeds, against REUSE_RESIDUAL = 2.5e-10
+        grid = symmetric_results[:2]
+        spatial = symmetric_results[SYMMETRIC.index(5)]
+        assert (spatial.newton_iters, spatial.variational_solves,
+                spatial.jacobian_reuses) == (3, 2, 1)
+        for r in grid:
+            assert r.jacobian_reuses == 0
+            assert r.variational_solves == r.newton_iters == 3
+        for r in (spatial, *grid):
+            assert len(r.contractions) == len(r.history)
+            predicted = 2.0 * r.contractions[1] * r.history[1][1]
+            assert (predicted <= continuation.REUSE_RESIDUAL) == (r is spatial)
+
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_a_rejected_reused_trial_takes_a_fresh_jacobian(
+            self, problems, symmetric_results, i, monkeypatch):
+        # reuse forced from the first point where the rule is asked (the
+        # second trial's end), and the reusing trial's shot ended early: the
+        # trial is rejected, and the run solves a fresh Jacobian at the same
+        # point, whose trial is the third of the unforced run
+        p, _ = problems[i]
+        r = symmetric_results[SYMMETRIC.index(i)]
+        assert r.newton_iters == 3 and r.jacobian_reuses == 0
+        monkeypatch.setattr(continuation, "_reuse_jacobian",
+                            lambda theta, res: True)
+        monkeypatch.setattr(continuation, "endpoint", failing_half_shot(
+            flow.endpoint, 4, [], p.T))
+        res = continuation._continue(p)
+        assert res.accepted and res.reason == "ok"
+        assert res.history == (r.history[:2] + ((r.eps, math.inf, False),)
+                               + r.history[2:])
+        assert (res.newton_iters, res.variational_solves,
+                res.jacobian_reuses) == (4, 3, 1)
+        assert res.contractions == r.contractions
+        assert np.array_equal(res.z0, r.z0) and res.period == r.period
+
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_a_forced_reuse_serves_one_trial(self, problems,
+                                             symmetric_results, i,
+                                             monkeypatch):
+        # reuse forced wherever the rule is asked: each reused Jacobian
+        # serves one trial, the next solves a fresh one, and the run still
+        # converges to the same solution
+        p, _ = problems[i]
+        r = symmetric_results[SYMMETRIC.index(i)]
+        shots, solved = [], []  # the trials whose Jacobian was solved
+
+        def shot(*args, **kwargs):
+            shots.append(args)
+            return flow.endpoint(*args, **kwargs)
+
+        def solve(*args, **kwargs):
+            # the first shot and one per trial before: this is trial
+            # len(shots)'s Jacobian
+            solved.append(len(shots))
+            return flow.integrate_with_variational(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "_reuse_jacobian",
+                            lambda theta, res: True)
+        monkeypatch.setattr(continuation, "endpoint", shot)
+        monkeypatch.setattr(continuation, "integrate_with_variational", solve)
+        res = continuation._continue(p)
+        assert res.accepted and res.reason == "ok"
+        assert (res.variational_solves + res.jacobian_reuses
+                == res.newton_iters == len(res.history))
+        trials = range(1, res.newton_iters + 1)
+        reused = [k for k in trials if k not in solved]
+        assert solved[:2] == [1, 2] and len(reused) == res.jacobian_reuses >= 1
+        assert all(k + 1 in solved for k in reused if k < res.newton_iters)
+        assert np.max(np.abs(res.z0 - r.z0)) <= REUSE_Z0_TOL * (
+            1.0 + np.max(np.abs(r.z0)))
+        assert abs(res.period - r.period) <= REUSE_PERIOD_TOL
 
 
 # --- the reduced functional ---

@@ -305,6 +305,45 @@ def test_steps_are_stock_dop853_bit_for_bit(law, V, d, t0, span, data):
                      np.concatenate([x, p]), t0, t0 + span)
 
 
+def same_bits(a, b):
+    """Equal arrays, down to the sign of each zero."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(law=laws, V=potentials, d=st.sampled_from([2, 3]),
+       t0=st.floats(-2.0, 2.0), span=st.floats(-3.0, 3.0), data=st.data())
+def test_one_pass_evaluation_is_scipys_bit_for_bit(law, V, d, t0, span,
+                                                   data):
+    # every kinetic law, potential kind, perturbation family and dimension,
+    # forward and backward in time: a trajectory evaluated in one pass
+    # equals SciPy's OdeSolution over the same interpolants, at random times
+    # in and beyond [t0, t1], at every step boundary, and time by time
+    pert = data.draw(perturbed_systems(d))
+    x = data.draw(vectors(d))
+    p = data.draw(vectors(d, st.floats(-1.0, 1.0)))
+    if (np.linalg.norm(x) < 0.5
+            or np.linalg.norm(p - vector_potential(pert, x)) < 0.1):
+        reject()
+    sys = HamiltonianSystem(law, V, pert, d)
+    z0, t1 = np.concatenate([x, p]), t0 + span
+    for end in (t1, t0):  # the solve, and one over the empty interval
+        try:
+            traj = flow.integrate(sys, z0, t0, end)
+        except RuntimeError:
+            continue  # a collision or a step-size failure
+        lo, hi = min(t0, end), max(t0, end)
+        times = data.draw(st.lists(st.floats(lo - 1.0, hi + 1.0),
+                                   min_size=1, max_size=40))
+        ts = np.concatenate([times, step_times(traj), [t0, end]])
+        y = traj(ts)
+        assert same_bits(y, traj._sol(ts).T)
+        for t, row in zip(ts, y):
+            one = traj(t)
+            assert same_bits(one, traj._sol(t)) and same_bits(one, row)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_radial_infall_collides_on_the_event_step(d):
     # L = 0, falling inward from r = 1 (p != 0, where the Hessian is

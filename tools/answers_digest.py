@@ -18,9 +18,9 @@ the same code and machine give the same bytes.  It has four parts:
   field along x1 at eps = 1e-2 on a 2 x 2 planar grid, at fixed period and
   at fixed energy (there seed 0 at fixed period fails at the target eps
   and takes the eps ladder, so a ladder change shows), with their
-  distances, trajectories at 37 times, Newton histories and rung starts,
-  the half-period condition and the reduced functional's gradient and
-  distance;
+  distances, trajectories at 37 times, Newton histories, Jacobian reuses,
+  contractions and rung starts, the half-period condition and the reduced
+  functional's gradient and distance;
 * ``demos``: the sha256 of every artifact that ``cforbits <command>
   --reproducible`` writes for each of ``demos/configs/*.json``, and for a
   ``continue_*`` config the per-seed fields ``SEED_FIELDS`` of its
@@ -65,8 +65,8 @@ DEMO_COMMANDS = {"orbit_": "orbit", "nondeg_": "nondeg",
 # that an older continuation.json lacks is left out
 SEED_FIELDS = ("accepted", "reason", "z0", "period", "residual",
                "distance_to_manifold", "newton_iters", "variational_solves",
-               "state_shots", "half_condition", "reduced_gradient",
-               "reduced_distance")
+               "jacobian_reuses", "state_shots", "half_condition",
+               "contractions", "reduced_gradient", "reduced_distance")
 
 
 def _hex(value):
@@ -156,9 +156,10 @@ def _result(r):
     out = {name: getattr(r, name) for name in (
         "accepted", "reason", "z0", "period", "eps", "residual",
         "energy_residual", "newton_iters", "seed_id", "distance",
-        "distance_element", "history", "variational_solves", "state_shots",
-        "rung_starts", "half_condition", "reduced_gradient",
-        "reduced_distance") if hasattr(r, name)}
+        "distance_element", "history", "variational_solves",
+        "jacobian_reuses", "state_shots", "rung_starts", "contractions",
+        "half_condition", "reduced_gradient", "reduced_distance")
+        if hasattr(r, name)}
     if r.trajectory is not None:
         out["trajectory"] = r.trajectory(_times(r.period))
     return out

@@ -16,9 +16,12 @@ change's wins (the pairs in which the change is better in the metric's
 direction; a tie counts for neither side) and whether the gain rule holds:
 the change wins at least 9 in 10 of the pairs, and its median is better
 than the parent's by more than the parent's interquartile range.
-``--pairs`` sets the number of pairs (10).  The tool only reads the
-checkouts; ``perfbench/run.py`` leaves its working files in each one's
-``.perfbench_out/``.
+``--pairs`` sets the number of pairs (10).  With ``--trace``, one more run
+per side with ``--trace 1`` follows the pairs, and the tool prints every
+per-layer count (a metric of unit "count") that differs between the two
+traced reports, so the counts stand next to the wall times.  The tool only
+reads the checkouts; ``perfbench/run.py`` leaves its working files in each
+one's ``.perfbench_out/``.
 """
 from __future__ import annotations
 
@@ -32,11 +35,12 @@ from pathlib import Path
 WIN_SHARE = 0.9
 
 
-def run_once(checkout, workload, seed, seconds):
-    """The end-to-end report of one untraced run from the checkout's root."""
+def run_once(checkout, workload, seed, seconds, trace=0):
+    """The report of one run from the checkout's root: end to end, or per
+    layer with ``trace`` 1."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     # run.py exits 0 only after printing a correct report as its last line
     report = (json.loads(done.stdout.strip().splitlines()[-1])
@@ -78,6 +82,20 @@ def format_rows(rows):
             f"{'holds' if r['gain'] else 'fails'}" for r in rows]
 
 
+def count_differences(parent, change):
+    """One line per per-layer count (unit "count") of two traced reports
+    whose values differ, or that one report lacks (value None)."""
+    names = [n for n, m in {**parent["metrics"], **change["metrics"]}.items()
+             if m["unit"] == "count"]
+    lines = []
+    for name in names:
+        a, b = (report["metrics"].get(name, {}).get("value")
+                for report in (parent, change))
+        if a != b:
+            lines.append(f"{name}: parent {a}, change {b}")
+    return lines
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
@@ -85,6 +103,8 @@ def main(argv=None):
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--trace", action="store_true",
+                   help="one traced run per side: print the counts that differ")
     args = p.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     sides = {"parent": [], "change": []}
@@ -94,12 +114,18 @@ def main(argv=None):
             for side in order:
                 sides[side].append(run_once(getattr(args, side), args.workload,
                                             args.seed, spec["run_seconds"]))
+        traced = [run_once(checkout, args.workload, args.seed,
+                           spec["run_seconds"], trace=1)
+                  for checkout in (args.parent, args.change) if args.trace]
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs")
     print("\n".join(format_rows(summarize(sides["parent"], sides["change"],
                                           spec["end_to_end"]))))
+    if traced:
+        print("\n".join(count_differences(*traced))
+              or "traced counts: all the same")
     return 0
 
 
