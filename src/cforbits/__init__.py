@@ -62,7 +62,6 @@ from .continuation import (
     continue_fixed_period,
     distance_to_manifold,
     distinct_results,
-    eps_path,
     multistart,
 )
 

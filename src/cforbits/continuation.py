@@ -14,9 +14,9 @@ about the axis normal to that line in its plane, and the field selects
 among the tilts, so the half-system is regular at eps != 0 only.
 
 Every continuation solves that half-period system, and a seed off Fix(R_a)
-comes back rejected unshot.  One Newton driver (``_continue``) runs it at
-the target eps straight from the seed and, when that fails, rung by rung
-along ``eps_path``, each rung from the previous rung's solution.  Each
+comes back rejected unshot.  One predictor-corrector loop in eps
+(``_continue``) follows the branch from the seed, each step corrected by
+Newton and halved where Newton does not contract (``THETA_MAX``).  Each
 residual comes from a state-only half-period shot at ``HALF_SHOT_TOL``,
 and the variational solve, for the Jacobian, runs only at a point a step
 leaves, solved only as accurately as the residual needs
@@ -51,7 +51,6 @@ from .orbit import ManifoldSample, reflect_apsis, rotate_plane
 __all__ = [
     "ShootingProblem",
     "ContinuationResult",
-    "eps_path",
     "continue_fixed_period",
     "continue_fixed_energy",
     "distance_to_manifold",
@@ -64,13 +63,14 @@ __all__ = [
 RESIDUAL_TOL = 1e-9
 ENERGY_TOL = 1e-10
 MAX_NEWTON = 25
-# the eps ladder starts at EPS_START and grows by EPS_FACTOR per rung
+# the smallest step in eps: a failed step halves until it would fall below it
 EPS_START = 1e-4
-EPS_FACTOR = math.sqrt(10.0)
-# the Newton driver stalls once its residual has not fallen by STALL_FACTOR
-# over its last STALL_STEPS accepted steps; converging paths fall far faster
-STALL_STEPS = 3
-STALL_FACTOR = 2.0
+# a step in eps is accepted where its Newton run converges and its first
+# trial contracts, Theta_0 = |J_0^-1 R(v_1)| / |J_0^-1 R(v_0)| < THETA_MAX
+# (Deuflhard, *Newton Methods for Nonlinear Problems*, Springer 2004,
+# ch. 5); the next step doubles after a Theta_0 below THETA_MAX / 2,
+# Deuflhard's target contraction, not a setting of its own
+THETA_MAX = 0.5
 # a seed lies on the fixed set of the reversor R_a, and is continued, when
 # |R_a z - z| <= FIX_TOL (1 + |z|)
 FIX_TOL = 1e-12
@@ -161,8 +161,8 @@ class ContinuationResult:
     # state-only half-period shots started: one per run of the driver (its
     # first shot) and one per trial shot
     state_shots: int = 0
-    # one (eps, first-shot residual) pair per run of the driver, the direct
-    # attempt first; the residual is inf when the shot failed
+    # one (eps, first-shot residual) pair per run of the driver, the first
+    # at the target eps; the residual is inf when the shot failed
     rung_starts: tuple = ()
     # the contraction Theta = |J^-1 R(v+)| / |dv| of each accepted trial, in
     # the order of ``history``: J the Jacobian the trial stepped with, dv its
@@ -179,24 +179,6 @@ class ContinuationResult:
     # order and the distance a ratio of errors
     reduced_gradient: float | None = None
     reduced_distance: float | None = None
-
-
-def eps_path(eps_target: float):
-    """Geometric epsilon ladder from EPS_START up to eps_target.
-
-    eps ranges over the reals without 0: a negative eps_target gets the
-    mirrored ladder -EPS_START, -EPS_FACTOR * EPS_START, ..., eps_target.
-    """
-    if eps_target == 0:
-        raise ValueError("eps_target must be nonzero")
-    size = abs(eps_target)
-    if size <= EPS_START:
-        return [eps_target]
-    path = [EPS_START]
-    while path[-1] * EPS_FACTOR < size * 0.999:
-        path.append(path[-1] * EPS_FACTOR)
-    path.append(size)
-    return [math.copysign(e, eps_target) for e in path]
 
 
 def _jacobian_tol(res):
@@ -224,9 +206,9 @@ def _failure(exc: IntegrationError) -> str:
 
 
 def _continue(problem: ShootingProblem):
-    """Newton on the half-period system of the reversor R_a, at the target
-    eps from the seed and, when that fails, along the eps ladder; then a
-    closing re-check.
+    """Follow the branch of the half-period system of the reversor R_a in
+    eps from the seed to the target eps, Newton correcting each step; then
+    a closing re-check.
 
     A seed off Fix(R_a), |R_a z - z| > ``FIX_TOL`` (1 + |z|), comes back
     rejected with no shot, no solve and no trial, its reason naming the
@@ -235,43 +217,39 @@ def _continue(problem: ShootingProblem):
     the R_a-odd coordinates of z(T/2) (and H(z0) - h); its shots run over
     [0, T/2] at ``HALF_SHOT_TOL``.
 
-    One Newton driver runs the system at one eps.  From its first shot it
-    runs trials: a plain Newton step (``np.linalg.solve``) from the point's
-    Jacobian, which the variational solve gives at each point a step
-    leaves (none at a point that converged), then a state-only shot at the
-    step's end, accepted when it lowers |R|.  Each accepted trial records
-    its contraction Theta = |J^-1 R(v+)| / |dv| in ``contractions``, J the
-    Jacobian it stepped with.  After a trial with a freshly solved J that
-    is not the run's first, accepted without converging, the next trial
-    reuses J instead of solving one when ``_reuse_jacobian(Theta, |R|)``
-    says so; a reused J serves that one trial, and a reused trial that does
-    not lower |R| is followed by a fresh Jacobian at the same point, so a
-    reused trial never ends a run.  A trial whose step takes T to a tenth
-    of the seed's or below (at fixed energy) is not shot.  Each
-    trial leaves one (eps, trial residual, accepted) entry in ``history``,
-    with residual inf when the trial was not shot, and each run one (eps,
-    first-shot residual) pair in ``rung_starts``.  The driver converges
-    when |R| <= ``RESIDUAL_TOL`` and, at fixed energy, the energy row is
-    within the re-check's ``ENERGY_TOL``.  It ends unconverged as
-    ``rejected step`` at the first trial with a fresh Jacobian that does
-    not lower |R|; as ``stagnation`` after ``MAX_NEWTON`` trials (one more
-    when the last reused its Jacobian), or as soon as an accepted trial
-    with a fresh Jacobian leaves |R| above 1/``STALL_FACTOR`` of what it
-    was ``STALL_STEPS`` accepted trials earlier (the first shot counting as
-    the start); as ``collision`` or ``integration failure`` when the first
-    shot or a variational solve ends early; and as ``singular Jacobian``
-    when a step cannot be solved for.
+    The loop starts at the seed, the branch point at eps = 0, with a step
+    to the target eps.  Each step runs Newton from the last branch point,
+    or once there are two, from the secant through the last two.  A step
+    whose run converges is a branch point, and the step doubles when the
+    run's first trial contracted by Theta_0 < ``THETA_MAX`` / 2.  A step
+    whose run fails halves, and the result is rejected once the step
+    would fall below ``EPS_START``.  Every eps tried is the last branch
+    point's plus target eps * 2^-j, clipped at the target.
 
-    The first run is at the target eps, from the seed.  If it ends
-    unconverged and ``eps_path`` has more than the one rung it ran, the
-    driver runs each rung in turn, the first from the seed and each other
-    from the previous rung's solution (with its period, at fixed energy);
-    the first run's trials stay in ``history``, ``contractions``,
-    ``state_shots``, ``variational_solves`` and ``jacobian_reuses``.  A
-    rung that ends unconverged ends the ladder.
+    One run of Newton, at one eps, runs trials from its first shot: a
+    plain Newton step from the point's Jacobian, which the variational
+    solve gives at each point a step leaves, then a state-only shot at the
+    step's end, accepted when it lowers |R|.  Each accepted trial records
+    its contraction Theta = |J^-1 R(v+)| / |dv| in ``contractions``.
+    After a trial with a freshly solved J that is not the run's first,
+    accepted without converging, the next trial reuses J when
+    ``_reuse_jacobian(Theta, |R|)`` says so, and a fresh J follows a
+    reused trial that does not lower |R|.  A trial whose step takes T to a
+    tenth of the seed's or below (at fixed energy) is not shot.  Each
+    trial leaves one (eps, trial residual, accepted) entry in ``history``,
+    residual inf when unshot, and each run one (eps, first-shot residual)
+    pair in ``rung_starts``.  A run converges when |R| <= ``RESIDUAL_TOL``
+    and, at fixed energy, the energy row is within ``ENERGY_TOL``.  It
+    fails as ``no contraction`` when its first trial has Theta_0 >=
+    ``THETA_MAX`` without converging; as ``rejected step`` at the first
+    trial with a fresh J that does not lower |R|; as ``stagnation`` after
+    ``MAX_NEWTON`` trials (one more when the last reused J); as
+    ``collision`` or ``integration failure`` when the first shot or a
+    variational solve ends early; and as ``singular Jacobian`` when a step
+    cannot be solved for.
 
     Never raises on a failed run: it ends in a rejected result whose
-    ``reason`` is the driver's word at the run's eps, and whose
+    ``reason`` is the last run's failure word at its eps, and whose
     ``residual`` and ``newton_iters`` are the last ones reached (residual
     inf when the run's first shot failed, the residual of its point when a
     variational solve did).
@@ -346,7 +324,6 @@ def _continue(problem: ShootingProblem):
             return v, np.inf, _failure(exc)
         res = np.linalg.norm(R)
         starts.append((eps, float(res)))
-        steps = [res]  # |R| at the first shot and each accepted trial
         jac = None  # the Jacobian the next trial reuses, if any
         solved = trials = 0  # Jacobians solved and trials of this run
         reused = False  # whether the last trial reused its Jacobian
@@ -384,15 +361,13 @@ def _continue(problem: ShootingProblem):
             theta = float(np.linalg.norm(np.linalg.solve(jac, R2))
                           / np.linalg.norm(dv))
             contractions.append(theta)
+            if (trials == 1 and theta >= THETA_MAX
+                    and not converged(R2, res2)):
+                return v, res, "no contraction"
             v, R, end, res = v_try, R2, end2, res2
-            steps.append(res)
             if (reused or solved == 1 or converged(R, res)
                     or not _reuse_jacobian(theta, res)):
                 jac = None
-            if (not reused and not converged(R, res)
-                    and len(steps) > STALL_STEPS
-                    and res > steps[-1 - STALL_STEPS] / STALL_FACTOR):
-                return v, res, "stagnation"
         return v, res, None
 
     def result(ok, reason, v, res, en=np.inf, traj=None):
@@ -406,17 +381,32 @@ def _continue(problem: ShootingProblem):
             contractions=tuple(contractions), half_condition=cond)
 
     cond = None  # of the last Jacobian of the run that converged
-    seed = np.append(Be @ z0, problem.T) if fe else Be @ z0
-    v, res, why = newton(problem.sys, seed)
-    rungs = eps_path(target_eps)
-    if why is not None and len(rungs) > 1:
-        v = seed
-        for eps in rungs:
-            v, res, why = newton(problem.sys.with_eps(eps), v)
-            if why is not None:
-                break
-    if why is not None:
-        return result(False, f"{why} at eps={starts[-1][0]:g}", v, res)
+    # branch points (s, v) at eps = s * target_eps, the seed at s = 0; every
+    # s is dyadic, so no eps tried depends on rounding, and a negative
+    # target_eps mirrors the positive one bit for bit
+    branch = [(0.0, np.append(Be @ z0, problem.T) if fe else Be @ z0)]
+    ds = 1.0  # the next step in s
+    while True:
+        s0, v0 = branch[-1]
+        s = min(s0 + ds, 1.0)
+        guess = v0
+        if len(branch) > 1:  # the secant through the last two points
+            s1, v1 = branch[-2]
+            guess = v0 + (s - s0) / (s0 - s1) * (v0 - v1)
+        first = len(contractions)  # where the run's Theta_0 goes
+        v, res, why = newton(problem.sys.with_eps(s * target_eps), guess)
+        if why is not None:
+            ds = 0.5 * (s - s0)
+            if ds * abs(target_eps) < EPS_START:
+                return result(False, f"{why} at eps={starts[-1][0]:g}", v,
+                              res)
+        elif s < 1.0:
+            branch.append((s, v))
+            grow = (len(contractions) == first
+                    or contractions[first] < 0.5 * THETA_MAX)
+            ds = (2.0 if grow else 1.0) * (s - s0)
+        else:
+            break
     if half_jac is not None:
         cond = float(np.linalg.cond(half_jac))
     # closure re-check by a plain dense-output integration at the target

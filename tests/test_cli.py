@@ -598,8 +598,8 @@ class TestContinueCommand:
 
     def test_rung_starts_per_seed(self, tmp_path):
         # the apogee on x1 in a constant field along x1 at eps = 1e-2: the
-        # direct attempt fails, and the seed is continued along the eps
-        # ladder, one (eps, first-shot residual) pair per run
+        # direct run fails, and the seed is continued in smaller steps, one
+        # (eps, first-shot residual) pair per run
         cfg = {
             "schema_version": 1,
             "potential": {"kind": "homogeneous", "alpha": 0.5},
@@ -618,7 +618,7 @@ class TestContinueCommand:
         assert r["accepted"]
         rungs = [eps for eps, _ in r["rung_starts"]]
         assert rungs == pytest.approx(
-            [1e-2, 1e-4, 10**-3.5, 1e-3, 10**-2.5, 1e-2], rel=1e-12)
+            [1e-2, 5e-3, 2.5e-3, 1.25e-3, 3.75e-3, 8.75e-3, 1e-2], rel=1e-12)
         assert {eps for eps, *_ in r["history"]} <= set(rungs)
         assert all(res >= 0.0 for _, res in r["rung_starts"])
         check_seed_records(payload)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -8,15 +9,12 @@ from scipy.spatial.transform import Rotation
 
 from cforbits import continuation, flow
 from cforbits.continuation import (
-    STALL_FACTOR,
-    STALL_STEPS,
     ContinuationResult,
     ShootingProblem,
     continue_fixed_energy,
     continue_fixed_period,
     distance_to_manifold,
     distinct_results,
-    eps_path,
     multistart,
 )
 from cforbits.errors import CollisionError, IntegrationError
@@ -61,35 +59,30 @@ def electric_system(orbit, eps, profile="cosine"):
     return HamiltonianSystem(CLASSICAL, ALPHA_HALF, pert, 2)
 
 
-def ladder_problem(orbit, mode="fixed_period"):
-    """A seed in a constant field along x1 at eps = 1e-2 whose direct
-    attempt fails, so that the eps ladder continues it: the apogee on x1 at
-    fixed period, the perigee (r_min, L/r_min) on x1 at fixed energy."""
+# the seeds at eps = 1e-2 whose direct run fails, so that the loop continues
+# them in smaller steps, with the eps of each run as fractions of 1e-2: in a
+# constant field along x1, the apogee on x1 at fixed period and the perigee
+# (r_min, L/r_min) on x1 at fixed energy; in the resonant cosine field along
+# x1 at fixed period, the perigees on +x1 and -x1
+LADDER_STEPS = {
+    "fixed_period": (1.0, 0.5, 0.25, 0.125, 0.375, 0.875, 1.0),
+    "fixed_energy": (1.0, 0.5, 1.0),
+    "cosine perigee +x1": (1.0, 0.5, 1.0),
+    "cosine perigee -x1": (1.0, 0.5, 1.0),
+}
+
+
+def ladder_problem(orbit, case):
+    """The seed ``case`` of ``LADDER_STEPS``."""
     p = orbit.profile
-    seed = (orbit.z0 if mode == "fixed_period"
-            else np.array([p.r_min, 0.0, 0.0, p.L / p.r_min]))
+    perigee = np.array([p.r_min, 0.0, 0.0, p.L / p.r_min])
+    if case.startswith("cosine"):
+        sign = 1.0 if case.endswith("+x1") else -1.0
+        return ShootingProblem(electric_system(orbit, 1e-2), "fixed_period",
+                               sign * perigee, orbit.T)
+    seed = orbit.z0 if case == "fixed_period" else perigee
     return ShootingProblem(electric_system(orbit, 1e-2, profile="constant"),
-                           mode, seed, orbit.T, h=p.h)
-
-
-class TestEpsPath:
-    def test_geometric_ladder(self):
-        path = eps_path(1e-3)
-        assert path[0] == pytest.approx(1e-4)
-        assert path[-1] == pytest.approx(1e-3)
-        for a, b in zip(path, path[1:]):
-            assert b / a <= math.sqrt(10.0) * 1.001
-
-    def test_small_target_single_rung(self):
-        assert eps_path(5e-5) == [5e-5]
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            eps_path(0.0)
-
-    def test_negative_target_mirrors_the_ladder(self):
-        assert eps_path(-1e-3) == [-e for e in eps_path(1e-3)]
-        assert eps_path(-5e-5) == [-5e-5]
+                           case, seed, orbit.T, h=p.h)
 
 
 class TestShootingProblemValidation:
@@ -178,8 +171,8 @@ def failing_half_shot(call, nth, halves, T):
 
 
 class TestFailureContract:
-    # at eps = 1e-4 the eps ladder is the one rung the direct attempt runs,
-    # so the attempt's failure ends the continuation
+    # at eps = 1e-4 = EPS_START the direct run is the loop's one step: half
+    # of it is below EPS_START, so the run's failure ends the continuation
 
     @pytest.mark.parametrize("error, word", [
         (CollisionError, "collision"),
@@ -274,8 +267,9 @@ class TestFailureContract:
 class TestStallExit:
     def test_stalled_seed_is_rejected_early(self, orbit, monkeypatch):
         # every Jacobian ten times too large: each step goes a tenth of the
-        # way, the residual falls by about a tenth per step, and the run
-        # stalls after STALL_STEPS accepted steps, long before MAX_NEWTON
+        # way, so the first trial lowers |R| but contracts by Theta_0 = 0.9,
+        # and the run ends there; half its step is below EPS_START, so the
+        # continuation ends too, after one trial
         def tenfold(*args, **kwargs):
             z, W = flow.integrate_with_variational(*args, **kwargs)
             return z, 10.0 * W
@@ -287,30 +281,44 @@ class TestStallExit:
                                T=orbit.T)
         res = continue_fixed_period(prob)
         assert not res.accepted
-        assert res.reason.startswith("stagnation")
-        assert res.newton_iters <= 15
-        assert len(res.history) == res.newton_iters
+        assert res.reason == "no contraction at eps=0.0001"
+        assert res.newton_iters == len(res.history) == 1
+        assert res.history[0][2]
+        (theta,) = res.contractions
+        assert continuation.THETA_MAX <= theta < 1.0
         ((_, first),) = res.rung_starts
-        steps = [first] + [r for e, r, ok in res.history if ok]
-        assert len(steps) > STALL_STEPS
-        assert steps[-1] == res.residual
-        assert steps[-1] > steps[-1 - STALL_STEPS] / STALL_FACTOR
+        assert res.residual == first
+        assert np.array_equal(res.z0, orbit.z0)
 
-    def test_converging_path_is_unchanged(self, orbit, monkeypatch):
-        # reference path: the same solve with the stall exit out of reach,
-        # on the eps ladder
-        prob = ladder_problem(orbit)
-        fast = continue_fixed_period(prob)
-        monkeypatch.setattr(continuation, "STALL_STEPS", 10**9)
-        ref = continue_fixed_period(prob)
-        assert fast.accepted and ref.accepted
-        assert len(fast.rung_starts) > 1
-        assert np.array_equal(fast.z0, ref.z0)
-        assert fast.period == ref.period
-        assert fast.residual == ref.residual
-        assert fast.newton_iters == ref.newton_iters
-        assert fast.history == ref.history
-        assert fast.rung_starts == ref.rung_starts
+    def test_converging_path_is_unchanged(self, orbit, problems,
+                                          larmor_orbits, monkeypatch):
+        # the reference path of the loop: THETA_MAX = inf, where no run ends
+        # for its contraction.  A seed whose direct run converges with
+        # Theta_0 < THETA_MAX takes it under both, to the last bit: the
+        # problems of ``problems``, the Larmor apogee seeds at 1e-4 and 1e-3
+        # and the apsis seeds of the 2 x 2 grid in a constant field at 1e-3
+        samples = manifold_samples(orbit, 2, 2, group="planar")
+        constant = electric_system(orbit, 1e-3, profile="constant")
+        cases = ([p for p, _ in problems]
+                 + [larmor_problem(larmor_orbits, name, mode, eps, 0)
+                    for name, mode, eps in LARMOR_APOGEE if eps < 1e-2]
+                 + [ShootingProblem(constant, mode, samples.states[i], orbit.T,
+                                    h=orbit.profile.h)
+                    for mode in ("fixed_period", "fixed_energy")
+                    for i in (0, 2)])
+        fast = [continuation._continue(p) for p in cases]
+        monkeypatch.setattr(continuation, "THETA_MAX", math.inf)
+        ref = [continuation._continue(p) for p in cases]
+        assert sum(f.accepted for f in fast) == len(cases) - 2
+        for f, r in zip(fast, ref):
+            assert len(f.rung_starts) == (1 if f.accepted else 0)
+            assert np.array_equal(f.z0, r.z0)
+            for name in ("accepted", "reason", "period", "eps", "residual",
+                         "energy_residual", "newton_iters", "history",
+                         "variational_solves", "jacobian_reuses",
+                         "state_shots", "rung_starts", "contractions",
+                         "half_condition"):
+                assert getattr(f, name) == getattr(r, name), name
 
     @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
     def test_history_has_one_entry_per_trial(self, orbit, mode, monkeypatch):
@@ -390,10 +398,9 @@ def symmetric_results(symmetric_problems):
 
 @pytest.fixture(scope="module")
 def ladder_cases(orbit):
-    """(problem, samples) of the ladder problem in both modes."""
+    """(problem, samples) of the seeds of ``LADDER_STEPS``, in its order."""
     planar = manifold_samples(orbit, 6, 6, group="planar")
-    return [(ladder_problem(orbit, mode), planar)
-            for mode in ("fixed_period", "fixed_energy")]
+    return [(ladder_problem(orbit, case), planar) for case in LADDER_STEPS]
 
 
 @pytest.fixture(scope="module")
@@ -405,7 +412,7 @@ def ladder_results(ladder_cases):
 def deferred_and_reference(symmetric_problems, symmetric_results,
                            ladder_cases, ladder_results):
     """(result, reference result) for the planar problems of
-    ``symmetric_problems`` and the fixed-period ladder problem, the
+    ``symmetric_problems`` and the first seed of ``LADDER_STEPS``, the
     reference shooting every trial through the variational solve."""
     cases = symmetric_problems[:3] + ladder_cases[:1]
     with pytest.MonkeyPatch.context() as mp:
@@ -461,9 +468,9 @@ def _exact_jacobian_tol(res):
 
 @pytest.fixture(scope="module")
 def exact_jacobian_results(problems, ladder_cases):
-    """With every Jacobian solved at DEFAULT_TOL: the ladder problem in both
-    modes, then the 2 x 2 fixed-period grid (seeds 0 and 2 continued, 1 and
-    3 off the fixed set)."""
+    """With every Jacobian solved at DEFAULT_TOL: the seeds of
+    ``LADDER_STEPS``, then the 2 x 2 fixed-period grid (seeds 0 and 2
+    continued, 1 and 3 off the fixed set)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "_jacobian_tol", _exact_jacobian_tol)
         return _run(ladder_cases), _run(problems[:4])
@@ -471,7 +478,8 @@ def exact_jacobian_results(problems, ladder_cases):
 
 class TestInexactJacobian:
     # TestInexactHalfPeriodJacobian compares direct runs; these compare the
-    # eps ladder's runs, and a grid with seeds off the fixed set
+    # runs of the seeds whose direct run fails, and a grid with seeds off
+    # the fixed set
 
     @staticmethod
     def assert_same_answer(fast, ref):
@@ -504,7 +512,7 @@ class TestInexactJacobian:
 
 
 def assert_mirrored(neg, pos):
-    """neg takes the runs and trials of pos on the mirrored ladder, to the
+    """neg takes the runs and trials of pos at the mirrored eps, to the
     same solution.  Its reversor's angle is pos's turned by pi, whose frame
     differs by rounding, so the solutions agree to rounding, not bit for
     bit."""
@@ -531,7 +539,7 @@ class TestSignedEps:
                                                 eps):
         # eps ranges over the reals without 0, and (-eps) e and eps (-e) are
         # the same field to the last bit, so both continuations take the
-        # same runs, on the mirrored ladder where the direct attempt fails
+        # same runs at the mirrored eps, also where the direct run fails
         # (the field along +x1 at 1e-2)
         T_forcing = orbit.T if profile == "cosine" else math.inf
         results = []
@@ -545,8 +553,8 @@ class TestSignedEps:
                            else continue_fixed_energy(prob))
         assert results[0].accepted, results[0].reason
         starts = [e for e, _ in results[0].rung_starts]
-        assert starts == ([-eps] + [-e for e in eps_path(eps)] if eps < 0
-                          else [-eps])
+        assert starts == [-eps * s for s in (
+            LADDER_STEPS["fixed_period"] if eps < 0 else (1.0,))]
         assert_mirrored(*results)
 
 
@@ -987,52 +995,63 @@ class TestSymmetricPath:
             sym = symmetric_results[SYMMETRIC.index(i)]
             assert 1.5 <= sym.distance / res.distance <= 3.0
 
-    @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
+    @pytest.mark.parametrize("case", list(LADDER_STEPS))
     def test_failed_direct_attempt_continues_on_the_ladder(
-            self, ladder_results, mode):
-        # an apsis on x1 in a constant field along x1 at eps = 1e-2 (the
-        # apogee at fixed period, the perigee at fixed energy): the direct
-        # attempt fails; the seed is then continued on the half-period
-        # system from 1e-4 to 1e-2, each rung from the previous rung's
-        # solution, with its period at fixed energy
-        r = ladder_results[mode == "fixed_energy"]
+            self, orbit, ladder_results, case):
+        # the direct run at eps = 1e-2 fails; the loop halves its step until
+        # a run from the seed converges, then runs on from the branch points
+        # it reached, each from the secant through the last two, doubling
+        # its step after a run whose first trial contracts by less than
+        # THETA_MAX / 2
+        r = ladder_results[list(LADDER_STEPS).index(case)]
         assert r.accepted, r.reason
-        assert r.eps == 1e-2 and r.residual <= continuation.RESIDUAL_TOL
-        assert r.distance <= 0.1
-        rungs = eps_path(1e-2)
-        assert rungs[0] == 1e-4 and rungs[-1] == 1e-2 and len(rungs) == 5
-        assert [e for e, _ in r.rung_starts] == [1e-2] + rungs
-        # the direct attempt ends at a rejected step, then the rungs run in
-        # turn
-        tried = r.history.index(next(e for e in r.history if e[0] != 1e-2))
-        assert tried >= 1 and not r.history[tried - 1][2]
-        assert all(e[0] == 1e-2 for e in r.history[:tried])
-        rest = [e for e, *_ in r.history[tried:]]
-        assert rest == sorted(rest) and set(rest) <= set(rungs)
-        # each rung starts closer than the seed is at the target
+        assert r.eps == 1e-2 and r.distance <= 0.1
+        # the re-check from a perigee in the cosine field closes to 1.1e-9
+        # (+x1) and 4.1e-9 (-x1), the integrator's error at perigee, within
+        # the re-check's bound 10 RESIDUAL_TOL
+        if not case.startswith("cosine"):
+            assert r.residual <= continuation.RESIDUAL_TOL
+        rungs = [e for e, _ in r.rung_starts]
+        assert rungs == [1e-2 * s for s in LADDER_STEPS[case]]
+        # each run's trials at its eps, run after run
+        assert [e for e, _ in groupby(e for e, *_ in r.history)] == rungs
+        # each run starts closer than the seed is at the target
         assert all(first < r.rung_starts[0][1] for _, first in r.rung_starts[1:])
         assert (r.variational_solves + r.jacobian_reuses
                 == r.newton_iters == len(r.history))
         assert r.half_condition >= 1.0
+        if case.startswith("cosine"):
+            # for odd n, half a period from a perigee on x1 ends at an apogee
+            # on x1: the perigee solution on +x1 is the state at T/2 of the
+            # apogee solution at -1e-2, and the one on -x1 that of the
+            # apogee solution at +1e-2 turned by pi (measured 1.9e-10 and
+            # 1.2e-10)
+            eps = 1e-2 if case.endswith("-x1") else -1e-2
+            apogee = continue_fixed_period(ShootingProblem(
+                electric_system(orbit, eps), "fixed_period", orbit.z0,
+                orbit.T))
+            assert apogee.accepted
+            half = math.copysign(1.0, -eps) * apogee.trajectory(0.5 * orbit.T)
+            assert np.max(np.abs(r.z0 - half)) <= 1e-9
 
     @pytest.mark.parametrize("i, failure", [
         (0, "first solve"), (4, "first solve"), (0, "later solve"),
         (4, "later solve"), (0, "seed shot"), (4, "seed shot"),
         (0, "trial shot"), (4, "trial shot"), (4, "MAX_NEWTON"),
-        (0, "stall"), (4, "stall")])
+        (0, "no contraction"), (4, "no contraction")])
     def test_failed_attempt_falls_back_to_the_ladder(
             self, problems, i, failure, monkeypatch):
-        # a direct attempt that fails in any way is followed by the eps
-        # ladder from the seed, which runs as it does after an attempt whose
-        # seed shot fails (the reference, run under the same patches)
+        # a step that fails in any way halves, and the loop runs on from the
+        # last branch point, here the seed: after a direct run at 1e-3 that
+        # fails, it runs as it does after a direct run whose seed shot fails
+        # (the reference, run under the same patches)
         p, samples = problems[i]
         if failure == "MAX_NEWTON":
-            # one step is not enough at eps = 1e-3 (nor on the ladder)
+            # one step is not enough at eps = 1e-3, nor at any smaller eps
             monkeypatch.setattr(continuation, "MAX_NEWTON", 1)
-        elif failure == "stall":
-            # the first accepted step that does not converge stalls
-            monkeypatch.setattr(continuation, "STALL_STEPS", 1)
-            monkeypatch.setattr(continuation, "STALL_FACTOR", 1e30)
+        elif failure == "no contraction":
+            # no first trial contracts enough, unless it converges
+            monkeypatch.setattr(continuation, "THETA_MAX", 0.0)
         runs = []
         for kind in (failure, "seed shot"):
             name, call = (("integrate_with_variational",
@@ -1040,7 +1059,7 @@ class TestSymmetricPath:
                           if "solve" in kind else ("endpoint", flow.endpoint))
             nth = 2 if kind in ("later solve", "trial shot") else 1
             with monkeypatch.context() as mp:
-                if kind not in ("MAX_NEWTON", "stall"):
+                if kind not in ("MAX_NEWTON", "no contraction"):
                     mp.setattr(continuation, name,
                                failing_half_shot(call, nth, [], p.T))
                 runs.append(_run([(p, samples)])[0])
@@ -1052,8 +1071,13 @@ class TestSymmetricPath:
         assert res.accepted == ref.accepted
         assert res.half_condition == ref.half_condition
         assert res.rung_starts[1:] == ref.rung_starts[1:]
-        assert [e for e, _ in res.rung_starts] == [1e-3] + eps_path(1e-3)[
-            :len(res.rung_starts) - 1]
+        # half the step, from the seed, converges and doubles its step back
+        # to the target; where no step converges, they halve down to
+        # EPS_START
+        halving = failure in ("MAX_NEWTON", "no contraction")
+        assert [e for e, _ in res.rung_starts] == (
+            [1e-3, 5e-4, 2.5e-4, 1.25e-4] if halving else [1e-3, 5e-4, 1e-3])
+        assert res.accepted != halving
         # the failed attempt stays in the history and the counts: a shot at
         # the seed and one per step, a variational solve per point stepped
         # from
@@ -1064,7 +1088,7 @@ class TestSymmetricPath:
                 res.state_shots - ref.state_shots) == {
             "first solve": (0, 1, 0), "later solve": (1, 2, 1),
             "seed shot": (0, 0, 0), "trial shot": (1, 1, 1),
-            "MAX_NEWTON": (1, 1, 1), "stall": (1, 1, 1)}[failure]
+            "MAX_NEWTON": (1, 1, 1), "no contraction": (1, 1, 1)}[failure]
         if failure == "trial shot":
             assert res.history[0][1:] == (math.inf, False)
 
@@ -1072,17 +1096,40 @@ class TestSymmetricPath:
     def test_harmonic_half_system_falls_back(self, mode):
         # the harmonic oscillator is degenerate: its half-system is
         # singular at eps = 0, and Newton from the seed raises the residual
-        # at its first step, at the target eps and on the first rung alike
+        # at its first step, at the target eps and at every half of it down
+        # to EPS_START
         prob = harmonic_problem(mode)
         assert _on_fix(prob)
         res = continuation._continue(prob)
         assert not res.accepted
-        assert res.reason == "rejected step at eps=0.0001"
-        assert [e for e, _ in res.rung_starts] == [1e-3, 1e-4]
-        assert [(e, ok) for e, _, ok in res.history] == [(1e-3, False),
-                                                         (1e-4, False)]
+        assert res.reason == "rejected step at eps=0.000125"
+        rungs = [1e-3, 5e-4, 2.5e-4, 1.25e-4]
+        assert [e for e, _ in res.rung_starts] == rungs
+        assert [(e, ok) for e, _, ok in res.history] == [
+            (e, False) for e in rungs]
         assert res.half_condition is None
         assert np.array_equal(res.z0, prob.seed)
+
+    def test_direct_run_to_another_family_is_refused(
+            self, constant_field_cases):
+        # the apogee seed 0 of the 2 x 2 grid in a constant field along x1
+        # at eps = 1e-2, fixed energy: Newton straight from the seed lands
+        # on an orbit of another family (period 10.83, the base orbit's
+        # 13.96, at distance 1.45 from the manifold), which closes and keeps
+        # its energy.  Its first trial contracts by Theta_0 = 10.3, so the
+        # run ends there, and the loop follows the seed's own branch
+        p, samples = constant_field_cases[1]
+        assert p.mode == "fixed_energy"
+        assert np.array_equal(p.seed, samples.states[0])
+        r = _run([(p, samples)])[0]
+        assert r.accepted, r.reason
+        assert r.distance <= 0.1
+        assert abs(r.period - p.T) <= 0.01
+        # the direct run's one trial lowered |R| without converging
+        assert r.rung_starts[0][0] == r.history[0][0] == 1e-2
+        assert r.rung_starts[1][0] == r.history[1][0] == 5e-3
+        assert r.history[0][2] and r.history[0][1] > continuation.RESIDUAL_TOL
+        assert r.contractions[0] >= continuation.THETA_MAX
 
     def test_harmonic_fixed_energy_converges_on_the_half_system(self):
         # at fixed energy Newton on the degenerate half-system converges
@@ -1195,24 +1242,30 @@ def larmor_problem(orbits, name, mode, eps, seed):
     return ShootingProblem(sys, mode, z, orb.T, h=orb.profile.h)
 
 
+def assert_direct_when_contracting(r):
+    """r converged in its direct run exactly when that run's first trial
+    contracted, Theta_0 < THETA_MAX (inf when it did not lower |R|)."""
+    theta = r.contractions[0] if r.history[0][2] else math.inf
+    assert (len(r.rung_starts) == 1) == (theta < continuation.THETA_MAX)
+
+
 def _larmor_run(orbits, name, mode, eps, seed):
     """The continuation of a Larmor problem, or None where it is rejected
     as expected: on the Levi-Civita 7:6 orbit from perigee, Newton
     converges on the half-period system, but the re-check's closure from
-    perigee, 1.6e-8 to 2.0e-8, misses its bound 1e-8: the integrator's
+    perigee, 1.2e-8 to 2.0e-8, misses its bound 1e-8: the integrator's
     error at perigee.  At eps = 1e-4 a tol-1e-14 integration closes the
     same solution to 2.6e-10 from perigee and to 2.1e-11 to 2.2e-11 from
     T/4."""
     prob = larmor_problem(orbits, name, mode, eps, seed)
     orb, sys = orbits[name], prob.sys
     res = continuation._continue(prob)
+    assert_direct_when_contracting(res)
     if (name, seed) == ("levi_civita", 1):
         assert not res.accepted
         assert res.reason.startswith("re-check failed: closure ")
-        assert len(res.rung_starts) == 1
         return None
     assert res.accepted, res.reason
-    assert len(res.rung_starts) == 1
     V, k, n, _ = LARMOR_ORBITS[name]
     return orb, sys, res, V, k, n
 
@@ -1220,9 +1273,9 @@ def _larmor_run(orbits, name, mode, eps, seed):
 class TestLarmorReference:
     @pytest.mark.parametrize("name, eps, seed", [
         ("alpha_05", 1e-4, 0), ("alpha_05", 1e-3, 0), ("alpha_05", 1e-2, 0),
-        ("alpha_05", 1e-4, 1), ("levi_civita", 1e-4, 0),
+        ("alpha_05", 1e-4, 1), ("alpha_05", 1e-2, 1), ("levi_civita", 1e-4, 0),
         ("levi_civita", 1e-3, 0), ("levi_civita", 1e-2, 0),
-        ("levi_civita", 1e-4, 1),
+        ("levi_civita", 1e-4, 1), ("levi_civita", 1e-2, 1),
     ])
     def test_fixed_energy_period(self, larmor_orbits, name, eps, seed):
         run = _larmor_run(larmor_orbits, name, "fixed_energy", eps, seed)
@@ -1243,8 +1296,9 @@ class TestLarmorReference:
 
     @pytest.mark.parametrize("name, eps, seed", [
         ("alpha_05", 1e-4, 0), ("alpha_05", 1e-3, 0), ("alpha_05", 1e-4, 1),
-        ("levi_civita", 1e-4, 0), ("levi_civita", 1e-3, 0),
-        ("levi_civita", 1e-4, 1),
+        ("alpha_05", 1e-2, 1), ("levi_civita", 1e-4, 0),
+        ("levi_civita", 1e-3, 0), ("levi_civita", 1e-4, 1),
+        ("levi_civita", 1e-2, 1),
     ])
     def test_fixed_period_energy(self, larmor_orbits, name, eps, seed):
         run = _larmor_run(larmor_orbits, name, "fixed_period", eps, seed)
@@ -1301,7 +1355,9 @@ class TestInexactHalfPeriodJacobian:
         # symmetric solutions are isolated on Fix(R_a): z0 is compared
         # pointwise
         for fast, ref in symmetric_and_exact_jacobian:
-            assert len(fast.rung_starts) == len(ref.rung_starts) == 1
+            assert_direct_when_contracting(fast)
+            assert [e for e, _ in fast.rung_starts] == [
+                e for e, _ in ref.rung_starts]
             assert fast.accepted and ref.accepted
             assert fast.newton_iters == ref.newton_iters
             assert fast.variational_solves == ref.variational_solves
@@ -1333,7 +1389,7 @@ def constant_field_cases(orbit):
     """(problem, samples) of the answers digest's constant-field seeds: the
     apsis seeds 0 and 2 of the 2 x 2 planar grid in a constant field along
     x1 at eps = 1e-2, in both modes, but for seed 0 at fixed period, which
-    is the ladder problem."""
+    is the first seed of ``LADDER_STEPS``."""
     samples = manifold_samples(orbit, 2, 2, group="planar")
     sys = electric_system(orbit, 1e-2, profile="constant")
     return [(ShootingProblem(sys, mode, samples.states[i], orbit.T,
@@ -1346,9 +1402,9 @@ def constant_field_cases(orbit):
 def reused_and_reference(symmetric_problems, symmetric_results, ladder_cases,
                          ladder_results, constant_field_cases,
                          symmetric_and_exact_jacobian, larmor_orbits):
-    """(result, reference result) for the symmetric and ladder problems,
-    the digest's constant-field seeds and the Larmor seeds, the reference
-    solving a fresh Jacobian at every trial."""
+    """(result, reference result) for the symmetric and ``LADDER_STEPS``
+    problems, the digest's constant-field seeds and the Larmor seeds, the
+    reference solving a fresh Jacobian at every trial."""
     distanced = symmetric_problems + ladder_cases + constant_field_cases
     apogee = [larmor_problem(larmor_orbits, name, mode, eps, 0)
               for name, mode, eps in LARMOR_APOGEE]
@@ -1381,7 +1437,7 @@ class TestJacobianReuse:
             if ref.distance is not None:
                 assert fast.distance == pytest.approx(
                     ref.distance, rel=REUSE_DISTANCE_TOL)
-        # the spatial problem and the ladder reuse
+        # the spatial problem and runs at eps = 1e-2 reuse
         assert sum(f.jacobian_reuses for f, _ in reused_and_reference) >= 5
 
     def test_fires_on_the_spatial_problem_and_not_the_grid(

@@ -14,11 +14,13 @@ the same code and machine give the same bytes.  It has four parts:
   determinants, or the error it raised;
 * ``pool``: ``cross_check`` on the 13 rows of the ``nondeg_table`` pool;
 * ``continuation``: the ``multistart_fp`` and ``spatial_fe`` results at
-  seed 0, and ``multistart`` on the benchmark's 4:5 orbit in a constant
-  field along x1 at eps = 1e-2 on a 2 x 2 planar grid, at fixed period and
-  at fixed energy (there seed 0 at fixed period fails at the target eps
-  and takes the eps ladder, so a ladder change shows), with their
-  distances, trajectories at 37 times, Newton histories, Jacobian reuses,
+  seed 0, ``multistart`` on the benchmark's 4:5 orbit in a constant field
+  along x1 at eps = 1e-2 on a 2 x 2 planar grid, at fixed period and at
+  fixed energy, and the perigees on +x1 and -x1 of that orbit in the
+  resonant cosine field along x1 at eps = 1e-2, at fixed period (seed 0 of
+  the grid in both modes and both perigees fail at the target eps and are
+  continued in smaller steps, so a change of the step control shows), with
+  their distances, trajectories at 37 times, Newton histories, Jacobian reuses,
   contractions and rung starts, the half-period condition and the reduced
   functional's gradient and distance;
 * ``demos``: the sha256 of every artifact that ``cforbits <command>
@@ -200,9 +202,28 @@ def _constant_field():
     return out
 
 
+def _cosine_perigees():
+    orbit = workloads.base_orbit(2)
+    samples = cf.manifold_samples(orbit, 2, 2, group="planar")
+    pert = cf.Perturbation.uniform_electric(
+        (1.0, 0.0), 1e-2, profile="cosine", T_forcing=orbit.T)
+    system = cf.HamiltonianSystem(orbit.law, orbit.potential, pert, 2)
+    p = orbit.profile
+    out = {}
+    for side in (1.0, -1.0):
+        seed = side * np.array([p.r_min, 0.0, 0.0, p.L / p.r_min])
+        r = cf.continue_fixed_period(
+            cf.ShootingProblem(system, "fixed_period", seed, orbit.T))
+        if r.accepted:
+            r = cf.distance_to_manifold(r, samples)
+        out[f"cosine field perigee {'+' if side > 0 else '-'}x1"] = _result(r)
+    return out
+
+
 def continuation(limit):
     out = {}
-    for run in (_multistart, _spatial, _constant_field)[:limit]:
+    for run in (_multistart, _spatial, _constant_field,
+                _cosine_perigees)[:limit]:
         out.update(run())
     return out
 
