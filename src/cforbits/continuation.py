@@ -230,23 +230,19 @@ def _continue(problem: ShootingProblem):
     plain Newton step from the point's Jacobian, which the variational
     solve gives at each point a step leaves, then a state-only shot at the
     step's end, accepted when it lowers |R|.  Each accepted trial records
-    its contraction Theta = |J^-1 R(v+)| / |dv| in ``contractions``.
-    After a trial with a freshly solved J that is not the run's first,
-    accepted without converging, the next trial reuses J when
-    ``_reuse_jacobian(Theta, |R|)`` says so, and a fresh J follows a
-    reused trial that does not lower |R|.  A trial whose step takes T to a
-    tenth of the seed's or below (at fixed energy) is not shot.  Each
-    trial leaves one (eps, trial residual, accepted) entry in ``history``,
-    residual inf when unshot, and each run one (eps, first-shot residual)
-    pair in ``rung_starts``.  A run converges when |R| <= ``RESIDUAL_TOL``
-    and, at fixed energy, the energy row is within ``ENERGY_TOL``.  It
-    fails as ``no contraction`` when its first trial has Theta_0 >=
-    ``THETA_MAX`` without converging; as ``rejected step`` at the first
-    trial with a fresh J that does not lower |R|; as ``stagnation`` after
-    ``MAX_NEWTON`` trials (one more when the last reused J); as
-    ``collision`` or ``integration failure`` when the first shot or a
-    variational solve ends early; and as ``singular Jacobian`` when a step
-    cannot be solved for.
+    its contraction Theta = |J^-1 R(v+)| / |dv| in ``contractions``, and
+    the next trial reuses J, never the run's first, where
+    ``_reuse_jacobian`` says so; a fresh J follows a reused trial that
+    does not lower |R|.  A trial whose step takes T to a tenth of the
+    seed's or below (at fixed energy) is not shot.  A run converges when
+    |R| <= ``RESIDUAL_TOL`` and, at fixed energy, the energy row is within
+    ``ENERGY_TOL``.  It fails as ``no contraction`` when its first trial
+    has Theta_0 >= ``THETA_MAX`` without converging; as ``rejected step``
+    at the first trial with a fresh J that does not lower |R|; as
+    ``stagnation`` after ``MAX_NEWTON`` trials (one more when the last
+    reused J); as ``collision`` or ``integration failure`` when the first
+    shot or a variational solve ends early; and as ``singular Jacobian``
+    when a step cannot be solved for.
 
     Never raises on a failed run: it ends in a rejected result whose
     ``reason`` is the last run's failure word at its eps, and whose
