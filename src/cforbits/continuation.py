@@ -321,7 +321,7 @@ def _continue(problem: ShootingProblem):
         res = np.linalg.norm(R)
         starts.append((eps, float(res)))
         jac = None  # the Jacobian the next trial reuses, if any
-        solved = trials = 0  # Jacobians solved and trials of this run
+        trials = 0
         reused = False  # whether the last trial reused its Jacobian
         while not converged(R, res):
             # a reused trial never ends a run
@@ -331,7 +331,6 @@ def _continue(problem: ShootingProblem):
             try:
                 if not reused:
                     jac = jacobian(sys, v, end, res)
-                    solved += 1
                 dv = np.linalg.solve(jac, R)
             except IntegrationError as exc:
                 return v, res, _failure(exc)
@@ -361,7 +360,7 @@ def _continue(problem: ShootingProblem):
                     and not converged(R2, res2)):
                 return v, res, "no contraction"
             v, R, end, res = v_try, R2, end2, res2
-            if (reused or solved == 1 or converged(R, res)
+            if (reused or trials == 1 or converged(R, res)
                     or not _reuse_jacobian(theta, res)):
                 jac = None
         return v, res, None
@@ -416,6 +415,7 @@ def _continue(problem: ShootingProblem):
         return result(False, f"{_failure(exc)} in re-check at "
                       f"eps={target_eps:g}", v, res)
     close = float(np.linalg.norm(traj(T) - z))
+    # the re-check allows ten times the driver's tolerances
     ok = bool(close <= 10.0 * RESIDUAL_TOL)
     reason = f"re-check failed: closure {close:.3g}"
     en = np.inf
@@ -425,7 +425,7 @@ def _continue(problem: ShootingProblem):
         ts = np.linspace(0.0, T, 200)
         drift = max(abs(float(sys.hamiltonian(t, zt)) - h)
                     for t, zt in zip(ts, traj(ts)))
-        ok = ok and en <= ENERGY_TOL and drift <= 1e-9
+        ok = ok and en <= ENERGY_TOL and drift <= 10.0 * ENERGY_TOL
         reason += f", energy {en:.3g}, drift {drift:.3g}"
     return result(ok, "ok" if ok else reason, v, close, en, traj)
 

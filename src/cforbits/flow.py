@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853, DenseOutput, solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp.base import ConstantDenseOutput
 from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
@@ -83,7 +83,7 @@ class Trajectory:
 
     t0: float
     t1: float
-    _sol: object = None  # SciPy's OdeSolution of the solve
+    _sol: object = None  # the solve's OdeSolution: steps and snapshots
     _steps: "_StepStack" = field(default=None, init=False, repr=False,
                                  compare=False)
 
@@ -120,9 +120,10 @@ class Trajectory:
 class _StepStack:
     """The DOP853 interpolants of a solve's steps, stacked: F[:, j], t_old[j],
     h[j] and y_old[j] are step j's coefficients, start, length and start
-    state (SciPy's ``Dop853DenseOutput``), filled when a time in step j is
-    first read.  A step's interpolant is a ``_DeferredDenseOutput``, or
-    SciPy's own where a solve ran SciPy's DOP853."""
+    state (SciPy's ``Dop853DenseOutput``), made by SciPy's
+    ``DOP853._dense_output_impl`` from the snapshot ``interpolants[j]``
+    when a time in step j is first read; the snapshot is then dropped
+    from that list, the ``OdeSolution``'s."""
 
     def __init__(self, interpolants):
         m = len(interpolants)
@@ -137,9 +138,8 @@ class _StepStack:
         new = seg[~self.built[seg]]
         if new.size:
             for j in np.unique(new):
-                dense = self.interpolants[j]
-                if isinstance(dense, _DeferredDenseOutput):
-                    dense = dense.dense()
+                dense = DOP853._dense_output_impl(self.interpolants[j])
+                self.interpolants[j] = None
                 if self.F is None:
                     m, n = self.built.size, dense.y_old.size
                     self.F = np.empty((INTERPOLATOR_POWER, m, n))
@@ -164,7 +164,7 @@ class _DOP853(DOP853):
     ``nfev`` itself, and keeps t, h and the error norms as Python floats.
     No caller bounds the step, so ``max_step`` is not read.  Dense output
     is SciPy's own, built from the state ``_step_impl`` leaves, but only
-    when it is first read (``_DeferredDenseOutput``).
+    when it is first read (``_DeferredDenseOutput``, ``_StepStack``).
 
     ``dim`` leading components are the position x.  At the end of every
     accepted step, g = |x| - COLLISION_FLOOR is compared with its value at
@@ -257,23 +257,19 @@ class _DOP853(DOP853):
         return _DeferredDenseOutput(self)
 
 
-class _DeferredDenseOutput(DenseOutput):
-    """The interpolant of one accepted step, built on the first call.
-
-    It keeps the state of the step that SciPy's
+class _DeferredDenseOutput:
+    """The state of one accepted step that SciPy's
     ``DOP853._dense_output_impl`` reads (the stages K[0..12], h, t_old, t,
-    y_old, y and f), and on the first call runs that method with this
-    object in the solver's place: the three extra stages and the
-    interpolant are SciPy's bit for bit, made from the same numbers.  The
-    interpolant is kept and the copied state dropped.  ``Trajectory`` reads
-    it through ``dense``.
-    """
+    y_old, y and f), held in the solve's ``OdeSolution`` in the place of
+    the step's interpolant.  ``_StepStack`` runs that method with it in the
+    solver's place when a time in the step is first read, so the three
+    extra stages and the interpolant are SciPy's bit for bit."""
 
     A_EXTRA, C_EXTRA, D = DOP853.A_EXTRA, DOP853.C_EXTRA, DOP853.D
     n_stages = DOP853.n_stages
 
     def __init__(self, solver):
-        super().__init__(solver.t_old, solver.t)
+        self.t_old, self.t = solver.t_old, solver.t
         # SciPy's method writes the extra stages into rows 13-15
         self.K_extended = solver.K_extended.copy()
         self.h_previous = solver.h_previous
@@ -283,18 +279,6 @@ class _DeferredDenseOutput(DenseOutput):
         self.y, self.f = solver.y, solver.f
         self.fun = solver._rhs
         self.n = solver.n
-        self._dense = None
-
-    def dense(self):
-        """SciPy's ``Dop853DenseOutput`` of the step, built on the first
-        call."""
-        if self._dense is None:
-            self._dense = DOP853._dense_output_impl(self)
-            del self.K_extended, self.y_old, self.y, self.f, self.fun
-        return self._dense
-
-    def _call_impl(self, t):
-        return self.dense()._call_impl(t)
 
 
 def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, dense_output):

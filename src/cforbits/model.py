@@ -179,10 +179,10 @@ class Perturbation:
     Python floats, padded to three dimensions with zeros so that the
     kernels of :class:`HamiltonianSystem` read them without a NumPy call:
     ``_DA`` (the 3 x 3 matrix DA, row by row) and ``_DATDA`` (DA^T DA, in
-    the same layout), both None for families without a vector potential,
-    and ``_e`` (the electric direction, None for families without an
-    electric field).  Those kernels read the fields from these and ``_g``
-    alone.
+    the same layout, whose upper triangle the Hessian reads and mirrors),
+    both None for families without a vector potential, and ``_e`` (the
+    electric direction, None for families without an electric field).
+    Those kernels read the fields from these and ``_g`` alone.
     """
 
     family: str = "zero"
@@ -209,11 +209,9 @@ class Perturbation:
             e = tuple(map(float, self.e_vec))
             object.__setattr__(self, "_e", e + (0.0,) * (3 - len(e)))
         if DA is not None:
-            M = DA.T @ DA
             object.__setattr__(self, "_DA", tuple(DA.ravel().tolist()))
-            # symmetrized, so the Hessian comes out exactly symmetric
             object.__setattr__(self, "_DATDA",
-                               tuple((0.5 * (M + M.T)).ravel().tolist()))
+                               tuple((DA.T @ DA).ravel().tolist()))
 
     @classmethod
     def zero(cls) -> "Perturbation":

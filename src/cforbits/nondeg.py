@@ -106,7 +106,6 @@ class KernelReport:
     gap: float
     symplectic_residual: float
     radial_defect: float
-    expected_dim: int
     verdict: str
 
 
@@ -190,7 +189,6 @@ def _reports(sys: HamiltonianSystem, z0, P, defect: float):
         reports.append(KernelReport(
             P=P, matrix=M, singular_values=sv, kernel_dim=kd, gap=gap,
             symplectic_residual=symp, radial_defect=defect,
-            expected_dim=expected,
             verdict="nondegenerate" if kd == expected else "degenerate"))
     return tuple(reports)
 

@@ -146,8 +146,10 @@ def _quadratic_coefficient(law: KineticLaw, V: Potential, h: float):
     return None
 
 
-# the node counts of the quadrature ladder
+# the node counts of the quadrature ladder, and its stopping rule, which sits
+# above the ~1e-11 relative floor that endpoint cancellation in S sets
 _LADDER = (80, 140, 240, 400, 640)
+_LADDER_RTOL = 5e-11
 
 
 @lru_cache(maxsize=len(_LADDER))
@@ -189,15 +191,13 @@ def _radial_integrals(law, V, rows, quadratic, n):
                      ]).T.tolist(), bad
 
 
-def _converged_integrals(law, V, h, L, r_min, r_max, rtol=5e-11):
+def _converged_integrals(law, V, h, L, r_min, r_max):
     """(tau/2, phi, action) at each (h[i], L[i]) with turning points
     (r_min[i], r_max[i]), the rows being sequences of floats: each row
-    stops at the first rung of the ladder within rtol of the rung before.
+    stops at the first rung within _LADDER_RTOL of the rung before.
     Returns a list with the values of each row that converges, None on
     the others, and the QuadratureError message of each of those, by
     row."""
-    # endpoint cancellation in the direct quotient S floors the attainable
-    # accuracy around 1e-11 relative; rtol must sit above it
     coef = [_quadratic_coefficient(law, V, x) for x in h]
     quadratic = None not in coef
     # squared one float at a time: a float's x**2 (C pow) and NumPy's
@@ -217,7 +217,7 @@ def _converged_integrals(law, V, h, L, r_min, r_max, rtol=5e-11):
                 failed[i] = "radial admissibility not positive at quadrature nodes"
             elif prev is not None and max(
                     abs(a - b) / (1.0 + abs(a))
-                    for a, b in zip(cur[j], prev[j])) <= rtol:
+                    for a, b in zip(cur[j], prev[j])) <= _LADDER_RTOL:
                 out[i] = cur[j]
             else:
                 keep.append(j)
@@ -227,8 +227,8 @@ def _converged_integrals(law, V, h, L, r_min, r_max, rtol=5e-11):
             block = block[:, keep]
         todo, prev = [todo[j] for j in keep], [cur[j] for j in keep]
     for i in todo:
-        failed[i] = (f"radial quadrature did not converge to {rtol:g} at "
-                     f"(h, L) = ({h[i]:g}, {L[i]:g})")
+        failed[i] = (f"radial quadrature did not converge to "
+                     f"{_LADDER_RTOL:g} at (h, L) = ({h[i]:g}, {L[i]:g})")
     return out, failed
 
 
@@ -354,23 +354,24 @@ def _build_orbit(law, V, profile, k, n, dim):
                          residual, law, V)
 
 
-def _is_feasible(law, V, h, L, probe=None):
-    """Whether turning_points, or the binding of it given as probe, finds
-    a bound non-circular annulus at (h, L)."""
+def _is_feasible(law, V, h, L):
+    """Whether turning_points' arithmetic finds a bound non-circular
+    annulus at (h, L), run here so a scan calls no rebindable name."""
     try:
-        (probe or turning_points)(law, V, h, L)
+        _bracket(law, V, h, L,
+                 law.p_squared(h + _V_on_scan(V)) - L**2 / _SCAN2)
         return True
     except (NoBoundOrbitError, CircularDegenerateError):
         return False
 
 
-def _feasible_L_interval(law, V, h, probe=None):
+def _feasible_L_interval(law, V, h):
     """Feasible interval in L (a bound non-circular annulus exists).  With
     g(r) = r^2 kin(h + V(r)), the scan grid of turning_points admits exactly
     max(g[0], g[-1], 0) <= L^2 < max g, for any potential.  Small L can be
     infeasible (no centrifugal barrier for relativistic Kepler below
     kappa/c or steep potentials); the lower edge is floored at 1e-4.
-    The edge is stepped by _is_feasible with probe."""
+    The upper edge is stepped by _is_feasible."""
     g = _SCAN2 * law.p_squared(h + _V_on_scan(V))
     lo = max(math.sqrt(max(g[0], g[-1], 0.0)), 1e-4)
     hi = math.sqrt(max(g.max(), 0.0))
@@ -378,9 +379,9 @@ def _feasible_L_interval(law, V, h, probe=None):
         raise NoBoundOrbitError("feasible L region appears unbounded")
     # the root checks of turning_points reject the top float or two that
     # its grid admits: step hi to the last float it accepts
-    while _is_feasible(law, V, h, hi, probe):
+    while _is_feasible(law, V, h, hi):
         hi = math.nextafter(hi, math.inf)
-    while lo < hi and not _is_feasible(law, V, h, hi, probe):
+    while lo < hi and not _is_feasible(law, V, h, hi):
         hi = math.nextafter(hi, 0.0)
     if not lo < hi:
         raise NoBoundOrbitError(f"no bound non-circular orbit at h = {h:g}")
@@ -418,19 +419,19 @@ def _bound_energies(law, V, h, L):
                        hi_b - pull if hi_b < hi else hi, 61)
 
 
-def _scan_grid(probe, law, V, search, h, L):
+def _scan_grid(law, V, search, h, L):
     """The unknowns x a scan evaluates: 48 L values across the feasible
-    interval (its edge stepped by probe) at fixed h for vary_L, or the
-    bound energies at fixed L for vary_h."""
+    interval at fixed h for vary_L, or the bound energies at fixed L for
+    vary_h."""
     if search == "vary_L":
-        L_lo, L_hi = _feasible_L_interval(law, V, h, probe)
+        L_lo, L_hi = _feasible_L_interval(law, V, h)
         return np.geomspace(max(L_lo * 1.001, ANGULAR_MOMENTUM_FLOOR),
                             0.999 * L_hi, 48)
     return _bound_energies(law, V, h, L)
 
 
 @lru_cache(maxsize=SCAN_CACHE_SIZE)
-def _scan(probe, law, V, search, h, L):
+def _scan(law, V, search, h, L):
     """The apsidal angle over the grid of one search, which knows no
     target: the unknowns x of _scan_grid (L at fixed h for vary_L, with
     L = None; h at fixed L for vary_h) at which radial_profile returns,
@@ -438,11 +439,9 @@ def _scan(probe, law, V, search, h, L):
     radial_profile's bits at every x: on the radial grid, p_squared(h + V)
     is formed once at fixed h and L^2/r^2 once at fixed L; each row's
     turning points come from _bracket, and every row's phi from one run
-    of the ladder.  probe is the turning_points binding the caller sees,
-    which steps the edge of the feasible L interval; as part of the key,
-    a scan made through one binding of it (a test's stand-in, a tracer's
-    wrapper) is never served through another."""
-    grid = _scan_grid(probe, law, V, search, h, L)
+    of the ladder.  The scan calls no name a caller can rebind, so its
+    cache key is just its inputs."""
+    grid = _scan_grid(law, V, search, h, L)
     Vs = _V_on_scan(V)
     if search == "vary_L":
         kin = law.p_squared(h + Vs)
@@ -495,7 +494,7 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
         profiles[x] = radial_profile(law, V, *point(x))
         return profiles[x].phi
 
-    xs, phis = _scan(turning_points, law, V, search, h_seed, L_fixed)
+    xs, phis = _scan(law, V, search, h_seed, L_fixed)
     if len(xs) < 2:
         raise NoBoundOrbitError(f"too few feasible {scanned}")
     if np.ptp(phis) < 1e-9:

@@ -55,6 +55,18 @@ def test_the_gain_rule_needs_both_the_wins_and_the_gap(tool):
     assert ops["wins"] == 8 and not ops["gain"]
 
 
+def test_one_pair_is_its_own_median_and_quartiles(tool):
+    # a one-pair smoke run: one report per side
+    ops, rss = tool.summarize(reports([100], [90.0]), reports([110], [91.0]),
+                              METRICS)
+    assert ops["parent"] == (100, 100, 100)
+    assert ops["change"] == (110, 110, 110)
+    assert (ops["wins"], ops["pairs"]) == (1, 1)
+    assert ops["gain"]  # 1 of 1 wins, and 10 > the parent's IQR 0
+    assert rss["change"] == (91.0, 91.0, 91.0)
+    assert (rss["wins"], rss["gain"]) == (0, False)
+
+
 def test_a_run_that_is_not_correct_is_refused(tool, monkeypatch):
     class Done:
         returncode = 1

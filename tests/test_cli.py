@@ -430,10 +430,10 @@ def run_continue(tmp_path, cfg):
     return json.loads((out / "continuation.json").read_text())
 
 
-def check_seed_records(payload, one_rung_eps=None):
+def check_seed_records(payload, one_run_eps=None):
     """The per-seed records of a spatial fixed-period run's
     continuation.json account for their shots, solves and steps; with
-    one_rung_eps, every continued seed made the one run at that eps."""
+    one_run_eps, every continued seed made the one run at that eps."""
     for r in payload["results"]:
         assert len(r["history"]) == r["newton_iters"]
         assert len(r["z0"]) == 6
@@ -462,8 +462,8 @@ def check_seed_records(payload, one_rung_eps=None):
         assert r["state_shots"] == (len(r["rung_starts"])
                                     + sum(1 for e in h if e[1] is not None))
         assert all(eps > 0.0 and res >= 0.0 for eps, res in r["rung_starts"])
-        if one_rung_eps is not None:
-            assert [eps for eps, _ in r["rung_starts"]] == [one_rung_eps]
+        if one_run_eps is not None:
+            assert [eps for eps, _ in r["rung_starts"]] == [one_run_eps]
 
 
 def fixed_set_run(config, tmp_path, names):
@@ -548,7 +548,7 @@ class TestContinueCommand:
         # shifted by tau/2, a perigee at -4 pi/5 from the field's line,
         # lies off it and is rejected unshot
         assert [r["accepted"] for r in payload["results"]] == [True, False]
-        check_seed_records(payload, one_rung_eps=1e-4)
+        check_seed_records(payload, one_run_eps=1e-4)
 
     def test_spatial_constant_electric_run(self, tmp_path):
         # the spatial run in a constant field, whose reduced functional is
@@ -567,7 +567,7 @@ class TestContinueCommand:
         payload = run_continue(tmp_path, cfg)
         assert payload["n_accepted"] >= 1
         assert [r["accepted"] for r in payload["results"]] == [True, False]
-        check_seed_records(payload, one_rung_eps=1e-4)
+        check_seed_records(payload, one_run_eps=1e-4)
 
     def test_demo_run_changes_only_the_seed_on_the_fixed_set(
             self, tmp_path):
@@ -641,7 +641,7 @@ class TestContinueCommand:
         quarter = np.array([-z[1], z[0], z[2], -z[4], z[3], z[5]])
         # to the last of the 12 digits continuation.json writes
         assert np.max(np.abs(w - quarter)) <= 1e-10
-        check_seed_records(along_x2, one_rung_eps=1e-3)
+        check_seed_records(along_x2, one_run_eps=1e-3)
 
     def test_planar_field_at_30_degrees_continues(self, tmp_path):
         # a planar field at 30 degrees on an 8 x 2 grid: the apogee seeds on

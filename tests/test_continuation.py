@@ -64,7 +64,7 @@ def electric_system(orbit, eps, profile="cosine"):
 # constant field along x1, the apogee on x1 at fixed period and the perigee
 # (r_min, L/r_min) on x1 at fixed energy; in the resonant cosine field along
 # x1 at fixed period, the perigees on +x1 and -x1
-LADDER_STEPS = {
+STEPPED_EPS = {
     "fixed_period": (1.0, 0.5, 0.25, 0.125, 0.375, 0.875, 1.0),
     "fixed_energy": (1.0, 0.5, 1.0),
     "cosine perigee +x1": (1.0, 0.5, 1.0),
@@ -72,8 +72,8 @@ LADDER_STEPS = {
 }
 
 
-def ladder_problem(orbit, case):
-    """The seed ``case`` of ``LADDER_STEPS``."""
+def stepped_problem(orbit, case):
+    """The seed ``case`` of ``STEPPED_EPS``."""
     p = orbit.profile
     perigee = np.array([p.r_min, 0.0, 0.0, p.L / p.r_min])
     if case.startswith("cosine"):
@@ -397,28 +397,28 @@ def symmetric_results(symmetric_problems):
 
 
 @pytest.fixture(scope="module")
-def ladder_cases(orbit):
-    """(problem, samples) of the seeds of ``LADDER_STEPS``, in its order."""
+def stepped_cases(orbit):
+    """(problem, samples) of the seeds of ``STEPPED_EPS``, in its order."""
     planar = manifold_samples(orbit, 6, 6, group="planar")
-    return [(ladder_problem(orbit, case), planar) for case in LADDER_STEPS]
+    return [(stepped_problem(orbit, case), planar) for case in STEPPED_EPS]
 
 
 @pytest.fixture(scope="module")
-def ladder_results(ladder_cases):
-    return _run(ladder_cases)
+def stepped_results(stepped_cases):
+    return _run(stepped_cases)
 
 
 @pytest.fixture(scope="module")
 def deferred_and_reference(symmetric_problems, symmetric_results,
-                           ladder_cases, ladder_results):
+                           stepped_cases, stepped_results):
     """(result, reference result) for the planar problems of
-    ``symmetric_problems`` and the first seed of ``LADDER_STEPS``, the
+    ``symmetric_problems`` and the first seed of ``STEPPED_EPS``, the
     reference shooting every trial through the variational solve."""
-    cases = symmetric_problems[:3] + ladder_cases[:1]
+    cases = symmetric_problems[:3] + stepped_cases[:1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "endpoint", _variational_endpoint)
         ref = _run(cases)
-    return list(zip(symmetric_results[:3] + ladder_results[:1], ref))
+    return list(zip(symmetric_results[:3] + stepped_results[:1], ref))
 
 
 class TestDeferredJacobian:
@@ -436,17 +436,17 @@ class TestDeferredJacobian:
         assert len(deferred_and_reference[-1][0].rung_starts) > 1
 
     def test_every_trial_solves_or_reuses_its_jacobian(
-            self, symmetric_results, ladder_results):
+            self, symmetric_results, stepped_results):
         # every trial steps with a Jacobian solved at its point or, once,
         # with the one the trial before stepped with
-        for r in symmetric_results + ladder_results:
+        for r in symmetric_results + stepped_results:
             assert r.accepted
             assert (r.variational_solves + r.jacobian_reuses
                     == r.newton_iters == len(r.history))
 
     def test_one_state_shot_per_rung_start_and_trial_shot(
-            self, symmetric_results, ladder_results):
-        for r in symmetric_results + ladder_results:
+            self, symmetric_results, stepped_results):
+        for r in symmetric_results + stepped_results:
             shot = sum(1 for _, res, _ in r.history if np.isfinite(res))
             assert r.state_shots == len(r.rung_starts) + shot > 1
 
@@ -467,13 +467,13 @@ def _exact_jacobian_tol(res):
 
 
 @pytest.fixture(scope="module")
-def exact_jacobian_results(problems, ladder_cases):
+def exact_jacobian_results(problems, stepped_cases):
     """With every Jacobian solved at DEFAULT_TOL: the seeds of
-    ``LADDER_STEPS``, then the 2 x 2 fixed-period grid (seeds 0 and 2
+    ``STEPPED_EPS``, then the 2 x 2 fixed-period grid (seeds 0 and 2
     continued, 1 and 3 off the fixed set)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "_jacobian_tol", _exact_jacobian_tol)
-        return _run(ladder_cases), _run(problems[:4])
+        return _run(stepped_cases), _run(problems[:4])
 
 
 class TestInexactJacobian:
@@ -494,10 +494,10 @@ class TestInexactJacobian:
             assert abs(fast.period - ref.period) <= SYMMETRIC_PERIOD_TOL
             assert fast.distance == pytest.approx(ref.distance, rel=1e-9)
 
-    def test_same_answers_as_exact_jacobians(self, ladder_results,
+    def test_same_answers_as_exact_jacobians(self, stepped_results,
                                              exact_jacobian_results):
         refs, _ = exact_jacobian_results
-        for fast, ref in zip(ladder_results, refs):
+        for fast, ref in zip(stepped_results, refs):
             assert len(fast.rung_starts) > 1
             self.assert_same_answer(fast, ref)
 
@@ -554,7 +554,7 @@ class TestSignedEps:
         assert results[0].accepted, results[0].reason
         starts = [e for e, _ in results[0].rung_starts]
         assert starts == [-eps * s for s in (
-            LADDER_STEPS["fixed_period"] if eps < 0 else (1.0,))]
+            STEPPED_EPS["fixed_period"] if eps < 0 else (1.0,))]
         assert_mirrored(*results)
 
 
@@ -995,15 +995,15 @@ class TestSymmetricPath:
             sym = symmetric_results[SYMMETRIC.index(i)]
             assert 1.5 <= sym.distance / res.distance <= 3.0
 
-    @pytest.mark.parametrize("case", list(LADDER_STEPS))
+    @pytest.mark.parametrize("case", list(STEPPED_EPS))
     def test_failed_direct_attempt_continues_on_the_ladder(
-            self, orbit, ladder_results, case):
+            self, orbit, stepped_results, case):
         # the direct run at eps = 1e-2 fails; the loop halves its step until
         # a run from the seed converges, then runs on from the branch points
         # it reached, each from the secant through the last two, doubling
         # its step after a run whose first trial contracts by less than
         # THETA_MAX / 2
-        r = ladder_results[list(LADDER_STEPS).index(case)]
+        r = stepped_results[list(STEPPED_EPS).index(case)]
         assert r.accepted, r.reason
         assert r.eps == 1e-2 and r.distance <= 0.1
         # the re-check from a perigee in the cosine field closes to 1.1e-9
@@ -1012,7 +1012,7 @@ class TestSymmetricPath:
         if not case.startswith("cosine"):
             assert r.residual <= continuation.RESIDUAL_TOL
         rungs = [e for e, _ in r.rung_starts]
-        assert rungs == [1e-2 * s for s in LADDER_STEPS[case]]
+        assert rungs == [1e-2 * s for s in STEPPED_EPS[case]]
         # each run's trials at its eps, run after run
         assert [e for e, _ in groupby(e for e, *_ in r.history)] == rungs
         # each run starts closer than the seed is at the target
@@ -1389,7 +1389,7 @@ def constant_field_cases(orbit):
     """(problem, samples) of the answers digest's constant-field seeds: the
     apsis seeds 0 and 2 of the 2 x 2 planar grid in a constant field along
     x1 at eps = 1e-2, in both modes, but for seed 0 at fixed period, which
-    is the first seed of ``LADDER_STEPS``."""
+    is the first seed of ``STEPPED_EPS``."""
     samples = manifold_samples(orbit, 2, 2, group="planar")
     sys = electric_system(orbit, 1e-2, profile="constant")
     return [(ShootingProblem(sys, mode, samples.states[i], orbit.T,
@@ -1399,18 +1399,18 @@ def constant_field_cases(orbit):
 
 
 @pytest.fixture(scope="module")
-def reused_and_reference(symmetric_problems, symmetric_results, ladder_cases,
-                         ladder_results, constant_field_cases,
+def reused_and_reference(symmetric_problems, symmetric_results, stepped_cases,
+                         stepped_results, constant_field_cases,
                          symmetric_and_exact_jacobian, larmor_orbits):
-    """(result, reference result) for the symmetric and ``LADDER_STEPS``
+    """(result, reference result) for the symmetric and ``STEPPED_EPS``
     problems, the digest's constant-field seeds and the Larmor seeds, the
     reference solving a fresh Jacobian at every trial."""
-    distanced = symmetric_problems + ladder_cases + constant_field_cases
+    distanced = symmetric_problems + stepped_cases + constant_field_cases
     apogee = [larmor_problem(larmor_orbits, name, mode, eps, 0)
               for name, mode, eps in LARMOR_APOGEE]
     perigee = [larmor_problem(larmor_orbits, name, mode, eps, 1)
                for name, mode, eps in LARMOR_PERIGEE]
-    fast = (symmetric_results + ladder_results + _run(constant_field_cases)
+    fast = (symmetric_results + stepped_results + _run(constant_field_cases)
             + [f for f, _ in
                symmetric_and_exact_jacobian[len(symmetric_problems):]]
             + [continuation._continue(p) for p in perigee])

@@ -185,6 +185,17 @@ def perturbed_systems(d):
 
 
 @settings(PROPERTY, max_examples=200)
+@given(pert=st.one_of(
+    st.builds(Perturbation.uniform_magnetic, vectors(3), st.floats(-0.5, 0.5)),
+    st.builds(Perturbation.rotating_frame, st.floats(-0.5, 0.5))))
+def test_DA_transpose_DA_is_bitwise_symmetric(pert):
+    # the Hessian reads the upper triangle of DA^T DA and mirrors it, which
+    # gives the matrix itself because the product comes out symmetric
+    M = np.array(pert._DATDA).reshape(3, 3)
+    assert np.array_equal(M.view(np.int64), M.T.view(np.int64))
+
+
+@settings(PROPERTY, max_examples=200)
 @given(law=laws, V=potentials, d=st.sampled_from([2, 3]),
        t=st.floats(0.0, 10.0), data=st.data())
 def test_kernels_match_the_array_reference(law, V, d, t, data):

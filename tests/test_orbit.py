@@ -206,7 +206,7 @@ class TestFindClosedOrbit:
     ], ids=["alpha_05", "harmonic", "kepler"])
     def test_vary_h_scans_bound_energies_only(self, V, h, L):
         # every energy of the 61-point grid has a bound non-circular orbit
-        xs, phis = _scan(turning_points, CLASSICAL, V, "vary_h", h, L)
+        xs, phis = _scan(CLASSICAL, V, "vary_h", h, L)
         assert len(xs) == len(phis) == 61
 
     def test_vary_h_without_bound_energies(self):
@@ -249,7 +249,7 @@ class TestFindClosedOrbit:
         target = 3 * math.pi / 4
         phi = lambda L: target + np.sin(20 * L)
         V = Potential.homogeneous(1.0, 0.5)
-        xs, _ = _scan(turning_points, CLASSICAL, V, "vary_L", -1.5, None)
+        xs, _ = _scan(CLASSICAL, V, "vary_L", -1.5, None)
         monkeypatch.setattr(orbit_module, "_scan", lambda *key: (xs, phi(xs)))
         monkeypatch.setattr(
             orbit_module, "radial_profile",

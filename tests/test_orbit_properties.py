@@ -17,7 +17,6 @@ from cforbits.errors import (
 from cforbits.model import KineticLaw, Potential
 from cforbits.orbit import (
     _feasible_L_interval,
-    _is_feasible,
     _nodes,
     _p2,
     _point,
@@ -78,19 +77,27 @@ SURVEY_TRIPLES = (
 LOWER_FLOOR = 1e-4
 
 
-def _check_edges(law, V, h):
+def _has_annulus(law, V, h, L):
     # the reference definition of a feasible L: turning_points finds a
-    # bound non-circular annulus there (_is_feasible)
+    # bound non-circular annulus there
+    try:
+        turning_points(law, V, h, L)
+        return True
+    except (NoBoundOrbitError, CircularDegenerateError):
+        return False
+
+
+def _check_edges(law, V, h):
     try:
         lo, hi = _feasible_L_interval(law, V, h)
     except NoBoundOrbitError:
         # a draw whose annulus reaches past the scan: nothing to compare
         assume(False)
-    assert _is_feasible(law, V, h, hi * (1.0 - 1e-9))
-    assert not _is_feasible(law, V, h, hi * (1.0 + 1e-9))
+    assert _has_annulus(law, V, h, hi * (1.0 - 1e-9))
+    assert not _has_annulus(law, V, h, hi * (1.0 + 1e-9))
     if lo > LOWER_FLOOR:
-        assert _is_feasible(law, V, h, lo * (1.0 + 1e-9))
-        assert not _is_feasible(law, V, h, lo * (1.0 - 1e-9))
+        assert _has_annulus(law, V, h, lo * (1.0 + 1e-9))
+        assert not _has_annulus(law, V, h, lo * (1.0 - 1e-9))
 
 
 @pytest.mark.parametrize("law, V, h", SURVEY_TRIPLES)
@@ -232,28 +239,19 @@ def test_vary_L_scan_does_not_depend_on_L_seed():
                        (CLASSICAL, ALPHA_HALF, -1.5, {"L_seed": 0.7})) == 1
 
 
-def test_a_rebound_turning_points_gets_its_own_scan(monkeypatch):
-    # a stand-in for turning_points (a test's, a tracer's) is what the
-    # scan's probes of the feasible L interval call, never a scan made
-    # through the function it replaced
-    _scans_made((CLASSICAL, ALPHA_HALF, -1.5, {}))
-    seen, probes = [], []
-
-    def counting(*args):
-        seen.append(args)
-        return turning_points(*args)
-
-    monkeypatch.setattr(orbit_module, "turning_points", counting)
-    with pytest.raises(TargetOutOfRangeError):
-        find_closed_orbit(CLASSICAL, ALPHA_HALF, 1, 2, -1.5)
-    assert _scan.cache_info().misses == 2
-    _feasible_L_interval(CLASSICAL, ALPHA_HALF, -1.5,
-                         lambda *args: probes.append(args) or turning_points(*args))
-    assert seen and seen == probes
+def test_a_scan_calls_no_rebindable_turning_points(monkeypatch):
+    # a stand-in for turning_points (a test's, a tracer's) sees only the
+    # calls radial_profile makes: a cold scan, whose target is out of
+    # range, calls it not once, so a cached scan serves every binding
+    seen = []
+    monkeypatch.setattr(orbit_module, "turning_points",
+                        lambda *args: seen.append(args) or turning_points(*args))
+    assert _scans_made((CLASSICAL, ALPHA_HALF, -1.5, {})) == 1
+    assert seen == []
 
 
 def test_a_cached_scan_cannot_be_changed():
-    key = (turning_points, CLASSICAL, ALPHA_HALF, "vary_L", -1.5, None)
+    key = (CLASSICAL, ALPHA_HALF, "vary_L", -1.5, None)
     xs, phis = _scan(*key)
     first = xs.copy(), phis.copy()
     for values in (xs, phis):
@@ -305,8 +303,8 @@ def test_scan_is_the_per_point_profiles_bit_for_bit(label, law, V, h, L, search)
     elif L is None:
         # a momentum in the middle of the feasible interval at h
         L = 0.5 * sum(_feasible_L_interval(law, V, h))
-    grid = _scan_grid(turning_points, law, V, search, h, L)
-    xs, phis = _scan.__wrapped__(turning_points, law, V, search, h, L)
+    grid = _scan_grid(law, V, search, h, L)
+    xs, phis = _scan.__wrapped__(law, V, search, h, L)
     ref_xs, ref_phis = _per_point(law, V, search, h, L, grid)
     assert len(grid) == (48 if search == "vary_L" else 61)
     assert xs.tobytes() == ref_xs.tobytes()

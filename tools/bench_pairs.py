@@ -11,7 +11,8 @@ the change in the odd ones.  A run that fails, or whose report is not
 ``correct``, is refused: the tool stops with exit code 2.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
-median and quartiles (``statistics.quantiles``, inclusive method), the
+median and quartiles (``statistics.quantiles``, inclusive method; one
+run is its own median and quartiles), the
 change's wins (the pairs in which the change is better in the metric's
 direction; a tie counts for neither side) and whether the gain rule holds:
 the change wins at least 9 in 10 of the pairs, and its median is better
@@ -52,6 +53,9 @@ def run_once(checkout, workload, seed, seconds, trace=0):
 
 
 def _spread(values):
+    """(median, q1, q3); one value is its own median and quartiles."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return median, q1, q3
 
