@@ -1,8 +1,9 @@
 """Radial reduction of the planar unperturbed problem.
 
 Turning points; radial period, apsidal angle and radial action from one
-quadrature; closed non-circular orbits (k:n resonances) and sampling of the
-manifolds of rotated/time-shifted copies of a periodic orbit.
+quadrature, and their derivatives in (h, L) from the same quadrature at
+complex points; closed non-circular orbits (k:n resonances) and sampling
+of the manifolds of rotated/time-shifted copies of a periodic orbit.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ __all__ = [
     "ManifoldSample",
     "turning_points",
     "radial_profile",
+    "radial_jacobian",
     "find_closed_orbit",
     "manifold_samples",
 ]
@@ -168,8 +170,9 @@ def _radial_integrals(law, V, rows, quadratic, n):
     r = mid + half*sin(u), as a (rows, 3) list, and for each row whether
     its integrand fails to be positive at every node.  rows stacks the
     columns h, L, L^2, r_min, r_max, half^2 and a (the quadratic
-    coefficient, read when quadratic).  Elementwise along the rows, with
-    sums along the nodes, so a row gets the same bits in any batch."""
+    coefficient, read when quadratic), all real, or all complex for the
+    rows of radial_jacobian.  Elementwise along the rows, with sums along
+    the nodes, so a row gets the same bits in any batch of its type."""
     h, L, L2, r_min, r_max, half2, a = rows
     w, sin_u, w_cos2 = _nodes(n)
     mid = 0.5 * (r_min + r_max)
@@ -181,9 +184,9 @@ def _radial_integrals(law, V, rows, quadratic, n):
     # ends; otherwise the direct quotient of _p2 at the nodes
     S = (-a / r2 if quadratic
          else (law.p_squared(q) - L2 / r2) / ((r - r_min) * (r_max - r)))
-    bad = np.any(S <= 0.0, axis=-1).tolist()
+    bad = np.any(S.real <= 0.0, axis=-1).tolist()
     sqrtS = np.sqrt(S)
-    pmag = law.G_inv(np.maximum(q, 0.0))
+    pmag = np.sqrt(law.p_squared(q))
     gp = law.f_inv(pmag)  # G'(|p|)
     return np.array([np.sum(w * pmag / (gp * sqrtS), axis=-1),
                      np.sum(w * L / (r2 * sqrtS), axis=-1),
@@ -191,44 +194,58 @@ def _radial_integrals(law, V, rows, quadratic, n):
                      ]).T.tolist(), bad
 
 
-def _converged_integrals(law, V, h, L, r_min, r_max):
+def _converged_integrals(law, V, h, L, r_min, r_max, step=None):
     """(tau/2, phi, action) at each (h[i], L[i]) with turning points
     (r_min[i], r_max[i]), the rows being sequences of floats: each row
     stops at the first rung within _LADDER_RTOL of the rung before.
     Returns a list with the values of each row that converges, None on
     the others, and the QuadratureError message of each of those, by
-    row."""
+    row.  With step, the rows are complex numbers a step i*step off a
+    real row, and a row's values are the imaginary parts over step: the
+    derivatives along the step.  On the direct quotient those meet its
+    cancellation floor, which grows as the nodes crowd the ends, so such
+    a row also stops at the rung before its change grows."""
     coef = [_quadratic_coefficient(law, V, x) for x in h]
     quadratic = None not in coef
     # squared one float at a time: a float's x**2 (C pow) and NumPy's
     # array square can differ in the last bit
     rows = np.array([h, L, [x**2 for x in L], r_min, r_max,
                      [(0.5 * (hi - lo))**2 for lo, hi in zip(r_min, r_max)],
-                     coef if quadratic else h], dtype=float)
+                     coef if quadratic else h],
+                    dtype=float if step is None else complex)
     out = [None] * len(h)
     failed = {}
-    # the rows still on the ladder, their columns and their last values
-    todo, block, prev = list(range(len(h))), rows[:, :, None], None
+    # the rows still on the ladder, their columns, their last values and
+    # their last changes
+    todo, block = list(range(len(h))), rows[:, :, None]
+    prev, last = None, [math.inf] * len(h)
     for n in _LADDER:
         cur, bad = _radial_integrals(law, V, block, quadratic, n)
-        keep = []
+        if step is not None:
+            cur = [[v.imag / step for v in row] for row in cur]
+        keep, changes = [], []
         for j, i in enumerate(todo):
+            change = math.inf if prev is None else max(
+                abs(a - b) / (1.0 + abs(a)) for a, b in zip(cur[j], prev[j]))
             if bad[j]:
                 failed[i] = "radial admissibility not positive at quadrature nodes"
-            elif prev is not None and max(
-                    abs(a - b) / (1.0 + abs(a))
-                    for a, b in zip(cur[j], prev[j])) <= _LADDER_RTOL:
+            elif change <= _LADDER_RTOL:
                 out[i] = cur[j]
+            elif step is not None and not quadratic and change > last[j]:
+                out[i] = prev[j]
             else:
                 keep.append(j)
+                changes.append(change)
         if not keep:
             return out, failed
         if len(keep) < len(todo):
             block = block[:, keep]
-        todo, prev = [todo[j] for j in keep], [cur[j] for j in keep]
+        todo, prev, last = ([todo[j] for j in keep], [cur[j] for j in keep],
+                            changes)
     for i in todo:
         failed[i] = (f"radial quadrature did not converge to "
-                     f"{_LADDER_RTOL:g} at (h, L) = ({h[i]:g}, {L[i]:g})")
+                     f"{_LADDER_RTOL:g} at (h, L) = "
+                     f"({h[i].real:g}, {L[i].real:g})")
     return out, failed
 
 
@@ -241,6 +258,42 @@ def radial_profile(law: KineticLaw, V: Potential, h: float, L: float) -> RadialP
         raise QuadratureError(failed[0])
     tau_half, phi, action = out[0]
     return RadialProfile(h, L, r_min, r_max, 2.0 * tau_half, phi, action)
+
+
+# the imaginary step of radial_jacobian: any size works whose square
+# vanishes against 1 and whose products do not underflow
+_STEP = 1e-30
+
+
+def radial_jacobian(law: KineticLaw, V: Potential, profile: RadialProfile):
+    """d(tau, phi)/d(h, L) at a radial profile, as a 2 x 2 array, by
+    complex step (Squire & Trapp, SIAM Rev. 40 (1998)): the quadrature of
+    radial_profile at (h + i step, L) and at (h, L + i step), whose
+    imaginary parts over step are the derivatives with no difference to
+    cancel.  Each turning point r moves by one Newton step on
+    P = p_squared(h + V) - L^2/r^2 with the exact slopes
+    dP/dr = p_squared'(h + V) V' + 2 L^2/r^3, dP/dh = p_squared'(h + V)
+    and dP/dL = -2 L/r^2, so the moved ends are roots of the moved P to
+    first order in step."""
+    h, L = profile.h, profile.L
+    ends = (profile.r_min, profile.r_max)
+    dh, dL = [], []  # (dr_min, dr_max) along h and along L
+    for r in ends:
+        e = h + V.V(r)
+        dP_dh = 2.0 * law.m + (2.0 * e / law.c**2
+                               if law.kind == "relativistic" else 0.0)
+        dP_dr = dP_dh * V.dV(r) + 2.0 * L**2 / r**3
+        dh.append(-dP_dh / dP_dr)
+        dL.append(2.0 * L / (r**2 * dP_dr))
+    d = 1j * _STEP
+    out, failed = _converged_integrals(
+        law, V, [h + d, h], [L, L + d],
+        [ends[0] + d * dh[0], ends[0] + d * dL[0]],
+        [ends[1] + d * dh[1], ends[1] + d * dL[1]], step=_STEP)
+    if failed:
+        raise QuadratureError(next(iter(failed.values())))
+    (tau_h, phi_h, _), (tau_L, phi_L, _) = out
+    return np.array([[2.0 * tau_h, 2.0 * tau_L], [phi_h, phi_L]])
 
 
 # --- closed orbits ---

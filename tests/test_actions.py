@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from perfbench import workloads
+from test_nondeg import POOL
 
-from cforbits import actions
+from cforbits import orbit
 from cforbits.actions import (
     DET_THRESHOLD,
     frequencies,
@@ -12,7 +15,11 @@ from cforbits.actions import (
     nondeg_fixed_period,
 )
 from cforbits.model import KineticLaw, Potential
-from cforbits.orbit import radial_profile
+from cforbits.orbit import (
+    _feasible_L_interval,
+    find_closed_orbit,
+    radial_profile,
+)
 
 CLASSICAL = KineticLaw.classical()
 KEPLER = Potential.kepler()
@@ -105,17 +112,122 @@ class TestK0Hessian:
         assert nondeg_fixed_energy(rep) == "nondegenerate"
 
     def test_symmetry_defect_small(self):
+        # the assembled Hessian is not symmetrized: its raw asymmetry is
+        # quadrature error
         V = Potential.homogeneous(1.0, 0.5)
         rep = k0_hessian(CLASSICAL, V, -1.5, 0.2761)
-        assert rep.symmetry_defect <= 1e-4 * np.linalg.norm(rep.hessian)
+        assert rep.symmetry_defect <= 1e-12 * np.linalg.norm(rep.hessian)
 
-    def test_fd_step_stability(self, monkeypatch):
-        # halving the step moves the determinant scale by a few percent at most
-        V = Potential.homogeneous(1.0, 0.5)
-        a = k0_hessian(CLASSICAL, V, -1.5, 0.2761)
-        monkeypatch.setattr(actions, "FD_STEP", 0.5 * actions.FD_STEP)
-        b = k0_hessian(CLASSICAL, V, -1.5, 0.2761)
-        assert a.scale_fixed_period == pytest.approx(
-            b.scale_fixed_period, rel=0.05)
-        assert a.scale_fixed_energy == pytest.approx(
-            b.scale_fixed_energy, rel=0.05)
+    @pytest.mark.parametrize("law, V, h, L", [
+        (CLASSICAL, Potential.homogeneous(1.0, 0.5), -1.5, 0.2761),
+        (KineticLaw.relativistic(m=1.0, c=1.0), KEPLER, -0.2,
+         math.sqrt(16.0 / 7.0))], ids=["alpha_05", "rel_kepler"])
+    def test_complex_step_has_no_step_to_tune(self, law, V, h, L,
+                                              monkeypatch):
+        # the imaginary step drops out of the derivative: 1e-150 gives the
+        # Hessian of 1e-30 (on the direct quotient, up to its floor)
+        a = k0_hessian(law, V, h, L)
+        monkeypatch.setattr(orbit, "_STEP", 1e-150)
+        b = k0_hessian(law, V, h, L)
+        assert np.max(np.abs(a.hessian - b.hessian)) <= \
+            1e-10 * np.max(np.abs(a.hessian))
+
+
+def sommerfeld(c, I1, I2):
+    """Gradient and Hessian of Sommerfeld's relativistic Kepler energy
+    E = m c^2 / sqrt(1 + k^2/N^2) - m c^2, N = I1 + sqrt(I2^2 - k^2),
+    k = kappa/c, at m = kappa = 1."""
+    k = 1.0 / c
+    s = math.sqrt(I2**2 - k**2)
+    N = I1 + s
+    u = 1.0 + k**2 / N**2
+    E_N = c**2 * k**2 * u**-1.5 * N**-3
+    E_NN = c**2 * k**2 * (3.0 * k**2 * u**-2.5 * N**-6 - 3.0 * u**-1.5 * N**-4)
+    # dN/dI1 = 1, dN/dI2 = I2/s, d2N/dI2^2 = -k^2/s^3
+    grad = np.array([E_N, E_N * I2 / s])
+    hess = np.array([[E_NN, E_NN * I2 / s],
+                     [E_NN * I2 / s, E_NN * (I2 / s)**2 - E_N * k**2 / s**3]])
+    return grad, hess
+
+
+@pytest.mark.parametrize("c, h, L", [
+    (1.0, -0.2, math.sqrt(16.0 / 7.0)), (1.0, -0.18, math.sqrt(16.0 / 7.0)),
+    (3.0, -0.5, 0.8), (3.0, -0.3, 1.2)])
+def test_relativistic_kepler_hessian_is_sommerfelds(c, h, L):
+    rep = k0_hessian(KineticLaw.relativistic(m=1.0, c=c), KEPLER, h, L)
+    grad, hess = sommerfeld(c, rep.profile.action, L)
+    assert np.max(np.abs(rep.gradient - grad)) <= 1e-12 * np.max(np.abs(grad))
+    assert np.max(np.abs(rep.hessian - hess)) <= 1e-12 * np.max(np.abs(hess))
+
+
+def central_difference_hessian(law, V, h, L, step=1e-5):
+    """The reference path: K'' from central differences of the frequency
+    map at the relative step ``step``, through the same chart."""
+    omega = lambda h, L: np.array(frequencies(radial_profile(law, V, h, L)))
+    dh, dL = step * (1.0 + abs(h)), step * (1.0 + abs(L))
+    Domega = np.column_stack([
+        (omega(h + dh, L) - omega(h - dh, L)) / (2.0 * dh),
+        (omega(h, L + dL) - omega(h, L - dL)) / (2.0 * dL)])
+    p = radial_profile(law, V, h, L)
+    DI = np.array([[p.tau / (2.0 * math.pi), -p.phi / math.pi], [0.0, 1.0]])
+    return Domega @ np.linalg.inv(DI)
+
+
+def reference_error(law, V, h, L):
+    """|K'' - central-difference K''| over max(|K''|, |omega|/max(I))."""
+    rep = k0_hessian(law, V, h, L)
+    p = rep.profile
+    scale = max(np.max(np.abs(rep.hessian)),
+                np.max(np.abs(rep.gradient)) / max(abs(p.action), abs(p.L)))
+    ref = central_difference_hessian(law, V, h, L)
+    return np.max(np.abs(rep.hessian - ref)) / scale
+
+
+@pytest.fixture(scope="module")
+def pool_profiles():
+    return {name: find_closed_orbit(law, Potential.homogeneous(1.0, alpha),
+                                    k, n, h, L_seed=L_seed).profile
+            for name, law, alpha, k, n, h, L_seed in POOL}
+
+
+@pytest.mark.parametrize("name, law, alpha", [row[:3] for row in POOL],
+                         ids=[row[0] for row in POOL])
+def test_pool_hessian_against_central_differences(name, law, alpha,
+                                                  pool_profiles):
+    p = pool_profiles[name]
+    assert reference_error(law, Potential.homogeneous(1.0, alpha), p.h,
+                           p.L) <= 1e-6
+
+
+@pytest.mark.parametrize("name, law, alpha",
+                         [row[:3] for row in POOL if row[1] == CLASSICAL],
+                         ids=[row[0] for row in POOL if row[1] == CLASSICAL])
+def test_euler_relation_on_homogeneous_rows(name, law, alpha, pool_profiles):
+    # K0 is homogeneous of degree beta = -2 alpha/(2 - alpha) in the actions,
+    # so K''.I = (beta - 1) omega
+    p = pool_profiles[name]
+    rep = k0_hessian(law, Potential.homogeneous(1.0, alpha), p.h, p.L,
+                     profile=p)
+    beta = -2.0 * alpha / (2.0 - alpha)
+    lhs = rep.hessian @ np.array([p.action, p.L])
+    assert np.max(np.abs(lhs - (beta - 1.0) * rep.gradient)) <= \
+        1e-9 * np.max(np.abs(rep.gradient))
+
+
+def _survey_point(triple, h_shift, t):
+    # a point of the survey's potential near its energy, at the fraction t
+    # of the feasible L interval (the survey finds its orbits at 0.08-0.99)
+    law, V = triple.build()
+    h = triple.h * (1.0 + h_shift)
+    lo, hi = _feasible_L_interval(law, V, h)
+    return law, V, h, lo + t * (hi - lo)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(point=st.builds(
+    _survey_point,
+    st.sampled_from([t for stratum in workloads.SURVEY_STRATA
+                     for t in stratum]),
+    st.floats(-0.05, 0.05), st.floats(0.05, 0.95)))
+def test_survey_hessian_against_central_differences(point):
+    assert reference_error(*point) <= 1e-6

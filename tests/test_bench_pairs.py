@@ -62,9 +62,23 @@ def test_one_pair_is_its_own_median_and_quartiles(tool):
     assert ops["parent"] == (100, 100, 100)
     assert ops["change"] == (110, 110, 110)
     assert (ops["wins"], ops["pairs"]) == (1, 1)
-    assert ops["gain"]  # 1 of 1 wins, and 10 > the parent's IQR 0
+    # one pair cannot show 9 wins in 10: no verdict either way
+    assert ops["gain"] is None and rss["gain"] is None
     assert rss["change"] == (91.0, 91.0, 91.0)
-    assert (rss["wins"], rss["gain"]) == (0, False)
+    assert rss["wins"] == 0
+    assert tool.format_rows([ops])[0].endswith(
+        "change wins 1/1; gain rule needs 10 pairs")
+
+
+def test_nine_pairs_give_no_verdict(tool):
+    # every pair won by far more than the parent's IQR, but 9 pairs cannot
+    # show a share of 9 in 10
+    parent = reports([100, 104, 98, 102, 101, 99, 103, 100, 97], [90.0] * 9)
+    change = reports([150] * 9, [80.0] * 9)
+    ops, rss = tool.summarize(parent, change, METRICS)
+    assert (ops["wins"], ops["pairs"]) == (9, 9)
+    assert ops["gain"] is None and rss["gain"] is None
+    assert tool.format_rows([ops])[0].endswith("gain rule needs 10 pairs")
 
 
 def test_a_run_that_is_not_correct_is_refused(tool, monkeypatch):

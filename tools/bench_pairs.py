@@ -16,12 +16,13 @@ run is its own median and quartiles), the
 change's wins (the pairs in which the change is better in the metric's
 direction; a tie counts for neither side) and whether the gain rule holds:
 the change wins at least 9 in 10 of the pairs, and its median is better
-than the parent's by more than the parent's interquartile range.
-``--pairs`` sets the number of pairs (10).  With ``--trace``, one more run
-per side with ``--trace 1`` follows the pairs, and the tool prints every
-per-layer count (a metric of unit "count") that differs between the two
-traced reports, so the counts stand next to the wall times.  The tool only
-reads the checkouts; ``perfbench/run.py`` leaves its working files in each
+than the parent's by more than the parent's interquartile range.  Below
+10 pairs no share of wins reads as 9 in 10, so the rule gives no
+verdict.  ``--pairs`` sets the number of pairs (10).  With ``--trace``,
+one more run per side with ``--trace 1`` follows the pairs, and the tool
+prints every per-layer count (a metric of unit "count") that differs
+between the two traced reports, so the counts stand next to the wall
+times.  The tool only reads the checkouts; ``perfbench/run.py`` leaves its working files in each
 one's ``.perfbench_out/``.
 """
 from __future__ import annotations
@@ -34,6 +35,8 @@ import sys
 from pathlib import Path
 
 WIN_SHARE = 0.9
+# below this many pairs no share of wins reads as 9 in 10: no verdict
+MIN_PAIRS = 10
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):
@@ -63,7 +66,8 @@ def _spread(values):
 def summarize(parent, change, metrics):
     """Per metric of ``metrics`` (BENCHMARK.json's end_to_end entries), the
     medians and quartiles of both sides, the change's wins and the gain
-    rule, from the reports of the pairs (``parent[i]`` with ``change[i]``)."""
+    rule (None below MIN_PAIRS pairs), from the reports of the pairs
+    (``parent[i]`` with ``change[i]``)."""
     rows = []
     for m in metrics:
         sign = 1.0 if m["better"] == "higher" else -1.0
@@ -74,8 +78,15 @@ def summarize(parent, change, metrics):
         rows.append({"metric": m["name"], "unit": m["unit"],
                      "parent": (pm, p1, p3), "change": (cm, c1, c3),
                      "wins": wins, "pairs": len(p),
-                     "gain": wins >= WIN_SHARE * len(p) and sign * (cm - pm) > p3 - p1})
+                     "gain": (wins >= WIN_SHARE * len(p) and sign * (cm - pm) > p3 - p1
+                              if len(p) >= MIN_PAIRS else None)})
     return rows
+
+
+def _verdict(gain):
+    if gain is None:
+        return f"needs {MIN_PAIRS} pairs"
+    return "holds" if gain else "fails"
 
 
 def format_rows(rows):
@@ -83,7 +94,7 @@ def format_rows(rows):
             f"{r['parent'][2]:.6g}], change {r['change'][0]:.6g} "
             f"[{r['change'][1]:.6g}, {r['change'][2]:.6g}] {r['unit']}; "
             f"change wins {r['wins']}/{r['pairs']}; gain rule "
-            f"{'holds' if r['gain'] else 'fails'}" for r in rows]
+            f"{_verdict(r['gain'])}" for r in rows]
 
 
 def count_differences(parent, change):
