@@ -99,12 +99,30 @@ class KineticLaw:
             p2 = p2 + (e / self.c) ** 2
         return p2
 
+    def p_squared_div(self, e1, e2):
+        """Divided difference of p_squared between the energies e1 and e2,
+        exactly 2 m (+ (e1 + e2)/c^2 for the relativistic law)."""
+        d = 2.0 * self.m
+        if self.kind == "relativistic":
+            d = d + (e1 + e2) / self.c**2
+        return d
+
     def G_inv(self, e):
         """Momentum magnitude at kinetic energy e >= 0."""
         return np.sqrt(self.p_squared(np.asarray(e, dtype=float)))
 
 
 # --- potentials ---
+
+def _expm1_ratio(s, x):
+    """((1 + x)^s - 1)/x without cancellation at small x.  On complex x
+    (a complex step) log(1 + x) is log1p(x.real) + i x.imag/(1 + x.real),
+    its first order in x.imag: NumPy's complex log1p loses the real part
+    for small x (8.9e-5 relative at x = 1e-12)."""
+    log1p = (np.log1p(x.real) + 1j * (x.imag / (1.0 + x.real))
+             if np.iscomplexobj(x) else np.log1p(x))
+    return np.expm1(s * log1p) / x
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -113,13 +131,17 @@ class Potential:
     The Hamiltonian carries the potential with a minus sign,
     H = G(|p|) - V(|x|), so an attractive force corresponds to V' < 0.
     ``V``, ``dV`` and ``d2V`` are the callables themselves: each takes a
-    float or an array of radii and computes on it as given.
+    float or an array of radii and computes on it as given.  ``V_div(a, b)``
+    is (V(b) - V(a))/(b - a) on real or complex radii, with nothing to
+    cancel as b nears a; the radial quadrature reads it, so a custom
+    potential must supply it too.
     """
 
     kind: str
     V: Callable
     dV: Callable
     d2V: Callable
+    V_div: Callable
     params: tuple = ()
 
     @classmethod
@@ -134,6 +156,10 @@ class Potential:
             lambda r: kappa / alpha * r**-alpha,
             lambda r: -kappa * r ** (-alpha - 1),
             lambda r: kappa * (alpha + 1) * r ** (-alpha - 2),
+            # V[a, b] = (kappa/alpha) a^(-alpha-1) ((b/a)^-alpha - 1)/x with
+            # x = (b - a)/a and (b/a)^-alpha - 1 = expm1(-alpha log1p(x))
+            lambda a, b: kappa / alpha * a**(-alpha - 1.0) * _expm1_ratio(
+                -alpha, (b - a) / a),
             params=(kappa, alpha),
         )
 
@@ -155,6 +181,7 @@ class Potential:
             lambda r: kappa / r + lam / r**2,
             lambda r: -kappa / r**2 - 2.0 * lam / r**3,
             lambda r: 2.0 * kappa / r**3 + 6.0 * lam / r**4,
+            lambda a, b: -kappa / (a * b) - lam * (a + b) / (a * b) ** 2,
             params=(kappa, lam),
         )
 

@@ -139,58 +139,68 @@ def _bracket(law, V, h, L, vals):
     return r_min, r_max
 
 
-def _quadratic_coefficient(law: KineticLaw, V: Potential, h: float):
-    """a in r^2 p^2 = a r^2 + b r + c for V = kappa/r with either law and
-    V = kappa/r + lam/r^2 with the classical law; None for other pairs."""
-    kepler = V.kind == "homogeneous" and V.params[1] == 1.0
-    if kepler or (law.kind == "classical" and V.kind == "levi_civita"):
-        return law.p_squared(h)
-    return None
-
-
-# the node counts of the quadrature ladder, and its stopping rule, which sits
-# above the ~1e-11 relative floor that endpoint cancellation in S sets
+# the node counts of the quadrature ladder, and its stopping rule: a row,
+# real or complex step, stops at the first rung within this relative change
+# of the rung before
 _LADDER = (80, 140, 240, 400, 640)
 _LADDER_RTOL = 5e-11
 
 
 @lru_cache(maxsize=len(_LADDER))
 def _nodes(n: int):
-    """n-point Gauss-Legendre rule on u in [-pi/2, pi/2]: the weights w,
-    sin(u) and w cos(u)^2."""
+    """n-point Gauss-Legendre rule (n even) on u in [-pi/2, pi/2] as (2, n/2)
+    arrays, the nodes below the midpoint and those above: the weights w,
+    w cos(u)^2, and near = +-(1 - |sin u|) and far = +-(1 + |sin u|), +
+    below: a node r = mid + half sin(u) is end + half near, end the nearer
+    turning point, and the other turning point is r + half far."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
     u = 0.5 * math.pi * nodes
     w = 0.5 * math.pi * weights
-    return w, np.sin(u), w * np.cos(u) ** 2
+    s = np.abs(np.sin(u))
+    sign = np.where(u < 0.0, 1.0, -1.0)
+    return tuple(x.reshape(2, n // 2) for x in (
+        w, w * np.cos(u) ** 2, sign * (1.0 - s), sign * (1.0 + s)))
 
 
-def _radial_integrals(law, V, rows, quadratic, n):
+def _integrand(law, V, h, r_min, r_max, n):
+    """r^2, e = h + V and S = p_r^2 / ((r - r_min)(r_max - r)) at the n
+    nodes r of each row, as (rows, 2, n/2) arrays from (rows, 1, 1)
+    columns.  P(r) = r^2 p^2(e) - L^2 vanishes at both ends, so from the
+    nearer end a, S = P[a, r] / (r^2 (far - r)) with the divided difference
+    P[a, r] = (a + r) p^2(e_r) + a^2 p^2[e_a, e_r] V[a, r]: nothing cancels
+    near the ends, and the end's own residual is dropped."""
+    _, _, near, far = _nodes(n)
+    half = 0.5 * (r_max - r_min)
+    a = np.concatenate((r_min, r_max), axis=-2)
+    r = a + half * near
+    r2 = r**2
+    e = h + V.V(r)
+    S = (((a + r) * law.p_squared(e)
+          + a**2 * law.p_squared_div(h + V.V(a), e) * V.V_div(a, r))
+         / (r2 * (half * far)))
+    return r2, e, S
+
+
+def _radial_integrals(law, V, rows, n):
     """Half-cycle radial time, swept angle and action integral of each row
     by n-node Gauss-Legendre after the singularity-removing substitution
     r = mid + half*sin(u), as a (rows, 3) list, and for each row whether
     its integrand fails to be positive at every node.  rows stacks the
-    columns h, L, L^2, r_min, r_max, half^2 and a (the quadratic
-    coefficient, read when quadratic), all real, or all complex for the
-    rows of radial_jacobian.  Elementwise along the rows, with sums along
-    the nodes, so a row gets the same bits in any batch of its type."""
-    h, L, L2, r_min, r_max, half2, a = rows
-    w, sin_u, w_cos2 = _nodes(n)
-    mid = 0.5 * (r_min + r_max)
-    half = 0.5 * (r_max - r_min)
-    r = mid + half * sin_u
-    r2 = r**2
-    q = h + V.V(r)
-    # r^2 p^2 = a (r - r_min)(r - r_max) leaves nothing to cancel near the
-    # ends; otherwise the direct quotient of _p2 at the nodes
-    S = (-a / r2 if quadratic
-         else (law.p_squared(q) - L2 / r2) / ((r - r_min) * (r_max - r)))
-    bad = np.any(S.real <= 0.0, axis=-1).tolist()
+    columns h, L, r_min and r_max, all real, or all complex for the rows
+    of radial_jacobian.  Elementwise along the rows, with sums along the
+    nodes, so a row gets the same bits in any batch of its type."""
+    h, L, r_min, r_max = rows
+    w, w_cos2, _, _ = _nodes(n)
+    r2, e, S = _integrand(law, V, h, r_min, r_max, n)
+    nodes = (-2, -1)
+    bad = np.any(S.real <= 0.0, axis=nodes).tolist()
     sqrtS = np.sqrt(S)
-    pmag = np.sqrt(law.p_squared(q))
-    gp = law.f_inv(pmag)  # G'(|p|)
-    return np.array([np.sum(w * pmag / (gp * sqrtS), axis=-1),
-                     np.sum(w * L / (r2 * sqrtS), axis=-1),
-                     half2[:, 0] * np.sum(w_cos2 * sqrtS, axis=-1) / math.pi
+    half = 0.5 * (r_max - r_min)[:, 0, 0]
+    # dt = |p| dr / (G'(|p|) p_r), and |p|/G'(|p|) = (1/2) d(p^2)/de
+    return np.array([np.sum(w * (0.5 * law.p_squared_div(e, e)) / sqrtS,
+                            axis=nodes),
+                     np.sum(w * L / (r2 * sqrtS), axis=nodes),
+                     half**2 * np.sum(w_cos2 * sqrtS, axis=nodes) / math.pi
                      ]).T.tolist(), bad
 
 
@@ -202,46 +212,32 @@ def _converged_integrals(law, V, h, L, r_min, r_max, step=None):
     the others, and the QuadratureError message of each of those, by
     row.  With step, the rows are complex numbers a step i*step off a
     real row, and a row's values are the imaginary parts over step: the
-    derivatives along the step.  On the direct quotient those meet its
-    cancellation floor, which grows as the nodes crowd the ends, so such
-    a row also stops at the rung before its change grows."""
-    coef = [_quadratic_coefficient(law, V, x) for x in h]
-    quadratic = None not in coef
-    # squared one float at a time: a float's x**2 (C pow) and NumPy's
-    # array square can differ in the last bit
-    rows = np.array([h, L, [x**2 for x in L], r_min, r_max,
-                     [(0.5 * (hi - lo))**2 for lo, hi in zip(r_min, r_max)],
-                     coef if quadratic else h],
+    derivatives along the step."""
+    rows = np.array([h, L, r_min, r_max],
                     dtype=float if step is None else complex)
     out = [None] * len(h)
     failed = {}
-    # the rows still on the ladder, their columns, their last values and
-    # their last changes
-    todo, block = list(range(len(h))), rows[:, :, None]
-    prev, last = None, [math.inf] * len(h)
+    # the rows still on the ladder, their columns and their last values
+    todo, block, prev = list(range(len(h))), rows[:, :, None, None], None
     for n in _LADDER:
-        cur, bad = _radial_integrals(law, V, block, quadratic, n)
+        cur, bad = _radial_integrals(law, V, block, n)
         if step is not None:
             cur = [[v.imag / step for v in row] for row in cur]
-        keep, changes = [], []
+        keep = []
         for j, i in enumerate(todo):
-            change = math.inf if prev is None else max(
-                abs(a - b) / (1.0 + abs(a)) for a, b in zip(cur[j], prev[j]))
             if bad[j]:
                 failed[i] = "radial admissibility not positive at quadrature nodes"
-            elif change <= _LADDER_RTOL:
+            elif prev is not None and max(
+                    abs(a - b) / (1.0 + abs(a))
+                    for a, b in zip(cur[j], prev[j])) <= _LADDER_RTOL:
                 out[i] = cur[j]
-            elif step is not None and not quadratic and change > last[j]:
-                out[i] = prev[j]
             else:
                 keep.append(j)
-                changes.append(change)
         if not keep:
             return out, failed
         if len(keep) < len(todo):
             block = block[:, keep]
-        todo, prev, last = ([todo[j] for j in keep], [cur[j] for j in keep],
-                            changes)
+        todo, prev = [todo[j] for j in keep], [cur[j] for j in keep]
     for i in todo:
         failed[i] = (f"radial quadrature did not converge to "
                      f"{_LADDER_RTOL:g} at (h, L) = "
@@ -280,8 +276,7 @@ def radial_jacobian(law: KineticLaw, V: Potential, profile: RadialProfile):
     dh, dL = [], []  # (dr_min, dr_max) along h and along L
     for r in ends:
         e = h + V.V(r)
-        dP_dh = 2.0 * law.m + (2.0 * e / law.c**2
-                               if law.kind == "relativistic" else 0.0)
+        dP_dh = law.p_squared_div(e, e)
         dP_dr = dP_dh * V.dV(r) + 2.0 * L**2 / r**3
         dh.append(-dP_dh / dP_dr)
         dL.append(2.0 * L / (r**2 * dP_dr))
@@ -445,8 +440,9 @@ def _feasible_L_interval(law, V, h):
 # energy level), shared by every k:n target at that level
 SCAN_CACHE_SIZE = 64
 # fraction of its width by which a clipped vary_h grid end is pulled inside
-# the bound energies; at 1e-3 the near-circular end of alpha = 0.5 still
-# meets the quadrature floor of the direct quotient
+# the bound energies: a clipped end is the circular or the unbound energy
+# itself, where turning_points finds no annulus, so unpulled the grid loses
+# its end points
 _H_PULL = 1e-2
 
 

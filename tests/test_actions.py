@@ -125,12 +125,12 @@ class TestK0Hessian:
     def test_complex_step_has_no_step_to_tune(self, law, V, h, L,
                                               monkeypatch):
         # the imaginary step drops out of the derivative: 1e-150 gives the
-        # Hessian of 1e-30 (on the direct quotient, up to its floor)
+        # Hessian of 1e-30 to rounding (6.5e-16 relative)
         a = k0_hessian(law, V, h, L)
         monkeypatch.setattr(orbit, "_STEP", 1e-150)
         b = k0_hessian(law, V, h, L)
         assert np.max(np.abs(a.hessian - b.hessian)) <= \
-            1e-10 * np.max(np.abs(a.hessian))
+            1e-14 * np.max(np.abs(a.hessian))
 
 
 def sommerfeld(c, I1, I2):
@@ -211,7 +211,23 @@ def test_euler_relation_on_homogeneous_rows(name, law, alpha, pool_profiles):
     beta = -2.0 * alpha / (2.0 - alpha)
     lhs = rep.hessian @ np.array([p.action, p.L])
     assert np.max(np.abs(lhs - (beta - 1.0) * rep.gradient)) <= \
-        1e-9 * np.max(np.abs(rep.gradient))
+        1e-13 * np.max(np.abs(rep.gradient))
+
+
+# the classical pool rows whose apsidal angle varies: Kepler and the
+# harmonic oscillator are left out
+VARYING_PHI = [row for row in POOL
+               if row[1] == CLASSICAL and row[2] not in (1.0, -2.0)]
+
+
+@pytest.mark.parametrize("name, law, alpha", [row[:3] for row in VARYING_PHI],
+                         ids=[row[0] for row in VARYING_PHI])
+def test_mixed_partials_of_the_radial_action(name, law, alpha, pool_profiles):
+    # dI1/dh = tau/(2 pi) and dI1/dL = -phi/pi, so
+    # d phi/dh = -(1/2) d tau/dL
+    J = orbit.radial_jacobian(law, Potential.homogeneous(1.0, alpha),
+                              pool_profiles[name])
+    assert abs(J[1, 0] + 0.5 * J[0, 1]) <= 1e-12 * abs(J[1, 0])
 
 
 def _survey_point(triple, h_shift, t):

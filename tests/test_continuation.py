@@ -1095,18 +1095,18 @@ class TestSymmetricPath:
     @pytest.mark.parametrize("mode", ["fixed_period"])
     def test_harmonic_half_system_falls_back(self, mode):
         # the harmonic oscillator is degenerate: its half-system is
-        # singular at eps = 0, and Newton from the seed raises the residual
-        # at its first step, at the target eps and at every half of it down
-        # to EPS_START
+        # singular at eps = 0, and Newton from the seed does not contract
+        # (Theta_0 = 1 to 6 digits) at its first step, at the target eps
+        # and at every half of it down to EPS_START
         prob = harmonic_problem(mode)
         assert _on_fix(prob)
         res = continuation._continue(prob)
         assert not res.accepted
-        assert res.reason == "rejected step at eps=0.000125"
+        assert res.reason == "no contraction at eps=0.000125"
         rungs = [1e-3, 5e-4, 2.5e-4, 1.25e-4]
         assert [e for e, _ in res.rung_starts] == rungs
-        assert [(e, ok) for e, _, ok in res.history] == [
-            (e, False) for e in rungs]
+        assert [e for e, *_ in res.history] == rungs
+        assert min(res.contractions) >= continuation.THETA_MAX
         assert res.half_condition is None
         assert np.array_equal(res.z0, prob.seed)
 
@@ -1163,9 +1163,10 @@ class Larmor:
     def __init__(self, V, k, n, omega):
         self.k, self.n, self.omega = k, n, omega
         c = omega * omega
-        self.V_eff = Potential("custom", lambda r: V.V(r) - 0.5 * c * r**2,
-                               lambda r: V.dV(r) - c * r,
-                               lambda r: V.d2V(r) - c)
+        self.V_eff = Potential(
+            "custom", lambda r: V.V(r) - 0.5 * c * r**2,
+            lambda r: V.dV(r) - c * r, lambda r: V.d2V(r) - c,
+            lambda a, b: V.V_div(a, b) - 0.5 * c * (a + b))
 
     def _conditions(self, K, ell):
         # (T, turn mismatch) of the K_eff orbit at (K, ell)

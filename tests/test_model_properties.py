@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis import (assume, example, given, reject, settings,
+                        strategies as st)
 from scipy.spatial.transform import Rotation
 
 from cforbits.flow import integrate_with_variational, symplectic_matrix
@@ -108,6 +109,57 @@ def test_p_squared_inverts_G(law, log_q):
     pmag = q * law.m * (law.c if law.kind == "relativistic" else 1.0)
     assert law.p_squared(float(law.G(pmag))) == pytest.approx(pmag**2, rel=1e-14)
 
+
+
+@settings(PROPERTY, max_examples=100)
+@given(law=laws, e1=st.floats(-5.0, 5.0), e2=st.floats(-5.0, 5.0))
+def test_p_squared_div_is_the_divided_difference(law, e1, e2):
+    assume(abs(e2 - e1) >= 0.1)
+    quotient = (law.p_squared(e2) - law.p_squared(e1)) / (e2 - e1)
+    assert law.p_squared_div(e1, e2) == pytest.approx(quotient, rel=1e-12)
+
+
+# the divided difference V[a, b] of both kinds of potential: homogeneous
+# with alpha away from 0 (where 1/alpha cancels in V) and Levi-Civita
+divided_potentials = st.one_of(
+    st.builds(Potential.homogeneous, st.floats(0.5, 2.0),
+              st.floats(-3.0, 1.95).filter(lambda a: abs(a) >= 0.05)),
+    st.builds(Potential.levi_civita, st.floats(0.5, 2.0), st.floats(0.01, 1.0)),
+)
+
+
+def scaled_divided_difference(V, a, b):
+    """d/dl V[l a, l b] at l = 1 in closed form: V[a, b] is homogeneous of
+    degree -alpha - 1, and its Levi-Civita terms of degrees -2 and -3."""
+    if V.kind == "homogeneous":
+        return -(V.params[1] + 1.0) * V.V_div(a, b)
+    kappa, lam = V.params
+    return 2.0 * kappa / (a * b) + 3.0 * lam * (a + b) / (a * b) ** 2
+
+
+@settings(PROPERTY, max_examples=200)
+@given(V=divided_potentials, a=st.floats(0.05, 20.0),
+       ratio=st.floats(1.5, 20.0), log_gap=st.floats(math.log(1e-12),
+                                                    math.log(1e-8)),
+       below=st.booleans())
+def test_V_div_is_the_divided_difference(V, a, ratio, log_gap, below):
+    # apart: the direct quotient, which cancels little there
+    b = a / ratio if below else a * ratio
+    quotient = (V.V(b) - V.V(a)) / (b - a)
+    assert V.V_div(a, b) == pytest.approx(quotient, rel=1e-12)
+    # b -> a: the derivative, up to V'' times the gap
+    b = a * (1.0 - math.exp(log_gap) if below else 1.0 + math.exp(log_gap))
+    assert abs(V.V_div(a, b) - V.dV(a)) <= (
+        1e-13 * abs(V.dV(a)) + 2.0 * abs(V.d2V(a) * (b - a)))
+    # a complex step that scales both points, as the radial rows of
+    # orbit.radial_jacobian move an end and a node together: its imaginary
+    # part over the step is the derivative along the scaling, which on
+    # NumPy's complex log1p would be off by up to 3.4e-5 relative
+    step = 1e-30
+    moved = V.V_div(a * (1.0 + 1j * step), b * (1.0 + 1j * step))
+    want = scaled_divided_difference(V, a, b)
+    assert abs(moved.imag / step - want) <= 1e-13 * (
+        abs(want) + abs(V.V_div(a, b)))
 
 
 systems = st.one_of(

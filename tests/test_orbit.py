@@ -78,8 +78,8 @@ class TestRadialIntegrals:
     def test_harmonic_quantities(self):
         h, L = 1.25, 1.0
         p = radial_profile(CLASSICAL, HARMONIC, h, L)
-        assert p.tau == pytest.approx(math.pi, rel=1e-9)
-        assert p.phi == pytest.approx(math.pi / 2, abs=1e-7)
+        assert p.tau == pytest.approx(math.pi, abs=1e-14)
+        assert p.phi == pytest.approx(math.pi / 2, abs=1e-14)
         assert p.action == pytest.approx(h / 2 - L / 2, abs=1e-8)
 
     def test_harmonic_isochrony(self):
@@ -102,11 +102,15 @@ class TestRadialIntegrals:
     def test_near_circular_apsidal_limit(self, alpha):
         V = Potential.homogeneous(1.0, alpha)
         h = 1.0 if alpha < 0 else -0.5
-        # walk toward the circular boundary and compare with pi/sqrt(2-alpha)
+        # walk toward the circular boundary and compare with pi/sqrt(2-alpha);
+        # at 0.999 hi (eccentricity 0.05-0.12) the integrand still has no
+        # cancellation near the turning points to stop the ladder
         from cforbits.orbit import _feasible_L_interval
         lo, hi = _feasible_L_interval(CLASSICAL, V, h)
-        p = radial_profile(CLASSICAL, V, h, 0.99 * hi)
-        assert p.phi == pytest.approx(math.pi / math.sqrt(2 - alpha), rel=5e-3)
+        for fraction in (0.99, 0.999):
+            p = radial_profile(CLASSICAL, V, h, fraction * hi)
+            assert p.phi == pytest.approx(math.pi / math.sqrt(2 - alpha),
+                                          rel=5e-3)
 
 
 # pool targets of the benchmark's survey on the kinds whose r^2 p^2 is a
