@@ -244,10 +244,11 @@ def cmd_nondeg(cfg, em: Emitter):
     if any disagreed."""
     cases = cfg.get("cases")
     if not cases:
-        if "potential" not in cfg or "orbit" not in cfg:
-            raise ConfigError("nondeg needs 'cases' or potential+orbit")
-        cases = [{"name": "case0", "potential": cfg["potential"],
-                  "orbit": cfg["orbit"]}]
+        cases = [{"name": "case0", "potential": _block(cfg, "potential"),
+                  "orbit": _block(cfg, "orbit")}]
+    elif {"potential", "orbit"} & set(cfg):
+        raise ConfigError("nondeg reads no 'potential' or 'orbit' block "
+                          "next to 'cases'")
     rows = []
     verdicts = []
     disagreement = failed = False
@@ -327,10 +328,6 @@ def cmd_continue(cfg, em: Emitter):
     pcfg = _block(cfg, "perturbation")
     planar = (pcfg["family"] == "rotating_frame"
               or len(pcfg.get("e_vec", ())) == 2)
-    if planar and "group" in ccfg:
-        raise ConfigError("a planar field (rotating_frame, or a 2-component "
-                          "e_vec) continues in the plane, where "
-                          "continuation.group does not apply")
     law = _build_law(cfg.get("law"))
     V = _build_potential(_block(cfg, "potential"))
     orbit = _find_orbit(law, V, _block(cfg, "orbit"))
@@ -352,7 +349,7 @@ def cmd_continue(cfg, em: Emitter):
     sys = HamiltonianSystem(law, V, pert, 2 if planar else 3)
     samples = manifold_samples(
         orbit, ccfg.get("count_rot", 8), ccfg.get("count_shift", 4),
-        **({"group": "planar"} if planar else _given(ccfg, "group")))
+        group="planar" if planar else "SO3")
     # the apsis samples are built on the line x1: turned onto the
     # reversor's line, those on it lie on its fixed set for a field off x1
     a = reversor(pert)
@@ -469,6 +466,16 @@ _COMMANDS = {
     "limit-classical": cmd_limit_classical,
 }
 
+# the top-level blocks each command reads besides schema_version; main
+# refuses any other
+_READS = {
+    "orbit": {"law", "potential", "orbit", "output"},
+    "nondeg": {"law", "cases", "potential", "orbit"},
+    "continue": {"law", "potential", "orbit", "perturbation", "continuation",
+                 "output"},
+    "limit-classical": {"law", "potential", "orbit", "c_values"},
+}
+
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
@@ -485,8 +492,13 @@ def main(argv=None):
     em = Emitter(args.out, args.config, args.reproducible)
     try:
         cfg = load_config(args.config)
+        unread = sorted(set(cfg) - _READS[args.command] - {"schema_version"})
+        if unread:
+            raise ConfigError(f"{args.command} reads no block "
+                              + ", ".join(f"'{name}'" for name in unread))
     except (OSError, ValueError) as exc:
-        # unreadable, not UTF-8 or not JSON, or refused by the schema
+        # unreadable, not UTF-8 or not JSON, refused by the schema, or
+        # with a block the command does not read
         print(f"error: {exc}", file=_sys.stderr)
         em.finish()
         return EXIT_VALIDATION

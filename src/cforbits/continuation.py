@@ -455,11 +455,11 @@ def distance_to_manifold(result: ContinuationResult,
     time-shifted copies of the base orbit, as a sup-norm over positions.
 
     For a time shift theta the rotation is the least-squares (Procrustes)
-    fit of the base positions at t - theta onto the solution's, kept proper
-    except in the O3 group, and theta is scored by the sup-norm at that
-    rotation.  theta is minimised over one radial period tau, first on a
-    grid and then by a bounded scalar search: shifting the base orbit by tau
-    rotates it by 2 pi k/n, which every group contains.  The result is an
+    fit of the base positions at t - theta onto the solution's, kept
+    proper, and theta is scored by the sup-norm at that rotation.  theta
+    is minimised over one radial period tau, first on a grid and then by a
+    bounded scalar search: shifting the base orbit by tau rotates it by
+    2 pi k/n, which every group contains.  The result is an
     upper bound on the distance, deterministic, and the same for copies of
     the solution turned by a rotation of the group.
     """
@@ -470,14 +470,13 @@ def distance_to_manifold(result: ContinuationResult,
     dim = np.asarray(result.z0).size // 2
     ts = np.linspace(0.0, result.period, N_SAMPLES)
     X = traj(ts)[:, :dim]
-    proper = samples.group != "O3"
 
     def score(base):
         # sup-norm and rotation of the fit of the base states at ts - theta
         Y = np.zeros_like(X)
         Y[:, :orbit.dim] = base[:, :orbit.dim]
         U, _, Vt = np.linalg.svd(X.T @ Y)
-        if proper and np.linalg.det(U @ Vt) < 0:
+        if np.linalg.det(U @ Vt) < 0:
             U[:, -1] = -U[:, -1]
         M = U @ Vt
         return float(np.max(np.linalg.norm(X - Y @ M.T, axis=1))), M

@@ -107,10 +107,6 @@ class KineticLaw:
             d = d + (e1 + e2) / self.c**2
         return d
 
-    def G_inv(self, e):
-        """Momentum magnitude at kinetic energy e >= 0."""
-        return np.sqrt(self.p_squared(np.asarray(e, dtype=float)))
-
 
 # --- potentials ---
 

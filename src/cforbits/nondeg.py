@@ -3,7 +3,7 @@ fixed-period problems and of the augmented flow-direction matrix for the
 fixed-energy problems, plus cross-checks against the action-angle route.
 
 A planar orbit's manifold of rotated/time-shifted copies is 2-dimensional;
-the spatial manifold (rotations in O(3) plus shifts) is 4-dimensional.
+the spatial manifold (rotations in SO(3) plus shifts) is 4-dimensional.
 Non-degeneracy means the linearization sees exactly those dimensions and
 nothing more.
 
@@ -19,15 +19,16 @@ the half from apogee to perigee followed by its mirror image.  tau/2 is
 off the true perigee time by the quadrature error of tau, which the
 perigee shear would amplify, so one Newton step on x.p = 0 first moves the
 half to the perigee, and a step of the same size moves the mirrored
-period back to tau (``_rotated_cycle_power``).  Rotating the orbit plane
-gives two T-periodic solutions and the coupling blocks vanish at
-x3 = p3 = 0, so the spatial monodromy of the embedded orbit is P + I_2
-(direct sum).
+period back to tau (``_rotated_cycle_power``).  Tilting the orbit plane
+about its two in-plane axes gives two T-periodic solutions and the coupling
+blocks vanish at x3 = p3 = 0, so the spatial monodromy of the embedded
+orbit is the direct sum P + I_2, whose kernels are the planar ones plus
+that tilt pair.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,7 +98,8 @@ class KernelReport:
     the flow direction.  ``radial_defect`` is |z(tau) - Rot(2 pi k/n) z0|
     at the end of the one radial period the monodromy P was built from,
     with z(tau) the apogee's mirror image about the perigee, stepped by
-    the perigee-time correction."""
+    the perigee-time correction.  A spatial report is its planar one, P
+    and matrix too, with the tilt pair added to ``kernel_dim``."""
 
     P: np.ndarray
     matrix: np.ndarray
@@ -107,9 +109,6 @@ class KernelReport:
     symplectic_residual: float
     radial_defect: float
     verdict: str
-
-
-_PLANE = [0, 1, 3, 4]  # x1, x2, p1, p2 inside (x1, x2, x3, p1, p2, p3)
 
 
 def _rotated_cycle_power(sys: HamiltonianSystem, z0, tau: float,
@@ -195,7 +194,8 @@ def _reports(sys: HamiltonianSystem, z0, P, defect: float):
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Verdict agreement between the determinant and monodromy routes."""
+    """Verdict agreement between the determinant and monodromy routes; the
+    spatial reports are the planar ones with ``kernel_dim + 2``."""
 
     actions: NondegReport
     planar_fp: KernelReport
@@ -207,8 +207,9 @@ class ConsistencyReport:
 
 
 def cross_check(orbit: PeriodicOrbit) -> ConsistencyReport:
-    """Run both routes on both problems, planar and spatial, and demand
-    verdict agreement."""
+    """Run both routes on both problems and demand verdict agreement.  The
+    spatial reports are the planar ones with the tilt pair in the kernel,
+    so each problem is compared once."""
     rep = k0_hessian(orbit.law, orbit.potential, orbit.profile.h,
                      orbit.profile.L, profile=orbit.profile)
     det_fp = nondeg_fixed_period(rep)
@@ -220,22 +221,15 @@ def cross_check(orbit: PeriodicOrbit) -> ConsistencyReport:
     P, defect = _rotated_cycle_power(sys2, z0, profile.tau,
                                      2.0 * math.pi * orbit.k / orbit.n,
                                      orbit.n)
-    P3 = np.eye(6)
-    P3[np.ix_(_PLANE, _PLANE)] = P
-    sys3 = HamiltonianSystem(law, V, Perturbation.zero(), 3)
     pl_fp, pl_fe = _reports(sys2, z0, P, defect)
-    sp_fp, sp_fe = _reports(sys3, apogee_state(profile, 3), P3, defect)
-    pairs = [
-        ("fixed-period planar", det_fp, pl_fp.verdict),
-        ("fixed-period spatial", det_fp, sp_fp.verdict),
-        ("fixed-energy planar", det_fe, pl_fe.verdict),
-        ("fixed-energy spatial", det_fe, sp_fe.verdict),
-    ]
-    bad = [(w, a, m) for w, a, m in pairs if a != m]
+    sp_fp, sp_fe = (replace(r, kernel_dim=r.kernel_dim + 2)
+                    for r in (pl_fp, pl_fe))
+    bad = [f"{w}: actions={a}, monodromy={m.verdict}" for w, a, m in
+           (("fixed-period", det_fp, pl_fp), ("fixed-energy", det_fe, pl_fe))
+           if a != m.verdict]
     if bad:
         raise RouteDisagreementError(
-            "route verdicts disagree: " + "; ".join(
-                f"{w}: actions={a}, monodromy={m}" for w, a, m in bad),
+            "route verdicts disagree: " + "; ".join(bad),
             reports={"actions": rep, "planar_fp": pl_fp, "planar_fe": pl_fe,
                      "spatial_fp": sp_fp, "spatial_fe": sp_fe},
         )

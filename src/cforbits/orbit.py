@@ -658,15 +658,9 @@ def manifold_samples(orbit: PeriodicOrbit, count_rot: int, count_shift: int,
         states = rotate_plane(np.tile(shifted, (count_rot, 1)),
                               np.repeat(angles, count_shift))
         return ManifoldSample(orbit, group, elements, states)
-    if group == "SO3":
-        mats = _so3_sequence(count_rot)
-    elif group == "O3":
-        half = (count_rot + 1) // 2
-        proper = _so3_sequence(half)
-        refl = np.diag([1.0, 1.0, -1.0])
-        mats = proper + [M @ refl for M in proper[: count_rot - half]]
-    else:
+    if group != "SO3":
         raise ValueError(f"unknown group: {group!r}")
+    mats = _so3_sequence(count_rot)
     elements = tuple((M, th) for M in mats for th in thetas)
     states = np.array([rotate_state(M, _embed3(z))
                        for M in mats for z in shifted])

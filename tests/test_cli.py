@@ -201,8 +201,8 @@ class TestValidation:
 
     def test_group_with_planar_electric_vector_is_validation_error(
             self, tmp_path, capsys):
-        # a planar electric vector continues in the plane, so a group would
-        # be ignored
+        # continuation.group is no config key: the plane and space each
+        # have one group
         cfg = {
             "schema_version": 1,
             "potential": {"kind": "homogeneous", "alpha": 0.5},
@@ -214,7 +214,7 @@ class TestValidation:
         out = tmp_path / "out"
         assert main(["continue", "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_VALIDATION
-        assert "continuation.group" in capsys.readouterr().err
+        assert "'group' was unexpected" in capsys.readouterr().err
         assert (out / "manifest.json").exists()
 
     def test_limit_classical_refuses_repeated_c_values(self, tmp_path, capsys):
@@ -234,6 +234,52 @@ class TestValidation:
         path = write_cfg(tmp_path, cfg)
         assert main(["limit-classical", "--config", path,
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+    # a demo config with one valid block that its command does not read
+    @pytest.mark.parametrize("command, demo, block, value", [
+        ("orbit", "orbit_kepler", "c_values", [5.0, 10.0]),
+        ("orbit", "orbit_kepler", "cases", [
+            {"potential": KEPLER_ORBIT_CFG["potential"],
+             "orbit": KEPLER_ORBIT_CFG["orbit"]}]),
+        ("orbit", "orbit_kepler", "continuation", {"mode": "fixed_period"}),
+        ("orbit", "orbit_kepler", "perturbation",
+         {"family": "rotating_frame", "eps": 1e-4}),
+        ("nondeg", "nondeg_table", "output", {"trajectory_samples": 10}),
+        ("nondeg", "nondeg_table", "perturbation",
+         {"family": "rotating_frame", "eps": 1e-4}),
+        ("nondeg", "nondeg_table", "potential", KEPLER_ORBIT_CFG["potential"]),
+        ("nondeg", "nondeg_table", "orbit", KEPLER_ORBIT_CFG["orbit"]),
+        ("continue", "continue_alpha05", "c_values", [5.0, 10.0]),
+        ("continue", "continue_alpha05", "cases", [
+            {"potential": KEPLER_ORBIT_CFG["potential"],
+             "orbit": KEPLER_ORBIT_CFG["orbit"]}]),
+        ("limit-classical", "limit_classical", "output",
+         {"trajectory_samples": 10}),
+        ("limit-classical", "limit_classical", "continuation",
+         {"mode": "fixed_period"}),
+    ], ids=["orbit-c_values", "orbit-cases", "orbit-continuation",
+            "orbit-perturbation", "nondeg-output", "nondeg-perturbation",
+            "nondeg-potential", "nondeg-orbit", "continue-c_values",
+            "continue-cases", "limit_classical-output",
+            "limit_classical-continuation"])
+    def test_unread_block_rejected(self, tmp_path, capsys, command, demo,
+                                   block, value):
+        cfg = json.loads((DEMO_DIR / f"{demo}.json").read_text())
+        assert block not in cfg
+        cfg[block] = value
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert f"'{block}'" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == []
+
+    def test_schema_blocks_and_command_reads_agree(self):
+        # every top-level block the schema allows is read by some command,
+        # and every block a command reads is in the schema
+        blocks = set(cforbits.cli._schema()["properties"]) - {"schema_version"}
+        assert set(cforbits.cli._READS) == set(cforbits.cli._COMMANDS)
+        assert set().union(*cforbits.cli._READS.values()) == blocks
 
 
 class TestOrbitCommand:
@@ -514,9 +560,10 @@ class TestContinueCommand:
                      "--out", str(out)]) == EXIT_VALIDATION
         assert (out / "manifest.json").exists()
 
-    def test_group_with_rotating_frame_is_validation_error(self, tmp_path):
-        # the rotating frame continues in the plane, so a group would be
-        # ignored
+    def test_group_with_rotating_frame_is_validation_error(self, tmp_path,
+                                                           capsys):
+        # continuation.group is no config key: the rotating frame continues
+        # in the plane
         cfg = {
             "schema_version": 1,
             "potential": {"kind": "homogeneous", "alpha": 0.5},
@@ -527,7 +574,31 @@ class TestContinueCommand:
         out = tmp_path / "out"
         assert main(["continue", "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_VALIDATION
+        assert "'group' was unexpected" in capsys.readouterr().err
         assert (out / "manifest.json").exists()
+
+    def test_spatial_group_is_gone(self, tmp_path, capsys):
+        # space continues in SO(3) only: the library refuses O3, and a
+        # spatial field's config refuses continuation.group
+        orbit3 = find_closed_orbit(KineticLaw.classical(),
+                                   Potential.homogeneous(1.0, 0.5), 4, 5,
+                                   -1.9, dim=3)
+        with pytest.raises(ValueError, match="unknown group"):
+            manifold_samples(orbit3, 2, 2, group="O3")
+        cfg = {
+            "schema_version": 1,
+            "potential": {"kind": "homogeneous", "alpha": 0.5},
+            "orbit": {"k": 4, "n": 5, "h": -1.9},
+            "perturbation": {"family": "uniform_electric", "eps": 1e-4,
+                             "e_vec": [1.0, 0.0, 0.0]},
+            "continuation": {"group": "SO3"},
+        }
+        out = tmp_path / "out"
+        assert main(["continue", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "'group' was unexpected" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == []
 
     def test_spatial_cosine_electric_run(self, tmp_path):
         cfg = {
@@ -538,8 +609,8 @@ class TestContinueCommand:
                              "profile": "cosine",
                              "T_forcing": "orbit_period",
                              "e_vec": [1.0, 0.0, 0.0]},
-            "continuation": {"mode": "fixed_period", "group": "SO3",
-                             "count_rot": 1, "count_shift": 2},
+            "continuation": {"mode": "fixed_period", "count_rot": 1,
+                             "count_shift": 2},
         }
         payload = run_continue(tmp_path, cfg)
         assert payload["n_accepted"] >= 1
@@ -561,8 +632,8 @@ class TestContinueCommand:
             "perturbation": {"family": "uniform_electric", "eps": 1e-4,
                              "profile": "constant",
                              "e_vec": [1.0, 0.0, 0.0]},
-            "continuation": {"mode": "fixed_period", "group": "SO3",
-                             "count_rot": 1, "count_shift": 2},
+            "continuation": {"mode": "fixed_period", "count_rot": 1,
+                             "count_shift": 2},
         }
         payload = run_continue(tmp_path, cfg)
         assert payload["n_accepted"] >= 1

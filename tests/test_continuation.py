@@ -611,14 +611,15 @@ def _uncontinued(z0, T, traj):
 
 
 class TestDistance:
-    # the base orbit itself, then unperturbed copies turned by a rotation (a
-    # reflection too, for O3) and shifted by a fraction of tau, both off the
-    # 4 x 4 sample grid
+    # the base orbit itself, then unperturbed copies turned by a rotation
+    # (after a mirror x2 -> -x2, for the last) and shifted by a fraction of
+    # tau, both off the 4 x 4 sample grid; on the orbit plane the mirror is
+    # the proper rotation Rx(pi), so SO(3) holds the mirrored copy too
     @pytest.mark.parametrize("group, rotvec, mirror, shift", [
         ("planar", (0.0, 0.0, 0.0), False, 0.0),
         ("planar", (0.0, 0.0, 1.0), False, 0.37),
         ("SO3", (0.3, -0.5, 0.8), False, 0.61),
-        ("O3", (0.3, -0.5, 0.8), True, 0.23),
+        ("SO3", (0.3, -0.5, 0.8), True, 0.23),
     ], ids=["planar-identity", "planar-turned", "SO3-turned", "O3-mirrored"])
     def test_unperturbed_orbit_has_zero_distance(self, orbit, orbit3, group,
                                                  rotvec, mirror, shift):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -40,6 +41,29 @@ def harmonic_orbit():
 def alpha_half_orbit():
     return find_closed_orbit(CLASSICAL, Potential.homogeneous(1.0, 0.5),
                              3, 4, -1.5)
+
+
+PLANE = [0, 1, 3, 4]  # x1, x2, p1, p2 inside (x1, x2, x3, p1, p2, p3)
+TILT = [2, 5]        # x3, p3
+
+
+def embedded_monodromy(orbit):
+    """The 6x6 monodromy of the orbit embedded in space, integrated over
+    its period T."""
+    sys3 = HamiltonianSystem(orbit.law, orbit.potential, Perturbation.zero(), 3)
+    _, W3 = integrate_with_variational(sys3, apogee_state(orbit.profile, 3),
+                                       0.0, orbit.T)
+    return W3
+
+
+def assert_direct_sum(W3, P, bound):
+    """W3 is P + I_2: its plane block is P to bound, its (x3, p3) block I_2
+    to 1e-8 (5.0e-10 at most on the pool), and its coupling blocks are
+    exactly 0."""
+    assert np.max(np.abs(W3[np.ix_(PLANE, PLANE)] - P)) <= bound
+    assert np.max(np.abs(W3[np.ix_(TILT, TILT)] - np.eye(2))) <= 1e-8
+    assert not W3[np.ix_(PLANE, TILT)].any()
+    assert not W3[np.ix_(TILT, PLANE)].any()
 
 
 @pytest.fixture(scope="module")
@@ -120,14 +144,21 @@ class TestFixedPeriodChecks:
         r = (np.eye(4) - rep.P) @ v
         assert np.linalg.norm(r) <= 1e-6 * np.linalg.norm(v)
 
-    def test_spatial_contains_planar_block(self, alpha_half_cc):
-        # the embedded 6x6 monodromy restricted to the orbit plane must match
-        # the 4x4 planar monodromy
-        pl = alpha_half_cc.planar_fp
-        sp = alpha_half_cc.spatial_fp
-        idx = [0, 1, 3, 4]  # x1, x2, p1, p2 inside (x1,x2,x3,p1,p2,p3)
-        block = sp.P[np.ix_(idx, idx)]
-        assert np.max(np.abs(block - pl.P)) <= 1e-8
+    def test_spatial_contains_planar_block(self, alpha_half_orbit,
+                                           alpha_half_cc):
+        # the embedded orbit's 6x6 monodromy, integrated over T, is the
+        # direct sum of the 4x4 planar monodromy and the tilt pair's I_2
+        assert_direct_sum(embedded_monodromy(alpha_half_orbit),
+                          alpha_half_cc.planar_fp.P, 1e-8)
+
+    def test_spatial_reports_are_the_planar_ones_plus_the_tilts(
+            self, alpha_half_cc):
+        for pl, sp in ((alpha_half_cc.planar_fp, alpha_half_cc.spatial_fp),
+                       (alpha_half_cc.planar_fe, alpha_half_cc.spatial_fe)):
+            assert sp.kernel_dim == pl.kernel_dim + 2
+            for field in fields(pl):
+                if field.name != "kernel_dim":
+                    assert getattr(sp, field.name) is getattr(pl, field.name)
 
     def test_spatial_orbit_gets_the_planar_orbits_reports(self, kepler_cc):
         # the reports are built from the radial profile alone, so the
@@ -237,11 +268,10 @@ def reference_reports(orbit):
     """Fixed-period and fixed-energy reports of the full-period 4x4
     monodromy and of the integrated 6x6 monodromy of the embedded orbit."""
     sys3 = HamiltonianSystem(orbit.law, orbit.potential, Perturbation.zero(), 3)
-    z3 = apogee_state(orbit.profile, 3)
-    _, W3 = integrate_with_variational(sys3, z3, 0.0, orbit.T)
     _, W2 = integrate_with_variational(orbit.system, orbit.z0, 0.0, orbit.T)
     return [*_reports(orbit.system, orbit.z0, W2, 0.0),
-            *_reports(sys3, z3, W3, 0.0)]
+            *_reports(sys3, apogee_state(orbit.profile, 3),
+                      embedded_monodromy(orbit), 0.0)]
 
 
 @pytest.mark.parametrize("name, law, alpha, k, n, h, L_seed", POOL,
@@ -259,9 +289,10 @@ def test_radial_period_monodromy_matches_full_period(name, law, alpha, k, n,
         assert new.gap >= MIN_GAP
         assert new.gap >= 0.1 * old.gap
         assert new.radial_defect <= 1e-9
-    for new, old in ((cc.planar_fp, ref[0]), (cc.spatial_fp, ref[2])):
-        assert np.max(np.abs(new.P - old.P)) <= \
-            1e-8 * max(1.0, np.max(np.abs(old.P)))
+    assert np.max(np.abs(cc.planar_fp.P - ref[0].P)) <= \
+        1e-8 * max(1.0, np.max(np.abs(ref[0].P)))
+    assert_direct_sum(ref[2].P, cc.planar_fp.P,
+                      1e-8 * max(1.0, np.max(np.abs(ref[2].P))))
 
 
 def _classical_point(alpha, r1, ratio):
