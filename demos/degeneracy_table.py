@@ -21,7 +21,7 @@ cases = [
 ]
 
 print(f"{'case':<20} {'k:n':>5} {'ecc':>6} {'fixed-period':>13} "
-      f"{'fixed-energy':>13} {'ker 4x4':>8} {'ker 6x6':>8} {'|det| scale':>12}")
+      f"{'fixed-energy':>13} {'ker 4x4':>8} {'ker 3D':>8} {'|det| scale':>12}")
 for name, alpha, k, n, h, L_seed in cases:
     V = Potential.homogeneous(1.0, alpha)
     orb = find_closed_orbit(law, V, k, n, h, L_seed=L_seed)
@@ -34,5 +34,6 @@ for name, alpha, k, n, h, L_seed in cases:
           f"{cc.actions.scale_fixed_period:>12.3e}")
 
 print()
-print("kernel dims 2 (planar) and 4 (spatial) are exactly the manifold of")
-print("rotated/time-shifted copies; anything larger signals degeneracy.")
+print("kernel dims 2 (planar, of the 4x4 I - P) and 4 (spatial: the planar")
+print("kernel plus the two tilts of the orbit plane) are exactly the manifold")
+print("of rotated/time-shifted copies; anything larger signals degeneracy.")

@@ -230,9 +230,10 @@ def cmd_orbit(cfg, em: Emitter):
         "closure_residual": _fmt(orbit.closure_residual),
     }
     em.write_json("orbit.json", summary)
-    ts = np.linspace(0.0, orbit.T,
-                     cfg.get("output", {}).get("trajectory_samples", 1000))
-    _write_states(em, "trajectory.csv", ts, orbit.states(ts))
+    output = cfg.get("output", {})
+    if output.get("write_trajectories", True):
+        ts = np.linspace(0.0, orbit.T, output.get("trajectory_samples", 1000))
+        _write_states(em, "trajectory.csv", ts, orbit.states(ts))
     return EXIT_OK
 
 

@@ -69,9 +69,18 @@ class RadialProfile:
 def _p2(law: KineticLaw, V: Potential, h, L2, r):
     """Squared radial momentum G^{-1}(h+V)^2 - L^2/r^2 at the squared
     angular momentum L2, extended smoothly through h+V = 0 so root
-    bracketing sees a sign change."""
+    bracketing sees a sign change.  Elementwise in the radii r, a float or
+    an array (h and L2 floats or arrays like r), so a radius gets the same
+    bits alone or in an array.  The relativistic (e/c)^2 is C pow on both
+    (np.float_power): law.p_squared squares an array but takes C pow on the
+    float that a lone radius gives, and the two differ in the last bit at
+    about 1 in 1,500 values."""
     r = np.asarray(r, dtype=float)
-    return law.p_squared(h + V.V(r)) - L2 / r**2
+    e = h + V.V(r)
+    p2 = 2.0 * law.m * e
+    if law.kind == "relativistic":
+        p2 = p2 + np.float_power(e / law.c, 2.0)
+    return p2 - L2 / r**2
 
 
 @lru_cache(maxsize=8)
@@ -83,6 +92,11 @@ def _V_on_scan(V: Potential):
     return out
 
 
+# the tolerances of the turning points' root refinement: xtol absolute,
+# rtol about 4 ulp
+_XTOL, _RTOL = 1e-15, 8.9e-16
+
+
 def turning_points(law: KineticLaw, V: Potential, h: float, L: float):
     """Bracket the two simple roots of the radial admissibility function on
     a fixed log grid over [1e-8, 1e6] and refine each by brentq at
@@ -91,30 +105,22 @@ def turning_points(law: KineticLaw, V: Potential, h: float, L: float):
                     law.p_squared(h + _V_on_scan(V)) - L**2 / _SCAN2)
 
 
-def _bracket(law, V, h, L, vals):
-    """turning_points at (h, L) from vals, _p2 on the scan grid (which
-    _V_on_scan and _SCAN2 give with the same bits): the annulus rules, the
-    refinement of its two roots and the checks of the roots."""
+def _annulus(L, vals):
+    """The scan-grid indices (i0, i1) of the first and last positive value
+    of the annulus whose ends turning_points refines, from vals, _p2 on the
+    scan grid at (h, L): the annulus containing the global maximum where
+    there are several.  None where no value is positive; raises
+    NoBoundOrbitError at L = 0 and where the positive region touches the
+    scan boundary."""
     if L == 0.0:
         raise NoBoundOrbitError("rectilinear limit L = 0 is out of scope")
-    rs = _SCAN
-    L2 = L**2
     pos = vals > 0.0
-    if not pos.any():
-        i = int(np.argmax(vals))
-        lo = rs[max(i - 1, 0)]
-        hi = rs[min(i + 1, len(rs) - 1)]
-        res = minimize_scalar(lambda r: -_p2(law, V, h, L2, r),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-14})
-        if -res.fun > -1e-10 * (1.0 + abs(h)):
-            raise CircularDegenerateError(
-                f"double root near r = {res.x:.6g} (circular orbit)")
-        raise NoBoundOrbitError(
-            f"no bound annulus for h = {h:g}, L = {L:g}")
-    idx = np.flatnonzero(pos)
-    i0, i1 = idx[0], idx[-1]
-    if i0 == 0 or i1 == len(rs) - 1:
+    i0 = int(pos.argmax())
+    if not pos[i0]:
+        return None
+    last = len(vals) - 1
+    i1 = last - int(pos[::-1].argmax())
+    if i0 == 0 or i1 == last:
         raise NoBoundOrbitError(
             "positive radial region touches the scan boundary (unbound or "
             "scan range too small)")
@@ -125,18 +131,115 @@ def _bracket(law, V, h, L, vals):
         while i0 > 0 and vals[i0 - 1] > 0.0:
             i0 -= 1
         i1 = j
-        while i1 < len(rs) - 1 and vals[i1 + 1] > 0.0:
+        while i1 < last and vals[i1 + 1] > 0.0:
             i1 += 1
+    return i0, i1
+
+
+def _bracket(law, V, h, L, vals):
+    """turning_points at (h, L) from vals, _p2 on the scan grid (which
+    _V_on_scan and _SCAN2 give with the same bits): the annulus rules, the
+    refinement of its two roots by scalar brentq and the checks of the
+    roots.  Where no value is positive, a bounded maximization of _p2 near
+    the grid's maximum tells a circular orbit from no bound orbit."""
+    ends = _annulus(L, vals)
+    L2 = L**2
+    if ends is None:
+        i = int(np.argmax(vals))
+        lo = _SCAN[max(i - 1, 0)]
+        hi = _SCAN[min(i + 1, len(_SCAN) - 1)]
+        res = minimize_scalar(lambda r: -_p2(law, V, h, L2, r),
+                              bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-14})
+        if -res.fun > -1e-10 * (1.0 + abs(h)):
+            raise CircularDegenerateError(
+                f"double root near r = {res.x:.6g} (circular orbit)")
+        raise NoBoundOrbitError(
+            f"no bound annulus for h = {h:g}, L = {L:g}")
+    i0, i1 = ends
     f = lambda r: float(_p2(law, V, h, L2, r))
-    r_min = brentq(f, rs[i0 - 1], rs[i0], xtol=1e-15, rtol=8.9e-16)
-    r_max = brentq(f, rs[i1], rs[i1 + 1], xtol=1e-15, rtol=8.9e-16)
+    r_min = brentq(f, _SCAN[i0 - 1], _SCAN[i0], xtol=_XTOL, rtol=_RTOL)
+    r_max = brentq(f, _SCAN[i1], _SCAN[i1 + 1], xtol=_XTOL, rtol=_RTOL)
     if r_max - r_min < 1e-10 * r_max:
         raise CircularDegenerateError(
             f"turning points coincide at r = {r_min:.6g}")
-    mid = 0.5 * (r_min + r_max)
-    if f(mid) <= 0.0:
+    if f(0.5 * (r_min + r_max)) <= 0.0:
         raise NoBoundOrbitError("admissibility function not positive between roots")
     return r_min, r_max
+
+
+def _brentq_rows(f, a, b):
+    """scipy.optimize.brentq(f_i, a[i], b[i], xtol=_XTOL, rtol=_RTOL) for
+    every row i at once, with brentq's bits: each row takes the steps of
+    SciPy's brentq.c (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) one iteration at a time on arrays, the rows
+    still iterating in one batch.  f(i, x) evaluates the objectives of the
+    rows i at the points x, elementwise.  As brentq does, it raises
+    ValueError where f is NaN or f(a[i]) and f(b[i]) have one sign, and
+    RuntimeError where a row does not converge in brentq's default 100
+    iterations."""
+
+    def values(i, x):
+        fx = f(i, x)
+        if np.isnan(fx).any():
+            raise ValueError(f"The function value at x={x[np.isnan(fx)][0]} "
+                             "is NaN; solver cannot continue.")
+        return fx
+
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    rows = np.arange(a.size)
+    xpre, xcur = a, b
+    fpre, fcur = values(rows, xpre), values(rows, xcur)
+    # a zero at an end is the root, a at both ends
+    root = np.where(fpre == 0.0, xpre, xcur)
+    live = (fpre != 0.0) & (fcur != 0.0)
+    if np.any(np.signbit(fpre[live]) == np.signbit(fcur[live])):
+        raise ValueError("f(a) and f(b) must have different signs")
+    rows, xpre, xcur, fpre, fcur = (v[live] for v in (rows, xpre, xcur, fpre, fcur))
+    if not rows.size:
+        return root
+    xblk = fblk = spre = scur = np.zeros(rows.size)
+    for _ in range(100):
+        # the block end: the last point of the sign opposite to fcur's
+        new = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
+        spre = np.where(new, xcur - xpre, spre)
+        scur = np.where(new, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (_XTOL + _RTOL * np.abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[rows[done]] = xcur[done]
+            keep = ~done
+            (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+             sbis) = (v[keep] for v in (rows, xpre, xcur, xblk, fpre, fcur,
+                                        fblk, spre, scur, delta, sbis))
+            if not rows.size:
+                return root
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the secant step where the block end is the previous point,
+            # else inverse quadratic extrapolation
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            bound = np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)
+            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2.0 * np.abs(stry) < bound))
+        # a good short step, else bisection
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0.0, delta, -delta))
+        fcur = values(rows, xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is "
+                       f"{xcur[0]}")
 
 
 # the node counts of the quadrature ladder, and its stopping rule: a row,
@@ -487,9 +590,13 @@ def _scan(law, V, search, h, L):
     and phi there, as read-only arrays.  One pass over the grid gives
     radial_profile's bits at every x: on the radial grid, p_squared(h + V)
     is formed once at fixed h and L^2/r^2 once at fixed L; each row's
-    turning points come from _bracket, and every row's phi from one run
-    of the ladder.  The scan calls no name a caller can rebind, so its
-    cache key is just its inputs."""
+    annulus comes from the rules of _bracket, the turning points of every
+    row from one vectorized brentq pass (_brentq_rows, whose objective
+    _p2 is elementwise, with L^2 squared per row as _bracket squares it),
+    and every row's phi from one run of the ladder.  A row with no
+    positive value on the grid is dropped without the maximization by
+    which _bracket names its error.  The scan calls no name a caller can
+    rebind, so its cache key is just its inputs."""
     grid = _scan_grid(law, V, search, h, L)
     Vs = _V_on_scan(V)
     if search == "vary_L":
@@ -498,13 +605,27 @@ def _scan(law, V, search, h, L):
     else:
         cent = L**2 / _SCAN2
         rows = ((x, L, law.p_squared(x + Vs) - cent) for x in grid)
-    kept = []  # (x, h, L, r_min, r_max) of each row with an annulus
+    kept = []  # (x, h, L, L^2, i0, i1) of each row with an annulus
     for x, (hx, Lx, vals) in zip(grid, rows):
         try:
-            kept.append((x, hx, Lx, *_bracket(law, V, hx, Lx, vals)))
-        except (NoBoundOrbitError, CircularDegenerateError):
+            ends = _annulus(Lx, vals)
+        except NoBoundOrbitError:
             continue
-    xs, hs, Ls, r_min, r_max = zip(*kept) if kept else ((),) * 5
+        if ends is not None:
+            kept.append((x, hx, Lx, Lx**2, *ends))
+    cols = list(zip(*kept)) or [()] * 6
+    xs, hs, Ls, L2s = (np.array(c, dtype=float) for c in cols[:4])
+    i0, i1 = (np.array(c, dtype=int) for c in cols[4:])
+    # the rows' r_min brackets, then their r_max brackets
+    H2, L22 = np.tile(hs, 2), np.tile(L2s, 2)
+    roots = _brentq_rows(lambda i, r: _p2(law, V, H2[i], L22[i], r),
+                         _SCAN[np.concatenate((i0 - 1, i1))],
+                         _SCAN[np.concatenate((i0, i1 + 1))])
+    r_min, r_max = roots[:len(xs)], roots[len(xs):]
+    # the checks of _bracket on the roots
+    ok = (~(r_max - r_min < 1e-10 * r_max)
+          & ~(_p2(law, V, hs, L2s, 0.5 * (r_min + r_max)) <= 0.0))
+    xs, hs, Ls, r_min, r_max = (v[ok] for v in (xs, hs, Ls, r_min, r_max))
     out, _ = _converged_integrals(law, V, hs, Ls, r_min, r_max)
     # the rows on which radial_profile raises are left out
     xs = np.array([x for x, v in zip(xs, out) if v is not None])

@@ -141,3 +141,48 @@ def test_trace_adds_one_traced_run_per_side(tool, monkeypatch, capsys):
     runs.clear()
     assert tool.main(args) == 0
     assert [trace for _, trace in runs] == [0] * 4
+
+
+def with_kernel_times(report, vector_field_us, hessian_us):
+    report["metrics"]["model.vector_field.us"] = {"value": vector_field_us,
+                                                  "unit": "us"}
+    report["metrics"]["model.hessian.us"] = {"value": hessian_us, "unit": "us"}
+    return report
+
+
+def test_kernel_times_of_both_sides(tool):
+    parent = with_kernel_times(traced({"flow.nfev": 6312}), 2.4137, 3.05)
+    change = with_kernel_times(traced({"flow.nfev": 6312}), 1.9, 2.6012)
+    assert tool.kernel_times(parent, change) == [
+        "model.vector_field.us: parent 2.41, change 1.9",
+        "model.hessian.us: parent 3.05, change 2.6"]
+    # the times are printed whether or not they differ, and not as counts
+    assert tool.count_differences(parent, change) == []
+    # a report without them
+    assert tool.kernel_times(traced({}), change) == [
+        "model.vector_field.us: parent None, change 1.9",
+        "model.hessian.us: parent None, change 2.6"]
+
+
+def test_trace_prints_the_kernel_times_before_the_counts(tool, monkeypatch,
+                                                         capsys):
+    change = TOOL.parents[1]
+
+    def run_once(checkout, workload, seed, seconds, trace=0):
+        side = "change" if checkout == change else "parent"
+        if trace:
+            return with_kernel_times(
+                traced({"flow.nfev": 6312, "model.hessian.calls": 2000}),
+                *((1.7, 2.2) if side == "change" else (2.0, 2.5)))
+        return {"correct": True, "metrics": {
+            "ops_per_min": {"value": 110 if side == "change" else 100},
+            "setup_s": {"value": 0.5}, "peak_rss_mb": {"value": 90.0},
+            "ok_share": {"value": 1.0}}}
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    assert tool.main(["parent", str(change), "--workload", "nondeg_table",
+                      "--pairs", "2", "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "model.vector_field.us: parent 2, change 1.7",
+        "model.hessian.us: parent 2.5, change 2.2",
+        "traced counts: all the same"]

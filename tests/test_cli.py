@@ -298,6 +298,27 @@ class TestOrbitCommand:
         assert set(manifest["files"]) == {"orbit.json", "trajectory.csv"}
         assert len(manifest["config_sha256"]) == 64
 
+    @pytest.mark.parametrize("write", [False, True])
+    def test_write_trajectories_is_honoured(self, tmp_path, write):
+        # the default writes trajectory.csv (test_artifacts_and_values);
+        # false writes orbit.json alone, with the same values
+        cfg = dict(KEPLER_ORBIT_CFG, output={"write_trajectories": write,
+                                             "trajectory_samples": 11})
+        out = tmp_path / "out"
+        assert main(["orbit", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        files = {"orbit.json", "trajectory.csv"} if write else {"orbit.json"}
+        assert set(manifest["files"]) == files
+        assert (out / "trajectory.csv").exists() == write
+        if write:
+            assert len((out / "trajectory.csv").read_bytes().splitlines()) == 12
+        default = tmp_path / "default"
+        assert main(["orbit", "--config", write_cfg(tmp_path, KEPLER_ORBIT_CFG),
+                     "--out", str(default)]) == EXIT_OK
+        assert ((out / "orbit.json").read_bytes()
+                == (default / "orbit.json").read_bytes())
+
     def test_rows_match_pointwise_states(self, tmp_path):
         # the CSV comes from one states() call over the grid; each row has
         # the digits of one states() call at its time alone

@@ -8,6 +8,7 @@ from hypothesis import (assume, example, given, reject, settings,
                         strategies as st)
 from scipy.spatial.transform import Rotation
 
+from cforbits.errors import DegenerateMomentumError, DomainError
 from cforbits.flow import integrate_with_variational, symplectic_matrix
 from cforbits.model import (HamiltonianSystem, KineticLaw, Perturbation,
                             Potential, reversor)
@@ -323,3 +324,164 @@ def test_reversor_reverses_the_flow(law, V, d, t, data):
     assert np.max(np.abs(back)) <= 1e-14 * np.max(np.abs(f))
     H = sys.hamiltonian(t, z)
     assert abs(sys.hamiltonian(-t, Rz) - H) <= 1e-14 * max(1.0, abs(H))
+
+
+# --- the kernels against the float kernels they replaced ---
+
+def _g(pert, t):
+    """The electric profile g(t) as the replaced kernels read it."""
+    if pert.profile == "cosine":
+        return math.cos(2.0 * math.pi * t / pert.T_forcing)
+    return 1.0
+
+
+def _unpack(sys, z, what):
+    """x, w = p - A(t, x) and r = |x| > 0 as seven floats
+    (x0, x1, x2, w0, w1, w2, r)."""
+    z = np.asarray(z, dtype=float)
+    if z.size != 2 * sys.dim:
+        raise DomainError(f"state has size {z.size}, expected {2 * sys.dim}")
+    if sys.dim == 2:
+        x0, x1, p0, p1 = z.tolist()
+        x2 = p2 = 0.0
+    else:
+        x0, x1, x2, p0, p1, p2 = z.tolist()
+    r = math.hypot(x0, x1, x2)
+    if r == 0.0:
+        raise DomainError(f"{what} undefined at x = 0")
+    if sys.perturbation._DA is not None:  # w = p - DA x
+        a00, a01, a02, a10, a11, a12, a20, a21, a22 = sys.perturbation._DA
+        p0 -= a00 * x0 + a01 * x1 + a02 * x2
+        p1 -= a10 * x0 + a11 * x1 + a12 * x2
+        p2 -= a20 * x0 + a21 * x1 + a22 * x2
+    return x0, x1, x2, p0, p1, p2, r
+
+
+def replaced_hamiltonian(sys, t, z):
+    x0, x1, x2, w0, w1, w2, r = _unpack(sys, z, "Hamiltonian")
+    H = sys.law.G(math.hypot(w0, w1, w2)) - sys.potential.V(r)
+    pert = sys.perturbation
+    if pert._e is not None:  # U = eps g(t) e.x
+        e0, e1, e2 = pert._e
+        H -= pert.eps * _g(pert, t) * (e0 * x0 + e1 * x1 + e2 * x2)
+    return float(H)
+
+
+def replaced_vector_field(sys, t, z):
+    x0, x1, x2, w0, w1, w2, r = _unpack(sys, z, "vector field")
+    s = math.hypot(w0, w1, w2)
+    v0 = v1 = v2 = 0.0
+    if s > 0.0:
+        g = sys.law.f_inv(s)
+        v0, v1, v2 = g * w0 / s, g * w1 / s, g * w2 / s
+    c = sys.potential.dV(r)
+    f0, f1, f2 = c * x0 / r, c * x1 / r, c * x2 / r
+    pert = sys.perturbation
+    if pert._DA is not None:  # + DA^T v
+        a00, a01, a02, a10, a11, a12, a20, a21, a22 = pert._DA
+        f0 += a00 * v0 + a10 * v1 + a20 * v2
+        f1 += a01 * v0 + a11 * v1 + a21 * v2
+        f2 += a02 * v0 + a12 * v1 + a22 * v2
+    if pert._e is not None:  # + grad U
+        c = pert.eps * _g(pert, t)
+        e0, e1, e2 = pert._e
+        f0, f1, f2 = f0 + c * e0, f1 + c * e1, f2 + c * e2
+    if sys.dim == 2:
+        return np.array([v0, v1, f0, f1])
+    return np.array([v0, v1, v2, f0, f1, f2])
+
+
+def replaced_hessian(sys, t, z):
+    x0, x1, x2, w0, w1, w2, r = _unpack(sys, z, "Hessian")
+    s = math.hypot(w0, w1, w2)
+    if s == 0.0:
+        raise DegenerateMomentumError("Hessian singular at p = A(t, x)")
+    k0 = sys.law.f_inv(s) / s
+    k1 = sys.law.f_inv_prime(s) - k0
+    u0, u1, u2 = w0 / s, w1 / s, w2 / s
+    K00, K11, K22 = k1 * (u0 * u0) + k0, k1 * (u1 * u1) + k0, k1 * (u2 * u2) + k0
+    K01, K02, K12 = k1 * (u0 * u1), k1 * (u0 * u2), k1 * (u1 * u2)
+    v0 = sys.potential.dV(r) / r
+    v1 = sys.potential.d2V(r) - v0
+    y0, y1, y2 = x0 / r, x1 / r, x2 / r
+    X00, X11, X22 = -v1 * (y0 * y0) - v0, -v1 * (y1 * y1) - v0, -v1 * (y2 * y2) - v0
+    X01, X02, X12 = -v1 * (y0 * y1), -v1 * (y0 * y2), -v1 * (y1 * y2)
+    pert = sys.perturbation
+    if pert._DA is None:
+        C00 = C01 = C02 = C10 = C11 = C12 = C20 = C21 = C22 = 0.0
+    else:
+        a00, a01, a02, a10, a11, a12, a20, a21, a22 = pert._DA
+        m00, m01, m02, _, m11, m12, _, _, m22 = pert._DATDA
+        q0 = a00 * u0 + a10 * u1 + a20 * u2
+        q1 = a01 * u0 + a11 * u1 + a21 * u2
+        q2 = a02 * u0 + a12 * u1 + a22 * u2
+        X00 += k0 * m00 + k1 * (q0 * q0)
+        X11 += k0 * m11 + k1 * (q1 * q1)
+        X22 += k0 * m22 + k1 * (q2 * q2)
+        X01 += k0 * m01 + k1 * (q0 * q1)
+        X02 += k0 * m02 + k1 * (q0 * q2)
+        X12 += k0 * m12 + k1 * (q1 * q2)
+        C00, C01, C02 = (-(k0 * a00 + k1 * (q0 * u0)), -(k0 * a10 + k1 * (q0 * u1)),
+                         -(k0 * a20 + k1 * (q0 * u2)))
+        C10, C11, C12 = (-(k0 * a01 + k1 * (q1 * u0)), -(k0 * a11 + k1 * (q1 * u1)),
+                         -(k0 * a21 + k1 * (q1 * u2)))
+        C20, C21, C22 = (-(k0 * a02 + k1 * (q2 * u0)), -(k0 * a12 + k1 * (q2 * u1)),
+                         -(k0 * a22 + k1 * (q2 * u2)))
+    if sys.dim == 2:
+        return np.array([X00, X01, C00, C01,
+                         X01, X11, C10, C11,
+                         C00, C10, K00, K01,
+                         C01, C11, K01, K11]).reshape(4, 4)
+    return np.array([X00, X01, X02, C00, C01, C02,
+                     X01, X11, X12, C10, C11, C12,
+                     X02, X12, X22, C20, C21, C22,
+                     C00, C10, C20, K00, K01, K02,
+                     C01, C11, C21, K01, K11, K12,
+                     C02, C12, C22, K02, K12, K22]).reshape(6, 6)
+
+
+# a potential built from its own callables, V = 1/r + 0.05 r^2 e^-r with
+# NumPy functions, so it takes a float or an array
+def _custom_V(r):
+    return 1.0 / r + 0.05 * r**2 * np.exp(-r)
+
+
+def _custom_dV(r):
+    return -1.0 / r**2 + 0.05 * (2.0 * r - r**2) * np.exp(-r)
+
+
+def _custom_d2V(r):
+    return 2.0 / r**3 + 0.05 * (2.0 - 4.0 * r + r**2) * np.exp(-r)
+
+
+CUSTOM = Potential("custom", _custom_V, _custom_dV, _custom_d2V,
+                   lambda a, b: (_custom_V(b) - _custom_V(a)) / (b - a))
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@settings(PROPERTY, max_examples=200)
+@given(law=laws, V=potentials, d=st.sampled_from([2, 3]),
+       t=st.floats(0.0, 10.0), data=st.data())
+def test_kernels_are_the_replaced_float_kernels_bit_for_bit(law, V, d, t, data):
+    # the strategies of test_kernels_match_the_array_reference, each draw with
+    # a custom potential too: the kernels' bound constants give the bits of
+    # the method calls and attribute chains they replaced
+    pert = data.draw(perturbed_systems(d))
+    x = data.draw(vectors(d))
+    p = data.draw(vectors(d))
+    if (np.linalg.norm(x) < 0.1
+            or np.linalg.norm(p - vector_potential(pert, x)) < 0.1):
+        reject()
+    z = np.concatenate([x, p])
+    for potential in (V, CUSTOM):
+        sys = HamiltonianSystem(law, potential, pert, d)
+        assert _same_bits(sys.vector_field(t, z), replaced_vector_field(sys, t, z))
+        assert _same_bits(sys.hessian(t, z), replaced_hessian(sys, t, z))
+        assert _same_bits(sys.hamiltonian(t, z), replaced_hamiltonian(sys, t, z))
+        # with_eps binds the new eps
+        scaled = sys.with_eps(0.5 * pert.eps)
+        assert _same_bits(scaled.vector_field(t, z),
+                          replaced_vector_field(scaled, t, z))

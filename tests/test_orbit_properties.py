@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from perfbench import workloads
+from scipy.optimize import brentq
 
 import cforbits.orbit as orbit_module
 from cforbits import cli
@@ -16,8 +17,16 @@ from cforbits.errors import (
 )
 from cforbits.model import KineticLaw, Potential
 from cforbits.orbit import (
+    _RTOL,
+    _SCAN,
+    _SCAN2,
+    _XTOL,
+    _V_on_scan,
+    _annulus,
+    _brentq_rows,
     _feasible_L_interval,
     _integrand,
+    _p2,
     _point,
     _scan,
     _scan_grid,
@@ -311,3 +320,160 @@ def test_scan_is_the_per_point_profiles_bit_for_bit(label, law, V, h, L, search)
                ("alpha_15", "vary_L"): 12}.get((label, search))
     if dropped is not None:
         assert len(grid) - len(xs) == dropped
+
+
+# --- the vectorized Brent pass against scipy's brentq ---
+
+def _scalar(f, i):
+    """Row i of the row objective f(i, x) as the float function brentq
+    calls, evaluated on a one-element array: the same bits as in a batch."""
+    return lambda x: float(f(np.array([i]), np.array([x]))[0])
+
+
+def _assert_brentq_bits(f, a, b, scalar=_scalar):
+    """_brentq_rows(f, a, b) against brentq(xtol=_XTOL, rtol=_RTOL) on
+    each row alone, with scalar(f, i) the float function of row i: the
+    same root, bit for bit, or the same exception type when any row
+    raises."""
+    ref, raised = [], None
+    for i in range(len(a)):
+        try:
+            ref.append(brentq(scalar(f, i), a[i], b[i], xtol=_XTOL, rtol=_RTOL))
+        except (ValueError, RuntimeError) as exc:
+            raised = raised or type(exc)
+    if raised:
+        with pytest.raises(raised):
+            _brentq_rows(f, a, b)
+        return
+    roots = _brentq_rows(f, a, b)
+    assert roots.tobytes() == np.array(ref).tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=600, database=None)
+@given(lvh=law_potential_h(),
+       fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6))
+def test_brent_pass_is_brentq_on_turning_point_rows(lvh, fractions):
+    # rows as _scan builds them: several L at one (law, V, h), both turning
+    # points of each in one batch, with _p2 and L^2 squared per row; each
+    # root against brentq on the objective of _bracket, _p2 at a float
+    law, V, h = lvh
+    try:
+        lo, hi = _feasible_L_interval(law, V, h)
+    except NoBoundOrbitError:
+        assume(False)
+    kin = law.p_squared(h + _V_on_scan(V))
+    L2s, a, b = [], [], []
+    for frac in fractions:
+        L = lo + frac * (hi - lo)
+        ends = _annulus(L, kin - L**2 / _SCAN2)
+        if ends is None:
+            continue
+        i0, i1 = ends
+        L2s.append(L**2)
+        a += [_SCAN[i0 - 1], _SCAN[i1]]
+        b += [_SCAN[i0], _SCAN[i1 + 1]]
+    assume(L2s)
+    L2 = np.repeat(L2s, 2)
+    _assert_brentq_bits(lambda i, r: _p2(law, V, h, L2[i], r),
+                        np.array(a), np.array(b),
+                        lambda f, i: lambda r: float(_p2(law, V, h, L2[i], r)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(lvh=law_potential_h(), L=st.floats(0.01, 3.0))
+def test_p2_is_elementwise(lvh, L):
+    # a radius gets the same bits alone, as brentq passes it to _bracket's
+    # objective, and in the array of a Brent pass; the relativistic
+    # (e/c)^2 of law.p_squared would not (C pow on a float, a square on an
+    # array)
+    law, V, h = lvh
+    r = np.geomspace(1e-3, 1e3, 2000)
+    alone = [float(_p2(law, V, h, L**2, x)) for x in r.tolist()]
+    assert _p2(law, V, h, L**2, r).tobytes() == np.array(alone).tobytes()
+
+
+def _synthetic(kind, x0, k, a, b):
+    """Row objectives with a root at x0 in [a, b], by kind: 0 a power
+    ((x - a)/(b - a))^k minus its value at x0 (the bisection branch at
+    k = 10), 1 the cubic (x - x0)^3 + k (b - a)^2 (x - x0) (interpolation,
+    extrapolation and rejected steps), 2 the decreasing rational
+    1/(x - a + k (b - a)) minus its value at x0 (extrapolation and rejected
+    steps) and 3 the line x - x0 plus noise of k 1e-16 (b - a) times a
+    hash of the bits of x, whose steps near the root land on either side
+    of the step bound min(|spre|, 3 |sbis| - delta) by less than delta."""
+    kind, x0, k, a, b = map(np.array, (kind, x0, k, a, b))
+    w = b - a
+
+    def f(i, x):
+        t, t0 = (x - a[i]) / w[i], (x0[i] - a[i]) / w[i]
+        power = t ** k[i] - t0 ** k[i]
+        cubic = (x - x0[i]) ** 3 + k[i] * w[i] ** 2 * (x - x0[i])
+        rational = 1.0 / (t + k[i]) - 1.0 / (t0 + k[i])
+        noise = ((x.view(np.int64) * 523436) % 2003).astype(float) - 1001.0
+        noisy = (x - x0[i]) + k[i] * 1e-16 * w[i] * noise
+        return np.select([kind[i] == 0, kind[i] == 1, kind[i] == 2],
+                         [power, cubic, rational], noisy)
+
+    return f
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(rows=st.lists(
+    st.tuples(st.sampled_from([0, 1, 2, 3]), st.floats(0.01, 0.99),
+              st.floats(1e-3, 12.0), st.floats(-10.0, 10.0),
+              st.floats(1e-3, 10.0)),
+    min_size=1, max_size=8))
+def test_brent_pass_is_brentq_on_synthetic_brackets(rows):
+    kind, frac, k, a, width = map(list, zip(*rows))
+    a, b = np.array(a), np.array(a) + np.array(width)
+    x0 = a + np.array(frac) * (b - a)
+    k = [max(kk, 2.0) if kd == 0 else kk for kd, kk in zip(kind, k)]
+    _assert_brentq_bits(_synthetic(kind, x0, k, a, b), a, b)
+
+
+def test_brent_pass_takes_each_branch_as_brentq_does():
+    # x^10 - 1/2 on [0, 1] takes brentq.c's bisection, interpolation and
+    # extrapolation steps; the cubic with a small linear part takes
+    # rejected extrapolations; the noisy line has a step within delta of
+    # the bound 3 |sbis| - delta; the pure cubic does not converge in 100
+    # iterations, so both raise RuntimeError
+    f = _synthetic([0, 1, 2, 3], [0.5**0.1, 0.3, 0.7, 0.1711485121970176],
+                   [10.0, 1e-3, 1e-2, 8.122944120409179], [0.0] * 4, [1.0] * 4)
+    _assert_brentq_bits(f, np.zeros(4), np.ones(4))
+    cubic = lambda i, x: (x - 0.3) ** 3
+    with pytest.raises(RuntimeError):
+        brentq(_scalar(cubic, 0), 0.0, 1.0, xtol=_XTOL, rtol=_RTOL)
+    with pytest.raises(RuntimeError, match="converge"):
+        _brentq_rows(cubic, np.zeros(1), np.ones(1))
+
+
+def test_brent_pass_zero_at_a_bracket_end():
+    # f(a) = 0, f(b) = 0, both (a is returned) and an interior root, in one
+    # batch
+    a, b = np.array([1.0, 0.0, 1.0, 0.5]), np.array([2.0, 1.0, 1.0, 3.0])
+    f = lambda i, x: x - 1.0 - np.where(i == 3, 0.25, 0.0)
+    _assert_brentq_bits(f, a, b)
+    assert _brentq_rows(f, a, b).tolist() == [1.0, 1.0, 1.0, 1.25]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 0.5)],
+                         ids=["mid_iteration", "at_an_end"])
+def test_brent_pass_raises_on_nan_as_brentq_does(a, b):
+    # the secant from the ends lands on 0.42, where f is NaN; in the
+    # second bracket f(b) is NaN
+    f = lambda i, x: np.where(np.abs(x - 0.42) < 0.09, np.nan, x - 0.42)
+    if b == 0.5:
+        f = lambda i, x: np.where(x == 0.5, np.nan, x - 0.42)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(_scalar(f, 0), a, b, xtol=_XTOL, rtol=_RTOL)
+    # a good row in the same batch does not hide it
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq_rows(f, np.array([a, 0.0]), np.array([b, 0.45]))
+
+
+def test_brent_pass_refuses_one_sign_as_brentq_does():
+    f = lambda i, x: x + 1.0
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(_scalar(f, 0), 0.0, 1.0, xtol=_XTOL, rtol=_RTOL)
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq_rows(f, np.array([-2.0, 0.0]), np.array([0.0, 1.0]))

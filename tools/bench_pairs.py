@@ -20,10 +20,12 @@ than the parent's by more than the parent's interquartile range.  Below
 10 pairs no share of wins reads as 9 in 10, so the rule gives no
 verdict.  ``--pairs`` sets the number of pairs (10).  With ``--trace``,
 one more run per side with ``--trace 1`` follows the pairs, and the tool
-prints every per-layer count (a metric of unit "count") that differs
-between the two traced reports, so the counts stand next to the wall
-times.  The tool only reads the checkouts; ``perfbench/run.py`` leaves its working files in each
-one's ``.perfbench_out/``.
+prints both sides' per-call times of the model kernels
+(``model.vector_field.us`` and ``model.hessian.us``), then every
+per-layer count (a metric of unit "count") that differs between the two
+traced reports, so the counts stand next to the wall times.  The tool
+only reads the checkouts; ``perfbench/run.py`` leaves its working files
+in each one's ``.perfbench_out/``.
 """
 from __future__ import annotations
 
@@ -37,6 +39,8 @@ from pathlib import Path
 WIN_SHARE = 0.9
 # below this many pairs no share of wins reads as 9 in 10: no verdict
 MIN_PAIRS = 10
+# the per-call times that a traced comparison prints for both sides
+KERNEL_TIMES = ("model.vector_field.us", "model.hessian.us")
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):
@@ -97,6 +101,18 @@ def format_rows(rows):
             f"{_verdict(r['gain'])}" for r in rows]
 
 
+def kernel_times(parent, change):
+    """One line per model kernel of two traced reports: both sides'
+    microseconds per call (None where a report lacks it)."""
+    lines = []
+    for name in KERNEL_TIMES:
+        a, b = (report["metrics"].get(name, {}).get("value")
+                for report in (parent, change))
+        a, b = ("None" if v is None else f"{v:.3g}" for v in (a, b))
+        lines.append(f"{name}: parent {a}, change {b}")
+    return lines
+
+
 def count_differences(parent, change):
     """One line per per-layer count (unit "count") of two traced reports
     whose values differ, or that one report lacks (value None)."""
@@ -139,6 +155,7 @@ def main(argv=None):
     print("\n".join(format_rows(summarize(sides["parent"], sides["change"],
                                           spec["end_to_end"]))))
     if traced:
+        print("\n".join(kernel_times(*traced)))
         print("\n".join(count_differences(*traced))
               or "traced counts: all the same")
     return 0
