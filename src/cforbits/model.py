@@ -62,8 +62,8 @@ class KineticLaw:
         """Momentum magnitude -> speed (inverse of f).
 
         Takes a Python float or an array without converting it; a float
-        stays a float (math.sqrt, not np.sqrt).  The kernels of
-        HamiltonianSystem do its arithmetic inline.
+        stays a float (math.sqrt, not np.sqrt), so the per-step kernels of
+        HamiltonianSystem make no NumPy call here.
         """
         if self.kind == "classical":
             return s / self.m
@@ -205,8 +205,7 @@ class Perturbation:
     the same layout, whose upper triangle the Hessian reads and mirrors),
     both None for families without a vector potential, and ``_e`` (the
     electric direction, None for families without an electric field).
-    Those kernels read the fields from these, ``eps`` and, for the cosine
-    profile g(t) = cos(2 pi t/T_forcing), ``T_forcing`` alone.
+    Those kernels read the fields from these, ``eps`` and ``_g`` alone.
     """
 
     family: str = "zero"
@@ -278,6 +277,11 @@ class Perturbation:
                 f"electric vector has length {len(self.e_vec)}, system dim is {dim}"
             )
 
+    def _g(self, t: float) -> float:
+        if self.profile == "cosine":
+            return math.cos(2.0 * math.pi * t / self.T_forcing)
+        return 1.0
+
 
 def reversor(perturbation: Perturbation) -> float:
     """Angle a of an apsis line whose time reversal
@@ -302,128 +306,91 @@ def reversor(perturbation: Perturbation) -> float:
 class HamiltonianSystem:
     """Central force problem H = G(|p - A(t,x)|) - V(|x|) - U(t,x) in dim 2 or 3.
 
-    The kernels unpack z into Python floats and compute on them with
-    ``math``, written out in three dimensions (a planar state has
-    x2 = p2 = 0): at d = 2 or 3, NumPy's per-call cost on such small arrays
-    outweighs the arithmetic.  ``__post_init__`` binds what they read once
-    per system, so a call makes no method call and follows no attribute
-    chain for it: the law's branch and constants (m, and m c for the
-    relativistic law), the potential's own ``V``, ``dV`` and ``d2V``, the
-    perturbation's DA, DA^T DA, e and eps, and the period of a cosine
-    profile.  Each kernel does the floating-point operations of
-    ``KineticLaw.f_inv``, ``f_inv_prime`` and the profile g(t) in their
-    order.
+    The kernels unpack z once into Python floats (``_unpack``) and compute
+    on them with ``math``, written out in three dimensions (a planar state
+    has x2 = p2 = 0): at d = 2 or 3, NumPy's per-call cost on such small
+    arrays outweighs the arithmetic.  ``__post_init__`` binds what they read
+    once per system, as private attributes, so a call follows no attribute
+    chain for it: the law's ``G``, ``f_inv`` and ``f_inv_prime``, the
+    potential's own ``V``, ``dV`` and ``d2V``, and the perturbation's DA,
+    DA^T DA, e, eps and profile g(t).
     """
 
     law: KineticLaw
     potential: Potential
     perturbation: Perturbation = Perturbation.zero()
     dim: int = 2
-    _bound: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
         self.perturbation.check_dim(self.dim)
         law, V, pert = self.law, self.potential, self.perturbation
-        # m c for the relativistic law, None for the classical one
-        mc = law.m * law.c if law.kind == "relativistic" else None
-        T = pert.T_forcing if pert.profile == "cosine" else None
-        # (planar, m, 1/m, m c or None, G, V, dV, d2V, DA, DA^T DA, e, eps,
-        # the cosine profile's period or None)
-        object.__setattr__(self, "_bound", (
-            self.dim == 2, law.m, 1.0 / law.m, mc, law.G, V.V, V.dV, V.d2V,
-            pert._DA, pert._DATDA, pert._e, pert.eps, T))
+        for name, value in (
+                ("_planar", self.dim == 2), ("_G", law.G), ("_f_inv", law.f_inv),
+                ("_f_inv_prime", law.f_inv_prime), ("_V", V.V), ("_dV", V.dV),
+                ("_d2V", V.d2V), ("_DA", pert._DA), ("_DATDA", pert._DATDA),
+                ("_e", pert._e), ("_eps", pert.eps), ("_g", pert._g)):
+            object.__setattr__(self, name, value)
 
     def with_eps(self, eps: float) -> "HamiltonianSystem":
         return replace(self, perturbation=replace(self.perturbation, eps=eps))
 
-    def hamiltonian(self, t: float, z) -> float:
-        planar, _, _, _, G, V, _, _, DA, _, e, eps, T = self._bound
+    def _unpack(self, z, what):
+        """x, w = p - A(t, x) and r = |x| > 0 as seven floats
+        (x0, x1, x2, w0, w1, w2, r)."""
         z = np.asarray(z, dtype=float)
         if z.size != 2 * self.dim:
             raise DomainError(f"state has size {z.size}, expected {2 * self.dim}")
-        if planar:
-            x0, x1, w0, w1 = z.tolist()
-            x2 = w2 = 0.0
+        if self._planar:
+            x0, x1, p0, p1 = z.tolist()
+            x2 = p2 = 0.0
         else:
-            x0, x1, x2, w0, w1, w2 = z.tolist()
+            x0, x1, x2, p0, p1, p2 = z.tolist()
         r = math.hypot(x0, x1, x2)
         if r == 0.0:
-            raise DomainError("Hamiltonian undefined at x = 0")
-        if DA is not None:  # w = p - DA x
-            a00, a01, a02, a10, a11, a12, a20, a21, a22 = DA
-            w0 -= a00 * x0 + a01 * x1 + a02 * x2
-            w1 -= a10 * x0 + a11 * x1 + a12 * x2
-            w2 -= a20 * x0 + a21 * x1 + a22 * x2
-        H = G(math.hypot(w0, w1, w2)) - V(r)
-        if e is not None:  # U = eps g(t) e.x
-            e0, e1, e2 = e
-            g = 1.0 if T is None else math.cos(2.0 * math.pi * t / T)
-            H -= eps * g * (e0 * x0 + e1 * x1 + e2 * x2)
+            raise DomainError(f"{what} undefined at x = 0")
+        if self._DA is not None:  # w = p - DA x
+            a00, a01, a02, a10, a11, a12, a20, a21, a22 = self._DA
+            p0 -= a00 * x0 + a01 * x1 + a02 * x2
+            p1 -= a10 * x0 + a11 * x1 + a12 * x2
+            p2 -= a20 * x0 + a21 * x1 + a22 * x2
+        return x0, x1, x2, p0, p1, p2, r
+
+    def hamiltonian(self, t: float, z) -> float:
+        x0, x1, x2, w0, w1, w2, r = self._unpack(z, "Hamiltonian")
+        H = self._G(math.hypot(w0, w1, w2)) - self._V(r)
+        if self._e is not None:  # U = eps g(t) e.x
+            e0, e1, e2 = self._e
+            H -= self._eps * self._g(t) * (e0 * x0 + e1 * x1 + e2 * x2)
         return float(H)
 
     def vector_field(self, t: float, z):
         """Canonical phase velocity (dx/dt, dp/dt) = (grad_p H, -grad_x H)."""
-        planar, m, _, mc, _, _, dV, _, DA, _, e, eps, T = self._bound
-        z = np.asarray(z, dtype=float)
-        if z.size != 2 * self.dim:
-            raise DomainError(f"state has size {z.size}, expected {2 * self.dim}")
-        if planar:
-            x0, x1, w0, w1 = z.tolist()
-            x2 = w2 = 0.0
-        else:
-            x0, x1, x2, w0, w1, w2 = z.tolist()
-        r = math.hypot(x0, x1, x2)
-        if r == 0.0:
-            raise DomainError("vector field undefined at x = 0")
-        if DA is not None:  # w = p - DA x
-            a00, a01, a02, a10, a11, a12, a20, a21, a22 = DA
-            w0 -= a00 * x0 + a01 * x1 + a02 * x2
-            w1 -= a10 * x0 + a11 * x1 + a12 * x2
-            w2 -= a20 * x0 + a21 * x1 + a22 * x2
+        x0, x1, x2, w0, w1, w2, r = self._unpack(z, "vector field")
         s = math.hypot(w0, w1, w2)
         v0 = v1 = v2 = 0.0
         if s > 0.0:
-            if mc is None:  # g = f_inv(s)
-                g = s / m
-            else:
-                q = s / mc
-                g = s / (m * math.sqrt(1.0 + q * q))
+            g = self._f_inv(s)
             v0, v1, v2 = g * w0 / s, g * w1 / s, g * w2 / s
-        c = dV(r)
+        c = self._dV(r)
         f0, f1, f2 = c * x0 / r, c * x1 / r, c * x2 / r
-        if DA is not None:  # + DA^T v
+        if self._DA is not None:  # + DA^T v
+            a00, a01, a02, a10, a11, a12, a20, a21, a22 = self._DA
             f0 += a00 * v0 + a10 * v1 + a20 * v2
             f1 += a01 * v0 + a11 * v1 + a21 * v2
             f2 += a02 * v0 + a12 * v1 + a22 * v2
-        if e is not None:  # + grad U
-            c = eps * (1.0 if T is None else math.cos(2.0 * math.pi * t / T))
-            e0, e1, e2 = e
+        if self._e is not None:  # + grad U
+            c = self._eps * self._g(t)
+            e0, e1, e2 = self._e
             f0, f1, f2 = f0 + c * e0, f1 + c * e1, f2 + c * e2
-        if planar:
+        if self._planar:
             return np.array([v0, v1, f0, f1])
         return np.array([v0, v1, v2, f0, f1, f2])
 
     def hessian(self, t: float, z):
         """Symmetric (2d x 2d) matrix of second z-derivatives of H."""
-        planar, m, inv_m, mc, _, _, dV, d2V, DA, DATDA, _, _, _ = self._bound
-        z = np.asarray(z, dtype=float)
-        if z.size != 2 * self.dim:
-            raise DomainError(f"state has size {z.size}, expected {2 * self.dim}")
-        if planar:
-            x0, x1, w0, w1 = z.tolist()
-            x2 = w2 = 0.0
-        else:
-            x0, x1, x2, w0, w1, w2 = z.tolist()
-        r = math.hypot(x0, x1, x2)
-        if r == 0.0:
-            raise DomainError("Hessian undefined at x = 0")
-        if DA is not None:  # w = p - DA x
-            a00, a01, a02, a10, a11, a12, a20, a21, a22 = DA
-            w0 -= a00 * x0 + a01 * x1 + a02 * x2
-            w1 -= a10 * x0 + a11 * x1 + a12 * x2
-            w2 -= a20 * x0 + a21 * x1 + a22 * x2
+        x0, x1, x2, w0, w1, w2, r = self._unpack(z, "Hessian")
         s = math.hypot(w0, w1, w2)
         if s == 0.0:
             raise DegenerateMomentumError("Hessian singular at p = A(t, x)")
@@ -434,26 +401,21 @@ class HamiltonianSystem:
         # with q = DA^T u, DA^T K = k0 DA^T + k1 q u^T and
         # DA^T K DA = k0 DA^T DA + k1 q q^T.  Each entry below i <= j is
         # formed once and mirrored, so H is exactly symmetric.
-        if mc is None:  # g = f_inv(s) and g' = f_inv_prime(s)
-            k0 = s / m / s
-            k1 = inv_m - k0
-        else:
-            q = s / mc
-            qq = 1.0 + q * q
-            k0 = s / (m * math.sqrt(qq)) / s
-            k1 = 1.0 / (m * qq ** 1.5) - k0
+        k0 = self._f_inv(s) / s
+        k1 = self._f_inv_prime(s) - k0
         u0, u1, u2 = w0 / s, w1 / s, w2 / s
         K00, K11, K22 = k1 * (u0 * u0) + k0, k1 * (u1 * u1) + k0, k1 * (u2 * u2) + k0
         K01, K02, K12 = k1 * (u0 * u1), k1 * (u0 * u2), k1 * (u1 * u2)
-        v0 = dV(r) / r
-        v1 = d2V(r) - v0
+        v0 = self._dV(r) / r
+        v1 = self._d2V(r) - v0
         y0, y1, y2 = x0 / r, x1 / r, x2 / r
         X00, X11, X22 = -v1 * (y0 * y0) - v0, -v1 * (y1 * y1) - v0, -v1 * (y2 * y2) - v0
         X01, X02, X12 = -v1 * (y0 * y1), -v1 * (y0 * y2), -v1 * (y1 * y2)
-        if DA is None:
+        if self._DA is None:
             C00 = C01 = C02 = C10 = C11 = C12 = C20 = C21 = C22 = 0.0
         else:
-            m00, m01, m02, _, m11, m12, _, _, m22 = DATDA
+            a00, a01, a02, a10, a11, a12, a20, a21, a22 = self._DA
+            m00, m01, m02, _, m11, m12, _, _, m22 = self._DATDA
             q0 = a00 * u0 + a10 * u1 + a20 * u2
             q1 = a01 * u0 + a11 * u1 + a21 * u2
             q2 = a02 * u0 + a12 * u1 + a22 * u2
@@ -470,7 +432,7 @@ class HamiltonianSystem:
                              -(k0 * a21 + k1 * (q1 * u2)))
             C20, C21, C22 = (-(k0 * a02 + k1 * (q2 * u0)), -(k0 * a12 + k1 * (q2 * u1)),
                              -(k0 * a22 + k1 * (q2 * u2)))
-        if planar:
+        if self._planar:
             return np.array([X00, X01, C00, C01,
                              X01, X11, C10, C11,
                              C00, C10, K00, K01,

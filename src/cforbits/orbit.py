@@ -140,8 +140,9 @@ def _bracket(law, V, h, L, vals):
     """turning_points at (h, L) from vals, _p2 on the scan grid (which
     _V_on_scan and _SCAN2 give with the same bits): the annulus rules, the
     refinement of its two roots by scalar brentq and the checks of the
-    roots.  Where no value is positive, a bounded maximization of _p2 near
-    the grid's maximum tells a circular orbit from no bound orbit."""
+    roots (_root_checks).  Where no value is positive, a bounded
+    maximization of _p2 near the grid's maximum tells a circular orbit
+    from no bound orbit."""
     ends = _annulus(L, vals)
     L2 = L**2
     if ends is None:
@@ -160,12 +161,24 @@ def _bracket(law, V, h, L, vals):
     f = lambda r: float(_p2(law, V, h, L2, r))
     r_min = brentq(f, _SCAN[i0 - 1], _SCAN[i0], xtol=_XTOL, rtol=_RTOL)
     r_max = brentq(f, _SCAN[i1], _SCAN[i1 + 1], xtol=_XTOL, rtol=_RTOL)
-    if r_max - r_min < 1e-10 * r_max:
+    coincide, hollow = _root_checks(law, V, h, L2, r_min, r_max)
+    if coincide:
         raise CircularDegenerateError(
             f"turning points coincide at r = {r_min:.6g}")
-    if f(0.5 * (r_min + r_max)) <= 0.0:
+    if hollow:
         raise NoBoundOrbitError("admissibility function not positive between roots")
     return r_min, r_max
+
+
+def _root_checks(law, V, h, L2, r_min, r_max):
+    """The checks of refined turning points r_min < r_max at the energy h
+    and squared momentum L2, elementwise in floats or arrays: whether they
+    coincide (closer than 1e-10 r_max: a circular orbit) and, where not,
+    whether _p2 fails to be positive midway between them (no bound
+    orbit)."""
+    coincide = np.less(r_max - r_min, 1e-10 * r_max)
+    hollow = ~coincide & (_p2(law, V, h, L2, 0.5 * (r_min + r_max)) <= 0.0)
+    return coincide, hollow
 
 
 def _brentq_rows(f, a, b):
@@ -507,10 +520,14 @@ def _build_orbit(law, V, profile, k, n, dim):
 
 def _is_feasible(law, V, h, L):
     """Whether turning_points' arithmetic finds a bound non-circular
-    annulus at (h, L), run here so a scan calls no rebindable name."""
+    annulus at (h, L), run here so a scan calls no rebindable name.  Where
+    no grid value is positive it returns False without _bracket's
+    maximization, both of whose verdicts are infeasible."""
+    vals = law.p_squared(h + _V_on_scan(V)) - L**2 / _SCAN2
     try:
-        _bracket(law, V, h, L,
-                 law.p_squared(h + _V_on_scan(V)) - L**2 / _SCAN2)
+        if _annulus(L, vals) is None:
+            return False
+        _bracket(law, V, h, L, vals)
         return True
     except (NoBoundOrbitError, CircularDegenerateError):
         return False
@@ -592,10 +609,10 @@ def _scan(law, V, search, h, L):
     is formed once at fixed h and L^2/r^2 once at fixed L; each row's
     annulus comes from the rules of _bracket, the turning points of every
     row from one vectorized brentq pass (_brentq_rows, whose objective
-    _p2 is elementwise, with L^2 squared per row as _bracket squares it),
-    and every row's phi from one run of the ladder.  A row with no
-    positive value on the grid is dropped without the maximization by
-    which _bracket names its error.  The scan calls no name a caller can
+    _p2 is elementwise, with L^2 squared per row as _bracket squares it)
+    and checked by _bracket's _root_checks, and every row's phi from one
+    run of the ladder.  A row with no positive value on the grid is
+    dropped without the maximization by which _bracket names its error.  The scan calls no name a caller can
     rebind, so its cache key is just its inputs."""
     grid = _scan_grid(law, V, search, h, L)
     Vs = _V_on_scan(V)
@@ -622,9 +639,7 @@ def _scan(law, V, search, h, L):
                          _SCAN[np.concatenate((i0 - 1, i1))],
                          _SCAN[np.concatenate((i0, i1 + 1))])
     r_min, r_max = roots[:len(xs)], roots[len(xs):]
-    # the checks of _bracket on the roots
-    ok = (~(r_max - r_min < 1e-10 * r_max)
-          & ~(_p2(law, V, hs, L2s, 0.5 * (r_min + r_max)) <= 0.0))
+    ok = ~np.logical_or(*_root_checks(law, V, hs, L2s, r_min, r_max))
     xs, hs, Ls, r_min, r_max = (v[ok] for v in (xs, hs, Ls, r_min, r_max))
     out, _ = _converged_integrals(law, V, hs, Ls, r_min, r_max)
     # the rows on which radial_profile raises are left out

@@ -28,6 +28,7 @@ from cforbits.orbit import (
     _integrand,
     _p2,
     _point,
+    _root_checks,
     _scan,
     _scan_grid,
     find_closed_orbit,
@@ -392,6 +393,21 @@ def test_p2_is_elementwise(lvh, L):
     assert _p2(law, V, h, L**2, r).tobytes() == np.array(alone).tobytes()
 
 
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(lvh=law_potential_h(), L=st.floats(0.01, 3.0))
+def test_p2_is_p_squared_at_a_float_radius(lvh, L):
+    # at a lone radius, the 0-d array of a float that brentq passes, _p2 is
+    # law.p_squared(h + V(r)) - L^2/r^2 bit for bit, so an edit of the
+    # closed form in KineticLaw.p_squared that _p2 does not follow fails
+    # here
+    law, V, h = lvh
+    L2 = L**2
+    r = [np.asarray(x) for x in np.geomspace(1e-3, 1e3, 2000).tolist()]
+    alone = [float(_p2(law, V, h, L2, x)) for x in r]
+    objective = [float(law.p_squared(h + V.V(x)) - L2 / x**2) for x in r]
+    assert np.array(alone).tobytes() == np.array(objective).tobytes()
+
+
 def _synthetic(kind, x0, k, a, b):
     """Row objectives with a root at x0 in [a, b], by kind: 0 a power
     ((x - a)/(b - a))^k minus its value at x0 (the bisection branch at
@@ -445,6 +461,24 @@ def test_brent_pass_takes_each_branch_as_brentq_does():
         brentq(_scalar(cubic, 0), 0.0, 1.0, xtol=_XTOL, rtol=_RTOL)
     with pytest.raises(RuntimeError, match="converge"):
         _brentq_rows(cubic, np.zeros(1), np.ones(1))
+
+
+def test_root_checks_are_elementwise_and_name_each_failure():
+    # the checks that turning_points and the scan both apply to refined
+    # roots: true roots pass, coincident roots are circular (and not also
+    # hollow), and roots around a region where _p2 is negative are hollow;
+    # the three rows in one array get the verdicts they get as floats
+    h, L = -0.5, 0.8
+    L2 = L**2
+    r_min, r_max = turning_points(CLASSICAL, KEPLER, h, L)
+    rows = [(r_min, r_max), (r_min, r_min), (r_max, 2.0 * r_max)]
+    alone = [tuple(bool(v) for v in _root_checks(CLASSICAL, KEPLER, h, L2, a, b))
+             for a, b in rows]
+    assert alone == [(False, False), (True, False), (False, True)]
+    a, b = np.array(rows).T
+    coincide, hollow = _root_checks(CLASSICAL, KEPLER, np.full(3, h),
+                                    np.full(3, L2), a, b)
+    assert list(zip(coincide.tolist(), hollow.tolist())) == alone
 
 
 def test_brent_pass_zero_at_a_bracket_end():
