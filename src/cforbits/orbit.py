@@ -92,6 +92,16 @@ def _V_on_scan(V: Potential):
     return out
 
 
+@lru_cache(maxsize=8)
+def _kin_on_scan(law: KineticLaw, V: Potential, h):
+    """p_squared(h + V) on the scan grid, read-only, for the last few
+    (law, V, h): a root search runs at one energy, so every turning_points
+    call of it and every feasibility probe at h share it."""
+    out = law.p_squared(h + _V_on_scan(V))
+    out.flags.writeable = False
+    return out
+
+
 # the tolerances of the turning points' root refinement: xtol absolute,
 # rtol about 4 ulp
 _XTOL, _RTOL = 1e-15, 8.9e-16
@@ -100,9 +110,10 @@ _XTOL, _RTOL = 1e-15, 8.9e-16
 def turning_points(law: KineticLaw, V: Potential, h: float, L: float):
     """Bracket the two simple roots of the radial admissibility function on
     a fixed log grid over [1e-8, 1e6] and refine each by brentq at
-    xtol = 1e-15, rtol = 8.9e-16 (about 4 ulp)."""
-    return _bracket(law, V, h, L,
-                    law.p_squared(h + _V_on_scan(V)) - L**2 / _SCAN2)
+    xtol = 1e-15, rtol = 8.9e-16 (about 4 ulp).  The grid's p_squared(h + V)
+    comes from _kin_on_scan, so the calls at one energy (a root search's,
+    a feasibility probe's) form it once."""
+    return _bracket(law, V, h, L, _kin_on_scan(law, V, h) - L**2 / _SCAN2)
 
 
 def _annulus(L, vals):
@@ -260,32 +271,43 @@ def _brentq_rows(f, a, b):
 # of the rung before
 _LADDER = (80, 140, 240, 400, 640)
 _LADDER_RTOL = 5e-11
+# the ladder's quadrature passes: no row can stop at the first rung, so the
+# first two rungs run in one pass, and each later rung in its own
+_PASSES = (_LADDER[:2], *((n,) for n in _LADDER[2:]))
 
 
 @lru_cache(maxsize=len(_LADDER))
-def _nodes(n: int):
-    """n-point Gauss-Legendre rule (n even) on u in [-pi/2, pi/2] as (2, n/2)
-    arrays, the nodes below the midpoint and those above: the weights w,
-    w cos(u)^2, and near = +-(1 - |sin u|) and far = +-(1 + |sin u|), +
-    below: a node r = mid + half sin(u) is end + half near, end the nearer
-    turning point, and the other turning point is r + half far."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * math.pi * nodes
-    w = 0.5 * math.pi * weights
-    s = np.abs(np.sin(u))
-    sign = np.where(u < 0.0, 1.0, -1.0)
-    return tuple(x.reshape(2, n // 2) for x in (
-        w, w * np.cos(u) ** 2, sign * (1.0 - s), sign * (1.0 + s)))
+def _nodes(ns):
+    """The n-point Gauss-Legendre rules (n even) of the node counts ns on
+    u in [-pi/2, pi/2], side by side as (2, sum(ns)/2) arrays: in one block
+    of n/2 columns per rule, in the order of ns, the nodes below the
+    midpoint in the first row and those above in the second.  Per node,
+    the weights w, w cos(u)^2, and near = +-(1 - |sin u|) and
+    far = +-(1 + |sin u|), + below: a node r = mid + half sin(u) is
+    end + half near, end the nearer turning point, and the other turning
+    point is r + half far."""
+
+    def rule(n):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        u = 0.5 * math.pi * nodes
+        w = 0.5 * math.pi * weights
+        s = np.abs(np.sin(u))
+        sign = np.where(u < 0.0, 1.0, -1.0)
+        return tuple(x.reshape(2, n // 2) for x in (
+            w, w * np.cos(u) ** 2, sign * (1.0 - s), sign * (1.0 + s)))
+
+    return tuple(np.concatenate(x, axis=-1) for x in zip(*map(rule, ns)))
 
 
-def _integrand(law, V, h, r_min, r_max, n):
-    """r^2, e = h + V and S = p_r^2 / ((r - r_min)(r_max - r)) at the n
-    nodes r of each row, as (rows, 2, n/2) arrays from (rows, 1, 1)
-    columns.  P(r) = r^2 p^2(e) - L^2 vanishes at both ends, so from the
-    nearer end a, S = P[a, r] / (r^2 (far - r)) with the divided difference
-    P[a, r] = (a + r) p^2(e_r) + a^2 p^2[e_a, e_r] V[a, r]: nothing cancels
-    near the ends, and the end's own residual is dropped."""
-    _, _, near, far = _nodes(n)
+def _integrand(law, V, h, r_min, r_max, ns):
+    """r^2, e = h + V and S = p_r^2 / ((r - r_min)(r_max - r)) at the
+    nodes r of the rules ns (_nodes) of each row, as (rows, 2, sum(ns)/2)
+    arrays from (rows, 1, 1) columns.  P(r) = r^2 p^2(e) - L^2 vanishes at
+    both ends, so from the nearer end a, S = P[a, r] / (r^2 (far - r))
+    with the divided difference P[a, r] = (a + r) p^2(e_r)
+    + a^2 p^2[e_a, e_r] V[a, r]: nothing cancels near the ends, and the
+    end's own residual is dropped."""
+    _, _, near, far = _nodes(ns)
     half = 0.5 * (r_max - r_min)
     a = np.concatenate((r_min, r_max), axis=-2)
     r = a + half * near
@@ -297,63 +319,80 @@ def _integrand(law, V, h, r_min, r_max, n):
     return r2, e, S
 
 
-def _radial_integrals(law, V, rows, n):
+def _radial_integrals(law, V, rows, ns):
     """Half-cycle radial time, swept angle and action integral of each row
-    by n-node Gauss-Legendre after the singularity-removing substitution
-    r = mid + half*sin(u), as a (rows, 3) list, and for each row whether
-    its integrand fails to be positive at every node.  rows stacks the
-    columns h, L, r_min and r_max, all real, or all complex for the rows
-    of radial_jacobian.  Elementwise along the rows, with sums along the
-    nodes, so a row gets the same bits in any batch of its type."""
+    by Gauss-Legendre at each node count of ns after the
+    singularity-removing substitution r = mid + half*sin(u): for each rung
+    of ns, the values as a (rows, 3) list and, for each row, whether its
+    integrand fails to be positive at a node of that rung.  rows stacks
+    the columns h, L, r_min and r_max, all real, or all complex for the
+    rows of radial_jacobian.  The integrand of every rung comes from one
+    elementwise pass over the concatenated nodes, and each rung is summed
+    over its own nodes copied to a contiguous block, so a sum keeps the
+    pairwise order of a pass of that rung alone, which a strided view can
+    change: a row gets the same bits in any batch of its type and with any
+    rungs beside it."""
     h, L, r_min, r_max = rows
-    w, w_cos2, _, _ = _nodes(n)
-    r2, e, S = _integrand(law, V, h, r_min, r_max, n)
-    nodes = (-2, -1)
-    bad = np.any(S.real <= 0.0, axis=nodes).tolist()
+    w, w_cos2, _, _ = _nodes(ns)
+    r2, e, S = _integrand(law, V, h, r_min, r_max, ns)
     sqrtS = np.sqrt(S)
     half = 0.5 * (r_max - r_min)[:, 0, 0]
     # dt = |p| dr / (G'(|p|) p_r), and |p|/G'(|p|) = (1/2) d(p^2)/de
-    return np.array([np.sum(w * (0.5 * law.p_squared_div(e, e)) / sqrtS,
-                            axis=nodes),
-                     np.sum(w * L / (r2 * sqrtS), axis=nodes),
-                     half**2 * np.sum(w_cos2 * sqrtS, axis=nodes) / math.pi
-                     ]).T.tolist(), bad
+    terms = np.stack((w * (0.5 * law.p_squared_div(e, e)) / sqrtS,
+                      w * L / (r2 * sqrtS), w_cos2 * sqrtS))
+    bad = S.real <= 0.0
+    out, start = [], 0
+    for n in ns:
+        block = slice(start, start + n // 2)
+        start = block.stop
+        tau, phi, action = np.ascontiguousarray(terms[..., block]).sum(
+            axis=(-2, -1))
+        out.append((np.array([tau, phi, half**2 * action / math.pi]
+                             ).T.tolist(),
+                    np.any(bad[..., block], axis=(-2, -1)).tolist()))
+    return out
 
 
 def _converged_integrals(law, V, h, L, r_min, r_max, step=None):
     """(tau/2, phi, action) at each (h[i], L[i]) with turning points
     (r_min[i], r_max[i]), the rows being sequences of floats: each row
-    stops at the first rung within _LADDER_RTOL of the rung before.
-    Returns a list with the values of each row that converges, None on
-    the others, and the QuadratureError message of each of those, by
-    row.  With step, the rows are complex numbers a step i*step off a
-    real row, and a row's values are the imaginary parts over step: the
-    derivatives along the step."""
+    stops at the first rung within _LADDER_RTOL of the rung before.  The
+    rungs run in the passes of _PASSES, the first two in one, on the rows
+    still on the ladder; a row's values at a rung do not depend on the
+    pass, so the result is that of one rung at a time.  Returns a list with
+    the values of each row that converges, None on the others, and the
+    QuadratureError message of each of those, by row.  With step, the rows
+    are complex numbers a step i*step off a real row, and a row's values
+    are the imaginary parts over step: the derivatives along the step."""
     rows = np.array([h, L, r_min, r_max],
                     dtype=float if step is None else complex)
     out = [None] * len(h)
     failed = {}
-    # the rows still on the ladder, their columns and their last values
-    todo, block, prev = list(range(len(h))), rows[:, :, None, None], None
-    for n in _LADDER:
-        cur, bad = _radial_integrals(law, V, block, n)
-        if step is not None:
-            cur = [[v.imag / step for v in row] for row in cur]
-        keep = []
-        for j, i in enumerate(todo):
-            if bad[j]:
-                failed[i] = "radial admissibility not positive at quadrature nodes"
-            elif prev is not None and max(
-                    abs(a - b) / (1.0 + abs(a))
-                    for a, b in zip(cur[j], prev[j])) <= _LADDER_RTOL:
-                out[i] = cur[j]
-            else:
-                keep.append(j)
+    # the rows of the pass, their columns, and the last values of each row
+    todo, block, prev = list(range(len(h))), rows[:, :, None, None], {}
+    for ns in _PASSES:
+        for cur, bad in _radial_integrals(law, V, block, ns):
+            if step is not None:
+                cur = [[v.imag / step for v in row] for row in cur]
+            for j, i in enumerate(todo):
+                if i in failed or out[i] is not None:
+                    continue
+                if bad[j]:
+                    failed[i] = ("radial admissibility not positive at "
+                                 "quadrature nodes")
+                elif i in prev and max(
+                        abs(a - b) / (1.0 + abs(a))
+                        for a, b in zip(cur[j], prev[i])) <= _LADDER_RTOL:
+                    out[i] = cur[j]
+                else:
+                    prev[i] = cur[j]
+        keep = [j for j, i in enumerate(todo)
+                if i not in failed and out[i] is None]
         if not keep:
             return out, failed
         if len(keep) < len(todo):
             block = block[:, keep]
-        todo, prev = [todo[j] for j in keep], [cur[j] for j in keep]
+        todo = [todo[j] for j in keep]
     for i in todo:
         failed[i] = (f"radial quadrature did not converge to "
                      f"{_LADDER_RTOL:g} at (h, L) = "
@@ -523,7 +562,7 @@ def _is_feasible(law, V, h, L):
     annulus at (h, L), run here so a scan calls no rebindable name.  Where
     no grid value is positive it returns False without _bracket's
     maximization, both of whose verdicts are infeasible."""
-    vals = law.p_squared(h + _V_on_scan(V)) - L**2 / _SCAN2
+    vals = _kin_on_scan(law, V, h) - L**2 / _SCAN2
     try:
         if _annulus(L, vals) is None:
             return False
@@ -540,7 +579,7 @@ def _feasible_L_interval(law, V, h):
     infeasible (no centrifugal barrier for relativistic Kepler below
     kappa/c or steep potentials); the lower edge is floored at 1e-4.
     The upper edge is stepped by _is_feasible."""
-    g = _SCAN2 * law.p_squared(h + _V_on_scan(V))
+    g = _SCAN2 * _kin_on_scan(law, V, h)
     lo = max(math.sqrt(max(g[0], g[-1], 0.0)), 1e-4)
     hi = math.sqrt(max(g.max(), 0.0))
     if hi > 1e4:
@@ -612,15 +651,15 @@ def _scan(law, V, search, h, L):
     _p2 is elementwise, with L^2 squared per row as _bracket squares it)
     and checked by _bracket's _root_checks, and every row's phi from one
     run of the ladder.  A row with no positive value on the grid is
-    dropped without the maximization by which _bracket names its error.  The scan calls no name a caller can
-    rebind, so its cache key is just its inputs."""
+    dropped without the maximization by which _bracket names its error.
+    The scan calls no name a caller can rebind, so its cache key is just
+    its inputs."""
     grid = _scan_grid(law, V, search, h, L)
-    Vs = _V_on_scan(V)
     if search == "vary_L":
-        kin = law.p_squared(h + Vs)
+        kin = _kin_on_scan(law, V, h)
         rows = ((h, x, kin - x**2 / _SCAN2) for x in grid)
     else:
-        cent = L**2 / _SCAN2
+        Vs, cent = _V_on_scan(V), L**2 / _SCAN2
         rows = ((x, L, law.p_squared(x + Vs) - cent) for x in grid)
     kept = []  # (x, h, L, L^2, i0, i1) of each row with an annulus
     for x, (hx, Lx, vals) in zip(grid, rows):
@@ -658,9 +697,13 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
     The root is bracketed on a scan of phi that depends on (law, V,
     search, h_seed) and, for vary_h, L_seed, but not on k:n; it is computed
     once and reused by every target at that energy level (the
-    SCAN_CACHE_SIZE most recently used scans are kept).  Where the apsidal angle is constant
-    along the scan (classical Kepler, harmonic), every L closes and the
-    vary_L search needs L_seed."""
+    SCAN_CACHE_SIZE most recently used scans are kept).  brentq starts
+    from the bracket ends, where the scan's phi are radial_profile's bits,
+    so a radial_profile runs only at the points after them; the found
+    orbit's profile is the one computed at the root, or, where the root
+    is a bracket end (phi exactly on target), one computed there.  Where
+    the apsidal angle is constant along the scan (classical Kepler,
+    harmonic), every L closes and the vary_L search needs L_seed."""
     if math.gcd(k, n) != 1:
         raise ValueError(f"k = {k} and n = {n} must be coprime")
     target = k * math.pi / n
@@ -673,12 +716,6 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
     else:
         raise ValueError(f"unknown search mode: {search!r}")
     point = lambda x: _point(search, h_seed, L_fixed, x)
-    profiles = {}  # x -> radial_profile, for each x the root search tries
-
-    def phi_at(x):
-        profiles[x] = radial_profile(law, V, *point(x))
-        return profiles[x].phi
-
     xs, phis = _scan(law, V, search, h_seed, L_fixed)
     if len(xs) < 2:
         raise NoBoundOrbitError(f"too few feasible {scanned}")
@@ -706,13 +743,25 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
         log.warning("%d brackets of the apsidal angle %.9g over the %s; "
                     "using the first, [%.9g, %.9g]", flips.size, target,
                     scanned, xs[i], xs[i + 1])
+    # phi at the bracket ends, where brentq starts, is the scan's: the
+    # bits of radial_profile there
+    ends = dict(zip(xs[i:i + 2].tolist(), phis[i:i + 2].tolist()))
+    profiles = {}  # x -> radial_profile, for each other x the search tries
+
+    def phi_at(x):
+        if x in ends:
+            return ends[x]
+        profiles[x] = radial_profile(law, V, *point(x))
+        return profiles[x].phi
+
     try:
         x_star = brentq(lambda x: phi_at(x) - target, xs[i], xs[i + 1],
                         xtol=1e-14, rtol=8.9e-16)
     except Exception as exc:
         raise RootFindError(f"apsidal root find failed: {exc}") from exc
-    # brentq returns a point it evaluated
-    profile = profiles[x_star]
+    # brentq returns a point it evaluated; a bracket end (phi exactly on
+    # target there) has only the scan's phi, so its profile is made here
+    profile = profiles.get(x_star) or radial_profile(law, V, *point(x_star))
     if abs(profile.phi - target) > PHI_TOL:
         raise RootFindError(
             f"resonance residual {abs(profile.phi - target):.3g} above tolerance")

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -188,6 +189,67 @@ class TestFindClosedOrbit:
         at_root = [p for p in made
                    if (p.h, p.L) == (orb.profile.h, orb.profile.L)]
         assert len(at_root) == 1 and at_root[0] is orb.profile
+
+    @staticmethod
+    def _apsidal_brentq(monkeypatch, search):
+        """Patch orbit's brentq so that the apsidal root search (not the
+        turning points' refinement) runs search(f, a, b, **kw) instead."""
+        real = orbit_module.brentq
+        monkeypatch.setattr(
+            orbit_module, "brentq",
+            lambda f, a, b, **kw: (real if kw["xtol"] == orbit_module._XTOL
+                                   else search)(f, a, b, **kw))
+        return real
+
+    @pytest.mark.parametrize("search, L_seed", [("vary_L", None),
+                                                 ("vary_h", 0.3)])
+    def test_root_search_starts_from_the_scan_values(self, monkeypatch,
+                                                     search, L_seed):
+        # brentq's first two objective values are the bracket ends, where
+        # the scan holds radial_profile's phi, so only the points after
+        # them make a profile
+        tried, made = [], []
+
+        def counted(f, a, b, **kw):
+            return real(lambda x: tried.append(x) or f(x), a, b, **kw)
+
+        real = self._apsidal_brentq(monkeypatch, counted)
+        monkeypatch.setattr(orbit_module, "radial_profile",
+                            lambda *args: made.append(args)
+                            or radial_profile(*args))
+        V = Potential.homogeneous(1.0, 0.5)
+        orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5, search=search,
+                                L_seed=L_seed)
+        assert len(tried) >= 3
+        assert len(made) == len(tried) - 2
+        fresh = radial_profile(CLASSICAL, V, orb.profile.h, orb.profile.L)
+        assert ([float(v).hex() for v in astuple(orb.profile)]
+                == [float(v).hex() for v in astuple(fresh)])
+
+    @pytest.mark.parametrize("end", [0, 1])
+    @pytest.mark.parametrize("search, L_seed", [("vary_L", None),
+                                                 ("vary_h", 0.3)])
+    def test_a_bracket_end_root_gets_its_full_profile(self, monkeypatch,
+                                                      search, L_seed, end):
+        # brentq returns a bracket end only where phi is exactly on target,
+        # which no real case reaches: a stand-in returns one, and the
+        # residual tolerance is lifted so that the orbit is built there
+        ends = []
+
+        def at_end(f, a, b, **kw):
+            f(a), f(b)
+            ends.append((a, b)[end])
+            return ends[-1]
+
+        self._apsidal_brentq(monkeypatch, at_end)
+        monkeypatch.setattr(orbit_module, "PHI_TOL", math.inf)
+        V = Potential.homogeneous(1.0, 0.5)
+        orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5, search=search,
+                                L_seed=L_seed)
+        point = orbit_module._point(search, -1.5, L_seed, ends[0])
+        assert ([float(v).hex() for v in astuple(orb.profile)]
+                == [float(v).hex()
+                    for v in astuple(radial_profile(CLASSICAL, V, *point))])
 
     def test_unreachable_target(self):
         # alpha=0.5 apsidal angles live in (2pi/3, pi/sqrt(1.5)); pi/2 is out

@@ -17,6 +17,8 @@ from cforbits.errors import (
 )
 from cforbits.model import KineticLaw, Potential
 from cforbits.orbit import (
+    _LADDER,
+    _LADDER_RTOL,
     _RTOL,
     _SCAN,
     _SCAN2,
@@ -25,13 +27,18 @@ from cforbits.orbit import (
     _annulus,
     _brentq_rows,
     _feasible_L_interval,
+    _converged_integrals,
     _integrand,
+    _kin_on_scan,
+    _nodes,
     _p2,
     _point,
+    _radial_integrals,
     _root_checks,
     _scan,
     _scan_grid,
     find_closed_orbit,
+    radial_jacobian,
     radial_profile,
     turning_points,
 )
@@ -175,7 +182,7 @@ def test_integrand_is_the_quadratic_closed_form(kind, m, kappa, extra, f, t):
     q = -0.5 * (B + math.sqrt(B * B - 4.0 * A * C))
     r_min, r_max = sorted((q / A, C / q))
     r2, _, S = _integrand(law, V, *np.array([h, r_min, r_max])[:, None, None,
-                                                                None], 640)
+                                                                None], (640,))
     assert np.allclose(S, -A / r2, rtol=1e-12, atol=0.0)
 
 
@@ -511,3 +518,213 @@ def test_brent_pass_refuses_one_sign_as_brentq_does():
         brentq(_scalar(f, 0), 0.0, 1.0, xtol=_XTOL, rtol=_RTOL)
     with pytest.raises(ValueError, match="different signs"):
         _brentq_rows(f, np.array([-2.0, 0.0]), np.array([0.0, 1.0]))
+
+
+# --- the quadrature ladder, its first two rungs in one pass ---
+
+def _ladder_rows(law, V, h, fractions):
+    """The rows of the _converged_integrals calls that radial_profile and
+    radial_jacobian make at h and L at each fraction of the feasible
+    interval, as (columns, step): the real rows batched together, and the
+    complex-step rows.  None where no L is feasible or no profile is made."""
+    try:
+        lo, hi = _feasible_L_interval(law, V, h)
+    except NoBoundOrbitError:
+        return None
+    calls = []
+    ladder = orbit_module._converged_integrals
+
+    def recorded(law, V, *cols, step=None):
+        calls.append((cols, step))
+        return ladder(law, V, *cols, step=step)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbit_module, "_converged_integrals", recorded)
+        for t in fractions:
+            try:
+                radial_jacobian(law, V,
+                                radial_profile(law, V, h, lo + t * (hi - lo)))
+            except (NoBoundOrbitError, CircularDegenerateError,
+                    QuadratureError):
+                continue
+    batches = {}
+    for cols, step in calls:
+        for batch, col in zip(batches.setdefault(step, ([], [], [], [])),
+                              cols):
+            batch.extend(col)
+    return [(cols, step) for step, cols in batches.items()] or None
+
+
+def _block(cols, step):
+    """The columns as _converged_integrals hands them to _radial_integrals."""
+    return np.array(cols, dtype=float if step is None else complex
+                    )[:, :, None, None]
+
+
+def _bits(values):
+    return None if values is None else np.array(values).tobytes()
+
+
+def _one_rung(law, V, rows, n):
+    # the quadrature of one rung as it was written before rungs shared a
+    # pass: the sums over the (rows, 2, n/2) arrays of that rung alone
+    h, L, r_min, r_max = rows
+    w, w_cos2, _, _ = _nodes((n,))
+    r2, e, S = _integrand(law, V, h, r_min, r_max, (n,))
+    nodes = (-2, -1)
+    bad = np.any(S.real <= 0.0, axis=nodes).tolist()
+    sqrtS = np.sqrt(S)
+    half = 0.5 * (r_max - r_min)[:, 0, 0]
+    return np.array([np.sum(w * (0.5 * law.p_squared_div(e, e)) / sqrtS,
+                            axis=nodes),
+                     np.sum(w * L / (r2 * sqrtS), axis=nodes),
+                     half**2 * np.sum(w_cos2 * sqrtS, axis=nodes) / math.pi
+                     ]).T.tolist(), bad
+
+
+def _rung_at_a_time(law, V, h, L, r_min, r_max, step=None):
+    # the ladder as it was written before rungs shared a pass: one rung
+    # per pass, on the rows still on it
+    rows = np.array([h, L, r_min, r_max],
+                    dtype=float if step is None else complex)
+    out = [None] * len(h)
+    failed = {}
+    todo, block, prev = list(range(len(h))), rows[:, :, None, None], None
+    for n in _LADDER:
+        cur, bad = _one_rung(law, V, block, n)
+        if step is not None:
+            cur = [[v.imag / step for v in row] for row in cur]
+        keep = []
+        for j, i in enumerate(todo):
+            if bad[j]:
+                failed[i] = "radial admissibility not positive at quadrature nodes"
+            elif prev is not None and max(
+                    abs(a - b) / (1.0 + abs(a))
+                    for a, b in zip(cur[j], prev[j])) <= _LADDER_RTOL:
+                out[i] = cur[j]
+            else:
+                keep.append(j)
+        if not keep:
+            return out, failed
+        if len(keep) < len(todo):
+            block = block[:, keep]
+        todo, prev = [todo[j] for j in keep], [cur[j] for j in keep]
+    for i in todo:
+        failed[i] = (f"radial quadrature did not converge to "
+                     f"{_LADDER_RTOL:g} at (h, L) = "
+                     f"({h[i].real:g}, {L[i].real:g})")
+    return out, failed
+
+
+fraction_lists = st.lists(st.floats(0.02, 0.98), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(lvh=law_potential_h(), fractions=fraction_lists)
+def test_first_two_rungs_in_one_pass_are_the_single_rung_passes(lvh,
+                                                                fractions):
+    law, V, _ = lvh
+    batches = _ladder_rows(*lvh, fractions)
+    assume(batches)
+    for cols, step in batches:
+        block = _block(cols, step)
+        both = _radial_integrals(law, V, block, _LADDER[:2])
+        assert len(both) == 2
+        for n, (values, bad) in zip(_LADDER[:2], both):
+            (alone, alone_bad), = _radial_integrals(law, V, block, (n,))
+            ref, ref_bad = _one_rung(law, V, block, n)
+            assert bad == alone_bad == ref_bad
+            assert _bits(values) == _bits(alone) == _bits(ref)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(lvh=law_potential_h(), fractions=fraction_lists)
+def test_ladder_is_the_one_rung_at_a_time_ladder(lvh, fractions):
+    law, V, _ = lvh
+    batches = _ladder_rows(*lvh, fractions)
+    assume(batches)
+    for cols, step in batches:
+        out, failed = _converged_integrals(law, V, *cols, step=step)
+        ref, ref_failed = _rung_at_a_time(law, V, *cols, step=step)
+        assert failed == ref_failed
+        assert list(map(_bits, out)) == list(map(_bits, ref))
+
+
+# turning points of Kepler at (h, L) = (-0.375, 1) are 2/3 and 2; past 2
+# the radial admissibility is negative, so a row with its ends at 4 and 6
+# has an integrand that is not positive at the first rung
+HOLLOW_ROW = (-0.375, 1.0, 4.0, 6.0)
+HOLLOW = "radial admissibility not positive at quadrature nodes"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+def test_integrand_not_positive_at_the_first_rung_fails_the_row_as_before():
+    (_, bad), _ = _radial_integrals(CLASSICAL, KEPLER,
+                                    _block(list(zip(HOLLOW_ROW)), None),
+                                    _LADDER[:2])
+    assert bad == [True]
+    # a hollow row after the first row of a profile's ladder and of its
+    # complex steps
+    for cols, step in _ladder_rows(CLASSICAL, KEPLER, -0.375, [0.5]):
+        hollow = HOLLOW_ROW if step is None else (
+            HOLLOW_ROW[0] + 1j * step, *HOLLOW_ROW[1:])
+        cols = [[c[0], v, *c[1:]] for c, v in zip(cols, hollow)]
+        out, failed = _converged_integrals(CLASSICAL, KEPLER, *cols, step=step)
+        ref, ref_failed = _rung_at_a_time(CLASSICAL, KEPLER, *cols, step=step)
+        assert failed == ref_failed == {1: HOLLOW}
+        assert list(map(_bits, out)) == list(map(_bits, ref))
+        assert None not in out[:1] + out[2:]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+def test_integrand_not_positive_raises_the_quadrature_error(monkeypatch):
+    h, L, r_min, r_max = HOLLOW_ROW
+    monkeypatch.setattr(orbit_module, "turning_points",
+                        lambda *args: (r_min, r_max))
+    with pytest.raises(QuadratureError) as exc:
+        radial_profile(CLASSICAL, KEPLER, h, L)
+    assert str(exc.value) == HOLLOW
+    hollow = orbit_module.RadialProfile(h, L, r_min, r_max, 1.0, 1.0, 1.0)
+    with pytest.raises(QuadratureError) as exc:
+        radial_jacobian(CLASSICAL, KEPLER, hollow)
+    assert str(exc.value) == HOLLOW
+
+
+# --- the kinetic grid shared by the turning points at one energy ---
+
+def test_kinetic_grid_cannot_be_changed():
+    kin = _kin_on_scan(CLASSICAL, ALPHA_HALF, -1.5)
+    with pytest.raises(ValueError, match="read-only"):
+        kin[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        kin *= 2.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(lvh=law_potential_h())
+def test_kinetic_grid_is_p_squared_on_the_scan(lvh):
+    law, V, h = lvh
+    assert (_kin_on_scan(law, V, h).tobytes()
+            == law.p_squared(h + V.V(_SCAN)).tobytes())
+
+
+def test_kinetic_grids_are_kept_apart():
+    keys = [(CLASSICAL, ALPHA_HALF, -1.5), (CLASSICAL, ALPHA_HALF, -1.2),
+            (CLASSICAL, ALPHA_HALF_TWIN, -1.5),
+            (KineticLaw.relativistic(c=3.0), ALPHA_HALF, -1.5)]
+    _kin_on_scan.cache_clear()
+    grids = [_kin_on_scan(*key) for key in keys]
+    assert _kin_on_scan.cache_info().misses == len(keys)
+    for (law, V, h), grid in zip(keys, grids):
+        assert grid.tobytes() == law.p_squared(h + V.V(_SCAN)).tobytes()
+        assert _kin_on_scan(law, V, h) is grid
+
+
+def test_a_root_search_forms_its_kinetic_grid_once():
+    # the feasible interval, the scan and every turning_points call of the
+    # root search run at h = -1.5
+    _scan.cache_clear()
+    _kin_on_scan.cache_clear()
+    find_closed_orbit(CLASSICAL, ALPHA_HALF, 3, 4, -1.5)
+    info = _kin_on_scan.cache_info()
+    assert info.misses == 1 and info.hits > 1

@@ -103,7 +103,7 @@ def survey(limit):
             try:
                 orbit = cf.find_closed_orbit(law, V, k, n, triple.h)
                 p = orbit.profile
-                rep = cf.k0_hessian(law, V, p.h, p.L)
+                rep = cf.k0_hessian(law, V, p.h, p.L, profile=p)
             except cf.CForbitsError as exc:
                 out[f"{triple.label} {k}:{n}"] = _error(exc)
                 continue
