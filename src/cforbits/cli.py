@@ -105,12 +105,8 @@ def _build_potential(cfg):
 
 
 def _find_orbit(law, V, ocfg):
-    if ocfg.get("search") == "vary_h" and "L" not in ocfg:
-        raise ConfigError("vary_h search needs an L value")
-    if ocfg.get("search") != "vary_h" and "h" not in ocfg:
-        raise ConfigError("vary_L search needs an h value")
-    return find_closed_orbit(law, V, ocfg["k"], ocfg["n"], ocfg.get("h", 0.0),
-                             **_given(ocfg, "search", L_seed="L"))
+    return find_closed_orbit(law, V, ocfg["k"], ocfg["n"], ocfg["h"],
+                             **_given(ocfg, L_seed="L"))
 
 
 def _build_perturbation(cfg, T_orbit):
@@ -421,10 +417,9 @@ def cmd_limit_classical(cfg, em: Emitter):
     mass = _given(law_cfg, "m")
     V = _build_potential(_block(cfg, "potential"))
     ocfg = _block(cfg, "orbit")
-    h = ocfg.get("h")
-    L = ocfg.get("L")
-    if h is None or L is None:
-        raise ConfigError("limit-classical needs both h and L in orbit")
+    if "L" not in ocfg:
+        raise ConfigError("limit-classical needs an L in orbit")
+    h, L = ocfg["h"], ocfg["L"]
     c_values = sorted(cfg.get("c_values", [5.0, 10.0, 20.0, 40.0]))
     classical = KineticLaw.classical(**mass)
     pc = radial_profile(classical, V, h, L)

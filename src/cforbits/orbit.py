@@ -84,20 +84,11 @@ def _p2(law: KineticLaw, V: Potential, h, L2, r):
 
 
 @lru_cache(maxsize=8)
-def _V_on_scan(V: Potential):
-    """V on the scan grid, read-only, for the last few potentials: it does
-    not depend on (h, L), so every profile and scan at V shares it."""
-    out = V.V(_SCAN)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=8)
 def _kin_on_scan(law: KineticLaw, V: Potential, h):
     """p_squared(h + V) on the scan grid, read-only, for the last few
     (law, V, h): a root search runs at one energy, so every turning_points
     call of it and every feasibility probe at h share it."""
-    out = law.p_squared(h + _V_on_scan(V))
+    out = law.p_squared(h + V.V(_SCAN))
     out.flags.writeable = False
     return out
 
@@ -149,7 +140,7 @@ def _annulus(L, vals):
 
 def _bracket(law, V, h, L, vals):
     """turning_points at (h, L) from vals, _p2 on the scan grid (which
-    _V_on_scan and _SCAN2 give with the same bits): the annulus rules, the
+    _kin_on_scan and _SCAN2 give with the same bits): the annulus rules, the
     refinement of its two roots by scalar brentq and the checks of the
     roots (_root_checks).  Where no value is positive, a bounded
     maximization of _p2 near the grid's maximum tells a circular orbit
@@ -595,130 +586,75 @@ def _feasible_L_interval(law, V, h):
     return lo, hi
 
 
-# the apsidal-angle scans kept for reuse: one per (law, potential, search,
-# energy level), shared by every k:n target at that level
+# the apsidal-angle scans kept for reuse: one per (law, potential, energy
+# level), shared by every k:n target at that level
 SCAN_CACHE_SIZE = 64
-# fraction of its width by which a clipped vary_h grid end is pulled inside
-# the bound energies: a clipped end is the circular or the unbound energy
-# itself, where turning_points finds no annulus, so unpulled the grid loses
-# its end points
-_H_PULL = 1e-2
-
-
-def _point(search, h, L, x):
-    """(h, L) at the scan unknown x: L at fixed h, or h at fixed L."""
-    return (h, x) if search == "vary_L" else (x, L)
-
-
-def _bound_energies(law, V, h, L):
-    """61 energies over [h - 2 span, h + 2 span], span = max(1, |h|),
-    clipped to the bound orbits at momentum L.  On the scan grid of
-    turning_points these are min U_eff < h < min(U_eff[0], U_eff[-1]) with
-    U_eff(r) = G(L/r) - V(r); a clipped end is pulled inside.  Empty when
-    no energy is bound."""
-    U = law.G(L / _SCAN) - _V_on_scan(V)
-    span = max(1.0, abs(h))
-    lo, hi = h - 2 * span, h + 2 * span
-    lo_b, hi_b = max(lo, U.min()), min(hi, U[0], U[-1])
-    if not lo_b < hi_b:
-        return np.empty(0)
-    pull = _H_PULL * (hi_b - lo_b)
-    return np.linspace(lo_b + pull if lo_b > lo else lo,
-                       hi_b - pull if hi_b < hi else hi, 61)
-
-
-def _scan_grid(law, V, search, h, L):
-    """The unknowns x a scan evaluates: 48 L values across the feasible
-    interval at fixed h for vary_L, or the bound energies at fixed L for
-    vary_h."""
-    if search == "vary_L":
-        L_lo, L_hi = _feasible_L_interval(law, V, h)
-        return np.geomspace(max(L_lo * 1.001, ANGULAR_MOMENTUM_FLOOR),
-                            0.999 * L_hi, 48)
-    return _bound_energies(law, V, h, L)
 
 
 @lru_cache(maxsize=SCAN_CACHE_SIZE)
-def _scan(law, V, search, h, L):
-    """The apsidal angle over the grid of one search, which knows no
-    target: the unknowns x of _scan_grid (L at fixed h for vary_L, with
-    L = None; h at fixed L for vary_h) at which radial_profile returns,
-    and phi there, as read-only arrays.  One pass over the grid gives
-    radial_profile's bits at every x: on the radial grid, p_squared(h + V)
-    is formed once at fixed h and L^2/r^2 once at fixed L; each row's
-    annulus comes from the rules of _bracket, the turning points of every
-    row from one vectorized brentq pass (_brentq_rows, whose objective
-    _p2 is elementwise, with L^2 squared per row as _bracket squares it)
-    and checked by _bracket's _root_checks, and every row's phi from one
-    run of the ladder.  A row with no positive value on the grid is
-    dropped without the maximization by which _bracket names its error.
-    The scan calls no name a caller can rebind, so its cache key is just
-    its inputs."""
-    grid = _scan_grid(law, V, search, h, L)
-    if search == "vary_L":
-        kin = _kin_on_scan(law, V, h)
-        rows = ((h, x, kin - x**2 / _SCAN2) for x in grid)
-    else:
-        Vs, cent = _V_on_scan(V), L**2 / _SCAN2
-        rows = ((x, L, law.p_squared(x + Vs) - cent) for x in grid)
-    kept = []  # (x, h, L, L^2, i0, i1) of each row with an annulus
-    for x, (hx, Lx, vals) in zip(grid, rows):
+def _scan(law, V, h):
+    """The apsidal angle over 48 L values across the feasible interval at
+    the energy h, which knows no target: the L at which radial_profile
+    returns, and phi there, as read-only arrays.  One pass over the grid
+    gives radial_profile's bits at every L: on the radial grid,
+    p_squared(h + V) is formed once; each row's annulus comes from the
+    rules of _bracket, the turning points of every row from one vectorized
+    brentq pass (_brentq_rows, whose objective _p2 is elementwise, with
+    L^2 squared per row as _bracket squares it) and checked by _bracket's
+    _root_checks, and every row's phi from one run of the ladder.  A row
+    with no positive value on the grid is dropped without the maximization
+    by which _bracket names its error.  The scan calls no name a caller
+    can rebind, so its cache key is just its inputs."""
+    L_lo, L_hi = _feasible_L_interval(law, V, h)
+    grid = np.geomspace(L_lo * 1.001, 0.999 * L_hi, 48)
+    kin = _kin_on_scan(law, V, h)
+    kept = []  # (L, L^2, i0, i1) of each row with an annulus
+    for L in grid:
         try:
-            ends = _annulus(Lx, vals)
+            ends = _annulus(L, kin - L**2 / _SCAN2)
         except NoBoundOrbitError:
             continue
         if ends is not None:
-            kept.append((x, hx, Lx, Lx**2, *ends))
-    cols = list(zip(*kept)) or [()] * 6
-    xs, hs, Ls, L2s = (np.array(c, dtype=float) for c in cols[:4])
-    i0, i1 = (np.array(c, dtype=int) for c in cols[4:])
+            kept.append((L, L**2, *ends))
+    cols = list(zip(*kept)) or [()] * 4
+    Ls, L2s = (np.array(c, dtype=float) for c in cols[:2])
+    i0, i1 = (np.array(c, dtype=int) for c in cols[2:])
     # the rows' r_min brackets, then their r_max brackets
-    H2, L22 = np.tile(hs, 2), np.tile(L2s, 2)
-    roots = _brentq_rows(lambda i, r: _p2(law, V, H2[i], L22[i], r),
+    L22 = np.tile(L2s, 2)
+    roots = _brentq_rows(lambda i, r: _p2(law, V, h, L22[i], r),
                          _SCAN[np.concatenate((i0 - 1, i1))],
                          _SCAN[np.concatenate((i0, i1 + 1))])
-    r_min, r_max = roots[:len(xs)], roots[len(xs):]
-    ok = ~np.logical_or(*_root_checks(law, V, hs, L2s, r_min, r_max))
-    xs, hs, Ls, r_min, r_max = (v[ok] for v in (xs, hs, Ls, r_min, r_max))
-    out, _ = _converged_integrals(law, V, hs, Ls, r_min, r_max)
+    r_min, r_max = roots[:len(Ls)], roots[len(Ls):]
+    ok = ~np.logical_or(*_root_checks(law, V, h, L2s, r_min, r_max))
+    Ls, r_min, r_max = (v[ok] for v in (Ls, r_min, r_max))
+    out, _ = _converged_integrals(law, V, [h] * len(Ls), Ls, r_min, r_max)
     # the rows on which radial_profile raises are left out
-    xs = np.array([x for x, v in zip(xs, out) if v is not None])
+    xs = np.array([L for L, v in zip(Ls, out) if v is not None])
     phis = np.array([v[1] for v in out if v is not None])
     xs.flags.writeable = phis.flags.writeable = False
     return xs, phis
 
 
 def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
-                      h_seed: float, search: str = "vary_L",
-                      L_seed: float | None = None,
+                      h: float, L_seed: float | None = None,
                       dim: int = 2) -> PeriodicOrbit:
     """Solve the resonance condition phi(h, L) = k*pi/n by a 1-D root find
-    over L at fixed h (or over h at fixed L) and build the closed orbit.
-    The root is bracketed on a scan of phi that depends on (law, V,
-    search, h_seed) and, for vary_h, L_seed, but not on k:n; it is computed
-    once and reused by every target at that energy level (the
-    SCAN_CACHE_SIZE most recently used scans are kept).  brentq starts
-    from the bracket ends, where the scan's phi are radial_profile's bits,
-    so a radial_profile runs only at the points after them; the found
-    orbit's profile is the one computed at the root, or, where the root
-    is a bracket end (phi exactly on target), one computed there.  Where
-    the apsidal angle is constant along the scan (classical Kepler,
-    harmonic), every L closes and the vary_L search needs L_seed."""
+    over L at the energy h and build the closed orbit.  The root is
+    bracketed on a scan of phi that depends on (law, V, h) but not on k:n;
+    it is computed once and reused by every target at that energy level
+    (the SCAN_CACHE_SIZE most recently used scans are kept).  brentq
+    starts from the bracket ends, where the scan's phi are radial_profile's
+    bits, so a radial_profile runs only at the points after them; the
+    found orbit's profile is the one computed at the root, or, where the
+    root is a bracket end (phi exactly on target), one computed there.
+    Where the apsidal angle is constant along the scan (classical Kepler,
+    harmonic), every L closes, and L_seed chooses the one built."""
     if math.gcd(k, n) != 1:
         raise ValueError(f"k = {k} and n = {n} must be coprime")
     target = k * math.pi / n
-    if search == "vary_L":
-        L_fixed, x_seed, scanned = None, L_seed, f"L values at h = {h_seed:g}"
-    elif search == "vary_h":
-        if L_seed is None:
-            raise ValueError("vary_h search needs L_seed (the fixed momentum)")
-        L_fixed, x_seed, scanned = L_seed, h_seed, f"h values at L = {L_seed:g}"
-    else:
-        raise ValueError(f"unknown search mode: {search!r}")
-    point = lambda x: _point(search, h_seed, L_fixed, x)
-    xs, phis = _scan(law, V, search, h_seed, L_fixed)
+    xs, phis = _scan(law, V, h)
     if len(xs) < 2:
-        raise NoBoundOrbitError(f"too few feasible {scanned}")
+        raise NoBoundOrbitError(f"too few feasible L values at h = {h:g}")
     if np.ptp(phis) < 1e-9:
         # apsidal angle constant along the scan (Kepler/harmonic signature):
         # every scanned orbit is closed, or none is
@@ -726,11 +662,11 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
             raise TargetOutOfRangeError(
                 f"apsidal angle is constant at {phis[0]:.9g}, target {target:.9g}",
                 phi_range=(float(phis.min()), float(phis.max())))
-        if x_seed is None:
+        if L_seed is None:
             raise ValueError(
                 "apsidal angle is constant over the scanned L values, so every "
                 "L gives a closed orbit: pass L_seed to choose one")
-        profile = radial_profile(law, V, *point(x_seed))
+        profile = radial_profile(law, V, h, L_seed)
         return _build_orbit(law, V, profile, k, n, dim)
     flips = np.flatnonzero(np.diff(np.sign(phis - target)) != 0)
     if flips.size == 0:
@@ -740,28 +676,28 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
             phi_range=(float(phis.min()), float(phis.max())))
     i = flips[0]
     if flips.size > 1:
-        log.warning("%d brackets of the apsidal angle %.9g over the %s; "
-                    "using the first, [%.9g, %.9g]", flips.size, target,
-                    scanned, xs[i], xs[i + 1])
+        log.warning("%d brackets of the apsidal angle %.9g over the L values "
+                    "at h = %g; using the first, [%.9g, %.9g]", flips.size,
+                    target, h, xs[i], xs[i + 1])
     # phi at the bracket ends, where brentq starts, is the scan's: the
     # bits of radial_profile there
     ends = dict(zip(xs[i:i + 2].tolist(), phis[i:i + 2].tolist()))
-    profiles = {}  # x -> radial_profile, for each other x the search tries
+    profiles = {}  # L -> radial_profile, for each other L the search tries
 
-    def phi_at(x):
-        if x in ends:
-            return ends[x]
-        profiles[x] = radial_profile(law, V, *point(x))
-        return profiles[x].phi
+    def phi_at(L):
+        if L in ends:
+            return ends[L]
+        profiles[L] = radial_profile(law, V, h, L)
+        return profiles[L].phi
 
     try:
-        x_star = brentq(lambda x: phi_at(x) - target, xs[i], xs[i + 1],
+        L_star = brentq(lambda L: phi_at(L) - target, xs[i], xs[i + 1],
                         xtol=1e-14, rtol=8.9e-16)
     except Exception as exc:
         raise RootFindError(f"apsidal root find failed: {exc}") from exc
     # brentq returns a point it evaluated; a bracket end (phi exactly on
     # target there) has only the scan's phi, so its profile is made here
-    profile = profiles.get(x_star) or radial_profile(law, V, *point(x_star))
+    profile = profiles.get(L_star) or radial_profile(law, V, h, L_star)
     if abs(profile.phi - target) > PHI_TOL:
         raise RootFindError(
             f"resonance residual {abs(profile.phi - target):.3g} above tolerance")

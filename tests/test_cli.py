@@ -171,6 +171,21 @@ class TestValidation:
         assert "validation" in capsys.readouterr().err
         assert (out / "manifest.json").exists()
 
+    # an orbit block names the energy of its one search, over L
+    @pytest.mark.parametrize("orbit", [
+        dict(KEPLER_ORBIT_CFG["orbit"], search="vary_L"),
+        {"k": 1, "n": 1, "L": 1.0},
+    ], ids=["search", "no_h"])
+    @pytest.mark.parametrize("command", ["orbit", "nondeg"])
+    def test_orbit_block_refused_by_the_schema(self, tmp_path, capsys,
+                                               command, orbit):
+        cfg = dict(KEPLER_ORBIT_CFG, orbit=orbit)
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "validation" in capsys.readouterr().err
+        assert (out / "manifest.json").exists()
+
     def test_constant_apsidal_angle_without_L(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(KEPLER_ORBIT_CFG))
         del cfg["orbit"]["L"]

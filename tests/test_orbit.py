@@ -170,10 +170,7 @@ class TestFindClosedOrbit:
         # resonance ties the frequencies: omega2/omega1 = k/n
         assert (orb.profile.phi / math.pi) == pytest.approx(3 / 4, abs=1e-11)
 
-    @pytest.mark.parametrize("search, L_seed", [("vary_L", None),
-                                                 ("vary_h", 0.3)])
-    def test_root_profile_comes_from_the_root_search(self, monkeypatch,
-                                                     search, L_seed):
+    def test_root_profile_comes_from_the_root_search(self, monkeypatch):
         # the profile at the root is the one brentq computed there, not a
         # second quadrature at the same point
         made = []
@@ -184,8 +181,7 @@ class TestFindClosedOrbit:
 
         monkeypatch.setattr(orbit_module, "radial_profile", recorded)
         V = Potential.homogeneous(1.0, 0.5)
-        orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5, search=search,
-                                L_seed=L_seed)
+        orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5)
         at_root = [p for p in made
                    if (p.h, p.L) == (orb.profile.h, orb.profile.L)]
         assert len(at_root) == 1 and at_root[0] is orb.profile
@@ -201,10 +197,7 @@ class TestFindClosedOrbit:
                                    else search)(f, a, b, **kw))
         return real
 
-    @pytest.mark.parametrize("search, L_seed", [("vary_L", None),
-                                                 ("vary_h", 0.3)])
-    def test_root_search_starts_from_the_scan_values(self, monkeypatch,
-                                                     search, L_seed):
+    def test_root_search_starts_from_the_scan_values(self, monkeypatch):
         # brentq's first two objective values are the bracket ends, where
         # the scan holds radial_profile's phi, so only the points after
         # them make a profile
@@ -218,8 +211,7 @@ class TestFindClosedOrbit:
                             lambda *args: made.append(args)
                             or radial_profile(*args))
         V = Potential.homogeneous(1.0, 0.5)
-        orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5, search=search,
-                                L_seed=L_seed)
+        orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5)
         assert len(tried) >= 3
         assert len(made) == len(tried) - 2
         fresh = radial_profile(CLASSICAL, V, orb.profile.h, orb.profile.L)
@@ -227,10 +219,7 @@ class TestFindClosedOrbit:
                 == [float(v).hex() for v in astuple(fresh)])
 
     @pytest.mark.parametrize("end", [0, 1])
-    @pytest.mark.parametrize("search, L_seed", [("vary_L", None),
-                                                 ("vary_h", 0.3)])
-    def test_a_bracket_end_root_gets_its_full_profile(self, monkeypatch,
-                                                      search, L_seed, end):
+    def test_a_bracket_end_root_gets_its_full_profile(self, monkeypatch, end):
         # brentq returns a bracket end only where phi is exactly on target,
         # which no real case reaches: a stand-in returns one, and the
         # residual tolerance is lifted so that the orbit is built there
@@ -244,12 +233,10 @@ class TestFindClosedOrbit:
         self._apsidal_brentq(monkeypatch, at_end)
         monkeypatch.setattr(orbit_module, "PHI_TOL", math.inf)
         V = Potential.homogeneous(1.0, 0.5)
-        orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5, search=search,
-                                L_seed=L_seed)
-        point = orbit_module._point(search, -1.5, L_seed, ends[0])
+        orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5)
         assert ([float(v).hex() for v in astuple(orb.profile)]
-                == [float(v).hex()
-                    for v in astuple(radial_profile(CLASSICAL, V, *point))])
+                == [float(v).hex() for v in
+                    astuple(radial_profile(CLASSICAL, V, -1.5, ends[0]))])
 
     def test_unreachable_target(self):
         # alpha=0.5 apsidal angles live in (2pi/3, pi/sqrt(1.5)); pi/2 is out
@@ -258,37 +245,16 @@ class TestFindClosedOrbit:
             find_closed_orbit(CLASSICAL, V, 1, 2, -1.5)
         assert exc.value.phi_range is not None
 
-    def test_vary_h_search(self):
-        V = Potential.homogeneous(1.0, 0.5)
-        orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5, search="vary_h",
-                                L_seed=0.3)
-        assert abs(orb.profile.phi - 3 * math.pi / 4) <= 1e-11
-        assert orb.profile.L == pytest.approx(0.3)
-
-    @pytest.mark.parametrize("V, h, L", [
-        (Potential.homogeneous(1.0, 0.5), -1.5, 0.3),
-        (HARMONIC, 1.25, 1.0),
-        (KEPLER, -0.375, 1.0),
-    ], ids=["alpha_05", "harmonic", "kepler"])
-    def test_vary_h_scans_bound_energies_only(self, V, h, L):
-        # every energy of the 61-point grid has a bound non-circular orbit
-        xs, phis = _scan(CLASSICAL, V, "vary_h", h, L)
-        assert len(xs) == len(phis) == 61
-
-    def test_vary_h_without_bound_energies(self):
-        # relativistic Kepler below L = kappa / c has no centrifugal barrier
-        with pytest.raises(NoBoundOrbitError, match="too few feasible h values"):
-            find_closed_orbit(KineticLaw.relativistic(c=1.0), KEPLER, 4, 3,
-                              -0.2, search="vary_h", L_seed=0.5)
-
     @pytest.mark.parametrize("V, k, n, h", [(HARMONIC, 1, 2, 1.25),
                                             (KEPLER, 1, 1, -0.375)],
                              ids=["harmonic", "kepler"])
-    def test_search_modes_agree_on_constant_apsidal_angle(self, V, k, n, h):
-        by_L = find_closed_orbit(CLASSICAL, V, k, n, h, L_seed=1.0)
-        by_h = find_closed_orbit(CLASSICAL, V, k, n, h, search="vary_h",
-                                 L_seed=1.0)
-        assert by_h.profile == by_L.profile
+    def test_constant_apsidal_angle_builds_at_L_seed(self, V, k, n, h):
+        # every scanned L closes, and the orbit built is the profile at
+        # L_seed, bit for bit
+        orb = find_closed_orbit(CLASSICAL, V, k, n, h, L_seed=0.9)
+        assert ([float(v).hex() for v in astuple(orb.profile)]
+                == [float(v).hex() for v in
+                    astuple(radial_profile(CLASSICAL, V, h, 0.9))])
 
     @pytest.mark.parametrize("V, k, n, h, miss", [
         (KEPLER, 1, 1, -0.375, (2, 1)),
@@ -315,7 +281,7 @@ class TestFindClosedOrbit:
         target = 3 * math.pi / 4
         phi = lambda L: target + np.sin(20 * L)
         V = Potential.homogeneous(1.0, 0.5)
-        xs, _ = _scan(CLASSICAL, V, "vary_L", -1.5, None)
+        xs, _ = _scan(CLASSICAL, V, -1.5)
         monkeypatch.setattr(orbit_module, "_scan", lambda *key: (xs, phi(xs)))
         monkeypatch.setattr(
             orbit_module, "radial_profile",

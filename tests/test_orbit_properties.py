@@ -23,7 +23,6 @@ from cforbits.orbit import (
     _SCAN,
     _SCAN2,
     _XTOL,
-    _V_on_scan,
     _annulus,
     _brentq_rows,
     _feasible_L_interval,
@@ -32,11 +31,9 @@ from cforbits.orbit import (
     _kin_on_scan,
     _nodes,
     _p2,
-    _point,
     _radial_integrals,
     _root_checks,
     _scan,
-    _scan_grid,
     find_closed_orbit,
     radial_jacobian,
     radial_profile,
@@ -66,18 +63,6 @@ def test_turning_points_round_trip(r1, ratio, alpha):
     r_min, r_max = turning_points(CLASSICAL, V, h, math.sqrt(L2))
     assert r_min == pytest.approx(r1, rel=1e-10)
     assert r_max == pytest.approx(r2, rel=1e-10)
-
-
-@settings(derandomize=True, deadline=None, max_examples=8, database=None)
-@given(h=st.floats(-1.9, -1.2), kn=st.sampled_from([(3, 4), (4, 5), (5, 7)]))
-def test_vary_h_recovers_the_energy_vary_L_started_from(h, kn):
-    # alpha = 0.5 has the same apsidal range at every h < 0, so every target
-    # is reachable in both search modes
-    k, n = kn
-    by_L = find_closed_orbit(CLASSICAL, ALPHA_HALF, k, n, h)
-    by_h = find_closed_orbit(CLASSICAL, ALPHA_HALF, k, n, h + 0.05,
-                             search="vary_h", L_seed=by_L.profile.L)
-    assert by_h.profile.h == pytest.approx(h, abs=1e-12)
 
 
 # --- the feasible L interval against turning_points ---
@@ -236,9 +221,7 @@ ALPHA_HALF_TWIN = Potential.homogeneous(1.0, 0.5)
     ((CLASSICAL, KEPLER, -0.5, {}),
      (KineticLaw.relativistic(c=3.0), KEPLER, -0.5, {})),
     ((CLASSICAL, ALPHA_HALF, -1.5, {}), (CLASSICAL, ALPHA_HALF_TWIN, -1.5, {})),
-    ((CLASSICAL, ALPHA_HALF, -1.5, {"search": "vary_h", "L_seed": 0.3}),
-     (CLASSICAL, ALPHA_HALF, -1.5, {"search": "vary_h", "L_seed": 0.5})),
-], ids=["h", "law", "equal_parameter_potential", "vary_h_L_seed"])
+], ids=["h", "law", "equal_parameter_potential"])
 def test_scans_are_kept_apart(first, second):
     assert _scans_made(first, second) == 2
 
@@ -266,7 +249,7 @@ def test_a_scan_calls_no_rebindable_turning_points(monkeypatch):
 
 
 def test_a_cached_scan_cannot_be_changed():
-    key = (CLASSICAL, ALPHA_HALF, "vary_L", -1.5, None)
+    key = (CLASSICAL, ALPHA_HALF, -1.5)
     xs, phis = _scan(*key)
     first = xs.copy(), phis.copy()
     for values in (xs, phis):
@@ -284,48 +267,43 @@ def test_a_cached_scan_cannot_be_changed():
 
 def _scan_cases():
     """Every survey triple, every nondeg_table row and the two anchors of
-    the benchmark, as (label, law, potential, h, L or None)."""
+    the benchmark, as (label, law, potential, h)."""
     for stratum in workloads.SURVEY_STRATA:
         for t in stratum:
-            yield (t.label, *t.build(), t.h, None)
+            yield (t.label, *t.build(), t.h)
     rows = (workloads.HARMONIC, workloads.KEPLER,
             *(row for stratum in workloads.TABLE_STRATA for row in stratum))
     for name, law, potential, orbit in rows:
         yield (name, cli._build_law(law), cli._build_potential(potential),
-               orbit["h"], orbit.get("L"))
+               orbit["h"])
 
 
 SCAN_CASES = tuple(_scan_cases())
 
 
-def _per_point(law, V, search, h, L, grid):
+def _per_point(law, V, h, grid):
     xs, phis = [], []
-    for x in grid:
+    for L in grid:
         try:
-            phis.append(radial_profile(law, V, *_point(search, h, L, x)).phi)
-            xs.append(x)
+            phis.append(radial_profile(law, V, h, L).phi)
+            xs.append(L)
         except (NoBoundOrbitError, CircularDegenerateError, QuadratureError):
             continue
     return np.array(xs), np.array(phis)
 
 
-@pytest.mark.parametrize("search", ["vary_L", "vary_h"])
-@pytest.mark.parametrize("label, law, V, h, L", SCAN_CASES,
+@pytest.mark.parametrize("label, law, V, h", SCAN_CASES,
                          ids=[c[0] for c in SCAN_CASES])
-def test_scan_is_the_per_point_profiles_bit_for_bit(label, law, V, h, L, search):
-    if search == "vary_L":
-        L = None
-    elif L is None:
-        # a momentum in the middle of the feasible interval at h
-        L = 0.5 * sum(_feasible_L_interval(law, V, h))
-    grid = _scan_grid(law, V, search, h, L)
-    xs, phis = _scan.__wrapped__(law, V, search, h, L)
-    ref_xs, ref_phis = _per_point(law, V, search, h, L, grid)
-    assert len(grid) == (48 if search == "vary_L" else 61)
+def test_scan_is_the_per_point_profiles_bit_for_bit(label, law, V, h):
+    # the scan's grid: 48 L values across the feasible interval, its ends
+    # pulled inside by 0.1%
+    L_lo, L_hi = _feasible_L_interval(law, V, h)
+    grid = np.geomspace(L_lo * 1.001, 0.999 * L_hi, 48)
+    xs, phis = _scan.__wrapped__(law, V, h)
+    ref_xs, ref_phis = _per_point(law, V, h, grid)
     assert xs.tobytes() == ref_xs.tobytes()
     assert phis.tobytes() == ref_phis.tobytes()
-    dropped = {("hom_a05_h-1.5", "vary_L"): 0, ("alpha_05", "vary_L"): 0,
-               ("alpha_15", "vary_L"): 12}.get((label, search))
+    dropped = {"hom_a05_h-1.5": 0, "alpha_05": 0, "alpha_15": 12}.get(label)
     if dropped is not None:
         assert len(grid) - len(xs) == dropped
 
@@ -369,7 +347,7 @@ def test_brent_pass_is_brentq_on_turning_point_rows(lvh, fractions):
         lo, hi = _feasible_L_interval(law, V, h)
     except NoBoundOrbitError:
         assume(False)
-    kin = law.p_squared(h + _V_on_scan(V))
+    kin = law.p_squared(h + V.V(_SCAN))
     L2s, a, b = [], [], []
     for frac in fractions:
         L = lo + frac * (hi - lo)
