@@ -26,9 +26,7 @@ for name, alpha, k, n, h, L_seed in cases:
     V = Potential.homogeneous(1.0, alpha)
     orb = find_closed_orbit(law, V, k, n, h, L_seed=L_seed)
     cc = cross_check(orb)
-    p = orb.profile
-    ecc = (p.r_max - p.r_min) / (p.r_max + p.r_min)
-    print(f"{name:<20} {k}:{n:<3} {ecc:6.3f} "
+    print(f"{name:<20} {k}:{n:<3} {orb.profile.eccentricity:6.3f} "
           f"{cc.fixed_period_verdict:>13} {cc.fixed_energy_verdict:>13} "
           f"{cc.planar_fp.kernel_dim:>8} {cc.spatial_fp.kernel_dim:>8} "
           f"{cc.actions.scale_fixed_period:>12.3e}")

@@ -8,8 +8,6 @@ second order in 1/c.
 
 Run:  python3 demos/relativistic_limit.py
 """
-import math
-
 import numpy as np
 
 from cforbits import KineticLaw, Potential, cross_check, find_closed_orbit, \
@@ -38,7 +36,7 @@ print(f"\nempirical convergence order: tau {order_tau:.3f}, phi {order_phi:.3f}"
 
 # at c = 1 the precession is strong enough to close a 4:3 resonant orbit
 law = KineticLaw.relativistic(m=1.0, c=1.0)
-orb = find_closed_orbit(law, V, 4, 3, -0.2, L_seed=math.sqrt(16.0 / 7.0))
+orb = find_closed_orbit(law, V, 4, 3, -0.2)
 cc = cross_check(orb)
 print(f"\nrelativistic 4:3 orbit at h = -0.2: L = {orb.profile.L:.6f}, "
       f"T = {orb.T:.4f}")

@@ -53,18 +53,25 @@ def _schema():
         return json.load(f)
 
 
-@lru_cache(maxsize=1)
-def _validator():
-    """The validator of the shipped schema, built once."""
+@lru_cache(maxsize=None)
+def _validator(command=None):
+    """The validator of the shipped schema, or of the command's definition
+    in it ($defs/commands/<command>), built once."""
     schema = _schema()
-    return jsonschema.validators.validator_for(schema)(schema)
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    if command is None:
+        return validator
+    return validator.evolve(schema=schema["$defs"]["commands"][command])
 
 
-def load_config(path):
+def load_config(path, command=None):
+    """The config at path, validated against the command's definition, or
+    against the schema (any command's config) without a command."""
     with open(path, "r", encoding="utf-8") as f:
         cfg = json.load(f)
     # the error jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    error = jsonschema.exceptions.best_match(
+        _validator(command).iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"config validation failed: {error.message}")
     return cfg
@@ -79,13 +86,6 @@ def _given(cfg, *keys, **renamed):
     return {name: cfg[k] for name, k in pairs if k in cfg}
 
 
-def _block(cfg, name):
-    """The block of the config a command reads; refused when left out."""
-    if name not in cfg:
-        raise ConfigError(f"config needs a '{name}' block")
-    return cfg[name]
-
-
 def _build_law(cfg):
     """The kinetic law of a law block; with none, the classical law."""
     if cfg is None:
@@ -96,10 +96,7 @@ def _build_law(cfg):
 
 
 def _build_potential(cfg):
-    kind = cfg["kind"]
-    if kind == "homogeneous":
-        if "alpha" not in cfg:
-            raise ConfigError("homogeneous potential needs alpha")
+    if cfg["kind"] == "homogeneous":
         return Potential.homogeneous(alpha=cfg["alpha"], **_given(cfg, "kappa"))
     return Potential.levi_civita(**_given(cfg, "kappa", lam="lambda"))
 
@@ -214,8 +211,8 @@ def _write_states(em: Emitter, name, ts, states):
 
 def cmd_orbit(cfg, em: Emitter):
     law = _build_law(cfg.get("law"))
-    V = _build_potential(_block(cfg, "potential"))
-    orbit = _find_orbit(law, V, _block(cfg, "orbit"))
+    V = _build_potential(cfg["potential"])
+    orbit = _find_orbit(law, V, cfg["orbit"])
     p = orbit.profile
     summary = {
         "h": _fmt(p.h), "L": _fmt(p.L),
@@ -239,17 +236,10 @@ def cmd_nondeg(cfg, em: Emitter):
     configuration), is recorded as a {"case", "error"} entry and the other
     cases go on; the exit code is 3 if any case failed numerically, else 4
     if any disagreed."""
-    cases = cfg.get("cases")
-    if not cases:
-        cases = [{"name": "case0", "potential": _block(cfg, "potential"),
-                  "orbit": _block(cfg, "orbit")}]
-    elif {"potential", "orbit"} & set(cfg):
-        raise ConfigError("nondeg reads no 'potential' or 'orbit' block "
-                          "next to 'cases'")
     rows = []
     verdicts = []
     disagreement = failed = False
-    for i, case in enumerate(cases):
+    for i, case in enumerate(cfg["cases"]):
         name = case.get("name", f"case{i}")
         law = _build_law(case.get("law", cfg.get("law")))
         V = _build_potential(case["potential"])
@@ -322,12 +312,12 @@ def _turned(samples: ManifoldSample, a: float) -> ManifoldSample:
 
 def cmd_continue(cfg, em: Emitter):
     ccfg = cfg.get("continuation", {})
-    pcfg = _block(cfg, "perturbation")
+    pcfg = cfg["perturbation"]
     planar = (pcfg["family"] == "rotating_frame"
               or len(pcfg.get("e_vec", ())) == 2)
     law = _build_law(cfg.get("law"))
-    V = _build_potential(_block(cfg, "potential"))
-    orbit = _find_orbit(law, V, _block(cfg, "orbit"))
+    V = _build_potential(cfg["potential"])
+    orbit = _find_orbit(law, V, cfg["orbit"])
     mode = ccfg.get("mode", "fixed_period")
 
     # gate: warn when the unperturbed manifold is degenerate
@@ -409,17 +399,10 @@ def cmd_continue(cfg, em: Emitter):
 
 
 def cmd_limit_classical(cfg, em: Emitter):
-    law_cfg = cfg.get("law", {"kind": "relativistic"})
-    if law_cfg["kind"] != "relativistic":
-        raise ConfigError("limit-classical needs a relativistic law")
-    if "c" in law_cfg:
-        raise ConfigError("limit-classical sweeps c_values and reads no law.c")
-    mass = _given(law_cfg, "m")
-    V = _build_potential(_block(cfg, "potential"))
-    ocfg = _block(cfg, "orbit")
-    if "L" not in ocfg:
-        raise ConfigError("limit-classical needs an L in orbit")
-    h, L = ocfg["h"], ocfg["L"]
+    # the law block is relativistic, without c: the command sweeps c_values
+    mass = _given(cfg.get("law", {}), "m")
+    V = _build_potential(cfg["potential"])
+    h, L = cfg["orbit"]["h"], cfg["orbit"]["L"]
     c_values = sorted(cfg.get("c_values", [5.0, 10.0, 20.0, 40.0]))
     classical = KineticLaw.classical(**mass)
     pc = radial_profile(classical, V, h, L)
@@ -462,16 +445,6 @@ _COMMANDS = {
     "limit-classical": cmd_limit_classical,
 }
 
-# the top-level blocks each command reads besides schema_version; main
-# refuses any other
-_READS = {
-    "orbit": {"law", "potential", "orbit", "output"},
-    "nondeg": {"law", "cases", "potential", "orbit"},
-    "continue": {"law", "potential", "orbit", "perturbation", "continuation",
-                 "output"},
-    "limit-classical": {"law", "potential", "orbit", "c_values"},
-}
-
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
@@ -487,14 +460,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     em = Emitter(args.out, args.config, args.reproducible)
     try:
-        cfg = load_config(args.config)
-        unread = sorted(set(cfg) - _READS[args.command] - {"schema_version"})
-        if unread:
-            raise ConfigError(f"{args.command} reads no block "
-                              + ", ".join(f"'{name}'" for name in unread))
+        cfg = load_config(args.config, args.command)
     except (OSError, ValueError) as exc:
-        # unreadable, not UTF-8 or not JSON, refused by the schema, or
-        # with a block the command does not read
+        # unreadable, not UTF-8 or not JSON, or refused by the command's
+        # definition in the schema
         print(f"error: {exc}", file=_sys.stderr)
         em.finish()
         return EXIT_VALIDATION

@@ -63,6 +63,9 @@ class RadialProfile:
 
     @property
     def eccentricity(self) -> float:
+        """(r_max - r_min)/r_max, the radial excursion over the apogee
+        radius: 0 on a circle, 2e/(1 + e) on a Kepler ellipse of
+        eccentricity e."""
         return (self.r_max - self.r_min) / self.r_max
 
 
@@ -648,7 +651,8 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
     found orbit's profile is the one computed at the root, or, where the
     root is a bracket end (phi exactly on target), one computed there.
     Where the apsidal angle is constant along the scan (classical Kepler,
-    harmonic), every L closes, and L_seed chooses the one built."""
+    harmonic), every L closes, and L_seed chooses the one built; elsewhere
+    the resonance fixes L, and an L_seed is ignored with a WARNING."""
     if math.gcd(k, n) != 1:
         raise ValueError(f"k = {k} and n = {n} must be coprime")
     target = k * math.pi / n
@@ -701,6 +705,9 @@ def find_closed_orbit(law: KineticLaw, V: Potential, k: int, n: int,
     if abs(profile.phi - target) > PHI_TOL:
         raise RootFindError(
             f"resonance residual {abs(profile.phi - target):.3g} above tolerance")
+    if L_seed is not None:
+        log.warning("L_seed %.9g ignored: the resonance %d:%d fixes L = %.9g "
+                    "at h = %g", L_seed, k, n, profile.L, h)
     return _build_orbit(law, V, profile, k, n, dim)
 
 

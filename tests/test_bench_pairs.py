@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-METRICS = [{"name": "ops_per_min", "unit": "ops/min", "better": "higher"},
-           {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
+METRICS = [{"name": "ops_per_min", "unit": "ops/min", "better": "higher",
+            "bound": 0.15},
+           {"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+            "bound": 0.1}]
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,42 @@ def test_nine_pairs_give_no_verdict(tool):
     assert (ops["wins"], ops["pairs"]) == (9, 9)
     assert ops["gain"] is None and rss["gain"] is None
     assert tool.format_rows([ops])[0].endswith("gain rule needs 10 pairs")
+
+
+PARENT_OPS = [100, 104, 98, 102, 101, 99, 103, 100, 97, 105]
+
+
+def test_a_median_worse_by_more_than_the_bound_is_worse(tool):
+    # ops 20% slower against a 15% bound; RSS 12% higher against 10%
+    ops, rss = tool.summarize(reports(PARENT_OPS, [90.0] * 10),
+                              reports([p * 0.8 for p in PARENT_OPS],
+                                      [100.8] * 10), METRICS)
+    assert ops["regression"] == rss["regression"] == "worse"
+    assert tool.format_regressions([ops, rss]) == [
+        "ops_per_min: worse (bound 0.15 of the parent's median)",
+        "peak_rss_mb: worse (bound 0.1 of the parent's median)"]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(tool):
+    # the parent's ops IQR is 40% of its median
+    parent = reports([60, 140, 70, 130, 80, 120, 90, 110, 100, 100],
+                     [90.0] * 10)
+    (ops, _) = tool.summarize(parent, reports([95] * 10, [90.0] * 10),
+                              METRICS)
+    assert ops["regression"] == "unresolved"
+    # unless every change run beats every parent run
+    (ops, _) = tool.summarize(parent, reports([141] * 10, [90.0] * 10),
+                              METRICS)
+    assert ops["regression"] == "no worse"
+
+
+def test_a_median_within_the_bound_is_no_worse(tool):
+    # ops 10% slower against 15%, RSS 5% higher against 10%, and both
+    # parent spreads within their bounds
+    ops, rss = tool.summarize(reports(PARENT_OPS, [90.0] * 10),
+                              reports([p * 0.9 for p in PARENT_OPS],
+                                      [94.5] * 10), METRICS)
+    assert ops["regression"] == rss["regression"] == "no worse"
 
 
 def test_a_run_that_is_not_correct_is_refused(tool, monkeypatch):

@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 import logging
+from functools import lru_cache
 from pathlib import Path
 
 import jsonschema
@@ -39,6 +41,23 @@ KEPLER_ORBIT_CFG = {
     "potential": {"kind": "homogeneous", "kappa": 1.0, "alpha": 1.0},
     "orbit": {"k": 1, "n": 1, "h": -0.375, "L": 1.0},
 }
+
+
+def one_case(cfg):
+    """The single-orbit config cfg as nondeg reads it: a one-row cases."""
+    return {"schema_version": 1, "law": cfg["law"],
+            "cases": [{"potential": cfg["potential"], "orbit": cfg["orbit"]}]}
+
+
+@lru_cache(maxsize=1)
+def demo_commands():
+    """tools/answers_digest.py's DEMO_COMMANDS: the command of a demo
+    config by its file-name prefix."""
+    spec = importlib.util.spec_from_file_location(
+        "answers_digest", DEMO_DIR.parents[1] / "tools" / "answers_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.DEMO_COMMANDS
 
 
 class TestValidation:
@@ -180,6 +199,8 @@ class TestValidation:
     def test_orbit_block_refused_by_the_schema(self, tmp_path, capsys,
                                                command, orbit):
         cfg = dict(KEPLER_ORBIT_CFG, orbit=orbit)
+        if command == "nondeg":
+            cfg = one_case(cfg)
         out = tmp_path / "out"
         assert main([command, "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_VALIDATION
@@ -190,14 +211,31 @@ class TestValidation:
         cfg = json.loads(json.dumps(KEPLER_ORBIT_CFG))
         del cfg["orbit"]["L"]
         out = tmp_path / "out"
-        assert main(["nondeg", "--config", write_cfg(tmp_path, cfg),
+        assert main(["nondeg", "--config", write_cfg(tmp_path, one_case(cfg)),
                      "--out", str(out)]) == EXIT_VALIDATION
         assert "L_seed" in capsys.readouterr().err
         assert (out / "manifest.json").exists()
 
+    def test_nondeg_refuses_a_single_case_outside_cases(self, tmp_path,
+                                                        capsys):
+        # a top-level potential and orbit are no one-row cases
+        out = tmp_path / "out"
+        assert main(["nondeg", "--config", write_cfg(tmp_path, KEPLER_ORBIT_CFG),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "('orbit', 'potential' were unexpected)" in \
+            capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == []
+
     @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.name)
     def test_demo_config_is_valid(self, path):
         assert load_config(path)["schema_version"] == 1
+
+    @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.name)
+    def test_demo_config_is_valid_for_its_command(self, path):
+        (command,) = [c for prefix, c in demo_commands().items()
+                      if path.name.startswith(prefix)]
+        assert load_config(path, command)["schema_version"] == 1
 
     def test_limit_classical_refuses_law_c(self, tmp_path, capsys):
         # the command sweeps c_values, so a law.c would go unread
@@ -205,14 +243,28 @@ class TestValidation:
             "schema_version": 1,
             "law": {"kind": "relativistic", "m": 1.0, "c": 3.0},
             "potential": {"kind": "homogeneous", "alpha": 1.0},
-            "orbit": {"k": 1, "n": 1, "h": -0.375, "L": 1.0},
+            "orbit": {"h": -0.375, "L": 1.0},
             "c_values": [5.0, 10.0],
         }
         out = tmp_path / "out"
         assert main(["limit-classical", "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == EXIT_VALIDATION
-        assert "law.c" in capsys.readouterr().err
+        assert "'c'" in capsys.readouterr().err
         assert (out / "manifest.json").exists()
+
+    # limit-classical reads h and L of its orbit block, no k:n
+    @pytest.mark.parametrize("key", ["k", "n"])
+    def test_limit_classical_refuses_orbit_k_and_n(self, tmp_path, capsys,
+                                                   key):
+        cfg = json.loads((DEMO_DIR / "limit_classical.json").read_text())
+        cfg["orbit"][key] = 1
+        out = tmp_path / "out"
+        assert main(["limit-classical", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert f"'{key}' was unexpected" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == []
+        assert not (out / "limit_classical.csv").exists()
 
     def test_group_with_planar_electric_vector_is_validation_error(
             self, tmp_path, capsys):
@@ -243,12 +295,15 @@ class TestValidation:
         assert (out / "manifest.json").exists()
         assert not (out / "limit_classical.json").exists()
 
-    def test_limit_classical_rejects_classical_law(self, tmp_path):
+    def test_limit_classical_rejects_classical_law(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(KEPLER_ORBIT_CFG))
+        cfg["orbit"] = {"h": -0.375, "L": 1.0}
         cfg["c_values"] = [5.0, 10.0]
         path = write_cfg(tmp_path, cfg)
         assert main(["limit-classical", "--config", path,
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "'relativistic' was expected" in capsys.readouterr().err
+        assert (tmp_path / "manifest.json").exists()
 
     # a demo config with one valid block that its command does not read
     @pytest.mark.parametrize("command, demo, block, value", [
@@ -290,11 +345,12 @@ class TestValidation:
         assert manifest["files"] == []
 
     def test_schema_blocks_and_command_reads_agree(self):
-        # every top-level block the schema allows is read by some command,
-        # and every block a command reads is in the schema
-        blocks = set(cforbits.cli._schema()["properties"]) - {"schema_version"}
-        assert set(cforbits.cli._READS) == set(cforbits.cli._COMMANDS)
-        assert set().union(*cforbits.cli._READS.values()) == blocks
+        # the schema defines one config per command, and a config is one
+        # of them
+        schema = cforbits.cli._schema()
+        assert list(schema["$defs"]["commands"]) == list(cforbits.cli._COMMANDS)
+        assert schema["anyOf"] == [{"$ref": f"#/$defs/commands/{c}"}
+                                   for c in cforbits.cli._COMMANDS]
 
 
 class TestOrbitCommand:
@@ -491,7 +547,7 @@ class TestLimitClassicalCommand:
             "schema_version": 1,
             "law": {"kind": "relativistic", "m": 1.0},
             "potential": {"kind": "homogeneous", "alpha": 1.0},
-            "orbit": {"k": 1, "n": 1, "h": -0.375, "L": 1.0},
+            "orbit": {"h": -0.375, "L": 1.0},
             "c_values": [5.0, 10.0, 20.0, 40.0],
         }
         path = write_cfg(tmp_path, cfg)

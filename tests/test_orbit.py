@@ -274,6 +274,23 @@ class TestFindClosedOrbit:
         assert orb.z0.size == 6
         assert orb.closure_residual <= 1e-8
 
+    def test_an_ignored_L_seed_is_logged(self, caplog):
+        # the resonance fixes L where phi varies along the scan
+        V = Potential.homogeneous(1.0, 0.5)
+        with caplog.at_level(logging.WARNING, logger="cforbits.orbit"):
+            orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5, L_seed=0.3)
+        assert orb.profile.L == find_closed_orbit(CLASSICAL, V, 3, 4,
+                                                  -1.5).profile.L
+        (record,) = caplog.records
+        assert record.getMessage().startswith(
+            f"L_seed 0.3 ignored: the resonance 3:4 fixes L = "
+            f"{orb.profile.L:.9g}")
+        # Kepler's phi is constant, so L_seed chooses the orbit built
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cforbits.orbit"):
+            find_closed_orbit(CLASSICAL, KEPLER, 1, 1, -0.375, L_seed=1.0)
+        assert caplog.records == []
+
     def test_extra_brackets_are_logged(self, monkeypatch, caplog):
         # an apsidal angle that crosses the target several times over the
         # feasible L interval of alpha = 0.5 at h = -1.5, on the scan grid

@@ -18,7 +18,13 @@ direction; a tie counts for neither side) and whether the gain rule holds:
 the change wins at least 9 in 10 of the pairs, and its median is better
 than the parent's by more than the parent's interquartile range.  Below
 10 pairs no share of wins reads as 9 in 10, so the rule gives no
-verdict.  ``--pairs`` sets the number of pairs (10).  With ``--trace``,
+verdict.  A line per metric then gives its no-regression verdict against
+the metric's ``bound``, a share of the parent's median: ``worse`` where
+the change's median is worse than the parent's by more than the bound,
+in the metric's direction; else ``unresolved`` where the parent's
+interquartile range is wider than the bound, unless every change run
+beats every parent run; else ``no worse``.  ``--pairs`` sets the number
+of pairs (10).  With ``--trace``,
 one more run per side with ``--trace 1`` follows the pairs, and the tool
 prints both sides' per-call times of the model kernels
 (``model.vector_field.us`` and ``model.hessian.us``), then every
@@ -69,9 +75,9 @@ def _spread(values):
 
 def summarize(parent, change, metrics):
     """Per metric of ``metrics`` (BENCHMARK.json's end_to_end entries), the
-    medians and quartiles of both sides, the change's wins and the gain
-    rule (None below MIN_PAIRS pairs), from the reports of the pairs
-    (``parent[i]`` with ``change[i]``)."""
+    medians and quartiles of both sides, the change's wins, the gain rule
+    (None below MIN_PAIRS pairs) and the no-regression verdict, from the
+    reports of the pairs (``parent[i]`` with ``change[i]``)."""
     rows = []
     for m in metrics:
         sign = 1.0 if m["better"] == "higher" else -1.0
@@ -79,11 +85,20 @@ def summarize(parent, change, metrics):
         c = [r["metrics"][m["name"]]["value"] for r in change]
         wins = sum(sign * (b - a) > 0.0 for a, b in zip(p, c))
         (pm, p1, p3), (cm, c1, c3) = _spread(p), _spread(c)
+        bound = m["bound"] * abs(pm)
+        if sign * (pm - cm) > bound:
+            regression = "worse"
+        elif (p3 - p1 > bound
+              and not min(sign * b for b in c) > max(sign * a for a in p)):
+            regression = "unresolved"
+        else:
+            regression = "no worse"
         rows.append({"metric": m["name"], "unit": m["unit"],
                      "parent": (pm, p1, p3), "change": (cm, c1, c3),
                      "wins": wins, "pairs": len(p),
                      "gain": (wins >= WIN_SHARE * len(p) and sign * (cm - pm) > p3 - p1
-                              if len(p) >= MIN_PAIRS else None)})
+                              if len(p) >= MIN_PAIRS else None),
+                     "bound": m["bound"], "regression": regression})
     return rows
 
 
@@ -99,6 +114,11 @@ def format_rows(rows):
             f"[{r['change'][1]:.6g}, {r['change'][2]:.6g}] {r['unit']}; "
             f"change wins {r['wins']}/{r['pairs']}; gain rule "
             f"{_verdict(r['gain'])}" for r in rows]
+
+
+def format_regressions(rows):
+    return [f"{r['metric']}: {r['regression']} (bound {r['bound']:g} of the "
+            f"parent's median)" for r in rows]
 
 
 def kernel_times(parent, change):
@@ -152,8 +172,9 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs")
-    print("\n".join(format_rows(summarize(sides["parent"], sides["change"],
-                                          spec["end_to_end"]))))
+    rows = summarize(sides["parent"], sides["change"], spec["end_to_end"])
+    print("\n".join(format_rows(rows)))
+    print("\n".join(format_regressions(rows)))
     if traced:
         print("\n".join(kernel_times(*traced)))
         print("\n".join(count_differences(*traced))
