@@ -54,27 +54,31 @@ def _schema():
 
 
 @lru_cache(maxsize=None)
-def _validator(command=None):
-    """The validator of the shipped schema, or of the command's definition
-    in it ($defs/commands/<command>), built once."""
+def _validator(command):
+    """The validator of the command's definition in the shipped schema
+    ($defs/commands/<command>), built once."""
     schema = _schema()
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    if command is None:
-        return validator
-    return validator.evolve(schema=schema["$defs"]["commands"][command])
+    return jsonschema.validators.validator_for(schema)(schema).evolve(
+        schema=schema["$defs"]["commands"][command])
 
 
 def load_config(path, command=None):
-    """The config at path, validated against the command's definition, or
-    against the schema (any command's config) without a command."""
+    """The config at path, validated against the command's definition.
+    Without a command it is tried against each command's definition and
+    accepted where one accepts it; else the error names each command's
+    own refusal."""
     with open(path, "r", encoding="utf-8") as f:
         cfg = json.load(f)
-    # the error jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(
-        _validator(command).iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config validation failed: {error.message}")
-    return cfg
+    refusals = []
+    for name in [command] if command else _COMMANDS:
+        # the error jsonschema.validate would raise
+        error = jsonschema.exceptions.best_match(
+            _validator(name).iter_errors(cfg))
+        if error is None:
+            return cfg
+        refusals.append(error.message if command
+                        else f"as {name}: {error.message}")
+    raise ConfigError("config validation failed: " + "; ".join(refusals))
 
 
 def _given(cfg, *keys, **renamed):

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp.base import ConstantDenseOutput
-from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import CollisionError, IntegrationError
@@ -142,7 +141,7 @@ class _StepStack:
                 self.interpolants[j] = None
                 if self.F is None:
                     m, n = self.built.size, dense.y_old.size
-                    self.F = np.empty((INTERPOLATOR_POWER, m, n))
+                    self.F = np.empty((dense.F.shape[0], m, n))
                     self.y_old = np.empty((m, n))
                 self.F[:, j], self.y_old[j] = dense.F, dense.y_old
                 self.t_old[j], self.h[j] = dense.t_old, dense.h

@@ -89,8 +89,8 @@ def _p2(law: KineticLaw, V: Potential, h, L2, r):
 @lru_cache(maxsize=8)
 def _kin_on_scan(law: KineticLaw, V: Potential, h):
     """p_squared(h + V) on the scan grid, read-only, for the last few
-    (law, V, h): a root search runs at one energy, so every turning_points
-    call of it and every feasibility probe at h share it."""
+    (law, V, h): a root search runs at one energy, so its feasible
+    interval, its scan and every turning_points call of it share it."""
     out = law.p_squared(h + V.V(_SCAN))
     out.flags.writeable = False
     return out
@@ -102,54 +102,16 @@ _XTOL, _RTOL = 1e-15, 8.9e-16
 
 
 def turning_points(law: KineticLaw, V: Potential, h: float, L: float):
-    """Bracket the two simple roots of the radial admissibility function on
-    a fixed log grid over [1e-8, 1e6] and refine each by brentq at
-    xtol = 1e-15, rtol = 8.9e-16 (about 4 ulp).  The grid's p_squared(h + V)
-    comes from _kin_on_scan, so the calls at one energy (a root search's,
-    a feasibility probe's) form it once."""
-    return _bracket(law, V, h, L, _kin_on_scan(law, V, h) - L**2 / _SCAN2)
-
-
-def _annulus(L, vals):
-    """The scan-grid indices (i0, i1) of the first and last positive value
-    of the annulus whose ends turning_points refines, from vals, _p2 on the
-    scan grid at (h, L): the annulus containing the global maximum where
-    there are several.  None where no value is positive; raises
-    NoBoundOrbitError at L = 0 and where the positive region touches the
-    scan boundary."""
-    if L == 0.0:
-        raise NoBoundOrbitError("rectilinear limit L = 0 is out of scope")
-    pos = vals > 0.0
-    i0 = int(pos.argmax())
-    if not pos[i0]:
-        return None
-    last = len(vals) - 1
-    i1 = last - int(pos[::-1].argmax())
-    if i0 == 0 or i1 == last:
-        raise NoBoundOrbitError(
-            "positive radial region touches the scan boundary (unbound or "
-            "scan range too small)")
-    if not pos[i0:i1 + 1].all():
-        # multiple annuli: keep the one containing the global maximum
-        j = int(np.argmax(vals))
-        i0 = j
-        while i0 > 0 and vals[i0 - 1] > 0.0:
-            i0 -= 1
-        i1 = j
-        while i1 < last and vals[i1 + 1] > 0.0:
-            i1 += 1
-    return i0, i1
-
-
-def _bracket(law, V, h, L, vals):
-    """turning_points at (h, L) from vals, _p2 on the scan grid (which
-    _kin_on_scan and _SCAN2 give with the same bits): the annulus rules, the
-    refinement of its two roots by scalar brentq and the checks of the
-    roots (_root_checks).  Where no value is positive, a bounded
-    maximization of _p2 near the grid's maximum tells a circular orbit
-    from no bound orbit."""
-    ends = _annulus(L, vals)
+    """The turning points r_min < r_max at (h, L): the ends of the annulus
+    of _annulus on a fixed log grid over [1e-8, 1e6] (p_squared(h + V)
+    from _kin_on_scan, formed once per energy), each refined by brentq at
+    xtol = 1e-15, rtol = 8.9e-16 (about 4 ulp) and checked by
+    _root_checks.  Where no grid value is positive, a bounded maximization
+    of _p2 near the grid's maximum tells a circular orbit from no bound
+    orbit."""
     L2 = L**2
+    vals = _kin_on_scan(law, V, h) - L2 / _SCAN2
+    ends = _annulus(L, vals)
     if ends is None:
         i = int(np.argmax(vals))
         lo = _SCAN[max(i - 1, 0)]
@@ -173,6 +135,34 @@ def _bracket(law, V, h, L, vals):
     if hollow:
         raise NoBoundOrbitError("admissibility function not positive between roots")
     return r_min, r_max
+
+
+def _annulus(L, vals):
+    """The scan-grid indices (i0, i1) of the first and last positive value
+    of the annulus whose ends turning_points refines, from vals, _p2 on the
+    scan grid at (h, L): the annulus containing the global maximum where
+    there are several.  None where no value is positive; raises
+    NoBoundOrbitError at L = 0 and where the positive region touches the
+    scan boundary."""
+    if L == 0.0:
+        raise NoBoundOrbitError("rectilinear limit L = 0 is out of scope")
+    pos = vals > 0.0
+    i0 = int(pos.argmax())
+    if not pos[i0]:
+        return None
+    last = len(vals) - 1
+    i1 = last - int(pos[::-1].argmax())
+    if i0 == 0 or i1 == last:
+        raise NoBoundOrbitError(
+            "positive radial region touches the scan boundary (unbound or "
+            "scan range too small)")
+    if not pos[i0:i1 + 1].all():
+        # multiple annuli: keep the one containing the global maximum,
+        # between the non-positive values on either side of it
+        gaps = np.flatnonzero(~pos)
+        k = int(np.searchsorted(gaps, np.argmax(vals)))
+        i0, i1 = int(gaps[k - 1]) + 1, int(gaps[k]) - 1
+    return i0, i1
 
 
 def _root_checks(law, V, h, L2, r_min, r_max):
@@ -551,39 +541,20 @@ def _build_orbit(law, V, profile, k, n, dim):
                          residual, law, V)
 
 
-def _is_feasible(law, V, h, L):
-    """Whether turning_points' arithmetic finds a bound non-circular
-    annulus at (h, L), run here so a scan calls no rebindable name.  Where
-    no grid value is positive it returns False without _bracket's
-    maximization, both of whose verdicts are infeasible."""
-    vals = _kin_on_scan(law, V, h) - L**2 / _SCAN2
-    try:
-        if _annulus(L, vals) is None:
-            return False
-        _bracket(law, V, h, L, vals)
-        return True
-    except (NoBoundOrbitError, CircularDegenerateError):
-        return False
-
-
 def _feasible_L_interval(law, V, h):
-    """Feasible interval in L (a bound non-circular annulus exists).  With
-    g(r) = r^2 kin(h + V(r)), the scan grid of turning_points admits exactly
+    """Feasible interval in L (a bound non-circular annulus exists), in
+    closed form off the scan grid of turning_points: with
+    g(r) = r^2 kin(h + V(r)), the grid admits exactly
     max(g[0], g[-1], 0) <= L^2 < max g, for any potential.  Small L can be
     infeasible (no centrifugal barrier for relativistic Kepler below
-    kappa/c or steep potentials); the lower edge is floored at 1e-4.
-    The upper edge is stepped by _is_feasible."""
+    kappa/c or steep potentials); the lower edge is floored at 1e-4.  The
+    root checks of turning_points can refuse the top float or two below
+    the upper edge, which the scan does not read."""
     g = _SCAN2 * _kin_on_scan(law, V, h)
     lo = max(math.sqrt(max(g[0], g[-1], 0.0)), 1e-4)
     hi = math.sqrt(max(g.max(), 0.0))
     if hi > 1e4:
         raise NoBoundOrbitError("feasible L region appears unbounded")
-    # the root checks of turning_points reject the top float or two that
-    # its grid admits: step hi to the last float it accepts
-    while _is_feasible(law, V, h, hi):
-        hi = math.nextafter(hi, math.inf)
-    while lo < hi and not _is_feasible(law, V, h, hi):
-        hi = math.nextafter(hi, 0.0)
     if not lo < hi:
         raise NoBoundOrbitError(f"no bound non-circular orbit at h = {h:g}")
     return lo, hi
@@ -600,13 +571,13 @@ def _scan(law, V, h):
     the energy h, which knows no target: the L at which radial_profile
     returns, and phi there, as read-only arrays.  One pass over the grid
     gives radial_profile's bits at every L: on the radial grid,
-    p_squared(h + V) is formed once; each row's annulus comes from the
-    rules of _bracket, the turning points of every row from one vectorized
-    brentq pass (_brentq_rows, whose objective _p2 is elementwise, with
-    L^2 squared per row as _bracket squares it) and checked by _bracket's
+    p_squared(h + V) is formed once; each row's annulus comes from
+    _annulus, the turning points of every row from one vectorized brentq
+    pass (_brentq_rows, whose objective _p2 is elementwise, with L^2
+    squared per row as turning_points squares it) and checked by
     _root_checks, and every row's phi from one run of the ladder.  A row
     with no positive value on the grid is dropped without the maximization
-    by which _bracket names its error.  The scan calls no name a caller
+    by which turning_points names its error.  The scan calls no name a caller
     can rebind, so its cache key is just its inputs."""
     L_lo, L_hi = _feasible_L_interval(law, V, h)
     grid = np.geomspace(L_lo * 1.001, 0.999 * L_hi, 48)

@@ -97,12 +97,32 @@ class TestValidation:
             "levi_civita_alpha", "string_k"])
     def test_refusal_message_is_jsonschemas(self, tmp_path, cfg):
         # the prebuilt validator refuses with the message jsonschema.validate
-        # gives for the same config and schema
+        # gives for the same config and the orbit command's definition;
+        # without a command, that message is orbit's part of the refusal
+        schema = cforbits.cli._schema()
+        orbit = {k: v for k, v in schema.items() if k != "anyOf"} | {
+            "$ref": "#/$defs/commands/orbit"}
         with pytest.raises(jsonschema.ValidationError) as ref:
-            jsonschema.validate(cfg, cforbits.cli._schema())
+            jsonschema.validate(cfg, orbit)
+        path = write_cfg(tmp_path, cfg)
         with pytest.raises(ConfigError) as exc:
-            load_config(write_cfg(tmp_path, cfg))
+            load_config(path, "orbit")
         assert str(exc.value) == f"config validation failed: {ref.value.message}"
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert f"as orbit: {ref.value.message};" in str(exc.value)
+
+    def test_refusal_without_a_command_names_each_commands_own(self,
+                                                               tmp_path):
+        # an orbit config with an unknown key: every command refuses the
+        # key, and no command's refusal stands for the others
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, dict(KEPLER_ORBIT_CFG,
+                                                 surprise=1)))
+        message = str(exc.value)
+        assert "'surprise'" in message
+        for command in cforbits.cli._COMMANDS:
+            assert f"as {command}: " in message
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = dict(KEPLER_ORBIT_CFG)

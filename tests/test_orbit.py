@@ -60,6 +60,25 @@ class TestTurningPoints:
         with pytest.raises(NoBoundOrbitError):
             turning_points(CLASSICAL, KEPLER, -0.375, 0.0)
 
+    def test_of_several_annuli_the_one_with_the_global_maximum(self):
+        # a Kepler well and a Gaussian bump at r = 10: at h = -0.15, L = 1
+        # p_r^2 is positive on an inner annulus (0.56, 6.1) and on one
+        # around the bump, which holds the largest value on the grid
+        V = Potential("two_well",
+                      lambda r: 1.0 / r + 0.6 * np.exp(-((r - 10.0) / 0.5)**2),
+                      None, None, None)
+        h, L2 = -0.15, 1.0
+        p2 = lambda r: orbit_module._p2(CLASSICAL, V, h, L2, r)
+        assert np.count_nonzero(np.diff(p2(orbit_module._SCAN) > 0.0)) == 4
+        r_min, r_max = turning_points(CLASSICAL, V, h, math.sqrt(L2))
+        assert r_min == pytest.approx(9.2029, abs=1e-4)
+        assert r_max == pytest.approx(10.7551, abs=1e-4)
+        # each a root of p_r^2 to rounding: a sign change within 1e-14
+        # relative
+        for r, outward in ((r_min, 1.0), (r_max, -1.0)):
+            assert p2(r * (1.0 - 1e-14)) * outward < 0.0
+            assert p2(r * (1.0 + 1e-14)) * outward > 0.0
+
 
 class TestRadialIntegrals:
     def test_kepler_period(self):

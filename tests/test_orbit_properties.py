@@ -341,7 +341,8 @@ def _assert_brentq_bits(f, a, b, scalar=_scalar):
 def test_brent_pass_is_brentq_on_turning_point_rows(lvh, fractions):
     # rows as _scan builds them: several L at one (law, V, h), both turning
     # points of each in one batch, with _p2 and L^2 squared per row; each
-    # root against brentq on the objective of _bracket, _p2 at a float
+    # root against brentq on the objective of turning_points, _p2 at a
+    # float
     law, V, h = lvh
     try:
         lo, hi = _feasible_L_interval(law, V, h)
@@ -368,10 +369,10 @@ def test_brent_pass_is_brentq_on_turning_point_rows(lvh, fractions):
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(lvh=law_potential_h(), L=st.floats(0.01, 3.0))
 def test_p2_is_elementwise(lvh, L):
-    # a radius gets the same bits alone, as brentq passes it to _bracket's
-    # objective, and in the array of a Brent pass; the relativistic
-    # (e/c)^2 of law.p_squared would not (C pow on a float, a square on an
-    # array)
+    # a radius gets the same bits alone, as brentq passes it to the
+    # objective of turning_points, and in the array of a Brent pass; the
+    # relativistic (e/c)^2 of law.p_squared would not (C pow on a float, a
+    # square on an array)
     law, V, h = lvh
     r = np.geomspace(1e-3, 1e3, 2000)
     alone = [float(_p2(law, V, h, L**2, x)) for x in r.tolist()]
