@@ -6,7 +6,6 @@ periodic solutions.
 
 from .errors import (
     CForbitsError,
-    ChartSingularityError,
     CircularDegenerateError,
     CollisionError,
     DegenerateMomentumError,

@@ -236,10 +236,9 @@ def cmd_orbit(cfg, em: Emitter):
 
 def cmd_nondeg(cfg, em: Emitter):
     """Cross-check every case.  A case whose routes disagree, or that fails
-    numerically (any other toolkit error but an unsupported
-    configuration), is recorded as a {"case", "error"} entry and the other
-    cases go on; the exit code is 3 if any case failed numerically, else 4
-    if any disagreed."""
+    numerically (any other toolkit error), is recorded as a {"case",
+    "error"} entry and the other cases go on; the exit code is 3 if any
+    case failed numerically, else 4 if any disagreed."""
     rows = []
     verdicts = []
     disagreement = failed = False
@@ -254,8 +253,6 @@ def cmd_nondeg(cfg, em: Emitter):
             em.warn(f"{name}: {exc}")
             verdicts.append({"case": name, "error": str(exc)})
             continue
-        except UnsupportedConfigurationError:
-            raise
         except CForbitsError as exc:
             # a numerical failure of one case; the other cases still count
             failed = True
@@ -324,17 +321,15 @@ def cmd_continue(cfg, em: Emitter):
     orbit = _find_orbit(law, V, cfg["orbit"])
     mode = ccfg.get("mode", "fixed_period")
 
-    # gate: warn when the unperturbed manifold is degenerate
+    # gate: refuse a degenerate unperturbed manifold
     rep = k0_hessian(law, V, orbit.profile.h, orbit.profile.L,
                      profile=orbit.profile)
     verdict = (nondeg_fixed_period(rep) if mode == "fixed_period"
                else nondeg_fixed_energy(rep))
     if verdict == "degenerate":
-        msg = ("degenerate unperturbed manifold: continuation from it is "
-               "not covered by the non-degeneracy theory")
-        if not ccfg.get("proceed_if_degenerate", False):
-            raise ConfigError(msg + " (set proceed_if_degenerate to force)")
-        em.warn(msg)
+        raise ConfigError("degenerate unperturbed manifold: continuation "
+                          "from it is not covered by the non-degeneracy "
+                          "theory")
 
     pert = _build_perturbation(pcfg, orbit.T)
     sys = HamiltonianSystem(law, V, pert, 2 if planar else 3)
@@ -476,9 +471,6 @@ def main(argv=None):
     library_log.addHandler(handler)
     try:
         code = _COMMANDS[args.command](cfg, em)
-    except RouteDisagreementError as exc:
-        print(f"error: route disagreement: {exc}", file=_sys.stderr)
-        code = EXIT_DISAGREEMENT
     except CForbitsError as exc:
         code_name = type(exc).__name__
         print(f"error: [{code_name}] {exc}", file=_sys.stderr)

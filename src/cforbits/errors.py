@@ -53,10 +53,6 @@ class RootFindError(CForbitsError, RuntimeError):
     """1-D root finding stagnated."""
 
 
-class ChartSingularityError(CForbitsError, RuntimeError):
-    """The (h, L) -> (I1, I2) chart Jacobian is numerically singular."""
-
-
 class UnreliableVerdictError(CForbitsError, RuntimeError):
     """A rank verdict was requested from a matrix with a poor spectral gap
     or an unacceptable symplectic residual."""

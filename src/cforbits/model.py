@@ -93,10 +93,12 @@ class KineticLaw:
     def p_squared(self, e):
         """Squared momentum magnitude G^{-1}(e)^2 at kinetic energy e: the
         polynomial 2 m e (+ (e/c)^2 for the relativistic law), so it
-        extends to e < 0.  Takes a float or an array without converting it."""
+        extends to e < 0.  Takes a float or an array without converting it
+        and squares q = e/c as q * q, one IEEE product on either."""
         p2 = 2.0 * self.m * e
         if self.kind == "relativistic":
-            p2 = p2 + (e / self.c) ** 2
+            q = e / self.c
+            p2 = p2 + q * q
         return p2
 
     def p_squared_div(self, e1, e2):

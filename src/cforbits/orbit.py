@@ -70,20 +70,14 @@ class RadialProfile:
 
 
 def _p2(law: KineticLaw, V: Potential, h, L2, r):
-    """Squared radial momentum G^{-1}(h+V)^2 - L^2/r^2 at the squared
-    angular momentum L2, extended smoothly through h+V = 0 so root
-    bracketing sees a sign change.  Elementwise in the radii r, a float or
-    an array (h and L2 floats or arrays like r), so a radius gets the same
-    bits alone or in an array.  The relativistic (e/c)^2 is C pow on both
-    (np.float_power): law.p_squared squares an array but takes C pow on the
-    float that a lone radius gives, and the two differ in the last bit at
-    about 1 in 1,500 values."""
+    """Squared radial momentum law.p_squared(h + V) - L^2/r^2 at the
+    squared angular momentum L2, extended smoothly through h + V = 0 so
+    root bracketing sees a sign change.  Elementwise in the radii r, a
+    float or an array (h and L2 floats or arrays like r), so a radius gets
+    the same bits alone or in an array: p_squared squares by one IEEE
+    product on either."""
     r = np.asarray(r, dtype=float)
-    e = h + V.V(r)
-    p2 = 2.0 * law.m * e
-    if law.kind == "relativistic":
-        p2 = p2 + np.float_power(e / law.c, 2.0)
-    return p2 - L2 / r**2
+    return law.p_squared(h + V.V(r)) - L2 / r**2
 
 
 @lru_cache(maxsize=8)
@@ -106,28 +100,32 @@ def turning_points(law: KineticLaw, V: Potential, h: float, L: float):
     of _annulus on a fixed log grid over [1e-8, 1e6] (p_squared(h + V)
     from _kin_on_scan, formed once per energy), each refined by brentq at
     xtol = 1e-15, rtol = 8.9e-16 (about 4 ulp) and checked by
-    _root_checks.  Where no grid value is positive, a bounded maximization
-    of _p2 near the grid's maximum tells a circular orbit from no bound
-    orbit."""
+    _root_checks.  Where at most one grid value is positive, a bounded
+    maximization of _p2 between the grid's neighbours of its maximum
+    brackets both roots at the maximizer; a maximum within 1e-10 (1 + |h|)
+    of zero is a circular orbit, one below it no bound orbit."""
     L2 = L**2
     vals = _kin_on_scan(law, V, h) - L2 / _SCAN2
     ends = _annulus(L, vals)
-    if ends is None:
+    f = lambda r: float(_p2(law, V, h, L2, r))
+    if ends is None or ends[0] == ends[1]:
         i = int(np.argmax(vals))
-        lo = _SCAN[max(i - 1, 0)]
-        hi = _SCAN[min(i + 1, len(_SCAN) - 1)]
-        res = minimize_scalar(lambda r: -_p2(law, V, h, L2, r),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-14})
-        if -res.fun > -1e-10 * (1.0 + abs(h)):
+        lo, hi = _SCAN[max(i - 1, 0)], _SCAN[min(i + 1, len(_SCAN) - 1)]
+        res = minimize_scalar(lambda r: -f(r), bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-14})
+        band = 1e-10 * (1.0 + abs(h))
+        if -res.fun <= -band:
+            raise NoBoundOrbitError(
+                f"no bound annulus for h = {h:g}, L = {L:g}")
+        if -res.fun <= band:
             raise CircularDegenerateError(
                 f"double root near r = {res.x:.6g} (circular orbit)")
-        raise NoBoundOrbitError(
-            f"no bound annulus for h = {h:g}, L = {L:g}")
-    i0, i1 = ends
-    f = lambda r: float(_p2(law, V, h, L2, r))
-    r_min = brentq(f, _SCAN[i0 - 1], _SCAN[i0], xtol=_XTOL, rtol=_RTOL)
-    r_max = brentq(f, _SCAN[i1], _SCAN[i1 + 1], xtol=_XTOL, rtol=_RTOL)
+        brackets = (lo, res.x), (res.x, hi)
+    else:
+        i0, i1 = ends
+        brackets = (_SCAN[i0 - 1], _SCAN[i0]), (_SCAN[i1], _SCAN[i1 + 1])
+    r_min, r_max = (brentq(f, a, b, xtol=_XTOL, rtol=_RTOL)
+                    for a, b in brackets)
     coincide, hollow = _root_checks(law, V, h, L2, r_min, r_max)
     if coincide:
         raise CircularDegenerateError(
@@ -542,14 +540,14 @@ def _build_orbit(law, V, profile, k, n, dim):
 
 
 def _feasible_L_interval(law, V, h):
-    """Feasible interval in L (a bound non-circular annulus exists), in
-    closed form off the scan grid of turning_points: with
-    g(r) = r^2 kin(h + V(r)), the grid admits exactly
-    max(g[0], g[-1], 0) <= L^2 < max g, for any potential.  Small L can be
-    infeasible (no centrifugal barrier for relativistic Kepler below
-    kappa/c or steep potentials); the lower edge is floored at 1e-4.  The
-    root checks of turning_points can refuse the top float or two below
-    the upper edge, which the scan does not read."""
+    """The interval in L at which the scan grid of turning_points holds a
+    positive value of a bound annulus, in closed form: with
+    g(r) = r^2 kin(h + V(r)), max(g[0], g[-1], 0) <= L^2 < max g, for any
+    potential.  Small L can be infeasible (no centrifugal barrier for
+    relativistic Kepler below kappa/c or steep potentials); the lower edge
+    is floored at 1e-4.  Above the upper edge, up to the circular orbit,
+    turning_points finds annuli between two grid radii, which the scan
+    does not read."""
     g = _SCAN2 * _kin_on_scan(law, V, h)
     lo = max(math.sqrt(max(g[0], g[-1], 0.0)), 1e-4)
     hi = math.sqrt(max(g.max(), 0.0))
@@ -576,9 +574,10 @@ def _scan(law, V, h):
     pass (_brentq_rows, whose objective _p2 is elementwise, with L^2
     squared per row as turning_points squares it) and checked by
     _root_checks, and every row's phi from one run of the ladder.  A row
-    with no positive value on the grid is dropped without the maximization
-    by which turning_points names its error.  The scan calls no name a caller
-    can rebind, so its cache key is just its inputs."""
+    with at most one positive value on the grid is dropped, without the
+    maximization by which turning_points brackets its roots or names its
+    error.  The scan calls no name a caller can rebind, so its cache key is
+    just its inputs."""
     L_lo, L_hi = _feasible_L_interval(law, V, h)
     grid = np.geomspace(L_lo * 1.001, 0.999 * L_hi, 48)
     kin = _kin_on_scan(law, V, h)
@@ -588,7 +587,7 @@ def _scan(law, V, h):
             ends = _annulus(L, kin - L**2 / _SCAN2)
         except NoBoundOrbitError:
             continue
-        if ends is not None:
+        if ends is not None and ends[0] < ends[1]:
             kept.append((L, L**2, *ends))
     cols = list(zip(*kept)) or [()] * 4
     Ls, L2s = (np.array(c, dtype=float) for c in cols[:2])

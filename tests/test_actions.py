@@ -214,6 +214,23 @@ def test_euler_relation_on_homogeneous_rows(name, law, alpha, pool_profiles):
         1e-13 * np.max(np.abs(rep.gradient))
 
 
+def test_scales_are_invariant_under_the_homogeneity_scaling():
+    # the orbits of a homogeneous potential at two energies are images of
+    # each other under a scaling of (x, p, t), which multiplies the Hessian
+    # by one factor and the frequencies by another, so the normalized
+    # determinants agree; the chart's determinant tau/(2 pi) is regular
+    # however small tau is, 2.5e-12 at h = -1e10
+    V = Potential.homogeneous(1.0, 1.5)
+    reps = []
+    for h in (-0.5, -1e10):
+        p = find_closed_orbit(CLASSICAL, V, 3, 2, h).profile
+        reps.append(k0_hessian(CLASSICAL, V, h, p.L, profile=p))
+    assert reps[1].profile.tau < 3e-12
+    for name in ("scale_fixed_period", "scale_fixed_energy"):
+        assert getattr(reps[1], name) == pytest.approx(
+            getattr(reps[0], name), rel=1e-9)
+
+
 # the classical pool rows whose apsidal angle varies: Kepler and the
 # harmonic oscillator are left out
 VARYING_PHI = [row for row in POOL

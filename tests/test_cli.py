@@ -659,6 +659,32 @@ class TestContinueCommand:
         assert main(["continue", "--config", path,
                      "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
 
+    # the Kepler 1:1 orbit, degenerate in both problems
+    DEGENERATE_BASE = {
+        "schema_version": 1,
+        "potential": {"kind": "homogeneous", "alpha": 1.0},
+        "orbit": {"k": 1, "n": 1, "h": -0.375, "L": 1.0},
+        "perturbation": {"family": "uniform_electric", "eps": 1e-3},
+    }
+
+    def test_degenerate_gate_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["continue", "--config",
+                     write_cfg(tmp_path, self.DEGENERATE_BASE),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "degenerate unperturbed manifold" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == []
+
+    def test_proceed_if_degenerate_is_refused(self, tmp_path, capsys):
+        # the gate has no override
+        cfg = {**self.DEGENERATE_BASE,
+               "continuation": {"proceed_if_degenerate": True}}
+        assert main(["continue", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert ("'proceed_if_degenerate' was unexpected"
+                in capsys.readouterr().err)
+
     def test_cosine_profile_without_period_is_validation_error(self, tmp_path):
         cfg = {
             "schema_version": 1,

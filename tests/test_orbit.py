@@ -52,6 +52,24 @@ class TestTurningPoints:
         with pytest.raises(CircularDegenerateError):
             turning_points(CLASSICAL, KEPLER, -0.5, 1.0)
 
+    @pytest.mark.parametrize("fraction, eccentricity",
+                             [(0.0, 1.1512e-3), (0.25, 9.970e-4),
+                              (0.9, 3.642e-4)])
+    def test_near_circular_above_the_scans_edge(self, fraction, eccentricity):
+        # alpha = 0.5 at h = -1.5 is circular at L = 1, r = 1; the scan
+        # grid's feasible edge hi = 0.99999975 is below it, and from hi up
+        # at most one grid radius lies inside the annulus.  Its orbits are
+        # found, above ECCENTRICITY_FLOOR, with the radial period of the
+        # circular limit 2 pi/sqrt(2 - alpha)
+        V = Potential.homogeneous(1.0, 0.5)
+        _, hi = orbit_module._feasible_L_interval(CLASSICAL, V, -1.5)
+        p = radial_profile(CLASSICAL, V, -1.5, hi + fraction * (1.0 - hi))
+        assert p.r_min < 1.0 < p.r_max
+        assert p.eccentricity == pytest.approx(eccentricity, rel=1e-3)
+        assert p.tau == pytest.approx(2.0 * math.pi / math.sqrt(1.5), rel=1e-7)
+        with pytest.raises(CircularDegenerateError):
+            turning_points(CLASSICAL, V, -1.5, 1.0)
+
     def test_unbound_rejected(self):
         with pytest.raises(NoBoundOrbitError):
             turning_points(CLASSICAL, KEPLER, 0.5, 1.0)

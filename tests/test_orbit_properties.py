@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from perfbench import workloads
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 import cforbits.orbit as orbit_module
 from cforbits import cli
@@ -52,10 +52,15 @@ alphas = st.floats(-1.5, 1.8).filter(lambda a: abs(a) >= 0.05)
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(r1=st.floats(0.1, 10.0), ratio=st.floats(1.05, 20.0), alpha=alphas)
+@example(r1=1.0006, ratio=1.0 + 1e-3, alpha=0.5)
+@example(r1=1.0006, ratio=1.0 + 1e-4, alpha=1.5)
+@example(r1=1.0006, ratio=1.0 + 1e-4, alpha=-1.0)
 def test_turning_points_round_trip(r1, ratio, alpha):
     # put the roots of p_r^2 = 2(h + V) - L^2/r^2 at r1 < r2 in closed form;
     # V is decreasing, so L^2 > 0, and the effective potential has a single
-    # minimum, so (r1, r2) is the only annulus
+    # minimum, so (r1, r2) is the only annulus.  The examples put a
+    # near-circular annulus between two neighbouring grid radii (1.00058
+    # and 1.00462), where no grid value is positive
     V = Potential.homogeneous(1.0, alpha)
     r2 = ratio * r1
     L2 = 2.0 * (V.V(r1) - V.V(r2)) / (r1**-2 - r2**-2)
@@ -94,7 +99,18 @@ def _check_edges(law, V, h):
         # a draw whose annulus reaches past the scan: nothing to compare
         assume(False)
     assert _has_annulus(law, V, h, hi * (1.0 - 1e-9))
-    assert not _has_annulus(law, V, h, hi * (1.0 + 1e-9))
+    # above the grid's edge, turning_points still finds the near-circular
+    # annuli, each between two neighbouring grid radii, up to the circular
+    # orbit's L_c = sqrt(max r^2 kin(h + V)), refined here off the grid
+    if _has_annulus(law, V, h, hi * (1.0 + 1e-9)):
+        r_min, r_max = turning_points(law, V, h, hi * (1.0 + 1e-9))
+        assert not np.any((_SCAN > r_min) & (_SCAN < r_max))
+    i = int(np.argmax(_SCAN2 * _kin_on_scan(law, V, h)))
+    res = minimize_scalar(lambda r: -r * r * law.p_squared(h + V.V(r)),
+                          bounds=(_SCAN[i - 1], _SCAN[i + 1]),
+                          method="bounded", options={"xatol": 1e-14})
+    assert hi <= math.sqrt(-res.fun)
+    assert not _has_annulus(law, V, h, math.sqrt(-res.fun) * (1.0 + 1e-9))
     if lo > LOWER_FLOOR:
         assert _has_annulus(law, V, h, lo * (1.0 + 1e-9))
         assert not _has_annulus(law, V, h, lo * (1.0 - 1e-9))
@@ -308,6 +324,19 @@ def test_scan_is_the_per_point_profiles_bit_for_bit(label, law, V, h):
         assert len(grid) - len(xs) == dropped
 
 
+@pytest.mark.parametrize("label, law, V, h", SCAN_CASES,
+                         ids=[c[0] for c in SCAN_CASES])
+def test_scan_rows_hold_two_grid_radii(label, law, V, h):
+    # the scan brackets a row's roots by the grid and drops a row with at
+    # most one grid radius inside its annulus, which turning_points
+    # brackets at its maximum: no benchmark row is such a row
+    L_lo, L_hi = _feasible_L_interval(law, V, h)
+    kin = _kin_on_scan(law, V, h)
+    for L in np.geomspace(L_lo * 1.001, 0.999 * L_hi, 48):
+        i0, i1 = _annulus(L, kin - L**2 / _SCAN2)
+        assert i1 > i0
+
+
 # --- the vectorized Brent pass against scipy's brentq ---
 
 def _scalar(f, i):
@@ -370,9 +399,9 @@ def test_brent_pass_is_brentq_on_turning_point_rows(lvh, fractions):
 @given(lvh=law_potential_h(), L=st.floats(0.01, 3.0))
 def test_p2_is_elementwise(lvh, L):
     # a radius gets the same bits alone, as brentq passes it to the
-    # objective of turning_points, and in the array of a Brent pass; the
-    # relativistic (e/c)^2 of law.p_squared would not (C pow on a float, a
-    # square on an array)
+    # objective of turning_points, and in the array of a Brent pass: the
+    # relativistic (e/c)^2 of law.p_squared is one product q * q on both
+    # (a float's q ** 2 would be C pow, a square on an array)
     law, V, h = lvh
     r = np.geomspace(1e-3, 1e3, 2000)
     alone = [float(_p2(law, V, h, L**2, x)) for x in r.tolist()]
@@ -383,9 +412,9 @@ def test_p2_is_elementwise(lvh, L):
 @given(lvh=law_potential_h(), L=st.floats(0.01, 3.0))
 def test_p2_is_p_squared_at_a_float_radius(lvh, L):
     # at a lone radius, the 0-d array of a float that brentq passes, _p2 is
-    # law.p_squared(h + V(r)) - L^2/r^2 bit for bit, so an edit of the
-    # closed form in KineticLaw.p_squared that _p2 does not follow fails
-    # here
+    # law.p_squared(h + V(r)) - L^2/r^2 bit for bit: _p2 calls p_squared
+    # and keeps no formula of its own, so p_squared must square the same
+    # way on a 0-d array as on a float
     law, V, h = lvh
     L2 = L**2
     r = [np.asarray(x) for x in np.geomspace(1e-3, 1e3, 2000).tolist()]
