@@ -313,9 +313,6 @@ def _turned(samples: ManifoldSample, a: float) -> ManifoldSample:
 
 def cmd_continue(cfg, em: Emitter):
     ccfg = cfg.get("continuation", {})
-    pcfg = cfg["perturbation"]
-    planar = (pcfg["family"] == "rotating_frame"
-              or len(pcfg.get("e_vec", ())) == 2)
     law = _build_law(cfg.get("law"))
     V = _build_potential(cfg["potential"])
     orbit = _find_orbit(law, V, cfg["orbit"])
@@ -331,11 +328,11 @@ def cmd_continue(cfg, em: Emitter):
                           "from it is not covered by the non-degeneracy "
                           "theory")
 
-    pert = _build_perturbation(pcfg, orbit.T)
-    sys = HamiltonianSystem(law, V, pert, 2 if planar else 3)
+    pert = _build_perturbation(cfg["perturbation"], orbit.T)
+    sys = HamiltonianSystem(law, V, pert, pert.dim)
     samples = manifold_samples(
         orbit, ccfg.get("count_rot", 8), ccfg.get("count_shift", 4),
-        group="planar" if planar else "SO3")
+        group="planar" if pert.dim == 2 else "SO3")
     # the apsis samples are built on the line x1: turned onto the
     # reversor's line, those on it lie on its fixed set for a field off x1
     a = reversor(pert)

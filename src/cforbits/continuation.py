@@ -261,10 +261,10 @@ def _continue(problem: ShootingProblem):
             False, f"off the fixed set: |R_a z - z| = {gap:.3g}", z0,
             problem.T, target_eps, np.inf, np.inf, 0, problem.seed_id)
     J = symplectic_matrix(d)
-    # rows: the even and odd coordinate directions of R_a in the frame
+    # rows: the coordinate directions R_0 keeps and flips (its -1 entries),
     # turned by a, so z0 = v @ Be and the residual is Bo @ z(T/2)
     B = rotate_plane(np.eye(n), a)
-    odd = [1, *range(d, n, 2)]  # the coordinates R_0 flips
+    odd = np.flatnonzero(np.diag(reflect_apsis(np.eye(n), 0.0)) < 0.0)
     Be, Bo = np.delete(B, odd, axis=0), B[odd]
     history = []  # (eps, trial residual, accepted) per Newton trial
     starts = []  # (eps, first-shot residual) per run of the driver
@@ -579,6 +579,8 @@ def reduced_functional(orbit, perturbation, group: str, elements):
     if perturbation._e is not None:
         e = np.array(perturbation._e[:dim])
     if perturbation._DA is not None:
+        if eps == 0.0:
+            raise ValueError("refusing eps = 0: A1 = DA x / eps")
         DA = np.array(perturbation._DA).reshape(3, 3)[:dim, :dim] / eps
     omega = (0.0 if perturbation.is_autonomous
              else 2.0 * math.pi / perturbation.T_forcing)

@@ -45,6 +45,7 @@ __all__ = [
     "Trajectory",
     "symplectic_matrix",
     "symplectic_residual",
+    "variational_matrix",
     "integrate",
     "endpoint",
     "integrate_with_variational",
@@ -56,10 +57,20 @@ COLLISION_FLOOR = 1e-8
 
 def symplectic_matrix(d: int):
     """Standard symplectic matrix J = [[0, -I], [I, 0]] for d degrees of freedom."""
-    J = np.zeros((2 * d, 2 * d))
-    J[:d, d:] = -np.eye(d)
-    J[d:, :d] = np.eye(d)
-    return J
+    I, O = np.eye(d), np.zeros((d, d))
+    return np.block([[O, -I], [I, O]])
+
+
+# J^T per dimension, made once; read-only, as every call shares it
+_JT = {d: symplectic_matrix(d).T.copy() for d in (2, 3)}
+for _M in _JT.values():
+    _M.flags.writeable = False
+
+
+def variational_matrix(sys: HamiltonianSystem, t: float, z):
+    """J^T Hess(t, z), the matrix A of the variational equation W' = A W:
+    J w' = Hess w, and J^-1 = J^T."""
+    return _JT[sys.dim] @ sys.hessian(t, z)
 
 
 def symplectic_residual(W) -> float:
@@ -293,7 +304,6 @@ def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, dense_output):
 def integrate(sys: HamiltonianSystem, z0, t0: float, t1: float,
               tol: float = DEFAULT_TOL) -> Trajectory:
     """Integrate the phase flow from z0 over [t0, t1]."""
-    z0 = np.asarray(z0, dtype=float)
     res = _solve(sys, sys.vector_field, z0, t0, t1, tol, True)
     return Trajectory(t0, t1, res.sol)
 
@@ -302,7 +312,6 @@ def endpoint(sys: HamiltonianSystem, z0, t0: float, t1: float, *,
              tol: float = DEFAULT_TOL) -> np.ndarray:
     """State z(t1) of the phase flow from z0 at ``rtol = atol = tol``; no
     dense output is built."""
-    z0 = np.asarray(z0, dtype=float)
     res = _solve(sys, sys.vector_field, z0, t0, t1, tol, False)
     return res.y[:, -1].copy()
 
@@ -310,28 +319,17 @@ def endpoint(sys: HamiltonianSystem, z0, t0: float, t1: float, *,
 def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float,
                                t1: float, *, tol: float = DEFAULT_TOL):
     """Jointly integrate the state and the 2d x 2d fundamental matrix W,
-    the solution of W' = J^{-1} Hess(z(t)) W with W(t0) = I, at
-    ``rtol = atol = tol``.
+    the solution of W' = J^T Hess(t, z(t)) W with W(t0) = I (the generator
+    is ``variational_matrix``), at ``rtol = atol = tol``.
 
     Returns ``(z(t1), W(t1))``; no dense output is built.
     """
-    z0 = np.asarray(z0, dtype=float)
-    n = z0.size
-    d = sys.dim
-
-    HW = np.empty((n, n))  # scratch for Hess W, reused by every evaluation
+    n = np.size(z0)
 
     def rhs(t, y):
-        z = y[:n]
-        out = np.empty(n + n * n)
-        out[:n] = sys.vector_field(t, z)
-        # J w' = Hess w  =>  w' = -J Hess w, i.e. the p-rows of Hess W on
-        # top and the negated x-rows below
-        np.matmul(sys.hessian(t, z), y[n:].reshape(n, n), out=HW)
-        dW = out[n:].reshape(n, n)
-        dW[:d] = HW[d:]
-        np.negative(HW[:d], out=dW[d:])
-        return out
+        z, W = y[:n], y[n:].reshape(n, n)
+        return np.concatenate((sys.vector_field(t, z),
+                               (variational_matrix(sys, t, z) @ W).ravel()))
 
     y0 = np.concatenate([z0, np.eye(n).ravel()])
     res = _solve(sys, rhs, y0, t0, t1, tol, False)

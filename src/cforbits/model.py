@@ -269,15 +269,18 @@ class Perturbation:
     def is_autonomous(self) -> bool:
         return not (self.family == "uniform_electric" and self.profile == "cosine")
 
+    @property
+    def dim(self) -> int | None:
+        """The dimension the field fixes; None for the zero field, which
+        fits both."""
+        if self.family == "uniform_electric":
+            return len(self.e_vec)
+        return {"rotating_frame": 2, "uniform_magnetic": 3}.get(self.family)
+
     def check_dim(self, dim: int):
-        if self.family == "rotating_frame" and dim != 2:
-            raise UnsupportedConfigurationError("rotating_frame is 2D only")
-        if self.family == "uniform_magnetic" and dim != 3:
-            raise UnsupportedConfigurationError("uniform_magnetic needs dim = 3")
-        if self.family == "uniform_electric" and len(self.e_vec) != dim:
+        if self.dim not in (None, dim):
             raise UnsupportedConfigurationError(
-                f"electric vector has length {len(self.e_vec)}, system dim is {dim}"
-            )
+                f"{self.family} fixes dim = {self.dim}, system dim is {dim}")
 
     def _g(self, t: float) -> float:
         if self.profile == "cosine":

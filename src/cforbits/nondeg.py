@@ -40,7 +40,7 @@ from .actions import (
 )
 from .errors import RouteDisagreementError, UnreliableVerdictError
 from .flow import DEFAULT_TOL, integrate_with_variational, \
-    symplectic_matrix, symplectic_residual
+    symplectic_matrix, symplectic_residual, variational_matrix
 from .model import HamiltonianSystem, Perturbation
 from .orbit import PeriodicOrbit, apogee_state, reflect_apsis, rotate_plane
 
@@ -132,9 +132,7 @@ def _rotated_cycle_power(sys: HamiltonianSystem, z0, tau: float,
     f = sys.vector_field(0.0, z)
     # d/dt (x.p) = x'.p + x.p'
     delta = -(z[:d] @ z[d:]) / (f[:d] @ z[d:] + z[:d] @ f[d:])
-    # A = J^T Hess, the matrix of the variational equation W' = A W
-    JT = symplectic_matrix(d).T
-    A = JT @ sys.hessian(0.0, z)
+    A = variational_matrix(sys, 0.0, z)
     step = abs(delta) * np.linalg.norm(A, 2)
     if step > MAX_PERIGEE_STEP:
         raise UnreliableVerdictError(
@@ -147,7 +145,7 @@ def _rotated_cycle_power(sys: HamiltonianSystem, z0, tau: float,
     W = R @ np.linalg.solve(W, R @ W)
     z = R @ z0
     eps = -2.0 * delta
-    W = W + eps * (JT @ sys.hessian(0.0, z) @ W)
+    W = W + eps * (variational_matrix(sys, 0.0, z) @ W)
     z = z + eps * sys.vector_field(0.0, z)
     defect = float(np.linalg.norm(z - rotate_plane(z0, angle)))
     # Rot(-angle) W(tau), the columns of W turned back by angle

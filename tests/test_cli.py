@@ -773,10 +773,15 @@ class TestContinueCommand:
             "continuation": {"mode": "fixed_period", "count_rot": 1,
                              "count_shift": 2},
         }
-        payload = run_continue(tmp_path, cfg)
+        (tmp_path / "given").mkdir()
+        (tmp_path / "absent").mkdir()
+        payload = run_continue(tmp_path / "given", cfg)
         assert payload["n_accepted"] >= 1
         assert [r["accepted"] for r in payload["results"]] == [True, False]
         check_seed_records(payload, one_run_eps=1e-4)
+        # without e_vec the field is (1, 0, 0), and the run is in space
+        del cfg["perturbation"]["e_vec"]
+        assert run_continue(tmp_path / "absent", cfg) == payload
 
     def test_demo_run_changes_only_the_seed_on_the_fixed_set(
             self, tmp_path):
@@ -928,4 +933,21 @@ class TestContinueCommand:
         payload = json.loads((out / "continuation.json").read_text())
         assert payload["n_accepted"] == 1
         (r,) = payload["results"]
+        assert len(r["z0"]) == 4
         assert r["distance_to_manifold"] <= 0.1
+
+    def test_spatial_magnetic_run(self, tmp_path):
+        # uniform_magnetic fixes dim = 3: the spatial_fe benchmark's
+        # problem, the field along x3 at fixed energy, on one SO(3) seed
+        cfg = {
+            "schema_version": 1,
+            "potential": {"kind": "homogeneous", "alpha": 0.5},
+            "orbit": {"k": 4, "n": 5, "h": -1.9},
+            "perturbation": {"family": "uniform_magnetic", "eps": 1e-3},
+            "continuation": {"mode": "fixed_energy",
+                             "count_rot": 1, "count_shift": 1},
+        }
+        payload = run_continue(tmp_path, cfg)
+        (r,) = payload["results"]
+        assert r["accepted"] and len(r["z0"]) == 6
+        assert r["energy_residual"] <= 1e-10

@@ -1601,6 +1601,29 @@ def reference_cases(orbit, orbit3, alpha15):
 
 
 class TestReducedFunctional:
+    @pytest.mark.parametrize("family", ["uniform_magnetic", "rotating_frame"])
+    def test_vector_potential_at_eps_zero_is_refused(self, family, orbit,
+                                                     orbit3):
+        # the first-order vector potential is DA / eps, which is 0 / 0 at
+        # eps = 0 (NaN value, gradient and error before the refusal); the
+        # electric field's first-order potential is e itself, so it still
+        # gives a finite Gamma per unit eps there
+        if family == "uniform_magnetic":
+            pert = Perturbation.uniform_magnetic((0.0, 0.0, 1.0), 0.0)
+            orb, group, element = orbit3, "SO3", (np.eye(3), 0.0)
+        else:
+            pert = Perturbation.rotating_frame(0.0)
+            orb, group, element = orbit, "planar", (0.0, 0.0)
+        with pytest.raises(ValueError, match="eps = 0"):
+            continuation.reduced_functional(orb, pert, group, [element])
+        electric = Perturbation.uniform_electric((1.0, 0.0, 0.0)[:orb.dim],
+                                                 0.0)
+        (point,) = continuation.reduced_functional(orb, electric, group,
+                                                   [element])
+        assert np.isfinite(point.value)
+        assert np.all(np.isfinite(point.gradient))
+        assert np.isfinite(point.gradient_error)
+
     @pytest.mark.parametrize("case", ["planar cosine 4:5", "planar cosine 3:2",
                                       "planar rotating_frame",
                                       "SO3 cosine 4:5", "SO3 constant 3:2",

@@ -283,6 +283,30 @@ class TestPerturbation:
         with pytest.raises(UnsupportedConfigurationError):
             Perturbation.uniform_electric((1, 0, 0), 0.1).check_dim(2)
 
+    @pytest.mark.parametrize("pert,dim", [
+        (Perturbation.zero(), None),
+        (Perturbation.rotating_frame(0.1), 2),
+        (Perturbation.uniform_magnetic((0, 0, 1), 0.1), 3),
+        (Perturbation.uniform_electric((1, 0), 0.1), 2),
+        (Perturbation.uniform_electric((1, 0, 0), 0.1, profile="cosine",
+                                       T_forcing=2.0), 3),
+        (Perturbation.uniform_electric((1,), 0.1), 1),
+        (Perturbation.uniform_electric((1, 0, 0, 0), 0.1), 4),
+    ], ids=["zero", "rotating_frame", "uniform_magnetic", "electric_2",
+            "electric_3", "electric_1", "electric_4"])
+    def test_dim_is_the_dimension_the_field_fixes(self, pert, dim):
+        # the system takes the field in that dimension alone, the zero field
+        # in both, and refuses every other pairing
+        assert pert.dim == dim
+        for d in (2, 3):
+            if dim in (None, d):
+                assert HamiltonianSystem(KineticLaw.classical(),
+                                         Potential.kepler(), pert, d).dim == d
+            else:
+                with pytest.raises(UnsupportedConfigurationError):
+                    HamiltonianSystem(KineticLaw.classical(),
+                                      Potential.kepler(), pert, d)
+
     def test_scaled_changes_only_eps(self):
         p = replace(Perturbation.uniform_magnetic((0, 0, 1), 0.1), eps=0.2)
         assert p.eps == 0.2
