@@ -84,9 +84,10 @@ FIX_TOL = 1e-12
 # iterates of the multistart_fp and spatial_fe seeds.  Derived from
 # RESIDUAL_TOL, not a setting of its own
 REUSE_RESIDUAL = 0.25 * RESIDUAL_TOL
-# integration tolerance of the state-only half-period shots: at
-# DEFAULT_TOL the Levi-Civita 7:6 Larmor periods miss the exact reference
-# by 1.5-1.6e-9, at 1e-13 the worst fixed-energy case by 1.2e-10
+# integration tolerance of the state-only half-period shots, which run in
+# Sundman time (``flow.endpoint``): at DEFAULT_TOL the Levi-Civita 7:6
+# Larmor periods miss the exact reference by 5.7-8.2e-10 (1.5-1.6e-9 with
+# shots in physical time), at 1e-13 by 5.2-8.6e-11 (8.1e-11-1.3e-10)
 HALF_SHOT_TOL = 1e-13
 
 
@@ -449,6 +450,24 @@ N_SAMPLES = 96
 N_SHIFTS = 64
 
 
+def _fits(X, P):
+    """Sup-norms and rotations of the least-squares (Procrustes) fits of
+    a stack of base positions onto the positions X (m, d): P (k, m, e), one
+    (m, e) slice per time shift, e <= d, padded with zeros to d.  Each
+    rotation is kept proper, and each fit is scored by the largest
+    distance of a row of X from its fitted base row.  One stacked svd, det
+    and matmul serve all k slices, and each gives the bits of its call on
+    one slice."""
+    Y = np.zeros(P.shape[:2] + X.shape[1:])
+    Y[..., :P.shape[2]] = P
+    U, _, Vt = np.linalg.svd(X.T @ Y)
+    flip = np.linalg.det(U @ Vt) < 0
+    U[flip, :, -1] = -U[flip, :, -1]
+    M = U @ Vt
+    return np.max(np.linalg.norm(X - Y @ np.swapaxes(M, 1, 2), axis=2),
+                  axis=1), M
+
+
 def distance_to_manifold(result: ContinuationResult,
                          samples: ManifoldSample) -> ContinuationResult:
     """Distance of a continued solution to the manifold of rotated and
@@ -471,30 +490,20 @@ def distance_to_manifold(result: ContinuationResult,
     ts = np.linspace(0.0, result.period, N_SAMPLES)
     X = traj(ts)[:, :dim]
 
-    def score(base):
-        # sup-norm and rotation of the fit of the base states at ts - theta
-        Y = np.zeros_like(X)
-        Y[:, :orbit.dim] = base[:, :orbit.dim]
-        U, _, Vt = np.linalg.svd(X.T @ Y)
-        if np.linalg.det(U @ Vt) < 0:
-            U[:, -1] = -U[:, -1]
-        M = U @ Vt
-        return float(np.max(np.linalg.norm(X - Y @ M.T, axis=1))), M
-
     def fit(theta):
-        return score(orbit.states(ts - theta))
+        d, M = _fits(X, orbit.states(ts - theta)[None, :, :orbit.dim])
+        return float(d[0]), M[0]
 
     # the grid in one evaluation: states is elementwise, so each shift's
     # slice has the bits of its own call
     step = orbit.profile.tau / N_SHIFTS
     shifts = step * np.arange(N_SHIFTS)
     grid = orbit.states((ts - shifts[:, None]).ravel())
-    scores = [score(base)[0]
-              for base in grid.reshape(N_SHIFTS, N_SAMPLES, -1)]
+    scores = _fits(X, grid.reshape(N_SHIFTS, N_SAMPLES, -1)[..., :orbit.dim])[0]
     th0 = step * int(np.argmin(scores))
     best = minimize_scalar(lambda s: fit(th0 + s)[0], bounds=(-step, step),
                            method="bounded", options={"xatol": 1e-12})
-    theta = th0 + best.x if best.fun < min(scores) else th0
+    theta = th0 + best.x if best.fun < scores.min() else th0
     d, M = fit(theta)
     return replace(result, distance=d, distance_element=(M, theta))
 

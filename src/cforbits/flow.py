@@ -20,8 +20,18 @@ has built stacked, and evaluates all the times of a call in one vectorized
 pass over them, with SciPy's choice of step and SciPy's Horner order, so
 each value is that of SciPy's ``OdeSolution`` bit for bit.  ``endpoint``
 and variational solves return only their end point.  A shooting trial needs
-only the state from ``endpoint``; the variational solve (2d + 4d^2
-components) runs only where a Newton step uses a new Jacobian.  Every solve
+only the state from ``endpoint``, which integrates (z, t) in Sundman's time
+s of dt/ds = |x| (Sundman, Acta Math. 36 (1912); Hairer, Lubich & Wanner,
+*Geometric Numerical Integration*, VIII.2), where the steps that t crowds
+around perigee spread out: a half-period shot of an eccentric orbit takes
+about a quarter fewer right-hand-side calls at the same accuracy.  The
+solver stops it on the step where t passes t1, at the root of t(s) = t1
+on that step's interpolant, as SciPy ends a solve on a terminal event, so
+the shot is SciPy's DOP853 on the system in s bit for bit.  Dense and
+variational solves stay in t: in s a variational solve was no faster and
+less accurate, and dense half cycles less accurate on eccentric orbits.
+The variational solve (2d + 4d^2 components) runs only where a Newton
+step uses a new Jacobian.  Every solve
 runs at ``DEFAULT_TOL`` unless its caller says otherwise: ``integrate``
 takes a tighter ``tol`` for reference solutions, ``endpoint`` a tighter one
 for the half-period shots of the symmetric shooting path, and
@@ -36,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp.base import ConstantDenseOutput
+from scipy.integrate._ivp.ivp import solve_event_equation
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import CollisionError, IntegrationError
@@ -181,12 +192,20 @@ class _DOP853(DOP853):
     the previous step end (at t0 for the first): g_old >= 0 and g_new <= 0,
     the sign rule of a terminal event of direction -1, ends the solve as
     failed with a ``COLLIDED`` message that names the step's end time.
+
+    With ``t_stop``, the last component is the time t of a solve in
+    Sundman's s (``endpoint``): the step whose end passes t = t_stop ends
+    the solve as finished, at the root of t(s) = t_stop on the step's
+    interpolant, which SciPy's own method builds (its three RHS calls
+    count in ``nfev``) and SciPy's event root search solves, as for a
+    terminal event; a collision message names t, not s.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, dim, **options):
+    def __init__(self, fun, t0, y0, t_bound, dim, t_stop=None, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self._rhs = fun
         self._dim = dim
+        self._t_stop = t_stop
         self._g = self._gap(self.y)
         self.h_abs = float(self.h_abs)
         self.direction = float(self.direction)
@@ -256,11 +275,22 @@ class _DOP853(DOP853):
         self.y = y_new
         self.h_abs = h_abs
         self.f = f_new
+        stop = self._t_stop
         g = self._gap(y_new)
         if self._g >= 0 and g <= 0:
+            end = t_new if stop is None else y_new[-1]
             return False, (f"{COLLIDED} {COLLISION_FLOOR:g} in the step "
-                           f"ending at t = {t_new:.6g}")
+                           f"ending at t = {end:.6g}")
         self._g = g
+        if stop is not None and direction * (y_new[-1] - stop) >= 0:
+            # the step passed t = t_stop: end the solve at the root of
+            # t(s) = t_stop on the step's own interpolant, as SciPy ends one
+            # on a terminal event
+            self.t_old = t
+            sol = DOP853._dense_output_impl(self)
+            s = solve_event_equation(lambda s, y: y[-1] - stop, sol, t, t_new)
+            self.t = self.t_bound = s
+            self.y = sol(s)
         return True, None
 
     def _dense_output_impl(self):
@@ -291,9 +321,10 @@ class _DeferredDenseOutput:
         self.n = solver.n
 
 
-def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, dense_output):
+def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, dense_output,
+           **options):
     res = solve_ivp(rhs, (t0, t1), y0, method=_DOP853, rtol=tol, atol=tol,
-                    dense_output=dense_output, dim=sys.dim)
+                    dense_output=dense_output, dim=sys.dim, **options)
     if not res.success:
         if res.message.startswith(COLLIDED):
             raise CollisionError(res.message)
@@ -311,9 +342,19 @@ def integrate(sys: HamiltonianSystem, z0, t0: float, t1: float,
 def endpoint(sys: HamiltonianSystem, z0, t0: float, t1: float, *,
              tol: float = DEFAULT_TOL) -> np.ndarray:
     """State z(t1) of the phase flow from z0 at ``rtol = atol = tol``; no
-    dense output is built."""
-    res = _solve(sys, sys.vector_field, z0, t0, t1, tol, False)
-    return res.y[:, -1].copy()
+    dense output is built.
+
+    The solve runs in Sundman's time s of dt/ds = |x|, on the state (z, t)
+    of ``sys.vector_field(t, z, sundman=True)``, over s in
+    [0, (t1 - t0) / COLLISION_FLOOR]: while |x| stays above the floor, t
+    passes t1 before s reaches that bound.  It ends on the step where t
+    passes t1, at the root of t(s) = t1 on that step's interpolant.
+    """
+    field = sys.vector_field
+    res = _solve(sys, lambda s, y: field(y[-1], y[:-1], True),
+                 np.append(z0, t0), 0.0, (t1 - t0) / COLLISION_FLOOR, tol,
+                 False, t_stop=t1)
+    return res.y[:-1, -1].copy()
 
 
 def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float,

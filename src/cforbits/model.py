@@ -226,11 +226,16 @@ class Perturbation:
     def __post_init__(self):
         DA = None
         if self.family == "uniform_magnetic":
+            if len(self.B0) != 3:
+                raise ValueError(f"B0 needs 3 components, not {len(self.B0)}")
             DA = 0.5 * self.eps * _skew(np.asarray(self.B0, dtype=float))
         elif self.family == "rotating_frame":
             DA = np.zeros((3, 3))
             DA[0, 1] = self.eps
         elif self.family == "uniform_electric":
+            if len(self.e_vec) not in (2, 3):
+                raise ValueError("e_vec needs 2 or 3 components, not "
+                                 f"{len(self.e_vec)}")
             e = tuple(map(float, self.e_vec))
             object.__setattr__(self, "_e", e + (0.0,) * (3 - len(e)))
         if DA is not None:
@@ -372,8 +377,15 @@ class HamiltonianSystem:
             H -= self._eps * self._g(t) * (e0 * x0 + e1 * x1 + e2 * x2)
         return float(H)
 
-    def vector_field(self, t: float, z):
-        """Canonical phase velocity (dx/dt, dp/dt) = (grad_p H, -grad_x H)."""
+    def vector_field(self, t: float, z, sundman: bool = False):
+        """Canonical phase velocity (dx/dt, dp/dt) = (grad_p H, -grad_x H).
+
+        With ``sundman``, the field (dz/ds, dt/ds) = (|x| f(t, z), |x|) of
+        the same flow in the time s of dt/ds = |x| (Sundman's
+        transformation), 2d + 1 components, each product formed on the
+        floats of the plain field.  One body serves both, so the plain
+        field pays one test of the flag and no call more.
+        """
         x0, x1, x2, w0, w1, w2, r = self._unpack(z, "vector field")
         s = math.hypot(w0, w1, w2)
         v0 = v1 = v2 = 0.0
@@ -391,6 +403,11 @@ class HamiltonianSystem:
             c = self._eps * self._g(t)
             e0, e1, e2 = self._e
             f0, f1, f2 = f0 + c * e0, f1 + c * e1, f2 + c * e2
+        if sundman:
+            if self._planar:
+                return np.array([r * v0, r * v1, r * f0, r * f1, r])
+            return np.array([r * v0, r * v1, r * v2, r * f0, r * f1, r * f2,
+                             r])
         if self._planar:
             return np.array([v0, v1, f0, f1])
         return np.array([v0, v1, v2, f0, f1, f2])

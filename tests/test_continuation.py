@@ -687,6 +687,41 @@ class TestDistance:
             for k, shift in enumerate(grid.reshape(n_shifts, n_samples, -1)):
                 assert np.array_equal(shift, states(base, ts - step * k))
 
+    def test_batched_fits_are_the_per_shift_loop_bit_for_bit(
+            self, symmetric_problems, symmetric_results):
+        # the grid's 64 Procrustes fits in one stacked pass give each
+        # shift's sup-norm and rotation the bits of the fit of its slice
+        # alone, as the per-shift loop formed it: the planar and spatial
+        # solutions, and a planar base under spatial positions
+        def loop_fit(X, base):
+            Y = np.zeros_like(X)
+            Y[:, :base.shape[1]] = base
+            U, _, Vt = np.linalg.svd(X.T @ Y)
+            if np.linalg.det(U @ Vt) < 0:
+                U[:, -1] = -U[:, -1]
+            M = U @ Vt
+            return float(np.max(np.linalg.norm(X - Y @ M.T, axis=1))), M
+
+        n_shifts, n_samples = continuation.N_SHIFTS, continuation.N_SAMPLES
+        cases = []
+        for (_, samples), r in zip(symmetric_problems, symmetric_results):
+            base, dim = samples.base, r.z0.size // 2
+            ts = np.linspace(0.0, r.period, n_samples)
+            step = base.profile.tau / n_shifts
+            grid = base.states((ts - step * np.arange(n_shifts)[:, None]).ravel())
+            cases.append((r.trajectory(ts)[:, :dim],
+                          grid.reshape(n_shifts, n_samples, -1)[..., :base.dim]))
+        rng = np.random.default_rng(7)
+        cases.append((rng.normal(size=(n_samples, 3)),
+                      rng.normal(size=(n_shifts, n_samples, 2))))
+        assert {X.shape[1] for X, _ in cases} == {2, 3}
+        for X, P in cases:
+            scores, rotations = continuation._fits(X, P)
+            for score, M, base in zip(scores, rotations, P):
+                ref_score, ref_M = loop_fit(X, base)
+                assert score == ref_score
+                assert np.array_equal(M.view(np.int64), ref_M.view(np.int64))
+
     def test_requires_trajectory(self, orbit):
         res = ContinuationResult(
             False, "failed", orbit.z0, orbit.T, 1e-4, np.inf, np.inf, 0, 0)

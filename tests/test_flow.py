@@ -86,12 +86,14 @@ class TestIntegrate:
             integrate(sys, z0, 0.0, 5.0)
 
     def test_endpoint_is_the_trajectory_end(self):
-        # the state-only shot takes the same DOP853 steps as the dense
-        # trajectory; only the interpolant is left out
+        # the state-only shot runs in Sundman time and stops at t1: it
+        # misses a tol-1e-14 trajectory's end by 4.5e-12 (the trajectory at
+        # the shot's tol by 1.6e-11)
         sys = kepler_system()
         z0 = np.array([2.0, 0.0, 0.0, 0.5])
         z1 = endpoint(sys, z0, 0.0, 4.0)
-        assert np.max(np.abs(z1 - integrate(sys, z0, 0.0, 4.0)(4.0))) <= 1e-14
+        ref = integrate(sys, z0, 0.0, 4.0, tol=1e-14)(4.0)
+        assert np.max(np.abs(z1 - ref)) <= 5e-11
         zv, _ = integrate_with_variational(sys, z0, 0.0, 4.0)
         assert np.max(np.abs(z1 - zv)) <= 1e-10
         with pytest.raises(CollisionError):
@@ -343,32 +345,108 @@ def test_variational_matrix_shares_one_read_only_J_transpose():
                          JT @ sys.hessian(0.0, z))
 
 
+# --- the shot in Sundman time ---
+
+@settings(PROPERTY, max_examples=100)
+@given(law=laws, V=potentials, d=st.sampled_from([2, 3]),
+       t=st.floats(-5.0, 5.0), data=st.data())
+def test_sundman_field_is_the_scaled_vector_field(law, V, d, t, data):
+    # |x| f(t, z) and |x|, with r = |x| as the kernel forms it and each
+    # product on the plain field's floats
+    pert = data.draw(perturbed_systems(d))
+    z = draw_state(data, pert, d, 0.1, 0.0)
+    sys = HamiltonianSystem(law, V, pert, d)
+    r = math.hypot(*z[:d])
+    expected = np.append(r * sys.vector_field(t, z), r)
+    assert same_bits(sys.vector_field(t, z, True), expected)
+
+
+# the shot in s against a tol-1e-14 solve in t: at most 2.0 times farther
+# from it than the solve in t at the shot's tol (or than tol itself, where
+# that solve is closer) over this test's draws, and 26 times over 500 draws
+# of the same strategies at tol 1e-12; the solve in t is the closer one on
+# most draws (median 3.7e-14 against 2.5e-15 relative at tol 1e-12)
+SUNDMAN_ERROR_RATIO = 100.0
+# a shot in s that meets the collision floor where the solves in t step
+# past it (7 of those 500 draws): the reference comes within 2.9e-5 of the
+# centre at 20,001 times
+NEAR_COLLISION = 1e-3
+
+
+@settings(PROPERTY, max_examples=60)
+@given(law=laws, V=potentials, d=st.sampled_from([2, 3]),
+       t0=st.floats(-2.0, 2.0), span=st.floats(-3.0, 3.0),
+       tol=st.sampled_from([flow.DEFAULT_TOL, 1e-13]), data=st.data())
+def test_endpoint_against_a_physical_time_reference(law, V, d, t0, span, tol,
+                                                    data):
+    pert = data.draw(perturbed_systems(d))
+    x = data.draw(vectors(d))
+    p = data.draw(vectors(d, st.floats(-1.0, 1.0)))
+    if (np.linalg.norm(x) < 0.5
+            or np.linalg.norm(p - vector_potential(pert, x)) < 0.1):
+        reject()
+    sys = HamiltonianSystem(law, V, pert, d)
+    z0, t1 = np.concatenate([x, p]), t0 + span
+    try:
+        ref = integrate(sys, z0, t0, t1, tol=1e-14)
+    except RuntimeError:
+        # the shot fails too: a collision, or the step size in t
+        with pytest.raises(RuntimeError):
+            endpoint(sys, z0, t0, t1, tol=tol)
+        return
+    try:
+        z1 = endpoint(sys, z0, t0, t1, tol=tol)
+    except CollisionError:
+        ts = np.linspace(t0, t1, 20001)
+        assert np.min(np.linalg.norm(ref(ts)[:, :d], axis=1)) <= NEAR_COLLISION
+        return
+    end = ref(t1)
+    scale = 1.0 + np.max(np.abs(end))
+    in_t = np.max(np.abs(integrate(sys, z0, t0, t1, tol=tol)(t1) - end))
+    assert np.max(np.abs(z1 - end)) <= SUNDMAN_ERROR_RATIO * max(
+        in_t, tol * scale)
+
+
 # --- flow's DOP853 subclass against SciPy's stock DOP853 ---
 
-def stock_solve_ivp(fun, t_span, y0, method, dim, **options):
+def stock_solve_ivp(fun, t_span, y0, method, dim, t_stop=None, **options):
     """The stock path: SciPy's own DOP853 through solve_ivp, with the
-    collision floor as a terminal event of direction -1; ``method`` is
-    flow's subclass and is set aside."""
+    collision floor as a terminal event of direction -1 and, for a shot in
+    Sundman time, the stop at t(s) = ``t_stop`` (its last component) as a
+    terminal event of either direction; ``method`` is flow's subclass and
+    is set aside."""
     def collision(t, y):
         return np.linalg.norm(y[:dim]) - flow.COLLISION_FLOOR
 
     collision.terminal = True
     collision.direction = -1
-    return solve_ivp(fun, t_span, y0, method="DOP853", events=collision,
+    events = [collision]
+    if t_stop is not None:
+        def stop(s, y):
+            return y[-1] - t_stop
+
+        stop.terminal = True
+        events.append(stop)
+    return solve_ivp(fun, t_span, y0, method="DOP853", events=events,
                      **options)
+
+
+def collided(stock):
+    """Whether a stock solve ended on its collision event."""
+    return stock.status == 1 and stock.t_events[0].size > 0
 
 
 def through(solver, call):
     """``call()`` with ``flow.solve_ivp`` replaced by ``solver``; returns
     its value (or the CollisionError or other RuntimeError it raised) and
-    every solve result.  A stock solve that ends on its event raises
-    CollisionError."""
+    every solve result.  A stock solve that ends on its collision event
+    raises CollisionError."""
     results = []
 
     def recorder(*args, **kwargs):
         res = solver(*args, **kwargs)
         results.append(res)
-        if res.status == 1:
+        if collided(res):
             raise CollisionError("collision event")
         return res
 
@@ -384,24 +462,29 @@ def assert_same_solve(new, stock, dense=False):
     """The same solve bit for bit: a finished one, or one that failed on
     the step size, takes the same steps and ends with the same message; one
     that collided stops on the step the stock event fired in, which is not
-    in ``new.t``.  The RHS counts differ by exactly the three calls of each
-    interpolant the stock path builds during the solve and flow's does not:
-    of every step with ``dense`` output, whose interpolants flow builds only
-    when they are read, and otherwise of the collision step, where the
-    stock path builds one for its root search.  A solve over an empty
-    interval takes one step of length 0, whose interpolant is a constant
-    that costs no RHS call on either path."""
+    in ``new.t``; a shot in Sundman time finishes at the stock stop event's
+    root, with its state.  The RHS counts differ by exactly the three calls
+    of each interpolant the stock path builds during the solve and flow's
+    does not: of every step with ``dense`` output, whose interpolants flow
+    builds only when they are read, and otherwise of the collision step,
+    where the stock path builds one for its root search (both paths build
+    the stop step's).  A solve over an empty interval takes one step of
+    length 0, whose interpolant is a constant that costs no RHS call on
+    either path."""
     assert len(new) == len(stock) == 1
     new, stock = new[0], stock[0]
     steps = np.count_nonzero(np.diff(stock.t))
-    built = steps if dense else int(stock.status == 1)
+    built = steps if dense else int(collided(stock))
     assert new.nfev == stock.nfev - 3 * built
-    if stock.status == 1:
+    if collided(stock):
         assert new.status == -1 and new.message.startswith(flow.COLLIDED)
         assert np.array_equal(new.t, stock.t[:-1])
         return
-    assert new.status == stock.status
-    assert new.message == stock.message
+    if stock.status == 1:  # the stop
+        assert new.status == 0
+    else:
+        assert new.status == stock.status
+        assert new.message == stock.message
     assert np.array_equal(new.t, stock.t)
     assert np.array_equal(new.y, stock.y)
 
@@ -510,19 +593,23 @@ def test_radial_infall_collides_on_the_event_step(d):
         assert isinstance(out, CollisionError)
         assert "in the step ending at t = " in str(out)
         _, stock = through(stock_solve_ivp, call)
-        assert stock[0].status == 1
+        assert collided(stock[0])
         assert_same_solve(new, stock, dense)
 
 
 def test_step_size_failure_is_the_stock_one():
-    # backward in time this is a radial fall, and the Levi-Civita force
-    # (1/r^3 at the centre) shrinks the step below the spacing of the
-    # floats before |x| reaches the collision floor
+    # backward in time this is a radial fall, and in t the Levi-Civita
+    # force (1/r^3 at the centre) shrinks the step below the spacing of the
+    # floats before |x| reaches the collision floor; in Sundman's s, where
+    # dt/ds = |x| slows the fall, the shot reaches the floor
     sys = HamiltonianSystem(KineticLaw.classical(),
                             Potential.levi_civita(1.0, 0.1),
                             Perturbation.zero(), 2)
     z0 = np.array([1.0, 0.0, 1.0, 0.0])
-    with pytest.raises(RuntimeError, match="step size"):
+    for solve in (integrate, integrate_with_variational):
+        with pytest.raises(RuntimeError, match="step size"):
+            solve(sys, z0, 0.0, -1.0)
+    with pytest.raises(CollisionError):
         endpoint(sys, z0, 0.0, -1.0)
     compare_to_stock(sys, z0, 0.0, -1.0)
 
@@ -530,33 +617,48 @@ def test_step_size_failure_is_the_stock_one():
 def test_one_solve_ivp_call_per_integration_with_honest_counts():
     # perfbench counts flow.nfev and flow.steps from what flow.solve_ivp
     # returns: every integration must pass through it exactly once, with
-    # nfev the RHS calls made and len(t) - 1 the steps accepted
+    # nfev the RHS calls made and len(t) - 1 the steps accepted.  Each step
+    # makes 12 calls per attempt; the shot, in Sundman time, makes every
+    # call on the Sundman field, and the step that passes t1 three more,
+    # for the interpolant its stop reads (the root on it calls none)
     pert = Perturbation.uniform_electric((0.3, -0.2), 1e-2, profile="cosine",
                                          T_forcing=2.0)
     sys = HamiltonianSystem(KineticLaw.classical(), Potential.kepler(), pert, 2)
     z0 = np.array([2.0, 0.0, 0.0, 0.5])
-    counts = {"rhs": 0, "steps": 0}
+    calls, per_step = [], []
     field, step = HamiltonianSystem.vector_field, flow._DOP853.step
 
-    def counted_field(self, t, z):
-        counts["rhs"] += 1
-        return field(self, t, z)
+    def counted_field(self, t, z, *sundman):
+        calls.append(sundman == (True,))
+        return field(self, t, z, *sundman)
 
     def counted_step(self):
+        before = len(calls)
         message = step(self)
-        counts["steps"] += self.status != "failed"
+        if self.status != "failed":
+            per_step.append(len(calls) - before)
         return message
 
-    for call in (lambda: flow.endpoint(sys, z0, 0.0, 6.0),
-                 lambda: flow.integrate(sys, z0, 0.0, 6.0),
-                 lambda: flow.integrate_with_variational(sys, z0, 0.0, 6.0)):
-        counts.update(rhs=0, steps=0)
+    for call, shot in ((lambda: flow.endpoint(sys, z0, 0.0, 6.0), True),
+                       (lambda: flow.integrate(sys, z0, 0.0, 6.0), False),
+                       (lambda: flow.integrate_with_variational(sys, z0, 0.0,
+                                                                6.0), False)):
+        calls.clear()
+        per_step.clear()
         with mock.patch.object(HamiltonianSystem, "vector_field", counted_field), \
                 mock.patch.object(flow._DOP853, "step", counted_step):
-            _, results = through(solve_ivp, call)
+            out, results = through(solve_ivp, call)
         assert len(results) == 1
-        assert results[0].nfev == counts["rhs"] > 0
-        assert len(results[0].t) - 1 == counts["steps"] > 0
+        res = results[0]
+        assert res.nfev == len(calls) > 0
+        assert len(res.t) - 1 == len(per_step) > 1
+        assert calls == [shot] * len(calls)
+        assert all(k % 12 == 0 for k in per_step[:-1])
+        assert per_step[-1] % 12 == (3 if shot else 0)
+        if shot:
+            # the solve ended at t(s) = 6, on the stop step's interpolant
+            assert res.y[-1, -1] == pytest.approx(6.0, abs=1e-15)
+            assert np.array_equal(out, res.y[:-1, -1])
 
 
 def test_interpolants_are_built_once_when_first_read():

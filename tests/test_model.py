@@ -290,10 +290,8 @@ class TestPerturbation:
         (Perturbation.uniform_electric((1, 0), 0.1), 2),
         (Perturbation.uniform_electric((1, 0, 0), 0.1, profile="cosine",
                                        T_forcing=2.0), 3),
-        (Perturbation.uniform_electric((1,), 0.1), 1),
-        (Perturbation.uniform_electric((1, 0, 0, 0), 0.1), 4),
     ], ids=["zero", "rotating_frame", "uniform_magnetic", "electric_2",
-            "electric_3", "electric_1", "electric_4"])
+            "electric_3"])
     def test_dim_is_the_dimension_the_field_fixes(self, pert, dim):
         # the system takes the field in that dimension alone, the zero field
         # in both, and refuses every other pairing
@@ -306,6 +304,23 @@ class TestPerturbation:
                 with pytest.raises(UnsupportedConfigurationError):
                     HamiltonianSystem(KineticLaw.classical(),
                                       Potential.kepler(), pert, d)
+
+    @pytest.mark.parametrize("e_vec", [(), (1.0,), (1.0, 0.0, 0.0, 0.0)],
+                             ids=["electric_0", "electric_1", "electric_4"])
+    def test_electric_direction_not_2_or_3_long_is_refused(self, e_vec):
+        # no system takes a field whose direction has neither 2 nor 3
+        # components, so it is refused when it is built, with eps = 0 too
+        for eps in (0.1, 0.0):
+            with pytest.raises(ValueError, match="e_vec needs 2 or 3"):
+                Perturbation.uniform_electric(e_vec, eps)
+
+    @pytest.mark.parametrize("B0", [(), (0.0, 1.0), (0.0, 0.0, 1.0, 0.0)],
+                             ids=["magnetic_0", "magnetic_2", "magnetic_4"])
+    def test_magnetic_axis_not_3_long_is_refused(self, B0):
+        # a magnetic field is spatial: its axis B0 has 3 components
+        for eps in (0.1, 0.0):
+            with pytest.raises(ValueError, match="B0 needs 3 components"):
+                Perturbation.uniform_magnetic(B0, eps)
 
     def test_scaled_changes_only_eps(self):
         p = replace(Perturbation.uniform_magnetic((0, 0, 1), 0.1), eps=0.2)
