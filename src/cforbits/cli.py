@@ -23,8 +23,7 @@ import jsonschema
 
 from . import __version__
 from .actions import k0_hessian, nondeg_fixed_energy, nondeg_fixed_period
-from .errors import (CForbitsError, RouteDisagreementError,
-                     UnsupportedConfigurationError)
+from .errors import CForbitsError, RouteDisagreementError
 from .model import (HamiltonianSystem, KineticLaw, Perturbation, Potential,
                     reversor)
 from .nondeg import cross_check
@@ -469,11 +468,8 @@ def main(argv=None):
     try:
         code = _COMMANDS[args.command](cfg, em)
     except CForbitsError as exc:
-        code_name = type(exc).__name__
-        print(f"error: [{code_name}] {exc}", file=_sys.stderr)
-        code = (EXIT_VALIDATION
-                if isinstance(exc, UnsupportedConfigurationError)
-                else EXIT_NUMERICAL)
+        print(f"error: [{type(exc).__name__}] {exc}", file=_sys.stderr)
+        code = EXIT_NUMERICAL
     except ValueError as exc:
         # constructor rejections (bad alpha, bad mode, ...) are config errors
         print(f"error: {exc}", file=_sys.stderr)

@@ -59,11 +59,4 @@ class UnreliableVerdictError(CForbitsError, RuntimeError):
 
 
 class RouteDisagreementError(CForbitsError, RuntimeError):
-    """Actions-route and monodromy-route verdicts disagree.
-
-    Carries both raw reports in ``reports``.
-    """
-
-    def __init__(self, message, reports=None):
-        super().__init__(message)
-        self.reports = reports
+    """Actions-route and monodromy-route verdicts disagree."""

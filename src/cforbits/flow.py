@@ -12,13 +12,13 @@ accepted step, and ``CollisionError`` reports the end of the step that
 crossed it, not an event time found by root-finding.  Any other early end
 (a step size below the spacing of the floats) raises its base class
 ``IntegrationError``.  Plain trajectories carry DOP853's dense output, but
-each step's interpolant, which costs three more right-hand-side evaluations,
-is built by SciPy's own method the first time a time in that step is read:
-a step nobody reads costs nothing, and ``nfev`` counts only the calls made
-during the solve.  A ``Trajectory`` keeps the coefficients of the steps it
-has built stacked, and evaluates all the times of a call in one vectorized
-pass over them, with SciPy's choice of step and SciPy's Horner order, so
-each value is that of SciPy's ``OdeSolution`` bit for bit.  ``endpoint``
+a ``Trajectory`` builds each step's interpolant, which costs three more
+right-hand-side evaluations, by SciPy's own method the first time a time in
+that step is read: a step nobody reads costs nothing, and ``nfev`` counts
+only the calls made during the solve.  It keeps the coefficients of the
+steps it has built stacked, and evaluates all the times of a call in one
+vectorized pass over them, with SciPy's choice of step and SciPy's Horner
+order, so each value is SciPy's ``OdeSolution``'s bit for bit.  ``endpoint``
 and variational solves return only their end point.  A shooting trial needs
 only the state from ``endpoint``, which integrates (z, t) in Sundman's time
 s of dt/ds = |x| (Sundman, Acta Math. 36 (1912); Hairer, Lubich & Wanner,
@@ -41,7 +41,6 @@ a Newton step far from convergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
@@ -90,7 +89,6 @@ def symplectic_residual(W) -> float:
     return float(np.linalg.norm(W.T @ J @ W - J))
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Dense solution over [t0, t1]; calling it evaluates the interpolant.
 
@@ -98,15 +96,22 @@ class Trajectory:
     array.  Every call is one pass over all its times: the step of each is
     found as SciPy's ``OdeSolution`` finds it (the earlier step at a step
     boundary, the first or last step outside [t0, t1]), and each step's
-    DOP853 polynomial is evaluated in SciPy's Horner order from the stacked
-    coefficients of ``_steps``, so the values are SciPy's bit for bit.
+    DOP853 polynomial is evaluated in SciPy's Horner order, so the values
+    are SciPy's bit for bit.  The steps' interpolants are stacked:
+    ``_F[:, j]``, ``_t_old[j]``, ``_h[j]`` and ``_y_old[j]`` are step j's
+    coefficients, start, length and start state (SciPy's
+    ``Dop853DenseOutput``), made by SciPy's ``DOP853._dense_output_impl``
+    from the snapshot ``_sol.interpolants[j]`` when a time in step j is
+    first read; the snapshot is then dropped from that list.
     """
 
-    t0: float
-    t1: float
-    _sol: object = None  # the solve's OdeSolution: steps and snapshots
-    _steps: "_StepStack" = field(default=None, init=False, repr=False,
-                                 compare=False)
+    def __init__(self, t0: float, t1: float, sol):
+        self.t0, self.t1 = t0, t1
+        self._sol = sol  # the solve's OdeSolution: steps and snapshots
+        m = sol.n_segments
+        self._t_old, self._h = np.empty(m), np.empty(m)
+        self._built = np.zeros(m, dtype=bool)
+        self._F = self._y_old = None  # sized at the first step built
 
     def __call__(self, t):
         t = np.asarray(t)
@@ -116,59 +121,35 @@ class Trajectory:
         np.clip(seg, 0, sol.n_segments - 1, out=seg)
         if not sol.ascending:
             seg = sol.n_segments - 1 - seg
-        first = sol.interpolants[0]
-        if isinstance(first, ConstantDenseOutput):
+        snapshots = sol.interpolants
+        if isinstance(snapshots[0], ConstantDenseOutput):
             # a solve over an empty interval: SciPy's constant interpolant
-            y = np.tile(first.value, (ts.size, 1))
-        else:
-            if self._steps is None:
-                object.__setattr__(self, "_steps",
-                                   _StepStack(sol.interpolants))
-            F, t_old, h, y_old = self._steps.rows(seg)
-            # Dop853DenseOutput._call_impl, for every time at once
-            x = ((ts - t_old) / h)[:, None]
-            y = np.zeros(y_old.shape)
-            for i, f in enumerate(reversed(F)):
-                y += f
-                if i % 2 == 0:
-                    y *= x
-                else:
-                    y *= 1 - x
-            y += y_old
-        return y[0] if t.ndim == 0 else y
-
-
-class _StepStack:
-    """The DOP853 interpolants of a solve's steps, stacked: F[:, j], t_old[j],
-    h[j] and y_old[j] are step j's coefficients, start, length and start
-    state (SciPy's ``Dop853DenseOutput``), made by SciPy's
-    ``DOP853._dense_output_impl`` from the snapshot ``interpolants[j]``
-    when a time in step j is first read; the snapshot is then dropped
-    from that list, the ``OdeSolution``'s."""
-
-    def __init__(self, interpolants):
-        m = len(interpolants)
-        self.interpolants = interpolants
-        self.t_old, self.h = np.empty(m), np.empty(m)
-        self.built = np.zeros(m, dtype=bool)
-        self.F = self.y_old = None  # sized at the first step built
-
-    def rows(self, seg):
-        """(F, t_old, h, y_old) of the steps ``seg``, one row per entry,
-        after building the interpolants of those not built yet."""
-        new = seg[~self.built[seg]]
+            y = np.tile(snapshots[0].value, (ts.size, 1))
+            return y[0] if t.ndim == 0 else y
+        new = seg[~self._built[seg]]
         if new.size:
             for j in np.unique(new):
-                dense = DOP853._dense_output_impl(self.interpolants[j])
-                self.interpolants[j] = None
-                if self.F is None:
-                    m, n = self.built.size, dense.y_old.size
-                    self.F = np.empty((dense.F.shape[0], m, n))
-                    self.y_old = np.empty((m, n))
-                self.F[:, j], self.y_old[j] = dense.F, dense.y_old
-                self.t_old[j], self.h[j] = dense.t_old, dense.h
-                self.built[j] = True
-        return self.F[:, seg], self.t_old[seg], self.h[seg], self.y_old[seg]
+                dense = DOP853._dense_output_impl(snapshots[j])
+                snapshots[j] = None
+                if self._F is None:
+                    m, n = self._built.size, dense.y_old.size
+                    self._F = np.empty((dense.F.shape[0], m, n))
+                    self._y_old = np.empty((m, n))
+                self._F[:, j], self._y_old[j] = dense.F, dense.y_old
+                self._t_old[j], self._h[j] = dense.t_old, dense.h
+                self._built[j] = True
+        # Dop853DenseOutput._call_impl, for every time at once
+        F, y_old = self._F[:, seg], self._y_old[seg]
+        x = ((ts - self._t_old[seg]) / self._h[seg])[:, None]
+        y = np.zeros(y_old.shape)
+        for i, f in enumerate(reversed(F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += y_old
+        return y[0] if t.ndim == 0 else y
 
 
 # message prefix of a solve that ended on the collision floor
@@ -185,7 +166,7 @@ class _DOP853(DOP853):
     ``nfev`` itself, and keeps t, h and the error norms as Python floats.
     No caller bounds the step, so ``max_step`` is not read.  Dense output
     is SciPy's own, built from the state ``_step_impl`` leaves, but only
-    when it is first read (``_DeferredDenseOutput``, ``_StepStack``).
+    when it is first read (``_DeferredDenseOutput``, ``Trajectory``).
 
     ``dim`` leading components are the position x.  At the end of every
     accepted step, g = |x| - COLLISION_FLOOR is compared with its value at
@@ -301,7 +282,7 @@ class _DeferredDenseOutput:
     """The state of one accepted step that SciPy's
     ``DOP853._dense_output_impl`` reads (the stages K[0..12], h, t_old, t,
     y_old, y and f), held in the solve's ``OdeSolution`` in the place of
-    the step's interpolant.  ``_StepStack`` runs that method with it in the
+    the step's interpolant.  ``Trajectory`` runs that method with it in the
     solver's place when a time in the step is first read, so the three
     extra stages and the interpolant are SciPy's bit for bit."""
 

@@ -72,12 +72,9 @@ def kernel_dimension(M):
     """
     M = np.asarray(M, dtype=float)
     sv = np.linalg.svd(M, compute_uv=False)
-    smax = sv[0]
-    if smax == 0.0:
-        return M.shape[0], np.inf, sv
     # absolute floor keeps the all-zero case (I - P with P = I exactly, as
     # for the harmonic oscillator) from passing its own noise as rank
-    cut = RANK_TOL * max(smax, 1.0)
+    cut = RANK_TOL * max(sv[0], 1.0)
     dim = int(np.count_nonzero(sv < cut))
     if dim == 0:
         return 0, np.inf, sv
@@ -220,17 +217,14 @@ def cross_check(orbit: PeriodicOrbit) -> ConsistencyReport:
                                      2.0 * math.pi * orbit.k / orbit.n,
                                      orbit.n)
     pl_fp, pl_fe = _reports(sys2, z0, P, defect)
-    sp_fp, sp_fe = (replace(r, kernel_dim=r.kernel_dim + 2)
-                    for r in (pl_fp, pl_fe))
     bad = [f"{w}: actions={a}, monodromy={m.verdict}" for w, a, m in
            (("fixed-period", det_fp, pl_fp), ("fixed-energy", det_fe, pl_fe))
            if a != m.verdict]
     if bad:
         raise RouteDisagreementError(
-            "route verdicts disagree: " + "; ".join(bad),
-            reports={"actions": rep, "planar_fp": pl_fp, "planar_fe": pl_fe,
-                     "spatial_fp": sp_fp, "spatial_fe": sp_fe},
-        )
+            "route verdicts disagree: " + "; ".join(bad))
+    sp_fp, sp_fe = (replace(r, kernel_dim=r.kernel_dim + 2)
+                    for r in (pl_fp, pl_fe))
     return ConsistencyReport(
         actions=rep, planar_fp=pl_fp, planar_fe=pl_fe,
         spatial_fp=sp_fp, spatial_fe=sp_fe,

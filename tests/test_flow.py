@@ -551,7 +551,9 @@ def test_one_pass_evaluation_is_scipys_bit_for_bit(law, V, d, t0, span,
     # every kinetic law, potential kind, perturbation family and dimension,
     # forward and backward in time: a trajectory evaluated in one pass
     # equals SciPy's OdeSolution of the stock solve, at random times in and
-    # beyond [t0, t1], at every step boundary, and time by time
+    # beyond [t0, t1], at every step boundary, and time by time; so does a
+    # fresh one read time by time from the start, each read building at
+    # most one step
     pert = data.draw(perturbed_systems(d))
     x = data.draw(vectors(d))
     p = data.draw(vectors(d, st.floats(-1.0, 1.0)))
@@ -571,6 +573,9 @@ def test_one_pass_evaluation_is_scipys_bit_for_bit(law, V, d, t0, span,
         times = data.draw(st.lists(st.floats(lo - 1.0, hi + 1.0),
                                    min_size=1, max_size=40))
         ts = np.concatenate([times, step_times(traj), [t0, end]])
+        fresh = call()  # the same solve, no step built yet
+        for t in ts:
+            assert same_bits(fresh(t), stock.sol(t))
         y = traj(ts)
         assert same_bits(y, stock.sol(ts).T)
         for t, row in zip(ts, y):
