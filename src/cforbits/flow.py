@@ -11,32 +11,36 @@ SciPy's bit for bit.  The collision floor is checked at the end of every
 accepted step, and ``CollisionError`` reports the end of the step that
 crossed it, not an event time found by root-finding.  Any other early end
 (a step size below the spacing of the floats) raises its base class
-``IntegrationError``.  Plain trajectories carry DOP853's dense output, but
-a ``Trajectory`` builds each step's interpolant, which costs three more
-right-hand-side evaluations, by SciPy's own method the first time a time in
-that step is read: a step nobody reads costs nothing, and ``nfev`` counts
-only the calls made during the solve.  It keeps the coefficients of the
-steps it has built stacked, and evaluates all the times of a call in one
-vectorized pass over them, with SciPy's choice of step and SciPy's Horner
-order, so each value is SciPy's ``OdeSolution``'s bit for bit.  ``endpoint``
-and variational solves return only their end point.  A shooting trial needs
-only the state from ``endpoint``, which integrates (z, t) in Sundman's time
-s of dt/ds = |x| (Sundman, Acta Math. 36 (1912); Hairer, Lubich & Wanner,
+``IntegrationError``.
+
+``integrate`` and ``endpoint`` integrate (z, t) in Sundman's time s of
+dt/ds = |x| (Sundman, Acta Math. 36 (1912); Hairer, Lubich & Wanner,
 *Geometric Numerical Integration*, VIII.2), where the steps that t crowds
-around perigee spread out: a half-period shot of an eccentric orbit takes
-about a quarter fewer right-hand-side calls at the same accuracy.  The
-solver stops it on the step where t passes t1, at the root of t(s) = t1
-on that step's interpolant, as SciPy ends a solve on a terminal event, so
-the shot is SciPy's DOP853 on the system in s bit for bit.  Dense and
-variational solves stay in t: in s a variational solve was no faster and
-less accurate, and dense half cycles less accurate on eccentric orbits.
-The variational solve (2d + 4d^2 components) runs only where a Newton
-step uses a new Jacobian.  Every solve
-runs at ``DEFAULT_TOL`` unless its caller says otherwise: ``integrate``
-takes a tighter ``tol`` for reference solutions, ``endpoint`` a tighter one
-for the half-period shots of the symmetric shooting path, and
-``integrate_with_variational`` a looser one for a Jacobian that only steers
-a Newton step far from convergence.
+around perigee spread out: the half radial cycles of the resonance survey
+take 40% fewer right-hand-side calls, and a half-period shot a quarter
+fewer, at the same accuracy.  The solver stops on the step where t passes
+t1, at the root of t(s) = t1 on that step's interpolant, as SciPy ends a
+solve on a terminal event, so each is SciPy's DOP853 on the system in s
+bit for bit; ``endpoint`` is ``integrate`` without dense output, and
+returns its end state.
+``integrate`` returns a ``Trajectory``, read at physical times: it finds
+each time's step from the values of t at the step ends and solves
+t(s) = t on that step's interpolant.  It builds each step's interpolant,
+which costs three more right-hand-side evaluations, by SciPy's own method
+the first time a time in that step is read (the stop step's is built by
+the solve): a step nobody reads costs nothing, and ``nfev`` counts only
+the calls made during the solve.  It keeps the coefficients of the steps
+it has built stacked, and evaluates all the times of a call in one
+vectorized pass over them in SciPy's Horner order, so each value is
+SciPy's ``OdeSolution``'s at its s bit for bit.  The variational solve
+stays in t (in s it was no faster and less accurate) and returns only its
+end point; it integrates 2d + 4d^2 components and runs only where a
+Newton step uses a new Jacobian.  Every solve runs at ``DEFAULT_TOL``
+unless its caller says otherwise: ``integrate`` takes a tighter ``tol``
+for reference solutions, ``endpoint`` a tighter one for the half-period
+shots of the symmetric shooting path, and ``integrate_with_variational`` a
+looser one for a Jacobian that only steers a Newton step far from
+convergence.
 """
 from __future__ import annotations
 
@@ -63,6 +67,11 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 COLLISION_FLOOR = 1e-8
+# a Trajectory read's root of t(s) = t: each time's Newton iteration stops
+# after a step below the square root of the float spacing at 1 in x (the
+# error after it is of order its square), or after ROOT_STEPS steps
+ROOT_STEPS = 8
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 def symplectic_matrix(d: int):
@@ -90,57 +99,130 @@ def symplectic_residual(W) -> float:
 
 
 class Trajectory:
-    """Dense solution over [t0, t1]; calling it evaluates the interpolant.
+    """Dense solution over [t0, t1] of a solve in Sundman's time s;
+    calling it at physical times evaluates the interpolant.
 
     A time t gives a state of shape (n,), an array of m times an (m, n)
-    array.  Every call is one pass over all its times: the step of each is
-    found as SciPy's ``OdeSolution`` finds it (the earlier step at a step
-    boundary, the first or last step outside [t0, t1]), and each step's
-    DOP853 polynomial is evaluated in SciPy's Horner order, so the values
-    are SciPy's bit for bit.  The steps' interpolants are stacked:
-    ``_F[:, j]``, ``_t_old[j]``, ``_h[j]`` and ``_y_old[j]`` are step j's
-    coefficients, start, length and start state (SciPy's
-    ``Dop853DenseOutput``), made by SciPy's ``DOP853._dense_output_impl``
+    array.  Every call is one pass over all its times.  The step of each
+    is found from the values of t at the step ends as SciPy's
+    ``OdeSolution`` finds a step from its ends (the earlier step at a step
+    boundary, the first or last step outside [t0, t1]).  On that step, s
+    solves t(s) = t on the step's own DOP853 polynomial (``_sundman_times``:
+    Newton's method, to a few ulps of t; t1 itself reads the solve's stop
+    root), and the state at s is evaluated on the step ``OdeSolution``
+    reads at s (the same one, unless s rounds across the step's end) in
+    SciPy's Horner order, so the values are SciPy's ``OdeSolution``'s at s
+    bit for bit.  The steps' interpolants are stacked: ``_F[:, j]``,
+    ``_t_old[j]``, ``_h[j]`` and ``_y_old[j]`` are step j's coefficients,
+    start, length (in s) and start state (SciPy's ``Dop853DenseOutput``, t
+    the last component), made by SciPy's ``DOP853._dense_output_impl``
     from the snapshot ``_sol.interpolants[j]`` when a time in step j is
-    first read; the snapshot is then dropped from that list.
+    first read; the snapshot is then dropped from that list.  The stop
+    step's interpolant is built during the solve, as SciPy builds it for a
+    terminal event.
     """
 
-    def __init__(self, t0: float, t1: float, sol):
+    def __init__(self, t0: float, t1: float, sol, t_ends):
         self.t0, self.t1 = t0, t1
-        self._sol = sol  # the solve's OdeSolution: steps and snapshots
+        self._sol = sol  # the solve's OdeSolution in s: steps and snapshots
         m = sol.n_segments
+        # t at the step ends, sorted as the solve sorts its ends in s: t
+        # runs the way s does
+        self._t_sorted = t_ends if sol.ascending else t_ends[::-1]
         self._t_old, self._h = np.empty(m), np.empty(m)
         self._built = np.zeros(m, dtype=bool)
         self._F = self._y_old = None  # sized at the first step built
 
+    def _build(self, seg):
+        built = self._built[seg]
+        if built.all():
+            return
+        snapshots = self._sol.interpolants
+        for j in np.unique(seg[~built]):
+            dense = snapshots[j]
+            if isinstance(dense, _DeferredDenseOutput):
+                dense = DOP853._dense_output_impl(dense)
+            snapshots[j] = None
+            if self._F is None:
+                m, n = self._built.size, dense.y_old.size
+                self._F = np.empty((dense.F.shape[0], m, n))
+                self._y_old = np.empty((m, n))
+            self._F[:, j], self._y_old[j] = dense.F, dense.y_old
+            self._t_old[j], self._h[j] = dense.t_old, dense.h
+            self._built[j] = True
+
+    def _sundman_times(self, ts, seg):
+        """The Sundman time s of each time t on its step seg: the root of
+        t(s) = t on the step's DOP853 polynomial, by Newton's method from
+        the cubic Hermite guess of x(t) (x = (s - t_old)/h) through the
+        polynomial's ends and slopes (see ROOT_STEPS for where it stops).
+        t1 takes the solve's stop root."""
+        stop = ts == self.t1
+        if stop.all():
+            return np.full(ts.size, self._sol.ts[-1])
+        F = self._F[:, seg, -1]
+        # t(x) - t = d + P(x), P(0) = 0; P(1) = F[0], dP/dx = h f at the
+        # step's ends, F[0] + F[1] and F[0] - F[1] - F[2]
+        d = self._y_old[seg, -1] - ts
+        m0, m1 = F[0] / (F[0] + F[1]), F[0] / (F[0] - F[1] - F[2])
+        u = -d / F[0]
+        x = u * (m0 + u * (3.0 - 2.0 * m0 - m1 + u * (m0 + m1 - 2.0)))
+        # each time stops on its own test, so it gets the same bits alone
+        # or in an array
+        active = np.ones(ts.size, dtype=bool)
+        for _ in range(ROOT_STEPS):
+            # P and dP/dx in Dop853DenseOutput's Horner order
+            p = dp = 0.0
+            w = 1.0 - x
+            for i, f in enumerate(reversed(F)):
+                p = p + f
+                if i % 2 == 0:
+                    dp = dp * x + p
+                    p = p * x
+                else:
+                    dp = dp * w - p
+                    p = p * w
+            dx = (d + p) / dp
+            x = np.where(active, x - dx, x)
+            active &= np.abs(dx) > _SQRT_EPS
+            if not active.any():
+                break
+        return np.where(stop, self._sol.ts[-1],
+                        self._t_old[seg] + x * self._h[seg])
+
+    def _locate(self, ts):
+        """The Sundman time s of each time in ts, solved on the step that
+        its t falls in, and the step SciPy's ``OdeSolution`` reads at s
+        (the same step but where s rounds across a step boundary),
+        building the steps not built yet."""
+        s = self._sundman_times(ts, self._steps(self._t_sorted, ts))
+        return self._steps(self._sol.ts_sorted, s), s
+
+    def _steps(self, ends, ts):
+        """The step of each of the times ts, on a solve whose sorted step
+        ends are ``ends``, as SciPy's ``OdeSolution`` chooses it for
+        DOP853: the earlier step at a step boundary, the first or last
+        step outside the solve; each is built if it is not yet."""
+        sol, m = self._sol, self._sol.n_segments
+        seg = np.searchsorted(ends, ts, side=sol.side) - 1
+        np.clip(seg, 0, m - 1, out=seg)
+        if not sol.ascending:
+            seg = m - 1 - seg
+        self._build(seg)
+        return seg
+
     def __call__(self, t):
         t = np.asarray(t)
         ts = t.reshape(-1)  # a scalar is a batch of one
-        sol = self._sol
-        seg = np.searchsorted(sol.ts_sorted, ts, side=sol.side) - 1
-        np.clip(seg, 0, sol.n_segments - 1, out=seg)
-        if not sol.ascending:
-            seg = sol.n_segments - 1 - seg
-        snapshots = sol.interpolants
+        snapshots = self._sol.interpolants
         if isinstance(snapshots[0], ConstantDenseOutput):
             # a solve over an empty interval: SciPy's constant interpolant
-            y = np.tile(snapshots[0].value, (ts.size, 1))
+            y = np.tile(snapshots[0].value[:-1], (ts.size, 1))
             return y[0] if t.ndim == 0 else y
-        new = seg[~self._built[seg]]
-        if new.size:
-            for j in np.unique(new):
-                dense = DOP853._dense_output_impl(snapshots[j])
-                snapshots[j] = None
-                if self._F is None:
-                    m, n = self._built.size, dense.y_old.size
-                    self._F = np.empty((dense.F.shape[0], m, n))
-                    self._y_old = np.empty((m, n))
-                self._F[:, j], self._y_old[j] = dense.F, dense.y_old
-                self._t_old[j], self._h[j] = dense.t_old, dense.h
-                self._built[j] = True
+        seg, s = self._locate(ts)
         # Dop853DenseOutput._call_impl, for every time at once
         F, y_old = self._F[:, seg], self._y_old[seg]
-        x = ((ts - self._t_old[seg]) / self._h[seg])[:, None]
+        x = ((s - self._t_old[seg]) / self._h[seg])[:, None]
         y = np.zeros(y_old.shape)
         for i, f in enumerate(reversed(F)):
             y += f
@@ -149,6 +231,7 @@ class Trajectory:
             else:
                 y *= 1 - x
         y += y_old
+        y = y[:, :-1]
         return y[0] if t.ndim == 0 else y
 
 
@@ -166,7 +249,8 @@ class _DOP853(DOP853):
     ``nfev`` itself, and keeps t, h and the error norms as Python floats.
     No caller bounds the step, so ``max_step`` is not read.  Dense output
     is SciPy's own, built from the state ``_step_impl`` leaves, but only
-    when it is first read (``_DeferredDenseOutput``, ``Trajectory``).
+    when it is first read (``_DeferredDenseOutput``, ``Trajectory``), but
+    for the stop step's (below).
 
     ``dim`` leading components are the position x.  At the end of every
     accepted step, g = |x| - COLLISION_FLOOR is compared with its value at
@@ -175,11 +259,13 @@ class _DOP853(DOP853):
     failed with a ``COLLIDED`` message that names the step's end time.
 
     With ``t_stop``, the last component is the time t of a solve in
-    Sundman's s (``endpoint``): the step whose end passes t = t_stop ends
-    the solve as finished, at the root of t(s) = t_stop on the step's
-    interpolant, which SciPy's own method builds (its three RHS calls
-    count in ``nfev``) and SciPy's event root search solves, as for a
-    terminal event; a collision message names t, not s.
+    Sundman's s (``integrate``, ``endpoint``): the step whose end passes
+    t = t_stop ends the solve as finished, at the root of t(s) = t_stop on
+    the step's full-step interpolant, which SciPy's own method builds (its
+    three RHS calls count in ``nfev``) and SciPy's event root search
+    solves, as for a terminal event.  That interpolant is the stop step's
+    dense output, as in SciPy's stock solve; it is kept before ``t`` and
+    ``y`` move to the root.  A collision message names t, not s.
     """
 
     def __init__(self, fun, t0, y0, t_bound, dim, t_stop=None, **options):
@@ -187,6 +273,7 @@ class _DOP853(DOP853):
         self._rhs = fun
         self._dim = dim
         self._t_stop = t_stop
+        self._stop_output = None  # the stop step's interpolant
         self._g = self._gap(self.y)
         self.h_abs = float(self.h_abs)
         self.direction = float(self.direction)
@@ -265,14 +352,22 @@ class _DOP853(DOP853):
         self._g = g
         if stop is not None and direction * (y_new[-1] - stop) >= 0:
             # the step passed t = t_stop: end the solve at the root of
-            # t(s) = t_stop on the step's own interpolant, as SciPy ends one
-            # on a terminal event
+            # t(s) = t_stop on the step's own full-step interpolant, which
+            # it keeps as its dense output, as SciPy ends one on a terminal
+            # event
             self.t_old = t
-            sol = DOP853._dense_output_impl(self)
+            sol = self._stop_output = DOP853._dense_output_impl(self)
             s = solve_event_equation(lambda s, y: y[-1] - stop, sol, t, t_new)
             self.t = self.t_bound = s
             self.y = sol(s)
         return True, None
+
+    def dense_output(self):
+        # the stop step's interpolant, even where the root is the step's
+        # start (SciPy's stock solve keeps it there too)
+        if self._stop_output is not None:
+            return self._stop_output
+        return super().dense_output()
 
     def _dense_output_impl(self):
         return _DeferredDenseOutput(self)
@@ -313,29 +408,33 @@ def _solve(sys: HamiltonianSystem, rhs, y0, t0, t1, tol, dense_output,
     return res
 
 
+def _sundman_solve(sys: HamiltonianSystem, z0, t0, t1, tol, dense_output):
+    """The solve of the flow from z0 over [t0, t1] in Sundman's time s of
+    dt/ds = |x|, on the state (z, t) of ``sys.vector_field(t, z,
+    sundman=True)``, over s in [0, (t1 - t0) / COLLISION_FLOOR]: while |x|
+    stays above the floor, t passes t1 before s reaches that bound.  It
+    ends on the step where t passes t1, at the root of t(s) = t1 on that
+    step's interpolant."""
+    field = sys.vector_field
+    return _solve(sys, lambda s, y: field(y[-1], y[:-1], True),
+                  np.append(z0, t0), 0.0, (t1 - t0) / COLLISION_FLOOR, tol,
+                  dense_output, t_stop=t1)
+
+
 def integrate(sys: HamiltonianSystem, z0, t0: float, t1: float,
               tol: float = DEFAULT_TOL) -> Trajectory:
-    """Integrate the phase flow from z0 over [t0, t1]."""
-    res = _solve(sys, sys.vector_field, z0, t0, t1, tol, True)
-    return Trajectory(t0, t1, res.sol)
+    """Integrate the phase flow from z0 over [t0, t1] in Sundman's time,
+    with dense output read at physical times (``Trajectory``)."""
+    res = _sundman_solve(sys, z0, t0, t1, tol, True)
+    return Trajectory(t0, t1, res.sol, res.y[-1])
 
 
 def endpoint(sys: HamiltonianSystem, z0, t0: float, t1: float, *,
              tol: float = DEFAULT_TOL) -> np.ndarray:
-    """State z(t1) of the phase flow from z0 at ``rtol = atol = tol``; no
-    dense output is built.
-
-    The solve runs in Sundman's time s of dt/ds = |x|, on the state (z, t)
-    of ``sys.vector_field(t, z, sundman=True)``, over s in
-    [0, (t1 - t0) / COLLISION_FLOOR]: while |x| stays above the floor, t
-    passes t1 before s reaches that bound.  It ends on the step where t
-    passes t1, at the root of t(s) = t1 on that step's interpolant.
-    """
-    field = sys.vector_field
-    res = _solve(sys, lambda s, y: field(y[-1], y[:-1], True),
-                 np.append(z0, t0), 0.0, (t1 - t0) / COLLISION_FLOOR, tol,
-                 False, t_stop=t1)
-    return res.y[:-1, -1].copy()
+    """State z(t1) of the phase flow from z0 at ``rtol = atol = tol``: the
+    solve of ``integrate`` without dense output, so its end state is
+    ``integrate(...)(t1)`` bit for bit."""
+    return _sundman_solve(sys, z0, t0, t1, tol, False).y[:-1, -1].copy()
 
 
 def integrate_with_variational(sys: HamiltonianSystem, z0, t0: float,

@@ -435,19 +435,24 @@ class PeriodicOrbit:
     """Closed non-circular orbit with apsidal angle k*pi/n and period n*tau.
 
     Starts at apogee on the positive x1-axis with L > 0; for dim 3 the orbit
-    is embedded in the plane x3 = p3 = 0.  Only half a radial cycle, apogee
-    to perigee over [0, tau/2], is integrated (``cycle``).  The other half
-    is its mirror image under the time reversal about the perigee line,
-    z(tau - s) = reflect_apsis(z(s), k pi/n), which is exact because the
-    unperturbed flow is reversible; the rest of the orbit is that cycle
-    turned by multiples of 2 pi k/n, which is exact because the flow
-    commutes with rotations.  ``closure_residual`` is the jump
-    |z(tau/2) - reflect_apsis(z(tau/2), k pi/n)| at the perigee junction,
-    the only discontinuity of the composed orbit: its apogee boundaries
-    are continuous up to rounding.  ``cycle`` builds each step's
-    interpolant when a time in it is first read, so ``closure_residual``
-    costs the last step's only, and a caller that reads no state pays for
-    no other.
+    is embedded in the plane x3 = p3 = 0.  Only half a radial cycle is
+    integrated (``cycle``, over [-tau/2, 0]): from the exact perigee
+    (r_min, L/r_min) turned to the angle -phi, where the orbit is fastest,
+    to the apogee, where it is slowest, so the integration error gathers
+    where a time error moves the state least.  Its mirror under the time
+    reversal about the apogee line, z(s) = R_0 z(-s) with R_0 =
+    reflect_apsis(., 0), gives [0, tau/2]; the second half of the radial
+    cycle is that half's mirror about the perigee line, z(tau - s) =
+    reflect_apsis(z(s), k pi/n), and the rest of the orbit is that cycle
+    turned by multiples of 2 pi k/n.  The mirrors are exact because the
+    unperturbed flow is reversible, the turns because it commutes with
+    rotations.  ``closure_residual`` is the jump |c - R_0 c| at the apogee
+    junctions, with c = cycle(0) the integrated end; the perigee junctions
+    join the exact perigee at phi to its mirror at 2 k pi/n - phi, so their
+    jump is the resonance residual |phi - k pi/n| turned twice.  ``cycle``
+    builds each step's interpolant when a time in it is first read, except
+    the last step's, which the solve builds, so ``closure_residual`` builds
+    none, and a caller that reads no state pays for no other.
     """
 
     profile: RadialProfile
@@ -469,16 +474,16 @@ class PeriodicOrbit:
     def states(self, t):
         """Phase states at the times t (a scalar or an array), t reduced
         modulo the period.  With j = min(floor(t / tau), n - 1) and
-        s = t - j tau, the radial cycle is the half cycle at s for
-        s <= tau/2 and its apsis reflection reflect_apsis(cycle(tau - s),
-        k pi/n) beyond; it is turned by 2 pi k j/n.  Elementwise, so a time
-        gives the same bits alone or in an array."""
+        s = t - j tau, the radial cycle is R_0 cycle(-s) for s <= tau/2
+        and its apsis reflection reflect_apsis(R_0 cycle(s - tau), k pi/n)
+        beyond, R_0 = reflect_apsis(., 0); it is turned by 2 pi k j/n.
+        Elementwise, so a time gives the same bits alone or in an array."""
         t = np.mod(np.asarray(t, dtype=float), self.T)
         tau = self.profile.tau
         j = np.minimum(np.floor(t / tau), self.n - 1)
         s = t - j * tau
         mirrored = s > 0.5 * tau
-        z = self.cycle(np.where(mirrored, tau - s, s))
+        z = reflect_apsis(self.cycle(np.where(mirrored, s - tau, -s)), 0.0)
         z = np.where(mirrored[..., None],
                      reflect_apsis(z, math.pi * self.k / self.n), z)
         return rotate_plane(z, 2.0 * math.pi * self.k * j / self.n)
@@ -531,10 +536,12 @@ def _build_orbit(law, V, profile, k, n, dim):
         raise NoBoundOrbitError("angular momentum below the non-rectilinear floor")
     z0 = apogee_state(profile, dim)
     sys = HamiltonianSystem(law, V, Perturbation.zero(), dim)
-    cycle = integrate(sys, z0, 0.0, 0.5 * profile.tau)
-    perigee = cycle(cycle.t1)
-    residual = float(np.linalg.norm(
-        perigee - reflect_apsis(perigee, math.pi * k / n)))
+    # from the exact perigee at -phi, half a radial period before z0
+    perigee = rotate_plane(_apsis_state(profile.r_min, profile.L, dim),
+                           -profile.phi)
+    cycle = integrate(sys, perigee, -0.5 * profile.tau, 0.0)
+    apogee = cycle(0.0)
+    residual = float(np.linalg.norm(apogee - reflect_apsis(apogee, 0.0)))
     return PeriodicOrbit(profile, k, n, n * profile.tau, z0, cycle, dim,
                          residual, law, V)
 
@@ -583,10 +590,9 @@ def _scan(law, V, h):
     kin = _kin_on_scan(law, V, h)
     kept = []  # (L, L^2, i0, i1) of each row with an annulus
     for L in grid:
-        try:
-            ends = _annulus(L, kin - L**2 / _SCAN2)
-        except NoBoundOrbitError:
-            continue
+        # L >= 1.001 lo > 0 and L^2 > max(g[0], g[-1]): both ends of the
+        # row are negative, so _annulus cannot raise
+        ends = _annulus(L, kin - L**2 / _SCAN2)
         if ends is not None and ends[0] < ends[1]:
             kept.append((L, L**2, *ends))
     cols = list(zip(*kept)) or [()] * 4
@@ -733,11 +739,11 @@ def manifold_samples(orbit: PeriodicOrbit, count_rot: int, count_shift: int,
     """Sample (rotation, time shift) elements and their initial states.
 
     The apsis samples are built from the radial profile: shift 0 is the
-    apogee ``z0``, and shift tau/2 (an even ``count_shift``) the perigee
-    (r_min, L/r_min) at the angle (2n - 1) k pi/n, where ``states`` puts
-    it, without the error of the perigee junction that ``states`` carries
-    there.  So an apsis sample on a reversor's line lies on its fixed set
-    to rounding."""
+    apogee ``z0``, without the error of the apogee junction that
+    ``states`` carries there, and shift tau/2 (an even ``count_shift``)
+    the perigee (r_min, L/r_min) at the angle (2n - 1) k pi/n, where
+    ``states`` puts it up to the resonance residual.  So an apsis sample
+    on a reversor's line lies on its fixed set to rounding."""
     if count_rot < 1 or count_shift < 1:
         raise ValueError("counts must be >= 1")
     p = orbit.profile

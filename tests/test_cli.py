@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import logging
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import cforbits.cli
+import cforbits.nondeg
 from cforbits.cli import (
     EXIT_DISAGREEMENT,
     EXIT_NUMERICAL,
@@ -23,7 +25,7 @@ from cforbits.continuation import ShootingProblem, multistart
 from cforbits.errors import RouteDisagreementError
 from cforbits.model import HamiltonianSystem, KineticLaw, Perturbation, \
     Potential
-from cforbits.orbit import find_closed_orbit, manifold_samples
+from cforbits.orbit import find_closed_orbit, manifold_samples, radial_profile
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
 DEMO_CONFIGS = sorted(DEMO_DIR.glob("*.json"))
@@ -389,6 +391,28 @@ class TestOrbitCommand:
         assert set(manifest["files"]) == {"orbit.json", "trajectory.csv"}
         assert len(manifest["config_sha256"]) == 64
 
+    def test_levi_civita_orbit(self, tmp_path):
+        # the levi_civita potential block: the 7:6 orbit at lambda = 0.1,
+        # h = -0.55, whose tau and phi are radial_profile's at its L, to
+        # the 12 significant digits orbit.json writes
+        cfg = {"schema_version": 1,
+               "potential": {"kind": "levi_civita", "kappa": 1.0,
+                             "lambda": 0.1},
+               "orbit": {"k": 7, "n": 6, "h": -0.55},
+               "output": {"write_trajectories": False}}
+        out = tmp_path / "out"
+        assert main(["orbit", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "orbit.json").read_text())
+        profile = radial_profile(KineticLaw.classical(),
+                                 Potential.levi_civita(1.0, 0.1), -0.55,
+                                 summary["L"])
+        assert summary["phi"] == pytest.approx(7 * np.pi / 6, rel=1e-11)
+        assert summary["phi"] == pytest.approx(profile.phi, rel=1e-11)
+        assert summary["tau"] == pytest.approx(profile.tau, rel=1e-11)
+        assert summary["T"] == pytest.approx(6 * profile.tau, rel=1e-11)
+        assert 0.0 < summary["closure_residual"] <= 1e-8
+
     @pytest.mark.parametrize("write", [False, True])
     def test_write_trajectories_is_honoured(self, tmp_path, write):
         # the default writes trajectory.csv (test_artifacts_and_values);
@@ -559,6 +583,40 @@ class TestNondegCommand:
         path = write_cfg(tmp_path, {"schema_version": 1, "cases": self.CASES[:1]})
         assert main(["nondeg", "--config", path, "--out", str(out)]) == \
             EXIT_DISAGREEMENT
+
+
+    def test_route_disagreement_through_cross_check(self, tmp_path,
+                                                    monkeypatch):
+        # the actions route's fixed-period verdict flipped on the alpha =
+        # 0.5 case only: cross_check itself finds the monodromy route
+        # disagreeing and raises, and that case alone becomes an error row
+        flip = {"degenerate": "nondegenerate", "nondegenerate": "degenerate"}
+        verdict = cforbits.nondeg.nondeg_fixed_period
+
+        def flipped(rep):
+            v = verdict(rep)
+            return flip[v] if rep.profile.h == -1.5 else v
+
+        monkeypatch.setattr(cforbits.nondeg, "nondeg_fixed_period", flipped)
+        cfg = {"schema_version": 1, "cases": [
+            {"name": "kepler",
+             "potential": {"kind": "homogeneous", "alpha": 1.0},
+             "orbit": {"k": 1, "n": 1, "h": -0.375, "L": 1.0}},
+            self.CASES[0]]}
+        out = tmp_path / "out"
+        assert main(["nondeg", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_DISAGREEMENT
+        good, bad = json.loads((out / "nondeg.json").read_text())["verdicts"]
+        assert good["case"] == "kepler" and good["fixed_period"] == "degenerate"
+        assert sorted(bad) == ["case", "error"] and bad["case"] == "a05"
+        assert bad["error"] == ("route verdicts disagree: fixed-period: "
+                                "actions=degenerate, monodromy=nondegenerate")
+        with open(out / "nondeg.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert len(rows) == 1 + 6 and {r[0] for r in rows[1:]} == {"kepler"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == ["nondeg.csv", "nondeg.json"]
+        assert manifest["warnings"] == [f"a05: {bad['error']}"]
 
 
 class TestLimitClassicalCommand:
@@ -935,6 +993,35 @@ class TestContinueCommand:
         (r,) = payload["results"]
         assert len(r["z0"]) == 4
         assert r["distance_to_manifold"] <= 0.1
+
+    def test_no_accepted_seed_exits_3_with_its_file(self, tmp_path,
+                                                    monkeypatch):
+        # every seed comes back rejected: continuation.json is written all
+        # the same, and the run exits 3 with the manifest's warning
+        def rejected(*args):
+            return [replace(r, accepted=False, reason="stagnation at eps=1e-4")
+                    for r in multistart(*args)]
+
+        monkeypatch.setattr(cforbits.cli, "multistart", rejected)
+        cfg = {
+            "schema_version": 1,
+            "potential": {"kind": "homogeneous", "alpha": 0.5},
+            "orbit": {"k": 4, "n": 5, "h": -1.9},
+            "perturbation": {"family": "rotating_frame", "eps": 1e-4},
+            "continuation": {"mode": "fixed_energy",
+                             "count_rot": 1, "count_shift": 1},
+        }
+        out = tmp_path / "out"
+        assert main(["continue", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        payload = json.loads((out / "continuation.json").read_text())
+        assert payload["n_accepted"] == payload["n_distinct"] == 0
+        (r,) = payload["results"]
+        assert not r["accepted"] and r["reason"] == "stagnation at eps=1e-4"
+        assert r["distance_to_manifold"] is None
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == ["continuation.json"]
+        assert manifest["warnings"] == ["no accepted continuation results"]
 
     def test_spatial_magnetic_run(self, tmp_path):
         # uniform_magnetic fixes dim = 3: the spatial_fe benchmark's

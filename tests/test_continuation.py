@@ -224,6 +224,48 @@ class TestFailureContract:
         assert eps == 1e-4
         assert np.isfinite(first) and res.residual == first
 
+    def test_singular_jacobian_ends_the_run(self, orbit, monkeypatch):
+        # a variational solve whose W is singular: the first trial cannot
+        # solve for its step, the run ends with the first shot's residual
+        # and no trial, and a halved step would fall below EPS_START
+        def singular(*args, **kwargs):
+            z, W = flow.integrate_with_variational(*args, **kwargs)
+            return z, np.zeros_like(W)
+
+        monkeypatch.setattr(continuation, "integrate_with_variational",
+                            singular)
+        sys = electric_system(orbit, 1e-4)
+        prob = ShootingProblem(sys=sys, mode="fixed_period", seed=orbit.z0,
+                               T=orbit.T)
+        res = continue_fixed_period(prob)
+        assert not res.accepted
+        assert res.reason == "singular Jacobian at eps=0.0001"
+        assert res.history == () and res.newton_iters == 0
+        assert (res.state_shots, res.variational_solves) == (1, 1)
+        ((eps, first),) = res.rung_starts
+        assert eps == 1e-4 and np.isfinite(first) and res.residual == first
+        assert np.array_equal(res.z0, orbit.z0)
+
+    def test_collision_in_the_recheck_rejects_the_solution(self, orbit,
+                                                           monkeypatch):
+        # Newton converged; the re-check's full-period integration ends
+        # early: rejected with the failure word, the converged residual,
+        # its trials and no trajectory
+        def collides(*args, **kwargs):
+            raise CollisionError("injected")
+
+        monkeypatch.setattr(continuation, "integrate", collides)
+        sys = electric_system(orbit, 1e-4)
+        prob = ShootingProblem(sys=sys, mode="fixed_period", seed=orbit.z0,
+                               T=orbit.T)
+        res = continue_fixed_period(prob)
+        assert not res.accepted
+        assert res.reason == "collision in re-check at eps=0.0001"
+        assert res.newton_iters == len(res.history) >= 1
+        assert all(ok for _, _, ok in res.history)
+        assert res.residual == res.history[-1][1] <= continuation.RESIDUAL_TOL
+        assert res.trajectory is None
+
     @pytest.mark.parametrize("mode", ["fixed_period", "fixed_energy"])
     def test_a_rejected_trial_ends_the_run(self, orbit, mode, monkeypatch):
         # the first trial's shot ends early: the trial is rejected, and the
@@ -1286,19 +1328,25 @@ def assert_direct_when_contracting(r):
     assert (len(r.rung_starts) == 1) == (theta < continuation.THETA_MAX)
 
 
+# the one Levi-Civita perigee run whose re-check closes within its bound
+LEVI_CIVITA_PERIGEE_ACCEPTED = {("fixed_energy", 1e-2)}
+
+
 def _larmor_run(orbits, name, mode, eps, seed):
     """The continuation of a Larmor problem, or None where it is rejected
     as expected: on the Levi-Civita 7:6 orbit from perigee, Newton
     converges on the half-period system, but the re-check's closure from
-    perigee, 1.2e-8 to 2.0e-8, misses its bound 1e-8: the integrator's
-    error at perigee.  At eps = 1e-4 a tol-1e-14 integration closes the
-    same solution to 2.6e-10 from perigee and to 2.1e-11 to 2.2e-11 from
-    T/4."""
+    perigee, 1.07e-8 to 1.57e-8 in Sundman time, misses its bound 1e-8:
+    the integrator's error at perigee.  At fixed energy and eps = 1e-2 it
+    closes to 9.2e-9, and the result is accepted and checked like the
+    others.  At eps = 1e-4 a tol-1e-14 integration closes the same
+    solution to 2.6e-10 from perigee and to 2.1e-11 to 2.2e-11 from T/4."""
     prob = larmor_problem(orbits, name, mode, eps, seed)
     orb, sys = orbits[name], prob.sys
     res = continuation._continue(prob)
     assert_direct_when_contracting(res)
-    if (name, seed) == ("levi_civita", 1):
+    if ((name, seed) == ("levi_civita", 1)
+            and (mode, eps) not in LEVI_CIVITA_PERIGEE_ACCEPTED):
         assert not res.accepted
         assert res.reason.startswith("re-check failed: closure ")
         return None

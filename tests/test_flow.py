@@ -40,9 +40,18 @@ def kepler_system(dim=2):
 
 
 def step_times(traj):
-    """Times of the accepted steps of a trajectory: the breakpoints of its
-    piecewise interpolant, from t0 to t1."""
-    return traj._sol.ts
+    """Times of the accepted steps of a trajectory: the physical times t at
+    the breakpoints of its piecewise interpolant, from t0 to t1."""
+    ends = traj._t_sorted
+    return ends if traj._sol.ascending else ends[::-1]
+
+
+def physical_time_solve(sys, z0, t0, t1, tol):
+    """SciPy's stock DOP853 in physical time t at rtol = atol = tol, with
+    dense output and the collision floor as a terminal event: the reference
+    for the solves in Sundman time."""
+    return stock_solve_ivp(sys.vector_field, (t0, t1), z0, None, sys.dim,
+                           rtol=tol, atol=tol, dense_output=True)
 
 
 class TestSymplecticMatrix:
@@ -85,15 +94,18 @@ class TestIntegrate:
         with pytest.raises(CollisionError):
             integrate(sys, z0, 0.0, 5.0)
 
+    # SciPy raises an rtol below 100 machine epsilons to that floor
+    @pytest.mark.filterwarnings("ignore:At least one element of `rtol`")
     def test_endpoint_is_the_trajectory_end(self):
-        # the state-only shot runs in Sundman time and stops at t1: it
-        # misses a tol-1e-14 trajectory's end by 4.5e-12 (the trajectory at
-        # the shot's tol by 1.6e-11)
+        # the shot is the dense solve in Sundman time without its dense
+        # output: the same steps and the same stop, so the same end bit for
+        # bit.  It misses a tol-1e-14 solve in physical time by 4.5e-12
         sys = kepler_system()
         z0 = np.array([2.0, 0.0, 0.0, 0.5])
         z1 = endpoint(sys, z0, 0.0, 4.0)
-        ref = integrate(sys, z0, 0.0, 4.0, tol=1e-14)(4.0)
-        assert np.max(np.abs(z1 - ref)) <= 5e-11
+        assert same_bits(z1, integrate(sys, z0, 0.0, 4.0)(4.0))
+        ref = physical_time_solve(sys, z0, 0.0, 4.0, 1e-14)
+        assert np.max(np.abs(z1 - ref.y[:, -1])) <= 5e-11
         zv, _ = integrate_with_variational(sys, z0, 0.0, 4.0)
         assert np.max(np.abs(z1 - zv)) <= 1e-10
         with pytest.raises(CollisionError):
@@ -361,9 +373,10 @@ def test_sundman_field_is_the_scaled_vector_field(law, V, d, t, data):
     assert same_bits(sys.vector_field(t, z, True), expected)
 
 
-# the shot in s against a tol-1e-14 solve in t: at most 2.0 times farther
-# from it than the solve in t at the shot's tol (or than tol itself, where
-# that solve is closer) over this test's draws, and 26 times over 500 draws
+# the shot in s against a tol-1e-14 stock solve in t: at most 2.0 times
+# farther from it than the stock solve in t at the shot's tol (or than tol
+# itself, where that solve is closer) over this test's draws, and 26 times
+# over 500 draws
 # of the same strategies at tol 1e-12; the solve in t is the closer one on
 # most draws (median 3.7e-14 against 2.5e-15 relative at tol 1e-12)
 SUNDMAN_ERROR_RATIO = 100.0
@@ -387,9 +400,8 @@ def test_endpoint_against_a_physical_time_reference(law, V, d, t0, span, tol,
         reject()
     sys = HamiltonianSystem(law, V, pert, d)
     z0, t1 = np.concatenate([x, p]), t0 + span
-    try:
-        ref = integrate(sys, z0, t0, t1, tol=1e-14)
-    except RuntimeError:
+    ref = physical_time_solve(sys, z0, t0, t1, 1e-14)
+    if ref.status != 0:
         # the shot fails too: a collision, or the step size in t
         with pytest.raises(RuntimeError):
             endpoint(sys, z0, t0, t1, tol=tol)
@@ -398,11 +410,13 @@ def test_endpoint_against_a_physical_time_reference(law, V, d, t0, span, tol,
         z1 = endpoint(sys, z0, t0, t1, tol=tol)
     except CollisionError:
         ts = np.linspace(t0, t1, 20001)
-        assert np.min(np.linalg.norm(ref(ts)[:, :d], axis=1)) <= NEAR_COLLISION
+        assert np.min(np.linalg.norm(ref.sol(ts)[:d], axis=0)) <= NEAR_COLLISION
         return
-    end = ref(t1)
+    end = ref.y[:, -1]
     scale = 1.0 + np.max(np.abs(end))
-    in_t = np.max(np.abs(integrate(sys, z0, t0, t1, tol=tol)(t1) - end))
+    same_tol = physical_time_solve(sys, z0, t0, t1, tol)
+    assert same_tol.status == 0
+    in_t = np.max(np.abs(same_tol.y[:, -1] - end))
     assert np.max(np.abs(z1 - end)) <= SUNDMAN_ERROR_RATIO * max(
         in_t, tol * scale)
 
@@ -462,19 +476,20 @@ def assert_same_solve(new, stock, dense=False):
     """The same solve bit for bit: a finished one, or one that failed on
     the step size, takes the same steps and ends with the same message; one
     that collided stops on the step the stock event fired in, which is not
-    in ``new.t``; a shot in Sundman time finishes at the stock stop event's
-    root, with its state.  The RHS counts differ by exactly the three calls
-    of each interpolant the stock path builds during the solve and flow's
-    does not: of every step with ``dense`` output, whose interpolants flow
-    builds only when they are read, and otherwise of the collision step,
-    where the stock path builds one for its root search (both paths build
-    the stop step's).  A solve over an empty interval takes one step of
-    length 0, whose interpolant is a constant that costs no RHS call on
-    either path."""
+    in ``new.t``; a solve in Sundman time finishes at the stock stop
+    event's root, with its state.  The RHS counts differ by exactly the
+    three calls of each interpolant the stock path builds during the solve
+    and flow's does not: with ``dense`` output, of every step but the stop
+    step, whose interpolants flow builds only when they are read, and
+    otherwise of the collision step, where the stock path builds one for
+    its root search (both paths build the stop step's).  A solve over an
+    empty interval takes one step of length 0, whose interpolant is a
+    constant that costs no RHS call on either path."""
     assert len(new) == len(stock) == 1
     new, stock = new[0], stock[0]
     steps = np.count_nonzero(np.diff(stock.t))
-    built = steps if dense else int(collided(stock))
+    stopped = steps > 0 and stock.status == 1 and not collided(stock)
+    built = steps - stopped if dense else int(collided(stock))
     assert new.nfev == stock.nfev - 3 * built
     if collided(stock):
         assert new.status == -1 and new.message.startswith(flow.COLLIDED)
@@ -500,6 +515,34 @@ def assert_same_outcome(new, stock):
         assert np.array_equal(a, b)
 
 
+# a read's root of t(s) = t, against the stock interpolant's t at that s:
+# within READ_ULPS ulps of t (or of the step's start) plus dt/ds = |x|
+# times READ_ULPS ulps of s, the float s's own resolution in t
+READ_ULPS = 8
+
+
+def stock_reads(traj, stock, ts):
+    """The stock solve's states at the Sundman times s that ``traj``
+    solves for at the times ts, from SciPy's ``OdeSolution``.  For the
+    times in [t0, t1], t(s) is t within READ_ULPS ulps, but at t1, which
+    reads the stop's root (SciPy's event root, within 4 machine epsilons
+    (1 + |s|) in s).  A solve over an empty interval has SciPy's constant
+    interpolant."""
+    sol = stock.sol
+    if traj.t0 == traj.t1:
+        return sol(ts).T[:, :-1]
+    seg, s = traj._locate(ts)
+    y = sol(s).T
+    inside = ((ts >= min(traj.t0, traj.t1)) & (ts <= max(traj.t0, traj.t1))
+              & (ts != traj.t1))
+    start = stock.y[-1, seg]
+    r = np.linalg.norm(y[:, :(y.shape[1] - 1) // 2], axis=1)
+    ulps = (np.spacing(np.maximum(np.abs(ts), np.abs(start)))
+            + r * np.spacing(np.abs(s)))
+    assert np.all(np.abs(y[:, -1] - ts)[inside] <= READ_ULPS * ulps[inside])
+    return y[:, :-1]
+
+
 def compare_to_stock(sys, z0, t0, t1):
     for call, dense in (
             (lambda: flow.endpoint(sys, z0, t0, t1), False),
@@ -510,13 +553,16 @@ def compare_to_stock(sys, z0, t0, t1):
         ref, stock = through(stock_solve_ivp, call)
         assert_same_solve(new, stock, dense)
         if dense and not isinstance(ref, Exception):
-            # step times and the interpolant on a grid, past both ends too,
-            # against SciPy's OdeSolution of the stock solve
-            sol = stock[0].sol
-            assert np.array_equal(step_times(out), sol.ts)
+            # step ends in s and in t, and the interpolant on a grid, past
+            # both ends too, against the stock solve at the trajectory's s
+            stock = stock[0]
+            assert np.array_equal(out._sol.ts, stock.sol.ts)
+            assert np.array_equal(step_times(out), stock.y[-1])
             ts = np.linspace(t0 - 0.1 * (t1 - t0), t1 + 0.1 * (t1 - t0), 257)
-            assert np.array_equal(out(ts), sol(ts).T)
-            assert np.array_equal(out(t1), sol(t1))
+            assert same_bits(out(ts), stock_reads(out, stock, ts))
+            # the end is the stop's, which the shot returns
+            assert same_bits(out(t1), stock.y[:-1, -1])
+            assert same_bits(out(t1), flow.endpoint(sys, z0, t0, t1))
         else:
             assert_same_outcome(out, ref)
 
@@ -550,10 +596,10 @@ def test_one_pass_evaluation_is_scipys_bit_for_bit(law, V, d, t0, span,
                                                    data):
     # every kinetic law, potential kind, perturbation family and dimension,
     # forward and backward in time: a trajectory evaluated in one pass
-    # equals SciPy's OdeSolution of the stock solve, at random times in and
-    # beyond [t0, t1], at every step boundary, and time by time; so does a
-    # fresh one read time by time from the start, each read building at
-    # most one step
+    # equals the stock solve at the Sundman times it solves for, at random
+    # times in and beyond [t0, t1], at every step boundary, and time by
+    # time; so does a fresh one read time by time from the start, each
+    # read building at most one step
     pert = data.draw(perturbed_systems(d))
     x = data.draw(vectors(d))
     p = data.draw(vectors(d, st.floats(-1.0, 1.0)))
@@ -574,13 +620,13 @@ def test_one_pass_evaluation_is_scipys_bit_for_bit(law, V, d, t0, span,
                                    min_size=1, max_size=40))
         ts = np.concatenate([times, step_times(traj), [t0, end]])
         fresh = call()  # the same solve, no step built yet
-        for t in ts:
-            assert same_bits(fresh(t), stock.sol(t))
+        want = stock_reads(call(), stock, ts)
+        for t, row in zip(ts, want):
+            assert same_bits(fresh(t), row)
         y = traj(ts)
-        assert same_bits(y, stock.sol(ts).T)
+        assert same_bits(y, want)
         for t, row in zip(ts, y):
-            one = traj(t)
-            assert same_bits(one, stock.sol(t)) and same_bits(one, row)
+            assert same_bits(traj(t), row)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -604,18 +650,19 @@ def test_radial_infall_collides_on_the_event_step(d):
 
 def test_step_size_failure_is_the_stock_one():
     # backward in time this is a radial fall, and in t the Levi-Civita
-    # force (1/r^3 at the centre) shrinks the step below the spacing of the
-    # floats before |x| reaches the collision floor; in Sundman's s, where
-    # dt/ds = |x| slows the fall, the shot reaches the floor
+    # force (1/r^3 at the centre) shrinks the variational solve's step
+    # below the spacing of the floats before |x| reaches the collision
+    # floor; in Sundman's s, where dt/ds = |x| slows the fall, the dense
+    # solve and the shot reach the floor
     sys = HamiltonianSystem(KineticLaw.classical(),
                             Potential.levi_civita(1.0, 0.1),
                             Perturbation.zero(), 2)
     z0 = np.array([1.0, 0.0, 1.0, 0.0])
-    for solve in (integrate, integrate_with_variational):
-        with pytest.raises(RuntimeError, match="step size"):
+    with pytest.raises(RuntimeError, match="step size"):
+        integrate_with_variational(sys, z0, 0.0, -1.0)
+    for solve in (integrate, endpoint):
+        with pytest.raises(CollisionError):
             solve(sys, z0, 0.0, -1.0)
-    with pytest.raises(CollisionError):
-        endpoint(sys, z0, 0.0, -1.0)
     compare_to_stock(sys, z0, 0.0, -1.0)
 
 
@@ -623,9 +670,10 @@ def test_one_solve_ivp_call_per_integration_with_honest_counts():
     # perfbench counts flow.nfev and flow.steps from what flow.solve_ivp
     # returns: every integration must pass through it exactly once, with
     # nfev the RHS calls made and len(t) - 1 the steps accepted.  Each step
-    # makes 12 calls per attempt; the shot, in Sundman time, makes every
-    # call on the Sundman field, and the step that passes t1 three more,
-    # for the interpolant its stop reads (the root on it calls none)
+    # makes 12 calls per attempt; the dense solve and the shot, in Sundman
+    # time, make every call on the Sundman field, and the step that passes
+    # t1 three more, for the interpolant its stop reads (the root on it
+    # calls none), which the dense solve keeps
     pert = Perturbation.uniform_electric((0.3, -0.2), 1e-2, profile="cosine",
                                          T_forcing=2.0)
     sys = HamiltonianSystem(KineticLaw.classical(), Potential.kepler(), pert, 2)
@@ -645,7 +693,7 @@ def test_one_solve_ivp_call_per_integration_with_honest_counts():
         return message
 
     for call, shot in ((lambda: flow.endpoint(sys, z0, 0.0, 6.0), True),
-                       (lambda: flow.integrate(sys, z0, 0.0, 6.0), False),
+                       (lambda: flow.integrate(sys, z0, 0.0, 6.0), True),
                        (lambda: flow.integrate_with_variational(sys, z0, 0.0,
                                                                 6.0), False)):
         calls.clear()
@@ -663,25 +711,27 @@ def test_one_solve_ivp_call_per_integration_with_honest_counts():
         if shot:
             # the solve ended at t(s) = 6, on the stop step's interpolant
             assert res.y[-1, -1] == pytest.approx(6.0, abs=1e-15)
-            assert np.array_equal(out, res.y[:-1, -1])
+            end = out(6.0) if isinstance(out, flow.Trajectory) else out
+            assert np.array_equal(end, res.y[:-1, -1])
 
 
 def test_interpolants_are_built_once_when_first_read():
-    # a closed orbit's half cycle: the solve builds no interpolant, its
-    # closure_residual reads one (the last step's), a read at every step
-    # builds each of the others once, and a second read calls nothing
+    # a closed orbit's half cycle: the solve builds only the stop step's
+    # interpolant, which its closure_residual reads at the apogee, a read
+    # at every step builds each of the others once, and a second read
+    # calls nothing
     counts = {"rhs": 0}
     field = HamiltonianSystem.vector_field
 
-    def counted_field(self, t, z):
+    def counted_field(self, t, z, *sundman):
         counts["rhs"] += 1
-        return field(self, t, z)
+        return field(self, t, z, *sundman)
 
     with mock.patch.object(HamiltonianSystem, "vector_field", counted_field):
         orbit, (res,) = through(solve_ivp, lambda: find_closed_orbit(
             KineticLaw.classical(), Potential.homogeneous(1.0, 0.5), 4, 5,
             -1.9))
-        assert counts["rhs"] == res.nfev + 3
+        assert counts["rhs"] == res.nfev
         steps = step_times(orbit.cycle)
         assert len(steps) - 1 == len(res.t) - 1 > 1
         ts = np.concatenate([np.linspace(0.0, orbit.T, 401),

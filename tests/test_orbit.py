@@ -13,7 +13,7 @@ from cforbits.errors import (
     NoBoundOrbitError,
     TargetOutOfRangeError,
 )
-from cforbits.flow import integrate
+from cforbits.flow import DEFAULT_TOL
 from cforbits.model import KineticLaw, Potential
 from cforbits.orbit import (
     _embed3,
@@ -27,6 +27,7 @@ from cforbits.orbit import (
     rotate_state,
     turning_points,
 )
+from test_flow import physical_time_solve
 from test_nondeg import REFERENCE_ROWS, REFERENCE_TOL
 
 CLASSICAL = KineticLaw.classical()
@@ -408,31 +409,37 @@ class TestManifoldSamples:
     @pytest.mark.parametrize("group", ["planar", "SO3"])
     def test_states_match_pointwise_loop(self, group):
         # one states() call over all shifts gives the bits of one
-        # states() call per sample
+        # states() call per sample; shift 0 is the apogee z0
         V = Potential.homogeneous(1.0, 0.5)
         orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5)
         s = manifold_samples(orb, 3, 5, group=group)
+        z = [orb.z0 if th == 0.0 else orb.states(-th) for _, th in s.elements]
         if group == "planar":
-            loop = [rotate_plane(orb.states(-th), a) for a, th in s.elements]
+            loop = [rotate_plane(zi, a) for zi, (a, _) in zip(z, s.elements)]
         else:
-            loop = [rotate_state(M, _embed3(orb.states(-th)))
-                    for M, th in s.elements]
+            loop = [rotate_state(M, _embed3(zi))
+                    for zi, (M, _) in zip(z, s.elements)]
         assert np.array_equal(s.states, np.array(loop))
 
     @pytest.mark.parametrize("group", ["planar", "SO3"])
     def test_apsis_samples_from_the_profile(self, group):
-        # shift 0 is the apogee z0, which states(0) gives bit for bit, so
-        # those samples are the states() loop's; shift tau/2 is the exact
-        # perigee (r_min, L/r_min) where states() puts it, at the angle
-        # 7 k pi/4 on the 3:4 orbit, off states() by the perigee junction's
-        # error (measured 7.0e-12 to 9.5e-12 here, closure residual 2.0e-11)
+        # the half cycle starts at the exact perigee (r_min, L/r_min) at
+        # the angle -phi, which it gives back bit for bit; states() puts
+        # its mirror at phi + 2 pi k (n - 1)/n, where shift tau/2 is the
+        # exact perigee at the angle 7 k pi/4 on the 3:4 orbit, off states()
+        # by the rounding of the turns and |phi - k pi/n| (measured 8.9e-15,
+        # residual 8.9e-16).  Shift 0 is the apogee z0, off states(0) by the
+        # apogee junction's error (measured 9.6e-13 planar and 7.5e-12 in
+        # space, closure residuals 2.0e-12 and 1.2e-12)
         V = Potential.homogeneous(1.0, 0.5)
         orb = find_closed_orbit(CLASSICAL, V, 3, 4, -1.5,
                                 dim=2 if group == "planar" else 3)
-        assert np.array_equal(orb.states(0.0), orb.z0)
         p, d = orb.profile, orb.dim
         perigee = np.zeros(2 * d)
         perigee[0], perigee[d + 1] = p.r_min, p.L / p.r_min
+        assert np.array_equal(orb.cycle(-0.5 * p.tau),
+                              rotate_plane(perigee, -p.phi))
+        assert 0.0 < np.max(np.abs(orb.states(0.0) - orb.z0)) <= 1e-10
         perigee = rotate_plane(perigee, math.pi * 3 * 7 / 4)
         s = manifold_samples(orb, 3, 4, group=group)
         for i, (M, th) in enumerate(s.elements):
@@ -442,11 +449,12 @@ class TestManifoldSamples:
                 return rotate_state(M, _embed3(z))
             old = turn(orb.states(-th))
             if i % 4 == 0:
-                assert np.array_equal(s.states[i], old)
+                assert np.array_equal(s.states[i], turn(orb.z0))
+                assert 0.0 < np.max(np.abs(s.states[i] - old)) <= 1e-10
             elif i % 4 == 2:
                 assert th == 0.5 * p.tau
                 assert np.array_equal(s.states[i], turn(perigee))
-                assert 0.0 < np.max(np.abs(s.states[i] - old)) <= 1e-10
+                assert np.max(np.abs(s.states[i] - old)) <= 1e-13
             else:
                 assert np.array_equal(s.states[i], old)
 
@@ -492,11 +500,12 @@ class TestComposedOrbit:
     @pytest.mark.filterwarnings("ignore:At least one element of `rtol`")
     def test_states_match_full_period_reference(self, pool_orbit):
         orb = pool_orbit
-        ref = integrate(orb.system, orb.z0, 0.0, orb.T, tol=REFERENCE_TOL)
-        assert np.linalg.norm(ref(orb.T) - orb.z0) <= 1e-8
+        ref = physical_time_solve(orb.system, orb.z0, 0.0, orb.T,
+                                  REFERENCE_TOL)
+        assert np.linalg.norm(ref.y[:, -1] - orb.z0) <= 1e-8
         ts = np.linspace(0.0, orb.T, 4001)
         z_ref = (_levi_civita_states(orb, ts)
-                 if orb.potential.kind == "levi_civita" else ref(ts))
+                 if orb.potential.kind == "levi_civita" else ref.sol(ts).T)
         err = np.max(np.abs(orb.states(ts) - z_ref))
         assert err <= 1e-8 * np.max(np.abs(z_ref))
 
@@ -515,18 +524,20 @@ class TestComposedOrbit:
             assert np.max(np.abs(orb.states(t - dt) - orb.states(t + dt))) <= 1e-6
 
     def test_only_one_cycle_is_kept(self, pool_orbit):
+        # half a radial cycle, from the perigee to the apogee z0
         assert not hasattr(pool_orbit, "trajectory")
-        assert pool_orbit.cycle.t1 == 0.5 * pool_orbit.profile.tau
+        cycle = pool_orbit.cycle
+        assert cycle.t0 == -0.5 * pool_orbit.profile.tau and cycle.t1 == 0.0
 
     def test_states_match_full_cycle_composition(self, pool_orbit):
-        # one integrated radial cycle [0, tau] turned by 2 pi k j/n, the
-        # composition before the apsis mirror
+        # one radial cycle [0, tau] integrated in physical time, turned by
+        # 2 pi k j/n: the composition before the apsis mirror
         orb = pool_orbit
         tau = orb.profile.tau
-        full = integrate(orb.system, orb.z0, 0.0, tau)
+        full = physical_time_solve(orb.system, orb.z0, 0.0, tau, DEFAULT_TOL)
         ts = np.linspace(0.0, orb.T, 4001)
         j = np.minimum(np.floor(ts / tau), orb.n - 1)
-        ref = rotate_plane(full(ts - j * tau),
+        ref = rotate_plane(full.sol(ts - j * tau).T,
                            2.0 * math.pi * orb.k * j / orb.n)
         err = np.max(np.abs(orb.states(ts) - ref))
         assert err <= 1e-9 * np.max(np.abs(ref))
@@ -546,19 +557,30 @@ class TestComposedOrbit:
                 assert np.array_equal(orb.states(t), want)
 
     def test_perigee_jump_is_the_closure_residual(self, pool_orbit):
-        # a few ulps either side of each perigee: the jump differs from the
-        # closure residual by at most the motion over those ulps
+        # a few ulps either side of each apogee junction j tau: the jump
+        # differs from the closure residual by at most the motion over
+        # those ulps.  Either side of each perigee junction the states are
+        # the exact perigee at phi and its mirror at 2 k pi/n - phi: the
+        # jump is the resonance residual |phi - k pi/n| turned twice
         orb = pool_orbit
-        tau = orb.profile.tau
-        perigee = orb.cycle(0.5 * tau)
-        speed = np.linalg.norm(orb.system.vector_field(0.0, perigee))
+        p, d = orb.profile, orb.dim
+        tau, a = p.tau, math.pi * orb.k / orb.n
         dt = 4 * math.ulp(orb.T)
-        slack = 4 * dt * speed + 1e-14 * np.max(np.abs(perigee))
+        apogee = orb.cycle(0.0)
+        speed = np.linalg.norm(orb.system.vector_field(0.0, apogee))
+        slack = 4 * dt * speed + 1e-14 * np.max(np.abs(apogee))
+        perigee = orbit_module._apsis_state(p.r_min, p.L, d)
+        speed = np.linalg.norm(orb.system.vector_field(0.0, perigee))
+        bound = (2 * abs(p.phi - a) * np.linalg.norm(perigee)
+                 + 4 * dt * speed + 1e-14 * np.max(np.abs(perigee)))
         for j in range(orb.n):
-            t = j * tau + 0.5 * tau
+            t = j * tau
             jump = np.linalg.norm(orb.states(t + dt) - orb.states(t - dt))
             assert abs(jump - orb.closure_residual) <= slack
             assert jump <= 1e-6
+            t = j * tau + 0.5 * tau
+            jump = np.linalg.norm(orb.states(t + dt) - orb.states(t - dt))
+            assert jump <= bound
 
     def test_spatial_states_embed_the_planar_ones(self, pool_orbit):
         # the same profile built as a dim-3 orbit; its steps differ from the
